@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Diff BENCH_*.json artifacts against the committed baselines.
 
-The scale benchmarks persist their results to
-``benchmarks/out/BENCH_*.json``; the committed copies are the
-performance baselines the ROADMAP's perf trajectory is measured
-against.  This script fails (exit 1) when any *gated* metric of a
+The benchmarks write their results to the git-ignored
+``benchmarks/run/`` (``BENCH_*.json`` plus the text reports); the
+committed copies in ``benchmarks/out/`` are the performance baselines
+the ROADMAP's perf trajectory is measured against, and no test run
+touches them.  This script fails (exit 1) when any *gated* metric of a
 candidate run regresses by more than the tolerance against its
 baseline — the ``bench-compare`` CI job runs it on every PR with the
 job's freshly produced artifacts, and it is equally runnable locally:
 
-    python benchmarks/compare_bench.py --candidate benchmarks/out
+    python benchmarks/compare_bench.py                       # benchmarks/run vs benchmarks/out
     python benchmarks/compare_bench.py --candidate ./artifacts --tolerance 0.30
+    python benchmarks/compare_bench.py --accept              # promote the run to the baseline
 
 Gated metrics are deliberately machine-portable: deterministic
 simulation outputs (event counts, delivery counts/fractions, duplicate
@@ -28,7 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import shutil
 import sys
+
+BENCH_DIR = pathlib.Path(__file__).parent
 
 #: Tolerance for same-machine throughput ratios on shared/throttled CI
 #: runners (the deterministic metrics keep the strict default).
@@ -151,40 +156,63 @@ def compare_file(
     return regressions, notes
 
 
+def accept(candidate: pathlib.Path, baseline: pathlib.Path) -> None:
+    """Promote a run's artifacts to the committed baselines: the one
+    way ``benchmarks/out/`` changes.  BENCH_*.json files are merged key
+    by key (a per-push run holds no nightly-only entries and must not
+    erase the committed ones); every other file is copied over."""
+    baseline.mkdir(exist_ok=True)
+    for path in sorted(p for p in candidate.iterdir() if p.is_file()):
+        target = baseline / path.name
+        if path.name in GATED_METRICS and target.exists():
+            data = json.loads(target.read_text())
+            data.update(json.loads(path.read_text()))
+            target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        else:
+            shutil.copyfile(path, target)
+        print(f"accepted {path.name}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="fail on >tolerance regression of any gated benchmark metric"
     )
     parser.add_argument(
-        "--candidate", type=pathlib.Path,
-        help="directory holding the freshly produced BENCH_*.json artifacts",
+        "--candidate", type=pathlib.Path, default=BENCH_DIR / "run",
+        help="directory holding the freshly produced BENCH_*.json artifacts "
+             "(default: benchmarks/run, where the benchmarks write)",
+    )
+    parser.add_argument(
+        "--accept", action="store_true",
+        help="compare, and when no gated metric regressed copy the "
+             "candidate's files over the baselines (BENCH_*.json merged "
+             "key by key)",
     )
     parser.add_argument(
         "--prune-xxl", type=pathlib.Path, metavar="DIR",
         help="strip the nightly-only 'xxl' entries from BENCH_*.json in DIR "
              "and exit.  Per-push CI runs this before the benchmarks so the "
-             "uploaded artifacts carry only values that run measured — "
-             "otherwise the merge-written files inherit the committed xxl "
-             "entries and the xxl gates would compare the baseline against "
-             "itself",
+             "uploaded artifacts carry only values that run measured — a "
+             "run directory left over from an earlier REPRO_XXL run would "
+             "otherwise pass its xxl entries on through the merge-write",
     )
     parser.add_argument(
         "--prune-xxxl", type=pathlib.Path, metavar="DIR",
         help="strip the nightly-only 1M-node 'xxxl' entry from BENCH_*.json "
              "in DIR and exit.  Same rationale as --prune-xxl: per-push CI "
              "never runs the xxxl rung, so the merge-written artifacts must "
-             "not inherit the committed entry",
+             "not inherit a left-over entry",
     )
     parser.add_argument(
         "--prune", nargs=2, action="append", metavar=("DIR", "KEYS"),
         help="strip the comma-separated top-level entries KEYS from "
              "BENCH_*.json in DIR and exit — the generic form of "
              "--prune-xxl for any bench family a given CI tier does not "
-             "re-measure (e.g. --prune benchmarks/out topology,loss)",
+             "re-measure (e.g. --prune benchmarks/run topology,loss)",
     )
     parser.add_argument(
         "--baseline", type=pathlib.Path,
-        default=pathlib.Path(__file__).parent / "out",
+        default=BENCH_DIR / "out",
         help="directory of committed baselines (default: benchmarks/out)",
     )
     parser.add_argument(
@@ -212,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
                     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
                     print(f"{name}: pruned stale {', '.join(pruned)} entr{'y' if len(pruned) == 1 else 'ies'}")
         return 0
-    if args.candidate is None:
-        parser.error("--candidate is required (unless --prune-xxl/--prune-xxxl)")
+    if not args.candidate.is_dir():
+        parser.error(f"candidate directory {args.candidate} does not exist")
 
     all_regressions: list[str] = []
     for name in sorted(GATED_METRICS):
@@ -229,6 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\n{len(all_regressions)} gated metric(s) regressed beyond tolerance")
         return 1
     print("\nall gated metrics within tolerance")
+    if args.accept:
+        accept(args.candidate, args.baseline)
     return 0
 
 

@@ -47,11 +47,13 @@ def run_strategy(strategy, scale, seed=24):
         for state in [node.streams.get(0)]
         if state is not None and state.parents
     ]
+    # Read the parents themselves, not the adoption-time snapshots: a
+    # snapshot carries only the inputs its strategy declares.
     parent_uptime = statistics.mean(
-        c.uptime for ps in parents for c in ps.values()
+        bed.node(p).uptime for ps in parents for p in ps
     )
     parent_capacity = statistics.mean(
-        c.capacity for ps in parents for c in ps.values()
+        bed.network.capacity(p) for ps in parents for p in ps
     )
     loads = [len(node.children_of(0)) for node in bed.alive_nodes()]
     return {

@@ -5,19 +5,16 @@ summaries and assert the visual takeaways: the view-8 tree is shallower
 and bushier than the view-4 tree, and both are spanning trees.
 """
 
-import pathlib
-
 from repro.experiments.report import banner, table
 from repro.experiments.scenarios import fig8_tree_shape
 
-OUT = pathlib.Path(__file__).parent / "out"
+from benchmarks.conftest import RUN_DIR
 
 
 def test_fig08_tree_shape(benchmark, emit):
     result = benchmark.pedantic(
         lambda: fig8_tree_shape(n=100, view_sizes=(4, 8)), rounds=1, iterations=1
     )
-    OUT.mkdir(exist_ok=True)
     rows = []
     for view in (4, 8):
         s = result.summary[view]
@@ -25,13 +22,13 @@ def test_fig08_tree_shape(benchmark, emit):
             [f"view={view}", s["nodes"], s["edges"], s["max_depth"],
              round(s["mean_depth"], 2), s["max_degree"], s["leaves"]]
         )
-        (OUT / f"fig08_tree_view{view}.dot").write_text(result.dot[view])
+        (RUN_DIR / f"fig08_tree_view{view}.dot").write_text(result.dot[view])
     text = banner("Fig. 8 — sample tree shapes (100 nodes, expansion factor 1)") + "\n"
     text += table(
         ["config", "nodes", "edges", "max depth", "mean depth", "max degree", "leaves"],
         rows,
     )
-    text += "\nDOT exports: benchmarks/out/fig08_tree_view{4,8}.dot"
+    text += "\nDOT exports: benchmarks/run/fig08_tree_view{4,8}.dot"
     emit("fig08_tree_shape", text)
 
     for view in (4, 8):

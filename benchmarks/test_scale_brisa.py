@@ -4,15 +4,16 @@ Not a paper artifact: the ROADMAP rung after PR 1's flood-only scale
 runs.  The synthesized-overlay bootstrap (DESIGN.md §7) replaces the
 simulated HyParView join ramp, making the complete BRISA protocol
 affordable at populations the paper never reached.  Results persist to
-``benchmarks/out/BENCH_scale_brisa.json``.
+``benchmarks/run/BENCH_scale_brisa.json``.
 
-Acceptance gates:
-
-- the 10k-node BRISA dissemination completes with a complete/acyclic
-  emerged structure and a delivered fraction at least the flood
-  baseline's on the identical population/workload;
-- the synthesized bootstrap is >= 10x faster wall-clock than the
-  simulated join ramp it replaces, measured at 2k nodes.
+Always asserted: the 10k-node BRISA dissemination completes with a
+complete/acyclic emerged structure and a delivered fraction at least
+the flood baseline's on the identical population/workload.  Wall-clock
+ratios are printed on every run but asserted only when their
+``BENCH_*_GATE`` variable is set (``conftest.assert_ratio_gate``); the
+design targets on a quiet host are a synthesized bootstrap >= 10x faster
+than the simulated join ramp it replaces (at 2k nodes) and a slotted
+kernel >= 2x the object kernel's steady-state receptions/s.
 
 The ``xxl`` (100k-node) rung opened by the array-backed bootstrap runs
 behind ``REPRO_XXL=1`` (nightly CI / driver acceptance).  A 2k-node
@@ -33,7 +34,7 @@ from repro.experiments.scale_brisa import (
 )
 from repro.experiments.scale_flood import run_scale_flood
 
-from benchmarks.conftest import OUT_DIR, merge_bench_json
+from benchmarks.conftest import assert_ratio_gate, merge_bench_json
 
 #: Stream length for the benchmark runs (matches test_scale_flood).
 MESSAGES = 20
@@ -58,9 +59,8 @@ def test_scale_brisa_10k(emit):
     )
     emit("scale_brisa", text)
 
-    OUT_DIR.mkdir(exist_ok=True)
     merge_bench_json(
-        OUT_DIR / "BENCH_scale_brisa.json",
+        "BENCH_scale_brisa.json",
         {
             "scale_run": brisa.to_dict(),
             "flood_baseline": flood.to_dict(),
@@ -76,11 +76,9 @@ def test_scale_brisa_10k(emit):
     # Efficiency: once the structure emerges, duplicates stay far below
     # flooding's every-link-every-message regime (degree - 1 per message).
     assert brisa.duplicates_per_node < flood.messages * 2
-    # Ramp replacement: the synthesized bootstrap must beat the simulated
-    # join ramp by >= 10x wall-clock at 2k nodes.  Relaxable via env for
-    # unevenly-throttled shared CI runners (ci.yml), never locally.
-    gate = float(os.environ.get("BENCH_BOOTSTRAP_GATE", "10.0"))
-    assert boot.speedup >= gate, boot.summary()
+    # Ramp replacement target: the synthesized bootstrap beats the
+    # simulated join ramp by >= 10x wall-clock at 2k nodes.
+    assert_ratio_gate("BENCH_BOOTSTRAP_GATE", boot.speedup, boot.summary())
 
 
 @pytest.mark.xl
@@ -96,10 +94,7 @@ def test_scale_brisa_multistream_xl(emit):
         banner(f"Scale BRISA multi-stream — {result.nodes} nodes (xl), 8 streams")
         + "\n" + result.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    merge_bench_json(
-        OUT_DIR / "BENCH_scale_brisa.json", {"multistream": result.to_dict()}
-    )
+    merge_bench_json("BENCH_scale_brisa.json", {"multistream": result.to_dict()})
 
     assert result.streams == 8 and len(result.per_stream) == 8
     assert result.structure_complete, result.structure_reason
@@ -131,16 +126,14 @@ def test_slotted_brisa_kernel_xl(emit):
         banner("Slotted BRISA microbenchmark — object vs slotted kernel (xl)")
         + "\n" + mb.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
     merge_bench_json(
-        OUT_DIR / "BENCH_scale_brisa.json",
+        "BENCH_scale_brisa.json",
         {"brisa_slotted_microbench": mb.to_dict()},
     )
 
-    # Same CI-relaxation story as the other speedup gates: the strict 2x
-    # applies on dedicated hardware, shared runners set the env override.
-    gate = float(os.environ.get("BENCH_BRISA_SLOTTED_GATE", "2.0"))
-    assert mb.speedup >= gate, mb.summary()
+    # The object kernel is the divisor: a PR that speeds up the shared
+    # cold path moves this ratio without touching the slotted kernel.
+    assert_ratio_gate("BENCH_BRISA_SLOTTED_GATE", mb.speedup, mb.summary())
     assert mb.receptions > 0
 
 
@@ -161,10 +154,7 @@ def test_scale_brisa_xxl_slotted_100k(emit):
         banner(f"Scale BRISA slotted — {result.nodes} nodes (xxl)")
         + "\n" + result.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    merge_bench_json(
-        OUT_DIR / "BENCH_scale_brisa.json", {"xxl_slotted": result.to_dict()}
-    )
+    merge_bench_json("BENCH_scale_brisa.json", {"xxl_slotted": result.to_dict()})
 
     assert result.kernel == "slotted"
     assert result.structure_complete, result.structure_reason
@@ -184,8 +174,7 @@ def test_scale_brisa_xxl_100k(emit):
         "scale_brisa_xxl",
         banner(f"Scale BRISA — {result.nodes} nodes (xxl)") + "\n" + result.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    merge_bench_json(OUT_DIR / "BENCH_scale_brisa.json", {"xxl": result.to_dict()})
+    merge_bench_json("BENCH_scale_brisa.json", {"xxl": result.to_dict()})
 
     assert result.nodes == XXL.cluster_nodes
     assert result.structure_complete, result.structure_reason

@@ -5,11 +5,14 @@ scaling PR is measured against (DESIGN.md §6, §8).  It floods a stream
 over an ``xl``-scale (10k-node) static overlay, measures engine
 throughput, runs the legacy-vs-fused engine microbenchmark and the
 per-message-vs-fused *occupancy* microbenchmark on the same machine,
-and persists everything to ``benchmarks/out/BENCH_scale.json``.
+and persists everything to ``benchmarks/run/BENCH_scale.json``.
 
-Acceptance gates:
+Always asserted: the 10k-node dissemination completes with every
+receiver served, and every microbenchmark's two sides agree on the
+reception counts.  The wall-clock ratios are printed on every run but
+asserted only when their ``BENCH_*_GATE`` variable is set (see
+``conftest.assert_ratio_gate``); their design targets on a quiet host:
 
-- the 10k-node dissemination completes with every receiver served;
 - the fused hot path sustains >= 2x the pre-overhaul engine's delivery
   throughput (``microbench.speedup``);
 - the fused occupancy fan-out sustains >= 2x the per-message occupancy
@@ -41,7 +44,7 @@ from repro.experiments.scale_flood import (
     vectorized_microbench,
 )
 
-from benchmarks.conftest import OUT_DIR, merge_bench_json
+from benchmarks.conftest import assert_ratio_gate, merge_bench_json
 
 #: Stream length for the benchmark runs: long enough to overlap many
 #: messages in flight (peak-heap pressure), short enough for CI.
@@ -66,9 +69,8 @@ def test_scale_flood_10k(benchmark, emit):
     )
     emit("scale_flood", text)
 
-    OUT_DIR.mkdir(exist_ok=True)
     merge_bench_json(
-        OUT_DIR / "BENCH_scale.json",
+        "BENCH_scale.json",
         {
             "scale_run": result.to_dict(),
             "microbench": micro.to_dict(),
@@ -79,17 +81,12 @@ def test_scale_flood_10k(benchmark, emit):
     # The dissemination completed: every live receiver got every message.
     assert result.nodes == XL.cluster_nodes
     assert result.delivered_fraction == 1.0
-    # Engine acceptance: the fused hot path clears 2x the pre-overhaul
-    # delivery throughput on this machine (measured ~3x locally).  Shared
-    # CI runners can throttle unevenly, so the gate is relaxable via env
-    # (ci.yml sets 1.3) without weakening the local/driver acceptance.
-    gate = float(os.environ.get("BENCH_SPEEDUP_GATE", "2.0"))
-    assert micro.speedup >= gate, micro.summary()
-    # Occupancy acceptance (DESIGN.md §8): the fused fan-out clears 2x
-    # the per-message occupancy path (measured ~3x locally); same CI
-    # relaxation story via BENCH_OCC_SPEEDUP_GATE.
-    occ_gate = float(os.environ.get("BENCH_OCC_SPEEDUP_GATE", "2.0"))
-    assert occ.speedup >= occ_gate, occ.summary()
+    # Engine target: the fused hot path clears 2x the pre-overhaul
+    # delivery throughput (measured ~3x on a quiet host).
+    assert_ratio_gate("BENCH_SPEEDUP_GATE", micro.speedup, micro.summary())
+    # Occupancy target (DESIGN.md §8): the fused fan-out clears 2x the
+    # per-message occupancy path (measured ~3x on a quiet host).
+    assert_ratio_gate("BENCH_OCC_SPEEDUP_GATE", occ.speedup, occ.summary())
     # Telemetry sanity: the run actually stressed the engine.
     assert result.events > result.nodes * MESSAGES
     assert result.peak_pending > 0
@@ -109,13 +106,9 @@ def test_slotted_kernel_xl(emit):
         banner("Slotted microbenchmark — object vs slotted flood kernel")
         + "\n" + mb.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    merge_bench_json(OUT_DIR / "BENCH_scale.json", {"slotted_microbench": mb.to_dict()})
+    merge_bench_json("BENCH_scale.json", {"slotted_microbench": mb.to_dict()})
 
-    # Same CI-relaxation story as the other speedup gates: the strict 2x
-    # applies on dedicated hardware, shared runners set the env override.
-    gate = float(os.environ.get("BENCH_SLOTTED_SPEEDUP_GATE", "2.0"))
-    assert mb.speedup >= gate, mb.summary()
+    assert_ratio_gate("BENCH_SLOTTED_SPEEDUP_GATE", mb.speedup, mb.summary())
     assert mb.receptions > 0
 
 
@@ -133,15 +126,9 @@ def test_vectorized_kernel_xl(emit):
         banner("Vectorized microbenchmark — slotted vs numpy batch-drain kernel")
         + "\n" + mb.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    merge_bench_json(
-        OUT_DIR / "BENCH_scale.json", {"vectorized_microbench": mb.to_dict()}
-    )
+    merge_bench_json("BENCH_scale.json", {"vectorized_microbench": mb.to_dict()})
 
-    # Same CI-relaxation story as the other speedup gates: the strict 3x
-    # applies on dedicated hardware, shared runners set the env override.
-    gate = float(os.environ.get("BENCH_VECTORIZED_GATE", "3.0"))
-    assert mb.speedup >= gate, mb.summary()
+    assert_ratio_gate("BENCH_VECTORIZED_GATE", mb.speedup, mb.summary())
     assert mb.receptions > 0
 
 
@@ -161,9 +148,8 @@ def test_multistream_xl(emit):
         + "\n" + banner("Multistream microbenchmark — K=8 vs K=1 (slotted)")
         + "\n" + mb.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
     merge_bench_json(
-        OUT_DIR / "BENCH_scale.json",
+        "BENCH_scale.json",
         {
             "multistream": multi.to_dict(),
             "multistream_microbench": mb.to_dict(),
@@ -174,9 +160,7 @@ def test_multistream_xl(emit):
     assert multi.delivered_fraction == 1.0
     for row in multi.per_stream:
         assert row["delivered_fraction"] == 1.0, row
-    # Same CI-relaxation story as the other throughput gates.
-    gate = float(os.environ.get("BENCH_MULTISTREAM_GATE", "0.5"))
-    assert mb.efficiency >= gate, mb.summary()
+    assert_ratio_gate("BENCH_MULTISTREAM_GATE", mb.efficiency, mb.summary())
 
 
 @pytest.mark.xl
@@ -198,8 +182,7 @@ def test_scale_flood_churn_xl(emit):
         banner(f"Scale flood churn — {slotted.nodes} nodes (xl), 1% churn")
         + "\n" + slotted.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    merge_bench_json(OUT_DIR / "BENCH_scale.json", {"churn": slotted.to_dict()})
+    merge_bench_json("BENCH_scale.json", {"churn": slotted.to_dict()})
 
     for kernel, result in results.items():
         assert result.kills > 0, kernel
@@ -272,9 +255,8 @@ def test_topology_loss_matrix_xl(emit):
             assert (result.dropped_loss > 0) == bool(loss), (name, loss)
     emit("scale_flood_topology_loss", "\n\n".join(report))
 
-    OUT_DIR.mkdir(exist_ok=True)
     merge_bench_json(
-        OUT_DIR / "BENCH_scale.json",
+        "BENCH_scale.json",
         {"topology": topo_entries, "loss": loss_entries},
     )
 
@@ -298,8 +280,7 @@ def test_scale_flood_xxl_100k(emit):
         "scale_flood_xxl",
         banner(f"Scale flood — {result.nodes} nodes (xxl)") + "\n" + result.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    merge_bench_json(OUT_DIR / "BENCH_scale.json", {"xxl": result.to_dict()})
+    merge_bench_json("BENCH_scale.json", {"xxl": result.to_dict()})
 
     assert result.nodes == XXL.cluster_nodes
     assert result.delivered_fraction == 1.0
@@ -323,8 +304,7 @@ def test_scale_flood_xxl_slotted_churn(emit):
         banner(f"Scale flood churn — {result.nodes} nodes (xxl, slotted, 1% churn)")
         + "\n" + result.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    merge_bench_json(OUT_DIR / "BENCH_scale.json", {"xxl_churn": result.to_dict()})
+    merge_bench_json("BENCH_scale.json", {"xxl_churn": result.to_dict()})
 
     assert result.kills > 0
     assert result.delivered_fraction >= 0.99
@@ -349,8 +329,7 @@ def test_scale_flood_xxxl_1m(emit):
         banner(f"Scale flood — {result.nodes} nodes (xxxl, vectorized)")
         + "\n" + result.summary(),
     )
-    OUT_DIR.mkdir(exist_ok=True)
-    merge_bench_json(OUT_DIR / "BENCH_scale.json", {"xxxl": result.to_dict()})
+    merge_bench_json("BENCH_scale.json", {"xxxl": result.to_dict()})
 
     assert result.nodes == XXXL.cluster_nodes
     assert result.delivered_fraction == 1.0

@@ -62,6 +62,7 @@ class BrisaNode(HyParViewNode):
             state = StreamState(stream, MessageBuffer(self.config.buffer_size))
             # All links to current neighbours start active (§II-C, §II-F).
             state.in_active = {peer: True for peer in self.active}
+            state.active_in = len(state.in_active)
             self.streams[stream] = state
             if self.config.tail_probe:
                 # Both kernels materialize state here (the slotted
@@ -95,8 +96,11 @@ class BrisaNode(HyParViewNode):
 
     def children_of(self, stream: StreamId = 0) -> list[NodeId]:
         """Neighbours we still relay this stream to (≈ children once the
-        structure has stabilized)."""
-        state = self.stream_state(stream)
+        structure has stabilized).  A pure read: an untouched stream
+        relays to the whole active view and is not materialized."""
+        state = self.streams.get(stream)
+        if state is None:
+            return list(self.active)
         return [
             p
             for p in self.active
@@ -136,10 +140,12 @@ class BrisaNode(HyParViewNode):
         state.hops = value
 
     def _set_in_active(self, state: StreamState, peer: NodeId, value: bool) -> None:
+        state.active_in += value - state.in_active.get(peer, False)
         state.in_active[peer] = value
 
     def _forget_in_active(self, state: StreamState, peer: NodeId) -> None:
-        state.in_active.pop(peer, None)
+        if state.in_active.pop(peer, None):
+            state.active_in -= 1
 
     def _add_parent_edge(
         self, state: StreamState, peer: NodeId, cand: Candidate, meta: Any
@@ -218,69 +224,76 @@ class BrisaNode(HyParViewNode):
                 peers, self._data_message(state, seq, payload_bytes, hops, path_delay)
             )
 
-    def on_brisa_data(self, src: NodeId, msg: bm.Data) -> None:
-        state = self.stream_state(msg.stream)
-        meta = extract_meta(msg)
-        hop_delay = self.clock.now - msg.sent_at
-        path_delay = msg.path_delay + hop_delay
-        hops = msg.hops + 1
-
+    def on_brisa_data(
+        self, src: NodeId, msg: bm.Data, state: Optional[StreamState] = None
+    ) -> None:
+        """``state`` lets a caller that already holds the stream state
+        (the slotted kernel's cold path) skip the second look-up."""
+        if state is None:
+            state = self.stream_state(msg.stream)
         if state.is_source:
             # The source needs no inbound providers: prune the link.
             self._deactivate_link(state, src)
             return
 
+        now = self.clock.now
+        seq = msg.seq
+        path_delay = msg.path_delay + (now - msg.sent_at)
+        hops = msg.hops + 1
+
         is_neighbor = src in self.active
         if is_neighbor:
             cand = state.candidates.get(src)
             if cand is None:
-                cand = self._candidate(src, arrival=self.clock.now)
-                cand.path_delay = msg.path_delay
-                state.candidates[src] = cand
+                # First contact: arrival order and the observed delay are
+                # all any strategy reads from this record; the declared
+                # inputs are fetched at decision time (_candidate).
+                state.candidates[src] = Candidate(
+                    src, now, path_delay=msg.path_delay
+                )
             else:
                 # EMA over the sender's observed source-to-sender delay
                 # (jitter-smoothed input for the delay-aware strategy).
                 cand.path_delay = 0.7 * cand.path_delay + 0.3 * msg.path_delay
 
-        first = msg.seq not in state.delivered
+        first = seq not in state.delivered
         self.transport.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
+            self.node_id, msg.stream, seq, now, src, hops, path_delay,
             msg.payload_bytes,
         )
 
         if first:
-            state.note_delivered(msg.seq)
-            state.buffer.store(msg.seq, msg.payload_bytes)
+            state.note_delivered(seq)
+            state.buffer.store(seq, msg.payload_bytes)
             if is_neighbor:
-                self._consider_provider(state, src, meta, first=True)
+                self._consider_provider(state, src, extract_meta(msg), first=True)
             if src in state.parents:
                 self._set_hops(state, hops)  # distance bookkeeping for retransmissions
                 if rules.wants_gap_recovery(
-                    msg.seq, state.max_contig, msg.recovered,
-                    self.clock.now, state.last_gap_request, self.GAP_REQUEST_COOLDOWN,
+                    seq, state.max_contig, msg.recovered,
+                    now, state.last_gap_request, self.GAP_REQUEST_COOLDOWN,
                 ):
                     # Sequence gap below this delivery: messages were lost
                     # in a swap/activation race — recover them from the
                     # parent's buffer (§II-F), rate-limited.
-                    state.last_gap_request = self.clock.now
+                    state.last_gap_request = now
                     self.send(src, bm.RetransmitRequest(state.stream, state.max_contig))
             # Infect-and-die relay: only first receptions propagate.
             self._forward(
-                state, msg.seq, msg.payload_bytes, exclude=src,
+                state, seq, msg.payload_bytes, exclude=src,
                 hops=hops, path_delay=path_delay,
             )
             # Lazy DAG parent top-up: previously-ineligible neighbours may
             # have become eligible as the structure settled; retry the soft
             # acquisition every few messages (never escalates to hard).
             if (
-                len(state.parents) < self.config.num_parents
+                seq % 8 == 7
+                and len(state.parents) < self.config.num_parents
                 and not state.repairing
-                and msg.seq % 8 == 7
             ):
                 self._begin_repair(state, record=False, allow_hard=False)
-        else:
-            if is_neighbor and not msg.recovered:
-                self._consider_provider(state, src, meta, first=False)
+        elif is_neighbor and not msg.recovered:
+            self._consider_provider(state, src, extract_meta(msg), first=False)
 
     # ------------------------------------------------------------------
     # Parent selection (Fig. 3) and cycle handling
@@ -309,11 +322,12 @@ class BrisaNode(HyParViewNode):
             self._adopt_parent(state, src, meta)
         elif action is rules.CONTEND:
             # Parents full: strategy decides between newcomer and worst.
-            newcomer = self._candidate(
-                src, arrival=self._arrival_of(state, src), state=state
-            )
+            # The newcomer is the first-contact record itself, brought
+            # up to date on the strategy's declared inputs (it is only
+            # compared, never kept: adoption takes its own snapshot).
             verdict, worst_peer = rules.contention_action(
-                self.strategy, newcomer, list(state.parents.values()), first
+                self.strategy, self._observe(state.candidates[src], state.stream),
+                state.parents, first,
             )
             if verdict is rules.SWAP:
                 self._remove_parent(state, worst_peer, deactivate=True)
@@ -332,39 +346,34 @@ class BrisaNode(HyParViewNode):
                     # for explicitly re-Activated links (see rules).
                     self._mute_out(state, src)
 
-    def _arrival_of(self, state: StreamState, peer: NodeId) -> float:
-        cand = state.candidates.get(peer)
-        return cand.arrival if cand is not None else self.clock.now
+    def _observe(self, cand: Candidate, stream: StreamId) -> Candidate:
+        """Fill in the inputs the strategy declares — the info the paper
+        piggybacks on HyParView keep-alives (§II-E, §II-F).  A strategy
+        that declares none (first-come) costs no transport call."""
+        inputs = self.strategy.inputs
+        if "rtt" in inputs:
+            cand.rtt = self.transport.rtt(self.node_id, cand.peer)
+        if "capacity" in inputs:
+            cand.capacity = self.transport.capacity(cand.peer)
+        if "uptime" in inputs or "load" in inputs:
+            stats = self.transport.peer_stats(cand.peer, stream)
+            if stats is not None:
+                cand.uptime, cand.load = stats
+        return cand
 
-    def _candidate(
-        self, peer: NodeId, arrival: float, state: Optional[StreamState] = None
-    ) -> Candidate:
-        """Candidate snapshot; RTT/uptime/load/capacity mirror the info the
-        paper piggybacks on HyParView keep-alives (§II-E, §II-F)."""
-        rtt = self.transport.rtt(self.node_id, peer)
-        uptime = 0.0
-        load = 0
-        stats = self.transport.peer_stats(peer, 0)
-        if stats is not None:
-            uptime, load = stats
-        path_delay = 0.0
-        if state is not None:
-            cached = state.candidates.get(peer)
-            if cached is not None:
-                path_delay = cached.path_delay
-        return Candidate(
-            peer=peer,
-            arrival=arrival,
-            rtt=rtt,
-            uptime=uptime,
-            load=load,
-            capacity=self.transport.capacity(peer),
-            path_delay=path_delay,
-        )
+    def _candidate(self, state: StreamState, peer: NodeId) -> Candidate:
+        """Decision-time snapshot of ``peer``: first-contact arrival and
+        smoothed delay (now / 0 when never heard from) plus the
+        strategy's inputs."""
+        seen = state.candidates.get(peer)
+        if seen is None:
+            cand = Candidate(peer, self.clock.now)
+        else:
+            cand = Candidate(peer, seen.arrival, path_delay=seen.path_delay)
+        return self._observe(cand, state.stream)
 
     def _adopt_parent(self, state: StreamState, peer: NodeId, meta: Any) -> None:
-        cand = self._candidate(peer, arrival=self._arrival_of(state, peer), state=state)
-        self._add_parent_edge(state, peer, cand, meta)
+        self._add_parent_edge(state, peer, self._candidate(state, peer), meta)
         if not state.in_active.get(peer, True):
             # We deactivated this peer in an earlier decision (dynamic
             # strategies swap back and forth while duplicates flow): the
@@ -562,7 +571,7 @@ class BrisaNode(HyParViewNode):
         if not state.in_active.get(peer, True):
             return
         self._set_in_active(state, peer, False)
-        self.send(peer, bm.Deactivate(state.stream))
+        self.send(peer, bm.deactivate(state.stream))
         if state.first_deact_at is None:
             state.first_deact_at = self.clock.now
         self._check_settled(state)
@@ -572,7 +581,7 @@ class BrisaNode(HyParViewNode):
         links but the target number are deactivated."""
         if state.settled_at is not None or state.first_deact_at is None:
             return
-        if state.active_in_count() <= self.config.num_parents:
+        if state.active_in <= self.config.num_parents:
             state.settled_at = self.clock.now
             self.transport.metrics.record_construction(
                 self.node_id, state.first_deact_at, state.settled_at
@@ -663,7 +672,7 @@ class BrisaNode(HyParViewNode):
             if meta is None:
                 continue
             if self.predictor.eligible(self.node_id, state.position, meta):
-                out.append(self._candidate(peer, arrival=self._arrival_of(state, peer), state=state))
+                out.append(self._candidate(state, peer))
         return out
 
     def _peer_position(self, peer: NodeId, stream: StreamId) -> Any:
@@ -783,10 +792,7 @@ class BrisaNode(HyParViewNode):
         # As a fresh node every neighbour is an eligible provider; try an
         # immediate adoption so service resumes before the next flood wave.
         state.repair_queue = self.strategy.sort(
-            [
-                self._candidate(p, arrival=self._arrival_of(state, p), state=state)
-                for p in self.active
-            ]
+            [self._candidate(state, p) for p in self.active]
         )
         self._repair_next(state)
 

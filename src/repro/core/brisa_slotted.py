@@ -11,9 +11,9 @@ handful of array operations:
 
 - one :class:`_BrisaPlane` per stream (dense plane index, DESIGN.md §10)
   holding seen maps, per-slot delivered/duplicate/payload counters,
-  stream *levels* (``StreamState.hops``), inbound activation counts, the
-  per-slot *relay rows* (active view minus out-deactivated links — the
-  fan-out set) and *parent rows* (tree edges in adoption order), plus a
+  stream *levels* (``StreamState.hops``), the per-slot *relay rows*
+  (active view minus out-deactivated links — the fan-out set) and
+  *parent rows* (tree edges in adoption order), plus a
   packed :class:`~repro.core.bloom_matrix.BloomBitMatrix` of §II-F
   ancestor filters when the bloom predictor is active;
 - a per-slot *maintenance cache* ``(maint_src, maint_meta)`` keyed by
@@ -70,19 +70,18 @@ class _BrisaPlane:
 
     The flood plane's seen maps and counters, plus the tree state the
     ISSUE's §II structures need: ``levels`` mirrors ``StreamState.hops``
-    (0 while unset), ``active_in`` counts inbound-active links (the
-    activation bits consumed by the O(1) settled probe), ``relay_rows``
-    are the per-slot fan-out sets (active view minus out-deactivated, in
-    active-view order), ``parent_rows`` the tree edges in adoption
-    order, and ``states`` the per-slot :class:`StreamState` (the cold
-    path and the repair machinery still run on it; ``None`` for slots
-    that never touched the stream).  ``maint_src``/``maint_meta`` are
+    (0 while unset), ``relay_rows`` are the per-slot fan-out sets
+    (active view minus out-deactivated, in active-view order),
+    ``parent_rows`` the tree edges in adoption order, and ``states``
+    the per-slot :class:`StreamState` (the cold path and the repair
+    machinery still run on it; ``None`` for slots that never touched
+    the stream).  ``maint_src``/``maint_meta`` are
     the per-slot maintenance cache (see module docstring).
     """
 
     __slots__ = (
         "stream", "rows", "delivered", "duplicates", "payload_bytes",
-        "levels", "active_in", "relay_rows", "parent_rows", "states",
+        "levels", "relay_rows", "parent_rows", "states",
         "maint_src", "maint_meta", "maint_cand", "maint_targets", "matrix",
     )
 
@@ -96,8 +95,6 @@ class _BrisaPlane:
         self.payload_bytes = array("q", zeros)
         #: Tree level per slot (``StreamState.hops``; 0 while unset).
         self.levels = array("q", zeros)
-        #: Inbound-active link count per slot (Fig. 13 settled probe).
-        self.active_in = array("q", zeros)
         #: Per-slot relay targets: active view minus out-deactivated.
         self.relay_rows: list[list[NodeId]] = [[] for _ in range(capacity)]
         #: Per-slot tree edges (parents, adoption order).
@@ -178,7 +175,6 @@ class SlottedBrisaKernel:
                 plane.duplicates.append(0)
                 plane.payload_bytes.append(0)
                 plane.levels.append(0)
-                plane.active_in.append(0)
                 plane.relay_rows.append([])
                 plane.parent_rows.append([])
                 plane.states.append(None)
@@ -211,7 +207,6 @@ class SlottedBrisaKernel:
             plane.duplicates[slot] = 0
             plane.payload_bytes[slot] = 0
             plane.levels[slot] = 0
-            plane.active_in[slot] = 0
             plane.relay_rows[slot] = []
             plane.parent_rows[slot] = []
             plane.states[slot] = None
@@ -480,7 +475,7 @@ class SlottedBrisaKernel:
                             maint_meta[slot] = meta
                             maint_cand[slot] = cand
                             maint_targets[slot] = None
-            node.on_brisa_data(src, msg)
+            node.on_brisa_data(src, msg, state)
             if (
                 meta is not None
                 and maint_src[slot] is None
@@ -531,7 +526,7 @@ class SlottedBrisaKernel:
                         plane.maint_meta[slot] = meta
                         plane.maint_cand[slot] = cand
                         plane.maint_targets[slot] = None
-        node.on_brisa_data(src, msg)
+        node.on_brisa_data(src, msg, state)
         if (
             meta is not None
             and plane.maint_src[slot] is None
@@ -592,9 +587,6 @@ class SlottedBrisaNode(BrisaNode):
             # Relay row = active view minus out-deactivated; both start
             # as the overlay row (all inbound links active, §II-C).
             plane.relay_rows[slot] = list(kernel.neighbor_rows[slot])
-            plane.active_in[slot] = sum(
-                1 for active in state.in_active.values() if active
-            )
             plane.parent_rows[slot] = []
             plane.levels[slot] = 0
             # Hooks reach the plane through the state they are handed.
@@ -663,17 +655,6 @@ class SlottedBrisaNode(BrisaNode):
         state.hops = value
         state._plane.levels[self.slot] = value if value is not None else 0
 
-    def _set_in_active(self, state: StreamState, peer: NodeId, value: bool) -> None:
-        old = state.in_active.get(peer)
-        state.in_active[peer] = value
-        delta = (1 if value else 0) - (1 if old else 0)
-        if delta:
-            state._plane.active_in[self.slot] += delta
-
-    def _forget_in_active(self, state: StreamState, peer: NodeId) -> None:
-        if state.in_active.pop(peer, None):
-            state._plane.active_in[self.slot] -= 1
-
     def _add_parent_edge(self, state: StreamState, peer: NodeId, cand, meta) -> None:
         plane = state._plane
         slot = self.slot
@@ -726,16 +707,6 @@ class SlottedBrisaNode(BrisaNode):
             p for p in self.active if p not in state.out_deactivated
         ]
         plane.maint_targets[slot] = None
-
-    # -- O(1) settled probe ---------------------------------------------
-    def _check_settled(self, state: StreamState) -> None:
-        if state.settled_at is not None or state.first_deact_at is None:
-            return
-        if state._plane.active_in[self.slot] <= self.config.num_parents:
-            state.settled_at = self.sim.now
-            self.network.metrics.record_construction(
-                self.node_id, state.first_deact_at, state.settled_at
-            )
 
     # -- membership: keep the kernel's neighbor rows mirrored -----------
     def neighbor_up(self, peer: NodeId) -> None:

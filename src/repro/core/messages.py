@@ -13,6 +13,7 @@ fixed 8 bytes to the accounting.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.ids import DEPTH_BYTES, NODE_ID_BYTES, SEQ_BYTES, NodeId, StreamId
@@ -91,6 +92,17 @@ class Deactivate(Message):
 
     def body_bytes(self) -> int:
         return STREAM_BYTES
+
+
+@lru_cache(maxsize=4096)
+def deactivate(stream: StreamId) -> Deactivate:
+    """The shared :class:`Deactivate` of ``stream``.
+
+    Its only field is the stream id and receivers only read it (the wire
+    abstraction: a message is immutable once sent), so the thousands of
+    prunes of one emergence share one instance and one size computation.
+    """
+    return Deactivate(stream)
 
 
 class Activate(Message):

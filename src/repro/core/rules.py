@@ -78,15 +78,20 @@ def provider_action(
     return CONTEND
 
 
-def contention_action(strategy, newcomer, incumbents, first: bool):
-    """Parents full: (verdict, worst_peer) between newcomer and incumbents.
+def contention_action(strategy, newcomer, parents, first: bool):
+    """Parents full: (verdict, worst_peer) between newcomer and the
+    incumbent ``parents`` (peer -> candidate, never empty).
 
     ``first`` receptions from non-parents never deactivate (link
     deactivation is a duplicate-triggered decision): the provider is
     ahead of every current parent, so its feed stays live until a parent
     actually resumes service.
     """
-    worst = strategy.worst(incumbents)
+    if len(parents) == 1:
+        # Tree mode: the sole incumbent is the worst one, unranked.
+        (worst,) = parents.values()
+    else:
+        worst = strategy.worst(list(parents.values()))
     if strategy.prefers(newcomer, worst):
         return SWAP, worst.peer
     if first:

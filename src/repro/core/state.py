@@ -36,6 +36,10 @@ class StreamState:
     parents: dict[NodeId, Candidate] = field(default_factory=dict)
     parent_meta: dict[NodeId, Any] = field(default_factory=dict)
     in_active: dict[NodeId, bool] = field(default_factory=dict)
+    #: Number of True entries in ``in_active`` (the Fig. 13 settled
+    #: probe reads it on every deactivation); kept by the
+    #: ``BrisaNode._set_in_active``/``_forget_in_active`` choke points.
+    active_in: int = 0
     out_deactivated: set[NodeId] = field(default_factory=set)
     #: Peers that *explicitly* re-activated our outbound link (Activate,
     #: §II-F) since their last Deactivate.  The symmetric-deactivation
@@ -80,9 +84,6 @@ class StreamState:
         self.delivered.add(seq)
         while (self.max_contig + 1) in self.delivered:
             self.max_contig += 1
-
-    def active_in_count(self) -> int:
-        return sum(1 for active in self.in_active.values() if active)
 
     def reset_position(self) -> None:
         self.position = None

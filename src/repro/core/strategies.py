@@ -17,7 +17,9 @@ A strategy ranks eligible parent candidates; BRISA keeps the best
 The inputs beyond first-arrival order (RTT, uptime, load, capacity) are
 piggybacked on HyParView keep-alives in the paper (§II-E, §II-F); the
 simulator surfaces them through :class:`Candidate` snapshots built by the
-node (see ``BrisaNode._candidate``).
+node (``BrisaNode._candidate``), which fetches only the fields the
+configured strategy declares in :attr:`ParentSelectionStrategy.inputs`
+(``BrisaNode._observe``).
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ class ParentSelectionStrategy(ABC):
     #: for this strategy (only first-come: observing a duplicate from C
     #: proves C already has an earlier-arriving candidate than us).
     supports_symmetric: bool = False
+    #: :class:`Candidate` fields, beyond ``peer``/``arrival``/
+    #: ``path_delay`` (which the node observes for free), that
+    #: :meth:`score` and :meth:`prefers` read.  The node fetches exactly
+    #: these from the transport; the rest keep their defaults
+    #: (tests/test_strategy_inputs.py holds every strategy to it).
+    inputs: frozenset = frozenset()
 
     @abstractmethod
     def score(self, candidate: Candidate) -> float:
@@ -109,6 +117,7 @@ class DelayAwareStrategy(ParentSelectionStrategy):
     """
 
     name = "delay-aware"
+    inputs = frozenset({"rtt"})
 
     def score(self, candidate: Candidate) -> float:
         return candidate.path_delay + candidate.rtt / 2.0
@@ -124,6 +133,7 @@ class GerontocraticStrategy(ParentSelectionStrategy):
     """
 
     name = "gerontocratic"
+    inputs = frozenset({"uptime"})
 
     def score(self, candidate: Candidate) -> float:
         return -candidate.uptime
@@ -142,6 +152,7 @@ class LoadBalancingStrategy(ParentSelectionStrategy):
     """
 
     name = "load-balancing"
+    inputs = frozenset({"load"})
 
     def score(self, candidate: Candidate) -> float:
         return float(candidate.load)
@@ -154,6 +165,7 @@ class HeterogeneityAwareStrategy(ParentSelectionStrategy):
     """Highest available bandwidth (§IV perspective ii)."""
 
     name = "heterogeneity"
+    inputs = frozenset({"capacity"})
 
     def score(self, candidate: Candidate) -> float:
         return -candidate.capacity

@@ -1,8 +1,9 @@
 """Digitized values from the paper's evaluation (§III).
 
-Used by the benches and EXPERIMENTS.md for side-by-side comparison.  We
-reproduce *shapes* — who wins, by roughly what factor, where crossovers
-fall — not the absolute numbers of the authors' 2011 testbed.
+Used by the benches (``benchmarks/test_fig*``, ``test_table*``) for
+side-by-side comparison.  We reproduce *shapes* — who wins, by roughly
+what factor, where crossovers fall — not the absolute numbers of the
+authors' 2011 testbed.
 """
 
 from __future__ import annotations

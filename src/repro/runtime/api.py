@@ -104,7 +104,10 @@ class MessageTransport(Protocol):
 
         The simulator reads the peer node directly (omniscient); a real
         transport returns None unless the protocol piggybacks the data.
-        Only non-default parent-choice strategies consume this.
+        Must not change the peer (no state creation, no timers).  Called
+        only for strategies declaring ``uptime`` or ``load`` among their
+        ``inputs``, as ``rtt``/``capacity`` are only for those declaring
+        them — first-come calls none of the three.
         """
         ...
 

@@ -937,7 +937,8 @@ class Network:
         keep-alives (§II-E): the simulator reads the peer object
         directly.  Duck-typed on ``children_of`` so this module needs no
         BRISA import; non-BRISA populations report zero load, exactly as
-        the old in-protocol ``isinstance`` check did.
+        the old in-protocol ``isinstance`` check did.  A pure read: it
+        creates no stream state on the peer and schedules nothing.
         """
         peer_node = self.nodes.get(peer)
         if peer_node is None or not peer_node.alive:

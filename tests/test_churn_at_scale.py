@@ -281,7 +281,7 @@ class TestBrisaSlottedChurn:
         assert slot in kernel._free
         assert plane.states[slot] is None
         assert plane.parent_rows[slot] == [] and plane.relay_rows[slot] == []
-        assert plane.levels[slot] == 0 and plane.active_in[slot] == 0
+        assert plane.levels[slot] == 0
         assert plane.delivered[slot] == 0 and plane.duplicates[slot] == 0
         assert plane.payload_bytes[slot] == 0
         assert plane.maint_src[slot] is None and plane.maint_cand[slot] is None

@@ -146,6 +146,44 @@ def test_prune_xxl_strips_stale_nightly_entries(tmp_path, capsys):
     assert compare_bench.main(["--prune-xxl", str(out)]) == 0
 
 
+def test_accept_promotes_a_passing_run(tmp_path, capsys):
+    """--accept is the only writer of the baseline directory: BENCH
+    files merge key by key (nightly-only entries survive a per-push
+    run), reports are copied, and a regressed run promotes nothing."""
+    base, cand = tmp_path / "base", tmp_path / "cand"
+    base.mkdir(), cand.mkdir()
+    committed = scale_payload()
+    committed["xxl"] = {"delivered_fraction": 1.0, "events": 1_000_000}
+    write(base / "BENCH_scale.json", committed)
+    write(cand / "BENCH_scale.json", scale_payload(events=190_000))
+    (cand / "scale_flood.txt").write_text("report\n")
+    argv = ["--candidate", str(cand), "--baseline", str(base)]
+    # Comparing alone never writes.
+    assert compare_bench.main(argv) == 0
+    assert json.loads((base / "BENCH_scale.json").read_text()) == committed
+    assert compare_bench.main(argv + ["--accept"]) == 0
+    accepted = json.loads((base / "BENCH_scale.json").read_text())
+    assert accepted["scale_run"]["events"] == 190_000
+    assert accepted["xxl"] == committed["xxl"]
+    assert (base / "scale_flood.txt").read_text() == "report\n"
+    assert "accepted BENCH_scale.json" in capsys.readouterr().out
+    write(cand / "BENCH_scale.json", scale_payload(deliveries=99_000))
+    assert compare_bench.main(argv + ["--accept"]) == 1
+    assert json.loads((base / "BENCH_scale.json").read_text()) == accepted
+
+
+def test_default_candidate_is_the_ignored_run_directory(tmp_path, monkeypatch):
+    """With no arguments: benchmarks/run (what the benches wrote, ignored
+    by git) against benchmarks/out (the committed baselines)."""
+    monkeypatch.setattr(compare_bench, "BENCH_DIR", tmp_path)
+    (tmp_path / "out").mkdir(), (tmp_path / "run").mkdir()
+    write(tmp_path / "out" / "BENCH_scale.json", scale_payload())
+    write(tmp_path / "run" / "BENCH_scale.json", scale_payload(deliveries=99_000))
+    assert compare_bench.main([]) == 1
+    repo = pathlib.Path(__file__).parent.parent
+    assert "benchmarks/run/" in (repo / ".gitignore").read_text().split()
+
+
 def test_structure_completeness_gate(tmp_path):
     base, cand = tmp_path / "base", tmp_path / "cand"
     base.mkdir(), cand.mkdir()

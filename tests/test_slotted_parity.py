@@ -552,7 +552,7 @@ def assert_brisa_arrays_consistent(bed, streams: int) -> None:
             assert sorted(plane.relay_rows[slot]) == sorted(
                 p for p in node.active if p not in state.out_deactivated
             )
-            assert plane.active_in[slot] == sum(
+            assert state.active_in == sum(
                 1 for active in state.in_active.values() if active
             )
             if plane.matrix is not None:
@@ -636,6 +636,10 @@ def test_brisa_kernels_agree_under_churn():
     assert_brisa_arrays_consistent(bed_s, 1)
     for bed in (bed_o, bed_s):
         bed.network.check_link_invariants()
+        # The settled probe's counter survived crashes, joins and repairs.
+        for node in bed.alive_nodes():
+            for state in node.streams.values():
+                assert state.active_in == sum(state.in_active.values())
     # Crashed nodes left the slot table; their recycled slots were
     # handed to the joiners (3 kills, 2 joins -> one slot still free).
     kernel = bed_s.nodes[0].kernel
