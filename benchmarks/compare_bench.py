@@ -16,11 +16,10 @@ job's freshly produced artifacts, and it is equally runnable locally:
 
 Gated metrics are deliberately machine-portable: deterministic
 simulation outputs (event counts, delivery counts/fractions, duplicate
-rates, structure completeness) at the default 30% tolerance, and
-same-machine throughput *ratios* (microbench speedups — both sides of a
-ratio share the run's throttling) at a wider tolerance for shared CI
-runners.  Absolute wall-clock and events/s numbers are intentionally
-not gated: they compare machines, not code.
+rates, structure completeness) at the default 30% tolerance.  Nothing
+wall-clock is gated here — two timings of one process compare hosts and
+neighbours, not code; speed is judged by ``python3 -m bench run`` /
+``bench check``.
 
 Stdlib-only on purpose — CI runs it without installing anything.
 """
@@ -35,58 +34,47 @@ import sys
 
 BENCH_DIR = pathlib.Path(__file__).parent
 
-#: Tolerance for same-machine throughput ratios on shared/throttled CI
-#: runners (the deterministic metrics keep the strict default).
-RATIO_TOLERANCE = 0.60
-
-#: file -> (dotted metric path, direction, tolerance override or None).
-#: Direction 'higher' means bigger is better; 'lower' the opposite.
-GATED_METRICS: dict[str, list[tuple[str, str, float | None]]] = {
+#: file -> (dotted metric path, direction).  Direction 'higher' means
+#: bigger is better; 'lower' the opposite.
+GATED_METRICS: dict[str, list[tuple[str, str]]] = {
     "BENCH_scale.json": [
-        ("scale_run.delivered_fraction", "higher", None),
-        ("scale_run.deliveries", "higher", None),
-        ("scale_run.events", "lower", None),
-        ("microbench.speedup", "higher", RATIO_TOLERANCE),
-        ("occupancy_microbench.speedup", "higher", RATIO_TOLERANCE),
-        ("slotted_microbench.speedup", "higher", RATIO_TOLERANCE),
-        ("vectorized_microbench.speedup", "higher", RATIO_TOLERANCE),
-        ("multistream_microbench.efficiency", "higher", RATIO_TOLERANCE),
-        ("multistream.delivered_fraction", "higher", None),
-        ("multistream.deliveries", "higher", None),
-        ("churn.delivered_fraction", "higher", None),
-        ("churn.deliveries", "higher", None),
-        ("churn.events", "lower", None),
-        ("xxl.delivered_fraction", "higher", None),
-        ("xxl.events", "lower", None),
-        ("xxl_churn.delivered_fraction", "higher", None),
-        ("xxxl.delivered_fraction", "higher", None),
-        ("xxxl.events", "lower", None),
+        ("scale_run.delivered_fraction", "higher"),
+        ("scale_run.deliveries", "higher"),
+        ("scale_run.events", "lower"),
+        ("multistream.delivered_fraction", "higher"),
+        ("multistream.deliveries", "higher"),
+        ("churn.delivered_fraction", "higher"),
+        ("churn.deliveries", "higher"),
+        ("churn.events", "lower"),
+        ("xxl.delivered_fraction", "higher"),
+        ("xxl.events", "lower"),
+        ("xxl_churn.delivered_fraction", "higher"),
+        ("xxxl.delivered_fraction", "higher"),
+        ("xxxl.events", "lower"),
         # Scenario-diversity family (DESIGN.md §14): per topology class,
         # lossless delivery plus the 2%-loss response.  relay_spread is a
         # deterministic property of the synthesized overlay, gated so
         # builder drift (a flattened tail) shows up as a regression.
-        ("topology.uniform.delivered_fraction", "higher", None),
-        ("topology.powerlaw.delivered_fraction", "higher", None),
-        ("topology.smallworld.delivered_fraction", "higher", None),
-        ("topology.powerlaw.duplicate_overhead", "lower", None),
-        ("topology.powerlaw.relay_spread", "lower", None),
-        ("loss.uniform_l2.delivered_fraction", "higher", None),
-        ("loss.powerlaw_l2.delivered_fraction", "higher", None),
-        ("loss.smallworld_l2.delivered_fraction", "higher", None),
-        ("loss.powerlaw_l2.dropped_loss", "lower", None),
+        ("topology.uniform.delivered_fraction", "higher"),
+        ("topology.powerlaw.delivered_fraction", "higher"),
+        ("topology.smallworld.delivered_fraction", "higher"),
+        ("topology.powerlaw.duplicate_overhead", "lower"),
+        ("topology.powerlaw.relay_spread", "lower"),
+        ("loss.uniform_l2.delivered_fraction", "higher"),
+        ("loss.powerlaw_l2.delivered_fraction", "higher"),
+        ("loss.smallworld_l2.delivered_fraction", "higher"),
+        ("loss.powerlaw_l2.dropped_loss", "lower"),
     ],
     "BENCH_scale_brisa.json": [
-        ("scale_run.delivered_fraction", "higher", None),
-        ("scale_run.duplicates_per_node", "lower", None),
-        ("scale_run.events", "lower", None),
-        ("scale_run.structure_complete", "higher", None),
-        ("bootstrap.speedup", "higher", RATIO_TOLERANCE),
-        ("brisa_slotted_microbench.speedup", "higher", RATIO_TOLERANCE),
-        ("multistream.delivered_fraction", "higher", None),
-        ("multistream.structure_complete", "higher", None),
-        ("xxl.delivered_fraction", "higher", None),
-        ("xxl_slotted.delivered_fraction", "higher", None),
-        ("xxl_slotted.structure_complete", "higher", None),
+        ("scale_run.delivered_fraction", "higher"),
+        ("scale_run.duplicates_per_node", "lower"),
+        ("scale_run.events", "lower"),
+        ("scale_run.structure_complete", "higher"),
+        ("multistream.delivered_fraction", "higher"),
+        ("multistream.structure_complete", "higher"),
+        ("xxl.delivered_fraction", "higher"),
+        ("xxl_slotted.delivered_fraction", "higher"),
+        ("xxl_slotted.structure_complete", "higher"),
     ],
 }
 
@@ -122,7 +110,7 @@ def compare_file(
         return regressions, notes
     baseline = json.loads(baseline_path.read_text())
     candidate = json.loads(candidate_path.read_text())
-    for dotted, direction, override in GATED_METRICS[name]:
+    for dotted, direction in GATED_METRICS[name]:
         base = lookup(baseline, dotted)
         cand = lookup(candidate, dotted)
         if base is None and cand is not None:
@@ -138,13 +126,12 @@ def compare_file(
             notes.append(f"{name}: {dotted} absent from "
                          f"{'baseline' if base is None else 'candidate'} — skipped")
             continue
-        tol = tolerance if override is None else override
         if direction == "higher":
-            floor = base * (1.0 - tol)
+            floor = base * (1.0 - tolerance)
             ok = cand >= floor
             bound = f">= {floor:g}"
         else:
-            ceiling = base * (1.0 + tol)
+            ceiling = base * (1.0 + tolerance)
             ok = cand <= ceiling
             bound = f"<= {ceiling:g}"
         line = (f"{name}: {dotted} baseline={base:g} candidate={cand:g} "

@@ -1,7 +1,7 @@
 """Shared fixtures for the reproduction benches.
 
 Each bench runs one paper artifact's scenario once (``pedantic`` with a
-single round — these are experiments, not microbenchmarks), prints the
+single round — these are experiments, not timing loops), prints the
 paper-style rows, writes them to ``benchmarks/run/<artifact>.txt`` and
 asserts the qualitative shape against the digitized paper anchors.
 
@@ -16,36 +16,16 @@ fraction of the runtime.
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 from repro.experiments.scale import get_scale
-from repro.experiments.scale_runner import merge_json
 
+#: Where a run's reports and BENCH_*.json land.  The scale benches
+#: merge-write disjoint keys of one BENCH file with
+#: ``merge_json(RUN_DIR / name, ...)``.
 RUN_DIR = pathlib.Path(__file__).parent / "run"
-
-
-def merge_bench_json(name: str, updates: dict) -> dict:
-    """Merge ``updates`` into this run's ``benchmarks/run/<name>``,
-    preserving entries written by other benches of the run — the scale
-    benchmarks update disjoint keys of one BENCH_*.json file."""
-    return merge_json(RUN_DIR / name, updates)
-
-
-def assert_ratio_gate(env_var: str, ratio: float, detail: str) -> None:
-    """Assert a wall-clock ratio only when its gate is set explicitly.
-
-    Two timings of one process on a shared host swing the ratio by tens
-    of percent on identical code, so by default (tier-1) the ratio is
-    only reported — the deterministic assertions next to each call are
-    what must hold.  Setting ``env_var`` (the nightly workflow does)
-    turns the gate on at that value.
-    """
-    gate = os.environ.get(env_var)
-    if gate is not None:
-        assert ratio >= float(gate), detail
 
 
 @pytest.fixture(scope="session")

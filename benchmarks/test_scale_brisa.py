@@ -3,17 +3,16 @@
 Not a paper artifact: the ROADMAP rung after PR 1's flood-only scale
 runs.  The synthesized-overlay bootstrap (DESIGN.md §7) replaces the
 simulated HyParView join ramp, making the complete BRISA protocol
-affordable at populations the paper never reached.  Results persist to
-``benchmarks/run/BENCH_scale_brisa.json``.
+affordable at populations the paper never reached.  The deterministic
+outcomes persist to ``benchmarks/run/BENCH_scale_brisa.json`` for
+``compare_bench.py``; how fast the simulator runs them is measured by
+``python3 -m bench``, not here.
 
-Always asserted: the 10k-node BRISA dissemination completes with a
-complete/acyclic emerged structure and a delivered fraction at least
-the flood baseline's on the identical population/workload.  Wall-clock
-ratios are printed on every run but asserted only when their
-``BENCH_*_GATE`` variable is set (``conftest.assert_ratio_gate``); the
-design targets on a quiet host are a synthesized bootstrap >= 10x faster
-than the simulated join ramp it replaces (at 2k nodes) and a slotted
-kernel >= 2x the object kernel's steady-state receptions/s.
+Asserted: the 10k-node BRISA dissemination completes with a
+complete/acyclic emerged structure, a delivered fraction at least the
+flood baseline's on the identical population/workload and far fewer
+duplicates; 8 publishers emerge 8 distinct trees; the object and slotted
+kernels run the identical xl simulation.
 
 The ``xxl`` (100k-node) rung opened by the array-backed bootstrap runs
 behind ``REPRO_XXL=1`` (nightly CI / driver acceptance).  A 2k-node
@@ -27,14 +26,11 @@ import pytest
 
 from repro.experiments.report import banner
 from repro.experiments.scale import LARGE, XL, XXL
-from repro.experiments.scale_brisa import (
-    bootstrap_comparison,
-    brisa_slotted_microbench,
-    run_scale_brisa,
-)
+from repro.experiments.scale_brisa import run_scale_brisa
 from repro.experiments.scale_flood import run_scale_flood
+from repro.experiments.scale_runner import merge_json
 
-from benchmarks.conftest import assert_ratio_gate, merge_bench_json
+from benchmarks.conftest import RUN_DIR
 
 #: Stream length for the benchmark runs (matches test_scale_flood).
 MESSAGES = 20
@@ -43,29 +39,17 @@ MESSAGES = 20
 def test_scale_brisa_10k(emit):
     brisa = run_scale_brisa(XL.cluster_nodes, MESSAGES, rate=20.0, seed=3)
     flood = run_scale_flood(XL.cluster_nodes, MESSAGES, rate=20.0, seed=3)
-    boot = bootstrap_comparison(
-        LARGE.cluster_nodes,
-        seed=3,
-        join_spacing=LARGE.join_spacing,
-        settle=LARGE.settle,
-    )
     text = (
         banner(f"Scale BRISA — {brisa.nodes} nodes (xl)")
         + "\n" + brisa.summary()
         + "\n" + banner("Flood baseline — same population/workload")
         + "\n" + flood.summary()
-        + "\n" + banner("Bootstrap — synthesized overlay vs simulated join ramp (2k)")
-        + "\n" + boot.summary()
     )
     emit("scale_brisa", text)
 
-    merge_bench_json(
-        "BENCH_scale_brisa.json",
-        {
-            "scale_run": brisa.to_dict(),
-            "flood_baseline": flood.to_dict(),
-            "bootstrap": boot.to_dict(),
-        },
+    merge_json(
+        RUN_DIR / "BENCH_scale_brisa.json",
+        {"scale_run": brisa.to_dict(), "flood_baseline": flood.to_dict()},
     )
 
     # Structure correctness (§II-B) at a population 20x the paper's.
@@ -76,9 +60,6 @@ def test_scale_brisa_10k(emit):
     # Efficiency: once the structure emerges, duplicates stay far below
     # flooding's every-link-every-message regime (degree - 1 per message).
     assert brisa.duplicates_per_node < flood.messages * 2
-    # Ramp replacement target: the synthesized bootstrap beats the
-    # simulated join ramp by >= 10x wall-clock at 2k nodes.
-    assert_ratio_gate("BENCH_BOOTSTRAP_GATE", boot.speedup, boot.summary())
 
 
 @pytest.mark.xl
@@ -94,7 +75,7 @@ def test_scale_brisa_multistream_xl(emit):
         banner(f"Scale BRISA multi-stream — {result.nodes} nodes (xl), 8 streams")
         + "\n" + result.summary(),
     )
-    merge_bench_json("BENCH_scale_brisa.json", {"multistream": result.to_dict()})
+    merge_json(RUN_DIR / "BENCH_scale_brisa.json", {"multistream": result.to_dict()})
 
     assert result.streams == 8 and len(result.per_stream) == 8
     assert result.structure_complete, result.structure_reason
@@ -110,31 +91,22 @@ def test_scale_brisa_multistream_xl(emit):
 
 
 @pytest.mark.xl
-def test_slotted_brisa_kernel_xl(emit):
-    """The slotted BRISA kernel gate (DESIGN.md §11): flat-array tree
-    state + packed Bloom rows must clear 2x the object kernel's
-    steady-state per-reception throughput at xl.
-
-    The measurement is differential (marginal rate between two stream
-    lengths) so the fixed emergence transient — bootstrap flood,
-    deactivation wave — that both kernels share cancels out; reception
-    counts are parity-checked inside the microbench, and the full
-    draw-for-draw surface is pinned by tests/test_slotted_parity.py."""
-    mb = brisa_slotted_microbench(XL.cluster_nodes, 50, seed=3)
-    emit(
-        "scale_brisa_slotted",
-        banner("Slotted BRISA microbenchmark — object vs slotted kernel (xl)")
-        + "\n" + mb.summary(),
-    )
-    merge_bench_json(
-        "BENCH_scale_brisa.json",
-        {"brisa_slotted_microbench": mb.to_dict()},
-    )
-
-    # The object kernel is the divisor: a PR that speeds up the shared
-    # cold path moves this ratio without touching the slotted kernel.
-    assert_ratio_gate("BENCH_BRISA_SLOTTED_GATE", mb.speedup, mb.summary())
-    assert mb.receptions > 0
+def test_brisa_kernels_agree_xl():
+    """The slotted BRISA kernel (DESIGN.md §11) is a pure throughput
+    lever: flat-array tree state + packed Bloom rows run the identical xl
+    simulation as the object kernel (the full draw-for-draw surface is
+    pinned at small populations by tests/test_slotted_parity.py)."""
+    results = {
+        kernel: run_scale_brisa(
+            XL.cluster_nodes, MESSAGES, rate=20.0, seed=3, kernel=kernel
+        )
+        for kernel in ("object", "slotted")
+    }
+    obj, slotted = results["object"], results["slotted"]
+    assert slotted.kernel == "slotted" and obj.receptions > 0
+    assert obj.structure_complete, obj.structure_reason
+    for name in ("receptions", "events", "duplicates_per_node", "structure_complete"):
+        assert getattr(slotted, name) == getattr(obj, name), name
 
 
 @pytest.mark.skipif(
@@ -154,7 +126,7 @@ def test_scale_brisa_xxl_slotted_100k(emit):
         banner(f"Scale BRISA slotted — {result.nodes} nodes (xxl)")
         + "\n" + result.summary(),
     )
-    merge_bench_json("BENCH_scale_brisa.json", {"xxl_slotted": result.to_dict()})
+    merge_json(RUN_DIR / "BENCH_scale_brisa.json", {"xxl_slotted": result.to_dict()})
 
     assert result.kernel == "slotted"
     assert result.structure_complete, result.structure_reason
@@ -174,7 +146,7 @@ def test_scale_brisa_xxl_100k(emit):
         "scale_brisa_xxl",
         banner(f"Scale BRISA — {result.nodes} nodes (xxl)") + "\n" + result.summary(),
     )
-    merge_bench_json("BENCH_scale_brisa.json", {"xxl": result.to_dict()})
+    merge_json(RUN_DIR / "BENCH_scale_brisa.json", {"xxl": result.to_dict()})
 
     assert result.nodes == XXL.cluster_nodes
     assert result.structure_complete, result.structure_reason

@@ -6,17 +6,20 @@ Commands mirror the per-experiment index of DESIGN.md §4::
     python -m repro run fig2 --scale fast    # one artifact, print rows
     python -m repro run all --scale fast     # every artifact
     python -m repro quickstart               # the README quickstart
-    python -m repro scale --scale xl         # 10k-node flood benchmark
+    python -m repro scale --scale xl         # 10k-node flood run
     python -m repro scale --stack brisa --size xl   # full BRISA stack at 10k
-    python -m repro scale --scale xxl --messages 10 --no-microbench  # 100k rung
+    python -m repro scale --scale xxl --messages 10                  # 100k rung
     python -m repro scale --scale xl --churn 1 --kernel slotted      # churn at scale
     python -m repro scale --stack brisa --size xl --streams 8        # §IV multi-stream
-    python -m repro scale --size xxxl --kernel vectorized --messages 10 \
-        --no-microbench                                              # 1M-node rung
+    python -m repro scale --size xxxl --kernel vectorized --messages 10   # 1M-node rung
     python -m repro live --size small            # BRISA over real UDP sockets:
                                                  # 64 nodes across 2 OS processes,
                                                  # cross-checked vs same-seed sim
     python -m repro live --size small --workers 4 --streams 2 --json live.json
+
+``repro scale`` reports what a run delivered and what it cost the engine
+(events, receptions, peak heap); how fast the simulator is is measured by
+the repo benchmark, ``python3 -m bench run`` / ``bench check``.
 """
 
 from __future__ import annotations
@@ -173,10 +176,10 @@ def make_parser() -> argparse.ArgumentParser:
                      help="tiny | small | fast | paper | large | xl | xxl | xxxl")
     sub.add_parser("quickstart", help="run the README quickstart")
     sc_cmd = sub.add_parser(
-        "scale", help="large-scale dissemination benchmark (see DESIGN.md §6–7)"
+        "scale", help="large-scale dissemination run (see DESIGN.md §6–7, §10)"
     )
     _add_workload_args(sc_cmd, default_size="large", default_messages=20)
-    sc_cmd.add_argument("--stack", choices=["flood", "brisa", "pull"], default="flood",
+    sc_cmd.add_argument("--stack", choices=list(sc.STACKS), default="flood",
                         help="protocol stack: flood baseline, the full BRISA stack, "
                              "or the lazy-push/pull recovery baseline")
     sc_cmd.add_argument("--degree", type=int, default=None,
@@ -185,8 +188,9 @@ def make_parser() -> argparse.ArgumentParser:
     sc_cmd.add_argument("--bootstrap", default=None, metavar="KIND",
                         help="brisa stack only: synthesized (default) | simulated | "
                              "path to an overlay checkpoint")
-    sc_cmd.add_argument("--kernel", choices=["object", "slotted", "vectorized"],
-                        default=None,
+    sc_cmd.add_argument("--kernel", default=None,
+                        choices=sorted({k for stack in sc.STACKS.values()
+                                        for k in stack.kernels}),
                         help="delivery kernel (default object; slotted = "
                              "flat-array state, DESIGN.md §9 for flood, §11 for "
                              "brisa; vectorized = numpy batch-drain kernel, "
@@ -205,8 +209,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="per-link message loss rate in percent (default 0; "
                              "independent coin per (message, destination) from "
                              "its own RNG stream, DESIGN.md §14)")
-    sc_cmd.add_argument("--no-microbench", action="store_true",
-                        help="skip the engine and occupancy microbenchmarks")
     live_cmd = sub.add_parser(
         "live",
         help="BRISA over real asyncio UDP sockets across worker processes "
@@ -263,21 +265,11 @@ def _run_scale(args) -> int:
         return 2
     print(rp.banner(f"Scale {args.stack} — {nodes} nodes ({args.scale})"))
     print(result.summary())
-    payload = {"scale_run": result.to_dict()}
-    if not args.no_microbench:
-        bench = sc.engine_microbench()
-        print(rp.banner("Engine microbenchmark — legacy vs fused hot path"))
-        print(bench.summary())
-        payload["microbench"] = bench.to_dict()
-        occ = sc.occupancy_microbench()
-        print(rp.banner("Occupancy microbenchmark — per-message vs fused fan-out"))
-        print(occ.summary())
-        payload["occupancy_microbench"] = occ.to_dict()
     if args.json_path:
         # The shared merge-write (DESIGN.md §10): repeated runs pointed at
         # one artifact accumulate entries instead of clobbering them, the
         # same contract the BENCH_*.json files rely on.
-        sc.merge_json(args.json_path, payload)
+        sc.merge_json(args.json_path, {"scale_run": result.to_dict()})
         print(f"\nwrote {args.json_path}")
     return 0
 

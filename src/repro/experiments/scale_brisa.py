@@ -5,124 +5,28 @@ synthesized-overlay bootstrap (:mod:`repro.experiments.bootstrap`,
 DESIGN.md §7) makes the *full* BRISA stack — membership + emergence +
 repair, §II — affordable at those populations by skipping the simulated
 HyParView join ramp.  This module carries the scenario entry point
-(:func:`run_scale_brisa`, also behind ``repro scale --stack brisa``) and
-the bootstrap benchmark (:func:`bootstrap_comparison`) that gates the
-synthesized path against the simulated ramp it replaces.  The harness
-spine (multi-stream injection windows, timed drain, per-stream
-accounting) is shared with the flood stack through
-:mod:`repro.experiments.scale_runner` (DESIGN.md §10).
+(:func:`run_scale_brisa`, also behind ``repro scale --stack brisa``): it
+builds the testbed and accounts duplicates, structure and relay load;
+the run itself is :func:`repro.experiments.scale_runner.run_stack`,
+shared with the flood and pull stacks (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
-import gc
 import time
-from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.config import BrisaConfig, HyParViewConfig
-from repro.errors import SimulationError
 from repro.experiments.common import Testbed, brisa_factory
 from repro.experiments.scale_runner import (
-    ScaleRunner,
-    aggregate_outcomes,
+    STACKS,
+    ScaleResult,
     brisa_stream_outcomes,
-    outcomes_summary,
-    spread_sources,
+    check_kernel,
+    run_stack,
     validate_workload,
 )
 from repro.sim.latency import ConstantLatency, LatencyModel
-
-
-@dataclass
-class ScaleBrisaResult:
-    """Outcome + engine telemetry of one large-scale BRISA run."""
-
-    nodes: int
-    messages: int
-    payload_bytes: int
-    seed: int
-    mode: str
-    bootstrap: str
-    #: Delivery kernel: ``object`` (per-node dict state) or ``slotted``
-    #: (flat-array slot planes, DESIGN.md §11).
-    kernel: str
-    #: Wall-clock seconds spent building the overlay (the ramp replacement).
-    bootstrap_wall: float
-    #: Simulated seconds the dissemination spanned.
-    sim_time: float
-    #: Wall-clock seconds of the dissemination run loop.
-    wall_time: float
-    events: int
-    events_per_sec: float
-    #: First-time message receptions across all receivers.
-    deliveries: int
-    deliveries_per_sec: float
-    delivered_fraction: float
-    #: Data receptions processed (first deliveries + duplicates) — the
-    #: unit of per-delivery handler work the slotted kernel cuts.
-    receptions: int
-    receptions_per_sec: float
-    #: §II-B correctness: the emerged structure covers every node, acyclically.
-    structure_complete: bool
-    structure_reason: str
-    #: Mean duplicate receptions per receiver (the Fig. 2 quantity BRISA
-    #: drives toward zero once the structure emerges).
-    duplicates_per_node: float
-    peak_pending: int
-    handle_pool_size: int
-    #: Concurrent publishers (stream ``i`` driven by source ``i``).
-    streams: int = 1
-    #: Overlay topology class the run disseminated over.
-    topology: str = "uniform"
-    #: Per-link loss rate applied by the delivery layer (percent).
-    loss_percent: float = 0.0
-    #: Sends the loss model discarded (0 on lossless links).
-    dropped_loss: int = 0
-    #: Per-stream outcomes (``StreamOutcome.to_dict`` rows), including
-    #: each stream's §II-B structure invariant.
-    per_stream: list = field(default_factory=list)
-    #: §IV relay-load-spread report (``RelayLoadSpread.to_dict``) for
-    #: multi-stream runs; None when a single stream ran.
-    relay_spread: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def summary(self) -> str:
-        structure = "complete/acyclic" if self.structure_complete else self.structure_reason
-        lines = [
-            f"nodes: {self.nodes} ({self.mode} mode, {self.bootstrap} bootstrap, "
-            f"{self.kernel} kernel)",
-            f"messages: {self.streams} stream(s) x {self.messages} x {self.payload_bytes} B",
-            f"delivered: {self.delivered_fraction * 100:.2f}%",
-            f"structure: {structure}",
-            f"duplicates/node (mean): {self.duplicates_per_node:.2f}",
-            f"bootstrap: {self.bootstrap_wall:.2f} s wall",
-            f"sim time: {self.sim_time:.2f} s   wall time: {self.wall_time:.2f} s",
-            f"events: {self.events:,} ({self.events_per_sec:,.0f}/s)",
-            f"deliveries: {self.deliveries:,} ({self.deliveries_per_sec:,.0f}/s)",
-            f"receptions: {self.receptions:,} ({self.receptions_per_sec:,.0f}/s)",
-            f"peak heap: {self.peak_pending:,}   handle pool: {self.handle_pool_size:,}",
-        ]
-        if self.topology != "uniform" or self.loss_percent:
-            line = f"topology: {self.topology}   link loss: {self.loss_percent:g}%"
-            if self.loss_percent:
-                line += f" ({self.dropped_loss:,} sends dropped)"
-            lines.insert(1, line)
-        if self.streams > 1:
-            lines.append("per-stream delivery + structure:")
-            lines.append(outcomes_summary(self.per_stream, indent="  "))
-        if self.relay_spread is not None:
-            rs = self.relay_spread
-            lines.append(
-                f"relay-load spread: interior >=1 tree "
-                f"{rs['interior_any']}/{rs['population']}   every tree "
-                f"{rs['interior_all']}   sets differ: "
-                f"{'yes' if rs['distinct_sets'] else 'no'}   "
-                f"fan-in max {rs['fan_in_max']} mean {rs['fan_in_mean']:.2f}"
-            )
-        return "\n".join(lines)
 
 
 def run_scale_brisa(
@@ -134,7 +38,7 @@ def run_scale_brisa(
     payload_bytes: int = 1024,
     seed: int = 1,
     bootstrap: str = "synthesized",
-    degree: Optional[int] = None,
+    degree: Optional[int] = STACKS["brisa"].default_degree,
     config: Optional[BrisaConfig] = None,
     hpv_config: Optional[HyParViewConfig] = None,
     latency: Optional[LatencyModel] = None,
@@ -144,7 +48,7 @@ def run_scale_brisa(
     kernel: str = "object",
     topology: str = "uniform",
     loss_percent: float = 0.0,
-) -> ScaleBrisaResult:
+) -> ScaleResult:
     """Run the full BRISA stack over a ``nodes``-population overlay.
 
     ``bootstrap`` is the :meth:`Testbed.populate` switch: ``synthesized``
@@ -166,10 +70,7 @@ def run_scale_brisa(
     lever.
     """
     validate_workload(messages, rate, streams, population=nodes)
-    if kernel not in ("object", "slotted"):
-        raise ValueError(
-            f"unknown BRISA kernel {kernel!r} (expected 'object' or 'slotted')"
-        )
+    check_kernel("brisa", kernel)
     # Lossy links make §II-F's blind spot real: a lost final message
     # orphans a subtree with no later traffic to reveal the gap.  The
     # quiescence tail probe (DESIGN.md §14) closes it, so lossy runs get
@@ -231,279 +132,40 @@ def run_scale_brisa(
     bootstrap_wall = time.perf_counter() - t0
     bed.stop_shuffles()
 
-    sources = spread_sources(bed.nodes, streams)
-    runner = ScaleRunner(
-        bed.sim, bed.network, sources,
-        messages=messages, rate=rate, payload_bytes=payload_bytes,
-    )
-    stats = runner.run()
-    wall = stats.wall_time
+    def account(sources, alive):
+        outcomes = brisa_stream_outcomes(sources, alive, messages)
+        source_ids = {s.node_id for s in sources}
+        receivers = [n.node_id for n in alive if n.node_id not in source_ids]
+        if slot_kernel is not None:
+            # Duplicate counts live in the slot planes; Metrics.duplicates is
+            # only fed by the object kernel's per-message handler.  Source
+            # nodes are excluded to match the object walk below (per-node
+            # counters cannot split a publisher's counts by stream).
+            dup_total = slot_kernel.duplicate_receptions(exclude_nodes=source_ids)
+        else:
+            dup_total = sum(bed.metrics.duplicates.get(n, 0) for n in receivers)
+        relay_spread = None
+        if streams > 1:
+            from repro.experiments.structural import relay_load_spread
 
-    alive_nodes = bed.alive_nodes()
-    outcomes = brisa_stream_outcomes(sources, alive_nodes, messages)
-    deliveries, delivered_fraction = aggregate_outcomes(outcomes, messages)
-    complete = all(o.structure_complete for o in outcomes)
-    reason = next(
-        (o.structure_reason for o in outcomes if not o.structure_complete), ""
-    )
-    source_ids = {s.node_id for s in sources}
-    receivers = set(bed.alive_ids()) - source_ids
-    if slot_kernel is not None:
-        # Duplicate counts live in the slot planes; Metrics.duplicates is
-        # only fed by the object kernel's per-message handler.  Source
-        # nodes are excluded to match the object walk below (per-node
-        # counters cannot split a publisher's counts by stream).
-        dup_total = slot_kernel.duplicate_receptions(exclude_nodes=source_ids)
-    else:
-        dup_total = sum(bed.metrics.duplicates.get(n, 0) for n in receivers)
-    receptions = deliveries + dup_total
-    relay_spread = None
-    if streams > 1:
-        from repro.experiments.structural import relay_load_spread
+            relay_spread = relay_load_spread(alive, range(streams)).to_dict()
+        return outcomes, sum(o.deliveries for o in outcomes) + dup_total, {
+            "mode": cfg.mode,
+            "bootstrap": (
+                bootstrap if bootstrap in ("simulated", "synthesized") else "checkpoint"
+            ),
+            "bootstrap_wall": bootstrap_wall,
+            "structure_complete": all(o.structure_complete for o in outcomes),
+            "structure_reason": next(
+                (o.structure_reason for o in outcomes if not o.structure_complete), ""
+            ),
+            "duplicates_per_node": dup_total / len(receivers) if receivers else 0.0,
+            "relay_spread": relay_spread,
+        }
 
-        relay_spread = relay_load_spread(alive_nodes, range(streams)).to_dict()
-    return ScaleBrisaResult(
-        nodes=nodes,
-        messages=messages,
-        payload_bytes=payload_bytes,
-        seed=seed,
-        mode=cfg.mode,
-        bootstrap=bootstrap if bootstrap in ("simulated", "synthesized") else "checkpoint",
-        kernel=kernel,
-        bootstrap_wall=bootstrap_wall,
-        sim_time=stats.sim_time,
-        wall_time=wall,
-        events=stats.events,
-        events_per_sec=stats.events / wall,
-        deliveries=deliveries,
-        deliveries_per_sec=deliveries / wall,
-        delivered_fraction=delivered_fraction,
-        receptions=receptions,
-        receptions_per_sec=receptions / wall,
-        structure_complete=complete,
-        structure_reason=reason,
-        duplicates_per_node=dup_total / len(receivers) if receivers else 0.0,
-        peak_pending=bed.sim.peak_pending,
-        handle_pool_size=bed.sim.pool_size,
-        streams=streams,
-        topology=topology,
-        loss_percent=loss_percent,
-        dropped_loss=bed.metrics.counters.get("dropped_loss", 0),
-        per_stream=[o.to_dict() for o in outcomes],
-        relay_spread=relay_spread,
-    )
-
-
-# ----------------------------------------------------------------------
-# Bootstrap benchmark: synthesized constructor vs the simulated ramp
-# ----------------------------------------------------------------------
-@dataclass
-class BootstrapComparison:
-    """Wall-clock cost of populating one BRISA testbed, both ways."""
-
-    nodes: int
-    seed: int
-    simulated_wall: float
-    synthesized_wall: float
-    #: Simulator events the join ramp burned (the synthesized path: zero).
-    simulated_events: int
-
-    @property
-    def speedup(self) -> float:
-        """Ramp-replacement factor (the acceptance metric)."""
-        return self.simulated_wall / max(self.synthesized_wall, 1e-9)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["speedup"] = self.speedup
-        return d
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"population: {self.nodes} BRISA nodes",
-                f"simulated join ramp: {self.simulated_wall:.2f} s wall "
-                f"({self.simulated_events:,} events)",
-                f"synthesized overlay: {self.synthesized_wall:.4f} s wall (0 events)",
-                f"speedup: {self.speedup:.1f}x",
-            ]
-        )
-
-
-def bootstrap_comparison(
-    nodes: int,
-    *,
-    seed: int = 1,
-    join_spacing: float = 0.05,
-    settle: float = 45.0,
-    config: Optional[BrisaConfig] = None,
-    hpv_config: Optional[HyParViewConfig] = None,
-    repeats: int = 3,
-) -> BootstrapComparison:
-    """Measure the synthesized bootstrap against the simulated join ramp
-    it replaces, on identical populations.  Both overlays are validated,
-    so the comparison cannot quietly trade correctness for speed.
-
-    The garbage collector is drained before each timed region (a prior
-    large-population run otherwise taxes the measured allocations with
-    its collection debt), and the cheap synthesized side keeps the best
-    of ``repeats`` runs — the minimum-noise sample, as in
-    :func:`repro.experiments.scale_flood.engine_microbench`."""
-    import gc
-
-    def populate(bootstrap: str) -> tuple[float, int]:
-        bed = Testbed(
-            seed=seed,
-            latency=ConstantLatency(0.001, seed=seed),
-            record_deliveries=False,
-        )
-        gc.collect()
-        t0 = time.perf_counter()
-        bed.populate(
-            nodes,
-            brisa_factory(config, hpv_config),
-            bootstrap=bootstrap,
-            join_spacing=join_spacing,
-            settle=settle,
-            validate=True,
-        )
-        return time.perf_counter() - t0, bed.sim.events_processed
-
-    simulated_wall, simulated_events = populate("simulated")
-    synthesized_wall = min(populate("synthesized")[0] for _ in range(max(1, repeats)))
-    return BootstrapComparison(
-        nodes=nodes,
-        seed=seed,
-        simulated_wall=simulated_wall,
-        synthesized_wall=synthesized_wall,
-        simulated_events=simulated_events,
-    )
-
-
-# ----------------------------------------------------------------------
-# Kernel microbenchmark: object vs slotted BRISA at scale (DESIGN.md §11)
-# ----------------------------------------------------------------------
-@dataclass
-class BrisaMicrobenchResult:
-    """Same-machine BRISA delivery throughput at scale: the object
-    (per-node dict state) kernel vs the slotted (flat-array) kernel.
-
-    Throughput is the *steady-state* rate of receptions (first
-    deliveries plus duplicates — the unit of per-delivery handler +
-    maintenance work the slotted fast path cuts), measured
-    differentially: each kernel runs the identical scenario at two
-    stream lengths and the marginal rate is the reception delta over the
-    wall-clock delta.  Differencing cancels the fixed costs both kernels
-    share — overlay synthesis, the bootstrap flood, the §II-C
-    deactivation wave — and isolates the post-stabilization per-delivery
-    regime the kernel exists for (a long-lived stream spends its life
-    there; the emergence transient is paid once).  Runs are interleaved
-    object/slotted so machine drift hits both sides alike, and the best
-    wall per (kernel, length) over ``repeats`` is kept.
-    """
-
-    nodes: int
-    #: The two stream lengths of the differential measurement.
-    messages_lo: int
-    messages_hi: int
-    mode: str
-    #: Marginal receptions between the two lengths — identical on both
-    #: sides by the kernel-parity guarantee (checked at measurement time).
-    receptions: int
-    object_receptions_per_sec: float
-    slotted_receptions_per_sec: float
-
-    @property
-    def speedup(self) -> float:
-        """Steady-state per-delivery throughput ratio (the acceptance
-        metric)."""
-        return self.slotted_receptions_per_sec / max(
-            self.object_receptions_per_sec, 1e-9
-        )
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["speedup"] = self.speedup
-        return d
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"workload: {self.nodes} nodes, messages "
-                f"{self.messages_lo} -> {self.messages_hi} ({self.mode} mode, "
-                f"{self.receptions:,} marginal receptions)",
-                f"object kernel:  {self.object_receptions_per_sec:,.0f} "
-                f"steady-state receptions/s",
-                f"slotted kernel: {self.slotted_receptions_per_sec:,.0f} "
-                f"steady-state receptions/s",
-                f"speedup: {self.speedup:.2f}x",
-            ]
-        )
-
-
-def brisa_slotted_microbench(
-    nodes: int = 10_000, messages: int = 50, *,
-    messages_lo: int = 10,
-    mode: str = "tree", degree: int = 5, rate: float = 20.0,
-    seed: int = 3, repeats: int = 2,
-) -> BrisaMicrobenchResult:
-    """Measure the object BRISA kernel against the slotted kernel.
-
-    Both kernels run the *identical* xl-shaped scenario — same seed,
-    same synthesized overlay, same injection schedule, draw-for-draw the
-    same simulation — at two stream lengths (``messages_lo`` and
-    ``messages``), and the steady-state rate is the marginal receptions
-    over the marginal wall time (see :class:`BrisaMicrobenchResult`).
-    Reception counts must match across kernels at both lengths (verified
-    here; the full parity surface — delivery sets, tree edges, levels,
-    byte totals — is pinned by tests/test_slotted_parity.py).
-
-    Each timed run executes with the caller's surviving heap frozen out
-    of the collector (``gc.freeze``): gen-2 scans cost the same
-    *absolute* time in either kernel, so a long-lived process full of
-    unrelated objects taxes the faster side proportionally more and
-    deflates the ratio.  GC stays enabled for the run's own garbage.
-    """
-    if messages <= messages_lo:
-        raise ValueError("messages must exceed messages_lo for the "
-                         "differential measurement")
-
-    walls: dict[tuple[str, int], float] = {}
-    rx: dict[tuple[str, int], int] = {}
-    for _ in range(max(1, repeats)):
-        for length in (messages_lo, messages):
-            for kernel in ("object", "slotted"):
-                gc.collect()
-                gc.freeze()
-                try:
-                    r = run_scale_brisa(
-                        nodes, length, mode=mode, degree=degree, rate=rate,
-                        seed=seed, kernel=kernel,
-                    )
-                finally:
-                    gc.unfreeze()
-                key = (kernel, length)
-                walls[key] = min(walls.get(key, float("inf")), r.wall_time)
-                rx[key] = r.receptions
-    for length in (messages_lo, messages):
-        if rx[("object", length)] != rx[("slotted", length)]:
-            raise SimulationError(
-                f"kernel parity violated at {length} messages: object "
-                f"kernel processed {rx[('object', length)]} receptions, "
-                f"slotted {rx[('slotted', length)]}"
-            )
-
-    def marginal(kernel: str) -> float:
-        drx = rx[(kernel, messages)] - rx[(kernel, messages_lo)]
-        dwall = walls[(kernel, messages)] - walls[(kernel, messages_lo)]
-        return drx / max(dwall, 1e-9)
-
-    return BrisaMicrobenchResult(
-        nodes=nodes,
-        messages_lo=messages_lo,
-        messages_hi=messages,
-        mode=mode,
-        receptions=rx[("object", messages)] - rx[("object", messages_lo)],
-        object_receptions_per_sec=marginal("object"),
-        slotted_receptions_per_sec=marginal("slotted"),
+    return run_stack(
+        bed.sim, bed.network, bed.nodes, account,
+        nodes=nodes, messages=messages, rate=rate, payload_bytes=payload_bytes,
+        seed=seed, streams=streams, kernel=kernel, degree=degree,
+        topology=topology, loss_percent=loss_percent,
     )

@@ -5,141 +5,48 @@ reliability/efficiency trade-offs appear at populations well beyond that
 (cf. Moreno et al. on epidemic dissemination in complex networks).  This
 module opens those scenarios: it builds a *static* random overlay —
 skipping the HyParView join ramp, which would dominate a benchmark of
-the dissemination hot path — floods a stream over it, and reports engine
-throughput (events/s, deliveries/s, peak heap backlog, wall time).
-
-It also carries the **engine microbenchmark** used as the performance
-baseline of the hot-path overhaul: :func:`engine_microbench` measures,
-on the same machine and the same fan-out workload, the pre-overhaul
-delivery chain (per-peer message construction and accounting, a fresh
-``EventHandle`` per event, ``send → _deliver → _process`` with a node
-lookup at every step, the bounded ``run(until=...)`` loop) against the
-current fused path (shared fan-out message, batched accounting, pooled
-fire-and-forget events, ``run_until_idle``).  Throughput is compared in
-*delivery events completed per second* — the unit of useful simulator
-work — because the legacy chain spreads one delivery over several heap
-events and a raw heap-event rate would flatter it.  See DESIGN.md §2.
+the dissemination hot path — floods K concurrent streams over it,
+optionally under churn, and reports delivery, duplicates and engine
+telemetry (events, receptions/s, peak heap backlog, wall time).
 
 Scenario entry points: :func:`run_scale_flood` (library / benchmark) and
-the ``repro scale`` CLI subcommand.  The harness spine — source
-spreading, multi-stream injection windows, the timed drain and
-per-stream delivery accounting — is shared with the BRISA stack through
-:mod:`repro.experiments.scale_runner` (DESIGN.md §10).
+the ``repro scale`` CLI subcommand.  This module builds the stack and
+accounts its receptions; the run itself — source spreading, injection
+windows, the timed drain, the roll-up and the :class:`ScaleResult` — is
+:func:`repro.experiments.scale_runner.run_stack`, shared with the BRISA
+and pull stacks (DESIGN.md §10).  How fast it goes is measured by
+``python3 -m bench``, not here.
 """
 
 from __future__ import annotations
 
-import gc
-import time
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.baselines.flood import FloodNode, SlottedFloodKernel, SlottedFloodNode
 from repro.core.flood_vectorized import VectorizedFloodKernel
 from repro.config import HyParViewConfig
-from repro.errors import SimulationError
-from repro.ids import NodeId
 from repro.sim.churn import ChurnDriver
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency, LatencyModel, OccupancyLatency
-from repro.sim.message import Message
+from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.monitor import Metrics
 from repro.sim.network import Network
 from repro.sim.trace import ConstChurn, Trace
 from repro.experiments.scale_runner import (
-    ScaleRunner,
-    aggregate_outcomes,
+    STACKS,
+    ScaleResult,
+    check_kernel,
     flood_stream_outcomes,
-    outcomes_summary,
+    run_stack,
+    shard_receptions,
     spread_sources,
     validate_workload,
 )
 
 
-@dataclass
-class ScaleFloodResult:
-    """Outcome + engine telemetry of one large-scale flood run."""
-
-    nodes: int
-    degree: int
-    messages: int
-    payload_bytes: int
-    seed: int
-    #: Simulated seconds the dissemination spanned.
-    sim_time: float
-    #: Wall-clock seconds of the dissemination run loop.
-    wall_time: float
-    #: Engine events processed during dissemination.
-    events: int
-    events_per_sec: float
-    #: First-time message receptions across all receivers.
-    deliveries: int
-    deliveries_per_sec: float
-    #: Fraction of (message, receiver) pairs delivered.
-    delivered_fraction: float
-    #: Largest heap backlog ever observed.
-    peak_pending: int
-    #: EventHandle free-list high-water mark after the run.
-    handle_pool_size: int
-    #: Delivery kernel that ran the flood ("object" | "slotted").
-    kernel: str = "object"
-    #: Total receptions processed (first deliveries + duplicates) — the
-    #: unit the slotted-kernel speedup gate is measured in.
-    receptions: int = 0
-    receptions_per_sec: float = 0.0
-    #: Churn applied during the stream (percent of the population).
-    churn_percent: float = 0.0
-    kills: int = 0
-    joins: int = 0
-    #: Initial-population receivers still alive at the end of the run
-    #: (the delivered_fraction denominator under churn).
-    survivors: int = 0
-    #: Concurrent publishers (stream ``i`` driven by source ``i``).
-    streams: int = 1
-    #: Overlay topology class the run disseminated over.
-    topology: str = "uniform"
-    #: Per-link loss rate applied by the delivery layer (percent).
-    loss_percent: float = 0.0
-    #: Sends the loss model discarded (``dropped_loss`` counter).
-    dropped_loss: int = 0
-    #: Per-stream outcomes (``StreamOutcome.to_dict`` rows) when the run
-    #: drove more than one stream.
-    per_stream: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def summary(self) -> str:
-        lines = [
-            f"nodes: {self.nodes} (degree ~{self.degree})   kernel: {self.kernel}",
-            f"messages: {self.streams} stream(s) x {self.messages} x {self.payload_bytes} B",
-            f"delivered: {self.delivered_fraction * 100:.2f}%",
-            f"sim time: {self.sim_time:.2f} s   wall time: {self.wall_time:.2f} s",
-            f"events: {self.events:,} ({self.events_per_sec:,.0f}/s)",
-            f"deliveries: {self.deliveries:,} ({self.deliveries_per_sec:,.0f}/s)",
-            f"receptions: {self.receptions:,} ({self.receptions_per_sec:,.0f}/s)",
-            f"peak heap: {self.peak_pending:,}   handle pool: {self.handle_pool_size:,}",
-        ]
-        if self.topology != "uniform" or self.loss_percent:
-            line = f"topology: {self.topology}   link loss: {self.loss_percent:g}%"
-            if self.loss_percent:
-                line += f" ({self.dropped_loss:,} sends dropped)"
-            lines.insert(1, line)
-        if self.streams > 1:
-            lines.append("per-stream delivery:")
-            lines.append(outcomes_summary(self.per_stream, indent="  "))
-        if self.churn_percent:
-            lines.append(
-                f"churn: {self.churn_percent:g}%   kills: {self.kills:,}   "
-                f"joins: {self.joins:,}   survivors: {self.survivors:,}"
-            )
-        return "\n".join(lines)
-
-
 def build_static_flood_overlay(
     n: int,
     *,
-    degree: int = 5,
+    degree: int = STACKS["flood"].default_degree,
     seed: int = 1,
     latency: Optional[LatencyModel] = None,
     record_deliveries: bool = False,
@@ -147,8 +54,9 @@ def build_static_flood_overlay(
     kernel: str = "object",
     topology: str = "uniform",
     loss_percent: float = 0.0,
-) -> tuple[Simulator, Network, list[FloodNode]]:
-    """Spawn ``n`` flood nodes pre-wired into a connected random overlay.
+    node_factory: Optional[Callable] = None,
+) -> tuple[Simulator, Network, list]:
+    """Spawn ``n`` nodes pre-wired into a connected random overlay.
 
     The topology comes from the shared synthesized-overlay constructor
     (:mod:`repro.experiments.bootstrap`): a Hamiltonian ring plus random
@@ -163,6 +71,10 @@ def build_static_flood_overlay(
     flat-array kernel, DESIGN.md §9) or ``"vectorized"`` (numpy slot
     planes draining whole fan-out batches, DESIGN.md §12; requires
     numpy).  All are draw-for-draw equivalent for one seed.
+
+    ``node_factory(network, node_id, hpv_config)`` puts another protocol
+    on the same overlay (the pull stack passes its node class); the
+    default is the flood node of ``kernel``.
     """
     from repro.experiments.bootstrap import synthesize_overlay
 
@@ -180,7 +92,10 @@ def build_static_flood_overlay(
     # The static views may exceed HyParView's default cap; size the config
     # so the synthesized wiring is legal under the protocol's own limits.
     hpv = HyParViewConfig(active_size=max(4, degree), passive_size=16)
-    factory = flood_node_factory(kernel, net, hpv)
+    if node_factory is None:
+        factory = flood_node_factory(kernel, net, hpv)
+    else:
+        factory = lambda network, nid: node_factory(network, nid, hpv)
     # Batched materialization (DESIGN.md §8): with shuffles off the
     # timers are never armed, so spawning schedules zero events.
     prior = net.autostart_timers
@@ -189,11 +104,11 @@ def build_static_flood_overlay(
         nodes = net.spawn_many(factory, n)
     finally:
         net.autostart_timers = prior
-    # Slotted: build the fan-out rows straight from the CSR adjacency
-    # arrays — one bulk pass over flat arrays; the per-peer notification
-    # appends the install would fire are suppressed meanwhile (contents
-    # identical either way, pinned by the parity tests).
-    slot_kernel = nodes[0].kernel if kernel in ("slotted", "vectorized") else None
+    # Array kernels: build the fan-out rows straight from the CSR
+    # adjacency arrays — one bulk pass over flat arrays; the per-peer
+    # notification appends the install would fire are suppressed meanwhile
+    # (contents identical either way, pinned by the parity tests).
+    slot_kernel = getattr(nodes[0], "kernel", None)
     if slot_kernel is not None:
         slot_kernel.bulk_rows = True
     try:
@@ -224,39 +139,68 @@ def flood_node_factory(
     bootstrap), or the existing kernel passed as ``slot_kernel`` so
     churn joiners land in the same arrays and recycle freed slots.
     """
-    if kernel in ("slotted", "vectorized"):
-        if slot_kernel is None:
-            cls = VectorizedFloodKernel if kernel == "vectorized" else SlottedFloodKernel
-            slot_kernel = cls(net)
-        return lambda network, nid: SlottedFloodNode(network, nid, hpv, kernel=slot_kernel)
+    check_kernel("flood", kernel)
     if kernel == "object":
         return lambda network, nid: FloodNode(network, nid, hpv)
-    raise ValueError(
-        f"unknown flood kernel {kernel!r} "
-        "(expected 'object', 'slotted' or 'vectorized')"
+    if slot_kernel is None:
+        cls = VectorizedFloodKernel if kernel == "vectorized" else SlottedFloodKernel
+        slot_kernel = cls(net)
+    return lambda network, nid: SlottedFloodNode(network, nid, hpv, kernel=slot_kernel)
+
+
+def _schedule_churn(sim, net, flood_nodes, protected, kernel, percent, span):
+    """One constant-churn period over ``[now, now + span]``: kill
+    ``percent`` of the live population at random instants (never a
+    ``protected`` source, as in §III-C) and join as many fresh nodes
+    through the regular HyParView join protocol."""
+    # Joiners arm no periodic timers (message-driven join only), so the
+    # heap still drains exactly when the last repair settles.
+    net.autostart_timers = False
+    join_factory = flood_node_factory(
+        kernel, net, flood_nodes[0].hpv_config,
+        slot_kernel=getattr(flood_nodes[0], "kernel", None),
     )
+    contact_rng = sim.rng("scale-churn-contacts")
+    initial_ids = [node.node_id for node in flood_nodes]
+
+    def join_fn():
+        node = net.spawn(join_factory)
+        # Rejection-sample a live contact among the initial population
+        # (expected O(1) tries; the protected sources guarantee
+        # termination).
+        while True:
+            contact = contact_rng.choice(initial_ids)
+            if net.alive(contact):
+                break
+        node.join(contact)
+        return node
+
+    start = sim.now
+    trace = Trace((ConstChurn(start, start + span, percent, span),))
+    driver = ChurnDriver(
+        sim, net, trace, join_fn, protected=protected, seed_label="scale-churn",
+    )
+    driver.apply()
+    return driver
 
 
 def run_scale_flood(
     nodes: int,
     messages: int,
     *,
-    degree: int = 5,
+    degree: int = STACKS["flood"].default_degree,
     rate: float = 20.0,
     payload_bytes: int = 1024,
     seed: int = 1,
-    drain: float = 10.0,
     latency: Optional[LatencyModel] = None,
     kernel: str = "object",
     churn_percent: float = 0.0,
-    churn_replacement: float = 1.0,
     streams: int = 1,
     topology: str = "uniform",
     loss_percent: float = 0.0,
-) -> ScaleFloodResult:
+) -> ScaleResult:
     """Disseminate ``streams`` concurrent flood streams of ``messages``
-    messages each over a ``nodes``-population static overlay and measure
-    engine throughput while doing it.
+    messages each over a ``nodes``-population static overlay.
 
     ``streams`` > 1 opens the multi-stream scenario (DESIGN.md §10): K
     publishers spread over the population each drive their own stream id
@@ -264,690 +208,41 @@ def run_scale_flood(
     (every live node except a stream's own source is its audience).
 
     ``churn_percent`` > 0 opens the churn-at-scale scenario (DESIGN.md
-    §9): one constant-churn period spanning the injection window kills
-    that percentage of the live population at random instants (every
-    source is protected, as in §III-C) and joins ``churn_replacement``
-    times as many fresh nodes through the regular HyParView join
-    protocol.  Delivery is then reported over the *surviving* initial
-    receivers — joiners cannot observe messages injected before they
-    arrived (flooding has no anti-entropy), so they are excluded from
-    the denominator.
+    §9): one constant-churn period spanning the injection window
+    replaces that percentage of the population.  Delivery is then
+    reported over the *surviving* initial receivers — joiners cannot
+    observe messages injected before they arrived (flooding has no
+    anti-entropy), so they are excluded from the denominator.
     """
     validate_workload(messages, rate, streams, population=nodes)
     if not 0.0 <= churn_percent < 100.0:
         raise ValueError("churn_percent must be in [0, 100)")
-    if churn_replacement < 0.0:
-        raise ValueError("churn_replacement must be >= 0")
     sim, net, flood_nodes = build_static_flood_overlay(
         nodes, degree=degree, seed=seed, latency=latency, kernel=kernel,
         topology=topology, loss_percent=loss_percent,
     )
-    sources = spread_sources(flood_nodes, streams)
-    runner = ScaleRunner(
-        sim, net, sources, messages=messages, rate=rate, payload_bytes=payload_bytes
-    )
     driver = None
-    start = sim.now
     if churn_percent:
-        # Joiners arm no periodic timers (message-driven join only), so
-        # the heap still drains exactly when the last repair settles.
-        net.autostart_timers = False
-        span = messages / rate
-        join_factory = flood_node_factory(
-            kernel, net, flood_nodes[0].hpv_config,
-            slot_kernel=getattr(flood_nodes[0], "kernel", None),
-        )
-        contact_rng = sim.rng("scale-churn-contacts")
-        initial_ids = [node.node_id for node in flood_nodes]
-
-        def join_fn():
-            node = net.spawn(join_factory)
-            # Rejection-sample a live contact among the initial
-            # population (expected O(1) tries; the protected sources
-            # guarantee termination).
-            while True:
-                contact = contact_rng.choice(initial_ids)
-                if net.alive(contact):
-                    break
-            node.join(contact)
-            return node
-
-        trace = Trace((ConstChurn(start, start + span, churn_percent, span),))
-        driver = ChurnDriver(
-            sim, net, trace, join_fn,
-            protected=tuple(s.node_id for s in sources), seed_label="scale-churn",
-        )
-        driver.replacement_ratio = churn_replacement
-        driver.apply()
-    # The overlay is static and shuffle-free: the heap drains exactly when
-    # the last in-flight message lands (under churn: when the last repair
-    # exchange settles), so the batched loop needs no bound.
-    stats = runner.run()
-
-    alive_initial = [node for node in flood_nodes if node.alive]
-    outcomes = flood_stream_outcomes(sources, alive_initial, messages)
-    deliveries, delivered_fraction = aggregate_outcomes(outcomes, messages)
-    if kernel in ("slotted", "vectorized"):
-        receptions = flood_nodes[0].kernel.receptions
-    else:
-        receptions = sum(
-            shard.first_deliveries + shard.duplicate_receptions
-            for shard in net.metrics.streams.values()
-        )
-    wall = stats.wall_time
-    return ScaleFloodResult(
-        nodes=nodes,
-        degree=degree,
-        messages=messages,
-        payload_bytes=payload_bytes,
-        seed=seed,
-        sim_time=stats.sim_time,
-        wall_time=wall,
-        events=stats.events,
-        events_per_sec=stats.events / wall,
-        deliveries=deliveries,
-        deliveries_per_sec=deliveries / wall,
-        delivered_fraction=delivered_fraction,
-        peak_pending=sim.peak_pending,
-        handle_pool_size=sim.pool_size,
-        kernel=kernel,
-        receptions=receptions,
-        receptions_per_sec=receptions / wall,
-        churn_percent=churn_percent,
-        kills=driver.stats.kills if driver else 0,
-        joins=driver.stats.joins if driver else 0,
-        survivors=outcomes[0].receivers,
-        streams=streams,
-        topology=topology,
-        loss_percent=loss_percent,
-        dropped_loss=net.metrics.counters.get("dropped_loss", 0),
-        per_stream=[o.to_dict() for o in outcomes],
-    )
-
-
-# ----------------------------------------------------------------------
-# Engine microbenchmark: pre-overhaul delivery chain vs the fused path
-# ----------------------------------------------------------------------
-class _BenchPayload(Message):
-    """Fixed-size payload used by both microbench sides."""
-
-    kind = "bench_payload"
-    __slots__ = ("seq",)
-
-    def __init__(self, seq: int = 0) -> None:
-        self.seq = seq
-
-    def body_bytes(self) -> int:
-        return 1024
-
-
-class _SinkNode:
-    """Terminal receiver: counts deliveries, forwards nothing."""
-
-    __slots__ = ("node_id", "alive", "received")
-
-    def __init__(self, node_id: NodeId) -> None:
-        self.node_id = node_id
-        self.alive = True
-        self.received = 0
-
-    def handle_message(self, src: NodeId, msg: Message) -> None:
-        self.received += 1
-
-
-class _LegacyNetwork:
-    """The pre-overhaul delivery chain, preserved for baseline runs.
-
-    Faithful to the seed implementation: every event allocates a fresh
-    cancellable ``EventHandle`` through ``schedule_at``, delivery walks
-    ``send → _deliver → _process`` with a ``nodes`` lookup at each step
-    and an ``rx_cost`` probe per message, and fan-out callers construct
-    one message *per peer* with one accounting call per send.
-    """
-
-    def __init__(self, sim: Simulator, latency: LatencyModel, metrics: Metrics) -> None:
-        self.sim = sim
-        self.latency = latency
-        self.metrics = metrics
-        self.nodes: dict[NodeId, _SinkNode] = {}
-        self._busy: dict[NodeId, float] = {}
-
-    def send(self, src: NodeId, dst: NodeId, msg: Message) -> None:
-        sender = self.nodes.get(src)
-        if sender is None or not sender.alive:
-            return
-        size = msg.size_bytes()
-        self.metrics.account_send(src, msg.kind, size)
-        now = self.sim.now
-        tx_cost = self.latency.tx_cost(src, size)
-        if tx_cost > 0.0:
-            tx_done = max(now, self._busy.get(src, now)) + tx_cost
-            self._busy[src] = tx_done
-        else:
-            tx_done = now
-        arrival = tx_done + self.latency.sample(src, dst)
-        self.sim.schedule_at(arrival, self._deliver, src, dst, msg, size)
-
-    def _deliver(self, src: NodeId, dst: NodeId, msg: Message, size: int) -> None:
-        node = self.nodes.get(dst)
-        if node is None or not node.alive:
-            return
-        rx_cost = self.latency.rx_cost(dst, size)
-        if rx_cost > 0.0:
-            now = self.sim.now
-            ready = max(now, self._busy.get(dst, now)) + rx_cost
-            self._busy[dst] = ready
-            self.sim.schedule_at(ready, self._process, src, dst, msg, size)
-        else:
-            self._process(src, dst, msg, size)
-
-    def _process(self, src: NodeId, dst: NodeId, msg: Message, size: int) -> None:
-        node = self.nodes.get(dst)
-        if node is None or not node.alive:
-            return
-        self.metrics.account_receive(dst, size)
-        node.handle_message(src, msg)
-
-
-@dataclass
-class MicrobenchResult:
-    """Same-machine engine throughput: legacy chain vs fused fast path."""
-
-    fanout: int
-    rounds: int
-    legacy_deliveries_per_sec: float
-    legacy_events_per_sec: float
-    fast_deliveries_per_sec: float
-    fast_events_per_sec: float
-
-    @property
-    def speedup(self) -> float:
-        """Delivery-event throughput ratio (the acceptance metric)."""
-        return self.fast_deliveries_per_sec / max(self.legacy_deliveries_per_sec, 1e-9)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["speedup"] = self.speedup
-        return d
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"workload: {self.rounds} rounds x fanout {self.fanout}",
-                f"legacy (pre-overhaul): {self.legacy_deliveries_per_sec:,.0f} deliveries/s "
-                f"({self.legacy_events_per_sec:,.0f} heap events/s)",
-                f"fast (fused + pooled): {self.fast_deliveries_per_sec:,.0f} deliveries/s "
-                f"({self.fast_events_per_sec:,.0f} heap events/s)",
-                f"speedup: {self.speedup:.2f}x",
-            ]
+        driver = _schedule_churn(
+            sim, net, flood_nodes,
+            tuple(s.node_id for s in spread_sources(flood_nodes, streams)),
+            kernel, churn_percent, messages / rate,
         )
 
-
-def engine_microbench(
-    rounds: int = 20_000, fanout: int = 5, nodes: int = 512, *, seed: int = 7,
-    repeats: int = 3,
-) -> MicrobenchResult:
-    """Measure the legacy delivery chain against the fused fast path.
-
-    Both sides run the identical workload — ``rounds`` fan-outs of
-    ``fanout`` 1 KB messages over ``nodes`` sinks with the same constant
-    latency — and report delivery throughput.  The best of ``repeats``
-    runs is kept per side (standard microbench practice: the minimum-
-    noise sample).
-    """
-
-    def run_legacy() -> tuple[float, float]:
-        sim = Simulator(seed=seed)
-        net = _LegacyNetwork(sim, ConstantLatency(0.001, seed=seed), Metrics(record_deliveries=False))
-        for i in range(nodes):
-            net.nodes[i] = _SinkNode(i)
-
-        def fan_out(src: NodeId, base: int) -> None:
-            # Pre-overhaul fan-out idiom: a fresh message per peer.
-            for k in range(fanout):
-                net.send(src, (base + k) % nodes, _BenchPayload(base))
-
-        for r in range(rounds):
-            sim.schedule_at(r * 1e-5, fan_out, r % nodes, (r + 1) % nodes)
-        t0 = time.perf_counter()
-        sim.run(until=rounds * 1e-5 + 1.0)
-        wall = max(time.perf_counter() - t0, 1e-9)
-        delivered = sum(s.received for s in net.nodes.values())
-        return delivered / wall, sim.events_processed / wall
-
-    def run_fast() -> tuple[float, float]:
-        sim = Simulator(seed=seed)
-        net = Network(sim, ConstantLatency(0.001, seed=seed), Metrics(record_deliveries=False))
-        for i in range(nodes):
-            net.nodes[i] = _SinkNode(i)  # type: ignore[assignment]
-
-        def fan_out(src: NodeId, base: int) -> None:
-            dsts = [(base + k) % nodes for k in range(fanout)]
-            net.send_many(src, dsts, _BenchPayload(base))
-
-        for r in range(rounds):
-            sim.call_at(r * 1e-5, fan_out, r % nodes, (r + 1) % nodes)
-        t0 = time.perf_counter()
-        sim.run_until_idle()
-        wall = max(time.perf_counter() - t0, 1e-9)
-        delivered = sum(s.received for s in net.nodes.values())  # type: ignore[union-attr]
-        return delivered / wall, sim.events_processed / wall
-
-    legacy = max((run_legacy() for _ in range(repeats)), key=lambda t: t[0])
-    fast = max((run_fast() for _ in range(repeats)), key=lambda t: t[0])
-    return MicrobenchResult(
-        fanout=fanout,
-        rounds=rounds,
-        legacy_deliveries_per_sec=legacy[0],
-        legacy_events_per_sec=legacy[1],
-        fast_deliveries_per_sec=fast[0],
-        fast_events_per_sec=fast[1],
-    )
-
-
-# ----------------------------------------------------------------------
-# Occupancy microbenchmark: per-message charging vs the fused fan-out
-# ----------------------------------------------------------------------
-@dataclass
-class OccupancyMicrobenchResult:
-    """Same-machine fan-out throughput under an occupancy-charging model:
-    the per-message queueing chain vs the fused path (DESIGN.md §8)."""
-
-    fanout: int
-    rounds: int
-    per_message_deliveries_per_sec: float
-    per_message_events_per_sec: float
-    fused_deliveries_per_sec: float
-    fused_events_per_sec: float
-
-    @property
-    def speedup(self) -> float:
-        """Delivery-event throughput ratio (the acceptance metric)."""
-        return self.fused_deliveries_per_sec / max(
-            self.per_message_deliveries_per_sec, 1e-9
+    def account(sources, alive):
+        receptions = (
+            shard_receptions(net.metrics) if kernel == "object"
+            else flood_nodes[0].kernel.receptions
         )
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["speedup"] = self.speedup
-        return d
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"workload: {self.rounds} rounds x fanout {self.fanout} "
-                f"(occupancy-charging latency)",
-                f"per-message path: {self.per_message_deliveries_per_sec:,.0f} "
-                f"deliveries/s ({self.per_message_events_per_sec:,.0f} heap events/s)",
-                f"fused fan-out:    {self.fused_deliveries_per_sec:,.0f} "
-                f"deliveries/s ({self.fused_events_per_sec:,.0f} heap events/s)",
-                f"speedup: {self.speedup:.2f}x",
-            ]
-        )
-
-
-def occupancy_microbench(
-    rounds: int = 20_000, fanout: int = 5, nodes: int = 512, *, seed: int = 7,
-    repeats: int = 3,
-) -> OccupancyMicrobenchResult:
-    """Measure the per-message occupancy chain against the fused fan-out.
-
-    Both sides run the identical workload — ``rounds`` fan-outs of
-    ``fanout`` 1 KB messages over ``nodes`` sinks under the same
-    receive-bound :class:`OccupancyLatency` — and produce bit-identical
-    delivery schedules (the fused path is an exact-arithmetic
-    reformulation, pinned by tests).  Receiver sets rotate disjointly and
-    the pacing lets each receive horizon drain between hits, matching
-    the scale scenarios' regime (per-message occupancy far below the
-    stream inter-arrival time) where a fan-out's queue completions
-    coincide and fuse.  The per-message side is the pre-overhaul idiom
-    preserved in :class:`_LegacyNetwork`: one message per peer, one
-    accounting call per send, a fresh handle per event and the full
-    ``send → _deliver → _process`` chain.  The best of ``repeats`` runs
-    is kept per side."""
-    half = nodes // 2
-
-    def model() -> OccupancyLatency:
-        # Receive-bound occupancy: the buffer-occupancy regime where the
-        # fused path's one-event fan-outs matter most.
-        return OccupancyLatency(0.001, tx_overhead=0.0, rx_overhead=0.0005, seed=seed)
-
-    def run_per_message() -> tuple[float, float]:
-        sim = Simulator(seed=seed)
-        net = _LegacyNetwork(sim, model(), Metrics(record_deliveries=False))
-        for i in range(nodes):
-            net.nodes[i] = _SinkNode(i)
-
-        def fan_out(src: NodeId, base: int) -> None:
-            for k in range(fanout):
-                net.send(src, half + (base + k) % half, _BenchPayload(base))
-
-        for r in range(rounds):
-            sim.schedule_at(r * 1e-4, fan_out, r % half, (r * fanout) % half)
-        t0 = time.perf_counter()
-        sim.run_until_idle()
-        wall = max(time.perf_counter() - t0, 1e-9)
-        delivered = sum(s.received for s in net.nodes.values())
-        return delivered / wall, sim.events_processed / wall
-
-    def run_fused() -> tuple[float, float]:
-        sim = Simulator(seed=seed)
-        net = Network(sim, model(), Metrics(record_deliveries=False))
-        for i in range(nodes):
-            net.nodes[i] = _SinkNode(i)  # type: ignore[assignment]
-
-        def fan_out(src: NodeId, base: int) -> None:
-            dsts = [half + (base + k) % half for k in range(fanout)]
-            net.send_many(src, dsts, _BenchPayload(base))
-
-        for r in range(rounds):
-            sim.call_at(r * 1e-4, fan_out, r % half, (r * fanout) % half)
-        t0 = time.perf_counter()
-        sim.run_until_idle()
-        wall = max(time.perf_counter() - t0, 1e-9)
-        delivered = sum(s.received for s in net.nodes.values())  # type: ignore[union-attr]
-        return delivered / wall, sim.events_processed / wall
-
-    per_message = max((run_per_message() for _ in range(repeats)), key=lambda t: t[0])
-    fused = max((run_fused() for _ in range(repeats)), key=lambda t: t[0])
-    return OccupancyMicrobenchResult(
-        fanout=fanout,
-        rounds=rounds,
-        per_message_deliveries_per_sec=per_message[0],
-        per_message_events_per_sec=per_message[1],
-        fused_deliveries_per_sec=fused[0],
-        fused_events_per_sec=fused[1],
-    )
-
-
-# ----------------------------------------------------------------------
-# Slotted microbenchmark: object kernel vs slotted kernel at scale
-# ----------------------------------------------------------------------
-@dataclass
-class SlottedMicrobenchResult:
-    """Same-machine flood delivery throughput at scale: the object
-    (per-node dict state) kernel vs the slotted (flat-array) kernel
-    (DESIGN.md §9).  Throughput is *receptions* completed per second —
-    first deliveries plus duplicates, the unit of per-delivery handler
-    work the slotted kernel exists to cut — over the full ``repro
-    scale``-shaped run (overlay synthesis excluded, dissemination loop
-    only is what ``wall_time`` measures on both sides)."""
-
-    nodes: int
-    messages: int
-    #: Receptions processed per run — identical on both sides by the
-    #: kernel-parity guarantee (checked at measurement time).
-    receptions: int
-    object_receptions_per_sec: float
-    slotted_receptions_per_sec: float
-
-    @property
-    def speedup(self) -> float:
-        """Per-delivery throughput ratio (the acceptance metric)."""
-        return self.slotted_receptions_per_sec / max(
-            self.object_receptions_per_sec, 1e-9
-        )
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["speedup"] = self.speedup
-        return d
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"workload: {self.nodes} nodes x {self.messages} messages "
-                f"({self.receptions:,} receptions)",
-                f"object kernel:  {self.object_receptions_per_sec:,.0f} receptions/s",
-                f"slotted kernel: {self.slotted_receptions_per_sec:,.0f} receptions/s",
-                f"speedup: {self.speedup:.2f}x",
-            ]
-        )
-
-
-def slotted_microbench(
-    nodes: int = 10_000, messages: int = 20, *,
-    degree: int = 5, rate: float = 20.0, seed: int = 3, repeats: int = 2,
-) -> SlottedMicrobenchResult:
-    """Measure the object flood kernel against the slotted kernel.
-
-    Both sides run the *identical* xl-shaped scenario — same seed, same
-    synthesized overlay, same injection schedule, draw-for-draw the same
-    simulation — so the reception count must match exactly (verified
-    here; the full parity surface is pinned by
-    tests/test_slotted_parity.py).  The best of ``repeats`` runs is kept
-    per side.  The timed runs freeze the caller's surviving heap out of
-    the collector, for the same ratio-deflation reason documented on
-    :func:`vectorized_microbench`.
-    """
-
-    def one(kernel: str) -> ScaleFloodResult:
-        gc.collect()
-        gc.freeze()
-        try:
-            return run_scale_flood(
-                nodes, messages, degree=degree, rate=rate, seed=seed,
-                kernel=kernel,
-            )
-        finally:
-            gc.unfreeze()
-
-    def best(kernel: str) -> ScaleFloodResult:
-        return max(
-            (one(kernel) for _ in range(repeats)),
-            key=lambda r: r.receptions_per_sec,
-        )
-
-    obj = best("object")
-    slotted = best("slotted")
-    if obj.receptions != slotted.receptions:
-        raise SimulationError(
-            f"kernel parity violated: object kernel processed "
-            f"{obj.receptions} receptions, slotted {slotted.receptions}"
-        )
-    return SlottedMicrobenchResult(
-        nodes=nodes,
-        messages=messages,
-        receptions=obj.receptions,
-        object_receptions_per_sec=obj.receptions_per_sec,
-        slotted_receptions_per_sec=slotted.receptions_per_sec,
-    )
-
-
-# ----------------------------------------------------------------------
-# Vectorized microbenchmark: slotted kernel vs numpy batch kernel
-# ----------------------------------------------------------------------
-@dataclass
-class VectorizedMicrobenchResult:
-    """Same-machine flood delivery throughput at scale: the slotted
-    (pure-python flat-array) kernel vs the vectorized (numpy batch-drain)
-    kernel (DESIGN.md §12).  Like :class:`SlottedMicrobenchResult`, the
-    unit is *receptions* per second over the full ``repro scale``-shaped
-    dissemination loop."""
-
-    nodes: int
-    messages: int
-    #: Receptions processed per run — identical on both sides by the
-    #: kernel-parity guarantee (checked at measurement time).
-    receptions: int
-    slotted_receptions_per_sec: float
-    vectorized_receptions_per_sec: float
-
-    @property
-    def speedup(self) -> float:
-        """Per-reception throughput ratio (the acceptance metric)."""
-        return self.vectorized_receptions_per_sec / max(
-            self.slotted_receptions_per_sec, 1e-9
-        )
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["speedup"] = self.speedup
-        return d
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"workload: {self.nodes} nodes x {self.messages} messages "
-                f"({self.receptions:,} receptions)",
-                f"slotted kernel:    {self.slotted_receptions_per_sec:,.0f} receptions/s",
-                f"vectorized kernel: {self.vectorized_receptions_per_sec:,.0f} receptions/s",
-                f"speedup: {self.speedup:.2f}x",
-            ]
-        )
-
-
-def vectorized_microbench(
-    nodes: int = 10_000, messages: int = 20, *,
-    degree: int = 5, rate: float = 20.0, seed: int = 3, repeats: int = 2,
-) -> VectorizedMicrobenchResult:
-    """Measure the slotted flood kernel against the vectorized kernel.
-
-    Both sides run the *identical* xl-shaped scenario — same seed, same
-    synthesized overlay, same injection schedule, draw-for-draw the same
-    simulation — so the reception count must match exactly (verified
-    here; the full parity surface is pinned by
-    tests/test_slotted_parity.py).  The best of ``repeats`` runs is kept
-    per side.  Requires numpy (the vectorized side raises a
-    :class:`SimulationError` without it).
-
-    The timed runs execute with the caller's surviving heap frozen out
-    of the collector (``gc.freeze``): gen-2 scans cost the same
-    *absolute* time in either kernel, so a long-lived process full of
-    unrelated objects (a pytest session deep into the suite) taxes the
-    faster side proportionally more and deflates the ratio.  GC stays
-    enabled, so garbage the run itself creates is still collected.
-    """
-
-    def one(kernel: str) -> ScaleFloodResult:
-        gc.collect()
-        gc.freeze()
-        try:
-            return run_scale_flood(
-                nodes, messages, degree=degree, rate=rate, seed=seed,
-                kernel=kernel,
-            )
-        finally:
-            gc.unfreeze()
-
-    def best(kernel: str) -> ScaleFloodResult:
-        return max(
-            (one(kernel) for _ in range(repeats)),
-            key=lambda r: r.receptions_per_sec,
-        )
-
-    slotted = best("slotted")
-    vectorized = best("vectorized")
-    if slotted.receptions != vectorized.receptions:
-        raise SimulationError(
-            f"kernel parity violated: slotted kernel processed "
-            f"{slotted.receptions} receptions, vectorized {vectorized.receptions}"
-        )
-    return VectorizedMicrobenchResult(
-        nodes=nodes,
-        messages=messages,
-        receptions=slotted.receptions,
-        slotted_receptions_per_sec=slotted.receptions_per_sec,
-        vectorized_receptions_per_sec=vectorized.receptions_per_sec,
-    )
-
-
-# ----------------------------------------------------------------------
-# Multi-stream microbenchmark: K concurrent streams vs one (DESIGN.md §10)
-# ----------------------------------------------------------------------
-@dataclass
-class MultistreamMicrobenchResult:
-    """Per-reception efficiency of the slotted kernel under concurrent
-    sources: aggregate receptions/s with ``streams`` publishers active
-    vs a single publisher on the identical overlay and stream shape.
-
-    Per-stream slot planes exist so K streams stay on the array path; if
-    they do, the cost of a reception must not depend on how many other
-    streams are in flight, and ``efficiency`` — the aggregate-throughput
-    ratio — stays near 1.0 (the acceptance gate is >= 0.5).
-    """
-
-    nodes: int
-    messages: int
-    streams: int
-    single_receptions: int
-    multi_receptions: int
-    single_receptions_per_sec: float
-    multi_receptions_per_sec: float
-
-    #: The K-stream run kept for BENCH reporting (not part of to_dict).
-    multi_result: Optional[ScaleFloodResult] = None
-
-    @property
-    def efficiency(self) -> float:
-        """Per-reception throughput retained at K streams (the
-        acceptance metric): aggregate multi-stream receptions/s over the
-        single-stream rate."""
-        return self.multi_receptions_per_sec / max(
-            self.single_receptions_per_sec, 1e-9
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "messages": self.messages,
-            "streams": self.streams,
-            "single_receptions": self.single_receptions,
-            "multi_receptions": self.multi_receptions,
-            "single_receptions_per_sec": self.single_receptions_per_sec,
-            "multi_receptions_per_sec": self.multi_receptions_per_sec,
-            "efficiency": self.efficiency,
+        return flood_stream_outcomes(sources, alive, messages), receptions, {
+            "churn_percent": churn_percent,
+            "kills": driver.stats.kills if driver else 0,
+            "joins": driver.stats.joins if driver else 0,
         }
 
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"workload: {self.nodes} nodes x {self.messages} messages/stream "
-                f"(slotted kernel)",
-                f"1 stream:  {self.single_receptions_per_sec:,.0f} receptions/s "
-                f"({self.single_receptions:,} receptions)",
-                f"{self.streams} streams: {self.multi_receptions_per_sec:,.0f} "
-                f"receptions/s aggregate ({self.multi_receptions:,} receptions)",
-                f"per-stream efficiency: {self.efficiency:.2f}x",
-            ]
-        )
-
-
-def multistream_microbench(
-    nodes: int = 10_000, messages: int = 10, *,
-    streams: int = 8, degree: int = 5, rate: float = 20.0, seed: int = 3,
-    repeats: int = 2,
-) -> MultistreamMicrobenchResult:
-    """Measure the slotted kernel's per-reception throughput at
-    ``streams`` concurrent publishers against a single publisher.
-
-    Both sides run the same seed, overlay and per-stream injection
-    schedule — the K-stream side simply drives K sources spread over the
-    population — so the comparison isolates the cost of concurrent
-    slot planes.  The best of ``repeats`` runs is kept per side.
-    """
-
-    def best(k: int) -> ScaleFloodResult:
-        return max(
-            (
-                run_scale_flood(
-                    nodes, messages, degree=degree, rate=rate, seed=seed,
-                    kernel="slotted", streams=k,
-                )
-                for _ in range(repeats)
-            ),
-            key=lambda r: r.receptions_per_sec,
-        )
-
-    single = best(1)
-    multi = best(streams)
-    return MultistreamMicrobenchResult(
-        nodes=nodes,
-        messages=messages,
-        streams=streams,
-        single_receptions=single.receptions,
-        multi_receptions=multi.receptions,
-        single_receptions_per_sec=single.receptions_per_sec,
-        multi_receptions_per_sec=multi.receptions_per_sec,
-        multi_result=multi,
+    return run_stack(
+        sim, net, flood_nodes, account,
+        nodes=nodes, messages=messages, rate=rate, payload_bytes=payload_bytes,
+        seed=seed, streams=streams, kernel=kernel, degree=degree,
+        topology=topology, loss_percent=loss_percent,
     )

@@ -5,15 +5,13 @@ standard comparator for BRISA's repair machinery under lossy links:
 probabilistic eager push bounded by a hop TTL, completed by gap-driven
 pull recovery with bounded retry rounds.  This module carries its scale
 entry point (:func:`run_scale_pull`, behind ``repro scale --stack
-pull``) on the same harness spine as the flood and BRISA stacks
-(:mod:`repro.experiments.scale_runner`): synthesized static overlay,
-multi-stream injection windows, timed drain-to-idle, per-stream
-delivery accounting.
+pull``): the flood stack's static overlay with pull-gossip nodes on it,
+driven by the shared spine
+(:func:`repro.experiments.scale_runner.run_stack`).
 
 The stack runs on the object kernel only — recovery is timer- and
 request-driven, far off the fan-out hot path the slotted/vectorized
-kernels exist for — and reuses :class:`ScaleFloodResult` so CLI/JSON
-reporting stays uniform across stacks.
+kernels exist for.
 """
 
 from __future__ import annotations
@@ -21,71 +19,23 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.pullgossip import PullGossipNode
-from repro.config import HyParViewConfig
-from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency, LatencyModel
-from repro.sim.monitor import Metrics
-from repro.sim.network import Network
-from repro.experiments.scale_flood import ScaleFloodResult
+from repro.sim.latency import LatencyModel
+from repro.experiments.scale_flood import build_static_flood_overlay
 from repro.experiments.scale_runner import (
-    ScaleRunner,
-    aggregate_outcomes,
+    STACKS,
+    ScaleResult,
     flood_stream_outcomes,
-    spread_sources,
+    run_stack,
+    shard_receptions,
     validate_workload,
 )
-
-
-def build_static_pull_overlay(
-    n: int,
-    *,
-    degree: int = 5,
-    seed: int = 1,
-    latency: Optional[LatencyModel] = None,
-    topology: str = "uniform",
-    loss_percent: float = 0.0,
-) -> tuple[Simulator, Network, list[PullGossipNode]]:
-    """Spawn ``n`` pull-gossip nodes pre-wired into a static overlay.
-
-    Same construction discipline as
-    :func:`~repro.experiments.scale_flood.build_static_flood_overlay`:
-    synthesized topology (any :data:`TOPOLOGY_BUILDERS` class), shuffle
-    timers never armed, so the heap drains exactly when the last pull
-    round settles.
-    """
-    from repro.experiments.bootstrap import synthesize_overlay
-
-    if n < 3:
-        raise ValueError("need at least 3 nodes for a ring overlay")
-    if degree < 2:
-        raise ValueError("degree must be >= 2 (ring minimum)")
-    sim = Simulator(seed=seed)
-    net = Network(
-        sim,
-        latency if latency is not None else ConstantLatency(0.001, seed=seed),
-        Metrics(record_deliveries=False),
-        loss_percent=loss_percent,
-    )
-    hpv = HyParViewConfig(active_size=max(4, degree), passive_size=16)
-    prior = net.autostart_timers
-    net.autostart_timers = False
-    try:
-        nodes = net.spawn_many(
-            lambda network, nid: PullGossipNode(network, nid, hpv), n
-        )
-    finally:
-        net.autostart_timers = prior
-    synthesize_overlay(
-        nodes, net, rng=sim.rng("static-overlay"), degree=degree, topology=topology
-    )
-    return sim, net, nodes
 
 
 def run_scale_pull(
     nodes: int,
     messages: int,
     *,
-    degree: int = 5,
+    degree: int = STACKS["pull"].default_degree,
     rate: float = 20.0,
     payload_bytes: int = 1024,
     seed: int = 1,
@@ -93,54 +43,30 @@ def run_scale_pull(
     streams: int = 1,
     topology: str = "uniform",
     loss_percent: float = 0.0,
-) -> ScaleFloodResult:
+) -> ScaleResult:
     """Disseminate ``streams`` concurrent streams through the lazy-push/
-    pull stack over a static overlay and measure engine throughput.
+    pull stack over a static overlay.
 
     Unlike flooding, delivery converges *below* 1.0 even on lossless
     links (tail blindness — see :mod:`repro.baselines.pullgossip`); the
     quantity of interest is how far pull recovery closes the gap the
-    probabilistic push leaves, per topology class and loss rate.
+    probabilistic push leaves, per topology class and loss rate.  The
+    heap drains exactly when the last pull round settles.
     """
     validate_workload(messages, rate, streams, population=nodes)
-    sim, net, pull_nodes = build_static_pull_overlay(
+    sim, net, pull_nodes = build_static_flood_overlay(
         nodes, degree=degree, seed=seed, latency=latency,
         topology=topology, loss_percent=loss_percent,
+        node_factory=PullGossipNode,
     )
-    sources = spread_sources(pull_nodes, streams)
-    runner = ScaleRunner(
-        sim, net, sources, messages=messages, rate=rate, payload_bytes=payload_bytes
-    )
-    stats = runner.run()
-    outcomes = flood_stream_outcomes(sources, pull_nodes, messages)
-    deliveries, delivered_fraction = aggregate_outcomes(outcomes, messages)
-    receptions = sum(
-        shard.first_deliveries + shard.duplicate_receptions
-        for shard in net.metrics.streams.values()
-    )
-    wall = stats.wall_time
-    return ScaleFloodResult(
-        nodes=nodes,
-        degree=degree,
-        messages=messages,
-        payload_bytes=payload_bytes,
-        seed=seed,
-        sim_time=stats.sim_time,
-        wall_time=wall,
-        events=stats.events,
-        events_per_sec=stats.events / wall,
-        deliveries=deliveries,
-        deliveries_per_sec=deliveries / wall,
-        delivered_fraction=delivered_fraction,
-        peak_pending=sim.peak_pending,
-        handle_pool_size=sim.pool_size,
-        kernel="object",
-        receptions=receptions,
-        receptions_per_sec=receptions / wall,
-        survivors=outcomes[0].receivers,
-        streams=streams,
-        topology=topology,
-        loss_percent=loss_percent,
-        dropped_loss=net.metrics.counters.get("dropped_loss", 0),
-        per_stream=[o.to_dict() for o in outcomes],
+
+    def account(sources, alive):
+        outcomes = flood_stream_outcomes(sources, alive, messages)
+        return outcomes, shard_receptions(net.metrics), {}
+
+    return run_stack(
+        sim, net, pull_nodes, account,
+        nodes=nodes, messages=messages, rate=rate, payload_bytes=payload_bytes,
+        seed=seed, streams=streams, kernel="object", degree=degree,
+        topology=topology, loss_percent=loss_percent,
     )

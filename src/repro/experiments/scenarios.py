@@ -51,38 +51,17 @@ from repro.experiments.scale import (
     Scale,
     get_scale,
 )
-from repro.experiments.scale_brisa import (
-    BootstrapComparison,
-    BrisaMicrobenchResult,
-    ScaleBrisaResult,
-    bootstrap_comparison,
-    brisa_slotted_microbench,
-    run_scale_brisa,
-)
-from repro.experiments.scale_flood import (
-    MicrobenchResult,
-    MultistreamMicrobenchResult,
-    OccupancyMicrobenchResult,
-    ScaleFloodResult,
-    SlottedMicrobenchResult,
-    VectorizedMicrobenchResult,
-    build_static_flood_overlay,
-    engine_microbench,
-    multistream_microbench,
-    occupancy_microbench,
-    run_scale_flood,
-    slotted_microbench,
-    vectorized_microbench,
-)
-from repro.experiments.scale_pull import (
-    build_static_pull_overlay,
-    run_scale_pull,
-)
+from repro.experiments.scale_brisa import run_scale_brisa
+from repro.experiments.scale_flood import build_static_flood_overlay, run_scale_flood
+from repro.experiments.scale_pull import run_scale_pull
 from repro.experiments.scale_runner import (
+    STACKS,
     RunSpec,
+    ScaleResult,
     ScaleRunner,
     StreamOutcome,
     merge_json,
+    run_spec,
     spread_sources,
 )
 from repro.experiments.structural import (
@@ -96,65 +75,8 @@ from repro.experiments.structural import (
     relay_load_spread,
 )
 
-def run_spec(spec: RunSpec):
-    """Dispatch one :class:`RunSpec` to the matching stack entry point.
-
-    This is the seam that lets the spec live in ``scale_runner`` (which
-    neither stack module may import from without a cycle) while still
-    being runnable as a value: validate once, resolve the scale rung,
-    then call ``run_scale_brisa`` / ``run_scale_flood`` with the spec's
-    knobs and the rung's ramp parameters.
-    """
-    spec.validate()
-    scale = get_scale(spec.size)
-    nodes = spec.population(scale)
-    if spec.stack == "brisa":
-        return run_scale_brisa(
-            nodes,
-            spec.messages,
-            mode=spec.mode if spec.mode is not None else "tree",
-            degree=spec.degree,
-            rate=spec.rate,
-            payload_bytes=spec.payload_bytes,
-            seed=spec.seed,
-            bootstrap=spec.bootstrap if spec.bootstrap is not None else "synthesized",
-            join_spacing=scale.join_spacing,
-            settle=scale.settle,
-            streams=spec.streams,
-            kernel=spec.kernel if spec.kernel is not None else "object",
-            topology=spec.topology,
-            loss_percent=spec.loss_percent,
-        )
-    if spec.stack == "pull":
-        return run_scale_pull(
-            nodes,
-            spec.messages,
-            degree=spec.degree if spec.degree is not None else 5,
-            rate=spec.rate,
-            payload_bytes=spec.payload_bytes,
-            seed=spec.seed,
-            streams=spec.streams,
-            topology=spec.topology,
-            loss_percent=spec.loss_percent,
-        )
-    return run_scale_flood(
-        nodes,
-        spec.messages,
-        degree=spec.degree if spec.degree is not None else 5,
-        rate=spec.rate,
-        payload_bytes=spec.payload_bytes,
-        seed=spec.seed,
-        kernel=spec.kernel if spec.kernel is not None else "object",
-        churn_percent=spec.churn_percent if spec.churn_percent is not None else 0.0,
-        streams=spec.streams,
-        topology=spec.topology,
-        loss_percent=spec.loss_percent,
-    )
-
-
 __all__ = [
     "BandwidthResult",
-    "BootstrapComparison",
     "FAST",
     "Fig12Result",
     "Fig13Result",
@@ -163,33 +85,20 @@ __all__ = [
     "Fig8Result",
     "Fig9Result",
     "LARGE",
-    "MicrobenchResult",
-    "MultistreamMicrobenchResult",
-    "OccupancyMicrobenchResult",
     "PAPER",
     "RelayLoadSpread",
     "RunSpec",
     "SMALL",
+    "STACKS",
     "Scale",
-    "ScaleBrisaResult",
-    "ScaleFloodResult",
+    "ScaleResult",
     "ScaleRunner",
-    "SlottedMicrobenchResult",
     "StreamOutcome",
-    "slotted_microbench",
-    "VectorizedMicrobenchResult",
-    "vectorized_microbench",
     "XL",
     "XXL",
     "XXXL",
     "StructureDistributions",
-    "BrisaMicrobenchResult",
-    "bootstrap_comparison",
-    "brisa_slotted_microbench",
     "build_static_flood_overlay",
-    "build_static_pull_overlay",
-    "engine_microbench",
-    "occupancy_microbench",
     "run_scale_brisa",
     "run_scale_flood",
     "run_scale_pull",
@@ -206,7 +115,6 @@ __all__ = [
     "fig9_routing_delays",
     "get_scale",
     "merge_json",
-    "multistream_microbench",
     "relay_load_spread",
     "run_spec",
     "spread_sources",

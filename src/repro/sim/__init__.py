@@ -7,7 +7,7 @@ notifications, the Splay-style churn-trace DSL (Listing 1), and metric
 collection with stabilization/dissemination phase accounting.
 """
 
-from repro.sim.engine import EventHandle, PeriodicTask, Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.latency import (
     ClusterLatency,
     ConstantLatency,
@@ -40,7 +40,6 @@ __all__ = [
     "Message",
     "Metrics",
     "Network",
-    "PeriodicTask",
     "PlanetLabLatency",
     "ProtocolNode",
     "SetReplacementRatio",

@@ -408,10 +408,4 @@ class Simulator:
         return self._heap[0][0] if self._heap else None
 
 
-# PeriodicTask moved to the runtime seam (it is pure clock algebra — it
-# only calls ``clock.schedule`` — and both backends reuse it).  Imported
-# at the bottom so ``repro.runtime.api`` never sees this module
-# half-initialized, and re-exported here for backward compatibility.
-from repro.runtime.api import PeriodicTask  # noqa: E402
-
-__all__ = ["EventHandle", "PeriodicTask", "Simulator"]
+__all__ = ["EventHandle", "Simulator"]

@@ -7,10 +7,6 @@ construction time exactly to this per-hop "create a connection, exchange
 messages, tear it down" cost.  :class:`TransientConnCost` exposes that
 cost so the TAG implementation can model it without the simulator growing
 a full TCP state machine.
-
-(Historically this class was named ``Transport``; it was renamed when the
-runtime seam (DESIGN.md §13) claimed that name for the actual message
-transport contract.  The old name remains as a deprecation alias.)
 """
 
 from __future__ import annotations
@@ -51,6 +47,3 @@ class TransientConnCost:
 
         self.network.sim.schedule(self.setup_delay(peer), complete)
 
-
-#: Deprecated alias (pre-runtime-seam name); use :class:`TransientConnCost`.
-Transport = TransientConnCost

@@ -35,7 +35,7 @@ def test_scale_command_runs_and_writes_json(capsys, tmp_path):
     out = tmp_path / "bench.json"
     assert main([
         "scale", "--nodes", "64", "--messages", "5",
-        "--no-microbench", "--json", str(out),
+        "--json", str(out),
     ]) == 0
     printed = capsys.readouterr().out
     assert "Scale flood" in printed and "delivered: 100.00%" in printed
@@ -44,17 +44,17 @@ def test_scale_command_runs_and_writes_json(capsys, tmp_path):
     data = json.loads(out.read_text())
     assert data["scale_run"]["nodes"] == 64
     assert data["scale_run"]["delivered_fraction"] == 1.0
-    assert "microbench" not in data
+    assert set(data) == {"scale_run"}
 
 
 def test_scale_command_rejects_degenerate_input(capsys):
-    assert main(["scale", "--nodes", "64", "--messages", "0", "--no-microbench"]) == 2
+    assert main(["scale", "--nodes", "64", "--messages", "0"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert main(["scale", "--scale", "bogus", "--no-microbench"]) == 2
+    assert main(["scale", "--scale", "bogus"]) == 2
     assert "unknown scale" in capsys.readouterr().err
-    assert main(["scale", "--nodes", "64", "--rate", "0", "--no-microbench"]) == 2
+    assert main(["scale", "--nodes", "64", "--rate", "0"]) == 2
     assert "rate" in capsys.readouterr().err
-    assert main(["scale", "--nodes", "64", "--churn", "100", "--no-microbench"]) == 2
+    assert main(["scale", "--nodes", "64", "--churn", "100"]) == 2
     assert "churn" in capsys.readouterr().err
 
 
@@ -62,7 +62,7 @@ def test_scale_command_slotted_kernel(capsys, tmp_path):
     out = tmp_path / "bench.json"
     assert main([
         "scale", "--nodes", "64", "--messages", "5", "--kernel", "slotted",
-        "--no-microbench", "--json", str(out),
+        "--json", str(out),
     ]) == 0
     assert "kernel: slotted" in capsys.readouterr().out
     import json
@@ -77,7 +77,7 @@ def test_scale_command_churn(capsys, tmp_path):
     out = tmp_path / "bench.json"
     assert main([
         "scale", "--nodes", "256", "--messages", "5", "--churn", "8",
-        "--no-microbench", "--json", str(out),
+        "--json", str(out),
     ]) == 0
     printed = capsys.readouterr().out
     assert "churn: 8%" in printed and "survivors" in printed
@@ -93,7 +93,7 @@ def test_scale_command_multistream_flood(capsys, tmp_path):
     out = tmp_path / "bench.json"
     assert main([
         "scale", "--nodes", "96", "--messages", "4", "--streams", "3",
-        "--kernel", "slotted", "--no-microbench", "--json", str(out),
+        "--kernel", "slotted", "--json", str(out),
     ]) == 0
     printed = capsys.readouterr().out
     assert "3 stream(s)" in printed and "per-stream delivery" in printed
@@ -110,7 +110,7 @@ def test_scale_command_multistream_brisa(capsys, tmp_path):
     out = tmp_path / "bench.json"
     assert main([
         "scale", "--stack", "brisa", "--nodes", "96", "--messages", "4",
-        "--streams", "3", "--no-microbench", "--json", str(out),
+        "--streams", "3", "--json", str(out),
     ]) == 0
     printed = capsys.readouterr().out
     assert "per-stream delivery + structure" in printed
@@ -124,9 +124,9 @@ def test_scale_command_multistream_brisa(capsys, tmp_path):
 
 
 def test_scale_command_rejects_bad_streams(capsys):
-    assert main(["scale", "--nodes", "32", "--streams", "0", "--no-microbench"]) == 2
+    assert main(["scale", "--nodes", "32", "--streams", "0"]) == 2
     assert "streams" in capsys.readouterr().err
-    assert main(["scale", "--nodes", "8", "--streams", "9", "--no-microbench"]) == 2
+    assert main(["scale", "--nodes", "8", "--streams", "9"]) == 2
     assert "spread" in capsys.readouterr().err
 
 
@@ -135,7 +135,6 @@ def test_scale_churn_rejected_on_brisa_stack(capsys):
     landed (DESIGN.md §11); --churn stays flood-only."""
     assert main([
         "scale", "--stack", "brisa", "--nodes", "32", "--churn", "5",
-        "--no-microbench",
     ]) == 2
     assert "flood stack only" in capsys.readouterr().err
 
@@ -144,7 +143,7 @@ def test_scale_command_slotted_brisa_kernel(capsys, tmp_path):
     out = tmp_path / "bench.json"
     assert main([
         "scale", "--stack", "brisa", "--nodes", "96", "--messages", "4",
-        "--streams", "2", "--kernel", "slotted", "--no-microbench",
+        "--streams", "2", "--kernel", "slotted",
         "--json", str(out),
     ]) == 0
     printed = capsys.readouterr().out
@@ -161,13 +160,13 @@ def test_scale_command_slotted_brisa_kernel(capsys, tmp_path):
 
 
 def test_scale_command_uses_scale_population(capsys):
-    assert main(["scale", "--scale", "tiny", "--messages", "3", "--no-microbench"]) == 0
+    assert main(["scale", "--scale", "tiny", "--messages", "3"]) == 0
     printed = capsys.readouterr().out
     assert "nodes: 32" in printed  # tiny.cluster_nodes
 
 
 def test_scale_command_size_alias(capsys):
-    assert main(["scale", "--size", "tiny", "--messages", "3", "--no-microbench"]) == 0
+    assert main(["scale", "--size", "tiny", "--messages", "3"]) == 0
     printed = capsys.readouterr().out
     assert "nodes: 32" in printed
 
@@ -176,7 +175,7 @@ def test_scale_brisa_stack_runs_and_writes_json(capsys, tmp_path):
     out = tmp_path / "bench.json"
     assert main([
         "scale", "--stack", "brisa", "--nodes", "64", "--messages", "3",
-        "--no-microbench", "--json", str(out),
+        "--json", str(out),
     ]) == 0
     printed = capsys.readouterr().out
     assert "Scale brisa" in printed
@@ -194,16 +193,16 @@ def test_scale_brisa_stack_rejects_bad_checkpoint(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     assert main([
         "scale", "--stack", "brisa", "--nodes", "32", "--messages", "2",
-        "--bootstrap", str(missing), "--no-microbench",
+        "--bootstrap", str(missing),
     ]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_scale_brisa_flags_rejected_on_flood_stack(capsys):
-    assert main(["scale", "--nodes", "32", "--mode", "dag", "--no-microbench"]) == 2
+    assert main(["scale", "--nodes", "32", "--mode", "dag"]) == 2
     assert "--stack brisa" in capsys.readouterr().err
     assert main([
-        "scale", "--nodes", "32", "--bootstrap", "simulated", "--no-microbench",
+        "scale", "--nodes", "32", "--bootstrap", "simulated",
     ]) == 2
     assert "--stack brisa" in capsys.readouterr().err
 

@@ -17,15 +17,14 @@ def write(path: pathlib.Path, payload: dict) -> None:
 
 
 def scale_payload(*, events=200_000, deliveries=199_980, fraction=1.0,
-                  speedup=2.8, occ_speedup=2.9) -> dict:
+                  receptions_per_sec=500_000.0) -> dict:
     return {
         "scale_run": {
             "events": events,
             "deliveries": deliveries,
             "delivered_fraction": fraction,
+            "receptions_per_sec": receptions_per_sec,
         },
-        "microbench": {"speedup": speedup},
-        "occupancy_microbench": {"speedup": occ_speedup},
     }
 
 
@@ -62,21 +61,19 @@ def test_within_tolerance_passes(tmp_path):
     write(base / "BENCH_scale.json", scale_payload())
     write(
         cand / "BENCH_scale.json",
-        scale_payload(events=210_000, deliveries=180_000, speedup=2.0),
+        scale_payload(events=210_000, deliveries=180_000),
     )
     assert compare_bench.main(["--candidate", str(cand), "--baseline", str(base)]) == 0
 
 
-def test_ratio_metrics_get_wider_tolerance(tmp_path):
+def test_wall_clock_fields_are_not_gated(tmp_path):
     base, cand = tmp_path / "base", tmp_path / "cand"
     base.mkdir(), cand.mkdir()
-    write(base / "BENCH_scale.json", scale_payload(speedup=2.8))
-    # 2.8 -> 1.3 is ~54% down: within the 60% ratio tolerance for
-    # shared-runner throttling, even though far beyond the default 30%.
-    write(cand / "BENCH_scale.json", scale_payload(speedup=1.3))
+    write(base / "BENCH_scale.json", scale_payload())
+    # A throttled runner: throughput collapses, the simulation is the
+    # same.  Speed is judged by `python3 -m bench`, not here.
+    write(cand / "BENCH_scale.json", scale_payload(receptions_per_sec=50_000.0))
     assert compare_bench.main(["--candidate", str(cand), "--baseline", str(base)]) == 0
-    write(cand / "BENCH_scale.json", scale_payload(speedup=1.0))
-    assert compare_bench.main(["--candidate", str(cand), "--baseline", str(base)]) == 1
 
 
 def test_optional_entries_are_skipped_when_absent(tmp_path, capsys):
@@ -99,13 +96,12 @@ def test_new_candidate_only_metrics_are_informational(tmp_path, capsys):
     base.mkdir(), cand.mkdir()
     write(base / "BENCH_scale.json", scale_payload())
     payload = scale_payload()
-    payload["multistream_microbench"] = {"efficiency": 0.93}
     payload["multistream"] = {"delivered_fraction": 1.0, "deliveries": 399_960}
     write(cand / "BENCH_scale.json", payload)
     assert compare_bench.main(["--candidate", str(cand), "--baseline", str(base)]) == 0
     out = capsys.readouterr().out
-    assert "info" in out and "multistream_microbench.efficiency" in out
-    assert "candidate=0.93" in out
+    assert "info" in out and "multistream.deliveries" in out
+    assert "candidate=399960" in out
     assert "informational" in out
 
 
@@ -194,7 +190,6 @@ def test_structure_completeness_gate(tmp_path):
             "events": 300_000,
             "structure_complete": True,
         },
-        "bootstrap": {"speedup": 30.0},
     }
     write(base / "BENCH_scale_brisa.json", brisa)
     broken = json.loads(json.dumps(brisa))

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import PeriodicTask, Simulator
+from repro.runtime.api import PeriodicTask
+from repro.sim.engine import Simulator
 
 
 def test_events_run_in_time_order():

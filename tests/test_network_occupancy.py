@@ -232,13 +232,3 @@ class TestOccupancyLatencyModel:
         from repro.sim.latency import PlanetLabLatency
 
         assert PlanetLabLatency(seed=1).occupancy_batchable()
-
-    def test_occupancy_microbench_smoke(self):
-        from repro.experiments.scale_flood import occupancy_microbench
-
-        res = occupancy_microbench(rounds=200, fanout=4, nodes=32, repeats=1)
-        assert res.per_message_deliveries_per_sec > 0
-        assert res.fused_deliveries_per_sec > 0
-        assert res.speedup > 0
-        assert "fused fan-out" in res.summary()
-        assert res.to_dict()["speedup"] == res.speedup

@@ -3,11 +3,7 @@ the 2k/10k runs live in benchmarks/test_scale_brisa.py)."""
 
 import pytest
 
-from repro.experiments.scale_brisa import (
-    bootstrap_comparison,
-    brisa_slotted_microbench,
-    run_scale_brisa,
-)
+from repro.experiments.scale_brisa import run_scale_brisa
 
 
 class TestRunScaleBrisa:
@@ -107,38 +103,3 @@ class TestTailProbeRecovery:
         plain = run_scale_brisa(96, 6, seed=6)
         assert plain.delivered_fraction == 1.0
         assert plain.dropped_loss == 0
-
-
-class TestBrisaSlottedMicrobench:
-    def test_differential_measurement_shape(self):
-        mb = brisa_slotted_microbench(
-            96, 6, messages_lo=2, seed=3, repeats=1
-        )
-        # Marginal receptions: 4 extra messages to 95 receivers per kernel
-        # (parity between kernels is asserted inside the microbench).
-        assert mb.receptions == 95 * 4
-        assert mb.messages_lo == 2 and mb.messages_hi == 6
-        assert mb.object_receptions_per_sec > 0
-        assert mb.slotted_receptions_per_sec > 0
-        assert mb.speedup == mb.to_dict()["speedup"] > 0
-        assert "speedup" in mb.summary()
-
-    def test_rejects_degenerate_window(self):
-        with pytest.raises(ValueError):
-            brisa_slotted_microbench(64, 5, messages_lo=5)
-
-
-class TestBootstrapComparison:
-    def test_synthesized_beats_simulated_ramp(self):
-        comp = bootstrap_comparison(128, seed=3, join_spacing=0.05, settle=15.0)
-        assert comp.simulated_events > 0
-        assert comp.synthesized_wall > 0
-        # The strict 10x gate lives in benchmarks/test_scale_brisa.py at
-        # 2k nodes; at this toy size just require a real win.
-        assert comp.speedup > 1.0
-
-    def test_serializes(self):
-        comp = bootstrap_comparison(64, seed=4, settle=5.0)
-        d = comp.to_dict()
-        assert d["speedup"] == comp.speedup
-        assert "speedup" in comp.summary()

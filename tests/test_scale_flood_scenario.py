@@ -6,7 +6,6 @@ import pytest
 from repro.experiments.scale import SCALES, get_scale
 from repro.experiments.scale_flood import (
     build_static_flood_overlay,
-    engine_microbench,
     run_scale_flood,
 )
 
@@ -94,17 +93,6 @@ class TestRunScaleFlood:
         assert a.events == b.events
         assert a.deliveries == b.deliveries
         assert a.sim_time == b.sim_time
-
-
-class TestEngineMicrobench:
-    def test_reports_positive_rates(self):
-        mb = engine_microbench(rounds=300, fanout=4, nodes=64, repeats=1)
-        assert mb.legacy_deliveries_per_sec > 0
-        assert mb.fast_deliveries_per_sec > 0
-        assert mb.speedup > 0
-        d = mb.to_dict()
-        assert d["speedup"] == mb.speedup
-        assert "speedup" in mb.summary()
 
 
 class TestNewScales:

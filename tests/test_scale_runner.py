@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.experiments.scale_brisa import run_scale_brisa
-from repro.experiments.scale_flood import (
-    multistream_microbench,
-    run_scale_flood,
-)
+from repro.experiments.scale_flood import run_scale_flood
 from repro.experiments.scale_runner import (
+    STACKS,
+    RunSpec,
+    ScaleResult,
     StreamOutcome,
     aggregate_outcomes,
     merge_json,
     outcomes_summary,
+    run_spec,
     spread_sources,
 )
 from repro.experiments.structural import relay_load_spread
@@ -201,12 +203,61 @@ class TestRelayLoadSpread:
         assert rs.interior_any == rs.interior_all == 1
 
 
-def test_multistream_microbench_small():
-    mb = multistream_microbench(nodes=128, messages=3, streams=4, seed=2, repeats=1)
-    assert mb.streams == 4
-    assert mb.multi_receptions > mb.single_receptions > 0
-    assert mb.efficiency > 0
-    assert mb.multi_result is not None and mb.multi_result.streams == 4
-    d = mb.to_dict()
-    assert "efficiency" in d and "multi_result" not in d
-    assert "per-stream efficiency" in mb.summary()
+#: A set value for every stack-only knob of the table (a knob the table
+#: gains without one fails collection with a KeyError).
+KNOB_VALUES = {"mode": "dag", "bootstrap": "simulated", "churn_percent": 1.0}
+
+
+def _specs_the_table_rejects():
+    every_kernel = {k for row in STACKS.values() for k in row.kernels}
+    for stack, row in STACKS.items():
+        for owner, other in STACKS.items():
+            for knob, flag in other.knobs.items():
+                if owner != stack:
+                    yield stack, knob, KNOB_VALUES[knob], (
+                        f"{flag} applies to the {owner} stack only "
+                        f"(run it with --stack {owner})"
+                    )
+        for kernel in sorted(every_kernel - set(row.kernels)):
+            yield stack, "kernel", kernel, (
+                f"--kernel {kernel} is not available on the {stack} stack"
+            )
+
+
+class TestStackTable:
+    @pytest.mark.parametrize("stack,field,value,message", _specs_the_table_rejects())
+    def test_foreign_knobs_and_kernels_are_rejected(self, stack, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunSpec(stack=stack, nodes=64, **{field: value}).validate()
+
+    def test_unknown_stack_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="known: brisa, flood, pull"):
+            RunSpec(stack="plumtree").validate()
+
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_run_spec_forwards_own_knobs_and_returns_what_the_gates_read(self, stack):
+        from bench.workloads import _scale_outcome
+        from benchmarks.compare_bench import GATED_METRICS
+
+        row = STACKS[stack]
+        own = {knob: KNOB_VALUES[knob] for knob in row.knobs}
+        result = run_spec(RunSpec(
+            stack=stack, size="small", nodes=64, messages=3, seed=2,
+            kernel=row.kernels[-1], **own,
+        ))
+        assert isinstance(result, ScaleResult)
+        assert result.nodes == 64 and result.kernel == row.kernels[-1]
+        assert result.degree == row.default_degree
+        for knob, value in own.items():
+            assert getattr(result, knob) == value
+        gated = {
+            dotted.split(".")[1]
+            for rows in GATED_METRICS.values()
+            for dotted, _ in rows
+            if dotted.startswith("scale_run.")
+        }
+        assert gated <= set(result.to_dict())
+        outcome = _scale_outcome(result, 3)
+        assert outcome["receptions"] == result.receptions >= result.deliveries > 0
+        assert outcome["events"] == result.events
+        assert outcome["structures"] == (1 if stack == "brisa" else 0)

@@ -58,9 +58,3 @@ def test_zero_setup_cost():
     t.connect(b.node_id, on_ready=lambda: fired.append(sim.now))
     sim.run()
     assert fired == [0.0]
-
-
-def test_deprecated_transport_alias():
-    from repro.sim.transport import Transport
-
-    assert Transport is TransientConnCost
