@@ -1,6 +1,6 @@
 """Comparison protocols of §III-D.
 
-Four points on the efficiency/robustness design spectrum:
+The paper's four points on the efficiency/robustness design spectrum:
 
 - :class:`repro.baselines.flood.FloodNode` — plain flooding over
   HyParView; the duplicates baseline of Fig. 2 and BRISA's own fallback.
@@ -13,6 +13,17 @@ Four points on the efficiency/robustness design spectrum:
 - :class:`repro.baselines.tag.TagNode` — the closest hybrid competitor:
   a join-time-sorted linked list with 2-hop knowledge, gossip partners,
   and pull-based dissemination.
+
+Two comparators from outside §III-D:
+
+- :class:`repro.baselines.plumtree.PlumTreeNode` — the §V related-work
+  control-overhead comparator (eager/lazy push with graft/prune),
+  reachable from ``benchmarks/test_ablation_plumtree.py``.  Deliberately
+  no ``STACKS`` row (``experiments/scale_runner.py``) until the
+  efficiency/reliability frontier sweep (ROADMAP item 5) needs one.
+- :class:`repro.baselines.pullgossip.PullGossipNode` — lazy-push with
+  gap-driven pull recovery under link loss; ``repro scale --stack pull``.
+  Built through its ``STACKS`` row, so not re-exported here.
 """
 
 from repro.baselines.flood import FloodNode

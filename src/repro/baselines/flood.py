@@ -81,7 +81,7 @@ class FloodNode(HyParViewNode):
 
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.network.metrics.record_injection(stream, seq, self.sim.now)
+        self.transport.metrics.record_injection(stream, seq, self.clock.now)
         self.delivered.setdefault(stream, set()).add(seq)
         self._flood(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
@@ -103,17 +103,17 @@ class FloodNode(HyParViewNode):
                 peers,
                 FloodData(
                     stream, seq, payload_bytes,
-                    hops=hops, path_delay=path_delay, sent_at=self.sim.now,
+                    hops=hops, path_delay=path_delay, sent_at=self.clock.now,
                 ),
             )
 
     def on_flood_data(self, src: NodeId, msg: FloodData) -> None:
         seen = self.delivered.setdefault(msg.stream, set())
-        hop_delay = self.sim.now - msg.sent_at
+        hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
-        first = self.network.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.sim.now, src, hops, path_delay,
+        first = self.transport.metrics.record_delivery(
+            self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
             msg.payload_bytes,
         )
         if msg.seq in seen:

@@ -125,10 +125,6 @@ class PlumTreeNode(HyParViewNode):
     def delivered_count(self, stream: StreamId = 0) -> int:
         return len(self.store.get(stream, ()))
 
-    def eager_peers(self, stream: StreamId) -> list[NodeId]:
-        lazy = self.lazy.setdefault(stream, set())
-        return [p for p in self.active if p not in lazy]
-
     def _store(self, stream: StreamId, seq: int, payload: int) -> None:
         self.store.setdefault(stream, {})[seq] = payload
 
@@ -136,7 +132,7 @@ class PlumTreeNode(HyParViewNode):
     # Broadcast
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.network.metrics.record_injection(stream, seq, self.sim.now)
+        self.transport.metrics.record_injection(stream, seq, self.clock.now)
         self._store(stream, seq, payload_bytes)
         self._push(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
@@ -160,17 +156,17 @@ class PlumTreeNode(HyParViewNode):
                     peer,
                     Gossip(
                         stream, seq, payload_bytes,
-                        hops=hops, path_delay=path_delay, sent_at=self.sim.now,
+                        hops=hops, path_delay=path_delay, sent_at=self.clock.now,
                     ),
                 )
 
     def on_pt_gossip(self, src: NodeId, msg: Gossip) -> None:
         per = self.store.get(msg.stream, {})
-        hop_delay = self.sim.now - msg.sent_at
+        hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
-        self.network.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.sim.now, src, hops, path_delay,
+        self.transport.metrics.record_delivery(
+            self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
             msg.payload_bytes,
         )
         lazy = self.lazy.setdefault(msg.stream, set())
@@ -230,7 +226,7 @@ class PlumTreeNode(HyParViewNode):
         if payload is not None:
             self.send(
                 src,
-                Gossip(msg.stream, msg.seq, payload, sent_at=self.sim.now),
+                Gossip(msg.stream, msg.seq, payload, sent_at=self.clock.now),
             )
 
     # ------------------------------------------------------------------

@@ -141,7 +141,7 @@ class PullGossipNode(HyParViewNode):
     # Eager (probabilistic) push
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.network.metrics.record_injection(stream, seq, self.sim.now)
+        self.transport.metrics.record_injection(stream, seq, self.clock.now)
         self.delivered.setdefault(stream, set()).add(seq)
         self.store.setdefault(stream, {})[seq] = payload_bytes
         prior = self.max_seen.get(stream, -1)
@@ -167,12 +167,12 @@ class PullGossipNode(HyParViewNode):
             peers,
             PullData(
                 stream, seq, payload_bytes,
-                hops=hops, path_delay=path_delay, sent_at=self.sim.now,
+                hops=hops, path_delay=path_delay, sent_at=self.clock.now,
             ),
         )
 
     def on_pull_data(self, src: NodeId, msg: PullData) -> None:
-        hop_delay = self.sim.now - msg.sent_at
+        hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
         first = self._deliver(
@@ -198,8 +198,8 @@ class PullGossipNode(HyParViewNode):
     ) -> bool:
         """Record one reception; track gaps; return True iff first."""
         seen = self.delivered.setdefault(stream, set())
-        self.network.metrics.record_delivery(
-            self.node_id, stream, seq, self.sim.now, src, hops, path_delay,
+        self.transport.metrics.record_delivery(
+            self.node_id, stream, seq, self.clock.now, src, hops, path_delay,
             payload_bytes,
         )
         if seq in seen:
@@ -254,7 +254,7 @@ class PullGossipNode(HyParViewNode):
         held = self.store.get(msg.stream)
         if not held:
             return
-        now = self.sim.now
+        now = self.clock.now
         for seq in msg.seqs:
             payload_bytes = held.get(seq)
             if payload_bytes is not None:
@@ -265,7 +265,7 @@ class PullGossipNode(HyParViewNode):
         # course for this sequence) — recovery repairs, it does not flood.
         self._deliver(
             msg.stream, msg.seq, msg.payload_bytes, src,
-            hops=1, path_delay=self.sim.now - msg.sent_at,
+            hops=1, path_delay=self.clock.now - msg.sent_at,
         )
 
     def on_crash(self) -> None:

@@ -101,7 +101,7 @@ class SimpleGossipNode(CyclonNode):
         return len(self.store.get(stream, ()))
 
     def _fanout(self) -> int:
-        return self.gossip_config.effective_fanout(len(self.network.nodes))
+        return self.gossip_config.effective_fanout(len(self.transport.nodes))
 
     def _store(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         per = self.store.setdefault(stream, {})
@@ -115,7 +115,7 @@ class SimpleGossipNode(CyclonNode):
     # Push phase: rumor mongering, infect and die
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.network.metrics.record_injection(stream, seq, self.sim.now)
+        self.transport.metrics.record_injection(stream, seq, self.clock.now)
         self._store(stream, seq, payload_bytes)
         self._push_rumor(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
@@ -135,17 +135,17 @@ class SimpleGossipNode(CyclonNode):
                 peer,
                 Rumor(
                     stream, seq, payload_bytes,
-                    hops=hops, path_delay=path_delay, sent_at=self.sim.now,
+                    hops=hops, path_delay=path_delay, sent_at=self.clock.now,
                 ),
             )
 
     def on_sg_rumor(self, src: NodeId, msg: Rumor) -> None:
         per = self.store.get(msg.stream, {})
-        hop_delay = self.sim.now - msg.sent_at
+        hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
-        self.network.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.sim.now, src, hops, path_delay,
+        self.transport.metrics.record_delivery(
+            self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
             msg.payload_bytes,
         )
         if msg.seq in per:
@@ -183,7 +183,7 @@ class SimpleGossipNode(CyclonNode):
                 src,
                 Rumor(
                     msg.stream, seq, per[seq],
-                    hops=0, path_delay=0.0, sent_at=self.sim.now, hot=False,
+                    hops=0, path_delay=0.0, sent_at=self.clock.now, hot=False,
                 ),
             )
             sent += 1

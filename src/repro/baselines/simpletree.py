@@ -135,7 +135,7 @@ class SimpleTreeNode(ProtocolNode):
     # Dissemination (push through tree links)
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.network.metrics.record_injection(stream, seq, self.sim.now)
+        self.transport.metrics.record_injection(stream, seq, self.clock.now)
         self.delivered.setdefault(stream, set()).add(seq)
         self._push(stream, seq, payload_bytes, hops=0, path_delay=0.0, exclude=None)
 
@@ -159,17 +159,17 @@ class SimpleTreeNode(ProtocolNode):
                     peer,
                     TreeData(
                         stream, seq, payload_bytes,
-                        hops=hops, path_delay=path_delay, sent_at=self.sim.now,
+                        hops=hops, path_delay=path_delay, sent_at=self.clock.now,
                     ),
                 )
 
     def on_st_data(self, src: NodeId, msg: TreeData) -> None:
         seen = self.delivered.setdefault(msg.stream, set())
-        hop_delay = self.sim.now - msg.sent_at
+        hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
-        self.network.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.sim.now, src, hops, path_delay,
+        self.transport.metrics.record_delivery(
+            self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
             msg.payload_bytes,
         )
         if msg.seq in seen:

@@ -258,11 +258,11 @@ class TagNode(ProtocolNode):
         """Join the system: append to the list tail, then traverse
         backwards collecting gossip partners until a parent with spare
         capacity is found.  ``contact`` is unused (tracker entry point)."""
-        self.join_started = self.sim.now
+        self.join_started = self.clock.now
         prev_tail = self.tracker.register_tail(self.node_id)
         if prev_tail is None:
             self.joined = True
-            self.settled_at = self.sim.now
+            self.settled_at = self.clock.now
             return  # first node: list head and tree root
         self.conn_cost.connect(
             prev_tail,
@@ -275,7 +275,7 @@ class TagNode(ProtocolNode):
             tail = self.tracker.current_tail(self.node_id)
             if tail is None:
                 self.joined = True
-                self.settled_at = self.sim.now
+                self.settled_at = self.clock.now
                 return
             self.conn_cost.connect(
                 tail,
@@ -288,7 +288,7 @@ class TagNode(ProtocolNode):
         self.succ = src
         self.succ2 = None
         self.send(src, ListAppendReply(self.node_id, self.pred))
-        self.network.register_link(self.node_id, src)
+        self.transport.register_link(self.node_id, src)
         # Keep the 2-hop horizon of our predecessor up to date.
         if self.pred is not None:
             self.send(self.pred, ListSuccUpdate(self.node_id, src))
@@ -296,7 +296,7 @@ class TagNode(ProtocolNode):
     def on_tag_append_reply(self, src: NodeId, msg: ListAppendReply) -> None:
         self.pred = msg.pred
         self.pred2 = msg.pred2
-        self.network.register_link(self.node_id, src)
+        self.transport.register_link(self.node_id, src)
         self.joined = True
         # Traverse backwards for partners + parent.
         self._traverse(src)
@@ -319,9 +319,9 @@ class TagNode(ProtocolNode):
         # knowledge, or re-insert from the tracker if the list is broken.
         if not self.alive:
             return
-        if self.pred is not None and self.network.alive(self.pred):
+        if self.pred is not None and self.transport.alive(self.pred):
             self._traverse(self.pred)
-        elif self.pred2 is not None and self.network.alive(self.pred2):
+        elif self.pred2 is not None and self.transport.alive(self.pred2):
             self._traverse(self.pred2)
         else:
             self._retry_join()
@@ -369,7 +369,7 @@ class TagNode(ProtocolNode):
         if len(self.children) < self.config.max_children or not self.children:
             if src not in self.children:
                 self.children.append(src)
-            self.network.register_link(self.node_id, src)
+            self.transport.register_link(self.node_id, src)
             self.send(src, TreeAttachReply(True))
         else:
             self.send(src, TreeAttachReply(False))
@@ -379,17 +379,17 @@ class TagNode(ProtocolNode):
             self._traverse_failed(src)
             return
         self.parent = src
-        self.network.register_link(self.node_id, src)
+        self.transport.register_link(self.node_id, src)
         if self.settled_at is None:
-            self.settled_at = self.sim.now
+            self.settled_at = self.clock.now
             if self.join_started is not None:
-                self.network.metrics.record_construction(
+                self.transport.metrics.record_construction(
                     self.node_id, self.join_started, self.settled_at
                 )
         if self._repairing_since is not None:
-            duration = self.sim.now - self._repairing_since
+            duration = self.clock.now - self._repairing_since
             kind = "hard" if self._repair_hard else "soft"
-            self.network.metrics.record_repair(self.sim.now, self.node_id, kind, duration)
+            self.transport.metrics.record_repair(self.clock.now, self.node_id, kind, duration)
             self._repairing_since = None
             self._repair_hard = False
 
@@ -397,18 +397,18 @@ class TagNode(ProtocolNode):
     # Dissemination: pull from parent + prefetch from partners
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.network.metrics.record_injection(stream, seq, self.sim.now)
+        self.transport.metrics.record_injection(stream, seq, self.clock.now)
         self._store(stream, seq, payload_bytes)
 
     def _have_marks(self) -> tuple[tuple[StreamId, int], ...]:
         return tuple((s, self.max_contig.get(s, -1)) for s in self.store)
 
     def _pull_parent(self) -> None:
-        if self.parent is not None and self.network.alive(self.parent):
+        if self.parent is not None and self.transport.alive(self.parent):
             self.send(self.parent, Pull(self._have_marks()))
 
     def _pull_partner(self) -> None:
-        live = [p for p in self.partners if self.network.alive(p)]
+        live = [p for p in self.partners if self.transport.alive(p)]
         if not live:
             return
         peer = self._rng.choice(live)
@@ -426,7 +426,7 @@ class TagNode(ProtocolNode):
                     src,
                     Segment(
                         stream, seq, per[seq],
-                        hops=self.hops_estimate, path_delay=0.0, sent_at=self.sim.now,
+                        hops=self.hops_estimate, path_delay=0.0, sent_at=self.clock.now,
                     ),
                 )
                 sent += 1
@@ -436,9 +436,9 @@ class TagNode(ProtocolNode):
     def on_tag_segment(self, src: NodeId, msg: Segment) -> None:
         per = self.store.get(msg.stream, {})
         hops = msg.hops + 1
-        self.network.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.sim.now, src,
-            hops, msg.path_delay + (self.sim.now - msg.sent_at),
+        self.transport.metrics.record_delivery(
+            self.node_id, msg.stream, msg.seq, self.clock.now, src,
+            hops, msg.path_delay + (self.clock.now - msg.sent_at),
             msg.payload_bytes,
         )
         if msg.seq in per:
@@ -454,28 +454,28 @@ class TagNode(ProtocolNode):
             return
         list_broken = False
         if peer == self.pred:
-            if self.pred2 is not None and self.network.alive(self.pred2):
+            if self.pred2 is not None and self.transport.alive(self.pred2):
                 self.pred = self.pred2
                 self.pred2 = None
-                self.network.register_link(self.node_id, self.pred)
+                self.transport.register_link(self.node_id, self.pred)
                 self.send(self.pred, ListSuccUpdate(self.node_id, self.succ))
             else:
                 list_broken = True
                 self.pred = None
                 self.pred2 = None
         if peer == self.succ:
-            self.succ = self.succ2 if self.succ2 is not None and self.network.alive(self.succ2) else None
+            self.succ = self.succ2 if self.succ2 is not None and self.transport.alive(self.succ2) else None
             self.succ2 = None
             if self.succ is not None:
-                self.network.register_link(self.node_id, self.succ)
+                self.transport.register_link(self.node_id, self.succ)
         if peer in self.children:
             self.children.remove(peer)
         if peer in self.partners:
             self.partners.remove(peer)
         if peer == self.parent:
             self.parent = None
-            self._repairing_since = self.sim.now
-            if self.pred is not None and self.network.alive(self.pred):
+            self._repairing_since = self.clock.now
+            if self.pred is not None and self.transport.alive(self.pred):
                 # Soft: restore the tree by traversing from the patched list.
                 self._repair_hard = False
                 self._traverse(self.pred)
@@ -489,10 +489,10 @@ class TagNode(ProtocolNode):
 
     def _reinsert(self, repair_metric: bool = True) -> None:
         tail = self.tracker.current_tail(self.node_id)
-        if tail is None or not self.network.alive(tail):
+        if tail is None or not self.transport.alive(tail):
             live = [
                 m for m in self.tracker.members
-                if m != self.node_id and self.network.alive(m)
+                if m != self.node_id and self.transport.alive(m)
             ]
             if not live:
                 return

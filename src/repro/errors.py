@@ -25,9 +25,5 @@ class TraceParseError(ReproError):
         super().__init__(f"line {line_no}: {reason!s}: {line!r}")
 
 
-class MembershipError(ReproError):
-    """A peer-sampling-service invariant was violated."""
-
-
 class ProtocolError(ReproError):
     """A dissemination-protocol invariant was violated."""

@@ -34,9 +34,6 @@ class Fig2Result:
     messages: int = 0
     nodes: int = 0
 
-    def median_duplicates(self, view: int) -> float:
-        return self.by_view[view].median
-
 
 def fig2_duplicates(
     scale: Scale | str | None = None,

@@ -157,11 +157,6 @@ class PeriodicTask:
         self._running = False
         self._start_delay = start_delay
 
-    @property
-    def sim(self):
-        """Legacy alias from when this class lived in ``sim.engine``."""
-        return self.clock
-
     def _next_delay(self) -> float:
         if self.jitter and self.rng is not None:
             rng = self.rng

@@ -61,9 +61,6 @@ class ChurnDriver:
         self._rng = sim.rng(seed_label)
 
     # ------------------------------------------------------------------
-    def protect(self, node_id: NodeId) -> None:
-        self.protected.add(node_id)
-
     def apply(self) -> None:
         """Schedule every trace operation (call once, before ``sim.run``).
 

@@ -17,8 +17,8 @@ Two scheduling tiers keep the hot path cheap (see DESIGN.md §1):
   allocating one per event.  Message deliveries — the overwhelming bulk
   of events in a dissemination run — go through this tier.
 
-:meth:`Simulator.run_until_idle` is the batched drain loop: no ``until``
-or ``max_events`` bookkeeping per event, locals bound outside the loop.
+:meth:`Simulator.run` is the one run loop; "no bound" is a bound no
+event reaches, so :meth:`Simulator.run_until_idle` is ``run()`` by name.
 
 :meth:`Simulator.register_batch_drain` opens the third tier (DESIGN.md
 §12): a callback registered for one fire-and-forget function claims
@@ -32,6 +32,8 @@ splits the run cleanly mid-batch.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -80,7 +82,7 @@ class Simulator:
         self._free: list[EventHandle] = []
         #: fn -> drain callback for the batch-drain tier (see
         #: :meth:`register_batch_drain`).  Empty in most runs — the run
-        #: loops then pay one falsy check per pooled event.
+        #: loop then pays one falsy check per pooled event.
         self._batch_drains: dict[Callable, Callable] = {}
         #: Largest heap size ever observed (peak scheduled backlog).
         self.peak_pending = 0
@@ -88,7 +90,7 @@ class Simulator:
         #: §12): a claimed same-time run is popped from the heap *before*
         #: its events are processed, so pushes made while draining see a
         #: heap that is short by the not-yet-processed remainder of the
-        #: run.  The run loops set this to that remainder (and drain
+        #: run.  The run loop sets this to that remainder (and drain
         #: clients may lower it as they advance through the batch) so the
         #: push-site peak checks measure the same backlog the per-event
         #: tiers would.  Zero outside a drain call.
@@ -206,10 +208,10 @@ class Simulator:
     def register_batch_drain(self, fn: Callable, drain: Callable) -> None:
         """Route contiguous runs of pooled ``fn`` events through ``drain``.
 
-        When the run loops pop a fire-and-forget event whose function is
-        ``fn``, they claim every directly following heap entry with the
+        When the run loop pops a fire-and-forget event whose function is
+        ``fn``, it claims every directly following heap entry with the
         *same timestamp and the same function* (FIFO ``seq`` order keeps
-        the run contiguous at the heap top) and hand the whole run to
+        the run contiguous at the heap top) and hands the whole run to
         ``drain`` as one list of ``args`` tuples — one call per arrival
         wave instead of one ``fn(*args)`` frame per event.
 
@@ -243,12 +245,14 @@ class Simulator:
         leaves ``now`` at the last processed event so that a subsequent
         ``run()`` never moves the clock backwards.
         """
-        if until is None and max_events is None:
-            return self.run_until_idle()
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._stopped = False
+        # An absent bound becomes one no event reaches: the loop pays two
+        # plain comparisons per event instead of existing twice.
+        horizon = math.inf if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
         processed = 0
         heap = self._heap
         pop = heapq.heappop
@@ -257,9 +261,7 @@ class Simulator:
         try:
             while heap and not self._stopped:
                 time, _, handle = heap[0]
-                if until is not None and time > until:
-                    break
-                if max_events is not None and processed >= max_events:
+                if time > horizon or processed >= budget:
                     break
                 pop(heap)
                 if handle._pooled:
@@ -275,10 +277,8 @@ class Simulator:
                         # Claim the contiguous same-time run of this fn,
                         # capped by the remaining max_events budget (the
                         # event in hand already consumed one unit).
-                        budget = (
-                            max_events - processed if max_events is not None else None
-                        )
-                        while heap and (budget is None or len(batch) < budget):
+                        room = budget - processed
+                        while heap and len(batch) < room:
                             nxt = heap[0][2]
                             if (
                                 heap[0][0] != time
@@ -322,70 +322,9 @@ class Simulator:
         return processed
 
     def run_until_idle(self) -> int:
-        """Drain the heap in a tight batched loop.
-
-        Semantically equivalent to ``run()`` without bounds, but skips the
-        per-event ``until``/``max_events`` checks and binds hot attributes
-        to locals once.  ``stop()`` is still honoured between events.
-        """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        self._stopped = False
-        processed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        free_append = self._free.append
-        drains = self._batch_drains
-        try:
-            while heap:
-                if self._stopped:
-                    break
-                entry = pop(heap)
-                handle = entry[2]
-                if handle._pooled:
-                    time = entry[0]
-                    self.now = time
-                    fn = handle.fn
-                    args = handle.args
-                    handle.fn = None
-                    handle.args = ()
-                    free_append(handle)
-                    drain = drains.get(fn) if drains else None
-                    if drain is not None:
-                        batch = [args]
-                        while heap:
-                            nxt = heap[0][2]
-                            if (
-                                heap[0][0] != time
-                                or not nxt._pooled
-                                or nxt.fn is not fn
-                            ):
-                                break
-                            pop(heap)
-                            batch.append(nxt.args)
-                            nxt.fn = None
-                            nxt.args = ()
-                            free_append(nxt)
-                        self.pending_bias = len(batch) - 1
-                        try:
-                            drain(batch)
-                        finally:
-                            self.pending_bias = 0
-                        processed += len(batch)
-                        continue
-                    fn(*args)
-                    processed += 1
-                    continue
-                if handle.cancelled:
-                    continue
-                self.now = entry[0]
-                handle.fn(*handle.args)
-                processed += 1
-        finally:
-            self._running = False
-        self.events_processed += processed
-        return processed
+        """Drain the heap: :meth:`run` with no bound (``stop()`` is still
+        honoured between events)."""
+        return self.run()
 
     def stop(self) -> None:
         """Stop the current ``run()`` after the in-flight event returns."""

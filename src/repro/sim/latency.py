@@ -31,6 +31,13 @@ class LatencyModel(ABC):
     testbeds — the contention §III-B attributes Fig. 9's flood series to.
     A zero-cost model (the default for :class:`ConstantLatency`) keeps
     unit tests exact.
+
+    Contract: ``tx_cost``/``rx_cost`` are pure functions of ``(node,
+    size)``; all per-message randomness lives in :meth:`sample`.  The
+    network relies on it — ``tx_cost`` is probed once per fan-out and
+    reused for every destination, ``rx_cost`` once per arrival — and
+    picks its delivery plan from :meth:`zero_cost` and
+    :attr:`uniform_delay` alone (DESIGN.md §2).
     """
 
     #: Node uplink/downlink bandwidth in bytes/s (None = infinite).
@@ -38,16 +45,10 @@ class LatencyModel(ABC):
     #: Per-message CPU/processing overhead in seconds.
     proc_overhead: float = 0.0
     #: Set to the delay value when ``sample()`` returns the same constant
-    #: for every pair and every draw; lets the network fuse a whole
-    #: fan-out (identical arrival times) into one heap event.
+    #: for every pair and every draw: arrivals are FIFO by construction
+    #: and, on a zero-cost model, a whole fan-out (identical arrival
+    #: times) rides one heap event.
     uniform_delay: float | None = None
-    #: Tri-state override for :meth:`occupancy_batchable`.  ``None``
-    #: (default) auto-detects: un-overridden ``tx_cost``/``rx_cost`` are
-    #: pure functions of ``(node, size)``, overrides are conservatively
-    #: treated as sampled (same policy as :meth:`zero_cost`).  A subclass
-    #: whose overrides are deterministic sets this True to keep the fused
-    #: fan-out charging (DESIGN.md §8).
-    deterministic_occupancy: bool | None = None
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
@@ -84,8 +85,8 @@ class LatencyModel(ABC):
         """True when this model charges no per-node occupancy at all —
         every ``tx_cost``/``rx_cost`` is exactly zero for any message.
 
-        The network probes this once at construction to pick the fused
-        single-event delivery path (DESIGN.md §2).  A subclass overriding
+        The network probes this once at construction to pick its
+        delivery plan (DESIGN.md §2).  A subclass overriding
         ``tx_cost``/``rx_cost`` is conservatively treated as costly.
         """
         return (
@@ -93,23 +94,6 @@ class LatencyModel(ABC):
             and type(self).rx_cost is LatencyModel.rx_cost
             and not self.node_bandwidth
             and self.proc_overhead == 0.0
-        )
-
-    def occupancy_batchable(self) -> bool:
-        """True when ``tx_cost``/``rx_cost`` draw no per-call randomness,
-        so the network may charge a whole fan-out's occupancy in one
-        pass over the sender's horizon (DESIGN.md §8).
-
-        Probed once at :class:`Network` construction.  A subclass
-        overriding the cost methods is conservatively treated as sampled
-        (falling back to per-message charging — correct, just slower)
-        unless it declares ``deterministic_occupancy = True``.
-        """
-        if self.deterministic_occupancy is not None:
-            return self.deterministic_occupancy
-        return (
-            type(self).tx_cost is LatencyModel.tx_cost
-            and type(self).rx_cost is LatencyModel.rx_cost
         )
 
 
@@ -133,17 +117,15 @@ class OccupancyLatency(LatencyModel):
     The controlled counterpart of :class:`ConstantLatency` for the
     occupancy-charging regime (the realistic cost model of Figs. 10–12
     and of buffer-occupancy epidemic routing studies): propagation is a
-    fixed ``delay`` (so ``uniform_delay`` stays set and fan-outs can
-    fuse), while sending/receiving charges the node's single occupancy
+    fixed ``delay`` (``uniform_delay`` stays set, so schedules are exact
+    and draw-free — the parity suite's deterministic occupancy fixture),
+    while sending/receiving charges the node's single occupancy
     horizon.  ``tx_overhead``/``rx_overhead`` split the per-message
     processing cost by direction — the default charges receive
     processing only, modelling a node whose bottleneck is handling
     inbound messages (the regime where flooding melts down first); add
     ``node_bandwidth`` for NIC serialization in both directions.
     """
-
-    #: The overridden costs below are pure in ``(node, size)``.
-    deterministic_occupancy = True
 
     def __init__(
         self,
@@ -249,9 +231,6 @@ class PlanetLabLatency(LatencyModel):
     node_bandwidth = 200_000.0
     #: Per-message processing on an oversubscribed host.
     proc_overhead = 0.003
-    #: The overridden costs below are pure in ``(node, size)`` — the
-    #: per-node slowness factor is derived deterministically and cached.
-    deterministic_occupancy = True
 
     def __init__(
         self,
@@ -313,6 +292,8 @@ class PlanetLabLatency(LatencyModel):
         return self._base_owd(src, dst) + jitter
 
     def tx_cost(self, node: NodeId, size_bytes: int) -> float:
+        # Pure in (node, size): the per-node slowness factor is derived
+        # deterministically and cached, never drawn per message.
         slow = self._slow(node)
         return self.proc_overhead * slow + size_bytes / (self.node_bandwidth / slow)
 

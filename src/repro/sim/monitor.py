@@ -318,11 +318,6 @@ class Metrics:
             per_node[node] = _SENTINEL
         return True
 
-    def record_duplicate(self, node: NodeId, stream: StreamId = 0) -> None:
-        shard = self.stream(stream)
-        shard.duplicates[node] += 1
-        shard.duplicate_receptions += 1
-
     # ------------------------------------------------------------------
     # Repairs & probes
     # ------------------------------------------------------------------

@@ -13,21 +13,15 @@ TCP connection would have been reset — counted under the ``dropped``
 metrics counter and, if the link was registered, the sender is notified
 through the same failure-detection path.
 
-Delivery hot path (DESIGN.md §2): with a zero-occupancy latency model
-(``LatencyModel.zero_cost()`` — no NIC serialization, no per-message
-processing cost) the ``send → _deliver → _process`` chain collapses into
-a single pooled fire-and-forget event per message, and fan-out sends
-share one message instance and one batched accounting call through
-:meth:`send_many`.
-
-Occupancy-charging models no longer fall all the way back to the
-per-message queueing chain (DESIGN.md §8): when the model's costs are
-deterministic (``LatencyModel.deterministic_occupancy``), a fan-out's
-transmission charges are applied to the sender's horizon in one pass —
-single horizon read, one ``tx_cost`` probe, arrival times rolled forward
-locally — and when the sender side is free and propagation is uniform,
-the whole fan-out rides one heap event that batches the receiver-side
-queue charges too.
+Delivery plan (DESIGN.md §2), decided once at construction.  **Fused** —
+the model is ``zero_cost()`` with a ``uniform_delay``: a :meth:`send` is
+one ``_deliver_fast`` event and a :meth:`send_many` one ``_deliver_fan``
+event for all recipients (one shared message instance, one batched
+accounting call).  **Per-destination** — every other model: one loop
+rolls the sender's occupancy horizon, samples propagation, flips the
+loss coin, FIFO-clamps and pushes one event per destination, which
+queues behind the receiver's horizon (``_deliver`` → ``_process``) when
+the model charges occupancy.
 """
 
 from __future__ import annotations
@@ -107,13 +101,17 @@ class Network:
         #: the single-core model that makes duplicate processing delay a
         #: node's own forwards (the §III-B "heavy load" effect).
         self._busy: dict[NodeId, float] = {}
-        #: True when the latency model has no occupancy costs: deliveries
-        #: take the single-event fused path (decided once — occupancy is a
-        #: static property of the model, not of simulation state).
-        self._fast_delivery = self.latency.zero_cost()
-        #: True when occupancy costs are deterministic: fan-outs charge
-        #: the sender horizon in one pass (DESIGN.md §8; decided once).
-        self._batch_occupancy = self.latency.occupancy_batchable()
+        zero_cost = self.latency.zero_cost()
+        uniform = self.latency.uniform_delay
+        #: The delivery plan (DESIGN.md §2), decided once: both facts are
+        #: static properties of the model, not of simulation state.  True
+        #: = fused (no occupancy, one arrival instant per fan-out); False
+        #: = the per-destination loop of :meth:`_send_each`.
+        self._fused = zero_cost and uniform is not None
+        #: What a per-destination event runs on arrival (bound once):
+        #: without occupancy costs there is no receive queue to wait in,
+        #: so delivery and processing are one event.
+        self._arrive = self._deliver_fast if zero_cost else self._deliver
         #: Opt-in batched receivers by message kind (DESIGN.md §9): a
         #: fused same-arrival fan-out whose message kind has a sink is
         #: handed to it whole — one call per fan-out instead of one
@@ -125,9 +123,6 @@ class Network:
         #: one here, and the network claims whole contiguous
         #: ``_deliver_fan`` runs from the engine's batch-drain tier.
         self._batch_fan_sinks: dict[str, Callable[[list[tuple]], None]] = {}
-        #: The engine-side drain is registered at most once, on the first
-        #: batch sink — runs without one keep the two-tier run loops.
-        self._fan_drain_registered = False
         # Pin ONE bound-method object for the fused fan event function:
         # attribute access would otherwise mint a fresh bound method per
         # send, and the engine's batch-drain claim loop matches events
@@ -142,7 +137,7 @@ class Network:
         #: inconsistent at the two endpoints.  Uniform-delay models are
         #: FIFO by construction (arrival monotone in send time) and skip
         #: the bookkeeping.
-        self._fifo_order = self.latency.uniform_delay is None
+        self._fifo_order = uniform is None
         #: Last scheduled arrival per ordered pair (FIFO clamp state).
         self._fifo: dict[tuple[NodeId, NodeId], float] = {}
 
@@ -426,8 +421,8 @@ class Network:
 
         Total delay = sender serialization queue (NIC bandwidth + per-
         message processing, serialized per node) + propagation latency +
-        receiver processing queue.  With a zero-cost latency model this
-        reduces to pure propagation delay and a single scheduled event.
+        receiver processing queue.  On the fused plan this reduces to
+        pure propagation delay and a single scheduled event.
         """
         if src == dst:
             raise SimulationError(f"node {src} attempted to message itself")
@@ -436,59 +431,60 @@ class Network:
             return
         size = msg.size_bytes()
         self.metrics.account_send(src, msg.kind, size)
-        sim = self.sim
-        loss_rng = self._loss_rng
-        if self._fast_delivery:
-            delay = self.latency.uniform_delay
-            if delay is None:
-                # Latency is sampled before the loss coin so the latency
-                # stream consumes identical draws with loss on or off; a
-                # lost message skips only the FIFO clamp (it never
-                # arrives) and the delivery event.
-                arrival = sim.now + self.latency.sample(src, dst)
-                if loss_rng is not None and loss_rng.random() < self._loss_rate:
-                    self._drop_lost(1)
-                    return
-                sim.call_at(
-                    self._fifo_clamp(src, dst, arrival), self._deliver_fast, src, dst, msg, size
-                )
-                return
-            if loss_rng is not None and loss_rng.random() < self._loss_rate:
-                self._drop_lost(1)
-                return
-            sim.call_at(sim.now + delay, self._deliver_fast, src, dst, msg, size)
-            return
-        # The sender's NIC transmitted the frame either way: occupancy is
-        # charged before the loss coin decides the link's fate.
-        arrival = self._enqueue_tx(src, size) + self.latency.sample(src, dst)
-        if loss_rng is not None and loss_rng.random() < self._loss_rate:
+        if not self._fused:
+            self._send_each(src, (dst,), msg, size)
+        elif self._loss_rng is not None and self._loss_rng.random() < self._loss_rate:
             self._drop_lost(1)
-            return
-        if self._fifo_order:
-            arrival = self._fifo_clamp(src, dst, arrival)
-        sim.call_at(arrival, self._deliver, src, dst, msg, size)
+        else:
+            sim = self.sim
+            sim.call_at(
+                sim.now + self.latency.uniform_delay, self._deliver_fast, src, dst, msg, size
+            )
 
-    def _fifo_clamp(self, src: NodeId, dst: NodeId, arrival: float) -> float:
-        """Clamp a sampled arrival so deliveries src→dst stay FIFO (same-
-        timestamp ties keep send order through the heap's sequence key)."""
-        key = (src, dst)
-        fifo = self._fifo
-        last = fifo.get(key)
-        if last is not None and arrival < last:
-            arrival = last
-        fifo[key] = arrival
-        return arrival
+    def _send_each(self, src: NodeId, targets: Iterable[NodeId], msg: Message, size: int) -> None:
+        """The per-destination plan: one arrival event per target.
 
-    def _enqueue_tx(self, src: NodeId, size: int) -> float:
-        """Serialize one transmission on ``src``'s occupancy horizon and
-        return the time it leaves the NIC."""
-        now = self.sim.now
+        The order of effects per destination is fixed and load-bearing:
+        the sender's horizon is rolled first (the NIC serialized the
+        frame before the link could drop it, so a lost transmission
+        still occupies the sender); latency is sampled before the loss
+        coin, so the latency stream consumes identical draws with loss
+        on or off; only survivors touch the FIFO clamp (a lost message
+        never arrives).  ``tx_cost`` is probed once per call — costs are
+        pure in ``(node, size)``, see :class:`LatencyModel`.
+        """
+        sim = self.sim
+        now = sim.now
         tx_cost = self.latency.tx_cost(src, size)
-        if tx_cost <= 0.0:
-            return now
-        tx_done = max(now, self._busy.get(src, now)) + tx_cost
-        self._busy[src] = tx_done
-        return tx_done
+        # A free transmission leaves at once; a costed one queues behind
+        # the node's backlog (its earlier sends and receive processing).
+        tx_done = max(now, self._busy.get(src, now)) if tx_cost > 0.0 else now
+        sample = self.latency.sample
+        loss_rng = self._loss_rng
+        rate = self._loss_rate
+        fifo = self._fifo if self._fifo_order else None
+        call_at = sim.call_at
+        arrive = self._arrive
+        lost = 0
+        for dst in targets:
+            tx_done += tx_cost
+            arrival = tx_done + sample(src, dst)
+            if loss_rng is not None and loss_rng.random() < rate:
+                lost += 1
+                continue
+            if fifo is not None:
+                # Clamp to the pair's last scheduled arrival so src→dst
+                # stays FIFO (same-timestamp ties keep send order through
+                # the heap's sequence key).
+                last = fifo.get((src, dst))
+                if last is not None and arrival < last:
+                    arrival = last
+                fifo[src, dst] = arrival
+            call_at(arrival, arrive, src, dst, msg, size)
+        if tx_cost > 0.0:
+            self._busy[src] = tx_done
+        if lost:
+            self._drop_lost(lost)
 
     def send_many(self, src: NodeId, dsts: Iterable[NodeId], msg: Message) -> int:
         """Fan ``msg`` out from ``src`` to every destination in ``dsts``.
@@ -512,122 +508,18 @@ class Network:
         if src in targets:
             raise SimulationError(f"node {src} attempted to message itself")
         size = msg.size_bytes()
-        # Accounting covers every destination, masked or not: the sender
-        # transmitted the bytes; loss happens on the link.
-        n_sent = len(targets)
-        sim = self.sim
-        loss_rng = self._loss_rng
-        rate = self._loss_rate
-        if self._fast_delivery:
-            uniform = self.latency.uniform_delay
-            if uniform is not None:
-                # Every recipient sees the same arrival time: the whole
-                # fan-out rides one heap event (delivery order within the
-                # timestamp matches the per-peer FIFO order it replaces).
-                # Loss prunes destinations before the event is scheduled
-                # (one coin per destination, in destination order), so a
-                # fully-lost fan-out schedules nothing at all — the same
-                # event-set reduction every delivery kernel sees.
-                if loss_rng is not None:
-                    targets = self._mask_lost(targets)
-                if targets:
-                    sim.call_at(sim.now + uniform, self._deliver_fan, src, targets, msg, size)
-            else:
-                now = sim.now
-                sample = self.latency.sample
-                call_at = sim.call_at
-                deliver = self._deliver_fast
-                clamp = self._fifo_clamp
-                lost = 0
-                for dst in targets:
-                    arrival = now + sample(src, dst)
-                    if loss_rng is not None and loss_rng.random() < rate:
-                        lost += 1
-                        continue
-                    call_at(clamp(src, dst, arrival), deliver, src, dst, msg, size)
-                if lost:
-                    self._drop_lost(lost)
-        elif self._batch_occupancy:
-            # Occupancy-fused fan-out (DESIGN.md §8): every transmission
-            # of the batch lands on the same sender horizon, so the
-            # charges are applied in one pass — a single horizon read,
-            # one tx_cost probe, arrival times rolled forward in a local
-            # — instead of a per-message _enqueue_tx round trip each.
-            latency = self.latency
-            now = sim.now
-            tx_cost = latency.tx_cost(src, size)
-            uniform = latency.uniform_delay
-            call_at = sim.call_at
-            deliver = self._deliver
-            if tx_cost <= 0.0:
-                if uniform is not None:
-                    # Free sender + uniform propagation: all arrivals
-                    # coincide, so the whole fan-out rides one heap event
-                    # that also batches the receiver-side queue charges.
-                    if loss_rng is not None:
-                        targets = self._mask_lost(targets)
-                    if targets:
-                        call_at(now + uniform, self._deliver_occ_fan, src, targets, msg, size)
-                else:
-                    sample = latency.sample
-                    clamp = self._fifo_clamp
-                    lost = 0
-                    for dst in targets:
-                        arrival = now + sample(src, dst)
-                        if loss_rng is not None and loss_rng.random() < rate:
-                            lost += 1
-                            continue
-                        call_at(clamp(src, dst, arrival), deliver, src, dst, msg, size)
-                    if lost:
-                        self._drop_lost(lost)
-            else:
-                # Lost transmissions still roll the sender horizon: the
-                # NIC serialized the frame before the link dropped it.
-                busy = self._busy.get(src, now)
-                tx_done = busy if busy > now else now
-                lost = 0
-                if uniform is not None:
-                    # Arrivals strictly increase in send order: FIFO by
-                    # construction, one heap push per distinct arrival.
-                    for dst in targets:
-                        tx_done += tx_cost
-                        if loss_rng is not None and loss_rng.random() < rate:
-                            lost += 1
-                            continue
-                        call_at(tx_done + uniform, deliver, src, dst, msg, size)
-                else:
-                    sample = latency.sample
-                    clamp = self._fifo_clamp
-                    for dst in targets:
-                        tx_done += tx_cost
-                        arrival = tx_done + sample(src, dst)
-                        if loss_rng is not None and loss_rng.random() < rate:
-                            lost += 1
-                            continue
-                        call_at(clamp(src, dst, arrival), deliver, src, dst, msg, size)
-                self._busy[src] = tx_done
-                if lost:
-                    self._drop_lost(lost)
+        if self._fused:
+            self.send_fan_unchecked(src, targets, msg, size)
         else:
-            # Sampled per-message occupancy costs: full queueing chain.
-            clamp = self._fifo_clamp if self._fifo_order else None
-            lost = 0
-            for dst in targets:
-                arrival = self._enqueue_tx(src, size) + self.latency.sample(src, dst)
-                if loss_rng is not None and loss_rng.random() < rate:
-                    lost += 1
-                    continue
-                if clamp is not None:
-                    arrival = clamp(src, dst, arrival)
-                sim.call_at(arrival, self._deliver, src, dst, msg, size)
-            if lost:
-                self._drop_lost(lost)
-        self.metrics.account_send_many(src, msg.kind, size, n_sent)
-        return n_sent
+            self._send_each(src, targets, msg, size)
+            # Accounting covers every destination, lost or not: the
+            # sender transmitted the bytes; loss happens on the link.
+            self.metrics.account_send_many(src, msg.kind, size, len(targets))
+        return len(targets)
 
     def _deliver_fast(self, src: NodeId, dst: NodeId, msg: Message, size: int) -> None:
-        """Fused delivery for zero-occupancy models: one node lookup, no
-        receive-queue event."""
+        """Single-message arrival for zero-occupancy models: one node
+        lookup, no receive-queue event."""
         node = self.nodes.get(dst)
         if node is None or not node.alive:
             self._drop(src, dst)
@@ -638,13 +530,20 @@ class Network:
     def send_fan_unchecked(
         self, src: NodeId, dsts: list[NodeId], msg: Message, size: int
     ) -> None:
-        """Trusted-caller reduction of :meth:`send_many` for the uniform
-        zero-cost fused branch (fan sinks, DESIGN.md §9): one fused fan
-        event plus one batched accounting call.  The caller guarantees
-        what ``send_many`` would otherwise check — live sender, no
-        self-sends, a non-empty snapshot list it will not mutate — and
-        supplies the precomputed ``size``.  Kept on the Network so the
-        checked and unchecked paths evolve in lockstep."""
+        """The fused plan's fan-out: every recipient sees the same
+        arrival time, so the whole fan-out rides one ``_deliver_fan``
+        event (delivery order within the timestamp matches the per-peer
+        FIFO order it replaces) plus one batched accounting call.
+        :meth:`send_many` lands here after its checks; kernels (fan
+        sinks, DESIGN.md §9) call it directly, guaranteeing what
+        ``send_many`` checks — fused plan, live sender, no self-sends, a
+        non-empty snapshot list they will not mutate — and supplying the
+        precomputed ``size``.
+
+        Loss prunes destinations before the event is scheduled (one coin
+        per destination, in destination order), so a fully-lost fan-out
+        schedules nothing at all; accounting covers every destination
+        either way — the sender transmitted the bytes."""
         n_sent = len(dsts)
         if self._loss_rng is not None:
             dsts = self._mask_lost(dsts)
@@ -708,9 +607,9 @@ class Network:
         The sink replaces the per-receiver loop of :meth:`_deliver_fan`
         for that kind and therefore owns its semantics: alive-filtering,
         receive accounting, dead-destination drops (via :meth:`_drop`)
-        and handler dispatch, in destination order.  Only the uniform
-        zero-cost fused path is affected — per-message deliveries and
-        occupancy-charging paths keep the regular per-node chain — so a
+        and handler dispatch, in destination order.  Only fan-outs on
+        the fused plan are affected — single sends and the
+        per-destination plan keep the regular per-node chain — so a
         run's receive bookkeeping stays consistent per latency model.
         Used by the slotted flood kernel (DESIGN.md §9) to process a
         fan-out's receptions against flat arrays with locals bound once.
@@ -726,10 +625,11 @@ class Network:
         """
         self._fan_sinks[kind] = sink
         if batch_sink is not None:
-            self._batch_fan_sinks[kind] = batch_sink
-            if not self._fan_drain_registered:
-                self._fan_drain_registered = True
+            if not self._batch_fan_sinks:
+                # First batch sink: runs without one never register the
+                # engine-side drain and keep per-event dispatch.
                 self.sim.register_batch_drain(self._deliver_fan, self._drain_fan_batch)
+            self._batch_fan_sinks[kind] = batch_sink
 
     def register_kernel(self, kernel) -> None:
         """Attach a slotted kernel's lifecycle to this network.
@@ -792,70 +692,6 @@ class Network:
                 j += 1
             bsink(batch[i:j])
             i = j
-
-    def _deliver_occ_fan(self, src: NodeId, dsts: list[NodeId], msg: Message, size: int) -> None:
-        """One event delivering a same-arrival occupancy fan-out: the
-        receiver-side queue charges are applied in one walk instead of
-        one ``_deliver`` event per message, and runs of recipients whose
-        processing completes at the *same* instant (uniform rx cost,
-        free horizons — the common benchmark regime) share one
-        ``_process_fan`` event (DESIGN.md §8)."""
-        nodes = self.nodes
-        latency = self.latency
-        busy = self._busy
-        sim = self.sim
-        now = sim.now
-        call_at = sim.call_at
-        account = self.metrics.account_receive
-        group: list[NodeId] = []
-        group_ready = 0.0
-        for dst in dsts:
-            node = nodes.get(dst)
-            if node is None or not node.alive:
-                self._drop(src, dst)
-                continue
-            rx_cost = latency.rx_cost(dst, size)
-            if rx_cost > 0.0:
-                b = busy.get(dst, now)
-                ready = (b if b > now else now) + rx_cost
-                busy[dst] = ready
-                if ready == group_ready:
-                    group.append(dst)
-                else:
-                    if group:
-                        self._push_process(group_ready, src, group, msg, size)
-                    group = [dst]
-                    group_ready = ready
-            else:
-                account(dst, size)
-                node.handle_message(src, msg)
-        if group:
-            self._push_process(group_ready, src, group, msg, size)
-
-    def _push_process(
-        self, ready: float, src: NodeId, dsts: list[NodeId], msg: Message, size: int
-    ) -> None:
-        """Schedule one receive-queue completion for a same-ready run."""
-        if len(dsts) == 1:
-            self.sim.call_at(ready, self._process, src, dsts[0], msg, size)
-        else:
-            self.sim.call_at(ready, self._process_fan, src, dsts, msg, size)
-
-    def _process_fan(self, src: NodeId, dsts: list[NodeId], msg: Message, size: int) -> None:
-        """Batched :meth:`_process`: one event for a same-instant run of
-        receive-queue completions from one fan-out."""
-        nodes = self.nodes
-        account = self.metrics.account_receive
-        incr = self.metrics.incr
-        for dst in dsts:
-            node = nodes.get(dst)
-            if node is None or not node.alive:
-                # Crashed while the message sat in its receive queue.
-                incr("dropped_crash")
-                incr("dropped")
-                continue
-            account(dst, size)
-            node.handle_message(src, msg)
 
     def _deliver(self, src: NodeId, dst: NodeId, msg: Message, size: int) -> None:
         node = self.nodes.get(dst)

@@ -58,21 +58,6 @@ class ProtocolNode:
         )
 
     # ------------------------------------------------------------------
-    # Legacy backend views (pre-seam names; simulator-backed code only)
-    # ------------------------------------------------------------------
-    @property
-    def network(self):
-        """The transport under its historical name.  Simulator-specific
-        callers (kernels, testbeds, tests) still reach through this; the
-        protocol modules themselves no longer do."""
-        return self.transport
-
-    @property
-    def sim(self):
-        """The clock under its historical name (see :attr:`network`)."""
-        return self.clock
-
-    # ------------------------------------------------------------------
     # Identity / introspection
     # ------------------------------------------------------------------
     @property

@@ -30,10 +30,10 @@ class RecorderNode(ProtocolNode):
         self.link_failures: list[tuple[float, int]] = []
 
     def on_ping(self, src, msg) -> None:
-        self.received.append((self.sim.now, src, msg))
+        self.received.append((self.clock.now, src, msg))
 
     def on_link_failed(self, peer) -> None:
-        self.link_failures.append((self.sim.now, peer))
+        self.link_failures.append((self.clock.now, peer))
 
 
 def make_network(

@@ -90,9 +90,7 @@ def test_live_spec_validation():
 def test_protocol_modules_are_simulator_free():
     """The runtime-seam guarantee: protocol code talks to Clock and
     MessageTransport only — no direct Simulator/Network attribute access
-    and no simulator imports.  (The legacy ``node.network`` / ``node.sim``
-    aliases live in sim/node.py for simulator-side callers; the protocol
-    modules themselves must not use them.)"""
+    and no simulator imports."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
     for rel in ("core/brisa.py", "membership/hyparview.py", "membership/cyclon.py"):
         text = (src / rel).read_text()

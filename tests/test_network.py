@@ -1,6 +1,8 @@
 """Tests for the simulated network and failure detection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SimulationError
 from repro.sim.message import Message
@@ -265,6 +267,49 @@ def test_delivered_messages_are_not_counted_dropped():
 
 
 # ----------------------------------------------------------------------
+# Per-pair FIFO (one TCP connection per ordered pair, §II-A)
+# ----------------------------------------------------------------------
+class TestPairFifo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(["cluster", "planetlab"]),
+        loss=st.sampled_from([0.0, 30.0]),
+        seed=st.integers(0, 2**16),
+        plan=st.lists(
+            st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=2, max_size=24
+        ),
+    )
+    def test_interleaved_sends_arrive_in_send_order(self, model, loss, seed, plan):
+        """Any interleaving of ``send`` and ``send_many`` from a to b,
+        spaced more tightly than the jitter that would reorder the raw
+        samples, is received in send order — what keeps a Deactivate
+        from being overtaken by the Activate sent after it."""
+        from repro.sim.engine import Simulator
+        from repro.sim.latency import ClusterLatency, PlanetLabLatency
+        from repro.sim.monitor import Metrics
+        from repro.sim.network import Network
+
+        latency = {"cluster": ClusterLatency, "planetlab": PlanetLabLatency}[model](seed=seed)
+        sim = Simulator(seed=seed)
+        net = Network(sim, latency, Metrics(), loss_percent=loss)
+        a, b, c = (net.spawn(RecorderNode) for _ in range(3))
+        t = 0.0
+        for seq, (fan, gap) in enumerate(plan):
+            t += gap * latency.jitter_mean
+            if fan:
+                sim.call_at(t, net.send_many, a.node_id, [c.node_id, b.node_id], Ping(seq))
+            else:
+                sim.call_at(t, net.send, a.node_id, b.node_id, Ping(seq))
+        sim.run_until_idle()
+        got = [msg.payload for _, _, msg in b.received]
+        assert got == sorted(got)
+        lost = net.metrics.counters.get("dropped_loss", 0)
+        assert loss or not lost
+        fanned = sum(fan for fan, _ in plan)
+        assert len(got) + len(c.received) + lost == len(plan) + fanned
+
+
+# ----------------------------------------------------------------------
 # Crash-time state purging (long-churn memory bounds)
 # ----------------------------------------------------------------------
 class TestCrashPurgesState:
@@ -284,6 +329,24 @@ class TestCrashPurgesState:
         net.crash(a.node_id)
         assert a.node_id not in net._busy
         assert a.node_id not in net._capacities
+
+    def test_fifo_clamp_entries_are_purged(self):
+        from repro.sim.engine import Simulator
+        from repro.sim.latency import ClusterLatency
+        from repro.sim.monitor import Metrics
+        from repro.sim.network import Network
+
+        sim = Simulator(seed=1)
+        net = Network(sim, ClusterLatency(seed=1), Metrics())
+        a, b, c = (net.spawn(RecorderNode).node_id for _ in range(3))
+        net.send(a, b, Ping())
+        net.send(b, a, Ping())
+        net.send_many(c, [a, b], Ping())
+        assert {(a, b), (b, a), (c, a), (c, b)} == set(net._fifo)
+        net.crash(a)
+        # No entry names the dead node as sender or receiver; pairs
+        # among survivors keep their clamp state.
+        assert set(net._fifo) == {(c, b)}
 
     def test_notified_entries_drain_once_notices_fire(self):
         sim, net, (a, b) = make_network(2)
@@ -352,7 +415,7 @@ class TestFastPathSelection:
 
         sim = Simulator(seed=5)
         net = Network(sim, ClusterLatency(seed=5), Metrics())
-        assert not net._fast_delivery
+        assert not net._fused and net._arrive == net._deliver
         a, b = net.spawn(RecorderNode), net.spawn(RecorderNode)
         net.send(a.node_id, b.node_id, Ping())
         net.send(a.node_id, b.node_id, Ping())

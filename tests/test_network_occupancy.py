@@ -1,17 +1,20 @@
-"""Tests for the occupancy-fused fan-out (DESIGN.md §8).
+"""Tests for the per-destination delivery plan (DESIGN.md §2).
 
-The fused path is an exact-arithmetic reformulation of the per-message
-occupancy chain: for deterministic cost models, a fan-out through
+Every latency model that charges occupancy or samples propagation takes
+one loop, shared by ``send`` and ``send_many``: a fan-out through
 ``send_many`` must produce byte/message totals, busy horizons, delivery
 timestamps *and* delivery order identical to the same messages sent one
 ``send`` at a time — the accounting-parity requirement on
-``Metrics.account_send_many``.
+``Metrics.account_send_many``.  Only a zero-cost uniform model takes
+the fused plan instead (one event per fan-out).
 """
+
+from functools import partial
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.latency import ClusterLatency, OccupancyLatency
+from repro.sim.latency import ClusterLatency, ConstantLatency, OccupancyLatency
 from repro.sim.message import Message
 from repro.sim.monitor import Metrics
 from repro.sim.network import Network
@@ -60,18 +63,34 @@ def snapshot(net):
     )
 
 
+class ZeroCostJitter(ConstantLatency):
+    """Zero-cost *and* sampled — a combination no in-tree model has, so
+    the one leaf of the shared loop nothing else reaches: no occupancy
+    (``_deliver_fast`` arrivals), per-message draws, FIFO clamp on."""
+
+    def __init__(self, delay, seed=0):
+        super().__init__(delay, seed)
+        self.uniform_delay = None
+
+    def sample(self, src, dst):
+        return self.delay * self._rng.uniform(0.5, 1.5)
+
+
+# Factories: every run needs a model with a fresh RNG stream.
+occupancy = partial(OccupancyLatency, 0.001, seed=5)
 MODELS = [
-    dict(tx_overhead=0.0, rx_overhead=0.0005),          # receive-bound
-    dict(tx_overhead=0.0003, rx_overhead=0.0005),       # both directions
-    dict(tx_overhead=0.0002, rx_overhead=0.0, node_bandwidth=1e6),  # NIC-bound
+    partial(occupancy, tx_overhead=0.0, rx_overhead=0.0005),     # receive-bound
+    partial(occupancy, tx_overhead=0.0003, rx_overhead=0.0005),  # both directions
+    partial(occupancy, tx_overhead=0.0002, rx_overhead=0.0, node_bandwidth=1e6),  # NIC-bound
+    partial(ZeroCostJitter, 0.001, seed=5),
 ]
 
 
 class TestFusedOccupancyParity:
-    @pytest.mark.parametrize("kw", MODELS, ids=["rx", "tx+rx", "nic"])
-    def test_send_many_matches_per_message_sends(self, kw):
+    @pytest.mark.parametrize("model", MODELS, ids=["rx", "tx+rx", "nic", "jitter"])
+    def test_send_many_matches_per_message_sends(self, model):
         def run(batched):
-            sim, net, log = build(OccupancyLatency(0.001, **kw, seed=5))
+            sim, net, log = build(model())
             dsts = list(range(1, 10))
 
             def emit(seq):
@@ -91,17 +110,15 @@ class TestFusedOccupancyParity:
             return log, dict(net._busy), sim.now, snapshot(net)
 
         per_message = run(False)
-        fused = run(True)
+        fanned = run(True)
         # Identical delivery log: same timestamps, same order, same
         # receivers — and identical byte/message totals (the
         # account_send_many parity requirement).
-        assert per_message == fused
+        assert per_message == fanned
 
     def test_zero_cost_fan_parity_with_per_message(self):
-        # The pre-existing zero-cost fused tier obeys the same contract.
+        # The fused plan obeys the same contract.
         def run(batched):
-            from repro.sim.latency import ConstantLatency
-
             sim, net, log = build(ConstantLatency(0.001, seed=5))
             dsts = list(range(1, 10))
             msg = Payload(7)
@@ -116,10 +133,9 @@ class TestFusedOccupancyParity:
         assert run(False) == run(True)
 
     def test_sampled_occupancy_model_keeps_full_chain_parity(self):
-        # ClusterLatency samples propagation per message but its costs
-        # are deterministic: the fused horizon charging must reproduce
-        # the per-message accounting totals (timestamps differ by draw
-        # order, so only totals are compared).
+        # ClusterLatency samples propagation per message: one tx_cost
+        # probe per fan-out must reproduce the per-message accounting
+        # totals and sender horizon.
         def run(batched):
             sim, net, log = build(ClusterLatency(seed=5))
             dsts = list(range(1, 10))
@@ -139,19 +155,34 @@ class TestFusedOccupancyParity:
         assert busy_a == pytest.approx(busy_b)
 
 
-class TestFusedOccupancyBehaviour:
-    def test_free_horizon_fan_rides_two_events(self):
-        # One arrival event + one grouped completion event for the whole
-        # fan-out (receive-bound model, drained horizons).
-        sim, net, log = build(OccupancyLatency(0.001, rx_overhead=0.0005, seed=5))
+class TestPlanSelection:
+    @pytest.mark.parametrize(
+        "model, events",
+        [
+            (partial(ConstantLatency, 0.001, seed=5), 1),
+            (partial(occupancy, rx_overhead=0.0005), 18),
+            (partial(ClusterLatency, seed=5), 18),
+        ],
+        ids=["constant", "occupancy", "cluster"],
+    )
+    def test_nine_way_fan_event_count(self, model, events):
+        # Fused plan: the whole fan-out is one _deliver_fan event.
+        # Per-destination plan: one arrival + one receive-queue
+        # completion event per message.
+        sim, net, log = build(model())
+        assert net._fused == (events == 1)
         net.send_many(0, list(range(1, 10)), Payload(0))
-        events = sim.run_until_idle()
-        assert events == 2
-        assert len(log) == 9
-        # Every completion at the same instant, FIFO order preserved.
-        assert [entry[1] for entry in log] == list(range(1, 10))
-        assert {entry[0] for entry in log} == {0.001 + 0.0005}
+        assert sim.run_until_idle() == events
+        assert sorted(entry[1] for entry in log) == list(range(1, 10))
+        if net.latency.uniform_delay is not None:
+            # Uniform propagation, free sender, drained horizons: FIFO
+            # in send order, every completion at the same instant.
+            assert [entry[1] for entry in log] == list(range(1, 10))
+            rx_cost = net.latency.rx_cost(1, Payload(0).size_bytes())
+            assert {entry[0] for entry in log} == {0.001 + rx_cost}
 
+
+class TestFusedOccupancyBehaviour:
     def test_backlogged_horizons_split_completion_groups(self):
         sim, net, log = build(OccupancyLatency(0.001, rx_overhead=0.0005, seed=5))
         # Pre-charge one receiver's horizon so its completion diverges.
@@ -199,7 +230,6 @@ class TestOccupancyLatencyModel:
                              node_bandwidth=1e6)
         assert m.uniform_delay == 0.002
         assert m.expected_owd(1, 2) == 0.002
-        assert m.occupancy_batchable()
         assert not m.zero_cost()
         assert m.tx_cost(1, 1000) == pytest.approx(0.0001 + 0.001)
         assert m.rx_cost(1, 1000) == pytest.approx(0.0005 + 0.001)
@@ -207,28 +237,3 @@ class TestOccupancyLatencyModel:
             OccupancyLatency(0.001, node_bandwidth=-1e6)
         with pytest.raises(ValueError):
             OccupancyLatency(0.001, node_bandwidth=0)
-
-    def test_sampled_cost_override_falls_back_to_per_message_path(self):
-        # A subclass overriding cost methods without declaring them
-        # deterministic must not be batch-charged (conservative default,
-        # same policy as zero_cost's override detection).
-        class SampledCosts(OccupancyLatency):
-            deterministic_occupancy = None  # back to auto-detection
-
-            def rx_cost(self, node, size_bytes):
-                return self._rng.uniform(0.0001, 0.001)
-
-        model = SampledCosts(0.001, seed=5)
-        assert not model.occupancy_batchable()
-        sim, net, log = build(model)
-        assert not net._batch_occupancy
-        net.send_many(0, list(range(1, 6)), Payload(0))
-        events = sim.run_until_idle()
-        assert len(log) == 5
-        # Full per-message chain: one _deliver + one _process per message.
-        assert events == 10
-        # The in-repo deterministic overrides keep the fused path.
-        assert ClusterLatency(seed=1).occupancy_batchable()
-        from repro.sim.latency import PlanetLabLatency
-
-        assert PlanetLabLatency(seed=1).occupancy_batchable()
