@@ -13,22 +13,22 @@ API (DESIGN.md §9):
   Python object state (``delivered`` dict-of-sets, per-reception
   ``Metrics.record_delivery`` bookkeeping).
 - :class:`SlottedFloodNode` + :class:`SlottedFloodKernel` — the scale
-  kernel: delivery state lives in flat arrays indexed by a dense node
-  *slot*, one :class:`_SlotPlane` per stream (seen byte-maps per
-  sequence number, delivered/duplicate counters, payload-byte totals)
-  shared by all nodes of a run, with per-slot fan-out rows maintained
-  from membership notifications and bulk-installable from PR 3's CSR
-  topology arrays.  Draw-for-draw
-  equivalent to the object path — same delivery sets, duplicate counts,
-  byte totals and timestamps under zero-cost and occupancy-charging
-  latency models — pinned by tests/test_slotted_parity.py.
+  kernel: delivery state lives in the shared slot store of
+  :mod:`repro.core.slots` (one :class:`~repro.core.slots.SlotPlane` per
+  stream: seen byte-maps per sequence number, delivered/duplicate
+  counters, payload-byte totals; per-slot neighbor rows maintained from
+  membership notifications and bulk-installable from PR 3's CSR
+  topology arrays); this module adds only what a flood reception does.
+  Draw-for-draw equivalent to the object path — same delivery sets,
+  duplicate counts, byte totals and timestamps under zero-cost and
+  occupancy-charging latency models — pinned by
+  tests/test_slotted_parity.py.
 """
 
 from __future__ import annotations
 
-from array import array
-
 from repro.config import HyParViewConfig
+from repro.core.slots import INJECTED, RECEIVED, UNSEEN, SlotKernel
 from repro.ids import SEQ_BYTES, NodeId, StreamId
 from repro.membership.hyparview import HyParViewNode
 from repro.sim.message import Message
@@ -133,62 +133,19 @@ class FloodNode(HyParViewNode):
 # ----------------------------------------------------------------------
 # Slotted delivery kernel (DESIGN.md §9)
 # ----------------------------------------------------------------------
-#: Seen-map cell states.  ``_INJECTED`` marks a sequence the node itself
-#: injected (locally delivered, but not yet a *recorded reception* — the
-#: source's first echo from a neighbour still counts as a first delivery,
-#: matching ``Metrics.record_delivery`` semantics in the object path).
-_UNSEEN, _INJECTED, _RECEIVED = 0, 1, 2
-
-
-class _SlotPlane:
-    """Per-stream *slot plane*: one stream's flat delivery state.
-
-    A plane is the slotted analogue of one stream shard — seen maps
-    (one ``bytearray`` cell per slot per sequence) and per-slot
-    delivered/duplicate/payload counters, all indexed by the kernel's
-    dense node slots.  The kernel keeps one plane per active stream id
-    (dense plane index, DESIGN.md §10), so K concurrent streams stay on
-    the array path with zero shared-dict contention between streams.
-    """
-
-    __slots__ = ("stream", "rows", "delivered", "duplicates", "payload_bytes")
-
-    def __init__(self, stream: StreamId, capacity: int) -> None:
-        self.stream = stream
-        #: Seen maps indexed by seq; one byte cell per slot.
-        self.rows: list[bytearray] = []
-        zeros = bytes(8 * capacity)
-        #: Distinct sequence numbers delivered per slot (injections included).
-        self.delivered = array("q", zeros)
-        #: Duplicate receptions per slot on this stream.
-        self.duplicates = array("q", zeros)
-        #: Payload bytes of first-time receptions per slot.
-        self.payload_bytes = array("q", zeros)
-
-
-class SlottedFloodKernel:
+class SlottedFloodKernel(SlotKernel):
     """Flat-array delivery state shared by every :class:`SlottedFloodNode`.
 
     At xxl populations the dissemination cost is per-delivery Python
     handler work, not the engine: every reception walks ``delivered``
     dict-of-sets plus the ``Metrics.record_delivery`` nested dicts.  This
-    kernel replaces all of it with arrays indexed by a dense *slot*:
-
-    - one :class:`_SlotPlane` per stream id (resolved through a dense
-      plane index, not ad-hoc ``(stream, seq)`` dict keys): the seen
-      maps (``_UNSEEN``/``_INJECTED``/``_RECEIVED`` byte cells) and the
-      per-slot delivered/duplicate/payload counters of that stream;
-    - ``rx_bytes`` — wire bytes received per slot across all streams;
-    - ``fanout_rows`` — per-slot peer-id lists mirroring the node's
-      active view in insertion order, maintained from membership
-      notifications and bulk-installable from a :class:`CSRTopology`
-      (the overlay is shared by every stream, so rows are plane-free).
-
-    Slots are recycled through a free list: :meth:`release` (called from
-    ``SlottedFloodNode.on_crash``, i.e. under :meth:`Network.crash`)
-    zeroes the slot's cells in *every* plane before the slot can be
-    handed to a churn joiner, so a recycled slot starts exactly like a
-    fresh object node on every stream.
+    kernel replaces all of it with the slot store of
+    :class:`~repro.core.slots.SlotKernel` — one plane of seen maps
+    (``UNSEEN``/``INJECTED``/``RECEIVED`` byte cells) and per-slot
+    delivered/duplicate/payload counters per stream id, ``rx_bytes``, and
+    ``neighbor_rows`` mirroring each node's active view in insertion
+    order — and adds the flood transition on top: first copy delivers
+    and re-floods to the row minus the sender, everything else counts.
 
     When the run's :class:`Metrics` records deliveries (small/parity
     runs), the kernel mirrors every reception into
@@ -199,28 +156,7 @@ class SlottedFloodKernel:
     """
 
     def __init__(self, network) -> None:
-        self.network = network
-        self.sim = network.sim
-        self.metrics = network.metrics
-        #: Mirror receptions into Metrics (parity/record mode)?
-        self._mirror = network.metrics.record_deliveries
-        self.slot_of: dict[NodeId, int] = {}
-        self._free: list[int] = []
-        self.capacity = 0
-        #: Wire bytes received per slot on the fan-sink path (the slotted
-        #: stand-in for ``Metrics.bytes_received`` at scale; in mirror
-        #: mode Metrics is fed too and the two agree).
-        self.rx_bytes = array("q")
-        #: Per-slot live peer ids, in active-view insertion order.
-        self.fanout_rows: list[list[NodeId]] = []
-        #: While True, membership notifications skip per-peer row
-        #: appends — a bulk bootstrap builds the rows in one
-        #: :meth:`install_rows` pass over the CSR arrays instead.
-        self.bulk_rows = False
-        #: Slot planes in dense-index order; one per stream ever seen.
-        self.planes: list[_SlotPlane] = []
-        #: stream id -> dense plane index.
-        self.plane_of: dict[StreamId, int] = {}
+        super().__init__(network)
         #: Total receptions processed (first deliveries + duplicates).
         self.receptions = 0
         # Whole fused fan-outs of flood data land in one batched call
@@ -230,110 +166,27 @@ class SlottedFloodKernel:
         # send_fan_unchecked unconditionally.
         network.register_fan_sink(FloodData.kind, self.on_fan)
 
-    # -- slot lifecycle -------------------------------------------------
-    def attach(self, node_id: NodeId) -> int:
-        """Allocate (or recycle) a slot for ``node_id``."""
-        free = self._free
-        if free:
-            slot = free.pop()
-        else:
-            slot = self.capacity
-            self.capacity += 1
-            self.rx_bytes.append(0)
-            self.fanout_rows.append([])
-            for plane in self.planes:
-                plane.delivered.append(0)
-                plane.duplicates.append(0)
-                plane.payload_bytes.append(0)
-                for row in plane.rows:
-                    row.append(_UNSEEN)
-        self.slot_of[node_id] = slot
-        return slot
-
-    def release(self, node_id: NodeId, slot: int) -> None:
-        """Return a crashed node's slot to the free list, zeroed in
-        every plane."""
-        if self.slot_of.pop(node_id, None) is None:
-            return
-        self.rx_bytes[slot] = 0
-        self.fanout_rows[slot] = []
-        for plane in self.planes:
-            plane.delivered[slot] = 0
-            plane.duplicates[slot] = 0
-            plane.payload_bytes[slot] = 0
-            for row in plane.rows:
-                row[slot] = _UNSEEN
-        self._free.append(slot)
-
     def row_append(self, slot: int, peer: NodeId) -> None:
-        """Record a new live peer in ``slot``'s fan-out row.
+        """Record a new live peer in ``slot``'s neighbor row.
 
         Row mutations funnel through this pair of methods (rather than
-        poking ``fanout_rows`` directly) so subclasses that keep derived
+        poking ``neighbor_rows`` directly) so subclasses that keep derived
         per-row state — the vectorized kernel caches numpy mirrors —
         can invalidate it at the mutation site."""
-        self.fanout_rows[slot].append(peer)
+        self.neighbor_rows[slot].append(peer)
 
     def row_remove(self, slot: int, peer: NodeId) -> None:
-        """Drop ``peer`` from ``slot``'s fan-out row (no-op when absent)."""
+        """Drop ``peer`` from ``slot``'s neighbor row (no-op when absent)."""
         try:
-            self.fanout_rows[slot].remove(peer)
+            self.neighbor_rows[slot].remove(peer)
         except ValueError:
             pass
-
-    def install_rows(self, ids, topo) -> None:
-        """Bulk-build the fan-out rows from CSR adjacency arrays.
-
-        ``topo`` is a :class:`repro.experiments.bootstrap.CSRTopology`
-        over ``ids`` (the i-th row describes ``ids[i]``).  Row order
-        matches what :meth:`HyParViewNode.install_overlay` produces from
-        the same arrays, so rows built here are identical to the ones
-        the membership notifications would have accumulated — set
-        :attr:`bulk_rows` around the view installation so that work is
-        skipped rather than redone."""
-        offsets = topo.offsets
-        neighbors = topo.neighbors
-        rows = self.fanout_rows
-        slot_of = self.slot_of
-        for i, nid in enumerate(ids):
-            rows[slot_of[nid]] = [
-                ids[j] for j in neighbors[offsets[i] : offsets[i + 1]]
-            ]
-
-    # -- slot planes ----------------------------------------------------
-    def plane(self, stream: StreamId) -> _SlotPlane:
-        """The slot plane for ``stream`` (created on first touch)."""
-        idx = self.plane_of.get(stream)
-        if idx is None:
-            idx = self.plane_of[stream] = len(self.planes)
-            self.planes.append(_SlotPlane(stream, self.capacity))
-        return self.planes[idx]
-
-    def _row(self, plane: _SlotPlane, seq: int) -> bytearray:
-        rows = plane.rows
-        while len(rows) <= seq:
-            rows.append(bytearray(self.capacity))
-        return rows[seq]
-
-    def delivered_count(self, slot: int, stream: StreamId) -> int:
-        """Distinct sequence numbers delivered at ``slot`` on ``stream``
-        (exact walk of the stream plane's seen maps; the hot path keeps
-        only the per-slot counters)."""
-        idx = self.plane_of.get(stream)
-        if idx is None:
-            return 0
-        return sum(1 for row in self.planes[idx].rows if row[slot])
 
     # -- cross-plane slot aggregates (tests / parity checks) -------------
     def slot_delivered(self, slot: int) -> int:
         """Distinct (stream, seq) deliveries at ``slot`` across planes —
         the object path's ``FloodNode.delivered`` total size."""
         return sum(plane.delivered[slot] for plane in self.planes)
-
-    def slot_duplicates(self, slot: int) -> int:
-        """Duplicate receptions at ``slot`` across planes
-        (``Metrics.duplicates[node]`` semantics)."""
-        return sum(plane.duplicates[slot] for plane in self.planes)
 
     def slot_payload_bytes(self, slot: int) -> int:
         """First-reception payload bytes at ``slot`` across planes."""
@@ -360,11 +213,10 @@ class SlottedFloodKernel:
         duplicates = plane.duplicates
         payload_totals = plane.payload_bytes
         rx_bytes = self.rx_bytes
-        fanout_rows = self.fanout_rows
+        neighbor_rows = self.neighbor_rows
         mirror = self._mirror
         metrics = self.metrics
         network = self.network
-        nodes = network.nodes
         now = self.sim.now
         hops = msg.hops + 1
         path_delay = msg.path_delay + (now - msg.sent_at)
@@ -386,12 +238,7 @@ class SlottedFloodKernel:
             if slot is None:
                 # Crashed (slot released) or not kernel-attached: fall
                 # back to the generic single-delivery semantics.
-                node = nodes.get(dst)
-                if node is None or not node.alive:
-                    network._drop(src, dst)
-                else:
-                    metrics.account_receive(dst, size)
-                    node.handle_message(src, msg)
+                network._deliver_fast(src, dst, msg, size)
                 continue
             processed += 1
             rx_bytes[slot] += size
@@ -401,16 +248,16 @@ class SlottedFloodKernel:
                     dst, stream, seq, now, src, hops, path_delay, payload
                 )
             state = row[slot]
-            if state == _RECEIVED:
+            if state == RECEIVED:
                 duplicates[slot] += 1
                 continue
-            row[slot] = _RECEIVED
-            if state == _INJECTED:
+            row[slot] = RECEIVED
+            if state == INJECTED:
                 # Source echo: recorded reception, no re-flood.
                 continue
             delivered[slot] += 1
             payload_totals[slot] += payload
-            targets = [p for p in fanout_rows[slot] if p != src]
+            targets = [p for p in neighbor_rows[slot] if p != src]
             if targets:
                 if fwd is None:
                     fwd = FloodData(
@@ -427,8 +274,8 @@ class SlottedFloodKernel:
         plane = self.plane(stream)
         row = self._row(plane, seq)
         slot = node.slot
-        if row[slot] == _UNSEEN:
-            row[slot] = _INJECTED
+        if row[slot] == UNSEEN:
+            row[slot] = INJECTED
             plane.delivered[slot] += 1
         self._fan(node, slot, stream, seq, payload_bytes, None, 0, 0.0)
 
@@ -441,7 +288,7 @@ class SlottedFloodKernel:
         row = rows[seq] if seq < len(rows) else self._row(plane, seq)
         slot = node.slot
         state = row[slot]
-        if state == _RECEIVED:
+        if state == RECEIVED:
             plane.duplicates[slot] += 1
             if self._mirror:
                 now = self.sim.now
@@ -451,7 +298,7 @@ class SlottedFloodKernel:
                     msg.payload_bytes,
                 )
             return
-        row[slot] = _RECEIVED
+        row[slot] = RECEIVED
         now = self.sim.now
         hops = msg.hops + 1
         path_delay = msg.path_delay + (now - msg.sent_at)
@@ -460,7 +307,7 @@ class SlottedFloodKernel:
                 node.node_id, stream, seq, now, src, hops, path_delay,
                 msg.payload_bytes,
             )
-        if state == _INJECTED:
+        if state == INJECTED:
             # The source hearing its own message back: a recorded first
             # reception, but locally delivered already — no re-flood
             # (the object path returns on ``seq in seen``).
@@ -480,7 +327,7 @@ class SlottedFloodKernel:
         hops: int,
         path_delay: float,
     ) -> None:
-        peers = self.fanout_rows[slot]
+        peers = self.neighbor_rows[slot]
         if exclude is not None:
             peers = [p for p in peers if p != exclude]
         if peers:
@@ -537,7 +384,7 @@ class SlottedFloodNode(HyParViewNode):
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         self.kernel.inject(self, stream, seq, payload_bytes)
 
-    # -- keep the kernel's fan-out rows mirroring the active view -------
+    # -- keep the kernel's neighbor rows mirroring the active view ------
     def neighbor_up(self, peer: NodeId) -> None:
         # Fired only on genuine inserts (HyParView guards duplicates), in
         # active-view insertion order — the row stays order-identical to
@@ -550,6 +397,6 @@ class SlottedFloodNode(HyParViewNode):
     def neighbor_down(self, peer: NodeId, failure: bool) -> None:
         self.kernel.row_remove(self.slot, peer)
 
-    def on_crash(self) -> None:
-        super().on_crash()
-        self.kernel.release(self.node_id, self.slot)
+    # on_crash: slot release is driven by Network.crash through
+    # SlotKernel.release_node, after the protocol teardown — not from
+    # the node.

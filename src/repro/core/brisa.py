@@ -88,8 +88,9 @@ class BrisaNode(HyParViewNode):
         """Parent edges for one stream, without materializing state.
 
         The representation-independent read used by structure extraction
-        (:mod:`repro.core.structure`): the slotted kernel overrides it to
-        answer from its tree-edge rows instead of the parents dict.
+        (:mod:`repro.core.structure`) and the live workers' reports:
+        ``StreamState.parents`` is the one copy of the tree edges on
+        both kernels.
         """
         state = self.streams.get(stream)
         return list(state.parents) if state is not None else []
@@ -117,27 +118,23 @@ class BrisaNode(HyParViewNode):
         state = self.stream_state(stream)
         state.is_source = True
         self._set_position(state, self.predictor.source_position(self.node_id))
-        self._set_hops(state, 0)
+        state.hops = 0
 
     # ------------------------------------------------------------------
     # State-mutation choke points
     # ------------------------------------------------------------------
     # Every mutation of the structure-bearing stream state (position,
-    # level, parent edges, link activation) funnels through one of these
-    # hooks.  The reference kernel applies them directly; the slotted
-    # kernel (core/brisa_slotted.py) overrides them to keep its flat
-    # per-slot arrays — levels, tree-edge rows, relay rows, the Bloom
-    # bit-matrix — in sync and to invalidate its fast-path maintenance
-    # cache (DESIGN.md §11).
+    # parent edges, demote counts, link activation) funnels through one
+    # of these hooks.  The reference kernel applies them directly; the slotted
+    # kernel (core/brisa_slotted.py) overrides them to invalidate its
+    # fast-path maintenance cache and keep its per-slot relay rows in
+    # sync (DESIGN.md §11).
 
     def _set_position(self, state: StreamState, value: Any) -> None:
         state.position = value
 
     def _reset_position(self, state: StreamState) -> None:
         state.reset_position()
-
-    def _set_hops(self, state: StreamState, value: Optional[int]) -> None:
-        state.hops = value
 
     def _set_in_active(self, state: StreamState, peer: NodeId, value: bool) -> None:
         state.active_in += value - state.in_active.get(peer, False)
@@ -268,7 +265,7 @@ class BrisaNode(HyParViewNode):
             if is_neighbor:
                 self._consider_provider(state, src, extract_meta(msg), first=True)
             if src in state.parents:
-                self._set_hops(state, hops)  # distance bookkeeping for retransmissions
+                state.hops = hops  # distance bookkeeping for retransmissions
                 if rules.wants_gap_recovery(
                     seq, state.max_contig, msg.recovered,
                     now, state.last_gap_request, self.GAP_REQUEST_COOLDOWN,
@@ -387,9 +384,8 @@ class BrisaNode(HyParViewNode):
         self._set_position(
             state, rules.merge_position(self.predictor.name, state.position, new_position)
         )
-        self._set_hops(
-            state,
-            rules.hops_from_position(self.predictor.name, state.position, state.hops),
+        state.hops = rules.hops_from_position(
+            self.predictor.name, state.position, state.hops
         )
         if (
             self.predictor.name == "depth"
@@ -502,7 +498,7 @@ class BrisaNode(HyParViewNode):
             new_position = self.predictor.adopt(self.node_id, meta)
             if new_position != state.position:
                 self._set_position(state, new_position)
-                self._set_hops(state, len(new_position) - 1)
+                state.hops = len(new_position) - 1
         elif self.predictor.name == "bloom":
             # Refresh the ancestor filter from the freshest parent metas.
             # A filter frozen at adoption time can never circulate the
@@ -528,7 +524,7 @@ class BrisaNode(HyParViewNode):
         if state.position is not None and new_depth <= state.position:
             return
         self._set_position(state, new_depth)
-        self._set_hops(state, new_depth)
+        state.hops = new_depth
         self._broadcast_depth(state)
 
     def _broadcast_depth(self, state: StreamState) -> None:

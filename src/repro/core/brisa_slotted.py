@@ -1,4 +1,4 @@
-"""Slotted BRISA kernel: flat-array tree state behind the fan-sink seam.
+"""Slotted BRISA kernel: the maintenance cache behind the fan-sink seam.
 
 The flood stack's slotted kernel (DESIGN.md §9) showed that at xxl
 populations the dissemination cost is per-reception Python handler work.
@@ -7,15 +7,16 @@ levels, link-activation bits, cycle-prevention positions — but in steady
 state almost every reception is the *same* transition: first copy of the
 next sequence, from the same parent, carrying the same position metadata,
 relayed to the same children.  This kernel makes that transition a
-handful of array operations:
+handful of array operations on top of the shared slot store
+(:mod:`repro.core.slots`):
 
 - one :class:`_BrisaPlane` per stream (dense plane index, DESIGN.md §10)
-  holding seen maps, per-slot delivered/duplicate/payload counters,
-  stream *levels* (``StreamState.hops``), the per-slot *relay rows*
-  (active view minus out-deactivated links — the fan-out set) and
-  *parent rows* (tree edges in adoption order), plus a
-  packed :class:`~repro.core.bloom_matrix.BloomBitMatrix` of §II-F
-  ancestor filters when the bloom predictor is active;
+  extending the store's seen maps and delivered/duplicate/payload
+  counters with exactly the columns the fast path reads: the per-slot
+  *relay rows* (active view minus out-deactivated links — the fan-out
+  set), the per-slot :class:`StreamState` and the maintenance cache.
+  Parents, level and position are held once, in ``StreamState``, for
+  both kernels;
 - a per-slot *maintenance cache* ``(maint_src, maint_meta)`` keyed by
   object identity: the pure rule table (:mod:`repro.core.rules`) is a
   function of (position, parents, demote counts, backflow, meta), every
@@ -35,70 +36,45 @@ Receptions that miss the fast path (duplicates, structure changes,
 repairs, unknown providers) fall back to the unmodified
 ``BrisaNode.on_brisa_data`` — both kernels share one rule table and one
 protocol implementation, so parity is structural, not re-implemented.
-
-Slot lifecycle mirrors the flood kernel, but release is driven through
-:meth:`repro.sim.network.Network.register_kernel`: ``Network.crash``
-calls :meth:`SlottedBrisaKernel.release_node` after the node teardown,
-zeroing the slot's cells — tree-edge rows included — in every plane
-before the slot can be recycled by a churn joiner.
 """
 
 from __future__ import annotations
 
-from array import array
-
 from repro.config import BrisaConfig, HyParViewConfig
 from repro.core import messages as bm
-from repro.core.bloom_matrix import BloomBitMatrix
 from repro.core.brisa import BrisaNode
 from repro.core.cycle import make_predictor
+from repro.core.slots import INJECTED, RECEIVED, UNSEEN, SlotKernel, SlotPlane
 from repro.core.state import StreamState
 from repro.errors import SimulationError
 from repro.ids import NODE_ID_BYTES as _NODE_ID_BYTES, NodeId, StreamId
-
-#: Seen-map cell states (shared convention with the flood kernel):
-#: ``_INJECTED`` marks a sequence the slot's node itself published.
-_UNSEEN, _INJECTED, _RECEIVED = 0, 1, 2
 
 #: Local alias: the fast path builds forwards via ``__new__`` + direct
 #: slot stores (the keyword constructor costs ~3x as much per message).
 _Data = bm.Data
 
 
-class _BrisaPlane:
-    """Per-stream slot plane: one stream's flat BRISA state.
+class _BrisaPlane(SlotPlane):
+    """Per-stream slot plane: the flood plane's seen maps and counters
+    plus what the BRISA fast path reads.
 
-    The flood plane's seen maps and counters, plus the tree state the
-    ISSUE's §II structures need: ``levels`` mirrors ``StreamState.hops``
-    (0 while unset), ``relay_rows`` are the per-slot fan-out sets
-    (active view minus out-deactivated, in active-view order),
-    ``parent_rows`` the tree edges in adoption order, and ``states``
-    the per-slot :class:`StreamState` (the cold path and the repair
-    machinery still run on it; ``None`` for slots that never touched
-    the stream).  ``maint_src``/``maint_meta`` are
-    the per-slot maintenance cache (see module docstring).
+    ``relay_rows`` are the per-slot fan-out sets (active view minus
+    out-deactivated, in active-view order) and ``states`` the per-slot
+    :class:`StreamState` (the one copy of parents, hops and position;
+    the cold path and the repair machinery run on it; ``None`` for slots
+    that never touched the stream).  ``maint_*`` are the per-slot
+    maintenance cache (see module docstring).
     """
 
     __slots__ = (
-        "stream", "rows", "delivered", "duplicates", "payload_bytes",
-        "levels", "relay_rows", "parent_rows", "states",
-        "maint_src", "maint_meta", "maint_cand", "maint_targets", "matrix",
+        "relay_rows", "states",
+        "maint_src", "maint_meta", "maint_cand", "maint_targets",
     )
 
-    def __init__(self, stream: StreamId, capacity: int, bloom_bits: int = 0) -> None:
-        self.stream = stream
-        #: Seen maps indexed by seq; one byte cell per slot.
-        self.rows: list[bytearray] = []
-        zeros = bytes(8 * capacity)
-        self.delivered = array("q", zeros)
-        self.duplicates = array("q", zeros)
-        self.payload_bytes = array("q", zeros)
-        #: Tree level per slot (``StreamState.hops``; 0 while unset).
-        self.levels = array("q", zeros)
+    def __init__(self, stream: StreamId, capacity: int) -> None:
+        super().__init__(stream, capacity)
         #: Per-slot relay targets: active view minus out-deactivated.
         self.relay_rows: list[list[NodeId]] = [[] for _ in range(capacity)]
-        #: Per-slot tree edges (parents, adoption order).
-        self.parent_rows: list[list[NodeId]] = [[] for _ in range(capacity)]
         self.states: list[StreamState | None] = [None] * capacity
         #: Maintenance cache: last (src, meta) whose full revalidation
         #: took no mutating branch; ``maint_src[slot] is None`` = invalid.
@@ -115,19 +91,36 @@ class _BrisaPlane:
         #: every relay-row mutation.  The cached list is never mutated in
         #: place, so pending fan events may safely share it.
         self.maint_targets: list[list[NodeId] | None] = [None] * capacity
-        #: Packed §II-F ancestor filters (bloom predictor only).
-        self.matrix = BloomBitMatrix(bloom_bits, capacity) if bloom_bits else None
+
+    def grow(self) -> None:
+        super().grow()
+        self.relay_rows.append([])
+        self.states.append(None)
+        self.maint_src.append(None)
+        self.maint_meta.append(None)
+        self.maint_cand.append(None)
+        self.maint_targets.append(None)
+
+    def clear(self, slot: int) -> None:
+        super().clear(slot)
+        self.relay_rows[slot] = []
+        self.states[slot] = None
+        self.maint_src[slot] = None
+        self.maint_meta[slot] = None
+        self.maint_cand[slot] = None
+        self.maint_targets[slot] = None
 
 
-class SlottedBrisaKernel:
+class SlottedBrisaKernel(SlotKernel):
     """Flat-array BRISA state shared by every :class:`SlottedBrisaNode`."""
 
+    plane_cls = _BrisaPlane
+    # bench/trace.py looks its probes up in the class's own ``__dict__``:
+    # a purely inherited method would be reported as a missing probe.
+    install_rows = SlotKernel.install_rows
+
     def __init__(self, network, config: BrisaConfig | None = None) -> None:
-        self.network = network
-        self.sim = network.sim
-        self.metrics = network.metrics
-        #: Mirror receptions into Metrics (parity/record mode)?
-        self._mirror = network.metrics.record_deliveries
+        super().__init__(network)
         self.config = config if config is not None else BrisaConfig()
         self.num_parents = self.config.num_parents
         #: Concrete predictor name, doubling as the ``Data`` metadata
@@ -141,135 +134,14 @@ class SlottedBrisaKernel:
         #: Last plane touched by the fan sink (streams arrive in runs).
         self._hot_stream: StreamId | None = None
         self._hot_plane: _BrisaPlane | None = None
-        self.slot_of: dict[NodeId, int] = {}
-        self._free: list[int] = []
-        self.capacity = 0
-        #: Wire bytes received per slot on the fan-sink path.
-        self.rx_bytes = array("q")
-        #: Per-slot live peer ids, in active-view insertion order (the
-        #: overlay is stream-agnostic; per-stream relay rows start as a
-        #: copy of this row when the stream state materializes).
-        self.neighbor_rows: list[list[NodeId]] = []
-        #: While True, membership notifications skip per-peer row
-        #: appends — a bulk bootstrap installs the rows from the CSR
-        #: arrays in one :meth:`install_rows` pass instead.
-        self.bulk_rows = False
-        self.planes: list[_BrisaPlane] = []
-        self.plane_of: dict[StreamId, int] = {}
         network.register_fan_sink(bm.Data.kind, self.on_fan)
-        network.register_kernel(self)
 
-    # -- slot lifecycle -------------------------------------------------
-    def attach(self, node_id: NodeId) -> int:
-        """Allocate (or recycle) a slot for ``node_id``."""
-        free = self._free
-        if free:
-            slot = free.pop()
-        else:
-            slot = self.capacity
-            self.capacity += 1
-            self.rx_bytes.append(0)
-            self.neighbor_rows.append([])
-            for plane in self.planes:
-                plane.delivered.append(0)
-                plane.duplicates.append(0)
-                plane.payload_bytes.append(0)
-                plane.levels.append(0)
-                plane.relay_rows.append([])
-                plane.parent_rows.append([])
-                plane.states.append(None)
-                plane.maint_src.append(None)
-                plane.maint_meta.append(None)
-                plane.maint_cand.append(None)
-                plane.maint_targets.append(None)
-                if plane.matrix is not None:
-                    plane.matrix.grow(self.capacity)
-                for row in plane.rows:
-                    row.append(_UNSEEN)
-        self.slot_of[node_id] = slot
-        return slot
-
-    def release_node(self, node_id: NodeId) -> None:
-        """:meth:`Network.crash` hook: drop the dead node's slot state."""
-        slot = self.slot_of.get(node_id)
-        if slot is not None:
-            self.release(node_id, slot)
-
-    def release(self, node_id: NodeId, slot: int) -> None:
-        """Return a crashed node's slot to the free list, zeroed —
-        tree-edge rows and Bloom filter row included — in every plane."""
-        if self.slot_of.pop(node_id, None) is None:
-            return
-        self.rx_bytes[slot] = 0
-        self.neighbor_rows[slot] = []
-        for plane in self.planes:
-            plane.delivered[slot] = 0
-            plane.duplicates[slot] = 0
-            plane.payload_bytes[slot] = 0
-            plane.levels[slot] = 0
-            plane.relay_rows[slot] = []
-            plane.parent_rows[slot] = []
-            plane.states[slot] = None
-            plane.maint_src[slot] = None
-            plane.maint_meta[slot] = None
-            plane.maint_cand[slot] = None
-            plane.maint_targets[slot] = None
-            if plane.matrix is not None:
-                plane.matrix.clear_row(slot)
-            for row in plane.rows:
-                row[slot] = _UNSEEN
-        self._free.append(slot)
-
-    def install_rows(self, ids, topo) -> None:
-        """Bulk-build the neighbor rows from CSR adjacency arrays.
-
-        ``topo`` is a :class:`repro.experiments.bootstrap.CSRTopology`
-        over ``ids``; row order matches what ``install_overlay``'s
-        ``neighbor_up`` notifications would have accumulated — set
-        :attr:`bulk_rows` around the view installation so that work is
-        skipped rather than redone."""
-        offsets = topo.offsets
-        neighbors = topo.neighbors
-        rows = self.neighbor_rows
-        slot_of = self.slot_of
-        for i, nid in enumerate(ids):
-            rows[slot_of[nid]] = [
-                ids[j] for j in neighbors[offsets[i] : offsets[i + 1]]
-            ]
-
-    # -- slot planes ----------------------------------------------------
     def plane(self, stream: StreamId) -> _BrisaPlane:
-        """The slot plane for ``stream`` (created on first touch)."""
-        idx = self.plane_of.get(stream)
-        if idx is None:
-            idx = self.plane_of[stream] = len(self.planes)
-            self.planes.append(
-                _BrisaPlane(stream, self.capacity, self._bloom_bits)
-            )
         # Plane objects are stable once created, so the hot-plane memo
         # used by the fan sink can never go stale.
-        plane = self.planes[idx]
+        plane = self._hot_plane = super().plane(stream)
         self._hot_stream = stream
-        self._hot_plane = plane
         return plane
-
-    def _row(self, plane: _BrisaPlane, seq: int) -> bytearray:
-        rows = plane.rows
-        while len(rows) <= seq:
-            rows.append(bytearray(self.capacity))
-        return rows[seq]
-
-    def delivered_count(self, slot: int, stream: StreamId) -> int:
-        """Distinct sequence numbers delivered at ``slot`` on ``stream``
-        (injections included, matching ``StreamState.delivered``)."""
-        idx = self.plane_of.get(stream)
-        if idx is None:
-            return 0
-        return sum(1 for row in self.planes[idx].rows if row[slot])
-
-    def slot_duplicates(self, slot: int) -> int:
-        """Duplicate receptions at ``slot`` across planes."""
-        return sum(plane.duplicates[slot] for plane in self.planes)
 
     def duplicate_receptions(self, exclude_nodes=()) -> int:
         """Total duplicate receptions across every plane and slot.
@@ -285,17 +157,6 @@ class SlottedBrisaKernel:
             slot = self.slot_of.get(node_id)
             if slot is not None:
                 total -= sum(plane.duplicates[slot] for plane in self.planes)
-        return total
-
-    def first_deliveries(self) -> int:
-        """Total first receptions across every plane and slot
-        (injections excluded: sources count their own publishes in
-        ``delivered`` but never as receptions)."""
-        total = 0
-        for plane in self.planes:
-            total += sum(plane.delivered)
-            for row in plane.rows:
-                total -= sum(1 for cell in row if cell == _INJECTED)
         return total
 
     # -- delivery hot path ----------------------------------------------
@@ -316,7 +177,6 @@ class SlottedBrisaKernel:
         states = plane.states
         delivered = plane.delivered
         payload_totals = plane.payload_bytes
-        levels = plane.levels
         maint_src = plane.maint_src
         maint_meta = plane.maint_meta
         maint_cand = plane.maint_cand
@@ -342,12 +202,7 @@ class SlottedBrisaKernel:
             if slot is None:
                 # Crashed (slot released) or not kernel-attached: fall
                 # back to the generic single-delivery semantics.
-                node = self.network.nodes.get(dst)
-                if node is None or not node.alive:
-                    self.network._drop(src, dst)
-                else:
-                    self.metrics.account_receive(dst, size)
-                    node.handle_message(src, msg)
+                self.network._deliver_fast(src, dst, msg, size)
                 continue
             rx_bytes[slot] += size
             if mirror:
@@ -370,7 +225,7 @@ class SlottedBrisaKernel:
                     self.metrics.record_delivery(
                         dst, stream, seq, now, src, hops, path_delay, payload
                     )
-                row[slot] = _RECEIVED
+                row[slot] = RECEIVED
                 delivered[slot] += 1
                 payload_totals[slot] += payload
                 # note_delivered + rules.wants_gap_recovery, inlined
@@ -402,7 +257,6 @@ class SlottedBrisaKernel:
                     if len(items) > buffer_cap:
                         items.popitem(last=False)
                 state.hops = hops
-                levels[slot] = hops
                 targets = maint_targets[slot]
                 if targets is None:
                     targets = [p for p in plane.relay_rows[slot] if p != src]
@@ -452,80 +306,27 @@ class SlottedBrisaKernel:
                         state, record=False, allow_hard=False
                     )
                 continue
-            # Cold path: keep the arrays in step, optimistically prime
-            # the maintenance cache, then run the full protocol.
-            node = self.network.nodes[dst]
-            state = states[slot]
-            if state is None:
-                state = node.stream_state(stream)
-            if not state.is_source:
-                cell = row[slot]
-                if cell == _RECEIVED:
-                    plane.duplicates[slot] += 1
-                else:
-                    row[slot] = _RECEIVED
-                    delivered[slot] += 1
-                    payload_totals[slot] += payload
-                    if meta is not None and src in state.parents:
-                        cand = state.candidates.get(src)
-                        if cand is not None:
-                            # If the revalidation below mutates anything,
-                            # a choke-point hook clears this again.
-                            maint_src[slot] = src
-                            maint_meta[slot] = meta
-                            maint_cand[slot] = cand
-                            maint_targets[slot] = None
-            node.on_brisa_data(src, msg, state)
-            if (
-                meta is not None
-                and maint_src[slot] is None
-                and src in state.parents
-                and state.parent_meta.get(src) is meta
-            ):
-                # Post-delegation priming: the call just adopted (or
-                # refreshed from) exactly this (src, meta) — its final
-                # state is a fixed point of that revalidation (position
-                # was *set from* meta, so re-checking the same filter /
-                # label / path is a no-op on every predictor).  Priming
-                # here turns the adoption reception itself into the last
-                # cold one instead of burning a second warm-up copy.
-                cand = state.candidates.get(src)
-                if cand is not None:
-                    maint_src[slot] = src
-                    maint_meta[slot] = meta
-                    maint_cand[slot] = cand
-                    maint_targets[slot] = None
+            self._cold(self.network.nodes[dst], slot, plane, row, src, msg, meta)
 
-    # -- per-message path (occupancy models, retransmissions) ------------
-    def on_data(self, node: "SlottedBrisaNode", src: NodeId, msg: bm.Data) -> None:
-        """Single-delivery entry (no fused fan): array bookkeeping plus
-        cold delegation — per-message schedules never dominate, so the
-        fast path is reserved for the fan sink."""
-        stream = msg.stream
-        seq = msg.seq
-        plane = self.plane(stream)
-        rows = plane.rows
-        row = rows[seq] if seq < len(rows) else self._row(plane, seq)
-        slot = node.slot
+    # -- cold path (everything the maintenance cache does not prove) -----
+    def _cold(self, node: "SlottedBrisaNode", slot: int, plane: _BrisaPlane,
+              row: bytearray, src: NodeId, msg: bm.Data, meta) -> None:
+        """Keep the arrays in step, optimistically prime the maintenance
+        cache, then run the full protocol."""
         state = plane.states[slot]
         if state is None:
-            state = node.stream_state(stream)
-        meta = getattr(msg, self.meta_attr)
+            state = node.stream_state(msg.stream)
         if not state.is_source:
-            cell = row[slot]
-            if cell == _RECEIVED:
+            if row[slot] == RECEIVED:
                 plane.duplicates[slot] += 1
             else:
-                row[slot] = _RECEIVED
+                row[slot] = RECEIVED
                 plane.delivered[slot] += 1
                 plane.payload_bytes[slot] += msg.payload_bytes
                 if meta is not None and src in state.parents:
-                    cand = state.candidates.get(src)
-                    if cand is not None:
-                        plane.maint_src[slot] = src
-                        plane.maint_meta[slot] = meta
-                        plane.maint_cand[slot] = cand
-                        plane.maint_targets[slot] = None
+                    # If the revalidation below mutates anything, a
+                    # choke-point hook clears this again.
+                    self._prime(plane, slot, state, src, meta)
         node.on_brisa_data(src, msg, state)
         if (
             meta is not None
@@ -533,13 +334,35 @@ class SlottedBrisaKernel:
             and src in state.parents
             and state.parent_meta.get(src) is meta
         ):
-            # Same post-delegation priming as the fan path (see on_fan).
-            cand = state.candidates.get(src)
-            if cand is not None:
-                plane.maint_src[slot] = src
-                plane.maint_meta[slot] = meta
-                plane.maint_cand[slot] = cand
-                plane.maint_targets[slot] = None
+            # Post-delegation priming: the call just adopted (or
+            # refreshed from) exactly this (src, meta) — its final
+            # state is a fixed point of that revalidation (position
+            # was *set from* meta, so re-checking the same filter /
+            # label / path is a no-op on every predictor).  Priming
+            # here turns the adoption reception itself into the last
+            # cold one instead of burning a second warm-up copy.
+            self._prime(plane, slot, state, src, meta)
+
+    @staticmethod
+    def _prime(plane: _BrisaPlane, slot: int, state: StreamState,
+               src: NodeId, meta) -> None:
+        """Cache ``(src, meta)`` as ``slot``'s proven-no-op maintenance
+        input (needs ``src``'s Candidate: the fast path's EMA target)."""
+        cand = state.candidates.get(src)
+        if cand is not None:
+            plane.maint_src[slot] = src
+            plane.maint_meta[slot] = meta
+            plane.maint_cand[slot] = cand
+            plane.maint_targets[slot] = None
+
+    # -- per-message path (occupancy models, retransmissions) ------------
+    def on_data(self, node: "SlottedBrisaNode", src: NodeId, msg: bm.Data) -> None:
+        """Single-delivery entry (no fused fan): cold delegation only —
+        per-message schedules never dominate, so the fast path is
+        reserved for the fan sink."""
+        plane = self.plane(msg.stream)
+        row = self._row(plane, msg.seq)
+        self._cold(node, node.slot, plane, row, src, msg, getattr(msg, self.meta_attr))
 
 
 class SlottedBrisaNode(BrisaNode):
@@ -547,11 +370,10 @@ class SlottedBrisaNode(BrisaNode):
 
     Protocol behaviour is the unmodified :class:`BrisaNode` — same rule
     table, same RNG streams (``rng_kind``), so slotted and object runs
-    of one seed walk the same simulation.  The overrides keep the
-    kernel's flat arrays in sync: ``Data`` receptions short-circuit into
-    the kernel, and every structure-bearing mutation hook mirrors its
-    effect into the slot's plane cells and invalidates the maintenance
-    cache.
+    of one seed walk the same simulation.  ``Data`` receptions
+    short-circuit into the kernel; the overridden mutation hooks apply
+    the base effect, then invalidate the maintenance cache (inputs of
+    the rule table) or resync the slot's relay row (link activation).
     """
 
     #: Consume the RNG streams of the reference implementation.
@@ -587,20 +409,12 @@ class SlottedBrisaNode(BrisaNode):
             # Relay row = active view minus out-deactivated; both start
             # as the overlay row (all inbound links active, §II-C).
             plane.relay_rows[slot] = list(kernel.neighbor_rows[slot])
-            plane.parent_rows[slot] = []
-            plane.levels[slot] = 0
             # Hooks reach the plane through the state they are handed.
             state._plane = plane
         return state
 
     def delivered_count(self, stream: StreamId = 0) -> int:
         return self.kernel.delivered_count(self.slot, stream)
-
-    def tree_parents(self, stream: StreamId) -> list[NodeId]:
-        state = self.streams.get(stream)
-        if state is None:
-            return []
-        return list(state._plane.parent_rows[self.slot])
 
     # -- data plane -----------------------------------------------------
     def handle_message(self, src: NodeId, msg) -> None:
@@ -619,67 +433,39 @@ class SlottedBrisaNode(BrisaNode):
         plane = state._plane
         row = self.kernel._row(plane, seq)
         slot = self.slot
-        if row[slot] == _UNSEEN:
-            row[slot] = _INJECTED
+        if row[slot] == UNSEEN:
+            row[slot] = INJECTED
             plane.delivered[slot] += 1
         super().inject(stream, seq, payload_bytes)
 
-    # -- choke-point hooks: mirror into arrays, invalidate the cache ----
-    def _set_position(self, state: StreamState, value) -> None:
-        state.position = value
-        plane = state._plane
-        slot = self.slot
-        plane.maint_src[slot] = None
-        plane.maint_targets[slot] = None
-        matrix = plane.matrix
-        if matrix is not None:
-            if value is None:
-                matrix.clear_row(slot)
-            else:
-                # Between hard-repair resets Bloom positions only grow
-                # (adoption merges and parent folds are unions), so
-                # every live update is exactly one row OR.
-                matrix.or_row(slot, value)
-
-    def _reset_position(self, state: StreamState) -> None:
-        state.reset_position()
-        plane = state._plane
-        slot = self.slot
-        plane.maint_src[slot] = None
-        plane.maint_targets[slot] = None
-        plane.levels[slot] = 0
-        if plane.matrix is not None:
-            plane.matrix.clear_row(slot)
-
-    def _set_hops(self, state: StreamState, value) -> None:
-        state.hops = value
-        state._plane.levels[self.slot] = value if value is not None else 0
-
-    def _add_parent_edge(self, state: StreamState, peer: NodeId, cand, meta) -> None:
-        plane = state._plane
-        slot = self.slot
-        if peer not in state.parents:
-            plane.parent_rows[slot].append(peer)
-        state.parents[peer] = cand
-        state.parent_meta[peer] = meta
-        plane.maint_src[slot] = None
-        plane.maint_targets[slot] = None
-
-    def _drop_parent_edge(self, state: StreamState, peer: NodeId) -> bool:
-        dropped = state.drop_parent(peer)
-        if dropped:
-            plane = state._plane
-            slot = self.slot
-            plane.parent_rows[slot].remove(peer)
-            plane.maint_src[slot] = None
-            plane.maint_targets[slot] = None
-        return dropped
-
-    def _bump_demote(self, state: StreamState, peer: NodeId, count: int) -> None:
-        state.demote_counts[peer] = count
+    # -- choke-point hooks: base effect + invalidate the cache ----------
+    def _invalidate(self, state: StreamState) -> None:
+        """An input of the maintenance rule changed: drop the cache."""
         plane = state._plane
         plane.maint_src[self.slot] = None
         plane.maint_targets[self.slot] = None
+
+    def _set_position(self, state: StreamState, value) -> None:
+        super()._set_position(state, value)
+        self._invalidate(state)
+
+    def _reset_position(self, state: StreamState) -> None:
+        super()._reset_position(state)
+        self._invalidate(state)
+
+    def _add_parent_edge(self, state: StreamState, peer: NodeId, cand, meta) -> None:
+        super()._add_parent_edge(state, peer, cand, meta)
+        self._invalidate(state)
+
+    def _drop_parent_edge(self, state: StreamState, peer: NodeId) -> bool:
+        dropped = super()._drop_parent_edge(state, peer)
+        if dropped:
+            self._invalidate(state)
+        return dropped
+
+    def _bump_demote(self, state: StreamState, peer: NodeId, count: int) -> None:
+        super()._bump_demote(state, peer, count)
+        self._invalidate(state)
 
     def _mute_out(self, state: StreamState, peer: NodeId) -> None:
         state.out_deactivated.add(peer)
@@ -724,5 +510,5 @@ class SlottedBrisaNode(BrisaNode):
         super().neighbor_down(peer, failure)
 
     # on_crash: slot release is driven by Network.crash through
-    # SlottedBrisaKernel.release_node (the kernel crash-release hook),
-    # after the protocol teardown — not from the node.
+    # SlotKernel.release_node (the kernel crash-release hook), after the
+    # protocol teardown — not from the node.

@@ -21,8 +21,8 @@ effects of a wave are preserved literally:
   ``(stream, seq)`` groups, so heap sequence numbers — and with them
   the constituent order of every later batch — match the per-event run;
 - within one ``(stream, seq)`` group the first-occurrence masks encode
-  the scalar seen-map transition exactly (first ``_UNSEEN`` delivers
-  and forwards, a first ``_INJECTED`` is a source echo, everything
+  the scalar seen-map transition exactly (first ``UNSEEN`` delivers
+  and forwards, a first ``INJECTED`` is a source echo, everything
   else is a duplicate).
 
 Everything order-insensitive (per-slot counters, byte totals, Metrics
@@ -34,6 +34,8 @@ fine (the CLI keeps working), constructing the kernel raises a clear
 ``on_data``, the scalar ``on_fan``) are inherited from the slotted
 kernel unchanged — they operate element-wise on the numpy storage — so
 occupancy-latency runs and mirror-mode parity runs share one code path.
+Slot layout, cell states and release route are :mod:`repro.core.slots`'s;
+only what numpy storage changes (doubling growth, array planes) is overridden.
 """
 
 from __future__ import annotations
@@ -43,13 +45,8 @@ try:  # pragma: no cover - exercised implicitly by every import
 except ImportError:  # pragma: no cover - CI always installs numpy
     np = None
 
-from repro.baselines.flood import (
-    _INJECTED,
-    _RECEIVED,
-    _UNSEEN,
-    FloodData,
-    SlottedFloodKernel,
-)
+from repro.baselines.flood import FloodData, SlottedFloodKernel
+from repro.core.slots import RECEIVED, UNSEEN, SlotPlane
 from repro.errors import SimulationError
 from repro.ids import NodeId, StreamId
 
@@ -59,17 +56,17 @@ from repro.ids import NodeId, StreamId
 _SCALAR_BATCH_LIMIT = 4
 
 
-class _VectorPlane:
+class _VectorPlane(SlotPlane):
     """Per-stream slot plane on numpy storage.
 
-    Attribute-compatible with :class:`repro.baselines.flood._SlotPlane`
-    (same slot layout, same cell states) so every inherited scalar path
-    of the slotted kernel runs on it unmodified.  Arrays are allocated
-    to the kernel's current allocation size and grown by the kernel —
+    A :class:`repro.core.slots.SlotPlane` (same columns and cell states,
+    inherited ``clear``) so every inherited scalar path of the slotted
+    kernel runs on it unmodified.  Arrays are allocated to the kernel's
+    current allocation size and grown by the kernel (``_grow_to``) —
     cells at or beyond ``capacity`` stay zero and are never indexed.
     """
 
-    __slots__ = ("stream", "rows", "delivered", "duplicates", "payload_bytes")
+    __slots__ = ()
 
     def __init__(self, stream: StreamId, alloc: int) -> None:
         self.stream = stream
@@ -110,12 +107,12 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         self.rx_bytes = np.zeros(0, dtype=np.int64)
         #: node id -> slot, -1 when unattached (vector twin of slot_of).
         self._slot_map = np.full(0, -1, dtype=np.int64)
-        #: Per-slot numpy mirror of fanout_rows, rebuilt lazily after a
+        #: Per-slot numpy mirror of neighbor_rows, rebuilt lazily after a
         #: row mutation (None = stale).  In-flight forward target sets
         #: are masked copies, so a later invalidation never reaches them
         #: — the snapshot semantics of the scalar path's row copy.
         self._rows_np: list = []
-        #: Per-slot row lengths (vector twin of len(fanout_rows[slot])).
+        #: Per-slot row lengths (vector twin of len(neighbor_rows[slot])).
         self._row_len = np.zeros(0, dtype=np.int64)
         #: Scratch for first-occurrence detection; only cells written in
         #: the same call are read back, so it is never reset.
@@ -164,7 +161,7 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             if slot >= self._alloc:
                 self._grow_to(max(64, self._alloc * 2))
             self.capacity += 1
-            self.fanout_rows.append([])
+            self.neighbor_rows.append([])
             self._rows_np.append(None)
             self._csr_version += 1
         self.slot_of[node_id] = slot
@@ -177,24 +174,25 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         self._slot_map[node_id] = slot
         return slot
 
-    def release(self, node_id: NodeId, slot: int) -> None:
-        if node_id in self.slot_of:
+    def release_node(self, node_id: NodeId) -> None:
+        slot = self.slot_of.get(node_id)
+        if slot is not None:
             self._slot_map[node_id] = -1
             self._rows_np[slot] = None
             self._row_len[slot] = 0
             self._csr_version += 1
-        super().release(node_id, slot)
+        super().release_node(node_id)
 
     # -- fan-out row mirror maintenance ----------------------------------
     def row_append(self, slot: int, peer: NodeId) -> None:
-        row = self.fanout_rows[slot]
+        row = self.neighbor_rows[slot]
         row.append(peer)
         self._rows_np[slot] = None
         self._row_len[slot] = len(row)
         self._csr_version += 1
 
     def row_remove(self, slot: int, peer: NodeId) -> None:
-        row = self.fanout_rows[slot]
+        row = self.neighbor_rows[slot]
         try:
             row.remove(peer)
         except ValueError:
@@ -205,7 +203,7 @@ class VectorizedFloodKernel(SlottedFloodKernel):
 
     def install_rows(self, ids, topo) -> None:
         super().install_rows(ids, topo)
-        rows = self.fanout_rows
+        rows = self.neighbor_rows
         rows_np = self._rows_np
         row_len = self._row_len
         slot_of = self.slot_of
@@ -216,7 +214,7 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         self._csr_version += 1
 
     def _rebuild_csr(self) -> None:
-        rows = self.fanout_rows
+        rows = self.neighbor_rows
         offs = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(self._row_len[: len(rows)], out=offs[1:])
         if offs[-1]:
@@ -348,25 +346,17 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             # (Deliveries draw no RNG, so front-running the drops keeps
             # the stream identical; notice times are continuous draws,
             # so heap-seq interleaving with forwards is immaterial.)
-            nodes = self.network.nodes
-            drop = self.network._drop
-            account = self.metrics.account_receive
+            deliver = self.network._deliver_fast
             ev_pushes = np.zeros(n_events, dtype=np.int64)
             for g in np.nonzero(~attached)[0].tolist():
                 e = int(ev_idx[g])
                 src, _, msg, size = batch[e]
-                dst = int(ids[g])
                 # Failure notices (and any handler sends) push with the
                 # bias of their own event; the heap-length delta charges
                 # them to that event for the end-of-wave peak replay.
                 sim.pending_bias = entry_bias - e
                 pre_len = len(heap)
-                node = nodes.get(dst)
-                if node is None or not node.alive:
-                    drop(src, dst)
-                else:
-                    account(dst, size)
-                    node.handle_message(src, msg)
+                deliver(src, int(ids[g]), msg, size)
                 ev_pushes[e] += len(heap) - pre_len
 
         att_slots = slots if n_att == total else slots[attached]
@@ -434,12 +424,12 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             scratch[slots_g[::-1]] = idx[::-1]
             first = scratch[slots_g] == idx
             # Scalar transition, vectorized: a slot's first occurrence
-            # sees the pre-batch state (deliver on _UNSEEN, echo on
-            # _INJECTED, duplicate on _RECEIVED); every later occurrence
-            # sees _RECEIVED and is a duplicate.
-            dmask = first & (pre == _UNSEEN)
-            dup = ~first | (pre == _RECEIVED)
-            row[slots_g] = _RECEIVED
+            # sees the pre-batch state (deliver on UNSEEN, echo on
+            # INJECTED, duplicate on RECEIVED); every later occurrence
+            # sees RECEIVED and is a duplicate.
+            dmask = first & (pre == UNSEEN)
+            dup = ~first | (pre == RECEIVED)
+            row[slots_g] = RECEIVED
             dup_slots = slots_g[dup]
             if dup_slots.size:
                 np.add.at(plane.duplicates, dup_slots, 1)
@@ -512,14 +502,14 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             cat = self._csr_data[flat]
         else:
             rows_np = self._rows_np
-            fanout_rows = self.fanout_rows
+            neighbor_rows = self.neighbor_rows
             arrs = []
             ap = arrs.append
             for slot in d_slots.tolist():
                 arr = rows_np[slot]
                 if arr is None:
                     arr = rows_np[slot] = np.asarray(
-                        fanout_rows[slot], dtype=np.int64
+                        neighbor_rows[slot], dtype=np.int64
                     )
                 ap(arr)
             cat = np.concatenate(arrs) if len(arrs) > 1 else arrs[0]

@@ -31,9 +31,9 @@ def extract_structure(nodes: Iterable, stream: StreamId = 0) -> nx.DiGraph:
         g.add_node(node.node_id)
         tree_parents = getattr(node, "tree_parents", None)
         if tree_parents is not None:
-            # Kernel-agnostic accessor (DESIGN.md §11): the object kernel
-            # reads StreamState.parents, the slotted kernel its tree-edge
-            # rows — structural reporting works against either.
+            # Representation-independent accessor (DESIGN.md §11, §13):
+            # reads StreamState.parents on both kernels, without
+            # materializing state for a stream the node never saw.
             parents = tree_parents(stream)
         else:
             state = node.streams.get(stream)

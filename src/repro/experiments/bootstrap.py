@@ -71,6 +71,16 @@ def default_degree(hpv: HyParViewConfig) -> int:
     return max(2, hpv.max_active - 1)
 
 
+def _check_ring_args(n: int, degree: int, max_degree: int) -> None:
+    """Argument validation shared by the ring + chords synthesizers."""
+    if n < 3:
+        raise ValueError("need at least 3 nodes for a ring overlay")
+    if degree < 2:
+        raise ValueError("degree must be >= 2 (ring minimum)")
+    if max_degree < degree:
+        raise ValueError("max_degree must be >= degree")
+
+
 def synthesize_topology(
     n: int, *, degree: int, max_degree: int, rng
 ) -> list[set[int]]:
@@ -81,12 +91,7 @@ def synthesize_topology(
     ``max_degree`` (HyParView's expanded active-view cap).  O(n * degree)
     expected time.
     """
-    if n < 3:
-        raise ValueError("need at least 3 nodes for a ring overlay")
-    if degree < 2:
-        raise ValueError("degree must be >= 2 (ring minimum)")
-    if max_degree < degree:
-        raise ValueError("max_degree must be >= degree")
+    _check_ring_args(n, degree, max_degree)
     adj: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         j = (i + 1) % n
@@ -179,25 +184,9 @@ def synthesize_topology_arrays(
     a counting sort: O(n·degree) time with no per-node Python
     containers.
     """
-    if n < 3:
-        raise ValueError("need at least 3 nodes for a ring overlay")
-    if degree < 2:
-        raise ValueError("degree must be >= 2 (ring minimum)")
-    if max_degree < degree:
-        raise ValueError("max_degree must be >= degree")
-    degrees = array("i", bytes(4 * n))  # zero-initialised
-    edge_a = array("i")
-    edge_b = array("i")
+    _check_ring_args(n, degree, max_degree)
     # The Hamiltonian ring (connectivity guarantee).
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        edge_a.append(i)
-        edge_b.append(j)
-        degrees[i] += 1
-        degrees[j] += 1
-    # Membership set of packed undirected edge keys (min * n + max).
-    edge_keys = {i * n + (i + 1) for i in range(n - 1)}
-    edge_keys.add(n - 1)  # the wrap-around edge (0, n-1)
+    edge_a, edge_b, degrees, edge_keys = _ring_edges(n)
     edges = n
     target_edges = (n * degree) // 2
     attempts = 0
@@ -269,12 +258,7 @@ def synthesize_powerlaw_arrays(
     identical accept/reject structure to the uniform builder, so the
     graph is draw-for-draw deterministic in ``rng``.
     """
-    if n < 3:
-        raise ValueError("need at least 3 nodes for a ring overlay")
-    if degree < 2:
-        raise ValueError("degree must be >= 2 (ring minimum)")
-    if max_degree < degree:
-        raise ValueError("max_degree must be >= degree")
+    _check_ring_args(n, degree, max_degree)
     edge_a, edge_b, degrees, edge_keys = _ring_edges(n)
     # Every edge endpoint, once per incidence: drawing a uniform index
     # here selects a node with probability proportional to its degree.

@@ -45,6 +45,7 @@ from repro.config import BrisaConfig, HyParViewConfig
 from repro.core.structure import is_complete_structure
 from repro.errors import SimulationError
 from repro.experiments import bootstrap as bootstrap_mod
+from repro.experiments.scale_runner import spread_sources
 from repro.ids import NodeId
 from repro.sim.rng import derive
 
@@ -259,9 +260,9 @@ def synthesize_checkpoint(
 
 
 def live_sources(n: int, streams: int) -> list[int]:
-    """Stream sources over node ids 0..n-1; same spread rule as
-    ``experiments.scale_runner.spread_sources``."""
-    return [(i * n) // streams for i in range(streams)]
+    """Stream sources over node ids 0..n-1: the simulator's spread rule,
+    so the live and simulated legs publish from the same nodes."""
+    return spread_sources(range(n), streams)
 
 
 # ----------------------------------------------------------------------
@@ -544,47 +545,23 @@ def run_live(spec: LiveSpec, *, json_path: "str | None" = None) -> LiveOutcome:
 def run_sim_leg(
     spec: LiveSpec, checkpoint_path: "str | pathlib.Path"
 ) -> dict[int, tuple[float, bool]]:
-    """Same seed, same checkpointed overlay, same sources/workload — on
-    the simulator under ``ConstantLatency``.  Returns per-stream
+    """Same seed, same checkpointed overlay, same sources/workload — the
+    BRISA scale stack (``run_scale_brisa``: ``ConstantLatency``, deferred
+    timers) restored from the checkpoint.  Returns per-stream
     (delivered_fraction, structure_ok), computed from the same per-node
     accessors (``delivered_count`` / ``tree_parents``) the live workers
     report through."""
-    from repro.core.structure import extract_structure
-    from repro.experiments.common import Testbed, brisa_factory
-    from repro.sim.latency import ConstantLatency
+    from repro.experiments.scale_brisa import run_scale_brisa
 
-    bed = Testbed(
-        seed=spec.seed,
-        latency=ConstantLatency(0.001, seed=spec.seed),
-        record_deliveries=False,
+    result = run_scale_brisa(
+        spec.nodes, spec.messages, mode=spec.mode, rate=spec.rate,
+        payload_bytes=spec.payload_bytes, seed=spec.seed,
+        streams=spec.streams, bootstrap=str(checkpoint_path),
     )
-    bed.populate(
-        spec.nodes,
-        brisa_factory(BrisaConfig(mode=spec.mode), HyParViewConfig()),
-        bootstrap=str(checkpoint_path),
-        defer_timers=True,
-    )
-    sources = live_sources(spec.nodes, spec.streams)
-    for sid, src_id in enumerate(sources):
-        node = bed.network.nodes[src_id]
-        node.become_source(sid)
-        for seq in range(spec.messages):
-            bed.sim.schedule(
-                seq / spec.rate, node.inject, sid, seq, spec.payload_bytes
-            )
-    bed.sim.run_until_idle()
-
-    out: dict[int, tuple[float, bool]] = {}
-    for sid, src_id in enumerate(sources):
-        receivers = [n for n in bed.nodes if n.node_id != src_id]
-        got = sum(n.delivered_count(sid) for n in receivers)
-        frac = got / (len(receivers) * spec.messages)
-        g = extract_structure(bed.nodes, sid)
-        ok, _reason = is_complete_structure(
-            g, src_id, {n.node_id for n in bed.nodes}
-        )
-        out[sid] = (frac, ok)
-    return out
+    return {
+        row["stream"]: (row["delivered_fraction"], row["structure_complete"])
+        for row in result.per_stream
+    }
 
 
 # ----------------------------------------------------------------------

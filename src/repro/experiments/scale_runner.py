@@ -382,8 +382,8 @@ def brisa_stream_outcomes(
     independent (Metrics shards are not populated at scale).  Every
     stream must also have emerged a complete, acyclic structure over the
     live population; :func:`~repro.core.structure.extract_structure`
-    reads whichever tree representation the node carries via
-    ``tree_parents``.
+    reads the tree edges via ``tree_parents`` (``StreamState.parents``
+    on both kernels).
     """
     alive_ids = {node.node_id for node in alive_nodes}
     outcomes = flood_stream_outcomes(sources, alive_nodes, messages)

@@ -636,9 +636,9 @@ class Network:
 
         The kernel must expose ``release_node(node_id)``; :meth:`crash`
         calls it after the node teardown and crash listeners, so dead
-        nodes' slot state — tree-edge rows, plane counters, Bloom
-        filter rows — is zeroed and recycled exactly once, however the
-        crash was initiated (churn driver, test, or protocol logic).
+        nodes' slot state — seen rows, plane counters, relay rows,
+        maintenance caches — is zeroed and recycled exactly once, however
+        the crash was initiated (churn driver, test, or protocol logic).
         """
         self._kernels.append(kernel)
 

@@ -176,7 +176,7 @@ class TestSlotRecycling:
         assert kernel.slot_duplicates(slot) == 0
         assert kernel.slot_payload_bytes(slot) == 0
         assert kernel.rx_bytes[slot] == 0
-        assert kernel.fanout_rows[slot] == []
+        assert kernel.neighbor_rows[slot] == []
         # The next joiner takes over the freed slot with a clean seen map.
         hpv = source.hpv_config
         joiner = net.spawn(lambda n, i: SlottedFloodNode(n, i, hpv, kernel=kernel))
@@ -231,8 +231,8 @@ class TestSlotRecycling:
 class TestBrisaSlottedChurn:
     """Churn against the slotted BRISA kernel (DESIGN.md §11): a crash
     must release the victim's slot with *all* structural state zeroed —
-    tree-edge rows, relay rows, levels, Bloom filter row, maintenance
-    cache — and hand the clean slot to the next joiner."""
+    relay rows, stream state, maintenance cache — and hand the clean
+    slot to the next joiner."""
 
     @staticmethod
     def overlay(n: int = 96, *, seed: int = 3, predictor: str = "bloom"):
@@ -273,20 +273,17 @@ class TestBrisaSlottedChurn:
         # The stream materialized structure at the victim...
         assert plane.states[slot] is not None
         assert kernel.delivered_count(slot, 0) == 3
-        assert plane.parent_rows[slot] and plane.levels[slot] > 0
-        assert plane.matrix is not None and plane.matrix.as_int(slot) != 0
+        assert plane.relay_rows[slot] and plane.states[slot].parents
         net.crash(victim.node_id)
         # ...and the release zeroed every cell of the slot.
         assert victim.node_id not in kernel.slot_of
         assert slot in kernel._free
         assert plane.states[slot] is None
-        assert plane.parent_rows[slot] == [] and plane.relay_rows[slot] == []
-        assert plane.levels[slot] == 0
+        assert plane.relay_rows[slot] == []
         assert plane.delivered[slot] == 0 and plane.duplicates[slot] == 0
         assert plane.payload_bytes[slot] == 0
         assert plane.maint_src[slot] is None and plane.maint_cand[slot] is None
         assert plane.maint_meta[slot] is None and plane.maint_targets[slot] is None
-        assert plane.matrix.as_int(slot) == 0
         assert all(row[slot] == 0 for row in plane.rows)
         assert kernel.rx_bytes[slot] == 0
         assert kernel.neighbor_rows[slot] == []
