@@ -16,6 +16,7 @@ fraction of the runtime.
 
 from __future__ import annotations
 
+import gc
 import pathlib
 
 import pytest
@@ -26,6 +27,15 @@ from repro.experiments.scale import get_scale
 #: merge-write disjoint keys of one BENCH file with
 #: ``merge_json(RUN_DIR / name, ...)``.
 RUN_DIR = pathlib.Path(__file__).parent / "run"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_as_found():
+    """Mirror of ``tests/conftest.py``: no bench may leave the collector
+    paused or the heap frozen behind it (DESIGN.md §8)."""
+    yield
+    assert gc.isenabled(), "a bench left the cyclic collector disabled"
+    assert gc.get_freeze_count() == 0, "a bench left the heap frozen"
 
 
 @pytest.fixture(scope="session")

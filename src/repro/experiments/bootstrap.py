@@ -28,7 +28,10 @@ Three entry points:
 - :func:`synthesize_overlay` — build + install a fresh topology over
   already-spawned nodes (any :class:`HyParViewNode` stack, including
   :class:`BrisaNode`, whose §II-C stream-state consistency rides the
-  ``neighbor_up`` notifications that ``install_overlay`` fires).
+  ``neighbor_up`` notifications that ``install_overlay`` fires).  The
+  passive views stay in one :class:`PassiveReservoir` until a node reads
+  its own; :func:`quiet_collector` keeps the cyclic collector out of the
+  build (DESIGN.md §8).
 - :func:`save_overlay` / :func:`load_overlay` / :func:`install_checkpoint`
   — JSON checkpoints of active/passive views, so repeated benchmark runs
   skip construction entirely.  Checkpoints store node ids and are
@@ -43,10 +46,13 @@ Three entry points:
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from repro.config import HyParViewConfig
 from repro.errors import SimulationError
@@ -394,6 +400,89 @@ def synthesize_passive_arrays(
     return offsets, entries
 
 
+class PassiveReservoir:
+    """A population's passive views, left in the arrays until one is read.
+
+    §II-A's passive view is "a reservoir of replacements when active
+    entries fail"; a static, failure-free run never reads it.  So
+    :func:`synthesize_overlay` hands every node ``partial(view, i)``
+    instead of a materialised set, and the first node to read its
+    ``passive`` (churn, a checkpoint, an audit) draws the views of the
+    *whole* population with one :func:`synthesize_passive_arrays` call —
+    the draw is a single pass over one RNG stream, so it cannot be made
+    per node without changing every view after the first.
+
+    **The reservoir owns ``rng`` from here on**: it is the bootstrap
+    stream positioned just after the topology draws, exactly where an
+    eager build would have continued.  Both production callers pass a
+    fresh ``sim.rng(...)`` nobody else holds; a caller that kept drawing
+    from it would shift the views.  Under that rule a later reader gets
+    the views an eager build would have produced — same draws, same CSR
+    entries, same per-node insertion order (DESIGN.md §8).
+    """
+
+    def __init__(self, topo: CSRTopology, ids: list, *, size: int, rng) -> None:
+        self._topo = topo
+        self._ids = ids
+        self._size = size
+        self._rng = rng
+        #: ``(offsets, entries)`` once drawn.
+        self._arrays: "tuple[array, array] | None" = None
+
+    def view(self, i: int) -> list[NodeId]:
+        """Node ``i``'s passive entries as ids, in insertion order."""
+        if self._arrays is None:
+            self._arrays = synthesize_passive_arrays(
+                self._topo.n, self._topo, size=self._size, rng=self._rng
+            )
+            self._rng = None
+        offsets, entries = self._arrays
+        ids = self._ids
+        return [ids[j] for j in entries[offsets[i] : offsets[i + 1]]]
+
+
+# ----------------------------------------------------------------------
+# The collector during a build (DESIGN.md §8)
+# ----------------------------------------------------------------------
+@contextmanager
+def quiet_collector(*, freeze: bool = False):
+    """Tell the cyclic collector what an array bootstrap already knows:
+    the population is long-lived.
+
+    Around a *build* (the default) the collector is paused — every walk
+    it would start mid-build visits a population that cannot die — and a
+    build that completes hands what it allocated to the oldest
+    generation unwalked (freeze, then thaw) instead of leaving it young
+    for the first allocation after the block to trip over.  Around the
+    *drain* of a built stack (``freeze=True``) the heap sits in the
+    permanent generation for the block, so the collector stays on and
+    walks only what the drain allocates.  The simulated join ramp is a
+    simulation, not a build, and gets neither.
+
+    Every exit path restores what was found on entry: a collector found
+    disabled stays disabled, and the heap is thawed if nothing was
+    frozen before.  ``gc.unfreeze()`` is all-or-nothing, so under a
+    caller that froze its own heap first (``bench/cell.py``) nothing is
+    thawed: the stack joins that permanent generation and whoever froze
+    first owns the thaw.
+    """
+    enabled = gc.isenabled()
+    thaw = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    else:
+        gc.disable()
+    try:
+        yield
+        if not freeze:
+            gc.freeze()
+    finally:
+        if thaw:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
 # ----------------------------------------------------------------------
 # Installation
 # ----------------------------------------------------------------------
@@ -421,6 +510,13 @@ def synthesize_overlay(
     through :meth:`HyParViewNode.install_overlay`'s fresh-node fast path,
     link registration through one :meth:`Network.register_links_csr` pass.
 
+    Passive views are installed as providers backed by one
+    :class:`PassiveReservoir`, which **takes ownership of ``rng``**: pass
+    a stream nobody else draws from afterwards (both production callers
+    pass a fresh ``sim.rng(...)``).  Whoever reads a view first pays for
+    the whole population's draw and gets what an eager build would have
+    installed; a run that reads none pays nothing.
+
     Returns the installed :class:`CSRTopology` so array-backed consumers
     (the slotted flood kernel's fan-out rows, DESIGN.md §9) can reuse the
     adjacency arrays instead of re-deriving them from node views.
@@ -445,16 +541,14 @@ def synthesize_overlay(
             f"(choose from {', '.join(sorted(TOPOLOGY_BUILDERS))})"
         )
     topo = builder(n, degree=degree, max_degree=hpv.max_active, rng=rng)
-    p_offsets, p_entries = synthesize_passive_arrays(
-        n, topo, size=hpv.passive_size, rng=rng
-    )
     ids = [node.node_id for node in nodes]
+    passive_view = PassiveReservoir(topo, ids, size=hpv.passive_size, rng=rng).view
     offsets = topo.offsets
     neighbors = topo.neighbors
     for i, node in enumerate(nodes):
         node.install_overlay(
             [ids[j] for j in neighbors[offsets[i] : offsets[i + 1]]],
-            [ids[j] for j in p_entries[p_offsets[i] : p_offsets[i + 1]]],
+            partial(passive_view, i),
             register_links=False,
         )
     # The synthesizer emits every edge in both rows by construction

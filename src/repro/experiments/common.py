@@ -145,6 +145,9 @@ class Testbed:
             bootstrap_mod.assert_valid_overlay(self.nodes)
         return self
 
+    # An array build, not a simulation (the join ramp above is one): the
+    # population it allocates cannot die, so the collector sits it out.
+    @bootstrap_mod.quiet_collector()
     def _populate_direct(
         self,
         n: int,

@@ -154,7 +154,6 @@ def run_scale_brisa(
             "bootstrap": (
                 bootstrap if bootstrap in ("simulated", "synthesized") else "checkpoint"
             ),
-            "bootstrap_wall": bootstrap_wall,
             "structure_complete": all(o.structure_complete for o in outcomes),
             "structure_reason": next(
                 (o.structure_reason for o in outcomes if not o.structure_complete), ""
@@ -168,4 +167,5 @@ def run_scale_brisa(
         nodes=nodes, messages=messages, rate=rate, payload_bytes=payload_bytes,
         seed=seed, streams=streams, kernel=kernel, degree=degree,
         topology=topology, loss_percent=loss_percent,
+        bootstrap_wall=bootstrap_wall,
     )

@@ -20,6 +20,7 @@ and pull stacks (DESIGN.md §10).  How fast it goes is measured by
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Optional
 
 from repro.baselines.flood import FloodNode, SlottedFloodKernel, SlottedFloodNode
@@ -31,6 +32,7 @@ from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.monitor import Metrics
 from repro.sim.network import Network
 from repro.sim.trace import ConstChurn, Trace
+from repro.experiments.bootstrap import quiet_collector
 from repro.experiments.scale_runner import (
     STACKS,
     ScaleResult,
@@ -43,6 +45,9 @@ from repro.experiments.scale_runner import (
 )
 
 
+# Nothing this build allocates can die before the run does, so the
+# collector sits it out (DESIGN.md §8).
+@quiet_collector()
 def build_static_flood_overlay(
     n: int,
     *,
@@ -76,6 +81,8 @@ def build_static_flood_overlay(
     on the same overlay (the pull stack passes its node class); the
     default is the flood node of ``kernel``.
     """
+    # Bound at call time: bench/trace.py spans it by patching the module
+    # attribute.
     from repro.experiments.bootstrap import synthesize_overlay
 
     if n < 3:
@@ -217,10 +224,12 @@ def run_scale_flood(
     validate_workload(messages, rate, streams, population=nodes)
     if not 0.0 <= churn_percent < 100.0:
         raise ValueError("churn_percent must be in [0, 100)")
+    t0 = time.perf_counter()
     sim, net, flood_nodes = build_static_flood_overlay(
         nodes, degree=degree, seed=seed, latency=latency, kernel=kernel,
         topology=topology, loss_percent=loss_percent,
     )
+    bootstrap_wall = time.perf_counter() - t0
     driver = None
     if churn_percent:
         driver = _schedule_churn(
@@ -245,4 +254,5 @@ def run_scale_flood(
         nodes=nodes, messages=messages, rate=rate, payload_bytes=payload_bytes,
         seed=seed, streams=streams, kernel=kernel, degree=degree,
         topology=topology, loss_percent=loss_percent,
+        bootstrap_wall=bootstrap_wall,
     )

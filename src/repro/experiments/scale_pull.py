@@ -16,6 +16,7 @@ kernels exist for.
 
 from __future__ import annotations
 
+import time
 from typing import Optional
 
 from repro.baselines.pullgossip import PullGossipNode
@@ -54,11 +55,13 @@ def run_scale_pull(
     heap drains exactly when the last pull round settles.
     """
     validate_workload(messages, rate, streams, population=nodes)
+    t0 = time.perf_counter()
     sim, net, pull_nodes = build_static_flood_overlay(
         nodes, degree=degree, seed=seed, latency=latency,
         topology=topology, loss_percent=loss_percent,
         node_factory=PullGossipNode,
     )
+    bootstrap_wall = time.perf_counter() - t0
 
     def account(sources, alive):
         outcomes = flood_stream_outcomes(sources, alive, messages)
@@ -69,4 +72,5 @@ def run_scale_pull(
         nodes=nodes, messages=messages, rate=rate, payload_bytes=payload_bytes,
         seed=seed, streams=streams, kernel="object", degree=degree,
         topology=topology, loss_percent=loss_percent,
+        bootstrap_wall=bootstrap_wall,
     )

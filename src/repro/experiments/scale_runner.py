@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.core.structure import extract_structure, is_complete_structure
+from repro.experiments.bootstrap import TOPOLOGY_BUILDERS, quiet_collector
 from repro.experiments.scale import get_scale
 from repro.ids import NodeId
 from repro.sim.engine import Simulator
@@ -159,8 +160,6 @@ class RunSpec:
                     )
         if self.kernel is not None:
             check_kernel(self.stack, self.kernel)
-        from repro.experiments.bootstrap import TOPOLOGY_BUILDERS
-
         if self.topology not in TOPOLOGY_BUILDERS:
             known = ", ".join(sorted(TOPOLOGY_BUILDERS))
             raise ValueError(
@@ -459,6 +458,9 @@ class ScaleResult:
     sim_time: float
     #: Wall-clock seconds of the dissemination run loop.
     wall_time: float
+    #: Wall-clock seconds the stack's entry point spent building it
+    #: (spawn + overlay + kernel rows, or the simulated join ramp).
+    bootstrap_wall: float
     #: Engine events processed during dissemination.
     events: int
     events_per_sec: float
@@ -500,8 +502,6 @@ class ScaleResult:
     mode: Optional[str] = None
     #: ``synthesized`` | ``simulated`` | ``checkpoint``.
     bootstrap: Optional[str] = None
-    #: Wall-clock seconds spent building the overlay (the ramp replacement).
-    bootstrap_wall: Optional[float] = None
     #: §II-B correctness: every emerged structure covers every node,
     #: acyclically.
     structure_complete: Optional[bool] = None
@@ -539,9 +539,9 @@ class ScaleResult:
                 "structure: "
                 + ("complete/acyclic" if self.structure_complete else self.structure_reason),
                 f"duplicates/node (mean): {self.duplicates_per_node:.2f}",
-                f"bootstrap: {self.bootstrap_wall:.2f} s wall",
             ]
         lines += [
+            f"bootstrap: {self.bootstrap_wall:.2f} s wall",
             f"sim time: {self.sim_time:.2f} s   wall time: {self.wall_time:.2f} s",
             f"events: {self.events:,} ({self.events_per_sec:,.0f}/s)",
             f"deliveries: {self.deliveries:,} ({self.deliveries_per_sec:,.0f}/s)",
@@ -570,6 +570,9 @@ class ScaleResult:
         return "\n".join(lines)
 
 
+# The built stack outlives the drain: frozen, the collector stays on and
+# walks only what the drain allocates (DESIGN.md §8).
+@quiet_collector(freeze=True)
 def run_stack(
     sim: Simulator,
     network,
@@ -586,6 +589,7 @@ def run_stack(
     degree: Optional[int],
     topology: str,
     loss_percent: float,
+    bootstrap_wall: float,
 ) -> ScaleResult:
     """Drive ``streams`` concurrent streams of ``messages`` messages over
     a built stack and assemble the result — everything a scale run does
@@ -619,6 +623,7 @@ def run_stack(
         kernel=kernel,
         sim_time=stats.sim_time,
         wall_time=wall,
+        bootstrap_wall=bootstrap_wall,
         events=stats.events,
         events_per_sec=stats.events / wall,
         deliveries=deliveries,

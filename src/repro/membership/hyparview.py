@@ -22,6 +22,8 @@ Two paper-specific behaviours are implemented faithfully:
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 from repro.config import HyParViewConfig
 from repro.ids import NodeId
 from repro.membership import messages as m
@@ -59,6 +61,18 @@ class HyParViewNode(PeerSamplingNode):
             self.hpv_config.shuffle_period, self._shuffle, jitter=0.2
         )
 
+    def __getattr__(self, name: str):
+        # A passive view installed as a provider is resolved on first
+        # read, like ``_rng`` in the base class: until then the instance
+        # holds no ``passive`` entry, so every reader and writer lands
+        # here first and sees the view an eager install would have left.
+        if name == "passive":
+            provider = self.__dict__.pop("_passive_provider", None)
+            if provider is not None:
+                view = self.passive = self._passive_entries(provider())
+                return view
+        return super().__getattr__(name)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -78,7 +92,7 @@ class HyParViewNode(PeerSamplingNode):
     def install_overlay(
         self,
         active: "list[NodeId] | tuple[NodeId, ...] | set[NodeId]",
-        passive: "list[NodeId] | tuple[NodeId, ...] | set[NodeId]",
+        passive: "Iterable[NodeId] | Callable[[], Iterable[NodeId]]",
         *,
         register_links: bool = True,
     ) -> None:
@@ -98,6 +112,17 @@ class HyParViewNode(PeerSamplingNode):
         a batched path: the views are built with the bulk constructors
         instead of per-peer inserts, leaving only the neighbour-up
         notifications as per-peer work (DESIGN.md §8).
+
+        ``passive`` is the view's entries or a zero-argument provider
+        returning them (the "instance or provider, resolved on first
+        use" idiom of ``PeriodicTask(rng=...)``).  A fresh node keeps a
+        provider unresolved until something reads ``self.passive``: the
+        reservoir is cold, and a failure-free run never touches it.  The
+        provider's entries must already exclude what the view excludes
+        at install time — this node and its ``active`` peers — so that
+        resolving late equals installing eagerly
+        (:class:`~repro.experiments.bootstrap.PassiveReservoir`
+        guarantees it).  A non-fresh node resolves the provider at once.
         """
         if not self.active and not self.passive:
             fresh = dict.fromkeys(active)
@@ -109,10 +134,14 @@ class HyParViewNode(PeerSamplingNode):
                     register(self.node_id, peer)
             for peer in fresh:
                 self._notify_up(peer)
-            self.passive = {
-                p for p in passive if p != self.node_id and p not in fresh
-            }
+            if callable(passive):
+                del self.passive
+                self._passive_provider = passive
+            else:
+                self.passive = self._passive_entries(passive)
             return
+        if callable(passive):
+            passive = passive()
         for peer in active:
             if peer == self.node_id or peer in self.active:
                 continue
@@ -124,6 +153,11 @@ class HyParViewNode(PeerSamplingNode):
         for peer in passive:
             if peer != self.node_id and peer not in self.active:
                 self.passive.add(peer)
+
+    def _passive_entries(self, entries) -> set[NodeId]:
+        """``entries`` under the passive view's exclusion rules."""
+        active = self.active
+        return {p for p in entries if p != self.node_id and p not in active}
 
     def overlay_snapshot(self) -> dict:
         """Serializable view state for overlay checkpoints."""

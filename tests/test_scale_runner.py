@@ -248,6 +248,9 @@ class TestStackTable:
         assert isinstance(result, ScaleResult)
         assert result.nodes == 64 and result.kernel == row.kernels[-1]
         assert result.degree == row.default_degree
+        # Every stack times its build: the report splits build from drain.
+        assert result.bootstrap_wall > 0
+        assert f"bootstrap: {result.bootstrap_wall:.2f} s wall" in result.summary()
         for knob, value in own.items():
             assert getattr(result, knob) == value
         gated = {
