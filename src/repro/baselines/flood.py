@@ -22,10 +22,15 @@ API (DESIGN.md §9):
   Draw-for-draw equivalent to the object path — same delivery sets,
   duplicate counts, byte totals and timestamps under zero-cost and
   occupancy-charging latency models — pinned by
-  tests/test_slotted_parity.py.
+  tests/test_slotted_parity.py.  The kernels route by slot, never
+  through the node object, so a node spawned by a bulk bootstrap is
+  *born cold*: an id and a slot until membership touches it (DESIGN.md
+  §8, tests/test_cold_population.py).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.config import HyParViewConfig
 from repro.core.slots import INJECTED, RECEIVED, UNSEEN, SlotKernel
@@ -159,6 +164,15 @@ class SlottedFloodKernel(SlotKernel):
         super().__init__(network)
         #: Total receptions processed (first deliveries + duplicates).
         self.receptions = 0
+        #: The cold marker (DESIGN.md §8): ids of attached nodes that are
+        #: still an id and a slot.  A node leaves it exactly once, as the
+        #: first step of its wake.
+        self.cold: set[NodeId] = set()
+        #: The population-level view store cold nodes wake from
+        #: (:meth:`adopt_views`), and node id -> store index, built on
+        #: the first wake that needs it.
+        self._cold_views = None
+        self._cold_index: dict[NodeId, int] | None = None
         # Whole fused fan-outs of flood data land in one batched call
         # (Network.register_fan_sink, DESIGN.md §9) instead of one
         # handle_message per receiver.  Fused fan events exist only on
@@ -181,6 +195,42 @@ class SlottedFloodKernel(SlotKernel):
             self.neighbor_rows[slot].remove(peer)
         except ValueError:
             pass
+
+    # -- the cold population's view store (DESIGN.md §8) -----------------
+    def adopt_views(self, views) -> bool:
+        """Take ``views`` — ``ids``, ``topo``, ``active(i)``, ``view(i)``:
+        :class:`repro.experiments.bootstrap.PassiveReservoir` — as the
+        store the cold nodes ``views.ids`` wake from, in place of one
+        ``install_overlay`` per node.
+
+        All or nothing: ``False`` (nothing taken; the caller installs per
+        node, which wakes whoever is still cold) unless every one of
+        ``views.ids`` is cold here and no earlier store is held.  The
+        fan-out rows are what the skipped neighbour-up notifications
+        would have appended, so outside a ``bulk_rows`` bracket — whose
+        owner installs them itself — they are installed here.
+        """
+        if self._cold_views is not None or not self.cold.issuperset(views.ids):
+            return False
+        self._cold_views = views
+        if not self.bulk_rows:
+            self.install_rows(views.ids, views.topo)
+        return True
+
+    def wake_views(self, node_id: NodeId):
+        """``(active ids, passive provider)`` the store holds for
+        ``node_id``, or ``None`` for a node no store covers (a churn
+        joiner, or a population installed per node)."""
+        views = self._cold_views
+        if views is None:
+            return None
+        index = self._cold_index
+        if index is None:
+            index = self._cold_index = {nid: i for i, nid in enumerate(views.ids)}
+        i = index.get(node_id)
+        if i is None:
+            return None
+        return views.active(i), partial(views.view, i)
 
     # -- cross-plane slot aggregates (tests / parity checks) -------------
     def slot_delivered(self, slot: int) -> int:
@@ -350,6 +400,16 @@ class SlottedFloodNode(HyParViewNode):
     the same overlay evolution under churn.  Only the delivery path is
     slotted: ``FloodData`` receptions short-circuit the ``on_<kind>``
     dispatch and hit the kernel arrays directly.
+
+    **Born cold** (DESIGN.md §8): the kernels route every reception by
+    slot, never through this object, and §II-A's membership state is read
+    only when membership changes.  So a node built while the network is
+    not autostarting timers (the bulk bootstrap, churn joiners) holds
+    what is read before any membership event — identity, ``alive``,
+    ``birth_time``, ``kernel``, ``slot``, the shared ``hpv_config`` — and
+    nothing else; the first read of any other attribute lands in
+    :meth:`__getattr__` and wakes it.  A node built with timers
+    autostarting arms one at birth and is born warm.
     """
 
     #: Consume the RNG streams of the reference implementation: the two
@@ -366,7 +426,75 @@ class SlottedFloodNode(HyParViewNode):
     ) -> None:
         self.kernel = kernel
         self.slot = kernel.attach(node_id)
-        super().__init__(network, node_id, hpv_config)
+        if getattr(network, "autostart_timers", True):
+            super().__init__(network, node_id, hpv_config)
+            return
+        # What ProtocolNode.__init__ and HyParViewNode.__init__ would have
+        # stored under these names; the rest is deferred to the wake.
+        self.transport = network
+        self.clock = network.clock
+        self.node_id = node_id
+        self.alive = True
+        self.birth_time = self.clock.now
+        self.hpv_config = hpv_config if hpv_config is not None else HyParViewConfig()
+        kernel.cold.add(node_id)
+
+    def __getattr__(self, name: str):
+        # The first-touch hook of ``_rng`` and ``passive``, for the whole
+        # membership layer: a miss on a cold node wakes it and retries.
+        # Read through ``__dict__`` so that a miss on a half-built
+        # instance (``copy``/``pickle`` probing ``__setstate__``) raises
+        # instead of recursing.
+        state = self.__dict__
+        kernel = state.get("kernel")
+        node_id = state.get("node_id")
+        if kernel is not None and node_id in kernel.cold:
+            # Safe by construction: the marker goes *before* the deferred
+            # construction runs, so a miss inside the wake finds a warm
+            # node and raises AttributeError below instead of recursing,
+            # and a woken node can never wake again.
+            kernel.cold.discard(node_id)
+            self._wake()
+            return getattr(self, name)
+        return super().__getattr__(name)
+
+    def _wake(self) -> None:
+        """Build the deferred membership state as it would have been at
+        birth, and install the views the population store holds.
+
+        Arms no timer, draws from no RNG, pushes no heap event, appends
+        to no kernel row: the shuffle task is created unarmed as it was
+        for every node born with ``autostart_timers`` off (a static run
+        has restored the flag to True by the time something wakes a
+        node, hence the bracket); the views go in without neighbour-up
+        notifications or link registration — no listener can have been
+        added before a wake, and the kernel row and ``Network.links``
+        hold the edges already.  ``alive`` and ``birth_time`` are kept:
+        the first reader may be ``on_crash``, after ``alive`` went False.
+        """
+        alive, birth_time = self.alive, self.birth_time
+        transport = self.transport
+        autostart = transport.autostart_timers
+        transport.autostart_timers = False
+        try:
+            super().__init__(transport, self.node_id, self.hpv_config)
+        finally:
+            transport.autostart_timers = autostart
+        self.alive, self.birth_time = alive, birth_time
+        views = self.kernel.wake_views(self.node_id)
+        if views is not None:
+            # What install_overlay's fresh-node path leaves: the active
+            # view in row order, the passive view an unresolved provider.
+            active, passive = views
+            self.active = dict.fromkeys(active)
+            del self.passive
+            self._passive_provider = passive
+
+    @classmethod
+    def adopt_overlay(cls, nodes, views) -> bool:
+        # One kernel serves a population; it refuses unless every one of
+        # the nodes is cold in it.
+        return nodes[0].kernel.adopt_views(views)
 
     def delivered_count(self, stream: StreamId = 0) -> int:
         return self.kernel.delivered_count(self.slot, stream)

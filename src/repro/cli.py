@@ -18,13 +18,15 @@ Commands mirror the per-experiment index of DESIGN.md §4::
     python -m repro live --size small --workers 4 --streams 2 --json live.json
 
 ``repro scale`` reports what a run delivered and what it cost the engine
-(events, receptions, peak heap); how fast the simulator is is measured by
-the repo benchmark, ``python3 -m bench run`` / ``bench check``.
+(events, receptions, peak heap) and the process (peak RSS); how fast the
+simulator is is measured by the repo benchmark, ``python3 -m bench run`` /
+``bench check``.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 from typing import Callable
 
@@ -265,6 +267,11 @@ def _run_scale(args) -> int:
         return 2
     print(rp.banner(f"Scale {args.stack} — {nodes} nodes ({args.scale})"))
     print(result.summary())
+    # What the process took, not a property of the run (so not a
+    # ScaleResult field): the rungs python3 -m bench does not cover
+    # report their memory here.  ru_maxrss is KiB on Linux.
+    rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak rss: {rss_kib // 1024:,} MiB")
     if args.json_path:
         # The shared merge-write (DESIGN.md §10): repeated runs pointed at
         # one artifact accumulate entries instead of clobbering them, the

@@ -162,8 +162,17 @@ class SlotKernel:
 
     def delivered_count(self, slot: int, stream: StreamId) -> int:
         """Distinct sequence numbers delivered at ``slot`` on ``stream``
-        (injections included; an exact walk of the stream plane's seen
-        maps — the hot path keeps only the per-slot counters)."""
+        (injections included): the plane's ``delivered`` column, which
+        every kernel bumps exactly when a seen cell leaves ``UNSEEN``."""
+        idx = self.plane_of.get(stream)
+        if idx is None:
+            return 0
+        return int(self.planes[idx].delivered[slot])
+
+    def delivered_walk(self, slot: int, stream: StreamId) -> int:
+        """The oracle :meth:`delivered_count` is tested against: count
+        ``slot``'s non-``UNSEEN`` cells over every seen map of the plane
+        (O(sequences) per slot, so not what the assemble walk calls)."""
         idx = self.plane_of.get(stream)
         if idx is None:
             return 0

@@ -30,8 +30,11 @@ Three entry points:
   :class:`BrisaNode`, whose §II-C stream-state consistency rides the
   ``neighbor_up`` notifications that ``install_overlay`` fires).  The
   passive views stay in one :class:`PassiveReservoir` until a node reads
-  its own; :func:`quiet_collector` keeps the cyclic collector out of the
-  build (DESIGN.md §8).
+  its own — and a population that is born cold (the array flood
+  kernels) leaves its active views there too, taking the reservoir in
+  one step instead of one ``install_overlay`` per node;
+  :func:`quiet_collector` keeps the cyclic collector out of the build
+  (DESIGN.md §8).
 - :func:`save_overlay` / :func:`load_overlay` / :func:`install_checkpoint`
   — JSON checkpoints of active/passive views, so repeated benchmark runs
   skip construction entirely.  Checkpoints store node ids and are
@@ -401,7 +404,7 @@ def synthesize_passive_arrays(
 
 
 class PassiveReservoir:
-    """A population's passive views, left in the arrays until one is read.
+    """A population's views, left in the arrays until one is read.
 
     §II-A's passive view is "a reservoir of replacements when active
     entries fail"; a static, failure-free run never reads it.  So
@@ -411,6 +414,11 @@ class PassiveReservoir:
     *whole* population with one :func:`synthesize_passive_arrays` call —
     the draw is a single pass over one RNG stream, so it cannot be made
     per node without changing every view after the first.
+
+    A population that is born cold (the array flood kernels, DESIGN.md
+    §8 "The population is born cold") leaves its *active* views here
+    too: :meth:`active` is the CSR row, and a node takes both when it
+    wakes.
 
     **The reservoir owns ``rng`` from here on**: it is the bootstrap
     stream positioned just after the topology draws, exactly where an
@@ -422,22 +430,30 @@ class PassiveReservoir:
     """
 
     def __init__(self, topo: CSRTopology, ids: list, *, size: int, rng) -> None:
-        self._topo = topo
-        self._ids = ids
+        self.topo = topo
+        #: Node ids by topology index.
+        self.ids = ids
         self._size = size
         self._rng = rng
         #: ``(offsets, entries)`` once drawn.
         self._arrays: "tuple[array, array] | None" = None
 
+    def active(self, i: int) -> list[NodeId]:
+        """Node ``i``'s active view as ids, in CSR row order — the order
+        ``install_overlay`` and ``SlotKernel.install_rows`` install."""
+        topo = self.topo
+        ids = self.ids
+        return [ids[j] for j in topo.neighbors[topo.offsets[i] : topo.offsets[i + 1]]]
+
     def view(self, i: int) -> list[NodeId]:
         """Node ``i``'s passive entries as ids, in insertion order."""
         if self._arrays is None:
             self._arrays = synthesize_passive_arrays(
-                self._topo.n, self._topo, size=self._size, rng=self._rng
+                self.topo.n, self.topo, size=self._size, rng=self._rng
             )
             self._rng = None
         offsets, entries = self._arrays
-        ids = self._ids
+        ids = self.ids
         return [ids[j] for j in entries[offsets[i] : offsets[i + 1]]]
 
 
@@ -517,6 +533,12 @@ def synthesize_overlay(
     the whole population's draw and gets what an eager build would have
     installed; a run that reads none pays nothing.
 
+    What the nodes *are* selects how the views get in, not an option: a
+    population whose class takes the reservoir whole
+    (:meth:`HyParViewNode.adopt_overlay` — cold flood nodes on an array
+    kernel) installs nothing here and each node takes its rows when it
+    wakes; every other population gets the per-node loop.
+
     Returns the installed :class:`CSRTopology` so array-backed consumers
     (the slotted flood kernel's fan-out rows, DESIGN.md §9) can reuse the
     adjacency arrays instead of re-deriving them from node views.
@@ -542,15 +564,19 @@ def synthesize_overlay(
         )
     topo = builder(n, degree=degree, max_degree=hpv.max_active, rng=rng)
     ids = [node.node_id for node in nodes]
-    passive_view = PassiveReservoir(topo, ids, size=hpv.passive_size, rng=rng).view
+    reservoir = PassiveReservoir(topo, ids, size=hpv.passive_size, rng=rng)
     offsets = topo.offsets
     neighbors = topo.neighbors
-    for i, node in enumerate(nodes):
-        node.install_overlay(
-            [ids[j] for j in neighbors[offsets[i] : offsets[i + 1]]],
-            partial(passive_view, i),
-            register_links=False,
-        )
+    # A population born cold takes the reservoir whole and installs
+    # nothing until a node wakes; everyone else gets their views now.
+    if not type(nodes[0]).adopt_overlay(nodes, reservoir):
+        passive_view = reservoir.view
+        for i, node in enumerate(nodes):
+            node.install_overlay(
+                [ids[j] for j in neighbors[offsets[i] : offsets[i + 1]]],
+                partial(passive_view, i),
+                register_links=False,
+            )
     # The synthesizer emits every edge in both rows by construction
     # (property-tested), so the symmetry validation pass is skipped.
     network.register_links_csr(ids, offsets, neighbors, validate=False)

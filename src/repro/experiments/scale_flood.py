@@ -104,7 +104,8 @@ def build_static_flood_overlay(
     else:
         factory = lambda network, nid: node_factory(network, nid, hpv)
     # Batched materialization (DESIGN.md §8): with shuffles off the
-    # timers are never armed, so spawning schedules zero events.
+    # timers are never armed, so spawning schedules zero events — and
+    # flood nodes on an array kernel are born cold.
     prior = net.autostart_timers
     net.autostart_timers = shuffles and prior
     try:

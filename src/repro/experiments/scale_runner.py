@@ -307,7 +307,9 @@ class ScaleRunner:
         rate = self.rate
         payload = self.payload_bytes
         for stream_id, source in enumerate(self.sources):
-            if hasattr(source, "become_source"):
+            # Probe the class: ``hasattr`` on the instance is an attribute
+            # read, and on a flood node a miss wakes it (DESIGN.md §8).
+            if getattr(type(source), "become_source", None) is not None:
                 source.become_source(stream_id)
             for seq in range(self.messages):
                 sim.call_at(start + seq / rate, source.inject, stream_id, seq, payload)
@@ -376,13 +378,13 @@ def brisa_stream_outcomes(
     """BRISA accounting: the flood walk + §II-B structure.
 
     ``node.delivered_count(stream)`` is answered by
-    ``StreamState.delivered`` on the object kernel and by the slot-plane
-    seen-rows on the slotted one, so the delivery walk is representation-
-    independent (Metrics shards are not populated at scale).  Every
-    stream must also have emerged a complete, acyclic structure over the
-    live population; :func:`~repro.core.structure.extract_structure`
-    reads the tree edges via ``tree_parents`` (``StreamState.parents``
-    on both kernels).
+    ``StreamState.delivered`` on the object kernel and by the slot
+    plane's ``delivered`` column on the slotted one, so the delivery walk
+    is representation-independent (Metrics shards are not populated at
+    scale).  Every stream must also have emerged a complete, acyclic
+    structure over the live population;
+    :func:`~repro.core.structure.extract_structure` reads the tree edges
+    via ``tree_parents`` (``StreamState.parents`` on both kernels).
     """
     alive_ids = {node.node_id for node in alive_nodes}
     outcomes = flood_stream_outcomes(sources, alive_nodes, messages)

@@ -154,6 +154,16 @@ class HyParViewNode(PeerSamplingNode):
             if peer != self.node_id and peer not in self.active:
                 self.passive.add(peer)
 
+    @classmethod
+    def adopt_overlay(cls, nodes, views) -> bool:
+        """Take a whole population's views from one store instead of one
+        :meth:`install_overlay` per node?  ``False`` here: these nodes
+        hold their views themselves.  A node class whose instances can
+        stay dormant until membership touches them overrides it
+        (:class:`~repro.baselines.flood.SlottedFloodNode`, DESIGN.md §8),
+        so what the population *is* selects the path, not an option."""
+        return False
+
     def _passive_entries(self, entries) -> set[NodeId]:
         """``entries`` under the passive view's exclusion rules."""
         active = self.active

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main, make_parser
@@ -39,6 +41,8 @@ def test_scale_command_runs_and_writes_json(capsys, tmp_path):
     ]) == 0
     printed = capsys.readouterr().out
     assert "Scale flood" in printed and "delivered: 100.00%" in printed
+    # What the process took is printed, not stored (the JSON is the run).
+    assert re.search(r"^peak rss: [\d,]+ MiB$", printed, re.M)
     import json
 
     data = json.loads(out.read_text())

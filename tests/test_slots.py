@@ -12,6 +12,7 @@ leaking one node's state into a churn joiner.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import BrisaConfig
 from repro.core.brisa_slotted import SlottedBrisaKernel
@@ -27,11 +28,13 @@ BRISA_CONFIGS = {
 }
 
 
-def build(kind: str, n: int = 48, seed: int = 5):
+def build(kind: str, n: int = 48, seed: int = 5, loss_percent: float = 0.0):
     """(sim, net, nodes, kernel, factory) for one kernel kind."""
     if kind.startswith("flood-"):
         name = kind.removeprefix("flood-")
-        sim, net, nodes = build_static_flood_overlay(n, seed=seed, kernel=name)
+        sim, net, nodes = build_static_flood_overlay(
+            n, seed=seed, kernel=name, loss_percent=loss_percent
+        )
         kernel = nodes[0].kernel
         factory = flood_node_factory(
             name, net, nodes[0].hpv_config, slot_kernel=kernel
@@ -39,7 +42,7 @@ def build(kind: str, n: int = 48, seed: int = 5):
         return sim, net, nodes, kernel, factory
     cfg = BRISA_CONFIGS[kind]
     bed = _Testbed(seed=seed, latency=ConstantLatency(0.001, seed=seed),
-                   record_deliveries=False)
+                   record_deliveries=False, loss_percent=loss_percent)
     kernel = SlottedBrisaKernel(bed.network, cfg)
     factory = brisa_factory(cfg, kernel=kernel)
     bed.populate(n, factory, bootstrap="synthesized", defer_timers=True)
@@ -108,3 +111,49 @@ def test_crash_releases_every_declared_column(kind):
     assert kernel._free == []
     assert len(kernel.slot_of) == kernel.capacity
     assert_zeroed(kernel, fresh)
+
+
+KINDS = ["flood-slotted", "flood-vectorized", "brisa-path", "brisa-bloom"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(min_value=0, max_value=2**16),
+    loss=st.sampled_from([0.0, 2.0, 10.0]),
+    kills=st.integers(min_value=0, max_value=4),
+    streams=st.integers(min_value=1, max_value=3),
+)
+def test_delivered_column_equals_the_seen_map_walk(kind, seed, loss, kills, streams):
+    """``delivered_count`` answers from the plane's ``delivered`` column;
+    the walk over the seen maps is its oracle.  They must agree on every
+    attached slot at every quiescent point — through loss (retransmits,
+    the tail probe's cold path), crashes (release zeroes both) and
+    joiners inheriting recycled slots."""
+    sim, net, nodes, kernel, factory = build(kind, n=40, seed=seed, loss_percent=loss)
+    sources = nodes[:streams]
+
+    def publish(first_seq: int, count: int) -> None:
+        for stream, source in enumerate(sources):
+            for seq in range(first_seq, first_seq + count):
+                sim.call_at(sim.now + (seq - first_seq) / 50.0, source.inject, stream, seq, 64)
+        sim.run_until_idle()
+        assert len(kernel.planes) == streams
+        for slot in kernel.slot_of.values():
+            for stream in range(streams):
+                assert kernel.delivered_count(slot, stream) == kernel.delivered_walk(slot, stream)
+        delivered = sum(
+            kernel.delivered_count(slot, stream)
+            for slot in kernel.slot_of.values() for stream in range(streams)
+        )
+        assert delivered >= streams * count  # the walk is not vacuous
+
+    publish(0, 3)
+    for victim in nodes[streams + 5 : streams + 5 + kills]:
+        net.crash(victim.node_id)
+    sim.run_until_idle()
+    net.autostart_timers = False  # joiners stay message-driven: the heap drains
+    for _ in range(kills):
+        net.spawn(factory).join(sources[0].node_id)
+    sim.run_until_idle()
+    publish(3, 2)
