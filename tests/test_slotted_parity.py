@@ -69,13 +69,16 @@ def snapshot(sim, net, nodes) -> dict:
         "events": sim.events_processed,
         "peak_pending": sim.peak_pending,
         "deliveries": {
-            key: {
+            (stream, seq): {
                 nid: (rec.time, rec.sender, rec.hops, rec.path_delay)
                 for nid, rec in per_node.items()
             }
-            for key, per_node in m.deliveries.items()
+            for stream, shard in m.streams.items()
+            for seq, per_node in shard.deliveries.items()
         },
-        "duplicates": dict(m.duplicates),
+        "duplicates": {
+            stream: dict(shard.duplicates) for stream, shard in m.streams.items()
+        },
         "bytes_sent": {nid: dict(per) for nid, per in m.bytes_sent.items()},
         "bytes_received": {nid: dict(per) for nid, per in m.bytes_received.items()},
         "msg_counts": {kind: dict(per) for kind, per in m.msg_counts.items()},
@@ -107,7 +110,7 @@ def assert_kernel_arrays_match_metrics(net, nodes, latency_kind: str) -> None:
         if not node.alive:
             continue
         slot = node.slot
-        assert kernel.slot_duplicates(slot) == m.duplicates.get(node.node_id, 0)
+        assert kernel.slot_duplicates(slot) == m.duplicates_per_node([node.node_id])[0]
         if latency_kind == "zero-cost":
             # The fan sink owns receive accounting on this path; in
             # mirror mode it feeds Metrics too, so both must agree.
@@ -230,7 +233,7 @@ def test_slotted_source_echo_matches_object_semantics():
         sim, net, nodes = flood_run(kernel, 16, 1, 3, "zero-cost")
         source = nodes[0]
         echoer = next(iter(source.active))
-        assert source.node_id not in net.metrics.deliveries[(0, 0)]
+        assert source.node_id not in net.metrics.streams[0].deliveries[0]
         events_before = sim.events_processed
         # A late echo of the source's own message, as a repaired overlay
         # path would produce it.
@@ -241,10 +244,10 @@ def test_slotted_source_echo_matches_object_semantics():
 
     for kernel, (sim, net, nodes, events) in runs.items():
         source = nodes[0]
-        rec = net.metrics.deliveries[(0, 0)][source.node_id]
+        rec = net.metrics.streams[0].deliveries[0][source.node_id]
         assert rec.hops == 4, kernel  # recorded as a first delivery...
         assert source.delivered_count(0) == 1, kernel  # ...counted once...
-        assert net.metrics.duplicates.get(source.node_id, 0) == 0, kernel
+        assert net.metrics.duplicates_per_node([source.node_id]) == [0], kernel
         assert events == 1, kernel  # ...and not re-flooded (delivery only)
     assert snapshot(*runs["object"][:3]) == snapshot(*runs["slotted"][:3])
 
@@ -403,7 +406,7 @@ def test_vectorized_source_echo_matches_object_semantics():
     for kernel, (sim, net, nodes, events) in runs.items():
         source = nodes[0]
         assert source.delivered_count(0) == 1, kernel
-        assert net.metrics.duplicates.get(source.node_id, 0) == 0, kernel
+        assert net.metrics.duplicates_per_node([source.node_id]) == [0], kernel
         assert events == 1, kernel
     assert snapshot(*runs["object"][:3]) == snapshot(*runs["vectorized"][:3])
 
@@ -540,7 +543,7 @@ def assert_brisa_arrays_consistent(bed, streams: int) -> None:
     m = bed.metrics
     for node in bed.alive_nodes():
         slot = node.slot
-        assert kernel.slot_duplicates(slot) == m.duplicates.get(node.node_id, 0)
+        assert kernel.slot_duplicates(slot) == m.duplicates_per_node([node.node_id])[0]
         for stream in range(streams):
             state = node.streams.get(stream)
             if state is None:
