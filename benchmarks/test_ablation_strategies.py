@@ -37,7 +37,7 @@ def run_strategy(strategy, scale, seed=24):
     delays = [
         rec.path_delay
         for seq in range(stream.count)
-        for nid, rec in bed.metrics.deliveries.get((0, seq), {}).items()
+        for nid, rec in bed.metrics.records(0, seq).items()
         if nid != source.node_id
     ]
     parents = [

@@ -45,7 +45,7 @@ def run(strategy: str, seed: int = 24):
     delays = [
         rec.path_delay
         for seq in range(stream.count)
-        for nid, rec in bed.metrics.deliveries.get((0, seq), {}).items()
+        for nid, rec in bed.metrics.records(0, seq).items()
         if nid != source.node_id
     ]
     g = extract_structure(bed.alive_nodes(), 0)

@@ -148,7 +148,7 @@ class SlottedBrisaKernel(SlotKernel):
 
         ``exclude_nodes`` drops whole node slots from the count — the
         scale accounting passes the publisher set so the total matches
-        the object kernel's per-node ``Metrics.duplicates`` walk, which
+        the object kernel's ``Metrics.duplicates_per_node`` sum, which
         cannot split a source node's counts by stream and therefore
         excludes source nodes outright.
         """

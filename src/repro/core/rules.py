@@ -86,8 +86,16 @@ def contention_action(strategy, newcomer, parents, first: bool):
     deactivation is a duplicate-triggered decision): the provider is
     ahead of every current parent, so its feed stays live until a parent
     actually resumes service.
+
+    A tree under a strategy that ``supports_symmetric`` (first-come) never
+    swaps its only parent.  First-contact records predate repairs, so
+    comparing arrivals would send a repaired child back to its old parent,
+    which may already have muted it silently (:func:`symmetric_mute`,
+    DESIGN.md §7).
     """
     if len(parents) == 1:
+        if strategy.supports_symmetric:
+            return (KEEP_FEED if first else REJECT), None
         # Tree mode: the sole incumbent is the worst one, unranked.
         (worst,) = parents.values()
     else:
@@ -103,7 +111,13 @@ def symmetric_mute(config, strategy, src_reactivated: bool) -> bool:
     """§II-E symmetric deactivation: may we silently stop relaying to a
     peer that demonstrably received this message before us?  Trees only,
     and never for peers that explicitly re-activated the link (repair
-    adoptions are not governed by first-come order)."""
+    adoptions are not governed by first-come order).
+
+    The muted peer is never told, so this is sound only if a peer that
+    relayed the message to us cannot take us as its parent afterwards:
+    :func:`contention_action` keeps a first-come tree child on the parent
+    it has, and ``reactivated`` exempts peers that adopted us through an
+    explicit ``Activate`` (DESIGN.md §7)."""
     return (
         config.symmetric_deactivation
         and strategy.supports_symmetric

@@ -180,5 +180,5 @@ class SlotKernel:
 
     def slot_duplicates(self, slot: int) -> int:
         """Duplicate receptions at ``slot`` across planes
-        (``Metrics.duplicates[node]`` semantics)."""
+        (``Metrics.duplicates_per_node`` semantics)."""
         return sum(plane.duplicates[slot] for plane in self.planes)

@@ -4,9 +4,10 @@ A strategy ranks eligible parent candidates; BRISA keeps the best
 ``num_parents`` of them and deactivates the rest.  Scores are
 *lower-is-better* so all strategies reduce to a single comparison rule:
 
-- ``first-come`` — keep whoever delivered first (§II-E #1).  An existing
-  parent always beats a newcomer, which is what enables the symmetric
-  deactivation optimization.
+- ``first-come`` — keep whoever delivered first (§II-E #1).  In a tree an
+  existing parent always beats a newcomer (``rules.contention_action``
+  enforces it: first-contact records predate repairs), which is what
+  enables the symmetric deactivation optimization.
 - ``delay-aware`` — lowest keep-alive-measured RTT wins (§II-E #2).
 - ``gerontocratic`` — highest uptime wins (§IV): long-lived nodes are the
   least likely to fail next (Bhagwan et al.'s availability observation).
@@ -91,7 +92,13 @@ class ParentSelectionStrategy(ABC):
 
 
 class FirstComeStrategy(ParentSelectionStrategy):
-    """First-come first-picked (§II-E #1)."""
+    """First-come first-picked (§II-E #1).
+
+    ``arrival`` is a peer's *first contact* on the stream, kept across
+    repairs, so a repair parent can rank behind a peer heard from before
+    the repair.  :meth:`prefers` is therefore consulted only in DAGs: a
+    tree keeps its only parent (``rules.contention_action``).
+    """
 
     name = "first-come"
     supports_symmetric = True
@@ -100,7 +107,7 @@ class FirstComeStrategy(ParentSelectionStrategy):
         return candidate.arrival
 
     def prefers(self, newcomer: Candidate, incumbent: Candidate) -> bool:
-        # A newcomer by definition arrived later: never swap.
+        # Earlier first contact wins (DAG parent sets only, see above).
         return newcomer.arrival < incumbent.arrival
 
 

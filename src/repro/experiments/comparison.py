@@ -213,7 +213,7 @@ def _mean_span(bed, source, stream: StreamConfig) -> tuple[float, float]:
         times = [
             rec.time
             for seq in range(stream.count)
-            for rec in [bed.metrics.deliveries.get((stream.stream_id, seq), {}).get(nid)]
+            for rec in [bed.metrics.records(stream.stream_id, seq).get(nid)]
             if rec is not None
         ]
         if len(times) >= 2:

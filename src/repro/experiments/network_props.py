@@ -36,7 +36,7 @@ def _delay_cdf(bed, source, stream_count: int) -> CDF:
     sum of hop RTT measurements from root to node)."""
     delays = []
     for seq in range(stream_count):
-        for nid, rec in bed.metrics.deliveries.get((0, seq), {}).items():
+        for nid, rec in bed.metrics.records(0, seq).items():
             if nid != source.node_id:
                 delays.append(rec.path_delay)
     return CDF.of(delays)

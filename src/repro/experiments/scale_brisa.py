@@ -137,13 +137,13 @@ def run_scale_brisa(
         source_ids = {s.node_id for s in sources}
         receivers = [n.node_id for n in alive if n.node_id not in source_ids]
         if slot_kernel is not None:
-            # Duplicate counts live in the slot planes; Metrics.duplicates is
+            # Duplicate counts live in the slot planes; the Metrics shards are
             # only fed by the object kernel's per-message handler.  Source
             # nodes are excluded to match the object walk below (per-node
             # counters cannot split a publisher's counts by stream).
             dup_total = slot_kernel.duplicate_receptions(exclude_nodes=source_ids)
         else:
-            dup_total = sum(bed.metrics.duplicates.get(n, 0) for n in receivers)
+            dup_total = sum(bed.metrics.duplicates_per_node(receivers))
         relay_spread = None
         if streams > 1:
             from repro.experiments.structural import relay_load_spread

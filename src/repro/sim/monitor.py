@@ -14,7 +14,6 @@ at analysis time (see :mod:`repro.metrics.stats`), per the HPC guides'
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -64,11 +63,9 @@ class ConstructionProbe:
 class StreamMetrics:
     """Delivery/bandwidth shard of one stream (DESIGN.md §10).
 
-    Multi-stream runs used to funnel every reception of every stream
-    through one ``(stream, seq)``-keyed nested dict; sharding keys the
-    hot-path bookkeeping by plain ``seq`` inside a per-stream object
-    instead (no tuple allocation, no shared dict), and gives per-stream
-    delivery/bandwidth reporting direct access to its own stream's books.
+    The one read surface for deliveries: books are keyed by plain ``seq``
+    (no tuple allocation, no shared dict on the hot path), and per-stream
+    reports read their own stream's shard directly.
     """
 
     __slots__ = (
@@ -95,72 +92,6 @@ class StreamMetrics:
         self.duplicate_receptions = 0
         #: Payload bytes of first-time receptions (per-stream goodput).
         self.payload_bytes = 0
-
-
-class _StreamKeyedView(Mapping):
-    """Read-only ``(stream, seq)``-keyed view over per-stream shards.
-
-    Keeps the historical :class:`Metrics` surface — e.g.
-    ``metrics.deliveries[(stream, seq)]`` — working unchanged on top of
-    the sharded store; all writes go through the ``record_*`` methods.
-    """
-
-    __slots__ = ("_streams", "_attr")
-
-    def __init__(self, streams: dict[StreamId, StreamMetrics], attr: str) -> None:
-        self._streams = streams
-        self._attr = attr
-
-    def __getitem__(self, key):
-        stream, seq = key
-        shard = self._streams.get(stream)
-        if shard is None:
-            raise KeyError(key)
-        return getattr(shard, self._attr)[seq]
-
-    def __iter__(self):
-        for stream, shard in self._streams.items():
-            for seq in getattr(shard, self._attr):
-                yield (stream, seq)
-
-    def __len__(self) -> int:
-        return sum(len(getattr(shard, self._attr)) for shard in self._streams.values())
-
-
-class _DuplicatesView(Mapping):
-    """Node-keyed duplicates aggregated across all stream shards.
-
-    Per-stream counts live in :attr:`StreamMetrics.duplicates`; this view
-    preserves the historical all-streams ``metrics.duplicates[node]``
-    surface for analysis code.
-    """
-
-    __slots__ = ("_streams",)
-
-    def __init__(self, streams: dict[StreamId, StreamMetrics]) -> None:
-        self._streams = streams
-
-    def __getitem__(self, node: NodeId) -> int:
-        total = 0
-        found = False
-        for shard in self._streams.values():
-            if node in shard.duplicates:
-                found = True
-                total += shard.duplicates[node]
-        if not found:
-            raise KeyError(node)
-        return total
-
-    def __iter__(self):
-        seen: set[NodeId] = set()
-        for shard in self._streams.values():
-            for node in shard.duplicates:
-                if node not in seen:
-                    seen.add(node)
-                    yield node
-
-    def __len__(self) -> int:
-        return len({n for shard in self._streams.values() for n in shard.duplicates})
 
 
 class Metrics:
@@ -191,13 +122,6 @@ class Metrics:
         #: :class:`StreamMetrics`, so concurrent streams never contend on
         #: one nested dict and per-stream reports read their shard directly.
         self.streams: dict[StreamId, StreamMetrics] = {}
-        #: (stream, seq) -> node -> DeliveryRecord — compatibility view
-        #: over the shards (first delivery only).
-        self.deliveries = _StreamKeyedView(self.streams, "deliveries")
-        #: node -> duplicate receptions across all streams (view).
-        self.duplicates = _DuplicatesView(self.streams)
-        #: (stream, seq) -> injection time at the source (view).
-        self.injections = _StreamKeyedView(self.streams, "injections")
         self.repair_events: list[RepairEvent] = []
         self.parent_losses: list[tuple[float, NodeId]] = []
         self.orphan_events: list[tuple[float, NodeId]] = []
@@ -345,12 +269,12 @@ class Metrics:
         shards = self.streams.values()
         return [sum(shard.duplicates.get(n, 0) for shard in shards) for n in nodes]
 
-    def delivery_times(self, stream: StreamId, seq: int) -> dict[NodeId, float]:
-        return {
-            n: rec.time
-            for n, rec in self.deliveries.get((stream, seq), {}).items()
-            if rec is not _SENTINEL
-        }
+    def records(self, stream: StreamId, seq: int) -> dict[NodeId, DeliveryRecord]:
+        """node -> first-delivery record of one message (empty when none
+        is recorded; never creates a shard).  Without
+        ``record_deliveries`` every record is the shared ``_SENTINEL``."""
+        shard = self.streams.get(stream)
+        return {} if shard is None else shard.deliveries.get(seq, {})
 
     def stream_delivery_count(
         self,

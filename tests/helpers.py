@@ -53,3 +53,23 @@ def make_network(
     )
     nodes = [net.spawn(node_cls) for _ in range(n)]
     return sim, net, nodes
+
+
+def assert_link_activation_symmetric(nodes, stream: int) -> None:
+    """BRISA link-activation symmetry on ``stream`` at a quiescent point:
+    no live node holds a live parent that stopped relaying to it (the
+    child is in the parent's ``out_deactivated``)."""
+    by_id = {node.node_id: node for node in nodes}
+    asymmetric = []
+    for child in nodes:
+        state = child.streams.get(stream) if child.alive else None
+        if state is None:
+            continue
+        for parent_id in state.parents:
+            parent = by_id.get(parent_id)
+            if parent is None or not parent.alive:
+                continue
+            parent_state = parent.streams.get(stream)
+            if parent_state is not None and child.node_id in parent_state.out_deactivated:
+                asymmetric.append((parent_id, child.node_id))
+    assert not asymmetric, f"parent -> child edges muted at the parent: {asymmetric}"

@@ -75,7 +75,7 @@ class TestRetransmission:
         sim.run(until=sim.now + 1.0)
         # seqs 3..4 re-sent as recovered data; b treats them as duplicates.
         assert b.delivered_count(0) == 5
-        assert net.metrics.duplicates[b.node_id] >= 2
+        assert net.metrics.streams[0].duplicates[b.node_id] >= 2
 
     def test_recovered_messages_marked(self):
         sim, net, a, b = tiny_pair()

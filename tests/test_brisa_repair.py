@@ -98,7 +98,7 @@ class TestParentFailure:
         recovery from the new parent's buffer)."""
         bed, source, child, dead = self._orphan_one(seed=44)
         state = child.streams[0]
-        injected = {seq for (s, seq) in bed.metrics.injections if s == 0}
+        injected = set(bed.metrics.streams[0].injections)
         missing = injected - state.delivered
         assert not missing, f"orphan missed messages: {sorted(missing)[:10]}"
 
@@ -209,6 +209,6 @@ class TestRetransmission:
         bed.network.crash(parent)
         bed.sim.run(until=bed.sim.now + 30.0)
         state = child.streams[0]
-        injected = {seq for (s, seq) in bed.metrics.injections if s == 0}
+        injected = set(bed.metrics.streams[0].injections)
         assert injected <= state.delivered
         assert bed.metrics.msg_counts.get("brisa_retransmit", {})

@@ -11,6 +11,7 @@ from repro.core.structure import (
 )
 from repro.experiments.common import build_brisa_testbed
 from repro.sim.monitor import DISSEMINATION
+from tests.helpers import assert_link_activation_symmetric
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,12 @@ class TestEmergence:
         bed, _, _ = tree_run
         assert bed.metrics.msg_counts["brisa_deactivate"][DISSEMINATION] > 0
 
+    def test_link_activation_is_symmetric(self, tree_run):
+        """No node holds a parent that stopped relaying to it (§II-E's
+        silent mute never hits a child)."""
+        bed, _, _ = tree_run
+        assert_link_activation_symmetric(bed.nodes, 0)
+
 
 class TestSourceBehaviour:
     def test_source_receives_no_data_in_steady_state(self):
@@ -109,7 +116,7 @@ class TestSourceBehaviour:
         bed.run_stream(source, StreamConfig(count=10, rate=5.0, payload_bytes=64))
         sid = source.node_id
         for seq in range(10):
-            assert sid not in bed.metrics.deliveries.get((0, seq), {})
+            assert sid not in bed.metrics.records(0, seq)
 
 
 class TestSymmetricDeactivation:

@@ -26,7 +26,7 @@ class TestMassFailures:
         ok, reason = is_complete_structure(g, source.node_id, set(bed.alive_ids()))
         assert ok, reason
         # Stream continuity: survivors recovered the full stream.
-        injected = {seq for (s, seq) in bed.metrics.injections if s == 0}
+        injected = set(bed.metrics.streams[0].injections)
         for node in survivors:
             if node is source:
                 continue
@@ -107,7 +107,7 @@ class TestDagUnderStress:
         for v in rng.sample([n for n in bed.alive_nodes() if n is not source], 6):
             bed.network.crash(v.node_id)
         bed.sim.run(until=bed.sim.now + 36.0)
-        injected = {seq for (s, seq) in bed.metrics.injections if s == 0}
+        injected = set(bed.metrics.streams[0].injections)
         incomplete = [
             n.node_id for n in bed.alive_nodes()
             if n is not source and (injected - n.streams[0].delivered)

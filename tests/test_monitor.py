@@ -70,8 +70,8 @@ def test_first_delivery_vs_duplicates():
     m = Metrics()
     assert m.record_delivery(5, 0, 1, 1.0, sender=2, hops=3, path_delay=0.1)
     assert not m.record_delivery(5, 0, 1, 1.5, sender=3, hops=4, path_delay=0.2)
-    assert m.duplicates[5] == 1
-    rec = m.deliveries[(0, 1)][5]
+    assert m.streams[0].duplicates[5] == 1
+    rec = m.records(0, 1)[5]
     assert rec.time == 1.0 and rec.sender == 2 and rec.hops == 3
 
 
@@ -82,19 +82,22 @@ def test_duplicates_per_node_includes_zero_for_clean_nodes():
     assert m.duplicates_per_node([1, 2]) == [1, 0]
 
 
-def test_delivery_times_query():
+def test_records_query():
     m = Metrics()
     m.record_delivery(1, 0, 3, 2.5, 0, 1, 0.0)
     m.record_delivery(2, 0, 3, 2.7, 0, 1, 0.0)
-    assert m.delivery_times(0, 3) == {1: 2.5, 2: 2.7}
+    assert {n: rec.time for n, rec in m.records(0, 3).items()} == {1: 2.5, 2: 2.7}
+    assert m.records(0, 4) == {}
+    # An unknown stream answers empty without creating a shard.
+    assert m.records(9, 0) == {} and 9 not in m.streams
 
 
 def test_record_deliveries_disabled_still_counts_duplicates():
     m = Metrics(record_deliveries=False)
     assert m.record_delivery(1, 0, 0, 1.0, 0, 1, 0.0)
     assert not m.record_delivery(1, 0, 0, 1.2, 9, 2, 0.0)
-    assert m.duplicates[1] == 1
-    assert m.delivery_times(0, 0) == {}
+    assert m.duplicates_per_node([1]) == [1]
+    assert m.streams[0].first_deliveries == 1
 
 
 def test_repair_and_probe_records():
@@ -112,7 +115,7 @@ def test_repair_and_probe_records():
 def test_injection_record():
     m = Metrics()
     m.record_injection(0, 7, 12.0)
-    assert m.injections[(0, 7)] == 12.0
+    assert m.streams[0].injections[7] == 12.0
 
 
 def test_counters():
@@ -137,12 +140,10 @@ def test_streams_sharded_per_stream():
     assert m.streams[0].payload_bytes == 100  # dup did not accrue
     assert m.streams[7].first_deliveries == 1
     assert m.streams[7].payload_bytes == 30
-    # Cross-stream compatibility views still answer the old surface.
-    assert m.deliveries[(0, 0)][1].sender == 9
-    assert m.duplicates[1] == 1  # aggregated across streams
-    assert m.injections[(0, 0)] == 1.0
-    assert (7, 0) in m.deliveries and (3, 0) not in m.deliveries
-    assert m.duplicates_per_node([1, 2]) == [1, 0]
+    assert m.records(0, 0)[1].sender == 9
+    assert m.streams[0].injections[0] == 1.0
+    assert m.records(7, 0) and not m.records(3, 0)
+    assert m.duplicates_per_node([1, 2]) == [1, 0]  # summed across streams
 
 
 def test_delivered_fraction_half_open_window():

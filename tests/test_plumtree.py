@@ -78,7 +78,7 @@ class TestGraftRepair:
         )
         bed.network.crash(victim.node_id)
         bed.sim.run(until=bed.sim.now + 30.0)
-        injected = {seq for (s, seq) in bed.metrics.injections if s == 0}
+        injected = set(bed.metrics.streams[0].injections)
         for node in bed.alive_nodes():
             if node is source:
                 continue

@@ -84,18 +84,22 @@ class TestTailProbeRecovery:
     default for lossy runs) closes it."""
 
     def test_tail_probe_recovers_tail_losses(self):
+        """Same seed, same losses: without the probe, orphaned subtrees
+        never learn what they missed; with it, they recover.  Complete
+        delivery is *not* the claim — the probe has blind spots of its
+        own (ROADMAP 1(e)): 31 of seeds 1–40 stay below 1.0 with it (worst
+        0.9882, seed 36) — but it beats the blind run on every one."""
         from repro.config import BrisaConfig
 
-        blind = run_scale_brisa(
-            128, 8, seed=3, loss_percent=10.0,
-            config=BrisaConfig(mode="tree", tail_probe=False),
-        )
-        probed = run_scale_brisa(128, 8, seed=3, loss_percent=10.0)
-        # Same seed, same losses: without the probe, orphaned subtrees
-        # never learn what they missed; with it, delivery is complete.
-        assert blind.dropped_loss > 0
-        assert blind.delivered_fraction < 1.0
-        assert probed.delivered_fraction == 1.0
+        for seed in (3, 11, 36):
+            blind = run_scale_brisa(
+                128, 8, seed=seed, loss_percent=10.0,
+                config=BrisaConfig(mode="tree", tail_probe=False),
+            )
+            probed = run_scale_brisa(128, 8, seed=seed, loss_percent=10.0)
+            assert blind.dropped_loss > 0, seed
+            assert blind.delivered_fraction < 1.0, seed
+            assert probed.delivered_fraction > blind.delivered_fraction, seed
 
     def test_lossless_runs_skip_the_probe(self):
         """No loss -> no probe traffic: the lossless event count is

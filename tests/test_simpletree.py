@@ -86,7 +86,7 @@ class TestDissemination:
             if node is source:
                 continue
             times = [
-                bed.metrics.deliveries[(0, seq)][node.node_id].time
+                bed.metrics.streams[0].deliveries[seq][node.node_id].time
                 for seq in range(stream.count)
             ]
             spans.append(max(times) - min(times))

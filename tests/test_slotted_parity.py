@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.baselines.flood import SlottedFloodKernel
 from repro.experiments.scale_flood import build_static_flood_overlay, run_scale_flood
 from repro.sim.latency import ConstantLatency, OccupancyLatency
+from tests.helpers import assert_link_activation_symmetric
 
 #: Latency regimes the kernels must agree under: the uniform zero-cost
 #: fused path (fan sink engaged) and deterministic occupancy charging
@@ -667,6 +668,11 @@ def test_brisa_kernels_agree_under_loss_with_tail_probe(config_kind):
     assert snap_o["dropped_loss"] > 0
     assert brisa_structure_snapshot(bed_o, 1) == brisa_structure_snapshot(bed_s, 1)
     assert_brisa_arrays_consistent(bed_s, 1)
+    if config_kind == "tree-path":
+        # The DAG bed ends with one asymmetric edge (8 -> 33, node 33 still
+        # fed by its other parent) after lost control traffic: ROADMAP 1(b).
+        for bed in (bed_o, bed_s):
+            assert_link_activation_symmetric(bed.nodes, 0)
 
 
 def test_brisa_kernel_rejects_predictor_mismatch():

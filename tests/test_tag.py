@@ -69,8 +69,8 @@ class TestPullDissemination:
         bed, tracker, root, result = tag_run(n=24, msgs=10, seed=8)
         delays = []
         for seq in range(10):
-            inj = bed.metrics.injections[(0, seq)]
-            for nid, rec in bed.metrics.deliveries[(0, seq)].items():
+            inj = bed.metrics.streams[0].injections[seq]
+            for nid, rec in bed.metrics.streams[0].deliveries[seq].items():
                 delays.append(rec.time - inj)
         assert max(delays) > FAST_TAG.pull_period  # at least one pull round
 
@@ -89,7 +89,7 @@ class TestPullDissemination:
         last_delivery = max(
             rec.time
             for seq in range(stream.count)
-            for rec in bed.metrics.deliveries[(0, seq)].values()
+            for rec in bed.metrics.streams[0].deliveries[seq].values()
         )
         # Injections end after 7.8 s, but the 2.5 msg/s pull capacity needs
         # ~16 s per hop chain to drain 40 messages.
