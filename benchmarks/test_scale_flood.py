@@ -54,7 +54,6 @@ def test_scale_flood_10k(benchmark, emit):
     # Telemetry sanity: the run actually stressed the engine.
     assert result.events > result.nodes * MESSAGES
     assert result.peak_pending > 0
-    assert result.handle_pool_size > 0
 
 
 @pytest.mark.xl

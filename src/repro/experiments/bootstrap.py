@@ -458,40 +458,36 @@ class PassiveReservoir:
 
 
 # ----------------------------------------------------------------------
-# The collector during a build (DESIGN.md §8)
+# The collector during a build and a drain (DESIGN.md §8)
 # ----------------------------------------------------------------------
 @contextmanager
-def quiet_collector(*, freeze: bool = False):
-    """Tell the cyclic collector what an array bootstrap already knows:
-    the population is long-lived.
+def quiet_collector():
+    """Tell the cyclic collector what an array bootstrap and a scale
+    drain already know: what they allocate is either long-lived or freed
+    by reference counting.
 
-    Around a *build* (the default) the collector is paused — every walk
-    it would start mid-build visits a population that cannot die — and a
-    build that completes hands what it allocated to the oldest
+    The collector is paused for the block — every walk it would start
+    visits a population that cannot die and a drain's acyclic garbage —
+    and a block that completes hands what it allocated to the oldest
     generation unwalked (freeze, then thaw) instead of leaving it young
-    for the first allocation after the block to trip over.  Around the
-    *drain* of a built stack (``freeze=True``) the heap sits in the
-    permanent generation for the block, so the collector stays on and
-    walks only what the drain allocates.  The simulated join ramp is a
-    simulation, not a build, and gets neither.
+    for the first allocation after the block to trip over.  Used around
+    the two array builds and ``run_stack``'s drain; the simulated join
+    ramp and ``Testbed`` runs are simulations that make real cyclic
+    garbage and get neither (DESIGN.md §8).
 
     Every exit path restores what was found on entry: a collector found
     disabled stays disabled, and the heap is thawed if nothing was
     frozen before.  ``gc.unfreeze()`` is all-or-nothing, so under a
     caller that froze its own heap first (``bench/cell.py``) nothing is
-    thawed: the stack joins that permanent generation and whoever froze
-    first owns the thaw.
+    thawed: the block's objects join that permanent generation and
+    whoever froze first owns the thaw.
     """
     enabled = gc.isenabled()
     thaw = gc.get_freeze_count() == 0
-    if freeze:
-        gc.freeze()
-    else:
-        gc.disable()
+    gc.disable()
     try:
         yield
-        if not freeze:
-            gc.freeze()
+        gc.freeze()
     finally:
         if thaw:
             gc.unfreeze()

@@ -477,8 +477,6 @@ class ScaleResult:
     receptions_per_sec: float
     #: Largest heap backlog ever observed.
     peak_pending: int
-    #: EventHandle free-list high-water mark after the run.
-    handle_pool_size: int
     #: Stream 0's receivers still alive at the end of the run (the
     #: delivered_fraction denominator under churn).
     survivors: int
@@ -548,7 +546,7 @@ class ScaleResult:
             f"events: {self.events:,} ({self.events_per_sec:,.0f}/s)",
             f"deliveries: {self.deliveries:,} ({self.deliveries_per_sec:,.0f}/s)",
             f"receptions: {self.receptions:,} ({self.receptions_per_sec:,.0f}/s)",
-            f"peak heap: {self.peak_pending:,}   handle pool: {self.handle_pool_size:,}",
+            f"peak heap: {self.peak_pending:,}",
         ]
         if self.streams > 1:
             lines.append(
@@ -572,9 +570,10 @@ class ScaleResult:
         return "\n".join(lines)
 
 
-# The built stack outlives the drain: frozen, the collector stays on and
-# walks only what the drain allocates (DESIGN.md §8).
-@quiet_collector(freeze=True)
+# A scale drain's garbage is acyclic (churn runs included) and freed by
+# reference counting; the collector would only re-walk the built stack
+# (DESIGN.md §8).
+@quiet_collector()
 def run_stack(
     sim: Simulator,
     network,
@@ -634,7 +633,6 @@ def run_stack(
         receptions=receptions,
         receptions_per_sec=receptions / wall,
         peak_pending=sim.peak_pending,
-        handle_pool_size=sim.pool_size,
         survivors=outcomes[0].receivers,
         degree=degree,
         streams=streams,

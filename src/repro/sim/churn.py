@@ -65,7 +65,7 @@ class ChurnDriver:
         """Schedule every trace operation (call once, before ``sim.run``).
 
         All driver events go through the fire-and-forget scheduling tier
-        (pooled handles, DESIGN.md §1): the driver never cancels an event
+        (DESIGN.md §1): the driver never cancels an event
         — ``stopped`` gates the callbacks instead — so churn at xl/xxl
         populations allocates no per-kill ``EventHandle``."""
         for op in self.trace.ops:

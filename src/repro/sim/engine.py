@@ -1,21 +1,21 @@
 """Event engine: binary-heap scheduler with cancellable handles.
 
-The engine is intentionally minimal and allocation-light: events are
-``(time, seq, handle)`` heap entries where ``seq`` breaks ties in FIFO
-order, making same-timestamp processing deterministic.  Cancellation is
-lazy (a flag on the handle) so cancel is O(1) and the heap never needs
-re-sifting — the standard pattern for high-churn simulations where most
-timers are cancelled before firing.
+The engine is intentionally minimal and allocation-light: one heap
+entry is one tuple, ``(time, seq, fn, args)`` for a fire-and-forget
+event and ``(time, seq, handle, None)`` for a cancellable one, where
+``seq`` breaks ties in FIFO order, making same-timestamp processing
+deterministic.  Cancellation is lazy (a flag on the handle) so cancel is
+O(1) and the heap never needs re-sifting — the standard pattern for
+high-churn simulations where most timers are cancelled before firing.
 
 Two scheduling tiers keep the hot path cheap (see DESIGN.md §1):
 
 - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
   fresh cancellable :class:`EventHandle` — the safe API for timers.
 - :meth:`Simulator.call_later` / :meth:`Simulator.call_at` are
-  fire-and-forget: no handle escapes to the caller, so the engine reuses
-  ``EventHandle`` objects from a free list (slab reuse) instead of
-  allocating one per event.  Message deliveries — the overwhelming bulk
-  of events in a dissemination run — go through this tier.
+  fire-and-forget: no handle escapes to the caller, so the event is its
+  heap tuple and nothing else.  Message deliveries — the overwhelming
+  bulk of events in a dissemination run — go through this tier.
 
 :meth:`Simulator.run` is the one run loop; "no bound" is a bound no
 event reaches, so :meth:`Simulator.run_until_idle` is ``run()`` by name.
@@ -43,16 +43,13 @@ from repro.sim.rng import derive
 class EventHandle:
     """Handle to a scheduled event; ``cancel()`` is O(1) and idempotent."""
 
-    __slots__ = ("time", "fn", "args", "cancelled", "_pooled")
+    __slots__ = ("time", "fn", "args", "cancelled")
 
     def __init__(self, time: float, fn: Callable, args: tuple) -> None:
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
-        #: Pool-owned handles never escape the engine, so they are safe to
-        #: recycle the moment their event fires (no aliasing with callers).
-        self._pooled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -72,17 +69,18 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.seed = seed
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        #: ``(time, seq, fn, args)`` fire-and-forget entries and
+        #: ``(time, seq, handle, None)`` cancellable ones; ``seq`` is
+        #: unique, so tuple comparison never reaches the third field.
+        self._heap: list[tuple] = []
+        #: Heap pushes so far (the FIFO tie-breaker).
         self._seq = 0
         self._running = False
         self._stopped = False
         self.events_processed = 0
-        #: Free list of pooled handles (high-water mark = peak in-flight
-        #: fire-and-forget events; bounded, never trimmed).
-        self._free: list[EventHandle] = []
         #: fn -> drain callback for the batch-drain tier (see
         #: :meth:`register_batch_drain`).  Empty in most runs — the run
-        #: loop then pays one falsy check per pooled event.
+        #: loop then pays one falsy check per fire-and-forget event.
         self._batch_drains: dict[Callable, Callable] = {}
         #: Largest heap size ever observed (peak scheduled backlog).
         self.peak_pending = 0
@@ -121,47 +119,38 @@ class Simulator:
         handle = EventHandle(time, fn, args)
         self._seq += 1
         heap = self._heap
-        heapq.heappush(heap, (time, self._seq, handle))
+        heapq.heappush(heap, (time, self._seq, handle, None))
         depth = len(heap) + self.pending_bias
         if depth > self.peak_pending:
             self.peak_pending = depth
         return handle
 
     # ------------------------------------------------------------------
-    # Scheduling — fire-and-forget fast tier (pooled handles)
+    # Scheduling — fire-and-forget fast tier (the heap tuple is the event)
     # ------------------------------------------------------------------
     def call_later(self, delay: float, fn: Callable, *args) -> None:
         """Like :meth:`schedule` but returns no handle; the event cannot
-        be cancelled, which lets the engine recycle its slab entry."""
+        be cancelled, so its heap tuple is all the engine allocates."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self.call_at(self.now + delay, fn, *args)
 
     def call_at(self, time: float, fn: Callable, *args) -> None:
-        """Like :meth:`schedule_at` but fire-and-forget (pooled)."""
+        """Like :meth:`schedule_at` but fire-and-forget."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        free = self._free
-        if free:
-            handle = free.pop()
-            handle.time = time
-            handle.fn = fn
-            handle.args = args
-        else:
-            handle = EventHandle(time, fn, args)
-            handle._pooled = True
         self._seq += 1
         heap = self._heap
-        heapq.heappush(heap, (time, self._seq, handle))
+        heapq.heappush(heap, (time, self._seq, fn, args))
         depth = len(heap) + self.pending_bias
         if depth > self.peak_pending:
             self.peak_pending = depth
 
     def call_at_many(self, time: float, fn: Callable, argss: list[tuple]) -> None:
-        """Bulk :meth:`call_at`: one pooled ``fn(*args)`` event per entry
-        of ``argss``, all at ``time``, in list order (consecutive ``seq``
+        """Bulk :meth:`call_at`: one ``fn(*args)`` event per entry of
+        ``argss``, all at ``time``, in list order (consecutive ``seq``
         numbers, so FIFO order among them is the list order).  Exactly
         equivalent to calling :meth:`call_at` once per entry; one frame
         and one validation for a whole fan-out wave (DESIGN.md §12)."""
@@ -169,22 +158,12 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        free = self._free
         heap = self._heap
         seq = self._seq
         push = heapq.heappush
-        pop = free.pop
         for args in argss:
-            if free:
-                handle = pop()
-                handle.time = time
-                handle.fn = fn
-                handle.args = args
-            else:
-                handle = EventHandle(time, fn, args)
-                handle._pooled = True
             seq += 1
-            push(heap, (time, seq, handle))
+            push(heap, (time, seq, fn, args))
         self._seq = seq
         depth = len(heap) + self.pending_bias
         if depth > self.peak_pending:
@@ -206,7 +185,8 @@ class Simulator:
     # Scheduling — batch-drain tier (whole same-arrival event runs)
     # ------------------------------------------------------------------
     def register_batch_drain(self, fn: Callable, drain: Callable) -> None:
-        """Route contiguous runs of pooled ``fn`` events through ``drain``.
+        """Route contiguous runs of fire-and-forget ``fn`` events through
+        ``drain``.
 
         When the run loop pops a fire-and-forget event whose function is
         ``fn``, it claims every directly following heap entry with the
@@ -256,61 +236,51 @@ class Simulator:
         processed = 0
         heap = self._heap
         pop = heapq.heappop
-        free_append = self._free.append
         drains = self._batch_drains
         try:
             while heap and not self._stopped:
-                time, _, handle = heap[0]
+                time, _, fn, args = heap[0]
                 if time > horizon or processed >= budget:
                     break
                 pop(heap)
-                if handle._pooled:
-                    self.now = time
-                    fn = handle.fn
-                    args = handle.args
-                    handle.fn = None
-                    handle.args = ()
-                    free_append(handle)
-                    drain = drains.get(fn) if drains else None
-                    if drain is not None:
-                        batch = [args]
-                        # Claim the contiguous same-time run of this fn,
-                        # capped by the remaining max_events budget (the
-                        # event in hand already consumed one unit).
-                        room = budget - processed
-                        while heap and len(batch) < room:
-                            nxt = heap[0][2]
-                            if (
-                                heap[0][0] != time
-                                or not nxt._pooled
-                                or nxt.fn is not fn
-                            ):
-                                break
-                            pop(heap)
-                            batch.append(nxt.args)
-                            nxt.fn = None
-                            nxt.args = ()
-                            free_append(nxt)
-                        # The whole run left the heap in one claim; the
-                        # bias keeps push-site peak checks seeing the
-                        # unprocessed remainder (drain clients lower it
-                        # as they advance).  Reset unconditionally: a
-                        # drain that raised mid-batch must not poison
-                        # later measurements.
-                        self.pending_bias = len(batch) - 1
-                        try:
-                            drain(batch)
-                        finally:
-                            self.pending_bias = 0
-                        processed += len(batch)
+                if args is None:
+                    # A cancellable entry: ``fn`` is its EventHandle.
+                    if fn.cancelled:
                         continue
-                    fn(*args)
+                    self.now = time
+                    fn.fn(*fn.args)
                     processed += 1
                     continue
-                if handle.cancelled:
-                    continue
                 self.now = time
-                handle.fn(*handle.args)
+                drain = drains.get(fn) if drains else None
+                if drain is not None:
+                    batch = [args]
+                    # Claim the contiguous same-time run of this fn,
+                    # capped by the remaining max_events budget (the
+                    # event in hand already consumed one unit).  A
+                    # cancellable entry carries its handle where ``fn``
+                    # sits, so the identity test stops at it too.
+                    room = budget - processed
+                    while heap and len(batch) < room:
+                        nxt = heap[0]
+                        if nxt[0] != time or nxt[2] is not fn:
+                            break
+                        pop(heap)
+                        batch.append(nxt[3])
+                    # The whole run left the heap in one claim; the bias
+                    # keeps push-site peak checks seeing the unprocessed
+                    # remainder (drain clients lower it as they
+                    # advance).  Reset unconditionally: a drain that
+                    # raised mid-batch must not poison later
+                    # measurements.
+                    self.pending_bias = len(batch) - 1
+                    try:
+                        drain(batch)
+                    finally:
+                        self.pending_bias = 0
+                    processed += len(batch)
+                    continue
+                fn(*args)
                 processed += 1
         finally:
             self._running = False
@@ -337,14 +307,17 @@ class Simulator:
 
     @property
     def pool_size(self) -> int:
-        """Handles currently parked in the free list (introspection)."""
-        return len(self._free)
+        """Always 0: fire-and-forget events are bare heap tuples, so there
+        is no handle free list to report.  Kept because the benchmark's
+        tracer reads it (``engine.pool_size``)."""
+        return 0
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the heap is empty."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3] is None and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
 
 __all__ = ["EventHandle", "Simulator"]

@@ -198,9 +198,16 @@ class ClusterLatency(LatencyModel):
         return self.base_owd + self.jitter_mean + self.contention_jitter / 2
 
     def sample(self, src: NodeId, dst: NodeId) -> float:
-        jitter = self._rng.expovariate(1.0 / self.jitter_mean) if self.jitter_mean else 0.0
-        contention = self._rng.uniform(0, self.contention_jitter)
-        return self.base_owd + jitter + contention
+        # ``rng.expovariate(1 / jitter_mean)`` then ``rng.uniform(0,
+        # contention_jitter)``, inlined: the same two draws, in the same
+        # order, through the same float operations (``uniform``'s
+        # ``0 + (b - 0) * r`` is ``b * r`` for any ``b >= 0``) — one
+        # frame instead of three, pinned bit for bit in
+        # tests/test_latency.py.
+        random = self._rng.random
+        jitter_mean = self.jitter_mean
+        jitter = -math.log(1.0 - random()) / (1.0 / jitter_mean) if jitter_mean else 0.0
+        return self.base_owd + jitter + self.contention_jitter * random()
 
 
 class PlanetLabLatency(LatencyModel):
@@ -251,6 +258,9 @@ class PlanetLabLatency(LatencyModel):
         self.jitter_sigma = jitter_sigma
         self._coords: dict[NodeId, tuple[float, float]] = {}
         self._slowness: dict[NodeId, float] = {}
+        #: Base one-way delay per ordered pair: pure in ``(src, dst)``,
+        #: and the asymmetry factor behind it costs a SHA-256.
+        self._pair_owd: dict[tuple[NodeId, NodeId], float] = {}
 
     # -- per-node deterministic attributes ------------------------------
     def _coord(self, node: NodeId) -> tuple[float, float]:
@@ -277,11 +287,14 @@ class PlanetLabLatency(LatencyModel):
 
     # -- model -----------------------------------------------------------
     def _base_owd(self, src: NodeId, dst: NodeId) -> float:
-        (x1, y1), (x2, y2) = self._coord(src), self._coord(dst)
-        dist = math.hypot(x1 - x2, y1 - y2) / math.sqrt(2.0)
-        geo = self.min_owd + dist * self.max_geo_owd
-        pair_slow = (self._slow(src) + self._slow(dst)) / 2.0
-        return geo * pair_slow * self._asym(src, dst)
+        owd = self._pair_owd.get((src, dst))
+        if owd is None:
+            (x1, y1), (x2, y2) = self._coord(src), self._coord(dst)
+            dist = math.hypot(x1 - x2, y1 - y2) / math.sqrt(2.0)
+            geo = self.min_owd + dist * self.max_geo_owd
+            pair_slow = (self._slow(src) + self._slow(dst)) / 2.0
+            owd = self._pair_owd[src, dst] = geo * pair_slow * self._asym(src, dst)
+        return owd
 
     def expected_owd(self, src: NodeId, dst: NodeId) -> float:
         jitter_mean = self.jitter_mean * math.exp(self.jitter_sigma**2 / 2.0)

@@ -130,6 +130,11 @@ class Network:
         # the class method, so every later ``self._deliver_fan`` — send
         # paths and drain registration alike — resolves to this object.
         self._deliver_fan = self._deliver_fan
+        #: The per-destination plan's receive stage, bound once for the
+        #: same reason: ``_deliver`` runs per arrival and would otherwise
+        #: mint a bound ``_process`` and look ``rx_cost`` up each time.
+        self._process = self._process
+        self._rx_cost = self.latency.rx_cost
         #: Messages between one ordered pair ride one TCP connection, so
         #: delivery must be FIFO.  Models with per-message sampled jitter
         #: can invert two sends otherwise — e.g. a Deactivate overtaken by
@@ -698,12 +703,13 @@ class Network:
         if node is None or not node.alive:
             self._drop(src, dst)
             return
-        rx_cost = self.latency.rx_cost(dst, size)
+        rx_cost = self._rx_cost(dst, size)
         if rx_cost > 0.0:
-            now = self.sim.now
+            sim = self.sim
+            now = sim.now
             ready = max(now, self._busy.get(dst, now)) + rx_cost
             self._busy[dst] = ready
-            self.sim.call_at(ready, self._process, src, dst, msg, size)
+            sim.call_at(ready, self._process, src, dst, msg, size)
         else:
             self._process(src, dst, msg, size)
 

@@ -87,7 +87,7 @@ class ProtocolNode:
     def handle_message(self, src: NodeId, msg: Message) -> None:
         if not self.alive:
             return
-        handler = getattr(self, "on_" + msg.kind, None)
+        handler = getattr(self, msg.handler, None)
         if handler is None:
             raise ProtocolError(
                 f"{type(self).__name__} has no handler for message kind {msg.kind!r}"

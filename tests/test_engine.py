@@ -193,7 +193,10 @@ def test_until_not_advanced_when_cancelled_events_hide_live_one():
 
 
 class TestFastTier:
-    """call_later/call_at: fire-and-forget events on pooled handles."""
+    """call_later/call_at: fire-and-forget events (no handle escapes).
+
+    The tier's full contract against a reference scheduler is the
+    property in tests/test_engine_program.py."""
 
     def test_call_later_runs_in_order_with_scheduled_events(self):
         sim = Simulator()
@@ -212,35 +215,6 @@ class TestFastTier:
             sim.call_later(-0.5, lambda: None)
         with pytest.raises(SimulationError):
             sim.call_at(0.5, lambda: None)
-
-    def test_handles_are_recycled_through_the_free_list(self):
-        sim = Simulator()
-        hops = []
-
-        def hop(n):
-            hops.append(n)
-            if n > 0:
-                sim.call_later(1.0, hop, n - 1)
-
-        sim.call_later(0.0, hop, 99)
-        sim.run()
-        assert len(hops) == 100
-        # A sequential chain keeps exactly one handle in flight: the slab
-        # never grows past it, proving events reuse the freed entry.
-        assert sim.pool_size == 1
-
-    def test_pool_high_water_tracks_concurrent_events(self):
-        sim = Simulator()
-        for i in range(50):
-            sim.call_later(1.0 + i * 0.001, lambda: None)
-        sim.run()
-        assert sim.pool_size == 50
-        # The next burst draws from the pool instead of allocating.
-        for i in range(50):
-            sim.call_later(1.0 + i * 0.001, lambda: None)
-        assert sim.pool_size == 0
-        sim.run()
-        assert sim.pool_size == 50
 
     def test_peak_pending_records_backlog_high_water(self):
         sim = Simulator()
@@ -418,15 +392,15 @@ class TestPeriodicTask:
 
 class TestBatchDrain:
     """The batch-drain tier (DESIGN.md §12): contiguous same-time runs
-    of one pooled function are claimed off the heap top and handed to a
-    registered drain as a single list of args tuples."""
+    of one fire-and-forget function are claimed off the heap top and
+    handed to a registered drain as a single list of args tuples."""
 
     @staticmethod
     def _sim_with_drain(batches):
         sim = Simulator()
         fn = batches and None  # placeholder for clarity; fn defined below
 
-        def deliver(tag):  # the pooled event function
+        def deliver(tag):  # the drained event function
             raise AssertionError(f"per-event dispatch for {tag}")
 
         sim.register_batch_drain(deliver, batches.append)
@@ -544,7 +518,7 @@ class TestBatchDrain:
 
     def test_call_at_many_matches_repeated_call_at(self):
         """call_at_many is exactly N call_at calls: same FIFO order,
-        same pooling, same peak_pending accounting."""
+        same peak_pending accounting."""
         runs = []
         for bulk in (False, True):
             sim = Simulator()
@@ -556,8 +530,7 @@ class TestBatchDrain:
                 for i in range(5):
                     sim.call_at(1.0, fn, i)
             sim.run()
-            runs.append((order, sim.events_processed, sim.peak_pending,
-                         sim.pool_size))
+            runs.append((order, sim.events_processed, sim.peak_pending))
         assert runs[0] == runs[1]
         assert runs[0][0] == list(range(5))
 

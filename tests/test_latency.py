@@ -3,8 +3,11 @@
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.latency import ClusterLatency, ConstantLatency, PlanetLabLatency
+from repro.sim.rng import derive
 
 
 class TestConstantLatency:
@@ -76,3 +79,50 @@ class TestPlanetLabLatency:
             for j in range(20):
                 if i != j:
                     assert model.sample(i, j) > 0
+
+
+# ----------------------------------------------------------------------
+# Draw identity: the samplers are the stdlib draws they replace
+# ----------------------------------------------------------------------
+# Every ``repro run`` artifact samples one of these per message, so a
+# rewrite must return the same floats *and* leave the RNG where the
+# stdlib calls would: either difference moves every later schedule.
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+calls = st.integers(min_value=1, max_value=60)
+pairs = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=40)
+
+
+class TestDrawIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds, n=calls,
+        jitter_mean=st.sampled_from([0.0, 0.00005, 0.001, 1.0]),
+        contention=st.sampled_from([0.0, 0.0002, 0.5]),
+        base=st.sampled_from([0.0, 0.00015, 0.01]),
+    )
+    def test_cluster_sample_is_expovariate_plus_uniform(
+        self, seed, n, jitter_mean, contention, base
+    ):
+        model = ClusterLatency(base, jitter_mean, contention, seed=seed)
+        reference = derive(seed, "latency")
+        for _ in range(n):
+            jitter = reference.expovariate(1.0 / jitter_mean) if jitter_mean else 0.0
+            expected = base + jitter + reference.uniform(0, contention)
+            assert model.sample(0, 1) == expected
+        assert model._rng.getstate() == reference.getstate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, route=pairs)
+    def test_planetlab_sample_is_memoized_base_plus_lognormal(self, seed, route):
+        model = PlanetLabLatency(seed=seed)
+        reference = derive(seed, "latency")
+        for src, dst in route:
+            # A fresh model computes the base delay from scratch; the
+            # sampled one answers repeat pairs from its memo.
+            base = PlanetLabLatency(seed=seed)._base_owd(src, dst)
+            jitter = model.jitter_mean * reference.lognormvariate(0.0, model.jitter_sigma)
+            assert model.sample(src, dst) == base + jitter
+            assert model.expected_rtt(src, dst) == PlanetLabLatency(seed=seed).expected_rtt(
+                src, dst
+            )
+        assert model._rng.getstate() == reference.getstate()

@@ -80,7 +80,7 @@ class TestRunScaleFlood:
         d = result.to_dict()
         for key in (
             "nodes", "messages", "events_per_sec", "deliveries_per_sec",
-            "delivered_fraction", "peak_pending", "handle_pool_size",
+            "delivered_fraction", "peak_pending",
         ):
             assert key in d
         assert d["nodes"] == 32
