@@ -352,10 +352,15 @@ class BrisaNode(HyParViewNode):
             cand.rtt = self.transport.rtt(self.node_id, cand.peer)
         if "capacity" in inputs:
             cand.capacity = self.transport.capacity(cand.peer)
-        if "uptime" in inputs or "load" in inputs:
+        if "load" in inputs:
             stats = self.transport.peer_stats(cand.peer, stream)
             if stats is not None:
                 cand.uptime, cand.load = stats
+        elif "uptime" in inputs:
+            # Uptime alone never pays for the O(degree) relay-load count.
+            uptime = self.transport.peer_uptime(cand.peer)
+            if uptime is not None:
+                cand.uptime = uptime
         return cand
 
     def _candidate(self, state: StreamState, peer: NodeId) -> Candidate:

@@ -2,31 +2,45 @@
 
 The slotted kernel (DESIGN.md §9) already keeps delivery state in flat
 per-slot arrays, but still spends one Python iteration per reception.
-This kernel re-homes the slot planes onto numpy storage and consumes the
-engine's batch-drain tier (``Simulator.register_batch_drain`` →
-``Network.register_fan_sink(..., batch_sink=...)``): a whole contiguous
-run of same-arrival fan events — an entire dissemination wave — arrives
-as one :meth:`VectorizedFloodKernel.on_fan_batch` call and is executed
-as masked array operations, so the per-duplicate cost drops from a
-Python loop body to a handful of vector instructions.
+This kernel re-homes the slot planes onto numpy storage and executes a
+whole dissemination wave — the fan-outs that arrive at one instant — as
+masked array operations in one :meth:`VectorizedFloodKernel.on_fan_batch`
+call, so the per-duplicate cost drops from a Python loop body to a
+handful of vector instructions.
+
+A wave keeps its array form from the forward pass that produces it to
+the call that receives it.  The forward pass builds a
+:class:`~repro.sim.network.FanWave` (sources, CSR offsets, flat
+destinations, messages) straight from its masks;
+``Network.send_fan_wave`` accounts the sends, masks loss over the whole
+wave and files it as ONE engine run entry (``Simulator.call_at_run``)
+that stands for its N fan events; the engine hands it back to
+``on_fan_batch`` whole.  The first hops of a message are single fused
+fan events (the source's ``send_many`` and the scalar path below); the
+engine's batch-drain tier claims their contiguous same-time runs
+(``Network.register_fan_sink(..., batch_sink=...)``) and
+``on_fan_batch`` converts a claim to a wave on entry.
 
 Exactness contract: draw-for-draw parity with the slotted kernel (and,
 transitively, the object path) for one seed.  The three order-sensitive
 effects of a wave are preserved literally:
 
-- dead/unattached destinations fall back in flat batch order, so the
+- dead/unattached destinations fall back in flat wave order, so the
   failure-notice RNG draws of :meth:`Network._drop` come out in the
   exact per-event sequence;
-- forward fan-outs are scheduled in flat batch order across *all*
-  ``(stream, seq)`` groups, so heap sequence numbers — and with them
-  the constituent order of every later batch — match the per-event run;
+- forward fan-outs are filed in flat wave order across *all*
+  ``(stream, seq)`` groups, one consecutive heap sequence number per
+  fan, so the constituent order of every later wave — and the loss
+  coins drawn for it — match the per-event run;
 - within one ``(stream, seq)`` group the first-occurrence masks encode
   the scalar seen-map transition exactly (first ``UNSEEN`` delivers
   and forwards, a first ``INJECTED`` is a source echo, everything
   else is a duplicate).
 
 Everything order-insensitive (per-slot counters, byte totals, Metrics
-sums) is commutative and may be applied vectorized in any order.
+sums) is commutative and may be applied vectorized in any order, and
+where the engine cuts the event stream into waves (claims, run entries,
+``max_events`` slices) is invisible to the simulation.
 
 numpy is an *optional* dependency: importing this module without it is
 fine (the CLI keeps working), constructing the kernel raises a clear
@@ -49,8 +63,9 @@ from repro.baselines.flood import FloodData, SlottedFloodKernel
 from repro.core.slots import RECEIVED, UNSEEN, SlotPlane
 from repro.errors import SimulationError
 from repro.ids import NodeId, StreamId
+from repro.sim.network import FanWave
 
-#: Below this many fan events a batch is cheaper scalar than vectorized
+#: Below this many fan events a wave is cheaper scalar than vectorized
 #: (array construction dominates); the scalar path is the reference
 #: semantics itself, so the cutover is invisible to parity.
 _SCALAR_BATCH_LIMIT = 4
@@ -89,9 +104,10 @@ class VectorizedFloodKernel(SlottedFloodKernel):
       1M-node tier allocates a few flat arrays instead of 1M objects;
     - ``_slot_map`` — a node-id-indexed slot vector (−1 = unattached)
       for O(1) vectorized id→slot gathers over whole waves;
-    - :meth:`on_fan_batch` — the batch fan sink fed by
-      :meth:`Network._drain_fan_batch` with contiguous same-time runs
-      of fused fan events.
+    - :meth:`on_fan_batch` — the wave sink: one call per dissemination
+      wave, whether the engine hands it a run entry the forward pass
+      filed or a batch-drain claim of single fused fan events
+      (:meth:`Network._drain_fan_batch`).
     """
 
     def __init__(self, network) -> None:
@@ -244,98 +260,86 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         return rows[seq]
 
     # -- batched delivery hot path ---------------------------------------
-    def on_fan_batch(self, batch: list[tuple]) -> None:
-        """Execute a contiguous same-time run of flood fan-outs.
+    def on_fan_batch(self, wave) -> None:
+        """Execute one wave of flood fan-outs.
 
-        ``batch`` holds ``(src, dsts, msg, size)`` tuples in heap FIFO
-        order — one dissemination wave (possibly several ``(stream,
-        seq)`` groups whose wave schedules coincide).  Seen-map
+        ``wave`` is a :class:`FanWave` — a run entry a forward pass filed
+        (``Network.send_fan_wave``) — or a batch-drain claim of single
+        fused fan events, ``(src, dsts, msg, size)`` tuples in heap FIFO
+        order, converted on entry.  Either may hold several ``(stream,
+        seq)`` groups whose wave schedules coincide.  Seen-map
         transitions and counters are computed per group as masked array
-        ops; fallbacks and forward scheduling run in flat batch order
+        ops; fallbacks and forward scheduling run in flat wave order
         (see the module docstring for why that order is load-bearing).
         """
+        if type(wave) is list:
+            wave = FanWave.from_fans(wave)
         sim = self.sim
-        # Peak-backlog emulation (DESIGN.md §12): the claimed run left
-        # the heap before processing, so pushes made here see a heap
-        # short by the unprocessed remainder.  ``entry_bias`` is the
-        # engine's correction as of this sub-run's first event; per-event
-        # decrements below keep every *real* push-site check at or below
-        # the value the per-event tiers would have measured, and the
-        # end-of-wave ``note_peak`` lands the exact reference maximum.
+        # Peak-backlog emulation (DESIGN.md §12): the wave left the heap
+        # before processing, so pushes made here see a backlog short by
+        # the unprocessed remainder.  ``entry_bias`` is the engine's
+        # correction as of this wave's first event; per-event decrements
+        # below keep every *real* push-site check at or below the value
+        # the per-event tiers would have measured, and the end-of-wave
+        # ``note_peak`` lands the exact reference maximum.
         entry_bias = sim.pending_bias
-        if len(batch) < _SCALAR_BATCH_LIMIT:
-            # Small runs: per-event scalar processing IS the reference
+        n_events = len(wave)
+        srcs = wave.srcs
+        offs = wave.offs
+        ids = wave.dsts
+        msgs = wave.msgs
+        msg_idx = wave.msg_idx
+        sizes = wave.sizes
+        if n_events < _SCALAR_BATCH_LIMIT:
+            # Small waves: per-event scalar processing IS the reference
             # semantics, and skips the array-construction overhead.
-            # Fans scheduled by the batch path carry numpy target sets;
-            # hand the scalar path plain lists of python ints.
             on_fan = self.on_fan
-            for k, (src, dsts, msg, size) in enumerate(batch):
+            bounds = offs.tolist()
+            for k, (src, m, size) in enumerate(
+                zip(srcs.tolist(), msg_idx.tolist(), sizes.tolist())
+            ):
                 sim.pending_bias = entry_bias - k
-                if type(dsts) is not list:
-                    dsts = dsts.tolist()
-                on_fan(src, dsts, msg, size)
+                on_fan(src, ids[bounds[k] : bounds[k + 1]].tolist(), msgs[m], size)
             return
-        n_events = len(batch)
-        heap = sim._heap
-        heap_base = len(heap)
-        #: Net heap pushes attributed to each event, in reference order
+        total = int(offs[-1])
+        if total == 0:
+            return
+        heap_base = sim.pending
+        #: Net events scheduled by each event, in reference order
         #: (fallback notices + handler sends now, forward fans at the
         #: end); lazily allocated — zero-push waves never touch it.
         ev_pushes = None
-        dlists = [t[1] for t in batch]
-        counts = np.fromiter(map(len, dlists), dtype=np.int64, count=n_events)
-        total = int(counts.sum())
-        if total == 0:
-            return
-        # Fans from the batch forward pass below already carry int64
-        # arrays; injection fans carry plain int lists, which concatenate
-        # converts — except an *empty* list would promote the whole
-        # result to float64, hence the dtype guard.
-        ids = np.concatenate(dlists)
-        if ids.dtype != np.int64:
-            ids = ids.astype(np.int64)
+        counts = offs[1:] - offs[:-1]
         slots = self._slot_map[ids]
         # flat element -> index of its originating fan event.
         ev_idx = np.repeat(np.arange(n_events), counts)
-        # The typical wave carries a single (stream, seq) at one wire
-        # size: detect both with one cheap scan and skip the per-group /
-        # per-event array machinery.
-        m0 = batch[0][2]
+        # The typical wave carries one forward message — a single
+        # (stream, seq) at one wire size: skip the per-group / per-event
+        # array machinery.
+        m0 = msgs[0]
         stream0 = m0.stream
         seq0 = m0.seq
-        size0 = batch[0][3]
-        single_group = True
-        uniform_size = True
-        last_m = m0
-        for t in batch:
-            m = t[2]
-            if m is last_m:
-                # Forwarders of one wave share the forward message
-                # instance (and its wire size), so consecutive entries
-                # mostly repeat the same object — key already checked.
-                continue
-            last_m = m
-            if m.stream != stream0 or m.seq != seq0:
-                single_group = False
-            if t[3] != size0:
-                uniform_size = False
+        size0 = int(sizes[0])
+        single_group = all(m.stream == stream0 and m.seq == seq0 for m in msgs)
+        uniform_size = bool((sizes == size0).all())
         if single_group:
             group_iter = [((stream0, seq0), None)]
-            starts = None
         else:
-            groups: dict[tuple, list[int]] = {}
-            for e, t in enumerate(batch):
-                m = t[2]
-                key = (m.stream, m.seq)
-                grp = groups.get(key)
-                if grp is None:
-                    groups[key] = [e]
-                else:
-                    grp.append(e)
-            starts = np.empty(n_events + 1, dtype=np.int64)
-            starts[0] = 0
-            np.cumsum(counts, out=starts[1:])
-            group_iter = groups.items()
+            # Groups in order of first appearance in the wave (``msgs``
+            # may still list a message whose fans a slice or the loss
+            # mask removed); each group's flat indices keep wave order.
+            keys: dict[tuple, int] = {}
+            fan_group = np.asarray(
+                [keys.setdefault((m.stream, m.seq), len(keys)) for m in msgs],
+                dtype=np.int64,
+            )[msg_idx]
+            present, first = np.unique(fan_group, return_index=True)
+            elem_group = np.repeat(fan_group, counts)
+            names = list(keys)
+            group_iter = [
+                (names[g], np.nonzero(elem_group == g)[0])
+                for g in present[np.argsort(first)].tolist()
+            ]
 
         attached = slots >= 0
         n_att = int(attached.sum()) if not attached.all() else total
@@ -350,14 +354,13 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             ev_pushes = np.zeros(n_events, dtype=np.int64)
             for g in np.nonzero(~attached)[0].tolist():
                 e = int(ev_idx[g])
-                src, _, msg, size = batch[e]
                 # Failure notices (and any handler sends) push with the
-                # bias of their own event; the heap-length delta charges
-                # them to that event for the end-of-wave peak replay.
+                # bias of their own event; the backlog delta charges them
+                # to that event for the end-of-wave peak replay.
                 sim.pending_bias = entry_bias - e
-                pre_len = len(heap)
-                deliver(src, int(ids[g]), msg, size)
-                ev_pushes[e] += len(heap) - pre_len
+                before = sim.pending
+                deliver(int(srcs[e]), int(ids[g]), msgs[msg_idx[e]], int(sizes[e]))
+                ev_pushes[e] += sim.pending - before
 
         att_slots = slots if n_att == total else slots[attached]
         if uniform_size:
@@ -367,9 +370,6 @@ class VectorizedFloodKernel(SlottedFloodKernel):
                 att_slots, minlength=self.rx_bytes.size
             )
         else:
-            sizes = np.fromiter(
-                (t[3] for t in batch), dtype=np.int64, count=n_events
-            )
             flat_sizes = np.repeat(sizes, counts)
             np.add.at(
                 self.rx_bytes, att_slots,
@@ -379,20 +379,13 @@ class VectorizedFloodKernel(SlottedFloodKernel):
 
         flat_payloads = None
         mirror = self._mirror
-        now = self.sim.now
+        now = sim.now
         deliver = None  # global first-delivery mask, built per group
-        for (stream, seq), evs in group_iter:
+        for (stream, seq), gidx in group_iter:
             plane = self.plane(stream)
             rows = plane.rows
             row = rows[seq] if seq < len(rows) else self._row(plane, seq)
-            if evs is None:
-                gidx = None
-                slots_g = slots
-            else:
-                gidx = np.concatenate(
-                    [np.arange(starts[e], starts[e + 1]) for e in evs]
-                )
-                slots_g = slots[gidx]
+            slots_g = slots if gidx is None else slots[gidx]
             if n_att != total:
                 att_g = slots_g >= 0
                 gidx = np.nonzero(att_g)[0] if gidx is None else gidx[att_g]
@@ -402,19 +395,20 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             if mirror:
                 # Parity/record runs: feed Metrics exactly like the
                 # scalar path, element by element in flat group order
-                # (the restriction of batch order to this group — the
+                # (the restriction of wave order to this group — the
                 # only order record_delivery's first/duplicate split
                 # can observe).
                 record = self.metrics.record_delivery
                 account = self.metrics.account_receive
                 for g in range(total) if gidx is None else gidx.tolist():
                     e = int(ev_idx[g])
-                    src, _, m, size = batch[e]
+                    m = msgs[msg_idx[e]]
+                    dst = int(ids[g])
                     record(
-                        int(ids[g]), stream, seq, now, src, m.hops + 1,
+                        dst, stream, seq, now, int(srcs[e]), m.hops + 1,
                         m.path_delay + (now - m.sent_at), m.payload_bytes,
                     )
-                    account(int(ids[g]), size)
+                    account(dst, int(sizes[e]))
             pre = row[slots_g]
             # First occurrence per slot without a sort: scatter flat
             # indices in reverse (so the lowest index wins) and compare
@@ -424,7 +418,7 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             scratch[slots_g[::-1]] = idx[::-1]
             first = scratch[slots_g] == idx
             # Scalar transition, vectorized: a slot's first occurrence
-            # sees the pre-batch state (deliver on UNSEEN, echo on
+            # sees the pre-wave state (deliver on UNSEEN, echo on
             # INJECTED, duplicate on RECEIVED); every later occurrence
             # sees RECEIVED and is a duplicate.
             dmask = first & (pre == UNSEEN)
@@ -443,15 +437,14 @@ class VectorizedFloodKernel(SlottedFloodKernel):
                 plane.payload_bytes[dslots] += m0.payload_bytes
             else:
                 if flat_payloads is None:
-                    payloads = np.fromiter(
-                        (t[2].payload_bytes for t in batch),
-                        dtype=np.int64, count=n_events,
+                    payloads = np.asarray(
+                        [m.payload_bytes for m in msgs], dtype=np.int64
                     )
-                    flat_payloads = np.repeat(payloads, counts)
+                    flat_payloads = np.repeat(payloads[msg_idx], counts)
                 psel = flat_payloads if gidx is None else flat_payloads[gidx]
                 plane.payload_bytes[dslots] += psel[dmask]
             if gidx is None:
-                # Single group over a fully-attached batch: dmask IS the
+                # Single group over a fully-attached wave: dmask IS the
                 # global first-delivery mask.
                 deliver = dmask
                 continue
@@ -462,14 +455,10 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         if deliver is None:
             self._replay_peak(heap_base, entry_bias, ev_pushes)
             return
-        # Forward pass, in flat batch order across every group: heap
-        # sequence numbers of the scheduled fans — and therefore the
-        # constituent order of all later batches — match the per-event
-        # run exactly.  One shared forward message per fan event, built
-        # lazily like the slotted path's; the forward's wire size equals
-        # the incoming event's (same kind, same size-bearing fields), so
-        # the per-event size is reused.  All forwards of a wave arrive
-        # together, so they ship as one bulk fan send.
+        # Forward pass, in flat wave order across every group: the
+        # forwards leave as one wave whose fans take consecutive heap
+        # sequence numbers, so the constituent order of all later waves
+        # matches the per-event run exactly.
         didx = np.nonzero(deliver)[0]
         d_slots = slots[didx]
         lens = self._row_len[d_slots]
@@ -485,8 +474,10 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         # sender in one vector compare.  HyParView rows never hold
         # duplicate peers, so dropping every sender occurrence is the
         # filtering list comprehension of the scalar path; cat[keep] is
-        # a fresh array, so the per-fan target sets are snapshots —
+        # a fresh array, so the forward target sets are snapshots —
         # later row mutations can't reach them.
+        starts = np.zeros(lens.size, dtype=np.int64)
+        np.cumsum(lens[:-1], out=starts[1:])
         version = self._csr_version
         if version != self._csr_built and version == self._csr_seen:
             # Rows quiescent for a full wave: refresh the CSR snapshot.
@@ -495,9 +486,7 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         if version == self._csr_built:
             # Steady state: gather every target row out of the fused
             # CSR arrays — no per-deliverer row object is touched.
-            loc = np.zeros(lens.size, dtype=np.int64)
-            np.cumsum(lens[:-1], out=loc[1:])
-            flat = np.repeat(self._csr_offs[d_slots] - loc, lens)
+            flat = np.repeat(self._csr_offs[d_slots] - starts, lens)
             flat += np.arange(int(lens.sum()))
             cat = self._csr_data[flat]
         else:
@@ -513,94 +502,79 @@ class VectorizedFloodKernel(SlottedFloodKernel):
                     )
                 ap(arr)
             cat = np.concatenate(arrs) if len(arrs) > 1 else arrs[0]
-        ev_srcs = np.fromiter(
-            (t[0] for t in batch), dtype=np.int64, count=n_events
-        )
         d_ev = ev_idx[didx]
-        keep = cat != np.repeat(ev_srcs[d_ev], lens)
+        keep = cat != np.repeat(srcs[d_ev], lens)
         kept = cat[keep]
-        offs = np.empty(lens.size, dtype=np.int64)
-        offs[0] = 0
-        np.cumsum(lens[:-1], out=offs[1:])
-        klens = np.add.reduceat(keep.astype(np.int64), offs)
-        koffs = np.empty(lens.size + 1, dtype=np.int64)
-        koffs[0] = 0
-        np.cumsum(klens, out=koffs[1:])
-        ko = koffs.tolist()
-        fans: list[tuple] = []
-        append = fans.append
-        #: Originating event per ``fans`` entry (sender-isolated
-        #: deliverers append nothing, so ``ev_idx[didx]`` cannot be used
-        #: directly for the peak replay below).
-        fan_events: list[int] = []
-        fev_append = fan_events.append
-        # Deliverers arrive event-major (flat order), so the per-event
-        # bindings — size, the shared forward message — are hoisted out
-        # of the per-deliverer loop and rebuilt only on an event change.
-        # (The forward is built even when every deliverer of the event
-        # turns out sender-isolated: constructing FloodData touches no
-        # clock or RNG, so the surplus object is unobservable.)
-        prev_e = -1
-        prev_m = False
-        size = fwd = None
-        for e, nid, a, b in zip(d_ev.tolist(), ids[didx].tolist(), ko, ko[1:]):
-            if b == a:
-                continue
-            if e != prev_e:
-                prev_e = e
-                t = batch[e]
-                size = t[3]
-                m = t[2]
-                if m is not prev_m:
-                    # Events sharing one incoming message object (the
-                    # common case: a whole wave ships one forward, see
-                    # below) would rebuild field-identical forwards —
-                    # messages are immutable value objects, so one
-                    # instance serves them all.
-                    prev_m = m
-                    fwd = FloodData(
-                        m.stream, m.seq, m.payload_bytes,
-                        hops=m.hops + 1,
-                        path_delay=m.path_delay + (now - m.sent_at),
-                        sent_at=now,
-                    )
-            append((nid, kept[a:b], fwd, size))
-            fev_append(e)
-        if fans:
-            # The bulk push's real peak check fires once, after every fan
-            # entry landed; pinning the bias to the *last* event keeps it
-            # at or below the per-event reference (whose last check runs
-            # with exactly that many claimed events outstanding).  The
-            # exact reference maximum is replayed below from the per-event
-            # push counts — under loss, only fans that survived masking
-            # (non-zero scheduled destinations) pushed an event.
+        klens = np.add.reduceat(keep.astype(np.int64), starts)
+        # One fan per deliverer with a target left; sender-isolated
+        # deliverers send nothing, so ``f_ev`` — each fan's originating
+        # event, for the peak replay below — is not ``d_ev``.
+        fans = np.nonzero(klens)[0]
+        if fans.size:
+            f_ev = d_ev[fans]
+            f_offs = np.zeros(fans.size + 1, dtype=np.int64)
+            np.cumsum(klens[fans], out=f_offs[1:])
+            fwds, f_msg_idx = self._forwards(msgs, msg_idx[f_ev], now)
+            # A forward's wire size equals the incoming event's (same
+            # kind, same size-bearing fields).
+            out = FanWave(ids[didx[fans]], f_offs, kept, fwds, f_msg_idx, sizes[f_ev])
+            # The run push's real peak check fires once, after the whole
+            # wave was filed; pinning the bias to the *last* event keeps
+            # it at or below the per-event reference (whose last check
+            # runs with exactly that many claimed events outstanding).
+            # The exact reference maximum is replayed below from the
+            # per-event push counts — under loss, only fans that survived
+            # masking (non-zero scheduled destinations) pushed an event.
             sim.pending_bias = entry_bias - (n_events - 1)
-            fan_counts = self.network.send_fan_batch_unchecked(fans, FloodData.kind)
-            if ev_pushes is None:
-                ev_pushes = np.zeros(n_events, dtype=np.int64)
-            fev = np.asarray(fan_events, dtype=np.int64)
-            if fan_counts is None:
-                np.add.at(ev_pushes, fev, 1)
-            else:
-                scheduled = np.asarray(fan_counts, dtype=np.int64) > 0
-                if scheduled.any():
-                    np.add.at(ev_pushes, fev[scheduled], 1)
+            scheduled = self.network.send_fan_wave(out)
+            pushed = np.bincount(
+                f_ev if scheduled is None else f_ev[scheduled > 0],
+                minlength=n_events,
+            )
+            ev_pushes = pushed if ev_pushes is None else ev_pushes + pushed
         self._replay_peak(heap_base, entry_bias, ev_pushes)
 
-    def _replay_peak(self, heap_base: int, entry_bias: int, ev_pushes) -> None:
-        """Record the exact peak backlog the per-event dispatch order
-        would have measured for one drained sub-run.
+    @staticmethod
+    def _forwards(msgs: list, fan_msgs, now: float):
+        """The forward wave's messages — one per incoming message its fans
+        relay, in order of first use — and each fan's index into them.
+        Messages are immutable value objects, so one shared instance
+        serves every fan relaying the same message; building one touches
+        no clock or RNG."""
+        if len(msgs) == 1:
+            order, index = [0], fan_msgs
+        else:
+            used, first = np.unique(fan_msgs, return_index=True)
+            ordered = used[np.argsort(first)]
+            remap = np.empty(len(msgs), dtype=np.int64)
+            remap[ordered] = np.arange(ordered.size)
+            order, index = ordered.tolist(), remap[fan_msgs]
+        fwds = []
+        for i in order:
+            m = msgs[i]
+            fwds.append(FloodData(
+                m.stream, m.seq, m.payload_bytes,
+                hops=m.hops + 1,
+                path_delay=m.path_delay + (now - m.sent_at),
+                sent_at=now,
+            ))
+        return fwds, index
 
-        The per-event tiers check the heap depth at every push: while
-        event ``k`` of the run executes, ``bias_k = entry_bias - k``
-        claimed events are still outstanding, so the run's reference
-        maximum is ``heap_base + max_k(bias_k + C_k)`` over events that
-        pushed at least once, with ``C_k`` the cumulative push count
-        through event ``k`` (within an event the last push sees the
-        full per-event total, because drops and forwards interleave per
-        destination).  Every real check made mid-batch is arranged to
-        stay at or below this value, so raising the peak to it afterward
-        reproduces the reference metric exactly.
+    def _replay_peak(self, base: int, entry_bias: int, ev_pushes) -> None:
+        """Record the exact peak backlog the per-event dispatch order
+        would have measured for one wave.
+
+        The per-event tiers check the backlog at every push: while event
+        ``k`` of the wave executes, ``bias_k = entry_bias - k`` of its
+        events are still outstanding, so the wave's reference maximum is
+        ``base + max_k(bias_k + C_k)`` over events that pushed at least
+        once, with ``base`` the backlog (``Simulator.pending``) at entry
+        and ``C_k`` the cumulative push count through event ``k`` (within
+        an event the last push sees the full per-event total, because
+        drops and forwards interleave per destination).  Every real
+        check made mid-wave is arranged to stay at or below this value,
+        so raising the peak to it afterward reproduces the reference
+        metric exactly.
         """
         if ev_pushes is None:
             return
@@ -608,5 +582,5 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         if ks.size == 0:
             return
         cum = np.cumsum(ev_pushes)
-        peak = heap_base + int((entry_bias - ks + cum[ks]).max())
+        peak = base + int((entry_bias - ks + cum[ks]).max())
         self.sim.note_peak(peak)

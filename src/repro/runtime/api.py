@@ -105,10 +105,16 @@ class MessageTransport(Protocol):
         The simulator reads the peer node directly (omniscient); a real
         transport returns None unless the protocol piggybacks the data.
         Must not change the peer (no state creation, no timers).  Called
-        only for strategies declaring ``uptime`` or ``load`` among their
-        ``inputs``, as ``rtt``/``capacity`` are only for those declaring
-        them — first-come calls none of the three.
+        only for strategies declaring ``load`` among their ``inputs``, as
+        :meth:`peer_uptime` is only for those declaring ``uptime`` and
+        ``rtt``/``capacity`` only for those declaring them — first-come
+        calls none of them.
         """
+        ...
+
+    def peer_uptime(self, peer: NodeId) -> Optional[float]:
+        """A peer's uptime, or None if unobservable: :meth:`peer_stats`
+        without the relay load, whose count is O(degree) on the peer."""
         ...
 
     def peer_position(self, peer: NodeId, stream: int) -> Optional[int]:

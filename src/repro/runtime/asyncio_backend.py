@@ -266,5 +266,8 @@ class UdpTransport(asyncio.DatagramProtocol):
     def peer_stats(self, peer: NodeId, stream: int) -> "tuple[float, int] | None":
         return None  # not omniscient; piggybacking is future work
 
+    def peer_uptime(self, peer: NodeId) -> "float | None":
+        return None
+
     def peer_position(self, peer: NodeId, stream: int) -> "int | None":
         return None

@@ -17,16 +17,25 @@ Two scheduling tiers keep the hot path cheap (see DESIGN.md §1):
   heap tuple and nothing else.  Message deliveries — the overwhelming
   bulk of events in a dissemination run — go through this tier.
 
+:meth:`Simulator.call_at_run` files N fire-and-forget events at one
+time as *one* heap entry, ``(time, seq, run, None)``, that stands for
+all of them: ``fn(run)`` receives the whole run in one call.  It is
+observably N consecutive :meth:`Simulator.call_at` entries — ``seq``
+advances by N, every counter counts constituents, and a ``max_events``
+budget that ends inside a run processes its head and leaves the tail
+queued at its own first seq.  A dissemination wave is the intended
+client (DESIGN.md §12).
+
 :meth:`Simulator.run` is the one run loop; "no bound" is a bound no
 event reaches, so :meth:`Simulator.run_until_idle` is ``run()`` by name.
 
-:meth:`Simulator.register_batch_drain` opens the third tier (DESIGN.md
-§12): a callback registered for one fire-and-forget function claims
-whole contiguous runs of same-time events of that function in a single
-call, so a delivery kernel can process an entire arrival wave without
-one Python frame per event.  Each constituent event still counts exactly
-once toward ``max_events`` / ``events_processed``, and a budget break
-splits the run cleanly mid-batch.
+:meth:`Simulator.register_batch_drain` opens the batch-drain tier
+(DESIGN.md §12): a callback registered for one fire-and-forget function
+claims whole contiguous runs of same-time *single* events of that
+function in one call, so a delivery kernel can process an arrival wave
+without one Python frame per event.  Each constituent event still counts
+exactly once toward ``max_events`` / ``events_processed``, and a budget
+break splits the claim cleanly mid-batch.
 """
 
 from __future__ import annotations
@@ -63,18 +72,38 @@ class EventHandle:
         return not self.cancelled
 
 
+class _Run:
+    """What a run entry carries where a cancellable entry carries its
+    handle: the function and the run it receives (see
+    :meth:`Simulator.call_at_run`).  Sharing that shape keeps the run
+    loop's one shape test (``args is None``) the only test a single
+    fire-and-forget event pays; a run is never cancelled."""
+
+    __slots__ = ("fn", "run")
+    cancelled = False
+
+    def __init__(self, fn: Callable, run) -> None:
+        self.fn = fn
+        self.run = run
+
+
 class Simulator:
     """Discrete-event simulator with virtual time in seconds."""
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.seed = seed
-        #: ``(time, seq, fn, args)`` fire-and-forget entries and
-        #: ``(time, seq, handle, None)`` cancellable ones; ``seq`` is
-        #: unique, so tuple comparison never reaches the third field.
+        #: ``(time, seq, fn, args)`` fire-and-forget entries,
+        #: ``(time, seq, handle, None)`` cancellable ones and
+        #: ``(time, seq, _Run, None)`` run entries; ``seq`` is unique, so
+        #: tuple comparison never reaches the third field.
         self._heap: list[tuple] = []
-        #: Heap pushes so far (the FIFO tie-breaker).
+        #: Events scheduled so far (the FIFO tie-breaker; a run entry
+        #: takes one seq per constituent).
         self._seq = 0
+        #: Constituents of queued run entries beyond their first:
+        #: ``len(_heap) + _run_extra`` is the number of scheduled events.
+        self._run_extra = 0
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -82,16 +111,16 @@ class Simulator:
         #: :meth:`register_batch_drain`).  Empty in most runs — the run
         #: loop then pays one falsy check per fire-and-forget event.
         self._batch_drains: dict[Callable, Callable] = {}
-        #: Largest heap size ever observed (peak scheduled backlog).
+        #: Largest backlog ever observed (peak scheduled events).
         self.peak_pending = 0
-        #: Batch-drain correction for :attr:`peak_pending` (DESIGN.md
-        #: §12): a claimed same-time run is popped from the heap *before*
-        #: its events are processed, so pushes made while draining see a
-        #: heap that is short by the not-yet-processed remainder of the
-        #: run.  The run loop sets this to that remainder (and drain
-        #: clients may lower it as they advance through the batch) so the
-        #: push-site peak checks measure the same backlog the per-event
-        #: tiers would.  Zero outside a drain call.
+        #: Correction for :attr:`peak_pending` while a claimed batch or a
+        #: run is processed (DESIGN.md §12): it left the heap *before*
+        #: its events are processed, so pushes made meanwhile see a
+        #: backlog that is short by the not-yet-processed remainder.  The
+        #: run loop sets this to that remainder (and clients may lower it
+        #: as they advance through the batch) so the push-site peak
+        #: checks measure the same backlog one entry per event would.
+        #: Zero outside such a call.
         self.pending_bias = 0
 
     # ------------------------------------------------------------------
@@ -120,7 +149,7 @@ class Simulator:
         self._seq += 1
         heap = self._heap
         heapq.heappush(heap, (time, self._seq, handle, None))
-        depth = len(heap) + self.pending_bias
+        depth = len(heap) + self._run_extra + self.pending_bias
         if depth > self.peak_pending:
             self.peak_pending = depth
         return handle
@@ -144,39 +173,51 @@ class Simulator:
         self._seq += 1
         heap = self._heap
         heapq.heappush(heap, (time, self._seq, fn, args))
-        depth = len(heap) + self.pending_bias
+        depth = len(heap) + self._run_extra + self.pending_bias
         if depth > self.peak_pending:
             self.peak_pending = depth
 
-    def call_at_many(self, time: float, fn: Callable, argss: list[tuple]) -> None:
-        """Bulk :meth:`call_at`: one ``fn(*args)`` event per entry of
-        ``argss``, all at ``time``, in list order (consecutive ``seq``
-        numbers, so FIFO order among them is the list order).  Exactly
-        equivalent to calling :meth:`call_at` once per entry; one frame
-        and one validation for a whole fan-out wave (DESIGN.md §12)."""
+    def call_at_run(self, time: float, fn: Callable, run) -> None:
+        """Schedule ``len(run)`` fire-and-forget events at ``time`` as one
+        heap entry; ``fn(run)`` processes them in one call.
+
+        Observably ``len(run)`` consecutive :meth:`call_at` entries at one
+        time: ``seq`` advances by that many and the entry sorts at its
+        first constituent's seq (nothing can be scheduled between
+        constituents, so FIFO order is unchanged), and
+        ``events_processed``, ``max_events``, ``pending``,
+        ``peak_pending`` and ``next_event_time`` all count constituents.
+        When a ``max_events`` budget ends inside the run, ``fn`` receives
+        the head ``run[:k]`` and the tail ``run[k:]`` stays queued at its
+        own first seq; ``stop()`` takes effect after ``fn`` returns.
+        ``run`` needs ``len`` and slicing.  Batch drains never claim a
+        run's constituents.  One entry per dissemination wave
+        (DESIGN.md §12).
+        """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
+        n = len(run)
+        if not n:
+            return
+        seq = self._seq + 1
+        self._seq += n
         heap = self._heap
-        seq = self._seq
-        push = heapq.heappush
-        for args in argss:
-            seq += 1
-            push(heap, (time, seq, fn, args))
-        self._seq = seq
-        depth = len(heap) + self.pending_bias
+        heapq.heappush(heap, (time, seq, _Run(fn, run), None))
+        self._run_extra += n - 1
+        depth = len(heap) + self._run_extra + self.pending_bias
         if depth > self.peak_pending:
             self.peak_pending = depth
 
     def note_peak(self, depth: int) -> None:
         """Raise :attr:`peak_pending` to ``depth`` if it is larger.
 
-        Batch-drain clients that reorder a claimed run's pushes (the
-        vectorized kernel's wave-at-a-time forward pass, DESIGN.md §12)
-        use this to record the backlog maximum the per-event dispatch
-        order would have produced; the regular push-site checks are
-        arranged never to exceed that reference value mid-batch.
+        Clients that reorder a batch's or a run's pushes (the vectorized
+        kernel's wave-at-a-time forward pass, DESIGN.md §12) use this to
+        record the backlog maximum the per-event dispatch order would
+        have produced; the regular push-site checks are arranged never to
+        exceed that reference value mid-batch.
         """
         if depth > self.peak_pending:
             self.peak_pending = depth
@@ -201,9 +242,11 @@ class Simulator:
         stay in the heap for the next ``run()``.  ``stop()`` takes
         effect after the in-flight drain call returns, like any event.
 
-        Only fire-and-forget events (:meth:`call_later` / :meth:`call_at`)
-        participate: cancellable handles keep per-event dispatch.  The
-        fused fan-delivery path is the intended client (DESIGN.md §12).
+        Only single fire-and-forget events (:meth:`call_later` /
+        :meth:`call_at`) participate: cancellable handles keep per-event
+        dispatch and a run entry (:meth:`call_at_run`) is its own batch.
+        The fused fan-delivery path is the intended client (DESIGN.md
+        §12).
 
         Claims match ``fn`` by *identity* (``is``): register and
         schedule one pinned callable — a bound method freshly minted per
@@ -217,7 +260,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Process events until the heap drains, ``until`` is reached, or
-        ``max_events`` have run.  Returns the number of events processed.
+        ``max_events`` have run.  Returns the number of events processed
+        (a run entry counts its constituents).
 
         When ``until`` is given, virtual time is advanced to exactly
         ``until`` on return — but only when no live event at or before
@@ -237,13 +281,18 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         drains = self._batch_drains
+        run_entry = _Run
         try:
             while heap and not self._stopped:
-                time, _, fn, args = heap[0]
+                time, seq, fn, args = heap[0]
                 if time > horizon or processed >= budget:
                     break
                 pop(heap)
                 if args is None:
+                    if fn.__class__ is run_entry:
+                        self.now = time
+                        processed += self._fire_run(time, seq, fn, budget - processed)
+                        continue
                     # A cancellable entry: ``fn`` is its EventHandle.
                     if fn.cancelled:
                         continue
@@ -258,8 +307,8 @@ class Simulator:
                     # Claim the contiguous same-time run of this fn,
                     # capped by the remaining max_events budget (the
                     # event in hand already consumed one unit).  A
-                    # cancellable entry carries its handle where ``fn``
-                    # sits, so the identity test stops at it too.
+                    # cancellable or run entry carries an object where
+                    # ``fn`` sits, so the identity test stops at it too.
                     room = budget - processed
                     while heap and len(batch) < room:
                         nxt = heap[0]
@@ -291,6 +340,28 @@ class Simulator:
         self.events_processed += processed
         return processed
 
+    def _fire_run(self, time: float, seq: int, entry: _Run, room: int) -> int:
+        """Process a popped run entry within ``room`` budget units;
+        returns the number of constituents processed."""
+        run = entry.run
+        n = len(run)
+        self._run_extra -= n - 1
+        if n > room:
+            # The budget ends inside the run: the head runs now and the
+            # tail re-enters at its own first seq, where its constituents
+            # have been all along.
+            heapq.heappush(self._heap, (time, seq + room, _Run(entry.fn, run[room:]), None))
+            self._run_extra += n - room - 1
+            run = run[:room]
+            n = room
+        # Like a claim, the run left the heap in one pop; reset as there.
+        self.pending_bias = n - 1
+        try:
+            entry.fn(run)
+        finally:
+            self.pending_bias = 0
+        return n
+
     def run_until_idle(self) -> int:
         """Drain the heap: :meth:`run` with no bound (``stop()`` is still
         honoured between events)."""
@@ -302,8 +373,9 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of heap entries (including lazily-cancelled ones)."""
-        return len(self._heap)
+        """Number of scheduled events: heap entries (lazily-cancelled
+        ones included), a run entry counting its constituents."""
+        return len(self._heap) + self._run_extra
 
     @property
     def pool_size(self) -> int:

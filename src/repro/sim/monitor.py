@@ -182,19 +182,16 @@ class Metrics:
         self.bytes_sent[node][phase] += nbytes * count
         self.msg_counts[kind][phase] += count
 
-    def account_fan_sends(self, kind: str, fans: list[tuple]) -> None:
-        """Batched :meth:`account_send_many` over one wave of fan-outs:
-        ``fans`` holds ``(src, dsts, msg, size)`` entries of one message
-        ``kind`` (same totals as one call per entry, one dict walk per
-        distinct sender and one per wave for the kind counter)."""
+    def account_wave(self, kind: str, wave) -> None:
+        """Batched :meth:`account_send_many` over one
+        :class:`~repro.sim.network.FanWave` of message ``kind``: the same
+        totals as one call per fan (one dict walk per fan, one per wave
+        for the kind counter)."""
         phase = self.phase
         bytes_sent = self.bytes_sent
-        total = 0
-        for src, dsts, _msg, size in fans:
-            n = len(dsts)
-            total += n
-            bytes_sent[src][phase] += size * n
-        self.msg_counts[kind][phase] += total
+        for src, nbytes in zip(wave.srcs.tolist(), wave.fan_bytes().tolist()):
+            bytes_sent[src][phase] += nbytes
+        self.msg_counts[kind][phase] += len(wave.dsts)
 
     def account_receive(self, node: NodeId, nbytes: int) -> None:
         self.bytes_received[node][self.phase] += nbytes

@@ -26,7 +26,13 @@ the model charges occupancy.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Optional
+
+try:  # a FanWave is numpy arrays; only the vectorized kernel builds one
+    import numpy as np
+except ImportError:  # pragma: no cover - CI always installs numpy
+    np = None
 
 from repro.errors import SimulationError
 from repro.ids import NodeId
@@ -36,6 +42,70 @@ from repro.sim.message import Message
 from repro.sim.monitor import Metrics
 from repro.sim.node import ProtocolNode
 from repro.sim.rng import derive
+
+
+class FanWave:
+    """A dissemination wave: N fused fan-out events of one message kind
+    that arrive at one instant, kept as arrays (DESIGN.md §12).
+
+    Fan ``i`` carries ``msgs[msg_idx[i]]`` at wire size ``sizes[i]`` from
+    ``srcs[i]`` to ``dsts[offs[i]:offs[i + 1]]``; ``msgs`` lists the
+    message objects the fans carry, in order of first use.  ``len``
+    counts fans and a slice selects fans, which is all an engine run
+    entry needs (:meth:`Simulator.call_at_run`).  Only the vectorized
+    flood kernel builds one, so only it needs numpy.
+    """
+
+    __slots__ = ("srcs", "offs", "dsts", "msgs", "msg_idx", "sizes")
+
+    def __init__(self, srcs, offs, dsts, msgs: list, msg_idx, sizes) -> None:
+        self.srcs = srcs
+        self.offs = offs
+        self.dsts = dsts
+        self.msgs = msgs
+        self.msg_idx = msg_idx
+        self.sizes = sizes
+
+    @classmethod
+    def from_fans(cls, fans: list[tuple]) -> "FanWave":
+        """The wave of ``(src, dsts, msg, size)`` fused fan events, in
+        list order — a batch-drain claim of single fan events."""
+        msgs: list = []
+        msg_idx = []
+        for fan in fans:
+            if not msgs or fan[2] is not msgs[-1]:
+                msgs.append(fan[2])
+            msg_idx.append(len(msgs) - 1)
+        n = len(fans)
+        offs = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(fan[1]) for fan in fans], out=offs[1:])
+        return cls(
+            np.fromiter((fan[0] for fan in fans), dtype=np.int64, count=n),
+            offs,
+            np.fromiter(
+                chain.from_iterable(fan[1] for fan in fans),
+                dtype=np.int64, count=int(offs[-1]),
+            ),
+            msgs,
+            np.asarray(msg_idx, dtype=np.int64),
+            np.fromiter((fan[3] for fan in fans), dtype=np.int64, count=n),
+        )
+
+    def __len__(self) -> int:
+        return len(self.srcs)
+
+    def __getitem__(self, part: slice) -> "FanWave":
+        a, b, _ = part.indices(len(self.srcs))
+        offs = self.offs[a : b + 1]
+        return FanWave(
+            self.srcs[a:b], offs - offs[0], self.dsts[offs[0] : offs[-1]],
+            self.msgs, self.msg_idx[a:b], self.sizes[a:b],
+        )
+
+    def fan_bytes(self):
+        """Bytes each fan puts on the wire: its size times its
+        destinations."""
+        return (self.offs[1:] - self.offs[:-1]) * self.sizes
 
 
 class Network:
@@ -559,46 +629,60 @@ class Network:
             )
         self.metrics.account_send_many(src, msg.kind, size, n_sent)
 
-    def send_fan_batch_unchecked(self, fans: list[tuple], kind: str) -> "list[int] | None":
-        """Bulk :meth:`send_fan_unchecked`: schedule one fused fan event
-        per ``(src, dsts, msg, size)`` entry of ``fans`` — all of one
-        message ``kind``, all arriving together — in list order, with one
-        batched accounting pass.  Exactly equivalent to calling
-        :meth:`send_fan_unchecked` once per entry (same heap state, same
-        Metrics totals); one frame per dissemination wave instead of one
-        per forwarder (the vectorized kernel's forward path, DESIGN.md
-        §12).
+    def send_fan_wave(self, wave: FanWave) -> "np.ndarray | None":
+        """File a whole wave of fused fan-outs — one message kind with a
+        batch fan sink, all arriving together — as ONE engine run entry
+        (:meth:`Simulator.call_at_run`) whose function is that sink, with
+        one batched accounting pass.
 
-        Under loss, each fan's destinations are masked in list order —
-        the same per-destination coin sequence the per-entry path draws —
-        and fully-lost fans schedule no event.  Returns ``None`` when
-        every entry was scheduled unmasked (the lossless fast path), else
-        a list aligned with ``fans`` giving the number of destinations
-        actually scheduled per entry (0 = no event), so the caller can
-        reconstruct the per-event push counts the per-entry path would
-        have produced (peak-backlog emulation, DESIGN.md §12).
+        Exactly equivalent to calling :meth:`send_fan_unchecked` once per
+        fan in wave order: the same ``seq`` numbers, Metrics totals and
+        loss draws — under loss one coin per destination in flat wave
+        order, the per-fan sequence, and a fully-lost fan schedules
+        nothing.  The kernel guarantees per fan what
+        :meth:`send_fan_unchecked` requires of its callers.  Returns
+        ``None`` when every fan was scheduled whole, else the number of
+        destinations scheduled per fan (0 = no event), from which the
+        caller replays the per-event push counts (peak-backlog
+        emulation, DESIGN.md §12).
         """
+        kind = wave.msgs[0].kind
+        # Every destination is accounted, lost or not: the sender
+        # transmitted the bytes; loss happens on the link.
+        self.metrics.account_wave(kind, wave)
+        survivors = None
+        if self._loss_rng is not None:
+            wave, survivors = self._mask_wave(wave)
         sim = self.sim
-        if self._loss_rng is None:
-            sim.call_at_many(
-                sim.now + self.latency.uniform_delay, self._deliver_fan, fans
-            )
-            self.metrics.account_fan_sends(kind, fans)
-            return None
-        mask = self._mask_lost
-        pushed: list[tuple] = []
-        counts: list[int] = []
-        for fan in fans:
-            kept = mask(fan[1])
-            counts.append(len(kept))
-            if kept:
-                pushed.append((fan[0], kept, fan[2], fan[3]))
-        if pushed:
-            sim.call_at_many(
-                sim.now + self.latency.uniform_delay, self._deliver_fan, pushed
-            )
-        self.metrics.account_fan_sends(kind, fans)
-        return counts
+        sim.call_at_run(
+            sim.now + self.latency.uniform_delay, self._batch_fan_sinks[kind], wave
+        )
+        return survivors
+
+    def _mask_wave(self, wave: FanWave) -> "tuple[FanWave, np.ndarray | None]":
+        """:meth:`_mask_lost` over a whole wave: one coin per destination
+        in flat order.  Returns the surviving wave (fully-lost fans
+        removed) and the survivors per fan of ``wave``, or
+        ``(wave, None)`` when nothing was lost."""
+        dsts = wave.dsts
+        coins = np.fromiter(
+            iter(self._loss_rng.random, None), dtype=np.float64, count=len(dsts)
+        )
+        keep = coins >= self._loss_rate
+        kept_before = np.zeros(len(dsts) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        lost = len(dsts) - int(kept_before[-1])
+        if not lost:
+            return wave, None
+        self._drop_lost(lost)
+        survivors = kept_before[wave.offs[1:]] - kept_before[wave.offs[:-1]]
+        live = np.nonzero(survivors)[0]
+        offs = np.zeros(live.size + 1, dtype=np.int64)
+        np.cumsum(survivors[live], out=offs[1:])
+        return FanWave(
+            wave.srcs[live], offs, dsts[keep], wave.msgs, wave.msg_idx[live],
+            wave.sizes[live],
+        ), survivors
 
     def register_fan_sink(
         self,
@@ -621,9 +705,11 @@ class Network:
 
         ``batch_sink`` additionally subscribes the kind to the engine's
         batch-drain tier (DESIGN.md §12): whole contiguous same-arrival
-        runs of fused fan events are claimed in one engine call and
-        handed to it as a list of ``(src, dsts, msg, size)`` tuples in
-        heap FIFO order — the vectorized kernel's entry point.  Kinds
+        runs of single fused fan events are claimed in one engine call
+        and handed to it as a list of ``(src, dsts, msg, size)`` tuples
+        in heap FIFO order, and every :class:`FanWave` of the kind that
+        :meth:`send_fan_wave` files reaches it whole — the vectorized
+        kernel's entry point.  Kinds
         without a batch sink in such a run fall back to their per-event
         ``sink``/per-node semantics unchanged, so registering one kernel
         never alters another kind's behaviour.
@@ -788,6 +874,15 @@ class Network:
         children_of = getattr(peer_node, "children_of", None)
         load = len(children_of(stream)) if children_of is not None else 0
         return (peer_node.uptime, load)
+
+    def peer_uptime(self, peer: NodeId) -> "float | None":
+        """A live peer's uptime, or None (runtime seam): what an
+        uptime-ranking strategy reads, without :meth:`peer_stats`'s
+        O(degree) relay-load list."""
+        peer_node = self.nodes.get(peer)
+        if peer_node is None or not peer_node.alive:
+            return None
+        return peer_node.uptime
 
     def peer_position(self, peer: NodeId, stream: int) -> "int | None":
         """A live peer's last-contiguous stream position, or None.

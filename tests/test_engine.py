@@ -496,47 +496,50 @@ class TestBatchDrain:
         assert sim.next_event_time() == 2.0
 
     def test_drain_scheduling_more_work_keeps_draining(self):
-        """A drain that schedules the next wave (the fan-out pattern)."""
+        """A claim whose drain files the next wave as a run, and runs
+        that file the one after (the vectorized fan-out pattern)."""
         sim = Simulator()
         waves = []
 
         def fn(x):
             raise AssertionError("unreachable")
 
-        def drain(batch):
-            waves.append([a[0] for a in batch])
+        def forward(items):
+            waves.append(list(items))
             if len(waves) < 3:
-                sim.call_at_many(
-                    sim.now + 1.0, fn, [(x * 10,) for a in batch for x in a]
-                )
+                sim.call_at_run(sim.now + 1.0, forward, [x * 10 for x in items])
 
-        sim.register_batch_drain(fn, drain)
-        sim.call_at_many(0.5, fn, [(1,), (2,)])
+        sim.register_batch_drain(fn, lambda batch: forward([a[0] for a in batch]))
+        sim.call_at(0.5, fn, 1)
+        sim.call_at(0.5, fn, 2)
         assert sim.run_until_idle() == 6
         assert waves == [[1, 2], [10, 20], [100, 200]]
         assert sim.now == 2.5
 
-    def test_call_at_many_matches_repeated_call_at(self):
-        """call_at_many is exactly N call_at calls: same FIFO order,
-        same peak_pending accounting."""
+    def test_call_at_run_matches_repeated_call_at(self):
+        """A run entry is exactly N call_at calls: same FIFO order among
+        its neighbours, same seq advance, same pending and peak_pending
+        accounting, same event count."""
         runs = []
         for bulk in (False, True):
             sim = Simulator()
             order = []
-            fn = order.append
+            sim.call_at(1.0, order.append, "first")
             if bulk:
-                sim.call_at_many(1.0, fn, [(i,) for i in range(5)])
+                sim.call_at_run(1.0, order.extend, list(range(5)))
             else:
                 for i in range(5):
-                    sim.call_at(1.0, fn, i)
+                    sim.call_at(1.0, order.append, i)
+            sim.call_at(1.0, order.append, "last")
+            pending = sim.pending
             sim.run()
-            runs.append((order, sim.events_processed, sim.peak_pending))
+            runs.append((order, sim.events_processed, sim.peak_pending, pending, sim._seq))
         assert runs[0] == runs[1]
-        assert runs[0][0] == list(range(5))
+        assert runs[0][0] == ["first", 0, 1, 2, 3, 4, "last"]
 
-    def test_call_at_many_in_past_rejected(self):
+    def test_call_at_run_in_past_rejected(self):
         sim = Simulator()
         sim.call_at(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.call_at_many(0.5, lambda: None, [()])
+            sim.call_at_run(0.5, lambda run: None, [()])

@@ -22,6 +22,8 @@ from repro.experiments.common import build_brisa_testbed
 #: What a node knows about a neighbour without asking the transport.
 FREE_FIELDS = frozenset({"peer", "arrival", "path_delay"})
 FETCHED_FIELDS = frozenset({"rtt", "uptime", "load", "capacity"})
+#: The transport calls those fields cost.
+TRANSPORT_HOOKS = ("rtt", "peer_stats", "peer_uptime", "capacity")
 
 
 class StrictCandidate:
@@ -89,7 +91,7 @@ def _emergence_run(strategy, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for hook in ("rtt", "peer_stats", "capacity"):
+    for hook in TRANSPORT_HOOKS:
         setattr(bed.network, hook, counting(hook, getattr(bed.network, hook)))
     monkeypatch.setattr(brisa_module, "Candidate", counting("Candidate", Candidate))
     monkeypatch.setattr(
@@ -106,7 +108,7 @@ def _emergence_run(strategy, monkeypatch):
 
 def test_first_come_emergence_asks_the_transport_nothing(monkeypatch):
     calls, bed = _emergence_run("first-come", monkeypatch)
-    assert calls["rtt"] == calls["peer_stats"] == calls["capacity"] == 0
+    assert not any(calls[hook] for hook in TRANSPORT_HOOKS)
     # One first-contact record per (node, stream, neighbour) heard from,
     # reused as the contention newcomer, plus one snapshot per adoption.
     first_contacts = sum(
@@ -119,7 +121,28 @@ def test_first_come_emergence_asks_the_transport_nothing(monkeypatch):
 def test_delay_aware_emergence_reads_only_rtt(monkeypatch):
     calls, _ = _emergence_run("delay-aware", monkeypatch)
     assert calls["rtt"] > 0
-    assert calls["peer_stats"] == calls["capacity"] == 0
+    assert calls["peer_stats"] == calls["peer_uptime"] == calls["capacity"] == 0
+
+
+def test_gerontocratic_emergence_builds_no_load_list(monkeypatch):
+    """Uptime is fetched without the relay load, an O(degree)
+    ``children_of`` list built on the peer: an uptime-only strategy
+    makes no ``children_of`` call at all."""
+    built = Counter()
+    children_of = BrisaNode.children_of
+
+    def counting_children_of(self, stream=0):
+        built["children_of"] += 1
+        return children_of(self, stream)
+
+    monkeypatch.setattr(BrisaNode, "children_of", counting_children_of)
+    calls, bed = _emergence_run("gerontocratic", monkeypatch)
+    assert calls["peer_uptime"] > 0
+    assert calls["rtt"] == calls["peer_stats"] == calls["capacity"] == 0
+    assert built["children_of"] == 0
+    # ...while the load query does build it.
+    bed.network.peer_stats(bed.nodes[1].node_id, 0)
+    assert built["children_of"] == 1
 
 
 def test_peer_stats_is_a_pure_read_of_the_queried_stream():
