@@ -189,7 +189,9 @@ class Metrics:
         for the kind counter)."""
         phase = self.phase
         bytes_sent = self.bytes_sent
-        for src, nbytes in zip(wave.srcs.tolist(), wave.fan_bytes().tolist()):
+        offs = wave.offs
+        fan_bytes = (offs[1:] - offs[:-1]) * wave.sizes
+        for src, nbytes in zip(wave.srcs.tolist(), fan_bytes.tolist()):
             bytes_sent[src][phase] += nbytes
         self.msg_counts[kind][phase] += len(wave.dsts)
 

@@ -102,11 +102,6 @@ class FanWave:
             self.msgs, self.msg_idx[a:b], self.sizes[a:b],
         )
 
-    def fan_bytes(self):
-        """Bytes each fan puts on the wire: its size times its
-        destinations."""
-        return (self.offs[1:] - self.offs[:-1]) * self.sizes
-
 
 class Network:
     """Registry + message fabric shared by all nodes of one simulation."""
