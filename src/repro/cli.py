@@ -195,7 +195,7 @@ def make_parser() -> argparse.ArgumentParser:
                                         for k in stack.kernels}),
                         help="delivery kernel (default object; slotted = "
                              "flat-array state, DESIGN.md §9 for flood, §11 for "
-                             "brisa; vectorized = numpy batch-drain kernel, "
+                             "brisa; vectorized = numpy wave kernel, "
                              "flood stack only, DESIGN.md §12)")
     sc_cmd.add_argument("--churn", type=float, default=None, metavar="PCT",
                         help="flood stack only: kill PCT%% of the population at "

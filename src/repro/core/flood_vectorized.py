@@ -8,18 +8,16 @@ masked array operations in one :meth:`VectorizedFloodKernel.on_fan_batch`
 call, so the per-duplicate cost drops from a Python loop body to a
 handful of vector instructions.
 
-A wave keeps its array form from the forward pass that produces it to
-the call that receives it.  The forward pass builds a
-:class:`~repro.sim.network.FanWave` (sources, CSR offsets, flat
-destinations, messages) straight from its masks;
+A wave is one message: a :class:`~repro.sim.network.FanWave` (sources,
+CSR offsets, flat destinations) kept as arrays from the forward pass
+that builds it straight from its masks to the call that receives it.
 ``Network.send_fan_wave`` accounts the sends, masks loss over the whole
 wave and files it as ONE engine run entry (``Simulator.call_at_run``)
 that stands for its N fan events; the engine hands it back to
-``on_fan_batch`` whole.  The first hops of a message are single fused
-fan events (the source's ``send_many`` and the scalar path below); the
-engine's batch-drain tier claims their contiguous same-time runs
-(``Network.register_fan_sink(..., batch_sink=...)``) and
-``on_fan_batch`` converts a claim to a wave on entry.
+``on_fan_batch`` whole.  A message's first hop — the source's
+``send_many``, or a relay after a single-``send`` arrival — is a single
+fused fan event, which the fan sink :meth:`VectorizedFloodKernel.on_fan`
+turns into a one-fan wave.
 
 Exactness contract: draw-for-draw parity with the slotted kernel (and,
 transitively, the object path) for one seed.  The three order-sensitive
@@ -28,26 +26,24 @@ effects of a wave are preserved literally:
 - dead/unattached destinations fall back in flat wave order, so the
   failure-notice RNG draws of :meth:`Network._drop` come out in the
   exact per-event sequence;
-- forward fan-outs are filed in flat wave order across *all*
-  ``(stream, seq)`` groups, one consecutive heap sequence number per
-  fan, so the constituent order of every later wave — and the loss
-  coins drawn for it — match the per-event run;
-- within one ``(stream, seq)`` group the first-occurrence masks encode
-  the scalar seen-map transition exactly (first ``UNSEEN`` delivers
-  and forwards, a first ``INJECTED`` is a source echo, everything
-  else is a duplicate).
+- forward fan-outs are filed in flat wave order, one consecutive heap
+  sequence number per fan, so the constituent order of every later
+  wave — and the loss coins drawn for it — match the per-event run;
+- the first-occurrence masks encode the scalar seen-map transition
+  exactly (first ``UNSEEN`` delivers and forwards, a first
+  ``INJECTED`` is a source echo, everything else is a duplicate).
 
 Everything order-insensitive (per-slot counters, byte totals, Metrics
 sums) is commutative and may be applied vectorized in any order, and
-where the engine cuts the event stream into waves (claims, run entries,
+where the engine cuts the event stream into waves (run entries,
 ``max_events`` slices) is invisible to the simulation.
 
 numpy is an *optional* dependency: importing this module without it is
 fine (the CLI keeps working), constructing the kernel raises a clear
 :class:`SimulationError`.  The sequential entry points (``inject``,
-``on_data``, the scalar ``on_fan``) are inherited from the slotted
-kernel unchanged — they operate element-wise on the numpy storage — so
-occupancy-latency runs and mirror-mode parity runs share one code path.
+``on_data``) are inherited from the slotted kernel unchanged — they
+operate element-wise on the numpy storage — so occupancy-latency runs,
+which schedule no fan events, run the slotted kernel's code path.
 Slot layout, cell states and release route are :mod:`repro.core.slots`'s;
 only what numpy storage changes (doubling growth, array planes) is overridden.
 """
@@ -64,11 +60,6 @@ from repro.core.slots import RECEIVED, UNSEEN, SlotPlane
 from repro.errors import SimulationError
 from repro.ids import NodeId, StreamId
 from repro.sim.network import FanWave
-
-#: Below this many fan events a wave is cheaper scalar than vectorized
-#: (array construction dominates); the scalar path is the reference
-#: semantics itself, so the cutover is invisible to parity.
-_SCALAR_BATCH_LIMIT = 4
 
 
 class _VectorPlane(SlotPlane):
@@ -104,10 +95,9 @@ class VectorizedFloodKernel(SlottedFloodKernel):
       1M-node tier allocates a few flat arrays instead of 1M objects;
     - ``_slot_map`` — a node-id-indexed slot vector (−1 = unattached)
       for O(1) vectorized id→slot gathers over whole waves;
-    - :meth:`on_fan_batch` — the wave sink: one call per dissemination
-      wave, whether the engine hands it a run entry the forward pass
-      filed or a batch-drain claim of single fused fan events
-      (:meth:`Network._drain_fan_batch`).
+    - :meth:`on_fan_batch` — one call per dissemination wave: a run
+      entry the forward pass filed, or a one-fan wave the fan sink
+      :meth:`on_fan` builds from a single fused fan event.
     """
 
     def __init__(self, network) -> None:
@@ -145,11 +135,6 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         self._csr_seen = -2
         self._csr_data = np.zeros(0, dtype=np.int64)
         self._csr_offs = np.zeros(1, dtype=np.int64)
-        # Re-register the fan sink with the batch entry point: whole
-        # same-arrival runs of flood fans now bypass per-event dispatch.
-        network.register_fan_sink(
-            FloodData.kind, self.on_fan, batch_sink=self.on_fan_batch
-        )
 
     # -- storage management ---------------------------------------------
     def _grow_to(self, alloc: int) -> None:
@@ -260,20 +245,24 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         return rows[seq]
 
     # -- batched delivery hot path ---------------------------------------
-    def on_fan_batch(self, wave) -> None:
-        """Execute one wave of flood fan-outs.
+    def on_fan(self, src: NodeId, dsts: list[NodeId], msg: FloodData, size: int) -> None:
+        """The fan sink: one fused fan event — a source's first hop, or a
+        relay after a single-``send`` arrival — is a one-fan wave."""
+        self.on_fan_batch(FanWave(
+            np.array([src], dtype=np.int64),
+            np.array([0, len(dsts)], dtype=np.int64),
+            np.array(dsts, dtype=np.int64),
+            msg, size,
+        ))
 
-        ``wave`` is a :class:`FanWave` — a run entry a forward pass filed
-        (``Network.send_fan_wave``) — or a batch-drain claim of single
-        fused fan events, ``(src, dsts, msg, size)`` tuples in heap FIFO
-        order, converted on entry.  Either may hold several ``(stream,
-        seq)`` groups whose wave schedules coincide.  Seen-map
-        transitions and counters are computed per group as masked array
-        ops; fallbacks and forward scheduling run in flat wave order
-        (see the module docstring for why that order is load-bearing).
+    def on_fan_batch(self, wave: FanWave) -> None:
+        """Execute one wave of flood fan-outs: a one-fan wave from
+        :meth:`on_fan`, or a run entry a forward pass filed
+        (``Network.send_fan_wave``).  Seen-map transitions and counters
+        are masked array ops; fallbacks and forward scheduling run in
+        flat wave order (see the module docstring for why that order is
+        load-bearing).
         """
-        if type(wave) is list:
-            wave = FanWave.from_fans(wave)
         sim = self.sim
         # Peak-backlog emulation (DESIGN.md §12): the wave left the heap
         # before processing, so pushes made here see a backlog short by
@@ -285,65 +274,22 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         entry_bias = sim.pending_bias
         n_events = len(wave)
         srcs = wave.srcs
-        offs = wave.offs
         ids = wave.dsts
-        msgs = wave.msgs
-        msg_idx = wave.msg_idx
-        sizes = wave.sizes
-        if n_events < _SCALAR_BATCH_LIMIT:
-            # Small waves: per-event scalar processing IS the reference
-            # semantics, and skips the array-construction overhead.
-            on_fan = self.on_fan
-            bounds = offs.tolist()
-            for k, (src, m, size) in enumerate(
-                zip(srcs.tolist(), msg_idx.tolist(), sizes.tolist())
-            ):
-                sim.pending_bias = entry_bias - k
-                on_fan(src, ids[bounds[k] : bounds[k + 1]].tolist(), msgs[m], size)
-            return
-        total = int(offs[-1])
-        if total == 0:
-            return
+        msg = wave.msg
+        size = wave.size
         heap_base = sim.pending
         #: Net events scheduled by each event, in reference order
         #: (fallback notices + handler sends now, forward fans at the
         #: end); lazily allocated — zero-push waves never touch it.
         ev_pushes = None
-        counts = offs[1:] - offs[:-1]
         slots = self._slot_map[ids]
         # flat element -> index of its originating fan event.
-        ev_idx = np.repeat(np.arange(n_events), counts)
-        # The typical wave carries one forward message — a single
-        # (stream, seq) at one wire size: skip the per-group / per-event
-        # array machinery.
-        m0 = msgs[0]
-        stream0 = m0.stream
-        seq0 = m0.seq
-        size0 = int(sizes[0])
-        single_group = all(m.stream == stream0 and m.seq == seq0 for m in msgs)
-        uniform_size = bool((sizes == size0).all())
-        if single_group:
-            group_iter = [((stream0, seq0), None)]
-        else:
-            # Groups in order of first appearance in the wave (``msgs``
-            # may still list a message whose fans a slice or the loss
-            # mask removed); each group's flat indices keep wave order.
-            keys: dict[tuple, int] = {}
-            fan_group = np.asarray(
-                [keys.setdefault((m.stream, m.seq), len(keys)) for m in msgs],
-                dtype=np.int64,
-            )[msg_idx]
-            present, first = np.unique(fan_group, return_index=True)
-            elem_group = np.repeat(fan_group, counts)
-            names = list(keys)
-            group_iter = [
-                (names[g], np.nonzero(elem_group == g)[0])
-                for g in present[np.argsort(first)].tolist()
-            ]
+        ev_idx = np.repeat(np.arange(n_events), wave.offs[1:] - wave.offs[:-1])
 
         attached = slots >= 0
-        n_att = int(attached.sum()) if not attached.all() else total
-        if n_att != total:
+        # Flat indices of the attached destinations; None = all of them.
+        att_idx = None
+        if not attached.all():
             # Dead (slot released) or never-attached destinations: the
             # generic single-delivery semantics, in flat order so the
             # _drop failure-notice RNG draws match the per-event run.
@@ -359,108 +305,70 @@ class VectorizedFloodKernel(SlottedFloodKernel):
                 # to that event for the end-of-wave peak replay.
                 sim.pending_bias = entry_bias - e
                 before = sim.pending
-                deliver(int(srcs[e]), int(ids[g]), msgs[msg_idx[e]], int(sizes[e]))
+                deliver(int(srcs[e]), int(ids[g]), msg, size)
                 ev_pushes[e] += sim.pending - before
+            att_idx = np.nonzero(attached)[0]
+            slots = slots[att_idx]
+            if slots.size == 0:
+                self._replay_peak(heap_base, entry_bias, ev_pushes)
+                return
 
-        att_slots = slots if n_att == total else slots[attached]
-        if uniform_size:
-            # One wire size: scatter-add via bincount (much faster than
-            # np.add.at for repeated indices).
-            self.rx_bytes += size0 * np.bincount(
-                att_slots, minlength=self.rx_bytes.size
-            )
-        else:
-            flat_sizes = np.repeat(sizes, counts)
-            np.add.at(
-                self.rx_bytes, att_slots,
-                flat_sizes if n_att == total else flat_sizes[attached],
-            )
-        self.receptions += n_att
+        # Scatter-add the wire size via bincount (much faster than
+        # np.add.at for repeated indices).
+        self.rx_bytes += size * np.bincount(slots, minlength=self.rx_bytes.size)
+        self.receptions += slots.size
 
-        flat_payloads = None
-        mirror = self._mirror
         now = sim.now
-        deliver = None  # global first-delivery mask, built per group
-        for (stream, seq), gidx in group_iter:
-            plane = self.plane(stream)
-            rows = plane.rows
-            row = rows[seq] if seq < len(rows) else self._row(plane, seq)
-            slots_g = slots if gidx is None else slots[gidx]
-            if n_att != total:
-                att_g = slots_g >= 0
-                gidx = np.nonzero(att_g)[0] if gidx is None else gidx[att_g]
-                slots_g = slots_g[att_g]
-            if slots_g.size == 0:
-                continue
-            if mirror:
-                # Parity/record runs: feed Metrics exactly like the
-                # scalar path, element by element in flat group order
-                # (the restriction of wave order to this group — the
-                # only order record_delivery's first/duplicate split
-                # can observe).
-                record = self.metrics.record_delivery
-                account = self.metrics.account_receive
-                for g in range(total) if gidx is None else gidx.tolist():
-                    e = int(ev_idx[g])
-                    m = msgs[msg_idx[e]]
-                    dst = int(ids[g])
-                    record(
-                        dst, stream, seq, now, int(srcs[e]), m.hops + 1,
-                        m.path_delay + (now - m.sent_at), m.payload_bytes,
-                    )
-                    account(dst, int(sizes[e]))
-            pre = row[slots_g]
-            # First occurrence per slot without a sort: scatter flat
-            # indices in reverse (so the lowest index wins) and compare
-            # the gather-back against each element's own index.
-            idx = np.arange(slots_g.size)
-            scratch = self._first_scratch
-            scratch[slots_g[::-1]] = idx[::-1]
-            first = scratch[slots_g] == idx
-            # Scalar transition, vectorized: a slot's first occurrence
-            # sees the pre-wave state (deliver on UNSEEN, echo on
-            # INJECTED, duplicate on RECEIVED); every later occurrence
-            # sees RECEIVED and is a duplicate.
-            dmask = first & (pre == UNSEEN)
-            dup = ~first | (pre == RECEIVED)
-            row[slots_g] = RECEIVED
-            dup_slots = slots_g[dup]
-            if dup_slots.size:
-                np.add.at(plane.duplicates, dup_slots, 1)
-            if not dmask.any():
-                continue
-            dslots = slots_g[dmask]  # unique by construction
-            plane.delivered[dslots] += 1
-            if single_group and uniform_size:
-                # One (stream, seq) at one size: every delivery adds the
-                # same payload.
-                plane.payload_bytes[dslots] += m0.payload_bytes
-            else:
-                if flat_payloads is None:
-                    payloads = np.asarray(
-                        [m.payload_bytes for m in msgs], dtype=np.int64
-                    )
-                    flat_payloads = np.repeat(payloads[msg_idx], counts)
-                psel = flat_payloads if gidx is None else flat_payloads[gidx]
-                plane.payload_bytes[dslots] += psel[dmask]
-            if gidx is None:
-                # Single group over a fully-attached wave: dmask IS the
-                # global first-delivery mask.
-                deliver = dmask
-                continue
-            if deliver is None:
-                deliver = np.zeros(total, dtype=bool)
-            deliver[gidx[dmask]] = True
-
-        if deliver is None:
+        stream = msg.stream
+        seq = msg.seq
+        plane = self.plane(stream)
+        rows = plane.rows
+        row = rows[seq] if seq < len(rows) else self._row(plane, seq)
+        hops = msg.hops + 1
+        path_delay = msg.path_delay + (now - msg.sent_at)
+        if self._mirror:
+            # Parity/record runs: feed Metrics exactly like the scalar
+            # path, element by element in flat wave order (the only
+            # order record_delivery's first/duplicate split can observe).
+            record = self.metrics.record_delivery
+            account = self.metrics.account_receive
+            for g in range(len(ids)) if att_idx is None else att_idx.tolist():
+                dst = int(ids[g])
+                record(
+                    dst, stream, seq, now, int(srcs[ev_idx[g]]), hops,
+                    path_delay, msg.payload_bytes,
+                )
+                account(dst, size)
+        pre = row[slots]
+        # First occurrence per slot without a sort: scatter flat indices
+        # in reverse (so the lowest index wins) and compare the
+        # gather-back against each element's own index.
+        idx = np.arange(slots.size)
+        scratch = self._first_scratch
+        scratch[slots[::-1]] = idx[::-1]
+        first = scratch[slots] == idx
+        # Scalar transition, vectorized: a slot's first occurrence sees
+        # the pre-wave state (deliver on UNSEEN, echo on INJECTED,
+        # duplicate on RECEIVED); every later occurrence sees RECEIVED
+        # and is a duplicate.
+        dmask = first & (pre == UNSEEN)
+        dup = ~first | (pre == RECEIVED)
+        row[slots] = RECEIVED
+        dup_slots = slots[dup]
+        if dup_slots.size:
+            np.add.at(plane.duplicates, dup_slots, 1)
+        if not dmask.any():
             self._replay_peak(heap_base, entry_bias, ev_pushes)
             return
-        # Forward pass, in flat wave order across every group: the
-        # forwards leave as one wave whose fans take consecutive heap
-        # sequence numbers, so the constituent order of all later waves
-        # matches the per-event run exactly.
-        didx = np.nonzero(deliver)[0]
-        d_slots = slots[didx]
+        d_slots = slots[dmask]  # unique by construction
+        plane.delivered[d_slots] += 1
+        plane.payload_bytes[d_slots] += msg.payload_bytes
+
+        # Forward pass, in flat wave order: the forwards leave as one
+        # wave whose fans take consecutive heap sequence numbers, so the
+        # constituent order of all later waves matches the per-event run
+        # exactly.
+        didx = np.nonzero(dmask)[0] if att_idx is None else att_idx[dmask]
         lens = self._row_len[d_slots]
         nz = lens > 0
         if not nz.all():
@@ -514,51 +422,29 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             f_ev = d_ev[fans]
             f_offs = np.zeros(fans.size + 1, dtype=np.int64)
             np.cumsum(klens[fans], out=f_offs[1:])
-            fwds, f_msg_idx = self._forwards(msgs, msg_idx[f_ev], now)
-            # A forward's wire size equals the incoming event's (same
-            # kind, same size-bearing fields).
-            out = FanWave(ids[didx[fans]], f_offs, kept, fwds, f_msg_idx, sizes[f_ev])
+            # One shared forward message for the whole wave (messages
+            # are immutable value objects); its wire size equals the
+            # incoming one's (same kind, same size-bearing fields).
+            fwd = FloodData(
+                stream, seq, msg.payload_bytes,
+                hops=hops, path_delay=path_delay, sent_at=now,
+            )
+            out = FanWave(ids[didx[fans]], f_offs, kept, fwd, size)
             # The run push's real peak check fires once, after the whole
             # wave was filed; pinning the bias to the *last* event keeps
             # it at or below the per-event reference (whose last check
-            # runs with exactly that many claimed events outstanding).
+            # runs with exactly that many of the wave's events unprocessed).
             # The exact reference maximum is replayed below from the
             # per-event push counts — under loss, only fans that survived
             # masking (non-zero scheduled destinations) pushed an event.
             sim.pending_bias = entry_bias - (n_events - 1)
-            scheduled = self.network.send_fan_wave(out)
+            scheduled = self.network.send_fan_wave(out, self.on_fan_batch)
             pushed = np.bincount(
                 f_ev if scheduled is None else f_ev[scheduled > 0],
                 minlength=n_events,
             )
             ev_pushes = pushed if ev_pushes is None else ev_pushes + pushed
         self._replay_peak(heap_base, entry_bias, ev_pushes)
-
-    @staticmethod
-    def _forwards(msgs: list, fan_msgs, now: float):
-        """The forward wave's messages — one per incoming message its fans
-        relay, in order of first use — and each fan's index into them.
-        Messages are immutable value objects, so one shared instance
-        serves every fan relaying the same message; building one touches
-        no clock or RNG."""
-        if len(msgs) == 1:
-            order, index = [0], fan_msgs
-        else:
-            used, first = np.unique(fan_msgs, return_index=True)
-            ordered = used[np.argsort(first)]
-            remap = np.empty(len(msgs), dtype=np.int64)
-            remap[ordered] = np.arange(ordered.size)
-            order, index = ordered.tolist(), remap[fan_msgs]
-        fwds = []
-        for i in order:
-            m = msgs[i]
-            fwds.append(FloodData(
-                m.stream, m.seq, m.payload_bytes,
-                hops=m.hops + 1,
-                path_delay=m.path_delay + (now - m.sent_at),
-                sent_at=now,
-            ))
-        return fwds, index
 
     def _replay_peak(self, base: int, entry_bias: int, ev_pushes) -> None:
         """Record the exact peak backlog the per-event dispatch order

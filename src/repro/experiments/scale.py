@@ -6,7 +6,7 @@ of churn).  ``fast`` shrinks everything shape-preservingly so the whole
 bench suite completes in minutes.  ``large`` (2k), ``xl`` (10k) and
 ``xxl`` (100k) and ``xxxl`` (1M) go beyond the paper for the scale
 benchmarks enabled by the simulator hot-path overhaul, the array-backed
-bootstrap and the vectorized batch-drain kernel.  Select with
+bootstrap and the vectorized wave kernel.  Select with
 ``REPRO_SCALE=paper`` etc.
 """
 
@@ -141,7 +141,7 @@ XXL = Scale(
 )
 
 #: The 1M rung (DESIGN.md §12): only reachable through the vectorized
-#: batch-drain kernel — at this population even the pure-python slotted
+#: wave kernel — at this population even the pure-python slotted
 #: per-reception loop is the wall.  Exercised by the nightly CI workflow
 #: behind ``REPRO_XXXL=1``, not by per-push CI.
 XXXL = Scale(

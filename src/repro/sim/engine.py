@@ -29,13 +29,14 @@ client (DESIGN.md §12).
 :meth:`Simulator.run` is the one run loop; "no bound" is a bound no
 event reaches, so :meth:`Simulator.run_until_idle` is ``run()`` by name.
 
-:meth:`Simulator.register_batch_drain` opens the batch-drain tier
-(DESIGN.md §12): a callback registered for one fire-and-forget function
-claims whole contiguous runs of same-time *single* events of that
-function in one call, so a delivery kernel can process an arrival wave
-without one Python frame per event.  Each constituent event still counts
-exactly once toward ``max_events`` / ``events_processed``, and a budget
-break splits the claim cleanly mid-batch.
+:meth:`Simulator.register_batch_drain` opens the batch-drain tier: a
+callback registered for one fire-and-forget function claims whole
+contiguous runs of same-time *single* events of that function in one
+call.  Each constituent event still counts exactly once toward
+``max_events`` / ``events_processed``, and a budget break splits the
+claim cleanly mid-batch.  Nothing in the package registers one any more
+(a vectorized wave is a run entry); the tier stays only while the
+benchmark tracer probes it (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ class Simulator:
         self._stopped = False
         self.events_processed = 0
         #: fn -> drain callback for the batch-drain tier (see
-        #: :meth:`register_batch_drain`).  Empty in most runs — the run
-        #: loop then pays one falsy check per fire-and-forget event.
+        #: :meth:`register_batch_drain`).  Empty in every package run —
+        #: the run loop then pays one falsy check per fire-and-forget event.
         self._batch_drains: dict[Callable, Callable] = {}
         #: Largest backlog ever observed (peak scheduled events).
         self.peak_pending = 0
@@ -245,13 +246,13 @@ class Simulator:
         Only single fire-and-forget events (:meth:`call_later` /
         :meth:`call_at`) participate: cancellable handles keep per-event
         dispatch and a run entry (:meth:`call_at_run`) is its own batch.
-        The fused fan-delivery path is the intended client (DESIGN.md
+        No caller is left in the package — waves are run entries — and
+        the tier stays only for the benchmark tracer's probe (DESIGN.md
         §12).
 
         Claims match ``fn`` by *identity* (``is``): register and
         schedule one pinned callable — a bound method freshly minted per
-        ``obj.method`` access never merges into a run (see
-        ``Network.__init__``'s ``_deliver_fan`` pin).
+        ``obj.method`` access never merges into a run.
         """
         self._batch_drains[fn] = drain
 

@@ -182,18 +182,18 @@ class Metrics:
         self.bytes_sent[node][phase] += nbytes * count
         self.msg_counts[kind][phase] += count
 
-    def account_wave(self, kind: str, wave) -> None:
+    def account_wave(self, wave) -> None:
         """Batched :meth:`account_send_many` over one
-        :class:`~repro.sim.network.FanWave` of message ``kind``: the same
-        totals as one call per fan (one dict walk per fan, one per wave
-        for the kind counter)."""
+        :class:`~repro.sim.network.FanWave`: the same totals as one call
+        per fan (one dict walk per fan, one per wave for the kind
+        counter)."""
         phase = self.phase
         bytes_sent = self.bytes_sent
         offs = wave.offs
-        fan_bytes = (offs[1:] - offs[:-1]) * wave.sizes
+        fan_bytes = (offs[1:] - offs[:-1]) * wave.size
         for src, nbytes in zip(wave.srcs.tolist(), fan_bytes.tolist()):
             bytes_sent[src][phase] += nbytes
-        self.msg_counts[kind][phase] += len(wave.dsts)
+        self.msg_counts[wave.msg.kind][phase] += len(wave.dsts)
 
     def account_receive(self, node: NodeId, nbytes: int) -> None:
         self.bytes_received[node][self.phase] += nbytes

@@ -26,7 +26,6 @@ the model charges occupancy.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable, Iterable, Optional
 
 try:  # a FanWave is numpy arrays; only the vectorized kernel builds one
@@ -45,51 +44,24 @@ from repro.sim.rng import derive
 
 
 class FanWave:
-    """A dissemination wave: N fused fan-out events of one message kind
+    """A dissemination wave: N fused fan-out events carrying one message
     that arrive at one instant, kept as arrays (DESIGN.md §12).
 
-    Fan ``i`` carries ``msgs[msg_idx[i]]`` at wire size ``sizes[i]`` from
-    ``srcs[i]`` to ``dsts[offs[i]:offs[i + 1]]``; ``msgs`` lists the
-    message objects the fans carry, in order of first use.  ``len``
-    counts fans and a slice selects fans, which is all an engine run
-    entry needs (:meth:`Simulator.call_at_run`).  Only the vectorized
-    flood kernel builds one, so only it needs numpy.
+    Fan ``i`` carries ``msg`` at wire size ``size`` from ``srcs[i]`` to
+    ``dsts[offs[i]:offs[i + 1]]``.  ``len`` counts fans and a slice
+    selects fans, which is all an engine run entry needs
+    (:meth:`Simulator.call_at_run`).  Only the vectorized flood kernel
+    builds one, so only it needs numpy.
     """
 
-    __slots__ = ("srcs", "offs", "dsts", "msgs", "msg_idx", "sizes")
+    __slots__ = ("srcs", "offs", "dsts", "msg", "size")
 
-    def __init__(self, srcs, offs, dsts, msgs: list, msg_idx, sizes) -> None:
+    def __init__(self, srcs, offs, dsts, msg: Message, size: int) -> None:
         self.srcs = srcs
         self.offs = offs
         self.dsts = dsts
-        self.msgs = msgs
-        self.msg_idx = msg_idx
-        self.sizes = sizes
-
-    @classmethod
-    def from_fans(cls, fans: list[tuple]) -> "FanWave":
-        """The wave of ``(src, dsts, msg, size)`` fused fan events, in
-        list order — a batch-drain claim of single fan events."""
-        msgs: list = []
-        msg_idx = []
-        for fan in fans:
-            if not msgs or fan[2] is not msgs[-1]:
-                msgs.append(fan[2])
-            msg_idx.append(len(msgs) - 1)
-        n = len(fans)
-        offs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(fan[1]) for fan in fans], out=offs[1:])
-        return cls(
-            np.fromiter((fan[0] for fan in fans), dtype=np.int64, count=n),
-            offs,
-            np.fromiter(
-                chain.from_iterable(fan[1] for fan in fans),
-                dtype=np.int64, count=int(offs[-1]),
-            ),
-            msgs,
-            np.asarray(msg_idx, dtype=np.int64),
-            np.fromiter((fan[3] for fan in fans), dtype=np.int64, count=n),
-        )
+        self.msg = msg
+        self.size = size
 
     def __len__(self) -> int:
         return len(self.srcs)
@@ -99,7 +71,7 @@ class FanWave:
         offs = self.offs[a : b + 1]
         return FanWave(
             self.srcs[a:b], offs - offs[0], self.dsts[offs[0] : offs[-1]],
-            self.msgs, self.msg_idx[a:b], self.sizes[a:b],
+            self.msg, self.size,
         )
 
 
@@ -183,17 +155,10 @@ class Network:
         #: ``handle_message`` per receiver.  Empty unless a slotted
         #: kernel registered one; the fused path pays one falsy check.
         self._fan_sinks: dict[str, Callable[[NodeId, list[NodeId], Message, int], None]] = {}
-        #: Batch fan sinks by message kind (DESIGN.md §12): a kernel that
-        #: can execute *many* same-arrival fan-outs in one call registers
-        #: one here, and the network claims whole contiguous
-        #: ``_deliver_fan`` runs from the engine's batch-drain tier.
-        self._batch_fan_sinks: dict[str, Callable[[list[tuple]], None]] = {}
-        # Pin ONE bound-method object for the fused fan event function:
-        # attribute access would otherwise mint a fresh bound method per
-        # send, and the engine's batch-drain claim loop matches events
-        # by function identity (`is`).  The instance attribute shadows
-        # the class method, so every later ``self._deliver_fan`` — send
-        # paths and drain registration alike — resolves to this object.
+        #: The fused plan's fan event function, bound once: attribute
+        #: access would otherwise mint a fresh bound method on every
+        #: fused send — every BRISA and membership fan.  The instance
+        #: attribute shadows the class method.
         self._deliver_fan = self._deliver_fan
         #: The per-destination plan's receive stage, bound once for the
         #: same reason: ``_deliver`` runs per arrival and would otherwise
@@ -624,10 +589,11 @@ class Network:
             )
         self.metrics.account_send_many(src, msg.kind, size, n_sent)
 
-    def send_fan_wave(self, wave: FanWave) -> "np.ndarray | None":
-        """File a whole wave of fused fan-outs — one message kind with a
-        batch fan sink, all arriving together — as ONE engine run entry
-        (:meth:`Simulator.call_at_run`) whose function is that sink, with
+    def send_fan_wave(
+        self, wave: FanWave, sink: Callable[[FanWave], None]
+    ) -> "np.ndarray | None":
+        """File a whole wave of fused fan-outs as ONE engine run entry
+        (:meth:`Simulator.call_at_run`) that hands it to ``sink``, with
         one batched accounting pass.
 
         Exactly equivalent to calling :meth:`send_fan_unchecked` once per
@@ -641,17 +607,14 @@ class Network:
         caller replays the per-event push counts (peak-backlog
         emulation, DESIGN.md §12).
         """
-        kind = wave.msgs[0].kind
         # Every destination is accounted, lost or not: the sender
         # transmitted the bytes; loss happens on the link.
-        self.metrics.account_wave(kind, wave)
+        self.metrics.account_wave(wave)
         survivors = None
         if self._loss_rng is not None:
             wave, survivors = self._mask_wave(wave)
         sim = self.sim
-        sim.call_at_run(
-            sim.now + self.latency.uniform_delay, self._batch_fan_sinks[kind], wave
-        )
+        sim.call_at_run(sim.now + self.latency.uniform_delay, sink, wave)
         return survivors
 
     def _mask_wave(self, wave: FanWave) -> "tuple[FanWave, np.ndarray | None]":
@@ -674,17 +637,10 @@ class Network:
         live = np.nonzero(survivors)[0]
         offs = np.zeros(live.size + 1, dtype=np.int64)
         np.cumsum(survivors[live], out=offs[1:])
-        return FanWave(
-            wave.srcs[live], offs, dsts[keep], wave.msgs, wave.msg_idx[live],
-            wave.sizes[live],
-        ), survivors
+        return FanWave(wave.srcs[live], offs, dsts[keep], wave.msg, wave.size), survivors
 
     def register_fan_sink(
-        self,
-        kind: str,
-        sink: Callable[[NodeId, list[NodeId], Message, int], None],
-        *,
-        batch_sink: Callable[[list[tuple]], None] | None = None,
+        self, kind: str, sink: Callable[[NodeId, list[NodeId], Message, int], None]
     ) -> None:
         """Route whole fused fan-outs of one message kind to ``sink``.
 
@@ -695,27 +651,12 @@ class Network:
         the fused plan are affected — single sends and the
         per-destination plan keep the regular per-node chain — so a
         run's receive bookkeeping stays consistent per latency model.
-        Used by the slotted flood kernel (DESIGN.md §9) to process a
-        fan-out's receptions against flat arrays with locals bound once.
-
-        ``batch_sink`` additionally subscribes the kind to the engine's
-        batch-drain tier (DESIGN.md §12): whole contiguous same-arrival
-        runs of single fused fan events are claimed in one engine call
-        and handed to it as a list of ``(src, dsts, msg, size)`` tuples
-        in heap FIFO order, and every :class:`FanWave` of the kind that
-        :meth:`send_fan_wave` files reaches it whole — the vectorized
-        kernel's entry point.  Kinds
-        without a batch sink in such a run fall back to their per-event
-        ``sink``/per-node semantics unchanged, so registering one kernel
-        never alters another kind's behaviour.
+        Used by the slotted kernels (DESIGN.md §9, §11) to process a
+        fan-out's receptions against flat arrays with locals bound once;
+        the vectorized flood kernel's sink turns the fan-out into a
+        one-fan :class:`FanWave` (DESIGN.md §12).
         """
         self._fan_sinks[kind] = sink
-        if batch_sink is not None:
-            if not self._batch_fan_sinks:
-                # First batch sink: runs without one never register the
-                # engine-side drain and keep per-event dispatch.
-                self.sim.register_batch_drain(self._deliver_fan, self._drain_fan_batch)
-            self._batch_fan_sinks[kind] = batch_sink
 
     def register_kernel(self, kernel) -> None:
         """Attach a slotted kernel's lifecycle to this network.
@@ -744,40 +685,6 @@ class Network:
                 continue
             account(dst, size)
             node.handle_message(src, msg)
-
-    def _drain_fan_batch(self, batch: list[tuple]) -> None:
-        """Engine batch drain for fused fan events (DESIGN.md §12).
-
-        ``batch`` is a contiguous same-time run of ``_deliver_fan`` args
-        tuples in heap FIFO order.  Contiguous sub-runs whose message
-        kind has a batch sink go to it whole; every other event keeps
-        the exact per-event :meth:`_deliver_fan` dispatch, so membership
-        traffic and foreign kinds are untouched by the batching.
-        """
-        sinks = self._batch_fan_sinks
-        deliver = self._deliver_fan
-        sim = self.sim
-        i = 0
-        n = len(batch)
-        while i < n:
-            kind = batch[i][2].kind
-            bsink = sinks.get(kind)
-            # Keep the engine's peak-backlog bias exact as the claimed run
-            # is consumed: event ``i`` runs with ``n - 1 - i`` claimed
-            # events still unprocessed — precisely what the per-event
-            # tiers would have left sitting in the heap.  A batch sink
-            # inherits the bias of its sub-run's first event and lowers
-            # it itself as it advances (DESIGN.md §12).
-            sim.pending_bias = n - 1 - i
-            if bsink is None:
-                deliver(*batch[i])
-                i += 1
-                continue
-            j = i + 1
-            while j < n and batch[j][2].kind == kind:
-                j += 1
-            bsink(batch[i:j])
-            i = j
 
     def _deliver(self, src: NodeId, dst: NodeId, msg: Message, size: int) -> None:
         node = self.nodes.get(dst)

@@ -211,9 +211,9 @@ class Driver:
         n = len(events)
         for i, (tag, action) in enumerate(events):
             # What a batch or run client owes the peak measurement as it
-            # advances: the events still unprocessed
-            # (``Network._drain_fan_batch``, ``on_fan_batch``).  The first
-            # runs on the scheduler's own correction.
+            # advances: the events still unprocessed (the vectorized
+            # flood kernel's ``on_fan_batch`` does the same per wave).
+            # The first runs on the scheduler's own correction.
             if i:
                 self.sched.pending_bias = n - 1 - i
             self.fire(tag, action)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.flood import SlottedFloodKernel
@@ -36,7 +36,7 @@ LATENCIES = {
 
 def flood_run(kernel: str, n: int, messages: int, seed: int, latency_kind: str,
               streams: int = 1, topology: str = "uniform",
-              loss_percent: float = 0.0):
+              loss_percent: float = 0.0, degree: int = 5):
     """One recorded flood run; returns (sim, net, nodes).
 
     ``streams`` > 1 drives K concurrent publishers spread over the
@@ -46,7 +46,7 @@ def flood_run(kernel: str, n: int, messages: int, seed: int, latency_kind: str,
 
     sim, net, nodes = build_static_flood_overlay(
         n,
-        degree=5,
+        degree=degree,
         seed=seed,
         latency=LATENCIES[latency_kind](seed),
         record_deliveries=True,
@@ -264,13 +264,13 @@ def test_unknown_kernel_rejected():
 # Vectorized flood kernel (DESIGN.md §12)
 # ======================================================================
 #
-# The vectorized kernel consumes whole waves through the engine's
-# batch-drain tier and executes them as masked numpy array ops; its
-# contract is the same draw-for-draw equivalence the slotted kernel
-# pins against the object path — including ``peak_pending``: batch
-# claiming pops a wave's events off the heap before scheduling its
-# forwards, so the engine carries a ``pending_bias`` for the claimed-
-# but-unprocessed remainder and the kernel replays the per-event push
+# The vectorized kernel executes each dissemination wave — one engine
+# run entry, or a one-fan wave built from a single fused fan event — as
+# masked numpy array ops; its contract is the same draw-for-draw
+# equivalence the slotted kernel pins against the object path —
+# including ``peak_pending``: a run entry leaves the heap before its
+# forwards are scheduled, so the engine carries a ``pending_bias`` for
+# the unprocessed remainder and the kernel replays the per-event push
 # sequence over the wave to land the exact per-event high-water mark.
 
 try:
@@ -309,7 +309,7 @@ def test_vectorized_kernel_matches_object_kernel(n, messages, seed, latency_kind
     """Batched wave execution must reproduce the object path record for
     record: delivery tuples (time, sender, hops, path delay), duplicate
     counts, byte totals and engine schedules — under the fused zero-cost
-    path (batch drains engaged) and under occupancy charging (scalar
+    path (every fan event a wave) and under occupancy charging (scalar
     on_data fallback on the numpy storage)."""
     sim_o, net_o, nodes_o = flood_run("object", n, messages, seed, latency_kind)
     sim_v, net_v, nodes_v = flood_run("vectorized", n, messages, seed, latency_kind)
@@ -333,9 +333,10 @@ def test_vectorized_kernel_matches_object_kernel(n, messages, seed, latency_kind
 @example(n=64, messages=2, streams=4, seed=0, latency_kind="zero-cost")
 @example(n=256, messages=3, streams=3, seed=7, latency_kind="occupancy")
 def test_vectorized_multistream_parity(n, messages, streams, seed, latency_kind):
-    """Coinciding waves of different streams merge into multi-group
-    batches; the per-group split must keep every stream's plane and
-    Metrics shard identical to the object run."""
+    """Streams that inject at the same instants arrive at the same
+    instants, yet each stream's waves stay separate (a wave carries one
+    message); every stream's plane and Metrics shard must stay identical
+    to the object run."""
     sim_o, net_o, nodes_o = flood_run(
         "object", n, messages, seed, latency_kind, streams=streams
     )
@@ -358,15 +359,21 @@ def test_vectorized_multistream_parity(n, messages, streams, seed, latency_kind)
     n=st.integers(min_value=64, max_value=256),
     churn=st.floats(min_value=1.0, max_value=12.0),
     seed=st.integers(min_value=0, max_value=2**20),
+    degree=st.sampled_from([2, 3, 5]),
 )
-@example(n=256, churn=8.0, seed=11)
-def test_vectorized_kernel_agrees_under_churn(n, churn, seed):
+@example(n=256, churn=8.0, seed=11, degree=5)
+@example(n=128, churn=10.0, seed=3, degree=2)
+def test_vectorized_kernel_agrees_under_churn(n, churn, seed, degree):
     """Churn exercises slot release into the numpy planes, _slot_map
     invalidation (dead destinations fall back in flat order, so the
     failure-notice RNG draws line up), row-mirror invalidation and CSR
-    staleness — the three kernels must still walk the same simulation."""
+    staleness — the three kernels must still walk the same simulation.
+    On a degree-2 overlay most waves have one or two fans, so dead
+    destinations land in the smallest waves the array path runs."""
     results = [
-        run_scale_flood(n, 8, seed=seed, kernel=kernel, churn_percent=churn)
+        run_scale_flood(
+            n, 8, seed=seed, kernel=kernel, churn_percent=churn, degree=degree
+        )
         for kernel in ("object", "vectorized")
     ]
     a, b = (r.to_dict() for r in results)
@@ -761,27 +768,33 @@ def test_slotted_kernel_matches_object_kernel_under_loss(
     latency_kind=st.sampled_from(sorted(LATENCIES)),
     loss=st.floats(min_value=0.5, max_value=30.0),
     topology=st.sampled_from(["uniform", "powerlaw", "smallworld"]),
+    degree=st.sampled_from([2, 3, 5]),
 )
 @example(n=128, messages=2, seed=1, latency_kind="zero-cost", loss=2.0,
-         topology="powerlaw")
+         topology="powerlaw", degree=5)
 @example(n=128, messages=2, seed=1, latency_kind="occupancy", loss=10.0,
-         topology="smallworld")
+         topology="smallworld", degree=5)
 @example(n=64, messages=3, seed=42, latency_kind="zero-cost", loss=30.0,
-         topology="uniform")
+         topology="uniform", degree=5)
+@example(n=96, messages=3, seed=5, latency_kind="zero-cost", loss=30.0,
+         topology="uniform", degree=2)
 def test_vectorized_kernel_matches_object_kernel_under_loss(
-    n, messages, seed, latency_kind, loss, topology
+    n, messages, seed, latency_kind, loss, topology, degree
 ):
     """The wave-array masking must keep the batched path on the object
     path's exact simulation: same lost (message, destination) pairs,
     same surviving schedules (a fully-lost fan-out schedules nothing),
-    same drop counters, same peak_pending."""
+    same drop counters, same peak_pending.  On a degree-2 overlay most
+    waves have one or two fans, so fully-lost fans empty whole waves."""
+    # A small-world lattice needs degree >= 4; the bootstrap rejects less.
+    assume(topology != "smallworld" or degree >= 4)
     sim_o, net_o, nodes_o = flood_run(
         "object", n, messages, seed, latency_kind,
-        topology=topology, loss_percent=loss,
+        topology=topology, loss_percent=loss, degree=degree,
     )
     sim_v, net_v, nodes_v = flood_run(
         "vectorized", n, messages, seed, latency_kind,
-        topology=topology, loss_percent=loss,
+        topology=topology, loss_percent=loss, degree=degree,
     )
     snap = snapshot(sim_o, net_o, nodes_o)
     assert snap == snapshot(sim_v, net_v, nodes_v)
