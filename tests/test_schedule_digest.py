@@ -8,12 +8,15 @@ schedules exactly where they were.  Each digest hashes what one such run
 decides: the engine counters, the final clock, message counts by kind,
 the bytes sent, and every first delivery ``(stream, seq, node, time)``.
 
-Two beds: a 64-node Table I churn bed (``ClusterLatency``, tree mode —
-the join ramp, timers, kills, joiners and soft repair) and a static
-64-node BRISA stream over ``PlanetLabLatency`` (the Fig. 9 / Fig. 13
-model).  When a
-change *means* to move a schedule, re-pin the digest and say why in the
-commit message.
+Four beds: a 64-node Table I churn bed (``ClusterLatency``, tree mode —
+the join ramp, timers, kills, joiners and soft repair), the same bed in
+DAG mode (two parents, depth labels: demotions, ``DepthUpdate`` pushes,
+cycle drops, soft and hard repair), a static 64-node BRISA stream over
+``PlanetLabLatency`` (the Fig. 9 / Fig. 13 model) and a static 64-node
+Bloom-filter DAG (``BloomUpdate`` growth pushes).  The DAG and Bloom beds
+pin the predictor-specific steps of §II-D / §II-G.  When a change
+*means* to move a schedule, re-pin the digest and say why in the commit
+message.
 """
 
 from __future__ import annotations
@@ -72,6 +75,27 @@ def test_table1_churn_bed_schedule_is_pinned():
     assert digest == GOLDEN_CHURN[1]
 
 
+def test_table1_dag_churn_bed_schedule_is_pinned():
+    bed = build_brisa_testbed(
+        N,
+        seed=2,
+        config=BrisaConfig(mode="dag", num_parents=2, cycle_predictor="depth"),
+        hpv_config=HyParViewConfig(active_size=4),
+        join_spacing=0.05,
+        settle=10.0,
+    )
+    source = bed.choose_source()
+    _, _, driver = robustness._run_churn(
+        bed, source, churn_percent=5.0, duration=15.0, period=5.0, lead=5.0, drain=5.0
+    )
+    assert driver.stats.kills > 0 and driver.stats.joins > 0
+    assert [event.kind for event in bed.metrics.repair_events] == ["hard"]
+    summary, digest = schedule_digest(bed)
+    assert summary["msg_counts"]["brisa_depth_update"] > 0
+    assert summary == GOLDEN_DAG_CHURN[0]
+    assert digest == GOLDEN_DAG_CHURN[1]
+
+
 def test_planetlab_static_stream_schedule_is_pinned():
     bed = build_brisa_testbed(
         N,
@@ -86,6 +110,25 @@ def test_planetlab_static_stream_schedule_is_pinned():
     summary, digest = schedule_digest(bed)
     assert summary == GOLDEN_PLANETLAB[0]
     assert digest == GOLDEN_PLANETLAB[1]
+
+
+def test_bloom_static_dag_schedule_is_pinned():
+    bed = build_brisa_testbed(
+        N,
+        seed=4,
+        config=BrisaConfig(
+            mode="dag", num_parents=2, cycle_predictor="bloom", bloom_bits=256
+        ),
+        hpv_config=HyParViewConfig(active_size=4),
+        join_spacing=0.05,
+        settle=10.0,
+    )
+    source = bed.choose_source()
+    bed.run_stream(source, StreamConfig(count=20, rate=5.0, payload_bytes=1024), drain=10.0)
+    summary, digest = schedule_digest(bed)
+    assert summary["msg_counts"]["brisa_bloom_update"] > 0
+    assert summary == GOLDEN_BLOOM[0]
+    assert digest == GOLDEN_BLOOM[1]
 
 
 GOLDEN_CHURN = (
@@ -120,4 +163,41 @@ GOLDEN_PLANETLAB = (
         "deliveries": 1260,
     },
     "e1d39ac74958a89f3f0166fcd198a72185367f2d42803df1a79d5e98a06515c9",
+)
+GOLDEN_DAG_CHURN = (
+    {
+        "events": 42477,
+        "peak_pending": 620,
+        "now": "38.2",
+        "msg_counts": {
+            "brisa_activate": 62, "brisa_activate_ack": 29, "brisa_data": 16179,
+            "brisa_deactivate": 324, "brisa_depth_update": 586,
+            "brisa_retransmit": 49, "hpv_disconnect": 88,
+            "hpv_forward_join": 1954, "hpv_join": 64, "hpv_neighbor": 261,
+            "hpv_neighbor_accept": 309, "hpv_neighbor_reject": 16,
+            "hpv_shuffle": 784, "hpv_shuffle_reply": 196,
+        },
+        "bytes_sent": 17947131,
+        "deliveries": 7945,
+    },
+    "91e62495db7b22fe0ba3ba17489d5469c4ed5414b2e57abf89a6a08936f37ff2",
+)
+GOLDEN_BLOOM = (
+    {
+        "events": 18585,
+        "peak_pending": 1143,
+        "now": "27.0",
+        "msg_counts": {
+            "brisa_activate": 18, "brisa_activate_ack": 9,
+            "brisa_bloom_update": 2681, "brisa_data": 2565,
+            "brisa_deactivate": 270, "brisa_retransmit": 9,
+            "hpv_disconnect": 101, "hpv_forward_join": 2098, "hpv_join": 63,
+            "hpv_neighbor": 264, "hpv_neighbor_accept": 314,
+            "hpv_neighbor_reject": 13, "hpv_shuffle": 516,
+            "hpv_shuffle_reply": 129,
+        },
+        "bytes_sent": 3611576,
+        "deliveries": 1260,
+    },
+    "a16d29199562eb375de3b8e816cfefa89b7743dbc5f2a3c3fd574450b119dc30",
 )
