@@ -29,7 +29,7 @@ from typing import Any, Optional
 from repro.config import BrisaConfig, HyParViewConfig
 from repro.core import messages as bm
 from repro.core import rules
-from repro.core.cycle import extract_meta, make_predictor
+from repro.core.cycle import make_predictor
 from repro.core.recovery import MessageBuffer
 from repro.core.state import StreamState
 from repro.core.strategies import Candidate, make_strategy
@@ -263,7 +263,7 @@ class BrisaNode(HyParViewNode):
             state.note_delivered(seq)
             state.buffer.store(seq, msg.payload_bytes)
             if is_neighbor:
-                self._consider_provider(state, src, extract_meta(msg), first=True)
+                self._consider_provider(state, src, self.predictor.meta(msg), first=True)
             if src in state.parents:
                 state.hops = hops  # distance bookkeeping for retransmissions
                 if rules.wants_gap_recovery(
@@ -290,7 +290,7 @@ class BrisaNode(HyParViewNode):
             ):
                 self._begin_repair(state, record=False, allow_hard=False)
         elif is_neighbor and not msg.recovered:
-            self._consider_provider(state, src, extract_meta(msg), first=False)
+            self._consider_provider(state, src, self.predictor.meta(msg), first=False)
 
     # ------------------------------------------------------------------
     # Parent selection (Fig. 3) and cycle handling
@@ -384,26 +384,13 @@ class BrisaNode(HyParViewNode):
             self.send(peer, bm.Activate(state.stream, adopt=False))
         self._set_in_active(state, peer, True)
         state.demote_counts.pop(peer, None)
-        old_position = state.position
-        new_position = self.predictor.adopt(self.node_id, meta)
-        self._set_position(
-            state, rules.merge_position(self.predictor.name, state.position, new_position)
-        )
-        state.hops = rules.hops_from_position(
-            self.predictor.name, state.position, state.hops
-        )
-        if (
-            self.predictor.name == "depth"
-            and old_position is not None
-            and state.position > old_position
-        ):
-            # Adopting an equal-depth parent moved us down (§II-G):
-            # "immediately updates its downstream children accordingly".
-            self._broadcast_depth(state)
-        elif self.predictor.name == "bloom" and state.position != old_position:
-            # The grown ancestor filter must reach children promptly for
-            # concurrent-adoption cycles to surface (see _maintain_parent).
-            self._broadcast_bloom(state)
+        # An equal-depth parent moves us down (§II-G), a new parent grows
+        # the ancestor filter: either change reaches children promptly.
+        self._reposition(state, self.predictor.join(self.node_id, state.position, meta))
+        if state.hops is None:
+            # The position implies no distance (a filter) and this parent
+            # has not sent us data yet.
+            state.hops = 1
         self._check_settled(state)
         if state.repairing:
             self._finish_repair(state)
@@ -492,76 +479,49 @@ class BrisaNode(HyParViewNode):
             if not state.parents:
                 self._begin_repair(state, record=False)
         elif action is rules.PARENT_DEMOTE_STEP:
+            # Depth race: move below the parent (a demotion always
+            # deepens us, check_parent's guarantee).
             self._bump_demote(state, src, count)
-            self._demote(state, int(meta) + 1)
-        elif self.predictor.name == "path":
-            # Track our own position from the freshest parent path.  Only
-            # reassign on an actual change: a steady parent re-sends the
-            # same path every message, and keeping the tuple identity
-            # stable is what lets downstream slotted nodes recognize the
-            # no-op by identity and skip this check (DESIGN.md §11).
-            new_position = self.predictor.adopt(self.node_id, meta)
-            if new_position != state.position:
-                self._set_position(state, new_position)
-                state.hops = len(new_position) - 1
-        elif self.predictor.name == "bloom":
-            # Refresh the ancestor filter from the freshest parent metas.
-            # A filter frozen at adoption time can never circulate the
-            # evidence of a concurrently-formed cycle: every member's
-            # filter predates the loop closing, so check_parent stays
-            # silent forever.  Folding each parent's *current* filter in
-            # — and pushing growth to children (the Bloom counterpart of
-            # _broadcast_depth) — lets the union circulate a loop until
-            # some member sees its own bits and breaks it (§II-G safety:
-            # cycles must never survive).  Growth is monotone and
-            # bit-bounded, so the cascade reaches a fixpoint even after
-            # the stream has drained.
-            combined = rules.fold_parent_filters(
-                state.position, state.parent_meta.values()
+            self._reposition(state, self.predictor.adopt(self.node_id, meta))
+        else:
+            # PARENT_REFRESH: track our position from the parent's fresh
+            # metadata.  Only reassign on an actual change: a steady
+            # parent re-sends the same path every message, and keeping
+            # the tuple identity stable is what lets downstream slotted
+            # nodes recognize the no-op by identity and skip this check
+            # (DESIGN.md §11).
+            position = self.predictor.refresh(
+                self.node_id, state.position, meta, state.parent_meta.values()
             )
-            if combined is not None:
-                new_position = self.predictor.adopt(self.node_id, combined)
-                if new_position != state.position:
-                    self._set_position(state, new_position)
-                    self._broadcast_bloom(state)
+            if position != state.position:
+                self._reposition(state, position)
 
-    def _demote(self, state: StreamState, new_depth: int) -> None:
-        if state.position is not None and new_depth <= state.position:
-            return
-        self._set_position(state, new_depth)
-        state.hops = new_depth
-        self._broadcast_depth(state)
-
-    def _broadcast_depth(self, state: StreamState) -> None:
-        """Push our new depth to every neighbour still linked to us —
-        including parents: in a pathological mutual-adoption pair the
-        'parent' is also our child and *must* observe our depth change for
+    def _reposition(self, state: StreamState, position: Any) -> None:
+        """Take ``position``: set it and the hop count it implies, and
+        push the predictor's update to every neighbour still linked to
+        us — including parents: in a pathological mutual-adoption pair
+        the 'parent' is also our child and *must* observe the change for
         the cycle breaker in _maintain_parent to trigger."""
-        peers = [p for p in self.active if p not in state.out_deactivated]
-        if peers:
-            self.send_many(peers, bm.DepthUpdate(state.stream, state.position))
+        old = state.position
+        self._set_position(state, position)
+        hops = self.predictor.hops(position)
+        if hops is not None:
+            state.hops = hops
+        update = self.predictor.update(state.stream, old, position)
+        if update is not None:
+            peers = [p for p in self.active if p not in state.out_deactivated]
+            if peers:
+                self.send_many(peers, update)
 
-    def on_brisa_depth_update(self, src: NodeId, msg: bm.DepthUpdate) -> None:
+    def on_position_update(self, src: NodeId, msg) -> None:
+        """A parent pushed its new position (``DepthUpdate`` /
+        ``BloomUpdate``): revalidate it."""
         state = self.stream_state(msg.stream)
         if src in state.parents:
-            state.parent_meta[src] = msg.depth
-            self._maintain_parent(state, src, msg.depth)
+            meta = state.parent_meta[src] = self.predictor.meta(msg)
+            self._maintain_parent(state, src, meta)
 
-    def _broadcast_bloom(self, state: StreamState) -> None:
-        """Push the grown ancestor filter to every neighbour still linked
-        to us (the Bloom counterpart of :meth:`_broadcast_depth`)."""
-        peers = [p for p in self.active if p not in state.out_deactivated]
-        if peers:
-            self.send_many(
-                peers,
-                bm.BloomUpdate(state.stream, state.position, self.config.bloom_bits),
-            )
-
-    def on_brisa_bloom_update(self, src: NodeId, msg: bm.BloomUpdate) -> None:
-        state = self.stream_state(msg.stream)
-        if src in state.parents:
-            state.parent_meta[src] = msg.bloom
-            self._maintain_parent(state, src, msg.bloom)
+    on_brisa_depth_update = on_brisa_bloom_update = on_position_update
 
     # ------------------------------------------------------------------
     # Link (de)activation
@@ -670,8 +630,6 @@ class BrisaNode(HyParViewNode):
             if peer in state.parents:
                 continue
             meta = self._peer_position(peer, state.stream)
-            if meta is None:
-                continue
             if self.predictor.eligible(self.node_id, state.position, meta):
                 out.append(self._candidate(state, peer))
         return out
@@ -737,8 +695,8 @@ class BrisaNode(HyParViewNode):
         if not state.repairing or state.repair_pending != src:
             return
         state.repair_pending = None
-        meta = extract_meta(msg)
-        if meta is not None and self.predictor.eligible(self.node_id, state.position, meta):
+        meta = self.predictor.meta(msg)
+        if self.predictor.eligible(self.node_id, state.position, meta):
             self._adopt_parent(state, src, meta)
         else:
             # Same rule as _consider_provider: with zero parents the link

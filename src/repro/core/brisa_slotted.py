@@ -47,7 +47,7 @@ from repro.core.cycle import make_predictor
 from repro.core.slots import INJECTED, RECEIVED, UNSEEN, SlotKernel, SlotPlane
 from repro.core.state import StreamState
 from repro.errors import SimulationError
-from repro.ids import NODE_ID_BYTES as _NODE_ID_BYTES, NodeId, StreamId
+from repro.ids import NodeId, StreamId
 
 #: Local alias: the fast path builds forwards via ``__new__`` + direct
 #: slot stores (the keyword constructor costs ~3x as much per message).
@@ -123,12 +123,9 @@ class SlottedBrisaKernel(SlotKernel):
         super().__init__(network)
         self.config = config if config is not None else BrisaConfig()
         self.num_parents = self.config.num_parents
-        #: Concrete predictor name, doubling as the ``Data`` metadata
-        #: attribute it travels in ("path" / "depth" / "bloom").
-        self.meta_attr = make_predictor(self.config).name
-        self._bloom_bits = (
-            self.config.bloom_bits if self.meta_attr == "bloom" else 0
-        )
+        #: The one rule table's predictor: the ``Data`` attribute the
+        #: metadata travels in, its filter width and per-relay growth.
+        self.predictor = make_predictor(self.config)
         self._gap_cooldown = BrisaNode.GAP_REQUEST_COOLDOWN
         self._buffer_cap = self.config.buffer_size
         #: Last plane touched by the fan sink (streams arrive in runs).
@@ -189,14 +186,19 @@ class SlottedBrisaKernel(SlotKernel):
         mpd = msg.path_delay
         path_delay = mpd + (now - msg.sent_at)
         payload = msg.payload_bytes
+        predictor = self.predictor
         #: The message's cycle metadata, read once for the whole fan
         #: (the instance is shared by every recipient).
-        meta = getattr(msg, self.meta_attr)
-        is_path = self.meta_attr == "path"
-        is_depth = self.meta_attr == "depth"
+        meta = predictor.meta(msg)
+        stamp = predictor.stamp
         buffer_cap = self._buffer_cap
         topup_seq = seq % 8 == 7
-        fsize = size + _NODE_ID_BYTES if is_path else size
+        # Arithmetic size: the forward differs from the incoming copy
+        # only in metadata *values* (depth label, bloom mask) — same byte
+        # layout — except under the path predictor, where the embedded
+        # path grows by exactly this node (the cache invariant pins
+        # position == msg.path + (self,)).
+        fsize = size + predictor.relay_bytes
         for dst in dsts:
             slot = slot_of.get(dst)
             if slot is None:
@@ -268,31 +270,11 @@ class SlottedBrisaKernel(SlotKernel):
                     fwd.stream = stream
                     fwd.seq = seq
                     fwd.payload_bytes = payload
-                    if is_path:
-                        fwd.path = state.position
-                        fwd.depth = None
-                        fwd.bloom = None
-                        fwd.bloom_bits = 0
-                    elif is_depth:
-                        fwd.path = None
-                        fwd.depth = state.position
-                        fwd.bloom = None
-                        fwd.bloom_bits = 0
-                    else:
-                        fwd.path = None
-                        fwd.depth = None
-                        fwd.bloom = state.position
-                        fwd.bloom_bits = self._bloom_bits
+                    stamp(fwd, state.position)
                     fwd.hops = hops
                     fwd.path_delay = path_delay
                     fwd.sent_at = now
                     fwd.recovered = False
-                    # Arithmetic size: the forward differs from the
-                    # incoming copy only in metadata *values* (depth
-                    # label, bloom mask) — same byte layout — except
-                    # under the path predictor, where the embedded
-                    # path grows by exactly this node (the cache
-                    # invariant pins position == msg.path + (self,)).
                     fwd._size = fsize
                     fan_send(dst, targets, fwd, fsize)
                 if (
@@ -362,7 +344,7 @@ class SlottedBrisaKernel(SlotKernel):
         reserved for the fan sink."""
         plane = self.plane(msg.stream)
         row = self._row(plane, msg.seq)
-        self._cold(node, node.slot, plane, row, src, msg, getattr(msg, self.meta_attr))
+        self._cold(node, node.slot, plane, row, src, msg, self.predictor.meta(msg))
 
 
 class SlottedBrisaNode(BrisaNode):
@@ -391,9 +373,9 @@ class SlottedBrisaNode(BrisaNode):
         self.kernel = kernel
         self.slot = kernel.attach(node_id)
         super().__init__(network, node_id, config, hpv_config)
-        if self.predictor.name != kernel.meta_attr:
+        if self.predictor.name != kernel.predictor.name:
             raise SimulationError(
-                f"kernel predictor {kernel.meta_attr!r} != node predictor "
+                f"kernel predictor {kernel.predictor.name!r} != node predictor "
                 f"{self.predictor.name!r}: one kernel serves one rule table"
             )
 

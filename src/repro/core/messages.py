@@ -3,8 +3,9 @@
 ``Data`` carries the stream payload plus the cycle-prevention metadata of
 the active predictor: the embedded source path for trees (§II-D), a depth
 label for DAGs (§II-G), or a Bloom filter of ancestors for the comparison
-baseline.  The byte accounting reflects exactly the §II-D cost argument —
-paths cost ``hops × 6`` bytes, depths 4 bytes, Blooms ``bits/8`` bytes.
+baseline.  :func:`meta_bytes` is the one statement of the §II-D cost
+argument every message carrying a position charges — paths cost
+``hops × 6`` bytes, depths 4 bytes, Blooms ``ceil(bits/8)`` bytes.
 
 ``sent_at``/``path_delay`` are measurement timestamps a real
 implementation carries anyway (Fig. 9 sums per-hop delays); they add a
@@ -23,6 +24,18 @@ from repro.sim.message import Message
 STREAM_BYTES = 2
 #: Per-hop measurement header (timestamp + cumulative delay).
 MEASURE_BYTES = 8
+
+
+def meta_bytes(path=None, depth=None, bloom=None, bloom_bits: int = 0) -> int:
+    """Wire cost of the cycle-prevention metadata a message carries."""
+    meta = 0
+    if path is not None:
+        meta += len(path) * NODE_ID_BYTES
+    if depth is not None:
+        meta += DEPTH_BYTES
+    if bloom is not None:
+        meta += (bloom_bits + 7) // 8
+    return meta
 
 
 class Data(Message):
@@ -71,13 +84,7 @@ class Data(Message):
         self.recovered = recovered
 
     def body_bytes(self) -> int:
-        meta = 0
-        if self.path is not None:
-            meta += len(self.path) * NODE_ID_BYTES
-        if self.depth is not None:
-            meta += DEPTH_BYTES
-        if self.bloom is not None:
-            meta += (self.bloom_bits + 7) // 8
+        meta = meta_bytes(self.path, self.depth, self.bloom, self.bloom_bits)
         return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + meta + self.payload_bytes
 
 
@@ -146,14 +153,7 @@ class ActivateAck(Message):
         self.bloom_bits = bloom_bits
 
     def body_bytes(self) -> int:
-        meta = 0
-        if self.path is not None:
-            meta += len(self.path) * NODE_ID_BYTES
-        if self.depth is not None:
-            meta += DEPTH_BYTES
-        if self.bloom is not None:
-            meta += (self.bloom_bits + 7) // 8
-        return STREAM_BYTES + meta
+        return STREAM_BYTES + meta_bytes(self.path, self.depth, self.bloom, self.bloom_bits)
 
 
 class ReactivateOrder(Message):
@@ -181,7 +181,7 @@ class DepthUpdate(Message):
         self.depth = depth
 
     def body_bytes(self) -> int:
-        return STREAM_BYTES + DEPTH_BYTES
+        return STREAM_BYTES + meta_bytes(depth=self.depth)
 
 
 class BloomUpdate(Message):
@@ -204,7 +204,7 @@ class BloomUpdate(Message):
         self.bloom_bits = bloom_bits
 
     def body_bytes(self) -> int:
-        return STREAM_BYTES + self.bloom_bits // 8
+        return STREAM_BYTES + meta_bytes(bloom=self.bloom, bloom_bits=self.bloom_bits)
 
 
 class RetransmitRequest(Message):

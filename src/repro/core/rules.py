@@ -1,20 +1,26 @@
 """Pure BRISA state-transition rules (the engine/protocol seam).
 
-The link-deactivation decision of Fig. 3 and the steady-state parent
-revalidation of §II-D/§II-G are *pure* functions of (predictor, strategy,
-own position, parent set, incoming metadata).  This module states them
-once, free of object plumbing — no sends, no metrics, no timers — so
-every kernel applies the same rule table:
+The decisions of Fig. 3 and §II-D–§II-F are *pure* functions of
+(predictor, strategy, own position, parent set, incoming metadata) — no
+sends, no metrics, no timers.  What remains here:
+:func:`provider_action` (Fig. 3's first tier: maintain, prune, ignore,
+adopt or contend), :func:`contention_action` (parents full: swap, keep
+the live feed or reject), :func:`symmetric_mute` (§II-E's silent mute),
+:func:`maintenance_action` (revalidate a parent: skip, drop on a cycle or
+a demotion chase, demote, refresh) and :func:`wants_gap_recovery` (the
+rate-limited §II-F gap trigger).  What a *position* means — combining
+parents, refreshing, hop counts, the update a change pushes — belongs to
+the predictor (:mod:`repro.core.cycle`).  Every kernel applies the same
+table:
 
-- :class:`repro.core.brisa.BrisaNode` (reference object kernel) threads
-  the verdicts through its message/metrics side effects;
+- :class:`repro.core.brisa.BrisaNode` (the reference object kernel, run
+  by the simulator and by the asyncio UDP backend of
+  :mod:`repro.runtime`) threads the verdicts through its side effects;
 - :class:`repro.core.brisa_slotted.SlottedBrisaKernel` uses them to
   prove its array fast path sound: a reception whose inputs match the
   last maintenance decision *by object identity* must produce the same
   verdict, so the whole maintenance step can be skipped (see
-  DESIGN.md §11);
-- a future asyncio backend (ROADMAP) gets the protocol logic without the
-  simulator.
+  DESIGN.md §11).
 
 Verdict values are interned module-level strings, so callers may compare
 with ``is``.
@@ -22,7 +28,7 @@ with ``is``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.core.cycle import PARENT_CYCLE, PARENT_DEMOTE, CyclePredictor
 
@@ -155,39 +161,6 @@ def maintenance_action(
             return PARENT_DROP_DEMOTED, count
         return PARENT_DEMOTE_STEP, count
     return PARENT_REFRESH, demote_count
-
-
-def merge_position(predictor_name: str, old: Any, new: Any) -> Any:
-    """Combine the constraints of multiple parents (DAG depth = max,
-    Bloom = union, path = freshest)."""
-    if old is None:
-        return new
-    if predictor_name == "depth":
-        return max(old, new)
-    if predictor_name == "bloom":
-        return old | new
-    return new
-
-
-def hops_from_position(predictor_name: str, position: Any, last_hops) -> int:
-    """Distance implied by a position; Bloom filters carry none, so the
-    last reception's count stands in."""
-    if predictor_name == "path":
-        return len(position) - 1
-    if predictor_name == "depth":
-        return int(position)
-    return last_hops if last_hops is not None else 1
-
-
-def fold_parent_filters(position: Any, parent_metas: Iterable[Any]) -> Any:
-    """Union of own Bloom position with every parent's current filter —
-    the growth that _broadcast_bloom pushes downstream (§II-G safety)."""
-    combined = position
-    for parent_meta in parent_metas:
-        if parent_meta is None:
-            continue
-        combined = parent_meta if combined is None else combined | parent_meta
-    return combined
 
 
 def wants_gap_recovery(

@@ -73,3 +73,39 @@ def assert_link_activation_symmetric(nodes, stream: int) -> None:
             if parent_state is not None and child.node_id in parent_state.out_deactivated:
                 asymmetric.append((parent_id, child.node_id))
     assert not asymmetric, f"parent -> child edges muted at the parent: {asymmetric}"
+
+
+def position_violations(nodes, stream: int) -> list[tuple]:
+    """``(parent, child)`` edges on ``stream`` whose child's position is
+    not consistent with its live parent's (:mod:`repro.core.cycle`): a
+    position is consistent iff joining the parent's position leaves it
+    unchanged — path: the parent's path plus the child (§II-D); depth:
+    strictly below the parent (§II-G); Bloom: a superset of the parent's
+    filter.  A parent mid-hard-repair (no position) is not checked, as in
+    the rule table's ``PARENT_SKIP``."""
+    by_id = {node.node_id: node for node in nodes}
+    violations = []
+    for child in nodes:
+        state = child.streams.get(stream) if child.alive else None
+        if state is None:
+            continue
+        for parent_id in state.parents:
+            parent = by_id.get(parent_id)
+            if parent is None or not parent.alive:
+                continue
+            parent_state = parent.streams.get(stream)
+            if parent_state is None or parent_state.position is None:
+                continue
+            joined = child.predictor.join(
+                child.node_id, state.position, parent_state.position
+            )
+            if joined != state.position:
+                violations.append((parent_id, child.node_id))
+    return violations
+
+
+def assert_positions_consistent(nodes, stream: int) -> None:
+    """Every live node with parents stands where its predictor puts a
+    child of each live parent, at a quiescent point on ``stream``."""
+    violations = position_violations(nodes, stream)
+    assert not violations, f"parent -> child edges with inconsistent positions: {violations}"

@@ -6,6 +6,7 @@ import pytest
 from repro.config import BrisaConfig, StreamConfig
 from repro.core.structure import dag_depths, parent_counts
 from repro.experiments.common import build_brisa_testbed
+from tests.helpers import assert_positions_consistent
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,11 @@ class TestDagEmergence:
                 if meta is not None:
                     assert meta < state.position
 
+    def test_positions_consistent_with_parents(self, dag_run):
+        """The same invariant through the predictor's own algebra."""
+        bed, _, _ = dag_run
+        assert_positions_consistent(bed.nodes, 0)
+
     def test_duplicates_bounded_by_parent_count(self, dag_run):
         """A 2-parent DAG delivers at most 2 copies per message in steady
         state (§II-B: 'in a DAG, it is significantly reduced')."""
@@ -73,6 +79,22 @@ class TestDagEmergence:
         longest = dag_depths(g, source.node_id)
         shortest = nx.single_source_shortest_path_length(g, source.node_id)
         assert all(longest[n] >= shortest[n] for n in longest)
+
+
+class TestBloomDag:
+    def test_filters_cover_every_parents_filter(self):
+        """Bloom DAG (the §II-D comparison baseline): after the stream
+        drains, every filter is a superset of each parent's."""
+        cfg = BrisaConfig(
+            mode="dag", num_parents=2, cycle_predictor="bloom", bloom_bits=256
+        )
+        bed = build_brisa_testbed(64, seed=21, config=cfg)
+        source = bed.choose_source()
+        result = bed.run_stream(source, StreamConfig(count=20, rate=5.0, payload_bytes=512))
+        assert result.delivered_fraction() == 1.0
+        assert nx.is_directed_acyclic_graph(result.structure())
+        assert bed.metrics.msg_counts["brisa_bloom_update"]
+        assert_positions_consistent(bed.nodes, 0)
 
 
 class TestDepthMaintenance:

@@ -11,7 +11,7 @@ from repro.core.structure import (
 )
 from repro.experiments.common import build_brisa_testbed
 from repro.sim.monitor import DISSEMINATION
-from tests.helpers import assert_link_activation_symmetric
+from tests.helpers import assert_link_activation_symmetric, assert_positions_consistent
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,11 @@ class TestEmergence:
         silent mute never hits a child)."""
         bed, _, _ = tree_run
         assert_link_activation_symmetric(bed.nodes, 0)
+
+    def test_paths_are_consistent_with_parents(self, tree_run):
+        """Every path is its parent's path plus the node (§II-D)."""
+        bed, _, _ = tree_run
+        assert_positions_consistent(bed.nodes, 0)
 
 
 class TestSourceBehaviour:

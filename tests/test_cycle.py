@@ -10,10 +10,10 @@ from repro.core.cycle import (
     BloomFilterPredictor,
     DepthLabelPredictor,
     PathEmbeddingPredictor,
-    extract_meta,
     make_predictor,
 )
-from repro.core.messages import Data
+from repro.core.messages import ActivateAck, BloomUpdate, Data, DepthUpdate
+from repro.ids import NODE_ID_BYTES
 
 
 class TestPathEmbedding:
@@ -49,7 +49,20 @@ class TestPathEmbedding:
             assert self.p.eligible(1000, (0, 1000), path)
 
     def test_message_fields(self):
-        assert self.p.message_fields((0, 1)) == {"path": (0, 1)}
+        assert self.p.message_fields((0, 1)) == {"path": (0, 1), "bloom_bits": 0}
+
+    def test_join_takes_the_newest_parent(self):
+        assert self.p.join(3, (0, 3), (0, 1, 2)) == (0, 1, 2, 3)
+        assert self.p.join(3, None, (0,)) == (0, 3)
+
+    def test_refresh_re_embeds_the_parent_path(self):
+        assert self.p.refresh(3, (0, 3), (0, 1), [(0, 1)]) == (0, 1, 3)
+
+    def test_hops_and_update(self):
+        assert self.p.hops((0, 1, 3)) == 2
+        # A path change pushes nothing: children re-embed from data.
+        assert self.p.update(0, (0, 3), (0, 1, 3)) is None
+        assert self.p.relay_bytes == NODE_ID_BYTES
 
 
 class TestDepthLabels:
@@ -83,7 +96,22 @@ class TestDepthLabels:
         assert self.p.check_parent(1, position=3, meta=2) == PARENT_OK
 
     def test_message_fields(self):
-        assert self.p.message_fields(4) == {"depth": 4}
+        assert self.p.message_fields(4) == {"depth": 4, "bloom_bits": 0}
+
+    def test_join_sits_below_the_deepest_parent(self):
+        assert self.p.join(1, None, 2) == 3
+        assert self.p.join(1, 5, 2) == 5
+        assert self.p.join(1, 3, 3) == 4
+
+    def test_refresh_leaves_the_label(self):
+        assert self.p.refresh(1, 4, 2, [2, 3]) == 4
+
+    def test_update_pushes_demotions_only(self):
+        assert self.p.hops(4) == 4
+        update = self.p.update(0, 3, 4)
+        assert isinstance(update, DepthUpdate) and update.depth == 4
+        assert self.p.update(0, 4, 3) is None
+        assert self.p.update(0, None, 4) is None
 
 
 class TestBloomFilter:
@@ -125,9 +153,53 @@ class TestBloomFilter:
         pos = self.p.adopt(2, self.p.source_position(0))
         assert self.p.check_parent(2, None, pos) == PARENT_CYCLE
 
+    def test_join_and_refresh_take_the_union(self):
+        a = self.p.source_position(0)
+        b = self.p.source_position(7)
+        joined = self.p.join(1, self.p.adopt(1, a), b)
+        assert joined == a | b | self.p.source_position(1)
+        assert self.p.refresh(1, self.p.adopt(1, a), a, [a, b]) == joined
+        # Parents mid-hard-repair (None) contribute nothing.
+        assert self.p.refresh(1, self.p.adopt(1, a), a, [None]) == self.p.adopt(1, a)
+
+    def test_update_pushes_growth_and_no_hops(self):
+        pos = self.p.source_position(0)
+        update = self.p.update(0, pos, pos | 1)
+        assert isinstance(update, BloomUpdate)
+        assert (update.bloom, update.bloom_bits) == (pos | 1, 256)
+        assert self.p.message_fields(pos) == {"bloom": pos, "bloom_bits": 256}
+        assert self.p.update(0, pos, pos) is None
+        assert self.p.hops(pos) is None
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BloomFilterPredictor(bits=0)
+
+
+class TestConsistency:
+    """A child is consistent with a parent iff joining the parent's
+    position leaves the child's unchanged — the oracle clause of
+    ``tests/helpers.py::assert_positions_consistent``."""
+
+    def test_path_is_parent_path_plus_self(self):
+        p = PathEmbeddingPredictor()
+        assert p.join(5, (0, 1, 5), (0, 1)) == (0, 1, 5)
+        assert p.join(5, (0, 2, 5), (0, 1)) != (0, 2, 5)  # stale label
+        assert p.join(5, None, (0, 1)) is not None
+
+    def test_depth_is_strictly_below(self):
+        p = DepthLabelPredictor()
+        assert p.join(1, 3, 2) == 3
+        assert p.join(1, 3, 0) == 3
+        assert p.join(1, 3, 3) != 3
+
+    def test_bloom_is_a_superset(self):
+        p = BloomFilterPredictor(bits=256, hashes=4)
+        parent = p.adopt(3, p.source_position(0))
+        child = p.adopt(1, parent)
+        assert p.join(1, child, parent) == child
+        stale = p.adopt(1, p.source_position(0))  # lacks node 3's bits
+        assert p.join(1, stale, parent) != stale
 
 
 class TestFactoryAndMeta:
@@ -138,13 +210,18 @@ class TestFactoryAndMeta:
         pred = make_predictor(cfg)
         assert pred.name == "bloom" and pred.bits == 128
 
-    def test_extract_meta_prefers_path(self):
-        msg = Data(0, 1, 10, path=(1, 2))
-        assert extract_meta(msg) == (1, 2)
+    def test_meta_reads_the_predictors_field(self):
+        assert PathEmbeddingPredictor().meta(Data(0, 1, 10, path=(1, 2))) == (1, 2)
+        assert DepthLabelPredictor().meta(Data(0, 1, 10, depth=3)) == 3
+        bloom = BloomFilterPredictor(bits=8)
+        assert bloom.meta(Data(0, 1, 10, bloom=0b101, bloom_bits=8)) == 0b101
 
-    def test_extract_meta_depth_and_bloom(self):
-        assert extract_meta(Data(0, 1, 10, depth=3)) == 3
-        assert extract_meta(Data(0, 1, 10, bloom=0b101, bloom_bits=8)) == 0b101
+    def test_meta_of_a_message_without_metadata_is_none(self):
+        # A fresh node's ActivateAck carries no position; update messages
+        # carry only their own predictor's field.
+        assert PathEmbeddingPredictor().meta(ActivateAck(0)) is None
+        assert BloomFilterPredictor().meta(DepthUpdate(0, 3)) is None
+        assert DepthLabelPredictor().meta(DepthUpdate(0, 3)) == 3
 
     def test_metadata_size_accounting(self):
         # §II-D: path costs 6 B/hop; depth 4 B; bloom bits/8.

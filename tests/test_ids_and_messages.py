@@ -8,8 +8,10 @@ from repro.baselines.simplegossip import Digest, Rumor
 from repro.baselines.simpletree import TreeData, TreeJoinReply
 from repro.baselines.tag import ListProbeReply, Pull, Segment
 from repro.core.messages import (
+    STREAM_BYTES,
     Activate,
     ActivateAck,
+    BloomUpdate,
     Data,
     Deactivate,
     DepthUpdate,
@@ -55,6 +57,16 @@ def test_control_messages_are_tiny():
 def test_ack_meta_size_matches_predictor():
     assert ActivateAck(0, path=(1, 2, 3)).body_bytes() >= 3 * NODE_ID_BYTES
     assert ActivateAck(0, depth=4).body_bytes() < ActivateAck(0, path=(1, 2, 3)).body_bytes()
+
+
+def test_bloom_metadata_costs_the_same_in_every_message():
+    """§II-D: a filter of ``bits`` costs ceil(bits / 8) bytes whichever
+    message carries it — ``bloom_bits`` need not be a multiple of 8."""
+    bits = 12
+    data = Data(0, 1, 0, bloom=1, bloom_bits=bits).body_bytes() - Data(0, 1, 0).body_bytes()
+    ack = ActivateAck(0, bloom=1, bloom_bits=bits).body_bytes() - ActivateAck(0).body_bytes()
+    update = BloomUpdate(0, 1, bits).body_bytes() - STREAM_BYTES
+    assert data == ack == update == 2
 
 
 def test_shuffle_scales_with_entries():
