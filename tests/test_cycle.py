@@ -210,8 +210,16 @@ class TestFactoryAndMeta:
         pred = make_predictor(cfg)
         assert pred.name == "bloom" and pred.bits == 128
 
-    def test_meta_reads_the_predictors_field(self):
-        assert PathEmbeddingPredictor().meta(Data(0, 1, 10, path=(1, 2))) == (1, 2)
+    def test_extract_meta_prefers_path(self):
+        # Each predictor reads its own field, so the path predictor takes
+        # the path even when a depth label rides along.
+        msg = Data(0, 1, 10, path=(1, 2))
+        assert PathEmbeddingPredictor().meta(msg) == (1, 2)
+        both = Data(0, 1, 10, path=(1, 2), depth=3)
+        assert PathEmbeddingPredictor().meta(both) == (1, 2)
+        assert DepthLabelPredictor().meta(both) == 3
+
+    def test_extract_meta_depth_and_bloom(self):
         assert DepthLabelPredictor().meta(Data(0, 1, 10, depth=3)) == 3
         bloom = BloomFilterPredictor(bits=8)
         assert bloom.meta(Data(0, 1, 10, bloom=0b101, bloom_bits=8)) == 0b101
