@@ -40,13 +40,13 @@ def main() -> None:
 
     two_parent_nodes = [
         n for n in bed.alive_nodes()
-        if n is not source and len(n.parents_of(0)) == 2
+        if n is not source and len(n.tree_parents(0)) == 2
     ]
     print(banner("Stream splitting over an emerged 2-parent DAG"))
     print(f"nodes with two parents: {len(two_parent_nodes)}/{N - 1}")
 
     node = two_parent_nodes[0]
-    parents = tuple(node.parents_of(0))
+    parents = tuple(node.tree_parents(0))
     assignment = StripeAssignment(parents)
     share = split_bandwidth_share(assignment, PAYLOAD, MESSAGES)
     full_copy = MESSAGES * PAYLOAD

@@ -16,9 +16,10 @@ API (DESIGN.md §9):
   kernel: delivery state lives in the shared slot store of
   :mod:`repro.core.slots` (one :class:`~repro.core.slots.SlotPlane` per
   stream: seen byte-maps per sequence number, delivered/duplicate
-  counters, payload-byte totals; per-slot neighbor rows maintained from
-  membership notifications and bulk-installable from PR 3's CSR
-  topology arrays); this module adds only what a flood reception does.
+  counters; per-slot neighbor rows appended by membership notifications,
+  or installed in one pass from the CSR topology arrays when a cold
+  population adopts its views); this module adds only what a flood
+  reception does.
   Draw-for-draw equivalent to the object path — same delivery sets,
   duplicate counts, byte totals and timestamps under zero-cost and
   occupancy-charging latency models — pinned by
@@ -147,7 +148,7 @@ class SlottedFloodKernel(SlotKernel):
     kernel replaces all of it with the slot store of
     :class:`~repro.core.slots.SlotKernel` — one plane of seen maps
     (``UNSEEN``/``INJECTED``/``RECEIVED`` byte cells) and per-slot
-    delivered/duplicate/payload counters per stream id, ``rx_bytes``, and
+    delivered/duplicate counters per stream id, ``rx_bytes``, and
     ``neighbor_rows`` mirroring each node's active view in insertion
     order — and adds the flood transition on top: first copy delivers
     and re-floods to the row minus the sender, everything else counts.
@@ -207,14 +208,12 @@ class SlottedFloodKernel(SlotKernel):
         node, which wakes whoever is still cold) unless every one of
         ``views.ids`` is cold here and no earlier store is held.  The
         fan-out rows are what the skipped neighbour-up notifications
-        would have appended, so outside a ``bulk_rows`` bracket — whose
-        owner installs them itself — they are installed here.
+        would have appended, so they are installed here.
         """
         if self._cold_views is not None or not self.cold.issuperset(views.ids):
             return False
         self._cold_views = views
-        if not self.bulk_rows:
-            self.install_rows(views.ids, views.topo)
+        self.install_rows(views.ids, views.topo)
         return True
 
     def wake_views(self, node_id: NodeId):
@@ -238,10 +237,6 @@ class SlottedFloodKernel(SlotKernel):
         the object path's ``FloodNode.delivered`` total size."""
         return sum(plane.delivered[slot] for plane in self.planes)
 
-    def slot_payload_bytes(self, slot: int) -> int:
-        """First-reception payload bytes at ``slot`` across planes."""
-        return sum(plane.payload_bytes[slot] for plane in self.planes)
-
     # -- delivery hot path ----------------------------------------------
     def on_fan(self, src: NodeId, dsts: list[NodeId], msg: FloodData, size: int) -> None:
         """Process one whole fused fan-out (the Network fan sink).
@@ -261,7 +256,6 @@ class SlottedFloodKernel(SlotKernel):
         slot_of = self.slot_of
         delivered = plane.delivered
         duplicates = plane.duplicates
-        payload_totals = plane.payload_bytes
         rx_bytes = self.rx_bytes
         neighbor_rows = self.neighbor_rows
         mirror = self._mirror
@@ -306,7 +300,6 @@ class SlottedFloodKernel(SlotKernel):
                 # Source echo: recorded reception, no re-flood.
                 continue
             delivered[slot] += 1
-            payload_totals[slot] += payload
             targets = [p for p in neighbor_rows[slot] if p != src]
             if targets:
                 if fwd is None:
@@ -363,7 +356,6 @@ class SlottedFloodKernel(SlotKernel):
             # (the object path returns on ``seq in seen``).
             return
         plane.delivered[slot] += 1
-        plane.payload_bytes[slot] += msg.payload_bytes
         self._fan(node, slot, stream, seq, msg.payload_bytes, src, hops, path_delay)
 
     def _fan(
@@ -467,10 +459,10 @@ class SlottedFloodNode(HyParViewNode):
         for every node born with ``autostart_timers`` off (a static run
         has restored the flag to True by the time something wakes a
         node, hence the bracket); the views go in without neighbour-up
-        notifications or link registration — no listener can have been
-        added before a wake, and the kernel row and ``Network.links``
-        hold the edges already.  ``alive`` and ``birth_time`` are kept:
-        the first reader may be ``on_crash``, after ``alive`` went False.
+        notifications or link registration — the kernel row and
+        ``Network.links`` hold the edges already.  ``alive`` and
+        ``birth_time`` are kept: the first reader may be ``on_crash``,
+        after ``alive`` went False.
         """
         alive, birth_time = self.alive, self.birth_time
         transport = self.transport
@@ -516,11 +508,8 @@ class SlottedFloodNode(HyParViewNode):
     def neighbor_up(self, peer: NodeId) -> None:
         # Fired only on genuine inserts (HyParView guards duplicates), in
         # active-view insertion order — the row stays order-identical to
-        # ``[p for p in self.active]``.  During a bulk bootstrap the
-        # rows come from one install_rows pass instead.
-        kernel = self.kernel
-        if not kernel.bulk_rows:
-            kernel.row_append(self.slot, peer)
+        # ``[p for p in self.active]``.
+        self.kernel.row_append(self.slot, peer)
 
     def neighbor_down(self, peer: NodeId, failure: bool) -> None:
         self.kernel.row_remove(self.slot, peer)

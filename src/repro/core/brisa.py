@@ -81,16 +81,13 @@ class BrisaNode(HyParViewNode):
     # eligible"), so the bootstrap flood and emergence run unchanged
     # over synthesized overlays.
 
-    def parents_of(self, stream: StreamId = 0) -> list[NodeId]:
-        return list(self.stream_state(stream).parents)
-
     def tree_parents(self, stream: StreamId) -> list[NodeId]:
         """Parent edges for one stream, without materializing state.
 
         The representation-independent read used by structure extraction
-        (:mod:`repro.core.structure`) and the live workers' reports:
-        ``StreamState.parents`` is the one copy of the tree edges on
-        both kernels.
+        (:mod:`repro.core.structure`), the live workers' reports and the
+        tests: ``StreamState.parents`` is the one copy of the tree edges
+        on both kernels.
         """
         state = self.streams.get(stream)
         return list(state.parents) if state is not None else []
@@ -109,7 +106,8 @@ class BrisaNode(HyParViewNode):
         ]
 
     def delivered_count(self, stream: StreamId = 0) -> int:
-        return len(self.stream_state(stream).delivered)
+        state = self.streams.get(stream)
+        return len(state.delivered) if state is not None else 0
 
     # ------------------------------------------------------------------
     # Source API
@@ -127,8 +125,7 @@ class BrisaNode(HyParViewNode):
     # parent edges, demote counts, link activation) funnels through one
     # of these hooks.  The reference kernel applies them directly; the slotted
     # kernel (core/brisa_slotted.py) overrides them to invalidate its
-    # fast-path maintenance cache and keep its per-slot relay rows in
-    # sync (DESIGN.md §11).
+    # fast-path maintenance cache and cached relay targets (DESIGN.md §11).
 
     def _set_position(self, state: StreamState, value: Any) -> None:
         state.position = value
@@ -206,11 +203,7 @@ class BrisaNode(HyParViewNode):
         hops: int,
         path_delay: float,
     ) -> None:
-        peers = [
-            peer
-            for peer in self.active
-            if peer != exclude and peer not in state.out_deactivated
-        ]
+        peers = self._relay_targets(state, exclude)
         if peers:
             # One shared Data instance for the whole fan-out: it is
             # read-only at receivers, so batching through send_many fuses
@@ -220,6 +213,18 @@ class BrisaNode(HyParViewNode):
             self.send_many(
                 peers, self._data_message(state, seq, payload_bytes, hops, path_delay)
             )
+
+    def _relay_targets(
+        self, state: StreamState, exclude: Optional[NodeId]
+    ) -> list[NodeId]:
+        """The relay rule of both kernels (§II-C, §II-E): the active view,
+        in view order, minus the links our peers deactivated and minus
+        ``exclude`` (the sender)."""
+        return [
+            peer
+            for peer in self.active
+            if peer != exclude and peer not in state.out_deactivated
+        ]
 
     def on_brisa_data(
         self, src: NodeId, msg: bm.Data, state: Optional[StreamState] = None
@@ -629,20 +634,15 @@ class BrisaNode(HyParViewNode):
         for peer in self.active:
             if peer in state.parents:
                 continue
-            meta = self._peer_position(peer, state.stream)
+            # The position a neighbour advertises on its keep-alives:
+            # the simulator's transport reads the neighbour's live state
+            # directly instead of simulating per-heartbeat piggyback
+            # messages (see DESIGN.md §5); the Activate/Ack handshake
+            # still re-validates before adoption.
+            meta = self.transport.peer_position(peer, state.stream)
             if self.predictor.eligible(self.node_id, state.position, meta):
                 out.append(self._candidate(state, peer))
         return out
-
-    def _peer_position(self, peer: NodeId, stream: StreamId) -> Any:
-        """Position advertised by a neighbour on its keep-alives.
-
-        The simulator's transport reads the neighbour's live state
-        directly instead of simulating per-heartbeat piggyback messages
-        (see DESIGN.md §5); the Activate/Ack handshake still re-validates
-        before adoption.
-        """
-        return self.transport.peer_position(peer, stream)
 
     def _soft_repair(self, state: StreamState) -> None:
         candidates = self._repair_candidates(state)
@@ -758,7 +758,7 @@ class BrisaNode(HyParViewNode):
     def on_brisa_reactivate_order(self, src: NodeId, msg: bm.ReactivateOrder) -> None:
         state = self.stream_state(msg.stream)
         # Our parent re-bootstrapped: it can no longer serve us.
-        had_parent = self._drop_parent_edge(state, src)
+        self._drop_parent_edge(state, src)
         if not state.engaged:
             return
         if state.parents:

@@ -11,12 +11,12 @@ handful of array operations on top of the shared slot store
 (:mod:`repro.core.slots`):
 
 - one :class:`_BrisaPlane` per stream (dense plane index, DESIGN.md §10)
-  extending the store's seen maps and delivered/duplicate/payload
-  counters with exactly the columns the fast path reads: the per-slot
-  *relay rows* (active view minus out-deactivated links — the fan-out
-  set), the per-slot :class:`StreamState` and the maintenance cache.
-  Parents, level and position are held once, in ``StreamState``, for
-  both kernels;
+  extending the store's seen maps and delivered/duplicate counters with
+  exactly the columns the fast path reads: the per-slot
+  :class:`StreamState` and the maintenance cache.  Parents, level,
+  position and the fan-out set (active view minus out-deactivated
+  links, :meth:`BrisaNode._relay_targets`) are held once, on the node,
+  for both kernels;
 - a per-slot *maintenance cache* ``(maint_src, maint_meta)`` keyed by
   object identity: the pure rule table (:mod:`repro.core.rules`) is a
   function of (position, parents, demote counts, backflow, meta), every
@@ -58,23 +58,19 @@ class _BrisaPlane(SlotPlane):
     """Per-stream slot plane: the flood plane's seen maps and counters
     plus what the BRISA fast path reads.
 
-    ``relay_rows`` are the per-slot fan-out sets (active view minus
-    out-deactivated, in active-view order) and ``states`` the per-slot
-    :class:`StreamState` (the one copy of parents, hops and position;
-    the cold path and the repair machinery run on it; ``None`` for slots
-    that never touched the stream).  ``maint_*`` are the per-slot
-    maintenance cache (see module docstring).
+    ``states`` is the per-slot :class:`StreamState` (the one copy of
+    parents, hops and position; the cold path and the repair machinery
+    run on it; ``None`` for slots that never touched the stream).
+    ``maint_*`` are the per-slot maintenance cache (see module
+    docstring).
     """
 
     __slots__ = (
-        "relay_rows", "states",
-        "maint_src", "maint_meta", "maint_cand", "maint_targets",
+        "states", "maint_src", "maint_meta", "maint_cand", "maint_targets",
     )
 
     def __init__(self, stream: StreamId, capacity: int) -> None:
         super().__init__(stream, capacity)
-        #: Per-slot relay targets: active view minus out-deactivated.
-        self.relay_rows: list[list[NodeId]] = [[] for _ in range(capacity)]
         self.states: list[StreamState | None] = [None] * capacity
         #: Maintenance cache: last (src, meta) whose full revalidation
         #: took no mutating branch; ``maint_src[slot] is None`` = invalid.
@@ -85,16 +81,15 @@ class _BrisaPlane(SlotPlane):
         #: cannot disappear (``neighbor_down`` is the only remover and it
         #: also drops the parent edge, which invalidates the cache).
         self.maint_cand: list = [None] * capacity
-        #: Cached relay targets for the cached source (relay row minus
-        #: ``maint_src``), filled lazily by the fast path; ``None`` =
+        #: Cached relay targets for the cached source (relay targets
+        #: minus ``maint_src``), built lazily by the fast path; ``None`` =
         #: recompute.  Cleared alongside every ``maint_src`` write and on
-        #: every relay-row mutation.  The cached list is never mutated in
-        #: place, so pending fan events may safely share it.
+        #: every change of the fan-out set.  The cached list is never
+        #: mutated in place, so pending fan events may safely share it.
         self.maint_targets: list[list[NodeId] | None] = [None] * capacity
 
     def grow(self) -> None:
         super().grow()
-        self.relay_rows.append([])
         self.states.append(None)
         self.maint_src.append(None)
         self.maint_meta.append(None)
@@ -103,7 +98,6 @@ class _BrisaPlane(SlotPlane):
 
     def clear(self, slot: int) -> None:
         super().clear(slot)
-        self.relay_rows[slot] = []
         self.states[slot] = None
         self.maint_src[slot] = None
         self.maint_meta[slot] = None
@@ -173,13 +167,13 @@ class SlottedBrisaKernel(SlotKernel):
         slot_of = self.slot_of
         states = plane.states
         delivered = plane.delivered
-        payload_totals = plane.payload_bytes
         maint_src = plane.maint_src
         maint_meta = plane.maint_meta
         maint_cand = plane.maint_cand
         maint_targets = plane.maint_targets
         rx_bytes = self.rx_bytes
         mirror = self._mirror
+        nodes = self.network.nodes
         fan_send = self.network.send_fan_unchecked
         now = self.sim.now
         hops = msg.hops + 1
@@ -229,7 +223,6 @@ class SlottedBrisaKernel(SlotKernel):
                     )
                 row[slot] = RECEIVED
                 delivered[slot] += 1
-                payload_totals[slot] += payload
                 # note_delivered + rules.wants_gap_recovery, inlined
                 # and merged (§II-F): an unseen ``seq`` is never
                 # below the contiguous prefix, so it either extends
@@ -261,7 +254,7 @@ class SlottedBrisaKernel(SlotKernel):
                 state.hops = hops
                 targets = maint_targets[slot]
                 if targets is None:
-                    targets = [p for p in plane.relay_rows[slot] if p != src]
+                    targets = nodes[dst]._relay_targets(state, src)
                     maint_targets[slot] = targets
                 if targets:
                     # ``__new__`` + direct slot stores: the keyword
@@ -284,11 +277,9 @@ class SlottedBrisaKernel(SlotKernel):
                 ):
                     # Lazy DAG parent top-up (soft only), as in
                     # on_brisa_data.
-                    self.network.nodes[dst]._begin_repair(
-                        state, record=False, allow_hard=False
-                    )
+                    nodes[dst]._begin_repair(state, record=False, allow_hard=False)
                 continue
-            self._cold(self.network.nodes[dst], slot, plane, row, src, msg, meta)
+            self._cold(nodes[dst], slot, plane, row, src, msg, meta)
 
     # -- cold path (everything the maintenance cache does not prove) -----
     def _cold(self, node: "SlottedBrisaNode", slot: int, plane: _BrisaPlane,
@@ -304,7 +295,6 @@ class SlottedBrisaKernel(SlotKernel):
             else:
                 row[slot] = RECEIVED
                 plane.delivered[slot] += 1
-                plane.payload_bytes[slot] += msg.payload_bytes
                 if meta is not None and src in state.parents:
                     # If the revalidation below mutates anything, a
                     # choke-point hook clears this again.
@@ -355,7 +345,7 @@ class SlottedBrisaNode(BrisaNode):
     of one seed walk the same simulation.  ``Data`` receptions
     short-circuit into the kernel; the overridden mutation hooks apply
     the base effect, then invalidate the maintenance cache (inputs of
-    the rule table) or resync the slot's relay row (link activation).
+    the rule table) or its cached relay targets (link activation).
     """
 
     #: Consume the RNG streams of the reference implementation.
@@ -384,13 +374,8 @@ class SlottedBrisaNode(BrisaNode):
         state = self.streams.get(stream)
         if state is None:
             state = super().stream_state(stream)
-            kernel = self.kernel
-            plane = kernel.plane(stream)
-            slot = self.slot
-            plane.states[slot] = state
-            # Relay row = active view minus out-deactivated; both start
-            # as the overlay row (all inbound links active, §II-C).
-            plane.relay_rows[slot] = list(kernel.neighbor_rows[slot])
+            plane = self.kernel.plane(stream)
+            plane.states[self.slot] = state
             # Hooks reach the plane through the state they are handed.
             state._plane = plane
         return state
@@ -449,47 +434,19 @@ class SlottedBrisaNode(BrisaNode):
         super()._bump_demote(state, peer, count)
         self._invalidate(state)
 
+    # Link (de)activation only drops the cached relay targets; the
+    # maintenance cache survives: backflow state is only consulted on
+    # the demote branch of the maintenance rule, which a valid cache
+    # proves unreachable (check_parent's verdict depends on position and
+    # meta alone).  Membership changes reach here too: neighbor_up/_down
+    # route through _unmute_out for every stream.
     def _mute_out(self, state: StreamState, peer: NodeId) -> None:
-        state.out_deactivated.add(peer)
-        plane = state._plane
-        slot = self.slot
-        try:
-            plane.relay_rows[slot].remove(peer)
-        except ValueError:
-            pass  # peer not currently in the active view
-        plane.maint_targets[slot] = None
-        # No cache invalidation: backflow state is only consulted on the
-        # demote branch of the maintenance rule, which a valid cache
-        # proves unreachable (check_parent's verdict depends on position
-        # and meta alone), and relay targets are read live from the row.
+        super()._mute_out(state, peer)
+        state._plane.maint_targets[self.slot] = None
 
     def _unmute_out(self, state: StreamState, peer: NodeId) -> None:
-        state.out_deactivated.discard(peer)
-        plane = state._plane
-        slot = self.slot
-        # Rebuild preserves active-view order for re-opened links and
-        # doubles as the membership-change resync (neighbor_up/_down
-        # route through here for every stream).  Cache survives for the
-        # same reason as in _mute_out.
-        plane.relay_rows[slot] = [
-            p for p in self.active if p not in state.out_deactivated
-        ]
-        plane.maint_targets[slot] = None
-
-    # -- membership: keep the kernel's neighbor rows mirrored -----------
-    def neighbor_up(self, peer: NodeId) -> None:
-        kernel = self.kernel
-        if not kernel.bulk_rows:
-            kernel.neighbor_rows[self.slot].append(peer)
-        super().neighbor_up(peer)
-
-    def neighbor_down(self, peer: NodeId, failure: bool) -> None:
-        row = self.kernel.neighbor_rows[self.slot]
-        try:
-            row.remove(peer)
-        except ValueError:
-            pass
-        super().neighbor_down(peer, failure)
+        super()._unmute_out(state, peer)
+        state._plane.maint_targets[self.slot] = None
 
     # on_crash: slot release is driven by Network.crash through
     # SlotKernel.release_node (the kernel crash-release hook), after the

@@ -80,7 +80,6 @@ class _VectorPlane(SlotPlane):
         self.rows: list = []
         self.delivered = np.zeros(alloc, dtype=np.int64)
         self.duplicates = np.zeros(alloc, dtype=np.int64)
-        self.payload_bytes = np.zeros(alloc, dtype=np.int64)
 
 
 class VectorizedFloodKernel(SlottedFloodKernel):
@@ -149,7 +148,6 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         for plane in self.planes:
             plane.delivered = grown(plane.delivered)
             plane.duplicates = grown(plane.duplicates)
-            plane.payload_bytes = grown(plane.payload_bytes)
             plane.rows = [grown(row) for row in plane.rows]
         self._alloc = alloc
 
@@ -362,7 +360,6 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             return
         d_slots = slots[dmask]  # unique by construction
         plane.delivered[d_slots] += 1
-        plane.payload_bytes[d_slots] += msg.payload_bytes
 
         # Forward pass, in flat wave order: the forwards leave as one
         # wave whose fans take consecutive heap sequence numbers, so the

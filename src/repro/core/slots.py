@@ -30,13 +30,13 @@ class SlotPlane:
 
     A plane is the slotted analogue of one stream shard — seen maps
     (one ``bytearray`` cell per slot per sequence) and per-slot
-    delivered/duplicate/payload counters, all indexed by the kernel's
+    delivered/duplicate counters, all indexed by the kernel's
     dense node slots.  The kernel keeps one plane per active stream id
     (dense plane index, DESIGN.md §10), so K concurrent streams stay on
     the array path with zero shared-dict contention between streams.
     """
 
-    __slots__ = ("stream", "rows", "delivered", "duplicates", "payload_bytes")
+    __slots__ = ("stream", "rows", "delivered", "duplicates")
 
     def __init__(self, stream: StreamId, capacity: int) -> None:
         self.stream = stream
@@ -47,14 +47,11 @@ class SlotPlane:
         self.delivered = array("q", zeros)
         #: Duplicate receptions per slot on this stream.
         self.duplicates = array("q", zeros)
-        #: Payload bytes of first-time receptions per slot.
-        self.payload_bytes = array("q", zeros)
 
     def grow(self) -> None:
         """Extend every column by one zeroed slot."""
         self.delivered.append(0)
         self.duplicates.append(0)
-        self.payload_bytes.append(0)
         for row in self.rows:
             row.append(UNSEEN)
 
@@ -62,7 +59,6 @@ class SlotPlane:
         """Zero ``slot``'s cell in every column."""
         self.delivered[slot] = 0
         self.duplicates[slot] = 0
-        self.payload_bytes[slot] = 0
         for row in self.rows:
             row[slot] = UNSEEN
 
@@ -88,11 +84,9 @@ class SlotKernel:
         self.rx_bytes = array("q")
         #: Per-slot live peer ids, in active-view insertion order (the
         #: overlay is shared by every stream, so rows are plane-free).
+        #: The flood kernels fan out from these; BRISA reads its relay
+        #: set off the node and leaves them empty.
         self.neighbor_rows: list[list[NodeId]] = []
-        #: While True, membership notifications skip per-peer row
-        #: appends — a bulk bootstrap builds the rows in one
-        #: :meth:`install_rows` pass over the CSR arrays instead.
-        self.bulk_rows = False
         #: Slot planes in dense-index order; one per stream ever seen.
         self.planes: list = []
         #: stream id -> dense plane index.
@@ -134,9 +128,7 @@ class SlotKernel:
         over ``ids`` (the i-th row describes ``ids[i]``).  Row order
         matches what :meth:`HyParViewNode.install_overlay` produces from
         the same arrays, so rows built here are identical to the ones
-        the membership notifications would have accumulated — set
-        :attr:`bulk_rows` around the view installation so that work is
-        skipped rather than redone."""
+        the membership notifications would have accumulated."""
         offsets = topo.offsets
         neighbors = topo.neighbors
         rows = self.neighbor_rows

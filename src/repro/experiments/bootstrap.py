@@ -509,7 +509,7 @@ def _require_hyparview(nodes) -> None:
 
 def synthesize_overlay(
     nodes, network, *, rng, degree: int | None = None, topology: str = "uniform"
-) -> CSRTopology:
+) -> None:
     """Build and install a HyParView-convergent overlay over ``nodes``.
 
     ``nodes`` are already-spawned (fresh, empty-view) HyParView-stack
@@ -534,10 +534,6 @@ def synthesize_overlay(
     (:meth:`HyParViewNode.adopt_overlay` — cold flood nodes on an array
     kernel) installs nothing here and each node takes its rows when it
     wakes; every other population gets the per-node loop.
-
-    Returns the installed :class:`CSRTopology` so array-backed consumers
-    (the slotted flood kernel's fan-out rows, DESIGN.md §9) can reuse the
-    adjacency arrays instead of re-deriving them from node views.
     """
     _require_hyparview(nodes)
     n = len(nodes)
@@ -576,7 +572,6 @@ def synthesize_overlay(
     # The synthesizer emits every edge in both rows by construction
     # (property-tested), so the symmetry validation pass is skipped.
     network.register_links_csr(ids, offsets, neighbors, validate=False)
-    return topo
 
 
 # ----------------------------------------------------------------------

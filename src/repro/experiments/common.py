@@ -49,10 +49,6 @@ class Testbed:
             loss_percent=loss_percent,
         )
         self.nodes: list = []
-        #: CSRTopology of the last synthesized bootstrap (None otherwise);
-        #: array-backed kernels bulk-install their adjacency rows from it
-        #: instead of re-deriving per-node views (DESIGN.md §9/§11).
-        self.last_topology = None
         self._factory: Optional[NodeFactory] = None
         self._join_rng = self.sim.rng("testbed-joins")
 
@@ -185,7 +181,7 @@ class Testbed:
         else:
             spawned = network.spawn_many(factory, n)
         if checkpoint is None:
-            self.last_topology = bootstrap_mod.synthesize_overlay(
+            bootstrap_mod.synthesize_overlay(
                 spawned, network, rng=self.sim.rng("synth-overlay"),
                 degree=degree, topology=topology,
             )

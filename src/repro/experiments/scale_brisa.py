@@ -97,38 +97,21 @@ def run_scale_brisa(
 
         slot_kernel = SlottedBrisaKernel(bed.network, cfg)
     t0 = time.perf_counter()
-    # Synthesized bootstraps build the slotted relay rows straight from
-    # the CSR adjacency arrays — one bulk pass instead of one append per
-    # neighbour-up notification (contents identical either way, same
-    # idiom as build_static_flood_overlay).  Simulated/checkpoint
-    # bootstraps keep the incremental path: install_overlay and the join
-    # ramp both fire per-peer notifications.
-    bulk = slot_kernel is not None and bootstrap == "synthesized"
-    if bulk:
-        slot_kernel.bulk_rows = True
-    try:
-        bed.populate(
-            nodes,
-            brisa_factory(cfg, hpv_config, kernel=slot_kernel),
-            bootstrap=bootstrap,
-            degree=degree,
-            topology=topology,
-            join_spacing=join_spacing,
-            settle=settle,
-            validate=True,
-            # The overlay is static during dissemination, so shuffle timers
-            # are never armed — at xxl populations this is the difference
-            # between spawning 100k nodes and spawning 100k nodes plus 100k
-            # scheduled shuffle events (DESIGN.md §8).
-            defer_timers=bootstrap != "simulated",
-        )
-    finally:
-        if bulk:
-            slot_kernel.bulk_rows = False
-    if bulk:
-        slot_kernel.install_rows(
-            [node.node_id for node in bed.nodes], bed.last_topology
-        )
+    bed.populate(
+        nodes,
+        brisa_factory(cfg, hpv_config, kernel=slot_kernel),
+        bootstrap=bootstrap,
+        degree=degree,
+        topology=topology,
+        join_spacing=join_spacing,
+        settle=settle,
+        validate=True,
+        # The overlay is static during dissemination, so shuffle timers
+        # are never armed — at xxl populations this is the difference
+        # between spawning 100k nodes and spawning 100k nodes plus 100k
+        # scheduled shuffle events (DESIGN.md §8).
+        defer_timers=bootstrap != "simulated",
+    )
     bootstrap_wall = time.perf_counter() - t0
     bed.stop_shuffles()
 

@@ -112,23 +112,14 @@ def build_static_flood_overlay(
         nodes = net.spawn_many(factory, n)
     finally:
         net.autostart_timers = prior
-    # Array kernels: build the fan-out rows straight from the CSR
-    # adjacency arrays — one bulk pass over flat arrays; the per-peer
-    # notification appends the install would fire are suppressed meanwhile
-    # (contents identical either way, pinned by the parity tests).
-    slot_kernel = getattr(nodes[0], "kernel", None)
-    if slot_kernel is not None:
-        slot_kernel.bulk_rows = True
-    try:
-        topo = synthesize_overlay(
-            nodes, net, rng=sim.rng("static-overlay"), degree=degree,
-            topology=topology,
-        )
-    finally:
-        if slot_kernel is not None:
-            slot_kernel.bulk_rows = False
-    if slot_kernel is not None:
-        slot_kernel.install_rows([node.node_id for node in nodes], topo)
+    # Array kernels get their fan-out rows from the install itself: a
+    # cold population's adopted views carry them, warm nodes append them
+    # per neighbour-up notification (contents identical either way,
+    # pinned by the parity tests).
+    synthesize_overlay(
+        nodes, net, rng=sim.rng("static-overlay"), degree=degree,
+        topology=topology,
+    )
     return sim, net, nodes
 
 

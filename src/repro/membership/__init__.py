@@ -12,13 +12,12 @@ Two PSS families back the paper's protocols:
   of fresh samples produced by age-based shuffles.
 """
 
-from repro.membership.base import MembershipListener, PeerSamplingNode
+from repro.membership.base import PeerSamplingNode
 from repro.membership.cyclon import CyclonNode
 from repro.membership.hyparview import HyParViewNode
 
 __all__ = [
     "CyclonNode",
     "HyParViewNode",
-    "MembershipListener",
     "PeerSamplingNode",
 ]

@@ -10,30 +10,12 @@ connectivity and bidirectionality guarantees supplied by HyParView.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 from repro.ids import NodeId
 from repro.sim.node import ProtocolNode
 
 
-@runtime_checkable
-class MembershipListener(Protocol):
-    """Callbacks a dissemination layer registers with its PSS."""
-
-    def neighbor_up(self, peer: NodeId) -> None:
-        """``peer`` entered the exposed view."""
-
-    def neighbor_down(self, peer: NodeId, failure: bool) -> None:
-        """``peer`` left the view; ``failure`` distinguishes crashes from
-        graceful evictions/disconnects."""
-
-
 class PeerSamplingNode(ProtocolNode):
     """Base class for nodes that expose a peer-sampling view."""
-
-    def __init__(self, network, node_id: NodeId) -> None:
-        super().__init__(network, node_id)
-        self._listeners: list[MembershipListener] = []
 
     # -- view ------------------------------------------------------------
     def neighbors(self) -> list[NodeId]:
@@ -44,23 +26,10 @@ class PeerSamplingNode(ProtocolNode):
         """Start the join procedure through an existing system node."""
         raise NotImplementedError
 
-    # -- listeners ---------------------------------------------------------
-    def add_membership_listener(self, listener: MembershipListener) -> None:
-        self._listeners.append(listener)
-
-    def _notify_up(self, peer: NodeId) -> None:
-        self.neighbor_up(peer)
-        for listener in self._listeners:
-            listener.neighbor_up(peer)
-
-    def _notify_down(self, peer: NodeId, failure: bool) -> None:
-        self.neighbor_down(peer, failure)
-        for listener in self._listeners:
-            listener.neighbor_down(peer, failure)
-
-    # -- overridable hooks (for subclass layering, e.g. BrisaNode) --------
+    # -- membership hooks (the dissemination layer overrides them) -------
     def neighbor_up(self, peer: NodeId) -> None:
-        """Subclass hook; called before external listeners."""
+        """``peer`` entered the exposed view."""
 
     def neighbor_down(self, peer: NodeId, failure: bool) -> None:
-        """Subclass hook; called before external listeners."""
+        """``peer`` left the view; ``failure`` distinguishes crashes from
+        graceful evictions/disconnects."""

@@ -123,7 +123,7 @@ class CyclonNode(PeerSamplingNode):
             victim = max(self.view, key=lambda p: (self.view[p], p))
             self.view.pop(victim)
         self.view[peer] = age
-        self._notify_up(peer)
+        self.neighbor_up(peer)
 
     # ------------------------------------------------------------------
     def on_crash(self) -> None:

@@ -133,7 +133,7 @@ class HyParViewNode(PeerSamplingNode):
                 for peer in fresh:
                     register(self.node_id, peer)
             for peer in fresh:
-                self._notify_up(peer)
+                self.neighbor_up(peer)
             if callable(passive):
                 del self.passive
                 self._passive_provider = passive
@@ -149,7 +149,7 @@ class HyParViewNode(PeerSamplingNode):
             self.active[peer] = None
             if register_links:
                 self.transport.register_link(self.node_id, peer)
-            self._notify_up(peer)
+            self.neighbor_up(peer)
         for peer in passive:
             if peer != self.node_id and peer not in self.active:
                 self.passive.add(peer)
@@ -228,7 +228,7 @@ class HyParViewNode(PeerSamplingNode):
         self._promotion_rejected.discard(peer)
         self.active[peer] = None
         self.transport.register_link(self.node_id, peer)
-        self._notify_up(peer)
+        self.neighbor_up(peer)
 
     def _drop_active(
         self, peer: NodeId, *, failure: bool, notify_peer: bool, replace: bool = True
@@ -242,7 +242,7 @@ class HyParViewNode(PeerSamplingNode):
         if not failure:
             # Evicted peers stay reachable through the passive view.
             self._add_passive(peer)
-        self._notify_down(peer, failure)
+        self.neighbor_down(peer, failure)
         if replace:
             self._maybe_replace()
 
@@ -320,7 +320,7 @@ class HyParViewNode(PeerSamplingNode):
         if peer in self.active:
             del self.active[peer]
             self.transport.unregister_link(self.node_id, peer)
-            self._notify_down(peer, failure=True)
+            self.neighbor_down(peer, failure=True)
         self._maybe_replace()
 
     # ------------------------------------------------------------------

@@ -14,9 +14,9 @@ A node sees exactly two capability objects:
   a live run and a same-seed simulated run draw-for-draw comparable.
 - ``transport`` — message delivery and link bookkeeping: ``send``,
   ``send_many``, ``register_link``/``unregister_link``, link properties
-  (``rtt``, ``capacity``), liveness, per-run ``metrics``, and the two
-  peer-introspection hooks BRISA's parent-choice strategies use
-  (``peer_stats``, ``peer_position``).
+  (``rtt``, ``capacity``), liveness, per-run ``metrics``, and the
+  peer-introspection hooks BRISA reads (``peer_stats`` for the
+  parent-choice strategies, ``peer_position`` for repair eligibility).
 
 :class:`PeriodicTask` lives here because it is pure clock algebra — it
 only ever calls ``clock.schedule`` — and both backends reuse it
@@ -25,7 +25,7 @@ verbatim.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
 from repro.ids import NodeId
@@ -117,8 +117,9 @@ class MessageTransport(Protocol):
         without the relay load, whose count is O(degree) on the peer."""
         ...
 
-    def peer_position(self, peer: NodeId, stream: int) -> Optional[int]:
-        """A peer's last-delivered sequence position, or None."""
+    def peer_position(self, peer: NodeId, stream: int) -> Any:
+        """A peer's cycle-predictor position on ``stream`` — a path
+        tuple, depth label or Bloom mask (DESIGN.md §16) — or None."""
         ...
 
 

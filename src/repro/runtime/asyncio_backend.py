@@ -19,7 +19,9 @@ contracts from :mod:`repro.runtime.api` map onto it directly:
   The address table mapping node id -> (host, port) is pushed by the
   coordinator before traffic starts.  Per the transport contract,
   ``peer_stats``/``peer_position`` return None: a real network is not
-  omniscient, and only non-default strategies/predictors consume them.
+  omniscient.  Only non-default strategies read ``peer_stats``; soft
+  repair reads ``peer_position``, and with None it finds no eligible
+  neighbour, so a live orphan repairs hard.
 
 Nothing here imports the simulator's engine or network.
 """
@@ -30,7 +32,7 @@ import asyncio
 import socket
 import struct
 import time
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.ids import NodeId
 from repro.sim.message import Message
@@ -269,5 +271,5 @@ class UdpTransport(asyncio.DatagramProtocol):
     def peer_uptime(self, peer: NodeId) -> "float | None":
         return None
 
-    def peer_position(self, peer: NodeId, stream: int) -> "int | None":
+    def peer_position(self, peer: NodeId, stream: int) -> Any:
         return None

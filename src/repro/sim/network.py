@@ -26,7 +26,7 @@ the model charges occupancy.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 try:  # a FanWave is numpy arrays; only the vectorized kernel builds one
     import numpy as np
@@ -786,11 +786,12 @@ class Network:
             return None
         return peer_node.uptime
 
-    def peer_position(self, peer: NodeId, stream: int) -> "int | None":
-        """A live peer's last-contiguous stream position, or None.
+    def peer_position(self, peer: NodeId, stream: int) -> Any:
+        """A live peer's cycle-predictor position on ``stream`` — a path
+        tuple, depth label or Bloom mask (DESIGN.md §16) — or None.
 
-        Backs BRISA's path-predictor eligibility probe; same
-        omniscient-simulator shortcut as :meth:`peer_stats`.
+        Backs BRISA's repair-eligibility probe; same omniscient-simulator
+        shortcut as :meth:`peer_stats`.
         """
         peer_node = self.nodes.get(peer)
         if peer_node is None or not peer_node.alive:

@@ -61,7 +61,7 @@ class TestParentFailure:
         for node in bed.alive_nodes():
             if node is source:
                 continue
-            parents = node.parents_of(0)
+            parents = node.tree_parents(0)
             if parents and parents[0] != source.node_id:
                 child = node
                 victim_parent = parents[0]
@@ -111,9 +111,9 @@ class TestParentFailure:
         bed.sim.run(until=bed.sim.now + 5.0)
         child = next(
             n for n in bed.alive_nodes()
-            if n is not source and len(n.parents_of(0)) == 2
+            if n is not source and len(n.tree_parents(0)) == 2
         )
-        dead = child.parents_of(0)[0]
+        dead = child.tree_parents(0)[0]
         orphans_before = len(bed.metrics.orphan_events)
         bed.network.crash(dead)
         bed.sim.run(until=bed.sim.now + 20.0)
@@ -123,7 +123,7 @@ class TestParentFailure:
             if n == child.node_id
         ]
         assert not child_orphans
-        assert child.parents_of(0), "child lost all parents unexpectedly"
+        assert child.tree_parents(0), "child lost all parents unexpectedly"
 
 
 class TestHardRepair:
@@ -203,9 +203,9 @@ class TestRetransmission:
         bed.sim.run(until=bed.sim.now + 4.0)
         child = next(
             n for n in bed.alive_nodes()
-            if n is not source and n.parents_of(0) and n.parents_of(0)[0] != source.node_id
+            if n is not source and n.tree_parents(0) and n.tree_parents(0)[0] != source.node_id
         )
-        parent = child.parents_of(0)[0]
+        parent = child.tree_parents(0)[0]
         bed.network.crash(parent)
         bed.sim.run(until=bed.sim.now + 30.0)
         state = child.streams[0]

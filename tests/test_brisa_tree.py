@@ -41,7 +41,7 @@ class TestEmergence:
 
     def test_source_has_no_parent(self, tree_run):
         bed, source, _ = tree_run
-        assert source.parents_of(0) == []
+        assert source.tree_parents(0) == []
 
     def test_steady_state_has_no_duplicates(self, tree_run):
         """After emergence, a tree delivers exactly one copy per message:
@@ -122,6 +122,22 @@ class TestSourceBehaviour:
         sid = source.node_id
         for seq in range(10):
             assert sid not in bed.metrics.records(0, seq)
+
+
+class TestPureReads:
+    def test_reading_an_untouched_stream_creates_nothing(self):
+        """``delivered_count`` and ``tree_parents`` are pure reads: on an
+        idle node they neither create the stream nor, with the tail probe
+        on, arm its timer (DESIGN.md §15)."""
+        bed = build_brisa_testbed(
+            8, seed=2, config=BrisaConfig(tail_probe=True), bootstrap="synthesized"
+        )
+        node = bed.nodes[3]
+        pending = bed.sim.pending
+        assert node.delivered_count(7) == 0
+        assert node.tree_parents(7) == []
+        assert 7 not in node.streams
+        assert bed.sim.pending == pending
 
 
 class TestSymmetricDeactivation:

@@ -174,7 +174,6 @@ class TestSlotRecycling:
         assert victim.node_id not in kernel.slot_of
         assert kernel.slot_delivered(slot) == 0
         assert kernel.slot_duplicates(slot) == 0
-        assert kernel.slot_payload_bytes(slot) == 0
         assert kernel.rx_bytes[slot] == 0
         assert kernel.neighbor_rows[slot] == []
         # The next joiner takes over the freed slot with a clean seen map.
@@ -218,7 +217,6 @@ class TestSlotRecycling:
         for plane in kernel.planes:
             assert plane.delivered[slot] == 0
             assert plane.duplicates[slot] == 0
-            assert plane.payload_bytes[slot] == 0
             for row in plane.rows:
                 assert row[slot] == 0
         hpv = nodes[0].hpv_config
@@ -231,8 +229,8 @@ class TestSlotRecycling:
 class TestBrisaSlottedChurn:
     """Churn against the slotted BRISA kernel (DESIGN.md §11): a crash
     must release the victim's slot with *all* structural state zeroed —
-    relay rows, stream state, maintenance cache — and hand the clean
-    slot to the next joiner."""
+    stream state, maintenance cache — and hand the clean slot to the
+    next joiner."""
 
     @staticmethod
     def overlay(n: int = 96, *, seed: int = 3, predictor: str = "bloom"):
@@ -248,15 +246,9 @@ class TestBrisaSlottedChurn:
         bed = Testbed(seed=seed, latency=ConstantLatency(0.001, seed=seed),
                       record_deliveries=False)
         kernel = SlottedBrisaKernel(bed.network, cfg)
-        kernel.bulk_rows = True
-        try:
-            bed.populate(n, brisa_factory(cfg, kernel=kernel),
-                         bootstrap="synthesized", validate=True,
-                         defer_timers=True)
-        finally:
-            kernel.bulk_rows = False
-        kernel.install_rows([node.node_id for node in bed.nodes],
-                            bed.last_topology)
+        bed.populate(n, brisa_factory(cfg, kernel=kernel),
+                     bootstrap="synthesized", validate=True,
+                     defer_timers=True)
         bed.stop_shuffles()
         return bed, kernel, brisa_factory(cfg, kernel=kernel)
 
@@ -273,15 +265,13 @@ class TestBrisaSlottedChurn:
         # The stream materialized structure at the victim...
         assert plane.states[slot] is not None
         assert kernel.delivered_count(slot, 0) == 3
-        assert plane.relay_rows[slot] and plane.states[slot].parents
+        assert plane.states[slot].parents
         net.crash(victim.node_id)
         # ...and the release zeroed every cell of the slot.
         assert victim.node_id not in kernel.slot_of
         assert slot in kernel._free
         assert plane.states[slot] is None
-        assert plane.relay_rows[slot] == []
         assert plane.delivered[slot] == 0 and plane.duplicates[slot] == 0
-        assert plane.payload_bytes[slot] == 0
         assert plane.maint_src[slot] is None and plane.maint_cand[slot] is None
         assert plane.maint_meta[slot] is None and plane.maint_targets[slot] is None
         assert all(row[slot] == 0 for row in plane.rows)

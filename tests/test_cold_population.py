@@ -43,7 +43,7 @@ BORN_WITH = {
 #: Attributes whose first read wakes a node; read on the eager twin too,
 #: so the two end in the same state (``passive`` resolves its provider).
 TOUCHES = (
-    "active", "passive", "degree", "_tasks", "_listeners", "_shuffle_task",
+    "active", "passive", "degree", "_tasks", "_shuffle_task",
     "_pending_neighbor", "_neighbor_seq", "_promotion_rejected",
 )
 
@@ -65,7 +65,7 @@ def assert_twin(node, twin) -> None:
     assert set(state) - {"kernel", "slot"} == set(ref) - {"delivered"}
     assert state["transport"] is not ref["transport"]
     assert state["clock"] is state["transport"].clock
-    for name in ("node_id", "alive", "birth_time", "hpv_config", "_listeners",
+    for name in ("node_id", "alive", "birth_time", "hpv_config",
                  "_pending_neighbor", "_neighbor_seq", "_promotion_rejected"):
         assert state[name] == ref[name], name
     assert list(state["active"]) == list(ref["active"])
@@ -199,6 +199,29 @@ class TestWakeEquivalence:
         bed.nodes[0].inject(0, 0, 64)
         bed.sim.run_until_idle()
         assert all(node.delivered_count(0) == 1 for node in bed.nodes)
+
+    @pytest.mark.parametrize("kernel", ARRAY_KERNELS)
+    def test_a_warm_population_builds_its_rows_from_notifications(self, kernel):
+        # With shuffles on the nodes are born warm and take install_overlay,
+        # so every row is appended one neighbour-up notification at a time.
+        def flood(kernel):
+            sim, _, nodes = build_static_flood_overlay(
+                64, seed=9, shuffles=True, kernel=kernel, record_deliveries=True
+            )
+            nodes[0].inject(0, 0, 64)
+            # The armed shuffle timers keep the heap busy: run a window.
+            sim.run(until=sim.now + 1.0)
+            return nodes, nodes[0].transport.metrics.records(0, 0)
+
+        ref_nodes, ref_records = flood("object")
+        nodes, records = flood(kernel)
+        slot_kernel = nodes[0].kernel
+        assert not slot_kernel.cold
+        assert [slot_kernel.neighbor_rows[n.slot] for n in nodes] == [
+            list(n.active) for n in nodes
+        ]
+        assert views(nodes) == views(ref_nodes)
+        assert len(records) == len(nodes) - 1 and records == ref_records
 
 
 # ----------------------------------------------------------------------

@@ -58,11 +58,18 @@ class TestRunScaleBrisa:
         with pytest.raises(ValueError):
             run_scale_brisa(64, 5, kernel="vectorized")
 
-    def test_slotted_kernel_matches_object_outcome(self):
+    @pytest.mark.parametrize("bootstrap", ["synthesized", "simulated"])
+    def test_slotted_kernel_matches_object_outcome(self, bootstrap):
         """The kernel switch is a pure throughput lever (DESIGN.md §11):
-        the slotted run reports the identical deterministic outcome."""
+        the slotted run reports the identical deterministic outcome,
+        over a synthesized overlay and over the simulated join ramp,
+        which fills the views one ``neighbor_up`` at a time (``settle``
+        only applies to the ramp)."""
         results = {
-            kernel: run_scale_brisa(96, 6, seed=6, streams=2, kernel=kernel)
+            kernel: run_scale_brisa(
+                96, 6, seed=6, streams=2, kernel=kernel,
+                bootstrap=bootstrap, settle=10.0,
+            )
             for kernel in ("object", "slotted")
         }
         a, b = results["object"], results["slotted"]

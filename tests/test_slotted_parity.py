@@ -483,19 +483,10 @@ def brisa_run(kernel: str, n: int, messages: int, seed: int, config_kind: str,
     slot_kernel = None
     if kernel == "slotted":
         slot_kernel = SlottedBrisaKernel(bed.network, cfg)
-        slot_kernel.bulk_rows = True
-    try:
-        bed.populate(
-            n, brisa_factory(cfg, kernel=slot_kernel),
-            bootstrap="synthesized", validate=True, defer_timers=True,
-        )
-    finally:
-        if slot_kernel is not None:
-            slot_kernel.bulk_rows = False
-    if slot_kernel is not None:
-        slot_kernel.install_rows(
-            [node.node_id for node in bed.nodes], bed.last_topology
-        )
+    bed.populate(
+        n, brisa_factory(cfg, kernel=slot_kernel),
+        bootstrap="synthesized", validate=True, defer_timers=True,
+    )
     bed.stop_shuffles()
     sources = spread_sources(bed.nodes, streams)
     runner = ScaleRunner(
@@ -545,8 +536,9 @@ def brisa_structure_snapshot(bed, streams: int) -> dict:
 
 
 def assert_brisa_arrays_consistent(bed, streams: int) -> None:
-    """Every slot-plane cell must agree with the StreamState it mirrors
-    (and the Bloom matrix row with the object-level int mask)."""
+    """Every slot-plane cell must agree with the node state it mirrors:
+    counters with the delivered set, and a cached relay-target list,
+    order included, with the relay rule applied to the cached source."""
     kernel = bed.nodes[0].kernel
     m = bed.metrics
     for node in bed.alive_nodes():
@@ -558,9 +550,9 @@ def assert_brisa_arrays_consistent(bed, streams: int) -> None:
                 continue
             plane = kernel.plane(stream)
             assert kernel.delivered_count(slot, stream) == len(state.delivered)
-            assert sorted(plane.relay_rows[slot]) == sorted(
-                p for p in node.active if p not in state.out_deactivated
-            )
+            cached = plane.maint_targets[slot]
+            if cached is not None:
+                assert cached == node._relay_targets(state, plane.maint_src[slot])
             assert state.active_in == sum(
                 1 for active in state.in_active.values() if active
             )
