@@ -148,10 +148,10 @@ class SlottedFloodKernel(SlotKernel):
     kernel replaces all of it with the slot store of
     :class:`~repro.core.slots.SlotKernel` — one plane of seen maps
     (``UNSEEN``/``INJECTED``/``RECEIVED`` byte cells) and per-slot
-    delivered/duplicate counters per stream id, ``rx_bytes``, and
-    ``neighbor_rows`` mirroring each node's active view in insertion
-    order — and adds the flood transition on top: first copy delivers
-    and re-floods to the row minus the sender, everything else counts.
+    delivered/duplicate counters per stream id, and ``neighbor_rows``
+    mirroring each node's active view in insertion order — and adds the
+    flood transition on top: first copy delivers and re-floods to the
+    row minus the sender, everything else counts.
 
     When the run's :class:`Metrics` records deliveries (small/parity
     runs), the kernel mirrors every reception into
@@ -256,7 +256,6 @@ class SlottedFloodKernel(SlotKernel):
         slot_of = self.slot_of
         delivered = plane.delivered
         duplicates = plane.duplicates
-        rx_bytes = self.rx_bytes
         neighbor_rows = self.neighbor_rows
         mirror = self._mirror
         metrics = self.metrics
@@ -285,7 +284,6 @@ class SlottedFloodKernel(SlotKernel):
                 network._deliver_fast(src, dst, msg, size)
                 continue
             processed += 1
-            rx_bytes[slot] += size
             if mirror:
                 metrics.account_receive(dst, size)
                 metrics.record_delivery(

@@ -65,11 +65,9 @@ class BrisaNode(HyParViewNode):
             state.active_in = len(state.in_active)
             self.streams[stream] = state
             if self.config.tail_probe:
-                # Both kernels materialize state here (the slotted
-                # kernel delegates through super().stream_state), and
-                # the probe only reads fields the slotted fast path
-                # keeps current — so the timer behaves identically
-                # under either representation.
+                # Both kernels materialize state here, and the probe
+                # only reads fields the slotted fast path keeps current
+                # — so the timer behaves identically on either kernel.
                 self._arm_tail_probe(state, -1, 0)
         return state
 
@@ -123,15 +121,18 @@ class BrisaNode(HyParViewNode):
     # ------------------------------------------------------------------
     # Every mutation of the structure-bearing stream state (position,
     # parent edges, demote counts, link activation) funnels through one
-    # of these hooks.  The reference kernel applies them directly; the slotted
-    # kernel (core/brisa_slotted.py) overrides them to invalidate its
-    # fast-path maintenance cache and cached relay targets (DESIGN.md §11).
+    # of these hooks, and each drops what it invalidates of the slotted
+    # kernel's maintenance cache (core/brisa_slotted.py, DESIGN.md §11):
+    # an input of the rule table clears the cache, a change of the
+    # fan-out set only its cached relay targets.
 
     def _set_position(self, state: StreamState, value: Any) -> None:
         state.position = value
+        state.maint_src = state.maint_targets = None
 
     def _reset_position(self, state: StreamState) -> None:
         state.reset_position()
+        state.maint_src = state.maint_targets = None
 
     def _set_in_active(self, state: StreamState, peer: NodeId, value: bool) -> None:
         state.active_in += value - state.in_active.get(peer, False)
@@ -146,18 +147,30 @@ class BrisaNode(HyParViewNode):
     ) -> None:
         state.parents[peer] = cand
         state.parent_meta[peer] = meta
+        state.maint_src = state.maint_targets = None
 
     def _drop_parent_edge(self, state: StreamState, peer: NodeId) -> bool:
-        return state.drop_parent(peer)
+        dropped = state.drop_parent(peer)
+        if dropped:
+            state.maint_src = state.maint_targets = None
+        return dropped
 
     def _bump_demote(self, state: StreamState, peer: NodeId, count: int) -> None:
         state.demote_counts[peer] = count
+        state.maint_src = state.maint_targets = None
 
+    # Link (de)activation keeps the maintenance cache: backflow state is
+    # only consulted on the demote branch of the maintenance rule, which
+    # a valid cache proves unreachable (check_parent's verdict depends on
+    # position and meta alone).  Membership changes reach here too:
+    # neighbor_up/_down route through _unmute_out for every stream.
     def _mute_out(self, state: StreamState, peer: NodeId) -> None:
         state.out_deactivated.add(peer)
+        state.maint_targets = None
 
     def _unmute_out(self, state: StreamState, peer: NodeId) -> None:
         state.out_deactivated.discard(peer)
+        state.maint_targets = None
 
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         """Publish one stream message (the experiment harness drives this)."""
@@ -259,6 +272,8 @@ class BrisaNode(HyParViewNode):
                 cand.path_delay = 0.7 * cand.path_delay + 0.3 * msg.path_delay
 
         first = seq not in state.delivered
+        if not first:
+            state.duplicates += 1
         self.transport.metrics.record_delivery(
             self.node_id, msg.stream, seq, now, src, hops, path_delay,
             msg.payload_bytes,

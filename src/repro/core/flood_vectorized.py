@@ -109,7 +109,6 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         super().__init__(network)
         #: Allocated length of every per-slot array (>= capacity).
         self._alloc = 0
-        self.rx_bytes = np.zeros(0, dtype=np.int64)
         #: node id -> slot, -1 when unattached (vector twin of slot_of).
         self._slot_map = np.full(0, -1, dtype=np.int64)
         #: Per-slot numpy mirror of neighbor_rows, rebuilt lazily after a
@@ -142,7 +141,6 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             out[: arr.size] = arr
             return out
 
-        self.rx_bytes = grown(self.rx_bytes)
         self._row_len = grown(self._row_len)
         self._first_scratch = np.zeros(alloc, dtype=np.int64)
         for plane in self.planes:
@@ -311,9 +309,6 @@ class VectorizedFloodKernel(SlottedFloodKernel):
                 self._replay_peak(heap_base, entry_bias, ev_pushes)
                 return
 
-        # Scatter-add the wire size via bincount (much faster than
-        # np.add.at for repeated indices).
-        self.rx_bytes += size * np.bincount(slots, minlength=self.rx_bytes.size)
         self.receptions += slots.size
 
         now = sim.now

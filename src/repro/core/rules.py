@@ -17,7 +17,7 @@ table:
   by the simulator and by the asyncio UDP backend of
   :mod:`repro.runtime`) threads the verdicts through its side effects;
 - :class:`repro.core.brisa_slotted.SlottedBrisaKernel` uses them to
-  prove its array fast path sound: a reception whose inputs match the
+  prove its fast path sound: a reception whose inputs match the
   last maintenance decision *by object identity* must produce the same
   verdict, so the whole maintenance step can be skipped (see
   DESIGN.md §11).

@@ -1,13 +1,12 @@
-"""The slot store under the three array kernels (DESIGN.md §9).
+"""The slot store under the two array flood kernels (DESIGN.md §9).
 
 The one statement of the slot layout and lifecycle: the seen-cell
 convention, :class:`SlotPlane` (one stream's per-slot columns) and
-:class:`SlotKernel` (allocation and recycling, the stream-agnostic
-columns, bulk row installation, the dense plane index).  A kernel
-subclasses :class:`SlotKernel` and adds only what a reception *does*;
-one with more per-stream state subclasses :class:`SlotPlane` and extends
-``grow`` / ``clear``, so no column is allocated without also being grown
-for a joiner and zeroed on release (tests/test_slots.py walks
+:class:`SlotKernel` (allocation and recycling, the neighbor rows, bulk
+row installation, the dense plane index).  A kernel subclasses
+:class:`SlotKernel` and adds only what a reception *does*; a column
+added to :class:`SlotPlane` must also be grown in ``grow`` for a joiner
+and zeroed in ``clear`` on release (tests/test_slots.py walks
 ``__slots__`` to hold that).
 """
 
@@ -66,9 +65,6 @@ class SlotPlane:
 class SlotKernel:
     """Slot lifecycle + plane index shared by every array kernel."""
 
-    #: Plane type instantiated per stream (``plane_cls(stream, capacity)``).
-    plane_cls = SlotPlane
-
     def __init__(self, network) -> None:
         self.network = network
         self.sim = network.sim
@@ -78,14 +74,9 @@ class SlotKernel:
         self.slot_of: dict[NodeId, int] = {}
         self._free: list[int] = []
         self.capacity = 0
-        #: Wire bytes received per slot on the fan-sink path (the slotted
-        #: stand-in for ``Metrics.bytes_received`` at scale; in mirror
-        #: mode Metrics is fed too and the two agree).
-        self.rx_bytes = array("q")
         #: Per-slot live peer ids, in active-view insertion order (the
-        #: overlay is shared by every stream, so rows are plane-free).
-        #: The flood kernels fan out from these; BRISA reads its relay
-        #: set off the node and leaves them empty.
+        #: overlay is shared by every stream, so rows are plane-free):
+        #: the flood kernels fan out from these.
         self.neighbor_rows: list[list[NodeId]] = []
         #: Slot planes in dense-index order; one per stream ever seen.
         self.planes: list = []
@@ -101,7 +92,6 @@ class SlotKernel:
         else:
             slot = self.capacity
             self.capacity += 1
-            self.rx_bytes.append(0)
             self.neighbor_rows.append([])
             for plane in self.planes:
                 plane.grow()
@@ -115,7 +105,6 @@ class SlotKernel:
         slot = self.slot_of.pop(node_id, None)
         if slot is None:
             return
-        self.rx_bytes[slot] = 0
         self.neighbor_rows[slot] = []
         for plane in self.planes:
             plane.clear(slot)
@@ -143,7 +132,7 @@ class SlotKernel:
         idx = self.plane_of.get(stream)
         if idx is None:
             idx = self.plane_of[stream] = len(self.planes)
-            self.planes.append(self.plane_cls(stream, self.capacity))
+            self.planes.append(SlotPlane(stream, self.capacity))
         return self.planes[idx]
 
     def _row(self, plane, seq: int):

@@ -12,6 +12,12 @@ for free).  The state tracks both directions of link activation:
 ``position`` is the node's standing under the configured cycle predictor
 (source path / depth label / Bloom mask); ``None`` means fresh — either
 never reached or reset by a hard repair (§II-F).
+
+One ``StreamState`` per node and stream is the whole per-stream view on
+both BRISA kernels, the slotted kernel's maintenance cache included.
+The class is slotted: with more than 30 fields an instance ``__dict__``
+would no longer share its keys across instances, and a node holds one
+state per stream.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from repro.core.strategies import Candidate
 from repro.ids import NodeId, StreamId
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamState:
     stream: StreamId
     buffer: MessageBuffer
@@ -56,6 +62,9 @@ class StreamState:
     max_contig: int = -1
     #: Last time a gap-triggered retransmit request went out (cooldown).
     last_gap_request: float = -1.0
+    #: Non-first receptions (``Metrics.duplicates_per_node`` semantics,
+    #: counted on both kernels, source echoes excluded).
+    duplicates: int = 0
 
     # -- construction probe (Fig. 13) ------------------------------------
     first_deact_at: Optional[float] = None
@@ -78,6 +87,22 @@ class StreamState:
     repair_queue: list[Candidate] = field(default_factory=list)
     repair_pending: Optional[NodeId] = None
     repair_attempt: int = 0
+
+    # -- maintenance cache (core/brisa_slotted.py, DESIGN.md §11) ---------
+    #: Last (src, meta) whose full revalidation took no mutating branch;
+    #: ``maint_src is None`` = invalid.  Every ``BrisaNode`` choke-point
+    #: hook that changes an input of the rule table clears it.
+    maint_src: Optional[NodeId] = None
+    maint_meta: Any = None
+    #: The cached source's Candidate (the fast path's EMA target), pinned
+    #: at priming time: only ``neighbor_down`` removes a candidate, and it
+    #: also drops the parent edge, which clears the cache.
+    maint_cand: Optional[Candidate] = None
+    #: Relay targets minus ``maint_src``, built lazily by the fast path;
+    #: ``None`` = recompute.  Cleared with ``maint_src`` and on every
+    #: change of the fan-out set; never mutated in place, so pending fan
+    #: events may share it.
+    maint_targets: Optional[list[NodeId]] = None
 
     # ------------------------------------------------------------------
     def note_delivered(self, seq: int) -> None:

@@ -356,7 +356,7 @@ def brisa_factory(
 
     ``kernel`` (a :class:`~repro.core.brisa_slotted.SlottedBrisaKernel`
     bound to the testbed's network) switches the stack to the slotted
-    array kernel; nodes attach to its slot planes at spawn."""
+    kernel: its fan sink serves the nodes' ``Data`` receptions."""
     cfg = config if config is not None else BrisaConfig()
     hpv = hpv_config if hpv_config is not None else HyParViewConfig()
     if kernel is not None:

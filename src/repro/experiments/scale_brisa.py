@@ -63,8 +63,8 @@ def run_scale_brisa(
     with a relay-load-spread report on how interior duty distributes.
 
     ``kernel`` selects the delivery + tree-maintenance representation:
-    ``object`` (the reference per-node dict state) or ``slotted`` (the
-    flat-array slot planes of :class:`SlottedBrisaKernel`, DESIGN.md
+    ``object`` (the reference per-message handler) or ``slotted`` (the
+    maintenance-cache fast path of :class:`SlottedBrisaKernel`, DESIGN.md
     §11).  Both run draw-for-draw identical simulations — pinned by
     tests/test_slotted_parity.py — so the choice is purely a throughput
     lever.
@@ -118,15 +118,14 @@ def run_scale_brisa(
     def account(sources, alive):
         outcomes = brisa_stream_outcomes(sources, alive, messages)
         source_ids = {s.node_id for s in sources}
-        receivers = [n.node_id for n in alive if n.node_id not in source_ids]
-        if slot_kernel is not None:
-            # Duplicate counts live in the slot planes; the Metrics shards are
-            # only fed by the object kernel's per-message handler.  Source
-            # nodes are excluded to match the object walk below (per-node
-            # counters cannot split a publisher's counts by stream).
-            dup_total = slot_kernel.duplicate_receptions(exclude_nodes=source_ids)
-        else:
-            dup_total = sum(bed.metrics.duplicates_per_node(receivers))
+        receivers = [n for n in alive if n.node_id not in source_ids]
+        # Duplicates are counted on the node's stream state by both
+        # kernels (the Metrics shards are only partly fed at scale).
+        # Source nodes are excluded, here and in the mean's denominator:
+        # ``duplicates_per_node`` is a receiver statistic.
+        dup_total = sum(
+            state.duplicates for n in receivers for state in n.streams.values()
+        )
         relay_spread = None
         if streams > 1:
             from repro.experiments.structural import relay_load_spread

@@ -378,11 +378,10 @@ def brisa_stream_outcomes(
     """BRISA accounting: the flood walk + §II-B structure.
 
     ``node.delivered_count(stream)`` is answered by
-    ``StreamState.delivered`` on the object kernel and by the slot
-    plane's ``delivered`` column on the slotted one, so the delivery walk
-    is representation-independent (Metrics shards are not populated at
-    scale).  Every stream must also have emerged a complete, acyclic
-    structure over the live population;
+    ``StreamState.delivered`` on both kernels, so the delivery walk is
+    kernel-independent (Metrics shards are not populated at scale).
+    Every stream must also have emerged a complete, acyclic structure
+    over the live population;
     :func:`~repro.core.structure.extract_structure` reads the tree edges
     via ``tree_parents`` (``StreamState.parents`` on both kernels).
     """

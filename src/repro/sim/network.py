@@ -125,7 +125,7 @@ class Network:
         self._capacities: dict[NodeId, float] = {}
         #: Observers called as fn(node_id) after a crash is applied.
         self.crash_listeners: list[Callable[[NodeId], None]] = []
-        #: Slotted kernels (see :meth:`register_kernel`) whose per-node
+        #: Array flood kernels (see :meth:`register_kernel`) whose per-node
         #: slot state the network releases as the final step of a crash.
         self._kernels: list = []
         #: When False, ``ProtocolNode.periodic`` creates timers without
@@ -651,21 +651,22 @@ class Network:
         the fused plan are affected — single sends and the
         per-destination plan keep the regular per-node chain — so a
         run's receive bookkeeping stays consistent per latency model.
-        Used by the slotted kernels (DESIGN.md §9, §11) to process a
-        fan-out's receptions against flat arrays with locals bound once;
-        the vectorized flood kernel's sink turns the fan-out into a
-        one-fan :class:`FanWave` (DESIGN.md §12).
+        Used by the slotted flood kernel (DESIGN.md §9) to process a
+        fan-out's receptions against flat arrays with locals bound once,
+        by the slotted BRISA kernel (§11) to run its maintenance-cache
+        fast path, and by the vectorized flood kernel, whose sink turns
+        the fan-out into a one-fan :class:`FanWave` (DESIGN.md §12).
         """
         self._fan_sinks[kind] = sink
 
     def register_kernel(self, kernel) -> None:
-        """Attach a slotted kernel's lifecycle to this network.
+        """Attach an array flood kernel's slot lifecycle to this network.
 
         The kernel must expose ``release_node(node_id)``; :meth:`crash`
         calls it after the node teardown and crash listeners, so dead
-        nodes' slot state — seen rows, plane counters, relay rows,
-        maintenance caches — is zeroed and recycled exactly once, however
-        the crash was initiated (churn driver, test, or protocol logic).
+        nodes' slot state — seen rows, plane counters, neighbor rows —
+        is zeroed and recycled exactly once, however the crash was
+        initiated (churn driver, test, or protocol logic).
         """
         self._kernels.append(kernel)
 

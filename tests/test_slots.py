@@ -1,9 +1,11 @@
 """Slot lifecycle of the shared slot store (core/slots.py, DESIGN.md §9).
 
-One walk over every array kernel: a crash through ``Network.crash`` must
-put the slot on the free list exactly once with *every* column the plane
-class declares zeroed in *every* plane, and a later joiner must find
-every column grown to cover its slot.  The columns are read off
+One walk over both array flood kernels (the slotted BRISA kernel keeps
+its state on the node's ``StreamState`` and has no slots): a crash
+through ``Network.crash`` must put the slot on the free list exactly
+once with *every* column the plane class declares zeroed in *every*
+plane, and a later joiner must find every column grown to cover its
+slot.  The columns are read off
 ``__slots__`` over the MRO, not a hand-written list, so a column added
 to a plane but forgotten in ``grow`` / ``clear`` fails here instead of
 leaking one node's state into a churn joiner.
@@ -14,40 +16,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import BrisaConfig
-from repro.core.brisa_slotted import SlottedBrisaKernel
-from repro.experiments.common import Testbed as _Testbed, brisa_factory
 from repro.experiments.scale_flood import build_static_flood_overlay, flood_node_factory
-from repro.sim.latency import ConstantLatency
-
-BRISA_CONFIGS = {
-    "brisa-path": BrisaConfig(mode="tree"),
-    "brisa-bloom": BrisaConfig(
-        mode="dag", num_parents=2, cycle_predictor="bloom", bloom_bits=256
-    ),
-}
 
 
 def build(kind: str, n: int = 48, seed: int = 5, loss_percent: float = 0.0):
     """(sim, net, nodes, kernel, factory) for one kernel kind."""
-    if kind.startswith("flood-"):
-        name = kind.removeprefix("flood-")
-        sim, net, nodes = build_static_flood_overlay(
-            n, seed=seed, kernel=name, loss_percent=loss_percent
-        )
-        kernel = nodes[0].kernel
-        factory = flood_node_factory(
-            name, net, nodes[0].hpv_config, slot_kernel=kernel
-        )
-        return sim, net, nodes, kernel, factory
-    cfg = BRISA_CONFIGS[kind]
-    bed = _Testbed(seed=seed, latency=ConstantLatency(0.001, seed=seed),
-                   record_deliveries=False, loss_percent=loss_percent)
-    kernel = SlottedBrisaKernel(bed.network, cfg)
-    factory = brisa_factory(cfg, kernel=kernel)
-    bed.populate(n, factory, bootstrap="synthesized", defer_timers=True)
-    bed.stop_shuffles()
-    return bed.sim, bed.network, bed.nodes, kernel, factory
+    name = kind.removeprefix("flood-")
+    sim, net, nodes = build_static_flood_overlay(
+        n, seed=seed, kernel=name, loss_percent=loss_percent
+    )
+    kernel = nodes[0].kernel
+    factory = flood_node_factory(name, net, nodes[0].hpv_config, slot_kernel=kernel)
+    return sim, net, nodes, kernel, factory
 
 
 def cells(plane, slot: int) -> dict:
@@ -65,7 +45,6 @@ def cells(plane, slot: int) -> dict:
 
 
 def assert_zeroed(kernel, slot: int) -> None:
-    assert not kernel.rx_bytes[slot]
     assert kernel.neighbor_rows[slot] == []
     for plane in kernel.planes:
         for name, cell in cells(plane, slot).items():
@@ -74,9 +53,10 @@ def assert_zeroed(kernel, slot: int) -> None:
             )
 
 
-@pytest.mark.parametrize(
-    "kind", ["flood-slotted", "flood-vectorized", "brisa-path", "brisa-bloom"]
-)
+KINDS = ["flood-slotted", "flood-vectorized"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_crash_releases_every_declared_column(kind):
     sim, net, nodes, kernel, factory = build(kind)
     for stream, source in enumerate((nodes[0], nodes[len(nodes) // 2])):
@@ -86,11 +66,8 @@ def test_crash_releases_every_declared_column(kind):
     victim = nodes[len(nodes) // 3]
     slot = victim.slot
     assert len(kernel.planes) == 2
-    # The streams left state behind at the victim, in both planes (the
-    # flood kernels fan out from neighbor rows; BRISA keeps none)...
-    assert kernel.rx_bytes[slot]
-    if kind.startswith("flood-"):
-        assert kernel.neighbor_rows[slot]
+    # The streams left state behind at the victim, in both planes...
+    assert kernel.neighbor_rows[slot]
     for plane in kernel.planes:
         held = cells(plane, slot)
         assert held["delivered"] == 2 and all(held["rows"])
@@ -116,9 +93,6 @@ def test_crash_releases_every_declared_column(kind):
     assert_zeroed(kernel, fresh)
 
 
-KINDS = ["flood-slotted", "flood-vectorized", "brisa-path", "brisa-bloom"]
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
@@ -130,9 +104,8 @@ KINDS = ["flood-slotted", "flood-vectorized", "brisa-path", "brisa-bloom"]
 def test_delivered_column_equals_the_seen_map_walk(kind, seed, loss, kills, streams):
     """``delivered_count`` answers from the plane's ``delivered`` column;
     the walk over the seen maps is its oracle.  They must agree on every
-    attached slot at every quiescent point — through loss (retransmits,
-    the tail probe's cold path), crashes (release zeroes both) and
-    joiners inheriting recycled slots."""
+    attached slot at every quiescent point — through loss, crashes
+    (release zeroes both) and joiners inheriting recycled slots."""
     sim, net, nodes, kernel, factory = build(kind, n=40, seed=seed, loss_percent=loss)
     sources = nodes[:streams]
 
