@@ -194,9 +194,9 @@ def make_parser() -> argparse.ArgumentParser:
                         choices=sorted({k for stack in sc.STACKS.values()
                                         for k in stack.kernels}),
                         help="delivery kernel (default object; slotted = "
-                             "flat-array state, DESIGN.md §9 for flood, §11 for "
-                             "brisa; vectorized = numpy wave kernel, "
-                             "flood stack only, DESIGN.md §12)")
+                             "flat-array state for flood, DESIGN.md §9, a "
+                             "fused-fan loop for brisa, §11; vectorized = numpy "
+                             "wave kernel, flood stack only, DESIGN.md §12)")
     sc_cmd.add_argument("--churn", type=float, default=None, metavar="PCT",
                         help="flood stack only: kill PCT%% of the population at "
                              "random instants during the stream (sources protected) "

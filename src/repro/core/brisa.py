@@ -12,7 +12,12 @@ Life of a stream at one node:
    ``Deactivate`` prunes the loser, subject to the cycle predictor
    (path embedding for trees, depth labels for DAGs).
 3. **Steady state.** Messages flow only over active links: a tree delivers
-   exactly one copy per node, a ``p``-parent DAG at most ``p``.
+   exactly one copy per node, a ``p``-parent DAG at most ``p``.  Almost
+   every reception is then the same transition — first copy of the next
+   sequence, from the same parent, with the same position metadata — and
+   the maintenance cache on the stream state recognizes it by identity
+   and skips the Fig. 3 / §II-G revalidation (``_steady_data``, DESIGN.md
+   §11), on both kernels and every delivery plan.
 4. **Dynamism** (§II-F).  New neighbours come up with their links active.
    A failed parent triggers a *soft repair* — adopt a current neighbour
    that passes the cycle check, one Activate/Ack exchange — or, when no
@@ -66,8 +71,9 @@ class BrisaNode(HyParViewNode):
             self.streams[stream] = state
             if self.config.tail_probe:
                 # Both kernels materialize state here, and the probe
-                # only reads fields the slotted fast path keeps current
-                # — so the timer behaves identically on either kernel.
+                # only reads fields the steady path keeps current — so
+                # the timer behaves identically on either kernel and
+                # with or without the maintenance cache.
                 self._arm_tail_probe(state, -1, 0)
         return state
 
@@ -121,10 +127,10 @@ class BrisaNode(HyParViewNode):
     # ------------------------------------------------------------------
     # Every mutation of the structure-bearing stream state (position,
     # parent edges, demote counts, link activation) funnels through one
-    # of these hooks, and each drops what it invalidates of the slotted
-    # kernel's maintenance cache (core/brisa_slotted.py, DESIGN.md §11):
-    # an input of the rule table clears the cache, a change of the
-    # fan-out set only its cached relay targets.
+    # of these hooks, and each drops what it invalidates of the
+    # maintenance cache (_steady_data, DESIGN.md §11): an input of the
+    # rule table clears the cache, a change of the fan-out set only its
+    # cached relay targets.
 
     def _set_position(self, state: StreamState, value: Any) -> None:
         state.position = value
@@ -195,17 +201,18 @@ class BrisaNode(HyParViewNode):
         path_delay: float,
         recovered: bool = False,
     ) -> bm.Data:
-        fields = self.predictor.message_fields(state.position)
-        return bm.Data(
-            state.stream,
-            seq,
-            payload_bytes,
-            hops=hops,
-            path_delay=path_delay,
-            sent_at=self.clock.now,
-            recovered=recovered,
-            **fields,
-        )
+        # ``__new__`` + slot stores: the keyword constructor costs ~3x as
+        # much per message.
+        msg = bm.Data.__new__(bm.Data)
+        msg.stream = state.stream
+        msg.seq = seq
+        msg.payload_bytes = payload_bytes
+        self.predictor.stamp(msg, state.position)
+        msg.hops = hops
+        msg.path_delay = path_delay
+        msg.sent_at = self.clock.now
+        msg.recovered = recovered
+        return msg
 
     def _forward(
         self,
@@ -239,13 +246,89 @@ class BrisaNode(HyParViewNode):
             if peer != exclude and peer not in state.out_deactivated
         ]
 
-    def on_brisa_data(
-        self, src: NodeId, msg: bm.Data, state: Optional[StreamState] = None
-    ) -> None:
-        """``state`` lets a caller that already holds the stream state
-        (the slotted kernel's cold path) skip the second look-up."""
+    def on_brisa_data(self, src: NodeId, msg: bm.Data) -> None:
+        state = self.streams.get(msg.stream)
         if state is None:
             state = self.stream_state(msg.stream)
+        now = self.clock.now
+        hops = msg.hops + 1
+        path_delay = msg.path_delay + (now - msg.sent_at)
+        meta = self.predictor.meta(msg)
+        if self._steady_data(state, src, msg, meta, hops, path_delay):
+            self.transport.metrics.record_delivery(
+                self.node_id, state.stream, msg.seq, now, src, hops, path_delay,
+                msg.payload_bytes,
+            )
+        else:
+            self._cold_data(state, src, msg, meta, hops, path_delay)
+
+    def _steady_data(
+        self, state: StreamState, src: NodeId, msg: bm.Data, meta: Any,
+        hops: int, path_delay: float,
+    ) -> bool:
+        """The maintenance-cache fast path (DESIGN.md §11): the steady
+        transition of a formed structure, minus the delivery record,
+        which the caller books.  Returns False, having changed nothing,
+        unless this is the first copy of ``msg.seq`` from the cached
+        parent with the cached metadata object.
+
+        The previous revalidation of exactly this ``(src, meta)`` took no
+        mutating branch — any choke-point hook would have cleared the
+        cache — so the Fig. 3 / §II-G maintenance step is a proven no-op
+        (it also stored ``parent_meta[src] = meta`` already) and only the
+        delivery work runs.
+        """
+        seq = msg.seq
+        if src != state.maint_src or meta is not state.maint_meta:
+            return False
+        delivered = state.delivered
+        if seq in delivered:
+            return False
+        cand = state.maint_cand
+        cand.path_delay = 0.7 * cand.path_delay + 0.3 * msg.path_delay
+        # note_delivered + rules.wants_gap_recovery, merged (§II-F): an
+        # unseen ``seq`` is never below the contiguous prefix, so it
+        # either extends the prefix or sits above a gap.
+        delivered.add(seq)
+        contig = state.max_contig + 1
+        if seq == contig:
+            while contig + 1 in delivered:
+                contig += 1
+            state.max_contig = contig
+        elif (
+            not msg.recovered
+            and self.clock.now - state.last_gap_request > self.GAP_REQUEST_COOLDOWN
+        ):
+            state.last_gap_request = self.clock.now
+            self.send(src, bm.RetransmitRequest(state.stream, state.max_contig))
+        payload_bytes = msg.payload_bytes
+        state.buffer.store(seq, payload_bytes)
+        state.hops = hops
+        targets = state.maint_targets
+        if targets is None:
+            targets = state.maint_targets = self._relay_targets(state, src)
+        if targets:
+            fwd = self._data_message(state, seq, payload_bytes, hops, path_delay)
+            # The forward differs from ``msg`` only in metadata values
+            # (same layout), except that a path grows by this node: the
+            # cache pins position == meta + (self,).
+            fwd._size = msg.size_bytes() + self.predictor.relay_bytes
+            self.transport.send_many(self.node_id, targets, fwd)
+        # The lazy DAG parent top-up, as in _cold_data.
+        if (
+            seq % 8 == 7
+            and len(state.parents) < self.config.num_parents
+            and not state.repairing
+        ):
+            self._begin_repair(state, record=False, allow_hard=False)
+        return True
+
+    def _cold_data(
+        self, state: StreamState, src: NodeId, msg: bm.Data, meta: Any,
+        hops: int, path_delay: float,
+    ) -> None:
+        """Every reception the maintenance cache does not prove steady:
+        the full Fig. 3 decision, which also primes the cache."""
         if state.is_source:
             # The source needs no inbound providers: prune the link.
             self._deactivate_link(state, src)
@@ -253,9 +336,6 @@ class BrisaNode(HyParViewNode):
 
         now = self.clock.now
         seq = msg.seq
-        path_delay = msg.path_delay + (now - msg.sent_at)
-        hops = msg.hops + 1
-
         is_neighbor = src in self.active
         if is_neighbor:
             cand = state.candidates.get(src)
@@ -275,7 +355,7 @@ class BrisaNode(HyParViewNode):
         if not first:
             state.duplicates += 1
         self.transport.metrics.record_delivery(
-            self.node_id, msg.stream, seq, now, src, hops, path_delay,
+            self.node_id, state.stream, seq, now, src, hops, path_delay,
             msg.payload_bytes,
         )
 
@@ -283,7 +363,11 @@ class BrisaNode(HyParViewNode):
             state.note_delivered(seq)
             state.buffer.store(seq, msg.payload_bytes)
             if is_neighbor:
-                self._consider_provider(state, src, self.predictor.meta(msg), first=True)
+                if meta is not None and src in state.parents:
+                    # Optimistic: if the revalidation below mutates
+                    # anything, a choke-point hook clears this again.
+                    self._prime(state, src, meta)
+                self._consider_provider(state, src, meta, first=True)
             if src in state.parents:
                 state.hops = hops  # distance bookkeeping for retransmissions
                 if rules.wants_gap_recovery(
@@ -310,7 +394,29 @@ class BrisaNode(HyParViewNode):
             ):
                 self._begin_repair(state, record=False, allow_hard=False)
         elif is_neighbor and not msg.recovered:
-            self._consider_provider(state, src, self.predictor.meta(msg), first=False)
+            self._consider_provider(state, src, meta, first=False)
+        if (
+            meta is not None
+            and state.maint_src is None
+            and src in state.parents
+            and state.parent_meta.get(src) is meta
+        ):
+            # This reception just adopted (or refreshed from) exactly this
+            # (src, meta): the final state is a fixed point of that
+            # revalidation (the position was *set from* meta), so the
+            # adoption itself is the last cold reception.
+            self._prime(state, src, meta)
+
+    @staticmethod
+    def _prime(state: StreamState, src: NodeId, meta: Any) -> None:
+        """Cache ``(src, meta)`` as ``state``'s proven-no-op maintenance
+        input (needs ``src``'s Candidate: the steady path's EMA target)."""
+        cand = state.candidates.get(src)
+        if cand is not None:
+            state.maint_src = src
+            state.maint_meta = meta
+            state.maint_cand = cand
+            state.maint_targets = None
 
     # ------------------------------------------------------------------
     # Parent selection (Fig. 3) and cycle handling
@@ -319,8 +425,8 @@ class BrisaNode(HyParViewNode):
         """Apply the link-deactivation decision to a message from ``src``.
 
         The decision itself lives in :mod:`repro.core.rules` (the pure
-        rule table shared with the slotted kernel); this method threads
-        the verdicts through the object kernel's side effects.
+        rule table); this method threads the verdicts through the node's
+        side effects.
         """
         action = rules.provider_action(
             self.predictor, self.node_id, state.position,
@@ -507,9 +613,9 @@ class BrisaNode(HyParViewNode):
             # PARENT_REFRESH: track our position from the parent's fresh
             # metadata.  Only reassign on an actual change: a steady
             # parent re-sends the same path every message, and keeping
-            # the tuple identity stable is what lets downstream slotted
-            # nodes recognize the no-op by identity and skip this check
-            # (DESIGN.md §11).
+            # the tuple identity stable is what lets downstream nodes
+            # recognize the no-op by identity and skip this check
+            # (_steady_data, DESIGN.md §11).
             position = self.predictor.refresh(
                 self.node_id, state.position, meta, state.parent_meta.values()
             )

@@ -20,22 +20,22 @@ it).  Three implementations:
   rejections.
 
 The interface, in the order a node meets it: ``source_position``;
-``meta`` (read a message's metadata) and ``message_fields`` / ``stamp``
-(write it; ``relay_bytes`` is what one relay adds); ``eligible`` (may a
-provider become a parent — Fig. 3, soft repair, ``ActivateAck``);
-``adopt`` (the position one parent implies) and ``join`` (combined with
-the current one when a parent is added: path the newest, depth the
-deepest, Bloom the union); ``check_parent`` (revalidate a parent: ok /
-demote / cycle); ``refresh`` (the steady-state position from an ok
-parent: path re-embeds, Bloom folds in every parent's current filter,
-depth stays); ``hops`` (the distance a position implies, none for a
-filter); and ``update`` (what a position change pushes to the
-neighbours still linked to the node: ``DepthUpdate`` on a demotion,
-``BloomUpdate`` on filter growth).  ``core/brisa.py`` threads the results
-through its side effects and :mod:`repro.core.rules` turns
-``check_parent`` into maintenance verdicts; no caller branches on
-``name``.  A child is consistent with a parent at ``meta`` iff
-``join(child, position, meta) == position``.
+``meta`` (read a message's metadata) and ``stamp`` / ``message_fields``
+(write it on a ``Data`` / an ``ActivateAck``; ``relay_bytes`` is what
+one relay adds to a ``Data``); ``eligible`` (may a provider become a
+parent — Fig. 3, soft repair, ``ActivateAck``); ``adopt`` (the position
+one parent implies) and ``join`` (combined with the current one when a
+parent is added: path the newest, depth the deepest, Bloom the union);
+``check_parent`` (revalidate a parent: ok / demote / cycle); ``refresh``
+(the steady-state position from an ok parent: path re-embeds, Bloom
+folds in every parent's current filter, depth stays); ``hops`` (the
+distance a position implies, none for a filter); and ``update`` (what a
+position change pushes to the neighbours still linked to the node:
+``DepthUpdate`` on a demotion, ``BloomUpdate`` on filter growth).
+``core/brisa.py`` threads the results through its side effects and
+:mod:`repro.core.rules` turns ``check_parent`` into maintenance
+verdicts; no caller branches on ``name``.  A child is consistent with a
+parent at ``meta`` iff ``join(child, position, meta) == position``.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class CyclePredictor(ABC):
         """Re-validate an *existing* parent from a fresh ``meta``."""
 
     def message_fields(self, position: Any) -> dict:
-        """Keyword fields that carry ``position`` on a ``Data`` / ``ActivateAck``."""
+        """Keyword fields that carry ``position`` on an ``ActivateAck``."""
         return {self.name: position, "bloom_bits": self.bits}
 
     def meta(self, msg: Message) -> Any:

@@ -11,16 +11,13 @@ a demotion chase, demote, refresh) and :func:`wants_gap_recovery` (the
 rate-limited §II-F gap trigger).  What a *position* means — combining
 parents, refreshing, hop counts, the update a change pushes — belongs to
 the predictor (:mod:`repro.core.cycle`).  Every kernel applies the same
-table:
-
-- :class:`repro.core.brisa.BrisaNode` (the reference object kernel, run
-  by the simulator and by the asyncio UDP backend of
-  :mod:`repro.runtime`) threads the verdicts through its side effects;
-- :class:`repro.core.brisa_slotted.SlottedBrisaKernel` uses them to
-  prove its fast path sound: a reception whose inputs match the
-  last maintenance decision *by object identity* must produce the same
-  verdict, so the whole maintenance step can be skipped (see
-  DESIGN.md §11).
+table through :class:`repro.core.brisa.BrisaNode` (run by the
+simulator's two kernels and by the asyncio UDP backend of
+:mod:`repro.runtime`), which threads the verdicts through its side
+effects.  Purity is also what proves its maintenance cache sound: a
+reception whose inputs match the last maintenance decision *by object
+identity* must produce the same verdict, so the whole maintenance step
+can be skipped (DESIGN.md §11).
 
 Verdict values are interned module-level strings, so callers may compare
 with ``is``.

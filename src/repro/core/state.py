@@ -14,7 +14,7 @@ for free).  The state tracks both directions of link activation:
 never reached or reset by a hard repair (§II-F).
 
 One ``StreamState`` per node and stream is the whole per-stream view on
-both BRISA kernels, the slotted kernel's maintenance cache included.
+both BRISA kernels, the maintenance cache included.
 The class is slotted: with more than 30 fields an instance ``__dict__``
 would no longer share its keys across instances, and a node holds one
 state per stream.
@@ -88,17 +88,17 @@ class StreamState:
     repair_pending: Optional[NodeId] = None
     repair_attempt: int = 0
 
-    # -- maintenance cache (core/brisa_slotted.py, DESIGN.md §11) ---------
+    # -- maintenance cache (BrisaNode._steady_data, DESIGN.md §11) -------
     #: Last (src, meta) whose full revalidation took no mutating branch;
     #: ``maint_src is None`` = invalid.  Every ``BrisaNode`` choke-point
     #: hook that changes an input of the rule table clears it.
     maint_src: Optional[NodeId] = None
     maint_meta: Any = None
-    #: The cached source's Candidate (the fast path's EMA target), pinned
+    #: The cached source's Candidate (the steady path's EMA target), pinned
     #: at priming time: only ``neighbor_down`` removes a candidate, and it
     #: also drops the parent edge, which clears the cache.
     maint_cand: Optional[Candidate] = None
-    #: Relay targets minus ``maint_src``, built lazily by the fast path;
+    #: Relay targets minus ``maint_src``, built lazily by the steady path;
     #: ``None`` = recompute.  Cleared with ``maint_src`` and on every
     #: change of the fan-out set; never mutated in place, so pending fan
     #: events may share it.

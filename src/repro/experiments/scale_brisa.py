@@ -62,12 +62,12 @@ def run_scale_brisa(
     trees over the one overlay, each checked for the §II-B invariant,
     with a relay-load-spread report on how interior duty distributes.
 
-    ``kernel`` selects the delivery + tree-maintenance representation:
-    ``object`` (the reference per-message handler) or ``slotted`` (the
-    maintenance-cache fast path of :class:`SlottedBrisaKernel`, DESIGN.md
-    §11).  Both run draw-for-draw identical simulations — pinned by
-    tests/test_slotted_parity.py — so the choice is purely a throughput
-    lever.
+    ``kernel`` selects how ``Data`` receptions reach the nodes:
+    ``object`` (the regular per-node dispatch) or ``slotted`` (one loop
+    per fused fan-out, :class:`SlottedBrisaKernel`, DESIGN.md §11).  Both
+    take the same maintenance-cache steady path and run draw-for-draw
+    identical simulations — pinned by tests/test_slotted_parity.py — so
+    the choice is purely a throughput lever.
     """
     validate_workload(messages, rate, streams, population=nodes)
     check_kernel("brisa", kernel)

@@ -653,9 +653,10 @@ class Network:
         run's receive bookkeeping stays consistent per latency model.
         Used by the slotted flood kernel (DESIGN.md §9) to process a
         fan-out's receptions against flat arrays with locals bound once,
-        by the slotted BRISA kernel (§11) to run its maintenance-cache
-        fast path, and by the vectorized flood kernel, whose sink turns
-        the fan-out into a one-fan :class:`FanWave` (DESIGN.md §12).
+        by the slotted BRISA kernel (§11) to read a fan's shared fields
+        once and skip the per-recipient dispatch, and by the vectorized
+        flood kernel, whose sink turns the fan-out into a one-fan
+        :class:`FanWave` (DESIGN.md §12).
         """
         self._fan_sinks[kind] = sink
 

@@ -1,7 +1,13 @@
-"""Shared test helpers: tiny recording nodes and network builders."""
+"""Shared test helpers: tiny recording nodes, network builders and BRISA
+state checks."""
 
 from __future__ import annotations
 
+import contextlib
+
+import pytest
+
+from repro.core.brisa import BrisaNode
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.message import Message
@@ -109,3 +115,48 @@ def assert_positions_consistent(nodes, stream: int) -> None:
     child of each live parent, at a quiescent point on ``stream``."""
     violations = position_violations(nodes, stream)
     assert not violations, f"parent -> child edges with inconsistent positions: {violations}"
+
+
+@contextlib.contextmanager
+def cache_free():
+    """Run BRISA without its maintenance cache (DESIGN.md §11) inside the
+    block: priming is a no-op, so every reception takes the cold path —
+    the full Fig. 3 / §II-G revalidation — on every kernel and plan.
+    The cache-free run is the reference a cached run must match draw for
+    draw; a context manager, so one test can run both legs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BrisaNode, "_prime", staticmethod(lambda state, src, meta: None))
+        yield
+
+
+def assert_brisa_state_consistent(bed, streams: int) -> int:
+    """Every live node's per-stream state agrees with itself and with
+    Metrics: its duplicate count with ``Metrics.duplicates_per_node``,
+    its active-inbound-link count with ``in_active``, and its
+    maintenance cache holds its invariants — a primed cache only on a
+    parent whose pinned Candidate is the live one, and a cached
+    relay-target list (order included) equal to the relay rule applied
+    to the cached source.  Returns the number of primed caches, so a
+    caller can check the cache part was not vacuous."""
+    m = bed.metrics
+    primed = 0
+    for node in bed.alive_nodes():
+        assert sum(s.duplicates for s in node.streams.values()) == (
+            m.duplicates_per_node([node.node_id])[0]
+        )
+        for stream in range(streams):
+            state = node.streams.get(stream)
+            if state is None:
+                continue
+            if state.maint_src is not None:
+                primed += 1
+                assert state.maint_src in state.parents
+                assert state.maint_cand is state.candidates[state.maint_src]
+            if state.maint_targets is not None:
+                assert state.maint_targets == node._relay_targets(
+                    state, state.maint_src
+                )
+            assert state.active_in == sum(
+                1 for active in state.in_active.values() if active
+            )
+    return primed

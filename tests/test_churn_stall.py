@@ -24,7 +24,7 @@ from repro.core import rules
 from repro.core.strategies import Candidate, DelayAwareStrategy, FirstComeStrategy
 from repro.experiments import robustness
 from repro.experiments.common import build_brisa_testbed
-from tests.helpers import assert_link_activation_symmetric
+from tests.helpers import assert_brisa_state_consistent, assert_link_activation_symmetric
 
 #: Tree beds that stalled before the fix (2–8 asymmetric parent edges each).
 STALLED_TREE_SEEDS = (6, 10, 11, 13, 21, 25, 40, 43, 54)
@@ -71,6 +71,7 @@ def test_churn_bed_serves_every_surviving_node(seed, mode):
     short = {nid: count for nid, count in got.items() if count != injected}
     assert not short, f"{len(short)} survivors short of {injected}: {short}"
     assert_link_activation_symmetric(bed.nodes, 0)
+    assert assert_brisa_state_consistent(bed, 1) > 0
 
 
 # ----------------------------------------------------------------------

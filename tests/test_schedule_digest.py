@@ -17,6 +17,10 @@ Bloom-filter DAG (``BloomUpdate`` growth pushes).  The DAG and Bloom beds
 pin the predictor-specific steps of §II-D / §II-G.  When a change
 *means* to move a schedule, re-pin the digest and say why in the commit
 message.
+
+The same beds, plus the kernel parity harness's lossy tail-probe DAG,
+also check the maintenance cache (DESIGN.md §11): a cached run and a
+cache-free run of one bed must agree draw for draw.
 """
 
 from __future__ import annotations
@@ -24,10 +28,14 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from repro.config import BrisaConfig, HyParViewConfig, StreamConfig
 from repro.experiments import robustness
 from repro.experiments.common import build_brisa_testbed
 from repro.sim.latency import PlanetLabLatency
+from tests.helpers import assert_brisa_state_consistent, cache_free
+from tests.test_slotted_parity import brisa_run, brisa_structure_snapshot, snapshot
 
 N = 64
 
@@ -56,79 +64,127 @@ def schedule_digest(bed) -> tuple[dict, str]:
     return summary, hashlib.sha256(blob).hexdigest()
 
 
-def test_table1_churn_bed_schedule_is_pinned():
+def table1_churn_bed(mode: str):
+    """The 64-node Table I churn bed (``ClusterLatency``): tree mode at
+    seed 11, DAG mode (two parents, depth labels) at seed 2.  Mode
+    ``delay-aware`` is the tree bed with the delay-aware parent strategy
+    over ``PlanetLabLatency``: its repairs score the path-delay EMA that
+    the maintenance cache keeps current."""
+    extra = {}
+    if mode == "tree":
+        seed, config = 11, BrisaConfig(mode="tree", num_parents=1)
+    elif mode == "delay-aware":
+        seed, config = 11, BrisaConfig(strategy="delay-aware")
+        extra["latency"] = PlanetLabLatency(seed=seed)
+    else:
+        seed, config = 2, BrisaConfig(mode="dag", num_parents=2, cycle_predictor="depth")
     bed = build_brisa_testbed(
         N,
-        seed=11,
-        config=BrisaConfig(mode="tree", num_parents=1),
+        seed=seed,
+        config=config,
         hpv_config=HyParViewConfig(active_size=4),
         join_spacing=0.05,
         settle=10.0,
+        **extra,
     )
     source = bed.choose_source()
     _, _, driver = robustness._run_churn(
         bed, source, churn_percent=5.0, duration=15.0, period=5.0, lead=5.0, drain=5.0
     )
     assert driver.stats.kills > 0 and driver.stats.joins > 0
+    return bed
+
+
+def static_stream_bed(kind: str):
+    """A static 64-node stream of 20 messages at seed 4: tree mode over
+    ``PlanetLabLatency`` (``planetlab``) or a Bloom-filter DAG over the
+    default cluster model (``bloom``)."""
+    if kind == "planetlab":
+        extra = {"latency": PlanetLabLatency(seed=4)}
+    else:
+        extra = {
+            "config": BrisaConfig(
+                mode="dag", num_parents=2, cycle_predictor="bloom", bloom_bits=256
+            )
+        }
+    bed = build_brisa_testbed(
+        N,
+        seed=4,
+        hpv_config=HyParViewConfig(active_size=4),
+        join_spacing=0.05,
+        settle=10.0,
+        **extra,
+    )
+    source = bed.choose_source()
+    bed.run_stream(source, StreamConfig(count=20, rate=5.0, payload_bytes=1024), drain=10.0)
+    return bed
+
+
+def assert_pinned(bed, golden) -> dict:
+    """The bed's schedule is the golden one, and the object kernel's
+    per-stream state holds its invariants with the maintenance cache in
+    use (primed somewhere)."""
     summary, digest = schedule_digest(bed)
-    assert summary == GOLDEN_CHURN[0]
-    assert digest == GOLDEN_CHURN[1]
+    assert summary == golden[0]
+    assert digest == golden[1]
+    assert assert_brisa_state_consistent(bed, 1) > 0
+    return summary
+
+
+def test_table1_churn_bed_schedule_is_pinned():
+    assert_pinned(table1_churn_bed("tree"), GOLDEN_CHURN)
 
 
 def test_table1_dag_churn_bed_schedule_is_pinned():
-    bed = build_brisa_testbed(
-        N,
-        seed=2,
-        config=BrisaConfig(mode="dag", num_parents=2, cycle_predictor="depth"),
-        hpv_config=HyParViewConfig(active_size=4),
-        join_spacing=0.05,
-        settle=10.0,
-    )
-    source = bed.choose_source()
-    _, _, driver = robustness._run_churn(
-        bed, source, churn_percent=5.0, duration=15.0, period=5.0, lead=5.0, drain=5.0
-    )
-    assert driver.stats.kills > 0 and driver.stats.joins > 0
+    bed = table1_churn_bed("dag")
     assert [event.kind for event in bed.metrics.repair_events] == ["hard"]
-    summary, digest = schedule_digest(bed)
+    summary = assert_pinned(bed, GOLDEN_DAG_CHURN)
     assert summary["msg_counts"]["brisa_depth_update"] > 0
-    assert summary == GOLDEN_DAG_CHURN[0]
-    assert digest == GOLDEN_DAG_CHURN[1]
 
 
 def test_planetlab_static_stream_schedule_is_pinned():
-    bed = build_brisa_testbed(
-        N,
-        seed=4,
-        hpv_config=HyParViewConfig(active_size=4),
-        latency=PlanetLabLatency(seed=4),
-        join_spacing=0.05,
-        settle=10.0,
-    )
-    source = bed.choose_source()
-    bed.run_stream(source, StreamConfig(count=20, rate=5.0, payload_bytes=1024), drain=10.0)
-    summary, digest = schedule_digest(bed)
-    assert summary == GOLDEN_PLANETLAB[0]
-    assert digest == GOLDEN_PLANETLAB[1]
+    assert_pinned(static_stream_bed("planetlab"), GOLDEN_PLANETLAB)
 
 
 def test_bloom_static_dag_schedule_is_pinned():
-    bed = build_brisa_testbed(
-        N,
-        seed=4,
-        config=BrisaConfig(
-            mode="dag", num_parents=2, cycle_predictor="bloom", bloom_bits=256
-        ),
-        hpv_config=HyParViewConfig(active_size=4),
-        join_spacing=0.05,
-        settle=10.0,
-    )
-    source = bed.choose_source()
-    bed.run_stream(source, StreamConfig(count=20, rate=5.0, payload_bytes=1024), drain=10.0)
-    summary, digest = schedule_digest(bed)
+    summary = assert_pinned(static_stream_bed("bloom"), GOLDEN_BLOOM)
     assert summary["msg_counts"]["brisa_bloom_update"] > 0
-    assert summary == GOLDEN_BLOOM[0]
-    assert digest == GOLDEN_BLOOM[1]
+
+
+#: The cached-vs-cache-free beds: the four golden beds, the lossy
+#: tail-probe DAG of the kernel parity harness (96 nodes, 15 % loss,
+#: seed 9: probes, retransmit serves and recovered-data cascades) and a
+#: delay-aware churn bed (the one bed whose draws depend on the
+#: candidates' path-delay EMA).
+CACHE_BEDS = {
+    "table1-tree": lambda: table1_churn_bed("tree"),
+    "table1-tree-delay-aware": lambda: table1_churn_bed("delay-aware"),
+    "table1-dag": lambda: table1_churn_bed("dag"),
+    "planetlab": lambda: static_stream_bed("planetlab"),
+    "bloom-dag": lambda: static_stream_bed("bloom"),
+    "lossy-tail-probe-dag": lambda: brisa_run(
+        "object", 96, 4, seed=9, config_kind="dag-depth", loss_percent=15.0,
+        tail_probe=True,
+    )[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_BEDS))
+def test_maintenance_cache_changes_no_draw(name):
+    """The maintenance cache only skips work: a run with it and a run
+    without it (every reception revalidated) agree draw for draw —
+    metrics snapshot, emerged structure and schedule digest."""
+    with cache_free():
+        reference = CACHE_BEDS[name]()
+    cached = CACHE_BEDS[name]()
+    assert assert_brisa_state_consistent(reference, 1) == 0
+    assert assert_brisa_state_consistent(cached, 1) > 0
+    nodes = reference.alive_nodes()
+    assert snapshot(reference.sim, reference.network, nodes) == snapshot(
+        cached.sim, cached.network, cached.alive_nodes()
+    )
+    assert brisa_structure_snapshot(reference, 1) == brisa_structure_snapshot(cached, 1)
+    assert schedule_digest(reference) == schedule_digest(cached)
 
 
 GOLDEN_CHURN = (

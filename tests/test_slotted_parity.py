@@ -21,7 +21,11 @@ from hypothesis import strategies as st
 from repro.baselines.flood import SlottedFloodKernel
 from repro.experiments.scale_flood import build_static_flood_overlay, run_scale_flood
 from repro.sim.latency import ConstantLatency, OccupancyLatency
-from tests.helpers import assert_link_activation_symmetric
+from tests.helpers import (
+    assert_brisa_state_consistent,
+    assert_link_activation_symmetric,
+    cache_free,
+)
 
 #: Latency regimes the kernels must agree under: the uniform zero-cost
 #: fused path (fan sink engaged) and deterministic occupancy charging
@@ -430,12 +434,14 @@ def test_vectorized_kernel_without_numpy_is_a_clear_error(monkeypatch):
 # BRISA kernels (DESIGN.md §11)
 # ======================================================================
 #
-# Both BRISA kernels keep one StreamState per node and stream; the
-# slotted one adds only the maintenance cache on it.  Its parity
-# contract adds the structural plane to the flood contract: identical
-# delivery records AND identical emerged structures (parent edges,
-# levels, predictor positions), with the cache invariants holding on
-# every live state.
+# Both BRISA kernels keep one StreamState per node and stream and take
+# the same maintenance-cache steady path; the slotted one only loops
+# over fused fan-outs.  The object leg runs with the cache off, so the
+# pair also pins the cache against the cache-free reference.  The
+# parity contract adds the structural plane to the flood contract:
+# identical delivery records AND identical emerged structures (parent
+# edges, levels, predictor positions), with the state invariants
+# holding on every live state.
 
 from repro.config import BrisaConfig
 from repro.core.brisa_slotted import SlottedBrisaKernel
@@ -494,6 +500,15 @@ def brisa_run(kernel: str, n: int, messages: int, seed: int, config_kind: str,
     return bed, sources
 
 
+def brisa_legs(*args, **kwargs):
+    """The parity pair for one ``brisa_run`` bed: the object kernel with
+    its maintenance cache off (the cache-free reference) and the slotted
+    kernel."""
+    with cache_free():
+        reference = brisa_run("object", *args, **kwargs)
+    return reference, brisa_run("slotted", *args, **kwargs)
+
+
 def _schedule_brisa_churn(bed, sources, start, span) -> None:
     """Three deterministic kills spread over the window + two joiners.
 
@@ -513,8 +528,7 @@ def _schedule_brisa_churn(bed, sources, start, span) -> None:
 
 def brisa_structure_snapshot(bed, streams: int) -> dict:
     """The §II-B structural plane, per stream: parent edges, levels and
-    predictor positions of every live node — the state the slotted
-    kernel re-homes into flat arrays."""
+    predictor positions of every live node."""
     out = {}
     for stream in range(streams):
         per = {}
@@ -527,37 +541,6 @@ def brisa_structure_snapshot(bed, streams: int) -> dict:
             )
         out[stream] = per
     return out
-
-
-def assert_brisa_arrays_consistent(bed, streams: int) -> int:
-    """The one copy of per-stream state must agree with the Metrics
-    records and hold the maintenance-cache invariants: the duplicate
-    count per node, a cached relay-target list (order included) equal to
-    the relay rule applied to the cached source, and a primed cache only
-    on a parent whose pinned Candidate is the live one.  Returns the
-    number of primed caches, so a caller can check it is not vacuous."""
-    m = bed.metrics
-    primed = 0
-    for node in bed.alive_nodes():
-        assert sum(s.duplicates for s in node.streams.values()) == (
-            m.duplicates_per_node([node.node_id])[0]
-        )
-        for stream in range(streams):
-            state = node.streams.get(stream)
-            if state is None:
-                continue
-            if state.maint_src is not None:
-                primed += 1
-                assert state.maint_src in state.parents
-                assert state.maint_cand is state.candidates[state.maint_src]
-            if state.maint_targets is not None:
-                assert state.maint_targets == node._relay_targets(
-                    state, state.maint_src
-                )
-            assert state.active_in == sum(
-                1 for active in state.in_active.values() if active
-            )
-    return primed
 
 
 @settings(
@@ -582,16 +565,12 @@ def test_slotted_brisa_matches_object_kernel(
     """Full-stack BRISA parity: delivery records, duplicates, byte
     totals, schedules AND the emerged structure, across every predictor
     and both latency regimes."""
-    runs = {
-        kernel: brisa_run(kernel, n, messages, seed, config_kind, latency_kind)
-        for kernel in ("object", "slotted")
-    }
-    (bed_o, _), (bed_s, _) = runs["object"], runs["slotted"]
+    (bed_o, _), (bed_s, _) = brisa_legs(n, messages, seed, config_kind, latency_kind)
     assert snapshot(bed_o.sim, bed_o.network, bed_o.alive_nodes()) == snapshot(
         bed_s.sim, bed_s.network, bed_s.alive_nodes()
     )
     assert brisa_structure_snapshot(bed_o, 1) == brisa_structure_snapshot(bed_s, 1)
-    assert_brisa_arrays_consistent(bed_s, 1)
+    assert_brisa_state_consistent(bed_s, 1)
 
 
 def test_slotted_brisa_multistream_parity():
@@ -599,12 +578,9 @@ def test_slotted_brisa_multistream_parity():
     counts, per-stream Metrics shards and per-stream structures all
     agree."""
     streams = 3
-    runs = {
-        kernel: brisa_run(kernel, 96, 3, seed=7, config_kind="dag-depth",
-                          streams=streams)
-        for kernel in ("object", "slotted")
-    }
-    (bed_o, _), (bed_s, _) = runs["object"], runs["slotted"]
+    (bed_o, _), (bed_s, _) = brisa_legs(
+        96, 3, seed=7, config_kind="dag-depth", streams=streams
+    )
     assert len(bed_o.metrics.streams) == streams
     assert snapshot(bed_o.sim, bed_o.network, bed_o.alive_nodes()) == snapshot(
         bed_s.sim, bed_s.network, bed_s.alive_nodes()
@@ -612,7 +588,7 @@ def test_slotted_brisa_multistream_parity():
     assert brisa_structure_snapshot(bed_o, streams) == brisa_structure_snapshot(
         bed_s, streams
     )
-    assert_brisa_arrays_consistent(bed_s, streams)
+    assert_brisa_state_consistent(bed_s, streams)
     for stream, shard in bed_o.metrics.streams.items():
         assert sum(
             node.streams[stream].duplicates
@@ -623,18 +599,15 @@ def test_slotted_brisa_multistream_parity():
 def test_brisa_kernels_agree_under_churn():
     """Mid-stream crashes + joiners: crash teardown, joiners and the
     repair machinery must keep both kernels on the same simulation."""
-    runs = {
-        kernel: brisa_run(kernel, 96, 6, seed=5, config_kind="tree-path",
-                          churn=True)
-        for kernel in ("object", "slotted")
-    }
-    (bed_o, _), (bed_s, _) = runs["object"], runs["slotted"]
+    (bed_o, _), (bed_s, _) = brisa_legs(
+        96, 6, seed=5, config_kind="tree-path", churn=True
+    )
     assert len(bed_o.alive_nodes()) == 96 - 3 + 2
     assert snapshot(bed_o.sim, bed_o.network, bed_o.alive_nodes()) == snapshot(
         bed_s.sim, bed_s.network, bed_s.alive_nodes()
     )
     assert brisa_structure_snapshot(bed_o, 1) == brisa_structure_snapshot(bed_s, 1)
-    assert_brisa_arrays_consistent(bed_s, 1)
+    assert_brisa_state_consistent(bed_s, 1)
     for bed in (bed_o, bed_s):
         bed.network.check_link_invariants()
         # The settled probe's counter survived crashes, joins and repairs.
@@ -651,21 +624,18 @@ def test_brisa_kernels_agree_under_churn():
 def test_brisa_kernels_agree_under_loss_with_tail_probe(config_kind):
     """Lossy links + the quiescence tail probe: the probe timer arms in
     the shared ``stream_state`` materialization and reads only fields the
-    slotted fast path keeps current, so both kernels must stay on the
-    same simulation — probes, retransmit serves and recovered-data
-    cascades included."""
-    runs = {
-        kernel: brisa_run(kernel, 96, 4, seed=9, config_kind=config_kind,
-                          loss_percent=15.0, tail_probe=True)
-        for kernel in ("object", "slotted")
-    }
-    (bed_o, _), (bed_s, _) = runs["object"], runs["slotted"]
+    steady path keeps current, so both kernels must stay on the same
+    simulation — probes, retransmit serves and recovered-data cascades
+    included."""
+    (bed_o, _), (bed_s, _) = brisa_legs(
+        96, 4, seed=9, config_kind=config_kind, loss_percent=15.0, tail_probe=True
+    )
     snap_o = snapshot(bed_o.sim, bed_o.network, bed_o.alive_nodes())
     assert snap_o == snapshot(bed_s.sim, bed_s.network, bed_s.alive_nodes())
     assert snap_o["dropped_loss"] > 0
     assert brisa_structure_snapshot(bed_o, 1) == brisa_structure_snapshot(bed_s, 1)
     # Most nodes end on a primed cache, so its invariants were checked.
-    assert assert_brisa_arrays_consistent(bed_s, 1) > len(bed_s.alive_nodes()) // 2
+    assert assert_brisa_state_consistent(bed_s, 1) > len(bed_s.alive_nodes()) // 2
     if config_kind == "tree-path":
         # The DAG bed ends with one asymmetric edge (8 -> 33, node 33 still
         # fed by its other parent) after lost control traffic: ROADMAP 1(b).
