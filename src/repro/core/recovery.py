@@ -5,12 +5,12 @@ directly asking its new found parent to send the missing ones. Since
 parent recovery is quick the number of messages each parent needs to
 buffer is small."  The buffer keeps the last ``capacity`` sequence
 numbers (with their payload sizes — the simulator never materializes
-payload bits) in insertion order.
+payload bits) in insertion order, in a plain dict (insertion-ordered,
+and smaller than an ``OrderedDict``'s linked list).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterator, Optional
 
 
@@ -21,17 +21,21 @@ class MessageBuffer:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._items: "OrderedDict[int, int]" = OrderedDict()
+        self._items: dict[int, int] = {}
 
     def store(self, seq: int, payload_bytes: int) -> None:
+        """Buffer ``seq`` as the newest entry, evicting the oldest past
+        ``capacity``.  Re-storing a buffered seq only makes it the newest
+        (its size stays)."""
         if self.capacity == 0:
             return
-        if seq in self._items:
-            self._items.move_to_end(seq)
+        items = self._items
+        if seq in items:
+            items[seq] = items.pop(seq)
             return
-        self._items[seq] = payload_bytes
-        while len(self._items) > self.capacity:
-            self._items.popitem(last=False)
+        items[seq] = payload_bytes
+        if len(items) > self.capacity:
+            del items[next(iter(items))]
 
     def __contains__(self, seq: int) -> bool:
         return seq in self._items

@@ -35,9 +35,12 @@ from repro.ids import NodeId
 SWAP_MARGIN = 0.05
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
-    """Snapshot of one potential parent at decision time."""
+    """Snapshot of one potential parent at decision time.
+
+    Slotted: a node keeps one per in-view peer and stream, so an
+    instance ``__dict__`` would be paid on every one of them."""
 
     peer: NodeId
     #: Time the first message from this peer arrived (first-come order).

@@ -28,8 +28,7 @@ def bandwidth_kbps(
     window = duration if duration is not None else metrics.phase_duration(phase)
     if window <= 0:
         return [0.0 for _ in nodes]
-    book = metrics.bytes_sent if direction == "sent" else metrics.bytes_received
-    return [book.get(n, {}).get(phase, 0) / window / 1024.0 for n in nodes]
+    return [metrics.node_bytes(n, phase, direction) / window / 1024.0 for n in nodes]
 
 
 def phase_bandwidth_summary(
@@ -50,7 +49,7 @@ def total_transmitted_mb(
     stacked stabilization/dissemination bars, averaged over all nodes)."""
     if not nodes:
         return 0.0
-    total = sum(metrics.bytes_sent.get(n, {}).get(phase, 0) for n in nodes)
+    total = sum(metrics.node_bytes(n, phase) for n in nodes)
     return total / len(nodes) / (1024.0 * 1024.0)
 
 

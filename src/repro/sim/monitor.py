@@ -9,6 +9,15 @@ latency (Table II) and the repair statistics (Table I, Figs. 13–14).
 Recording is plain-dict hot-path cheap; the NumPy conversion happens once
 at analysis time (see :mod:`repro.metrics.stats`), per the HPC guides'
 "profile, then vectorize the aggregation" advice.
+
+Byte books are phase-major (DESIGN.md §10): one flat ``node -> bytes``
+dict per (phase, direction) in :attr:`Metrics.sent_by_phase` /
+:attr:`Metrics.received_by_phase`, never a container per node: a dict
+per node costs several times the one entry it would hold, on every node
+of a large population.  :meth:`Metrics.set_phase` binds the current
+phase's two books, so each accounting call is one ``get`` and one store;
+read them through :meth:`Metrics.node_bytes` /
+:meth:`Metrics.total_bytes`.
 """
 
 from __future__ import annotations
@@ -112,9 +121,12 @@ class Metrics:
         self.phase_elapsed: dict[str, float] = defaultdict(float)
         #: Start of the currently-open interval (None when closed).
         self._phase_opened_at: Optional[float] = 0.0
-        # node -> phase -> bytes
-        self.bytes_sent: dict[NodeId, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        self.bytes_received: dict[NodeId, dict[str, int]] = defaultdict(lambda: defaultdict(int))
+        #: phase -> node -> bytes (phase-major: one flat book per phase
+        #: and direction, no container per node).
+        self.sent_by_phase: dict[str, dict[NodeId, int]] = {}
+        self.received_by_phase: dict[str, dict[NodeId, int]] = {}
+        #: The current phase's two books, bound by :meth:`set_phase`.
+        self._sent, self._received = self._books(STABILIZATION)
         # message-kind -> phase -> count
         self.msg_counts: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
         #: Per-stream delivery/bandwidth shards (DESIGN.md §10): every
@@ -148,6 +160,7 @@ class Metrics:
             return
         self._close_interval(now)
         self.phase = phase
+        self._sent, self._received = self._books(phase)
         self.phase_starts.setdefault(phase, now)
         self._phase_opened_at = now
 
@@ -164,6 +177,14 @@ class Metrics:
         self.phase_ends[self.phase] = now
         self._phase_opened_at = None
 
+    def _books(self, phase: str) -> tuple[dict[NodeId, int], dict[NodeId, int]]:
+        """``phase``'s sent and received books (created on first touch)."""
+        sent = self.sent_by_phase.get(phase)
+        if sent is None:
+            sent = self.sent_by_phase[phase] = {}
+            self.received_by_phase[phase] = {}
+        return sent, self.received_by_phase[phase]
+
     def phase_duration(self, phase: str) -> float:
         """Total time spent in ``phase`` across all its closed intervals."""
         return self.phase_elapsed.get(phase, 0.0)
@@ -172,36 +193,40 @@ class Metrics:
     # Traffic
     # ------------------------------------------------------------------
     def account_send(self, node: NodeId, kind: str, nbytes: int) -> None:
-        self.bytes_sent[node][self.phase] += nbytes
+        sent = self._sent
+        sent[node] = sent.get(node, 0) + nbytes
         self.msg_counts[kind][self.phase] += 1
 
     def account_send_many(self, node: NodeId, kind: str, nbytes: int, count: int) -> None:
         """Batched form of :meth:`account_send` for fan-out sends: one
-        dict walk for ``count`` identical messages (same totals)."""
-        phase = self.phase
-        self.bytes_sent[node][phase] += nbytes * count
-        self.msg_counts[kind][phase] += count
+        book update for ``count`` identical messages (same totals)."""
+        sent = self._sent
+        sent[node] = sent.get(node, 0) + nbytes * count
+        self.msg_counts[kind][self.phase] += count
 
     def account_wave(self, wave) -> None:
         """Batched :meth:`account_send_many` over one
         :class:`~repro.sim.network.FanWave`: the same totals as one call
-        per fan (one dict walk per fan, one per wave for the kind
+        per fan (one book update per fan, one per wave for the kind
         counter)."""
-        phase = self.phase
-        bytes_sent = self.bytes_sent
+        sent = self._sent
+        get = sent.get
         offs = wave.offs
         fan_bytes = (offs[1:] - offs[:-1]) * wave.size
         for src, nbytes in zip(wave.srcs.tolist(), fan_bytes.tolist()):
-            bytes_sent[src][phase] += nbytes
-        self.msg_counts[wave.msg.kind][phase] += len(wave.dsts)
+            sent[src] = get(src, 0) + nbytes
+        self.msg_counts[wave.msg.kind][self.phase] += len(wave.dsts)
 
     def account_receive(self, node: NodeId, nbytes: int) -> None:
-        self.bytes_received[node][self.phase] += nbytes
+        received = self._received
+        received[node] = received.get(node, 0) + nbytes
 
     def account_overhead(self, node: NodeId, phase: str, sent: int, received: int) -> None:
-        """Analytically-accounted traffic (keep-alives; see DESIGN.md §5)."""
-        self.bytes_sent[node][phase] += sent
-        self.bytes_received[node][phase] += received
+        """Analytically-accounted traffic (keep-alives; see DESIGN.md §5),
+        charged to ``phase`` whatever the current phase is."""
+        sent_book, received_book = self._books(phase)
+        sent_book[node] = sent_book.get(node, 0) + sent
+        received_book[node] = received_book.get(node, 0) + received
 
     # ------------------------------------------------------------------
     # Deliveries
@@ -340,17 +365,16 @@ class Metrics:
         return (min(shard.injections), max(shard.injections) + 1)
 
     def total_bytes(self, phase: Optional[str] = None) -> int:
-        total = 0
-        for per_phase in self.bytes_sent.values():
-            if phase is None:
-                total += sum(per_phase.values())
-            else:
-                total += per_phase.get(phase, 0)
-        return total
+        """Bytes sent by every node, in ``phase`` or over all phases."""
+        if phase is None:
+            return sum(sum(book.values()) for book in self.sent_by_phase.values())
+        return sum(self.sent_by_phase.get(phase, {}).values())
 
     def node_bytes(self, node: NodeId, phase: str, direction: str = "sent") -> int:
-        book = self.bytes_sent if direction == "sent" else self.bytes_received
-        return book.get(node, {}).get(phase, 0)
+        """Bytes ``node`` sent (``direction="sent"``) or received (any
+        other value) in ``phase``; 0 when none were accounted."""
+        books = self.sent_by_phase if direction == "sent" else self.received_by_phase
+        return books.get(phase, {}).get(node, 0)
 
 
 #: Shared sentinel for delivery bookkeeping when full records are disabled.

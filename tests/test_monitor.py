@@ -1,8 +1,12 @@
 """Tests for metric collection and phase accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.monitor import DISSEMINATION, STABILIZATION, Metrics
+
+from tests.helpers import Ping, make_network
 
 
 def test_initial_phase_is_stabilization():
@@ -50,8 +54,7 @@ def test_bytes_tagged_with_current_phase():
     m.account_send(1, "data", 100)
     m.set_phase(DISSEMINATION, now=10.0)
     m.account_send(1, "data", 900)
-    assert m.bytes_sent[1][STABILIZATION] == 100
-    assert m.bytes_sent[1][DISSEMINATION] == 900
+    assert m.node_bytes(1, STABILIZATION) == 100
     assert m.node_bytes(1, DISSEMINATION) == 900
     assert m.total_bytes() == 1000
     assert m.total_bytes(DISSEMINATION) == 900
@@ -182,3 +185,67 @@ def test_delivered_fraction_degenerate_cases():
     assert m.delivered_fraction(0, [1]) == 0.0  # nothing injected
     assert m.delivered_fraction(0, [1], window=(3, 3)) == 1.0  # empty window
     assert m.stream_delivery_count(5, [1], window=(0, 4)) == 0  # unknown stream
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([STABILIZATION, DISSEMINATION]),
+            st.integers(0, 4),
+            st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True),
+            st.integers(0, 50),
+        ),
+        max_size=20,
+    ),
+    st.sampled_from([STABILIZATION, DISSEMINATION]),
+)
+@settings(max_examples=40, deadline=None)
+def test_byte_books_are_phase_major(ops, keepalive_phase):
+    """After a small run there is one flat ``node -> bytes`` book per
+    (phase, direction), holding exactly the per-node, per-phase totals a
+    reference recomputes from the sends and receives; keep-alive charges
+    land in the phase passed in, whatever the current phase is."""
+    sim, net, _ = make_network(5)
+    m = net.metrics
+    sent = {STABILIZATION: {}, DISSEMINATION: {}}
+    received = {STABILIZATION: {}, DISSEMINATION: {}}
+
+    def charge(book, node, nbytes):
+        book[node] = book.get(node, 0) + nbytes
+
+    for phase, src, dsts, payload in ops:
+        m.set_phase(phase, sim.now)
+        dsts = [d for d in dsts if d != src]
+        if not dsts:
+            continue
+        msg = Ping(payload)
+        if len(dsts) == 1:
+            net.send(src, dsts[0], msg)
+        else:
+            net.send_many(src, dsts, msg)
+        sim.run()  # every message lands in the phase it was sent in
+        size = msg.size_bytes()
+        charge(sent[phase], src, size * len(dsts))
+        for dst in dsts:
+            charge(received[phase], dst, size)
+
+    net.register_link(0, 1)
+    m.set_phase(DISSEMINATION, sim.now)
+    net.account_keepalives(keepalive_phase, duration=4.0, ka_bytes=48)
+    for node in (0, 1):
+        charge(sent[keepalive_phase], node, 4 * 48)
+        charge(received[keepalive_phase], node, 4 * 48)
+
+    assert set(m.sent_by_phase) == set(m.received_by_phase) == {STABILIZATION, DISSEMINATION}
+    for books in (m.sent_by_phase, m.received_by_phase):
+        for book in books.values():
+            assert type(book) is dict
+            assert all(type(v) is int for v in book.values())
+    assert m.sent_by_phase == sent
+    assert m.received_by_phase == received
+    for phase in (STABILIZATION, DISSEMINATION):
+        for node in range(5):
+            assert m.node_bytes(node, phase) == sent[phase].get(node, 0)
+            assert m.node_bytes(node, phase, "received") == received[phase].get(node, 0)
+        assert m.total_bytes(phase) == sum(sent[phase].values())
+    assert m.total_bytes() == sum(sum(book.values()) for book in sent.values())

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SimulationError
 from repro.sim.message import Message
-from repro.sim.monitor import DISSEMINATION
+from repro.sim.monitor import DISSEMINATION, STABILIZATION
 
 from tests.helpers import Ping, RecorderNode, make_network
 
@@ -27,8 +27,8 @@ def test_bytes_accounted_on_both_ends():
     net.send(a.node_id, b.node_id, Ping())
     sim.run()
     size = Ping().size_bytes()
-    assert net.metrics.bytes_sent[a.node_id]["stabilization"] == size
-    assert net.metrics.bytes_received[b.node_id]["stabilization"] == size
+    assert net.metrics.node_bytes(a.node_id, STABILIZATION) == size
+    assert net.metrics.node_bytes(b.node_id, STABILIZATION, "received") == size
 
 
 def test_send_to_self_rejected():
@@ -52,7 +52,7 @@ def test_message_to_crashed_node_dropped():
     sim.run()
     assert b.received == []
     # Received bytes were never accounted for the dead node.
-    assert net.metrics.bytes_received.get(b.node_id, {}) in ({}, {"stabilization": 0})
+    assert net.metrics.node_bytes(b.node_id, STABILIZATION, "received") == 0
 
 
 def test_crash_notifies_linked_peers_after_detection_delay():
@@ -162,9 +162,9 @@ def test_keepalive_accounting_charges_linked_nodes():
     net.register_link(a.node_id, b.node_id)
     net.account_keepalives(DISSEMINATION, duration=10.0, ka_bytes=48)
     expected = int(round(10.0 / 1.0 * 48))
-    assert net.metrics.bytes_sent[a.node_id][DISSEMINATION] == expected
-    assert net.metrics.bytes_received[b.node_id][DISSEMINATION] == expected
-    assert net.metrics.bytes_sent.get(c.node_id, {}).get(DISSEMINATION, 0) == 0
+    assert net.metrics.node_bytes(a.node_id, DISSEMINATION) == expected
+    assert net.metrics.node_bytes(b.node_id, DISSEMINATION, "received") == expected
+    assert net.metrics.node_bytes(c.node_id, DISSEMINATION) == 0
 
 
 def test_dead_nodes_send_no_keepalives():
@@ -173,7 +173,7 @@ def test_dead_nodes_send_no_keepalives():
     # crash() clears the links, so no keepalive accounting either way
     net.crash(a.node_id)
     net.account_keepalives(DISSEMINATION, duration=10.0)
-    assert net.metrics.bytes_sent.get(a.node_id, {}).get(DISSEMINATION, 0) == 0
+    assert net.metrics.node_bytes(a.node_id, DISSEMINATION) == 0
 
 
 # ----------------------------------------------------------------------
@@ -197,9 +197,9 @@ class TestSendMany:
         net.send_many(a.node_id, [b.node_id, c.node_id], Ping())
         sim.run()
         size = Ping().size_bytes()
-        assert net.metrics.bytes_sent[a.node_id]["stabilization"] == 2 * size
-        assert net.metrics.bytes_received[b.node_id]["stabilization"] == size
-        assert net.metrics.bytes_received[c.node_id]["stabilization"] == size
+        assert net.metrics.node_bytes(a.node_id, STABILIZATION) == 2 * size
+        assert net.metrics.node_bytes(b.node_id, STABILIZATION, "received") == size
+        assert net.metrics.node_bytes(c.node_id, STABILIZATION, "received") == size
         assert net.metrics.msg_counts["ping"]["stabilization"] == 2
 
     def test_self_destination_rejected(self):

@@ -56,8 +56,8 @@ def build(model, n=10):
 def snapshot(net):
     m = net.metrics
     return (
-        {k: dict(v) for k, v in m.bytes_sent.items()},
-        {k: dict(v) for k, v in m.bytes_received.items()},
+        {k: dict(v) for k, v in m.sent_by_phase.items()},
+        {k: dict(v) for k, v in m.received_by_phase.items()},
         {k: dict(v) for k, v in m.msg_counts.items()},
         dict(m.counters),
     )
@@ -201,7 +201,7 @@ class TestFusedOccupancyBehaviour:
         assert len(log) == 4
         assert net.metrics.counters["dropped"] == 1
         # The dead node's bytes were never accounted as received.
-        assert 3 not in net.metrics.bytes_received
+        assert all(3 not in book for book in net.metrics.received_by_phase.values())
 
     def test_tx_charging_serializes_the_sender(self):
         sim, net, log = build(

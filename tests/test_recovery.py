@@ -1,6 +1,10 @@
 """Tests for the retransmission buffer (§II-F)."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.recovery import MessageBuffer
 
@@ -70,3 +74,38 @@ def test_clear():
     buf.store(1, 1)
     buf.clear()
     assert len(buf) == 0
+
+
+def _reference_store(items: OrderedDict, capacity: int, seq: int, size: int) -> None:
+    """The buffer's store rule on an ``OrderedDict``: a re-store only
+    refreshes recency, a new seq evicts the oldest past ``capacity``."""
+    if capacity == 0:
+        return
+    if seq in items:
+        items.move_to_end(seq)
+        return
+    items[seq] = size
+    while len(items) > capacity:
+        items.popitem(last=False)
+
+
+@given(
+    st.sampled_from([0, 1, 64]),
+    # Seqs from a small range so re-stores of buffered seqs are common;
+    # a re-store may carry a different size (the first one must stay).
+    st.lists(st.tuples(st.integers(0, 80), st.integers(0, 5)), max_size=300),
+)
+def test_buffer_matches_ordered_dict_reference(capacity, ops):
+    buf = MessageBuffer(capacity)
+    ref: OrderedDict = OrderedDict()
+    for seq, size in ops:
+        buf.store(seq, size)
+        _reference_store(ref, capacity, seq, size)
+        assert list(buf._items.items()) == list(ref.items())
+        assert len(buf) == len(ref)
+        assert buf.latest == (max(ref) if ref else None)
+        assert list(buf.after(seq - 1)) == sorted(
+            (s, n) for s, n in ref.items() if s > seq - 1
+        )
+    assert list(buf.after(-1)) == sorted(ref.items())
+    assert all(buf.get(s) == n and s in buf for s, n in ref.items())

@@ -84,8 +84,10 @@ def snapshot(sim, net, nodes) -> dict:
         "duplicates": {
             stream: dict(shard.duplicates) for stream, shard in m.streams.items()
         },
-        "bytes_sent": {nid: dict(per) for nid, per in m.bytes_sent.items()},
-        "bytes_received": {nid: dict(per) for nid, per in m.bytes_received.items()},
+        "sent_by_phase": {phase: dict(book) for phase, book in m.sent_by_phase.items()},
+        "received_by_phase": {
+            phase: dict(book) for phase, book in m.received_by_phase.items()
+        },
         "msg_counts": {kind: dict(per) for kind, per in m.msg_counts.items()},
         "delivered_counts": {
             node.node_id: {

@@ -13,6 +13,16 @@ from repro.core.strategies import (
 )
 
 
+def test_candidate_keeps_no_instance_dict():
+    """``Candidate`` is slotted: a node holds one per in-view peer and
+    stream, so an instance ``__dict__`` would cost peak memory on every
+    one of them.  No attribute can be hung on it either."""
+    c = Candidate(1, 0.0)
+    assert not hasattr(c, "__dict__")
+    with pytest.raises(AttributeError):
+        c.score = 1.0
+
+
 def cand(peer, arrival=0.0, rtt=0.1, uptime=10.0, load=2, capacity=1.0):
     return Candidate(peer, arrival, rtt, uptime, load, capacity)
 
