@@ -281,22 +281,17 @@ class BrisaNode(HyParViewNode):
         seq = msg.seq
         if src != state.maint_src or meta is not state.maint_meta:
             return False
-        delivered = state.delivered
-        if seq in delivered:
+        if seq in state.delivered:
             return False
         cand = state.maint_cand
         cand.path_delay = 0.7 * cand.path_delay + 0.3 * msg.path_delay
-        # note_delivered + rules.wants_gap_recovery, merged (§II-F): an
-        # unseen ``seq`` is never below the contiguous prefix, so it
-        # either extends the prefix or sits above a gap.
-        delivered.add(seq)
-        contig = state.max_contig + 1
-        if seq == contig:
-            while contig + 1 in delivered:
-                contig += 1
-            state.max_contig = contig
-        elif (
-            not msg.recovered
+        # rules.wants_gap_recovery, inlined (§II-F).  An unseen ``seq``
+        # may sit below the prefix (the recovery horizon passed it): it
+        # is delivered and relayed like any other, with no request.
+        state.note_delivered(seq)
+        if (
+            seq > state.max_contig + 1
+            and not msg.recovered
             and self.clock.now - state.last_gap_request > self.GAP_REQUEST_COOLDOWN
         ):
             state.last_gap_request = self.clock.now

@@ -59,6 +59,10 @@ class StreamState:
 
     # -- delivery -------------------------------------------------------
     delivered: set[int] = field(default_factory=set)
+    #: The recovery prefix: every seq <= it is delivered or has left every
+    #: retransmit buffer (``note_delivered``'s horizon, DESIGN.md §14), so
+    #: a ``RetransmitRequest(max_contig)`` asks only for what a parent can
+    #: still replay.
     max_contig: int = -1
     #: Last time a gap-triggered retransmit request went out (cooldown).
     last_gap_request: float = -1.0
@@ -106,9 +110,22 @@ class StreamState:
 
     # ------------------------------------------------------------------
     def note_delivered(self, seq: int) -> None:
-        self.delivered.add(seq)
-        while (self.max_contig + 1) in self.delivered:
-            self.max_contig += 1
+        """Record the first reception of ``seq`` and advance the recovery
+        prefix (§II-F).  A parent's buffer keeps its ``capacity`` most
+        recent stores, so once ``seq`` is out nothing at or below
+        ``seq - capacity`` can still be replayed: the prefix moves up to
+        that horizon first, then folds in the delivered seqs above it.
+        Both data paths call this before the gap rule, so a gap request
+        never asks for what no buffer can still hold (DESIGN.md §14)."""
+        delivered = self.delivered
+        delivered.add(seq)
+        contig = self.max_contig
+        horizon = seq - self.buffer.capacity
+        if horizon > contig:
+            contig = horizon
+        while contig + 1 in delivered:
+            contig += 1
+        self.max_contig = contig
 
     def reset_position(self) -> None:
         self.position = None

@@ -1,16 +1,19 @@
 """White-box tests for BrisaNode internals: link bookkeeping, depth
-updates, retransmissions, repair timeouts and membership edge cases."""
+updates, retransmissions, the recovery horizon, repair timeouts and
+membership edge cases."""
 
 import pytest
 
 from repro.config import BrisaConfig, HyParViewConfig, StreamConfig
 from repro.core import messages as bm
 from repro.core.brisa import BrisaNode
+from repro.core.brisa_slotted import SlottedBrisaKernel, SlottedBrisaNode
 from repro.experiments.common import build_brisa_testbed
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.monitor import Metrics
 from repro.sim.network import Network
+from tests.helpers import cache_free
 
 
 def tiny_pair(seed=1, config=None):
@@ -88,6 +91,133 @@ class TestRetransmission:
         a.on_brisa_retransmit(b.node_id, bm.RetransmitRequest(0, -1))
         data = [m for m in sent if isinstance(m, bm.Data)]
         assert data and all(m.recovered for m in data)
+
+
+class HorizonLine:
+    """Source ``a``, its child ``b`` (which took seq 0 from ``a``) and
+    ``b``'s neighbour ``c`` on one BRISA kernel.  ``feed(seq)`` hands
+    ``b`` a ``Data`` stamped by ``a`` through that kernel's entry point
+    (``handle_message`` on the object kernel, the fan sink on the slotted
+    one); ``cold`` lists the seqs ``b``'s cold path took after seq 0, and
+    ``requests`` the ``have_up_to`` of every ``RetransmitRequest`` ``b``
+    sent."""
+
+    def __init__(self, kernel: str, buffer_size: int = 4) -> None:
+        self.sim = Simulator(seed=1)
+        self.net = Network(self.sim, ConstantLatency(0.001), Metrics())
+        cfg = BrisaConfig(buffer_size=buffer_size)
+        if kernel == "slotted":
+            self.sink = SlottedBrisaKernel(self.net, cfg)
+            make = lambda n, i: SlottedBrisaNode(n, i, cfg, kernel=self.sink)
+        else:
+            self.sink = None
+            make = lambda n, i: BrisaNode(n, i, cfg)
+        self.a, self.b, self.c = (self.net.spawn(make) for _ in range(3))
+        self.b.join(self.a.node_id)
+        self.c.join(self.b.node_id)
+        self.sim.run(until=2.0)
+        assert self.c.node_id in self.b.active
+        self.a.become_source(0)
+        self.state = self.b.stream_state(0)
+        self.feed(0)  # adopts a (and primes the cache unless it is off)
+        self.requests: list[int] = []
+        self.cold: list[int] = []
+        send, cold_data = self.b.send, self.b._cold_data
+
+        def spy_send(dst, msg):
+            if isinstance(msg, bm.RetransmitRequest):
+                self.requests.append(msg.have_up_to)
+            send(dst, msg)
+
+        def spy_cold(state, src, msg, *rest):
+            self.cold.append(msg.seq)
+            cold_data(state, src, msg, *rest)
+
+        self.b.send = spy_send
+        self.b._cold_data = spy_cold
+
+    def feed(self, *seqs: int) -> None:
+        a = self.a
+        for seq in seqs:
+            msg = a._data_message(a.stream_state(0), seq, 32, hops=0, path_delay=0.0)
+            if self.sink is None:
+                self.b.handle_message(a.node_id, msg)
+            else:
+                self.sink.on_fan(a.node_id, [self.b.node_id], msg, msg.size_bytes())
+
+    def settle(self) -> None:
+        """Let relays land and the gap-request cooldown pass."""
+        self.sim.run(until=self.sim.now + 1.0)
+
+    def assert_took(self, data_path: str, *seqs: int) -> None:
+        assert [seq in self.cold for seq in seqs] == [data_path == "cold"] * len(seqs)
+
+
+@pytest.fixture(params=["object", "slotted"])
+def kernel(request):
+    return request.param
+
+
+@pytest.fixture(params=["steady", "cold"])
+def data_path(request):
+    """Which of ``b``'s data paths takes the receptions after the first:
+    the maintenance-cache hit (``_steady_data``) or, with the cache off,
+    the full decision (``_cold_data``)."""
+    if request.param == "cold":
+        with cache_free():
+            yield request.param
+    else:
+        yield request.param
+
+
+class TestRecoveryHorizon:
+    """A first reception more than ``buffer_size`` above ``max_contig``
+    moves the prefix up to ``seq - buffer_size`` before the gap rule runs
+    (``StreamState.note_delivered``, DESIGN.md §14)."""
+
+    def test_deep_gap_moves_prefix_to_horizon_and_folds(self, kernel, data_path):
+        line = HorizonLine(kernel)
+        line.feed(2)  # 2 - 4 < 0: inside the window
+        assert line.state.max_contig == 0
+        line.settle()
+        line.feed(5)  # horizon 1, then 2 folds in; 3 and 4 stay missing
+        line.assert_took(data_path, 2, 5)
+        assert line.state.max_contig == 2
+        assert line.requests == [0, 2]
+
+    def test_gap_inside_window_leaves_prefix(self, kernel, data_path):
+        line = HorizonLine(kernel)
+        line.feed(4)  # 4 - 4 == max_contig: every missing seq is replayable
+        line.assert_took(data_path, 4)
+        assert line.state.max_contig == 0
+        assert line.requests == [0]
+
+    def test_zero_buffer_never_asks(self, kernel, data_path):
+        line = HorizonLine(kernel, buffer_size=0)
+        line.feed(3)
+        assert line.state.max_contig == 3
+        line.settle()
+        line.feed(1)
+        line.assert_took(data_path, 3, 1)
+        assert line.state.max_contig == 3
+        assert line.state.delivered == {0, 1, 3}
+        assert line.requests == []
+
+    def test_late_seq_below_prefix_is_delivered_and_relayed_unasked(
+        self, kernel, data_path
+    ):
+        line = HorizonLine(kernel)
+        line.feed(9)  # horizon 5: asks for 6..8 only
+        assert line.state.max_contig == 5
+        assert line.requests == [5]
+        line.settle()
+        line.feed(3)
+        line.assert_took(data_path, 9, 3)
+        line.settle()
+        assert 3 in line.state.delivered and line.state.max_contig == 5
+        assert line.b.node_id in line.net.metrics.records(0, 3)
+        assert line.c.node_id in line.net.metrics.records(0, 3)
+        assert line.requests == [5]
 
 
 class TestRepairTimeout:

@@ -189,20 +189,20 @@ def test_maintenance_cache_changes_no_draw(name):
 
 GOLDEN_CHURN = (
     {
-        "events": 28166,
+        "events": 26086,
         "peak_pending": 506,
         "now": "38.2",
         "msg_counts": {
-            "brisa_activate": 10, "brisa_activate_ack": 5, "brisa_data": 9392,
-            "brisa_deactivate": 351, "brisa_retransmit": 23, "hpv_disconnect": 97,
+            "brisa_activate": 10, "brisa_activate_ack": 5, "brisa_data": 8368,
+            "brisa_deactivate": 351, "brisa_retransmit": 7, "hpv_disconnect": 97,
             "hpv_forward_join": 2187, "hpv_join": 65, "hpv_neighbor": 281,
             "hpv_neighbor_accept": 332, "hpv_neighbor_reject": 14,
             "hpv_shuffle": 788, "hpv_shuffle_reply": 196,
         },
-        "bytes_sent": 10646600,
+        "bytes_sent": 9521384,
         "deliveries": 7994,
     },
-    "e0266d7732e33b3783bac07358731a23a128cf2732dd4b12877c8a35b3da908c",
+    "9565b4c03b26adb2b0b788a85ec6a9efe9467cf25007a7ab73e319c4d84a2ea1",
 )
 GOLDEN_PLANETLAB = (
     {
@@ -222,21 +222,21 @@ GOLDEN_PLANETLAB = (
 )
 GOLDEN_DAG_CHURN = (
     {
-        "events": 42477,
+        "events": 40011,
         "peak_pending": 620,
         "now": "38.2",
         "msg_counts": {
-            "brisa_activate": 62, "brisa_activate_ack": 29, "brisa_data": 16179,
-            "brisa_deactivate": 324, "brisa_depth_update": 586,
-            "brisa_retransmit": 49, "hpv_disconnect": 88,
+            "brisa_activate": 62, "brisa_activate_ack": 29, "brisa_data": 14964,
+            "brisa_deactivate": 325, "brisa_depth_update": 586,
+            "brisa_retransmit": 30, "hpv_disconnect": 88,
             "hpv_forward_join": 1954, "hpv_join": 64, "hpv_neighbor": 261,
             "hpv_neighbor_accept": 309, "hpv_neighbor_reject": 16,
             "hpv_shuffle": 784, "hpv_shuffle_reply": 196,
         },
-        "bytes_sent": 17947131,
+        "bytes_sent": 16621805,
         "deliveries": 7945,
     },
-    "91e62495db7b22fe0ba3ba17489d5469c4ed5414b2e57abf89a6a08936f37ff2",
+    "0b27d29f496281008b9cec58c7f9a0a6a92e2d5a3628135b8b8ec63ede94bf6e",
 )
 GOLDEN_BLOOM = (
     {
