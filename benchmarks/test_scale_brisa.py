@@ -93,9 +93,10 @@ def test_scale_brisa_multistream_xl(emit):
 @pytest.mark.xl
 def test_brisa_kernels_agree_xl():
     """The slotted BRISA kernel (DESIGN.md §11) is a pure throughput
-    lever: flat-array tree state + packed Bloom rows run the identical xl
-    simulation as the object kernel (the full draw-for-draw surface is
-    pinned at small populations by tests/test_slotted_parity.py)."""
+    lever: its fused fan loop over the same ``StreamState`` runs the
+    identical xl simulation as the object kernel's per-recipient dispatch
+    (the full draw-for-draw surface is pinned at small populations by
+    tests/test_slotted_parity.py)."""
     results = {
         kernel: run_scale_brisa(
             XL.cluster_nodes, MESSAGES, rate=20.0, seed=3, kernel=kernel

@@ -7,7 +7,7 @@ drains after injection stops).
 """
 
 from repro.experiments.paperdata import TABLE2
-from repro.experiments.report import banner, table
+from repro.experiments.report import banner, overhead_percent, table
 from repro.experiments.scenarios import table2_latency
 
 
@@ -22,10 +22,10 @@ def test_table2_latency(benchmark, scale, emit):
             [
                 proto,
                 result.latency[proto],
-                f"+{result.overhead(proto) * 100:.0f}%",
+                overhead_percent(result.overhead(proto)),
                 f"{result.delivered[proto] * 100:.1f}%",
                 paper_lat,
-                f"+{paper_over * 100:.0f}%",
+                overhead_percent(paper_over),
             ]
         )
     text = banner(

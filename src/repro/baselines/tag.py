@@ -295,7 +295,9 @@ class TagNode(ProtocolNode):
 
     def on_tag_append_reply(self, src: NodeId, msg: ListAppendReply) -> None:
         self.pred = msg.pred
-        self.pred2 = msg.pred2
+        # A re-inserting node can be its new predecessor's predecessor;
+        # the 2-hop horizon never names the node itself.
+        self.pred2 = msg.pred2 if msg.pred2 != self.node_id else None
         self.transport.register_link(self.node_id, src)
         self.joined = True
         # Traverse backwards for partners + parent.
@@ -303,7 +305,7 @@ class TagNode(ProtocolNode):
 
     def on_tag_succ_update(self, src: NodeId, msg: ListSuccUpdate) -> None:
         if src == self.succ:
-            self.succ2 = msg.succ
+            self.succ2 = msg.succ if msg.succ != self.node_id else None
 
     def _traverse(self, target: NodeId) -> None:
         """One backwards traversal hop: fresh connection + probe."""
@@ -353,10 +355,15 @@ class TagNode(ProtocolNode):
                 on_fail=lambda: self._traverse_failed(src),
             )
             return
-        if msg.pred is not None:
-            self._traverse(msg.pred)
-        elif msg.pred2 is not None:
-            self._traverse(msg.pred2)
+        # A node that re-inserted behind its own successor finds itself
+        # in that successor's list state: a traversal never steps onto
+        # the node itself.
+        pred = msg.pred if msg.pred != self.node_id else None
+        pred2 = msg.pred2 if msg.pred2 != self.node_id else None
+        if pred is not None:
+            self._traverse(pred)
+        elif pred2 is not None:
+            self._traverse(pred2)
         else:
             # Reached the list head without capacity: attach to the head.
             self.conn_cost.connect(

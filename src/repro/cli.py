@@ -5,7 +5,7 @@ Commands mirror the per-experiment index of DESIGN.md §4::
     python -m repro list                     # available experiments
     python -m repro run fig2 --scale fast    # one artifact, print rows
     python -m repro run all --scale fast     # every artifact
-    python -m repro quickstart               # the README quickstart
+    python -m repro quickstart               # quick_brisa_run: 64 nodes
     python -m repro scale --scale xl         # 10k-node flood run
     python -m repro scale --stack brisa --size xl   # full BRISA stack at 10k
     python -m repro scale --scale xxl --messages 10                  # 100k rung
@@ -112,7 +112,7 @@ def _render_fig13(scale) -> str:
 def _render_table2(scale) -> str:
     res = sc.table2_latency(scale)
     rows = [
-        [proto, res.latency[proto], f"+{res.overhead(proto) * 100:.0f}%",
+        [proto, res.latency[proto], rp.overhead_percent(res.overhead(proto)),
          f"{res.delivered[proto] * 100:.1f}%"]
         for proto in res.latency
     ]
@@ -176,7 +176,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
     run.add_argument("--scale", default=None,
                      help="tiny | small | fast | paper | large | xl | xxl | xxxl")
-    sub.add_parser("quickstart", help="run the README quickstart")
+    sub.add_parser("quickstart", help="64-node BRISA run (quick_brisa_run)")
     sc_cmd = sub.add_parser(
         "scale", help="large-scale dissemination run (see DESIGN.md §6–7, §10)"
     )

@@ -122,8 +122,11 @@ class DelayAwareStrategy(ParentSelectionStrategy):
     delay (piggybacked per-hop timestamps, smoothed) plus one link
     crossing (half the keep-alive RTT).  Scoring the *neighbour RTT
     alone* degenerates — greedy min-RTT adoption inflates tree depth
-    faster than it saves per-link delay (see DESIGN.md §5); the
-    end-to-end form reproduces the Fig. 9 behaviour the paper reports.
+    faster than it saves per-link delay.  The paper's Fig. 9 headline (40 %
+    of the nodes halve their routing delay against first-pick) is not
+    reproduced: at paper scale the halved share is 0.00 at seeds 4 and 24
+    (median per-node ratio 0.992 / 1.014; ROADMAP.md item 10, DESIGN.md
+    §15).
     """
 
     name = "delay-aware"

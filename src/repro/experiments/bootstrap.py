@@ -175,10 +175,6 @@ class CSRTopology:
     #: Per-node degree vector (``offsets[i+1] - offsets[i]``).
     degrees: array
 
-    @property
-    def edges(self) -> int:
-        return len(self.neighbors) // 2
-
 
 def synthesize_topology_arrays(
     n: int, *, degree: int, max_degree: int, rng

@@ -27,6 +27,13 @@ def table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return "\n".join(out)
 
 
+def overhead_percent(fraction: float) -> str:
+    """A relative overhead as a signed whole percent: ``0.88`` -> ``+88%``.
+    Rounds first, so a negative zero or a sub-percent deficit reads
+    ``+0%``."""
+    return f"{round(fraction * 100):+d}%"
+
+
 def _fmt(value: object) -> str:
     if isinstance(value, float):
         if value == 0:

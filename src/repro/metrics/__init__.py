@@ -1,7 +1,7 @@
 """Analysis helpers over collected metrics.
 
 NumPy-vectorized aggregation (CDFs, percentile summaries, per-node
-bandwidth rates) plus structure-level invariant checks.  The hot path of
+bandwidth rates) plus structure-level distributions.  The hot path of
 the simulation records into plain dicts (:mod:`repro.sim.monitor`); this
 package converts once into arrays at analysis time — the profile-first,
 vectorize-the-hot-aggregation workflow of the HPC guides.
@@ -17,7 +17,6 @@ from repro.metrics.stats import (
 from repro.metrics.structure_analysis import (
     degree_distribution,
     depth_distribution,
-    verify_structure,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "percentile_summary",
     "phase_bandwidth_summary",
     "rate_per_minute",
-    "verify_structure",
 ]

@@ -1,15 +1,12 @@
-"""Structure-level distributions and invariants (Figs. 6–8)."""
+"""Structure-level distributions (Figs. 6–7)."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
 from repro.core.structure import (
     depths,
     extract_structure,
-    is_complete_structure,
     out_degrees,
 )
 from repro.ids import NodeId, StreamId
@@ -30,13 +27,3 @@ def degree_distribution(nodes: Iterable, stream: StreamId = 0) -> CDF:
     """Out-degree CDF (Fig. 7): relays per node; zero = leaf."""
     g = extract_structure(nodes, stream)
     return CDF.of(float(v) for v in out_degrees(g).values())
-
-
-def verify_structure(
-    nodes: Iterable, source: NodeId, stream: StreamId = 0
-) -> tuple[bool, str]:
-    """§II-B completeness invariant over live node state."""
-    node_list = list(nodes)
-    g = extract_structure(node_list, stream)
-    expected = {n.node_id for n in node_list if getattr(n, "alive", True)}
-    return is_complete_structure(g, source, expected)

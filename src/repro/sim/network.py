@@ -224,9 +224,6 @@ class Network:
         node = self.nodes.get(node_id)
         return node is not None and node.alive
 
-    def node(self, node_id: NodeId) -> ProtocolNode:
-        return self.nodes[node_id]
-
     def alive_ids(self) -> list[NodeId]:
         return [nid for nid, node in self.nodes.items() if node.alive]
 

@@ -65,11 +65,6 @@ class ProtocolNode:
         """Seconds since this node joined (gerontocratic strategy input)."""
         return self.clock.now - self.birth_time
 
-    @property
-    def capacity(self) -> float:
-        """Relative bandwidth capacity (heterogeneity strategy input)."""
-        return self.transport.capacity(self.node_id)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
         return f"<{type(self).__name__} {self.node_id} {state}>"

@@ -5,6 +5,7 @@ from repro.experiments.report import (
     banner,
     cdf_rows,
     comparison_rows,
+    overhead_percent,
     percentile_rows,
     table,
 )
@@ -56,3 +57,14 @@ def test_ascii_cdf_plot():
 
 def test_ascii_cdf_empty():
     assert "(empty)" in ascii_cdf(cdf_of([]), label="e")
+
+
+def test_overhead_percent_signs_after_rounding():
+    # Table II's BRISA cell: a span a hair below the ideal is no
+    # negative overhead, and a negative zero is no sign at all.
+    assert overhead_percent(-0.0) == "+0%"
+    assert overhead_percent(-0.004) == "+0%"
+    assert overhead_percent(0.0) == "+0%"
+    assert overhead_percent(0.88) == "+88%"
+    assert overhead_percent(1.0) == "+100%"
+    assert overhead_percent(-0.06) == "-6%"

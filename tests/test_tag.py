@@ -3,7 +3,9 @@
 import pytest
 
 from repro.config import StreamConfig, TagConfig
+from repro.experiments import robustness
 from repro.experiments.common import build_tag_testbed
+from repro.experiments.scale import PAPER, TINY
 
 FAST_TAG = TagConfig(
     pull_period=0.1, pull_batch=8, gossip_pull_period=0.5, min_parent_age=1.0
@@ -144,3 +146,44 @@ class TestFailureHandling:
         # All surviving nodes that are still attached eventually receive;
         # allow stragglers mid-repair.
         assert result2.delivered_fraction() > 0.9
+
+
+def fig14_tag_leg(n, churn_percent, seed, sc):
+    """Fig. 14's TAG leg (``robustness.fig14_recovery``) on ``n`` nodes
+    with the churn timing of scale ``sc``."""
+    bed, _ = build_tag_testbed(
+        n,
+        seed=seed,
+        tag_config=TagConfig(min_parent_age=min(3.0, sc.settle / 4)),
+        join_spacing=sc.join_spacing,
+        settle=sc.settle,
+        record_deliveries=False,
+    )
+    robustness._run_churn(
+        bed, bed.nodes[0], churn_percent=churn_percent,
+        duration=sc.churn_duration, period=sc.churn_period,
+    )
+    return bed
+
+
+class TestReinsertionNeverNamesItself:
+    """A node that re-inserts at the list tail can land behind its own
+    successor, so the tail's list state names the node.  These beds are
+    the smallest found that crashed with a self-link or a self-message;
+    ``repro run fig14 --scale paper`` (128 nodes, 6 %, seed 7) crashed
+    the first way."""
+
+    @staticmethod
+    def assert_no_self_reference(bed):
+        for node in bed.alive_nodes():
+            assert node.node_id not in (node.pred, node.pred2, node.succ, node.succ2)
+
+    def test_promoted_pred2_is_never_the_node(self):
+        # The parent crashed here: a failed predecessor promoted a pred2
+        # that was the node itself and linked to it.
+        self.assert_no_self_reference(fig14_tag_leg(24, 12.0, 8, PAPER))
+
+    def test_traversal_never_steps_onto_the_node(self):
+        # The parent crashed here: a probe reply named the traversing
+        # node as the replier's predecessor, and the node messaged itself.
+        self.assert_no_self_reference(fig14_tag_leg(12, 20.0, 7, TINY))
