@@ -282,47 +282,35 @@ def _run_scale(args) -> int:
 
 
 def _run_live(args) -> int:
-    from repro.experiments.live_runner import LiveSpec, run_live
+    from repro.experiments.live_runner import CONTROL_HOST, run_live
 
-    # The same RunSpec plumbing as `repro scale` resolves the shared
-    # workload flags (size/nodes/messages/rate/streams/seed/mode); the
-    # live stack is always BRISA.
+    # The same RunSpec as `repro scale`; the live leg runs it on the
+    # brisa stack and rejects what it cannot honour.
     spec = sc.RunSpec(
         stack="brisa",
         size=args.scale,
         nodes=args.nodes,
         messages=args.messages,
         rate=args.rate,
+        payload_bytes=args.payload_bytes,
         seed=args.seed,
         streams=args.streams,
         mode=args.mode,
+        bootstrap=args.checkpoint,
     )
     try:
-        spec.validate()
-        nodes = spec.population(sc.get_scale(spec.size))
-        live = LiveSpec(
-            nodes=nodes,
+        outcome = run_live(
+            spec,
             workers=args.workers,
-            messages=spec.messages,
-            streams=spec.streams,
-            rate=spec.rate,
-            payload_bytes=args.payload_bytes,
-            seed=spec.seed,
-            mode=spec.mode if spec.mode is not None else "tree",
             timeout=args.timeout,
-            checkpoint=args.checkpoint,
             cross_check=not args.no_cross_check,
-            **(
-                {"control_host": args.control_host}
-                if args.control_host is not None
-                else {}
-            ),
+            control_host=CONTROL_HOST if args.control_host is None else args.control_host,
+            json_path=args.json_path,
         )
-        outcome = run_live(live, json_path=args.json_path)
     except (ValueError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(rp.banner(f"Live brisa — {nodes} nodes x {args.workers} workers ({args.scale})"))
+    print(rp.banner(f"Live brisa — {outcome.nodes} nodes x {args.workers} workers ({args.scale})"))
     print(outcome.summary())
     if args.json_path:
         print(f"\nwrote {args.json_path}")

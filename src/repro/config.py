@@ -44,8 +44,6 @@ class HyParViewConfig:
     shuffle_active: int = 3
     #: Number of passive-view entries contributed to a shuffle.
     shuffle_passive: int = 4
-    #: Keep-alive period on active-view TCP connections (seconds).
-    keepalive_period: float = 1.0
 
     def __post_init__(self) -> None:
         _require(self.active_size >= 1, "active_size must be >= 1")
@@ -53,7 +51,6 @@ class HyParViewConfig:
         _require(self.expansion_factor >= 1.0, "expansion_factor must be >= 1")
         _require(self.arwl >= self.prwl >= 0, "need arwl >= prwl >= 0")
         _require(self.shuffle_period > 0, "shuffle_period must be positive")
-        _require(self.keepalive_period > 0, "keepalive_period must be positive")
 
     @property
     def max_active(self) -> int:
@@ -175,17 +172,15 @@ class StreamConfig:
 @dataclass(frozen=True)
 class GossipConfig:
     """SimpleGossip baseline (§III-D): Cyclon + push rumor mongering with
-    fanout ``ln(N)`` + anti-entropy pull at twice the message creation rate."""
+    fanout ``ln(N)`` + anti-entropy pull at twice the message creation rate
+    (``SimpleGossipNode(anti_entropy_period=)``, set by its caller)."""
 
     #: Explicit fanout; ``0`` means ``ceil(ln(N))`` evaluated at runtime.
     fanout: int = 0
-    #: Anti-entropy frequency as a multiple of the stream message rate.
-    anti_entropy_rate_factor: float = 2.0
     cyclon: CyclonConfig = field(default_factory=CyclonConfig)
 
     def __post_init__(self) -> None:
         _require(self.fanout >= 0, "fanout must be >= 0 (0 = ln N)")
-        _require(self.anti_entropy_rate_factor > 0, "anti_entropy_rate_factor must be positive")
 
     def effective_fanout(self, n: int) -> int:
         if self.fanout:
@@ -226,8 +221,6 @@ class TagConfig:
     pull_batch: int = 1
     #: Period between prefetch pulls to a random gossip partner.
     gossip_pull_period: float = 2.0
-    #: Hops of predecessor/successor knowledge kept.
-    list_horizon: int = 2
     #: TCP connection setup cost in RTTs (TAG tears connections down
     #: between traversal hops — §III-D construction-time discussion).
     connection_setup_rtts: float = 1.5
@@ -244,6 +237,5 @@ class TagConfig:
         _require(self.pull_period > 0, "pull_period must be positive")
         _require(self.pull_batch >= 1, "pull_batch must be >= 1")
         _require(self.gossip_pull_period > 0, "gossip_pull_period must be positive")
-        _require(self.list_horizon >= 1, "list_horizon must be >= 1")
         _require(self.connection_setup_rtts >= 0, "connection_setup_rtts must be >= 0")
         _require(self.min_parent_age >= 0, "min_parent_age must be >= 0")

@@ -35,11 +35,12 @@ Three entry points:
   one step instead of one ``install_overlay`` per node;
   :func:`quiet_collector` keeps the cyclic collector out of the build
   (DESIGN.md §8).
-- :func:`save_overlay` / :func:`load_overlay` / :func:`install_checkpoint`
-  — JSON checkpoints of active/passive views, so repeated benchmark runs
-  skip construction entirely.  Checkpoints store node ids and are
-  rehydrated through an id map, robust to fresh testbeds allocating
-  different ids.
+- :func:`save_overlay` / :func:`synthesize_checkpoint` /
+  :func:`load_overlay` / :func:`install_checkpoint` — JSON checkpoints of
+  active/passive views, so repeated benchmark runs skip construction
+  entirely and the live harness hands both its legs one overlay.
+  Checkpoints store node ids and are rehydrated through an id map,
+  robust to fresh testbeds allocating different ids.
 - :func:`audit_overlay` / :func:`assert_valid_overlay` — the validation
   mode: checks the invariants under which a synthesized overlay is
   indistinguishable from a settled simulated one (bidirectionality,
@@ -61,6 +62,7 @@ from repro.config import HyParViewConfig
 from repro.errors import SimulationError
 from repro.ids import NodeId
 from repro.membership.hyparview import HyParViewNode
+from repro.sim.rng import derive
 
 #: Version tag of the checkpoint JSON format.
 CHECKPOINT_FORMAT = "brisa-overlay/1"
@@ -586,17 +588,49 @@ class OverlayCheckpoint:
         return len(self.ids)
 
 
-def save_overlay(nodes, path: "str | pathlib.Path") -> pathlib.Path:
-    """Serialize the nodes' active/passive views to a JSON checkpoint."""
-    _require_hyparview(nodes)
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "n": len(nodes),
-        "nodes": [node.overlay_snapshot() for node in nodes],
-    }
+def _write_checkpoint(rows: list[dict], path: "str | pathlib.Path") -> pathlib.Path:
+    """The one ``brisa-overlay/1`` writer: one ``{id, active, passive}``
+    row per node."""
+    payload = {"format": CHECKPOINT_FORMAT, "n": len(rows), "nodes": rows}
     path = pathlib.Path(path)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path
+
+
+def save_overlay(nodes, path: "str | pathlib.Path") -> pathlib.Path:
+    """Serialize the nodes' active/passive views to a JSON checkpoint."""
+    _require_hyparview(nodes)
+    return _write_checkpoint([node.overlay_snapshot() for node in nodes], path)
+
+
+def synthesize_checkpoint(n: int, path: "str | pathlib.Path", *, seed: int = 1) -> pathlib.Path:
+    """Write the checkpoint of the overlay a ``seed`` testbed synthesizes
+    for ``n`` nodes (ids 0..n-1), without spawning a node.
+
+    Consumes ``derive(seed, "synth-overlay")`` exactly like
+    ``Testbed.populate(bootstrap="synthesized")`` under the default
+    :class:`HyParViewConfig` — the topology, then the passive draws — so
+    the file holds that very overlay (the live harness restores it in
+    both legs, DESIGN.md §13).
+    """
+    hpv = HyParViewConfig()
+    rng = derive(seed, "synth-overlay")
+    topo = synthesize_topology_arrays(
+        n, degree=default_degree(hpv), max_degree=hpv.max_active, rng=rng
+    )
+    p_off, p_ent = synthesize_passive_arrays(n, topo, size=hpv.passive_size, rng=rng)
+    offsets, neighbors = topo.offsets, topo.neighbors
+    return _write_checkpoint(
+        [
+            {
+                "id": i,
+                "active": list(neighbors[offsets[i] : offsets[i + 1]]),
+                "passive": list(p_ent[p_off[i] : p_off[i + 1]]),
+            }
+            for i in range(n)
+        ],
+        path,
+    )
 
 
 def load_overlay(path: "str | pathlib.Path") -> OverlayCheckpoint:

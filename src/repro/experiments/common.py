@@ -35,7 +35,6 @@ class Testbed:
         *,
         seed: int = 1,
         latency: Optional[LatencyModel] = None,
-        keepalive_period: float = 1.0,
         record_deliveries: bool = True,
         loss_percent: float = 0.0,
     ) -> None:
@@ -45,7 +44,6 @@ class Testbed:
             self.sim,
             latency if latency is not None else ClusterLatency(seed=seed),
             self.metrics,
-            keepalive_period=keepalive_period,
             loss_percent=loss_percent,
         )
         self.nodes: list = []

@@ -1,14 +1,18 @@
-"""Multi-process live harness: BRISA over real UDP sockets (DESIGN.md §13).
+"""Multi-process live harness: the scale spine's second runtime
+(DESIGN.md §13).
+
+:func:`run_live` takes the :class:`RunSpec` that :func:`run_spec` takes
+and yields the :class:`StreamOutcome` rows :func:`run_scale_brisa`
+yields, so a live run and a simulated one compare row for row.
 
 Process model — one synchronous coordinator (this process) plus N worker
 processes, each running one asyncio event loop hosting M nodes on one
 UDP socket:
 
-1. The coordinator synthesizes the overlay **checkpoint** (same
-   ``derive(seed, "synth-overlay")`` draws as the simulator's
-   ``bootstrap="synthesized"`` path — or an existing PR 2/3 checkpoint
-   file is used as-is), binds a TCP control socket, and spawns the
-   workers.
+1. The coordinator takes the spec's overlay checkpoint, or synthesizes
+   one with the simulator's ``bootstrap="synthesized"`` draws into a
+   temporary directory that lives as long as the run; it binds a TCP
+   control socket and spawns the workers.
 2. Each worker binds its UDP socket, reports ``hello`` with the port,
    and receives its ``config``: run seed, shared clock epoch, the full
    node->address table, and the active/passive views of the nodes it
@@ -18,11 +22,16 @@ UDP socket:
    coordinator polls ``status`` (per-worker rx/tx counters) and declares
    quiescence when all injections are done and the global counters hold
    still across consecutive polls.
-4. ``report`` collects per-node delivery counts, duplicates, and tree
-   parents; the coordinator assembles the global structure, checks
-   §II-B completeness, and (by default) cross-checks delivery fraction
-   and completeness against a same-seed simulated run restored from the
-   *same checkpoint file* under ``ConstantLatency``.
+4. ``report`` collects, per hosted node, its liveness and per stream its
+   delivered count and tree parents (:func:`node_report`).  The
+   coordinator reads the spec's whole population through
+   :class:`ReportedNode` views into :func:`brisa_stream_outcomes`, the
+   simulator's own accounting: a node whose report never arrived counts
+   as undelivered and unattached.
+5. The cross-check (default) runs the spec on the simulator restored
+   from the same checkpoint file.  The legs agree when their rows are
+   equal in every field but ``structure_reason``: a live tree's shape
+   follows real timing, what it covers and delivers does not.
 
 Control protocol: one JSON object per line, both directions.  Everything
 a worker knows arrives through it — workers import no experiment state.
@@ -36,24 +45,29 @@ import pathlib
 import socket
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Optional
-
-import networkx as nx
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
+from typing import Optional, Sequence
 
 from repro.config import BrisaConfig, HyParViewConfig
-from repro.core.structure import is_complete_structure
 from repro.errors import SimulationError
-from repro.experiments import bootstrap as bootstrap_mod
-from repro.experiments.scale_runner import spread_sources
-from repro.ids import NodeId
-from repro.sim.rng import derive
+from repro.experiments.bootstrap import load_overlay, synthesize_checkpoint
+from repro.experiments.scale import get_scale
+from repro.experiments.scale_runner import (
+    RunSpec,
+    StreamOutcome,
+    aggregate_outcomes,
+    brisa_stream_outcomes,
+    merge_json,
+    outcomes_summary,
+    run_spec,
+    spread_sources,
+)
 
 #: Default bind/connect host for the control socket and the node address
-#: table.  Overridable per run via ``LiveSpec.control_host`` (CLI
-#: ``--control-host``) so coordinator and workers can sit on different
-#: hosts — the address table and control protocol already carry
-#: host:port everywhere.
+#: table (CLI ``--control-host``): a routable address lets workers run on
+#: other hosts — the address table and control protocol carry host:port
+#: everywhere.
 CONTROL_HOST = "127.0.0.1"
 
 #: Poll cadence of the coordinator's quiescence loop (seconds).
@@ -63,215 +77,171 @@ POLL_PERIOD = 0.25
 #: over.
 QUIET_POLLS = 2
 
+#: :class:`RunSpec` fields the live leg fixes -> (the value it runs, the
+#: flag that sets the field).  Workers run the object BRISA node over a
+#: checkpointed overlay on lossless loopback links; any other value
+#: would be silently ignored.
+LIVE_FIXED = {
+    "stack": ("brisa", "--stack"),
+    "kernel": (None, "--kernel"),
+    "degree": (None, "--degree"),
+    "topology": ("uniform", "--topology"),
+    "loss_percent": (0.0, "--loss"),
+}
+
+
+def check_live_spec(spec: RunSpec, *, workers: int, control_host: str) -> int:
+    """Reject, flag-phrased, what the live leg cannot honour; returns
+    the population."""
+    for name, (value, flag) in LIVE_FIXED.items():
+        if getattr(spec, name) != value:
+            raise ValueError(
+                f"{flag} {getattr(spec, name)} is not available on repro live "
+                f"(its workers run the brisa stack's object node over a "
+                f"uniform, lossless, checkpointed overlay)"
+            )
+    if spec.bootstrap == "simulated":
+        raise ValueError(
+            "a simulated bootstrap is not available on repro live "
+            "(it restores a synthesized overlay or a --checkpoint)"
+        )
+    spec.validate()
+    if workers < 1:
+        raise ValueError("--workers must be >= 1")
+    if not control_host:
+        raise ValueError("--control-host must be a non-empty host/address")
+    nodes = spec.population(get_scale(spec.size))
+    if nodes < max(3, workers):
+        raise ValueError(
+            f"need >= 3 nodes and >= 1 node per worker "
+            f"({nodes} nodes, {workers} workers)"
+        )
+    return nodes
+
 
 # ----------------------------------------------------------------------
-# Spec / outcome
+# Worker reports -> StreamOutcome rows
 # ----------------------------------------------------------------------
+def node_report(nodes, streams: int) -> dict:
+    """A worker's report on the nodes it hosts, JSON-ready: per node id,
+    its liveness and per stream its delivered count and tree parents."""
+    return {
+        str(node.node_id): {
+            "alive": node.alive,
+            "delivered": [node.delivered_count(s) for s in range(streams)],
+            "parents": [node.tree_parents(s) for s in range(streams)],
+        }
+        for node in nodes
+    }
+
+
 @dataclass(frozen=True)
-class LiveSpec:
-    """One live run: cluster shape + workload + cross-check toggle."""
+class ReportedNode:
+    """One node as its worker reported it: the read-only face
+    :func:`brisa_stream_outcomes` walks.  A node nobody reported keeps
+    the defaults — alive, nothing delivered, no parent."""
 
-    nodes: int = 64
-    workers: int = 2
-    messages: int = 10
-    streams: int = 1
-    rate: float = 20.0
-    payload_bytes: int = 256
-    seed: int = 1
-    mode: str = "tree"
-    timeout: float = 60.0
-    #: Existing overlay checkpoint to restore; None synthesizes one.
-    checkpoint: "str | None" = None
-    cross_check: bool = True
-    #: Host the coordinator binds its control socket on (and advertises
-    #: in the node address table).  The localhost default keeps the
-    #: single-machine smoke unchanged; a routable address lets workers
-    #: run on other hosts.
-    control_host: str = CONTROL_HOST
+    node_id: int
+    alive: bool = True
+    delivered: Sequence[int] = ()
+    parents: Sequence[Sequence[int]] = ()
 
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("need at least one worker process")
-        if not self.control_host:
-            raise ValueError("control_host must be a non-empty host/address")
-        if self.nodes < max(3, self.workers):
-            raise ValueError("need >= 3 nodes and >= 1 node per worker")
-        if self.streams < 1 or self.messages < 1:
-            raise ValueError("need >= 1 stream and >= 1 message")
+    def delivered_count(self, stream: int) -> int:
+        return self.delivered[stream] if stream < len(self.delivered) else 0
+
+    def tree_parents(self, stream: int) -> list:
+        return list(self.parents[stream]) if stream < len(self.parents) else []
 
 
-@dataclass
-class StreamReport:
-    """Per-stream outcome assembled from worker reports."""
+def live_stream_outcomes(
+    reports: Sequence[dict], nodes: int, streams: int, messages: int
+) -> list[StreamOutcome]:
+    """The per-stream rows of a live run: the spec's population (ids
+    ``0..nodes-1``, whoever reported) through the simulator's
+    accounting, publishers picked by the simulator's spread rule."""
+    reported: dict = {}
+    for report in reports:
+        reported.update(report)
+    population = [ReportedNode(i, **reported.get(str(i), {})) for i in range(nodes)]
+    sources = spread_sources(population, streams)
+    return brisa_stream_outcomes(
+        sources, [node for node in population if node.alive], messages
+    )
 
-    stream: int
-    source: NodeId
-    delivered: int
-    expected: int
-    structure_ok: bool
-    structure_reason: str
 
-    @property
-    def delivered_fraction(self) -> float:
-        return self.delivered / self.expected if self.expected else 1.0
+def _agreed(row: StreamOutcome) -> dict:
+    """The fields both legs must share: all but the reason text."""
+    return {**asdict(row), "structure_reason": None}
 
 
 @dataclass
 class LiveOutcome:
-    """Everything the live smoke asserts on (and the JSON artifact)."""
+    """What a live run measured, and the rows both legs yield."""
 
-    spec: LiveSpec
-    streams: list[StreamReport]
-    duplicates: int
+    spec: RunSpec
+    #: The population the spec resolved to (ids ``0..nodes-1``).
+    nodes: int
+    workers: int
+    #: Per-stream rows of the live leg.
+    rows: list[StreamOutcome]
+    #: The same-seed simulated leg's rows (None: no cross-check).
+    sim_rows: Optional[list[StreamOutcome]]
     rx_packets: int
     tx_packets: int
     rx_errors: int
     elapsed: float
     clean_shutdown: bool
-    workers: int
-    checkpoint_path: str
-    #: Same-seed simulated leg: stream -> (delivered_fraction, structure_ok).
-    sim_leg: "dict[int, tuple[float, bool]] | None" = None
     warnings: list = field(default_factory=list)
 
     @property
     def delivered_fraction(self) -> float:
-        total = sum(s.delivered for s in self.streams)
-        expected = sum(s.expected for s in self.streams)
-        return total / expected if expected else 1.0
+        return aggregate_outcomes(self.rows, self.spec.messages)[1]
 
     @property
     def all_structures_ok(self) -> bool:
-        return all(s.structure_ok for s in self.streams)
+        return all(row.structure_complete for row in self.rows)
 
     @property
     def cross_check_ok(self) -> "bool | None":
         """Do the live and simulated legs agree (None: no sim leg)?"""
-        if self.sim_leg is None:
+        if self.sim_rows is None:
             return None
-        for s in self.streams:
-            frac, ok = self.sim_leg[s.stream]
-            if abs(frac - s.delivered_fraction) > 1e-9 or ok != s.structure_ok:
-                return False
-        return True
+        return list(map(_agreed, self.rows)) == list(map(_agreed, self.sim_rows))
 
     def to_json(self) -> dict:
         return {
             "harness": "live-udp",
-            "nodes": self.spec.nodes,
-            "workers": self.workers,
-            "streams": [
-                {
-                    "stream": s.stream,
-                    "source": s.source,
-                    "delivered": s.delivered,
-                    "expected": s.expected,
-                    "delivered_fraction": s.delivered_fraction,
-                    "structure_ok": s.structure_ok,
-                    "structure_reason": s.structure_reason,
-                }
-                for s in self.streams
-            ],
+            **asdict(self),
             "delivered_fraction": self.delivered_fraction,
-            "duplicates": self.duplicates,
-            "rx_packets": self.rx_packets,
-            "tx_packets": self.tx_packets,
-            "rx_errors": self.rx_errors,
-            "elapsed_seconds": self.elapsed,
-            "clean_shutdown": self.clean_shutdown,
-            "seed": self.spec.seed,
-            "messages": self.spec.messages,
-            "payload_bytes": self.spec.payload_bytes,
-            "sim_leg": (
-                {
-                    str(stream): {"delivered_fraction": frac, "structure_ok": ok}
-                    for stream, (frac, ok) in self.sim_leg.items()
-                }
-                if self.sim_leg is not None
-                else None
-            ),
+            "all_structures_ok": self.all_structures_ok,
             "cross_check_ok": self.cross_check_ok,
-            "warnings": self.warnings,
         }
 
     def summary(self) -> str:
         lines = [
-            f"live run: {self.spec.nodes} nodes x {self.workers} workers, "
-            f"{len(self.streams)} stream(s) x {self.spec.messages} messages",
+            f"live run: {self.nodes} nodes x {self.workers} workers, "
+            f"{len(self.rows)} stream(s) x {self.spec.messages} messages",
             f"delivered: {self.delivered_fraction * 100:.2f}%  "
-            f"duplicates: {self.duplicates}  "
             f"udp rx/tx: {self.rx_packets}/{self.tx_packets}",
             f"structures: {'complete/acyclic' if self.all_structures_ok else 'INCOMPLETE'}  "
             f"shutdown: {'clean' if self.clean_shutdown else 'FORCED'}  "
             f"elapsed: {self.elapsed:.1f}s",
         ]
-        if self.sim_leg is not None:
+        if len(self.rows) > 1 or not self.all_structures_ok:
+            lines.append(outcomes_summary(self.rows, indent="  "))
+        if self.sim_rows is not None:
+            agree = self.cross_check_ok
             lines.append(
-                "cross-check vs same-seed sim: "
-                + ("agree" if self.cross_check_ok else "DISAGREE")
+                "cross-check vs same-seed sim: " + ("agree" if agree else "DISAGREE")
             )
+            if not agree:
+                lines.append(outcomes_summary(self.sim_rows, indent="  sim "))
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Checkpoint synthesis (no simulator required)
-# ----------------------------------------------------------------------
-def synthesize_checkpoint(
-    n: int,
-    path: "str | pathlib.Path",
-    *,
-    seed: int = 1,
-    hpv: Optional[HyParViewConfig] = None,
-    degree: Optional[int] = None,
-) -> pathlib.Path:
-    """Write a ``brisa-overlay/1`` checkpoint for ``n`` nodes (ids 0..n-1).
-
-    Consumes the RNG exactly like ``Testbed.populate(bootstrap=
-    "synthesized")`` — ``derive(seed, "synth-overlay")`` driving the
-    topology then the passive draws — so a testbed with the same seed
-    builds this very overlay.
-    """
-    hpv = hpv if hpv is not None else HyParViewConfig()
-    if degree is None:
-        degree = bootstrap_mod.default_degree(hpv)
-    rng = derive(seed, "synth-overlay")
-    topo = bootstrap_mod.synthesize_topology_arrays(
-        n, degree=degree, max_degree=hpv.max_active, rng=rng
-    )
-    p_off, p_ent = bootstrap_mod.synthesize_passive_arrays(
-        n, topo, size=hpv.passive_size, rng=rng
-    )
-    offsets, neighbors = topo.offsets, topo.neighbors
-    payload = {
-        "format": bootstrap_mod.CHECKPOINT_FORMAT,
-        "n": n,
-        "nodes": [
-            {
-                "id": i,
-                "active": list(neighbors[offsets[i] : offsets[i + 1]]),
-                "passive": list(p_ent[p_off[i] : p_off[i + 1]]),
-            }
-            for i in range(n)
-        ],
-    }
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return path
-
-
-def live_sources(n: int, streams: int) -> list[int]:
-    """Stream sources over node ids 0..n-1: the simulator's spread rule,
-    so the live and simulated legs publish from the same nodes."""
-    return spread_sources(range(n), streams)
 
 
 # ----------------------------------------------------------------------
 # Control-socket helpers (JSON lines)
 # ----------------------------------------------------------------------
-def _send_obj(sock: socket.socket, obj: dict) -> None:
-    sock.sendall(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
-
-
 class _WorkerConn:
     """Coordinator-side view of one worker's control connection."""
 
@@ -282,7 +252,7 @@ class _WorkerConn:
         self.udp_port: int = -1
 
     def send(self, obj: dict) -> None:
-        _send_obj(self.sock, obj)
+        self.sock.sendall(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
 
     def recv(self, expect: str, deadline: float) -> dict:
         self.sock.settimeout(max(0.05, deadline - time.monotonic()))
@@ -312,33 +282,79 @@ def _partition(n: int, workers: int) -> list[range]:
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
-def run_live(spec: LiveSpec, *, json_path: "str | None" = None) -> LiveOutcome:
-    """Run one live dissemination; returns the assembled outcome.
+@contextmanager
+def _checkpoint_file(spec: RunSpec, nodes: int):
+    """The overlay both legs restore: the caller's checkpoint, or one
+    synthesized for the spec's seed that lives only as long as the run."""
+    if spec.bootstrap not in (None, "synthesized"):
+        yield pathlib.Path(spec.bootstrap)
+        return
+    with tempfile.TemporaryDirectory(prefix="brisa-live-") as tmp:
+        yield synthesize_checkpoint(nodes, pathlib.Path(tmp) / "overlay.json", seed=spec.seed)
 
-    Raises :class:`SimulationError` only on harness-level failures (a
-    worker dying mid-protocol); workload failures — missed deliveries,
-    incomplete structures, a forced shutdown after the timeout — are
-    *reported* in the outcome so callers (CLI, smoke test) can decide.
+
+def run_live(
+    spec: RunSpec,
+    *,
+    workers: int = 2,
+    timeout: float = 60.0,
+    cross_check: bool = True,
+    control_host: str = CONTROL_HOST,
+    json_path: "str | None" = None,
+) -> LiveOutcome:
+    """Run ``spec`` live over ``workers`` processes; returns the outcome.
+
+    ``timeout`` bounds the coordinator (workers still running then are
+    terminated); ``cross_check`` adds the same-seed simulated leg;
+    ``json_path`` merge-writes the outcome under ``live_run``.
+
+    Raises on a spec the live leg cannot run (``ValueError``) or a
+    checkpoint of the wrong size (:class:`SimulationError`); workload
+    and harness failures — missed deliveries, incomplete structures, a
+    dead worker, a forced shutdown — are *reported* in the outcome so
+    callers (CLI, smoke test) can decide.
     """
+    nodes = check_live_spec(spec, workers=workers, control_host=control_host)
     started = time.monotonic()
-    deadline = started + spec.timeout
-
-    # Overlay checkpoint: synthesize unless restoring an existing one.
-    if spec.checkpoint is not None:
-        checkpoint_path = pathlib.Path(spec.checkpoint)
-        checkpoint = bootstrap_mod.load_overlay(checkpoint_path)
-        if checkpoint.n != spec.nodes:
+    sim_rows = None
+    with _checkpoint_file(spec, nodes) as path:
+        checkpoint = load_overlay(path)
+        if checkpoint.n != nodes:
             raise SimulationError(
-                f"checkpoint holds {checkpoint.n} nodes, spec asks for {spec.nodes}"
+                f"checkpoint holds {checkpoint.n} nodes, spec asks for {nodes}"
             )
-    else:
-        checkpoint_path = pathlib.Path(tempfile.mkstemp(
-            prefix="brisa-live-overlay-", suffix=".json"
-        )[1])
-        synthesize_checkpoint(spec.nodes, checkpoint_path, seed=spec.seed)
-        checkpoint = bootstrap_mod.load_overlay(checkpoint_path)
+        reports, clean, warnings = _coordinate(
+            spec, checkpoint, workers, control_host, started + timeout
+        )
+        if cross_check:
+            sim = run_spec(replace(spec, bootstrap=str(path)))
+            sim_rows = [StreamOutcome(**row) for row in sim.per_stream]
+    outcome = LiveOutcome(
+        spec=spec,
+        nodes=nodes,
+        workers=workers,
+        rows=live_stream_outcomes(
+            [rep["nodes"] for rep in reports], nodes, spec.streams, spec.messages
+        ),
+        sim_rows=sim_rows,
+        rx_packets=sum(rep["rx"] for rep in reports),
+        tx_packets=sum(rep["tx"] for rep in reports),
+        rx_errors=sum(rep["rx_errors"] for rep in reports),
+        elapsed=time.monotonic() - started,
+        clean_shutdown=clean,
+        warnings=warnings,
+    )
+    if json_path:
+        merge_json(json_path, {"live_run": outcome.to_json()})
+    return outcome
 
-    sources = live_sources(spec.nodes, spec.streams)
+
+def _coordinate(
+    spec: RunSpec, checkpoint, workers: int, host: str, deadline: float
+) -> tuple[list[dict], bool, list[str]]:
+    """Spawn the workers, drive one dissemination to quiescence and
+    collect their reports; returns (reports, clean shutdown, warnings)."""
+    nodes = checkpoint.n
     stream_cfgs = [
         {
             "stream": i,
@@ -347,13 +363,11 @@ def run_live(spec: LiveSpec, *, json_path: "str | None" = None) -> LiveOutcome:
             "rate": spec.rate,
             "payload": spec.payload_bytes,
         }
-        for i, src in enumerate(sources)
+        for i, src in enumerate(spread_sources(range(nodes), spec.streams))
     ]
 
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((spec.control_host, 0))
-    listener.listen(spec.workers)
+    # create_server sets SO_REUSEADDR and closes the socket if bind fails.
+    listener = socket.create_server((host, 0), backlog=workers)
     control_port = listener.getsockname()[1]
 
     # Fork (not spawn): the coordinator is synchronous — no event loop or
@@ -367,11 +381,11 @@ def run_live(spec: LiveSpec, *, json_path: "str | None" = None) -> LiveOutcome:
     procs = [
         ctx.Process(
             target=_worker_main,
-            args=(w, spec.control_host, control_port),
+            args=(w, host, control_port),
             daemon=True,
             name=f"live-worker-{w}",
         )
-        for w in range(spec.workers)
+        for w in range(workers)
     ]
     for p in procs:
         p.start()
@@ -380,11 +394,10 @@ def run_live(spec: LiveSpec, *, json_path: "str | None" = None) -> LiveOutcome:
     warnings: list[str] = []
     clean = False
     reports: list[dict] = []
-    rx = tx = rx_errors = 0
     try:
-        listener.settimeout(max(1.0, spec.timeout / 2))
+        listener.settimeout(max(1.0, (deadline - time.monotonic()) / 2))
         by_id: dict[int, _WorkerConn] = {}
-        for _ in range(spec.workers):
+        for _ in range(workers):
             sock, _addr = listener.accept()
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _WorkerConn(sock)
@@ -392,13 +405,13 @@ def run_live(spec: LiveSpec, *, json_path: "str | None" = None) -> LiveOutcome:
             conn.worker_id = int(hello["worker"])
             conn.udp_port = int(hello["udp_port"])
             by_id[conn.worker_id] = conn
-        conns = [by_id[w] for w in range(spec.workers)]
+        conns = [by_id[w] for w in range(workers)]
 
-        blocks = _partition(spec.nodes, spec.workers)
+        blocks = _partition(nodes, workers)
         addrs = {}
         for w, block in enumerate(blocks):
             for nid in block:
-                addrs[str(nid)] = [spec.control_host, conns[w].udp_port]
+                addrs[str(nid)] = [host, conns[w].udp_port]
 
         epoch = time.monotonic()
         for w, conn in enumerate(conns):
@@ -407,7 +420,7 @@ def run_live(spec: LiveSpec, *, json_path: "str | None" = None) -> LiveOutcome:
                     "type": "config",
                     "seed": spec.seed,
                     "epoch": epoch,
-                    "mode": spec.mode,
+                    "mode": spec.mode if spec.mode is not None else "tree",
                     "addrs": addrs,
                     "nodes": {
                         str(nid): {
@@ -471,97 +484,7 @@ def run_live(spec: LiveSpec, *, json_path: "str | None" = None) -> LiveOutcome:
                 p.join(timeout=5.0)
         if clean:
             clean = all(p.exitcode == 0 for p in procs)
-
-    # ------------------------------------------------------------------
-    # Assemble the outcome from worker reports
-    # ------------------------------------------------------------------
-    delivered: dict[int, dict[int, int]] = {c["stream"]: {} for c in stream_cfgs}
-    parents: dict[int, dict[int, list[int]]] = {c["stream"]: {} for c in stream_cfgs}
-    duplicates = 0
-    for rep in reports:
-        rx += rep["rx"]
-        tx += rep["tx"]
-        rx_errors += rep["rx_errors"]
-        duplicates += rep["duplicates"]
-        for stream_str, per_node in rep["delivered"].items():
-            delivered[int(stream_str)].update(
-                {int(k): v for k, v in per_node.items()}
-            )
-        for stream_str, per_node in rep["parents"].items():
-            parents[int(stream_str)].update(
-                {int(k): list(v) for k, v in per_node.items()}
-            )
-
-    all_ids = set(range(spec.nodes))
-    stream_reports = []
-    for cfg in stream_cfgs:
-        sid, src = cfg["stream"], cfg["source"]
-        got = sum(v for nid, v in delivered[sid].items() if nid != src)
-        expected = (spec.nodes - 1) * spec.messages
-        g = nx.DiGraph()
-        g.add_nodes_from(all_ids)
-        for child, plist in parents[sid].items():
-            for parent in plist:
-                g.add_edge(parent, child)
-        if reports:
-            ok, reason = is_complete_structure(g, src, all_ids)
-        else:
-            ok, reason = False, "no worker reports collected"
-        stream_reports.append(
-            StreamReport(
-                stream=sid, source=src, delivered=got, expected=expected,
-                structure_ok=ok, structure_reason=reason,
-            )
-        )
-
-    sim_leg = None
-    if spec.cross_check:
-        sim_leg = run_sim_leg(spec, checkpoint_path)
-
-    outcome = LiveOutcome(
-        spec=spec,
-        streams=stream_reports,
-        duplicates=duplicates,
-        rx_packets=rx,
-        tx_packets=tx,
-        rx_errors=rx_errors,
-        elapsed=time.monotonic() - started,
-        clean_shutdown=clean,
-        workers=spec.workers,
-        checkpoint_path=str(checkpoint_path),
-        sim_leg=sim_leg,
-        warnings=warnings,
-    )
-    if json_path:
-        pathlib.Path(json_path).write_text(
-            json.dumps(outcome.to_json(), indent=1, sort_keys=True) + "\n"
-        )
-    return outcome
-
-
-# ----------------------------------------------------------------------
-# Simulated cross-check leg
-# ----------------------------------------------------------------------
-def run_sim_leg(
-    spec: LiveSpec, checkpoint_path: "str | pathlib.Path"
-) -> dict[int, tuple[float, bool]]:
-    """Same seed, same checkpointed overlay, same sources/workload — the
-    BRISA scale stack (``run_scale_brisa``: ``ConstantLatency``, deferred
-    timers) restored from the checkpoint.  Returns per-stream
-    (delivered_fraction, structure_ok), computed from the same per-node
-    accessors (``delivered_count`` / ``tree_parents``) the live workers
-    report through."""
-    from repro.experiments.scale_brisa import run_scale_brisa
-
-    result = run_scale_brisa(
-        spec.nodes, spec.messages, mode=spec.mode, rate=spec.rate,
-        payload_bytes=spec.payload_bytes, seed=spec.seed,
-        streams=spec.streams, bootstrap=str(checkpoint_path),
-    )
-    return {
-        row["stream"]: (row["delivered_fraction"], row["structure_complete"])
-        for row in result.per_stream
-    }
+    return reports, clean, warnings
 
 
 # ----------------------------------------------------------------------
@@ -652,29 +575,13 @@ async def _worker_async(worker_id: int, host: str, port: int) -> None:
             await writer.drain()
 
         elif mtype == "report":
-            local_ids = list(transport.nodes)
-            dup_counts = transport.metrics.duplicates_per_node(local_ids)
             reply(
                 {
                     "type": "report",
                     "rx": transport.rx_packets,
                     "tx": transport.tx_packets,
                     "rx_errors": transport.rx_errors,
-                    "duplicates": sum(dup_counts),
-                    "delivered": {
-                        str(s["stream"]): {
-                            str(nid): node.delivered_count(s["stream"])
-                            for nid, node in transport.nodes.items()
-                        }
-                        for s in streams
-                    },
-                    "parents": {
-                        str(s["stream"]): {
-                            str(nid): node.tree_parents(s["stream"])
-                            for nid, node in transport.nodes.items()
-                        }
-                        for s in streams
-                    },
+                    "nodes": node_report(transport.nodes.values(), len(streams)),
                 }
             )
             await writer.drain()

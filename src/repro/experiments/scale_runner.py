@@ -384,6 +384,8 @@ def brisa_stream_outcomes(
     over the live population;
     :func:`~repro.core.structure.extract_structure` reads the tree edges
     via ``tree_parents`` (``StreamState.parents`` on both kernels).
+    The live harness walks the same two reads on its workers' reports
+    (DESIGN.md §13).
     """
     alive_ids = {node.node_id for node in alive_nodes}
     outcomes = flood_stream_outcomes(sources, alive_nodes, messages)

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main, make_parser
+from repro.experiments.bootstrap import synthesize_checkpoint
 
 
 def test_list_prints_all_experiments(capsys):
@@ -209,6 +211,29 @@ def test_scale_brisa_flags_rejected_on_flood_stack(capsys):
         "scale", "--nodes", "32", "--bootstrap", "simulated",
     ]) == 2
     assert "--stack brisa" in capsys.readouterr().err
+
+
+@pytest.mark.live
+def test_live_command_runs_the_spec_it_was_given(capsys, tmp_path):
+    """`repro live` hands its flags to run_live as one RunSpec: the
+    payload and the checkpoint ride the spec, and both legs agree."""
+    out = tmp_path / "live.json"
+    checkpoint = tmp_path / "ck.json"
+    synthesize_checkpoint(8, checkpoint, seed=3)
+    assert main([
+        "live", "--nodes", "8", "--workers", "1", "--messages", "2",
+        "--seed", "3", "--payload", "64", "--checkpoint", str(checkpoint),
+        "--json", str(out),
+    ]) == 0
+    assert "cross-check vs same-seed sim: agree" in capsys.readouterr().out
+    spec = json.loads(out.read_text())["live_run"]["spec"]
+    assert spec["payload_bytes"] == 64
+    assert spec["bootstrap"] == str(checkpoint)
+
+
+def test_live_command_rejects_what_it_cannot_run(capsys):
+    assert main(["live", "--nodes", "8", "--workers", "9"]) == 2
+    assert "node per worker" in capsys.readouterr().err
 
 
 def test_unknown_experiment_rejected():

@@ -21,11 +21,11 @@ from repro.experiments.bootstrap import (
     install_checkpoint,
     load_overlay,
     save_overlay,
+    synthesize_checkpoint,
     synthesize_overlay,
     synthesize_passive,
 )
 from repro.experiments.common import Testbed as _Testbed
-from repro.experiments.live_runner import synthesize_checkpoint
 from repro.experiments.scale_flood import build_static_flood_overlay
 from repro.experiments.scale_runner import (
     RunSpec,

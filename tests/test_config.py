@@ -31,7 +31,7 @@ class TestHyParViewConfig:
             {"expansion_factor": 0.5},
             {"arwl": 2, "prwl": 3},
             {"shuffle_period": 0},
-            {"keepalive_period": -1},
+            {"passive_size": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -99,7 +99,7 @@ class TestGossipConfig:
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigError):
-            GossipConfig(anti_entropy_rate_factor=0)
+            GossipConfig(fanout=-1)
 
 
 class TestOtherConfigs:
