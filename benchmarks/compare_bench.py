@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Diff BENCH_*.json artifacts against the committed baselines.
+"""Diff a bench run's BENCH_*.json and reports against the committed
+baselines.
 
 The benchmarks write their results to the git-ignored
-``benchmarks/run/`` (``BENCH_*.json`` plus the text reports); the
-committed copies in ``benchmarks/out/`` are the performance baselines
-the ROADMAP's perf trajectory is measured against, and no test run
-touches them.  This script fails (exit 1) when any *gated* metric of a
-candidate run regresses by more than the tolerance against its
-baseline — the ``bench-compare`` CI job runs it on every PR with the
-job's freshly produced artifacts, and it is equally runnable locally:
+``benchmarks/run/`` (``BENCH_*.json`` plus the reports); the committed
+copies in ``benchmarks/out/`` are the baselines the ROADMAP's perf
+trajectory is measured against, and no test run touches them.  This
+script fails (exit 1) when any *gated* metric of a candidate run
+regresses by more than the tolerance against its baseline, or when a
+report both directories hold differs by a byte — the ``bench-compare``
+CI job runs it on every PR with the job's freshly produced artifacts,
+and it is equally runnable locally:
 
     python benchmarks/compare_bench.py                       # benchmarks/run vs benchmarks/out
     python benchmarks/compare_bench.py --candidate ./artifacts --tolerance 0.30
@@ -19,7 +21,9 @@ simulation outputs (event counts, delivery counts/fractions, duplicate
 rates, structure completeness) at the default 30% tolerance.  Nothing
 wall-clock is gated here — two timings of one process compare hosts and
 neighbours, not code; speed is judged by ``python3 -m bench run`` /
-``bench check``.
+``bench check``.  The reports are simulated outcomes too, so they must
+match exactly; the ``scale_*`` reports are not diffed, because they
+print wall-clock lines.
 
 Stdlib-only on purpose — CI runs it without installing anything.
 """
@@ -27,6 +31,7 @@ Stdlib-only on purpose — CI runs it without installing anything.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import pathlib
 import shutil
@@ -143,6 +148,47 @@ def compare_file(
     return regressions, notes
 
 
+def compare_reports(
+    baseline: pathlib.Path, candidate: pathlib.Path
+) -> tuple[list[str], list[str]]:
+    """Return (differences, notes) over the reports either directory
+    holds: every file but the BENCH_*.json and the ``scale_*`` reports.
+    A report only one side has is skipped (a CI tier that does not run
+    its bench); one that differs names its first differing line."""
+    differences: list[str] = []
+    notes: list[str] = []
+    names = {
+        path.name
+        for directory in (baseline, candidate) if directory.is_dir()
+        for path in directory.iterdir() if path.is_file()
+    }
+    for name in sorted(names):
+        if name in GATED_METRICS or name.startswith("scale_"):
+            continue
+        base, cand = baseline / name, candidate / name
+        if not (base.exists() and cand.exists()):
+            notes.append(f"{name}: no {'candidate' if base.exists() else 'baseline'} "
+                         "report — skipped")
+            continue
+        # surrogateescape decodes any bytes losslessly: equal text is
+        # equal bytes.
+        old_text, new_text = (
+            path.read_bytes().decode(errors="surrogateescape") for path in (base, cand)
+        )
+        if old_text == new_text:
+            notes.append(f"ok   {name}: identical")
+            continue
+        pairs = itertools.zip_longest(
+            old_text.splitlines(keepends=True), new_text.splitlines(keepends=True)
+        )
+        line, (old, new) = next(
+            (i, pair) for i, pair in enumerate(pairs, 1) if pair[0] != pair[1]
+        )
+        differences.append(f"FAIL {name}: line {line} differs: "
+                           f"baseline {old!r} candidate {new!r}")
+    return differences, notes
+
+
 def accept(candidate: pathlib.Path, baseline: pathlib.Path) -> None:
     """Promote a run's artifacts to the committed baselines: the one
     way ``benchmarks/out/`` changes.  BENCH_*.json files are merged key
@@ -173,29 +219,15 @@ def main(argv: list[str] | None = None) -> int:
         "--accept", action="store_true",
         help="compare, and when no gated metric regressed copy the "
              "candidate's files over the baselines (BENCH_*.json merged "
-             "key by key)",
-    )
-    parser.add_argument(
-        "--prune-xxl", type=pathlib.Path, metavar="DIR",
-        help="strip the nightly-only 'xxl' entries from BENCH_*.json in DIR "
-             "and exit.  Per-push CI runs this before the benchmarks so the "
-             "uploaded artifacts carry only values that run measured — a "
-             "run directory left over from an earlier REPRO_XXL run would "
-             "otherwise pass its xxl entries on through the merge-write",
-    )
-    parser.add_argument(
-        "--prune-xxxl", type=pathlib.Path, metavar="DIR",
-        help="strip the nightly-only 1M-node 'xxxl' entry from BENCH_*.json "
-             "in DIR and exit.  Same rationale as --prune-xxl: per-push CI "
-             "never runs the xxxl rung, so the merge-written artifacts must "
-             "not inherit a left-over entry",
+             "key by key), differing reports included",
     )
     parser.add_argument(
         "--prune", nargs=2, action="append", metavar=("DIR", "KEYS"),
         help="strip the comma-separated top-level entries KEYS from "
-             "BENCH_*.json in DIR and exit — the generic form of "
-             "--prune-xxl for any bench family a given CI tier does not "
-             "re-measure (e.g. --prune benchmarks/run topology,loss)",
+             "BENCH_*.json in DIR and exit, for bench families a CI tier "
+             "does not re-measure: a run directory left over from a "
+             "nightly run would otherwise pass them on through the "
+             "merge-write (e.g. --prune benchmarks/run xxl,xxxl)",
     )
     parser.add_argument(
         "--baseline", type=pathlib.Path,
@@ -208,21 +240,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    prune_jobs: list[tuple[pathlib.Path, tuple[str, ...]]] = []
-    if args.prune_xxl is not None:
-        prune_jobs.append((args.prune_xxl, ("xxl", "xxl_churn", "xxl_slotted")))
-    if args.prune_xxxl is not None:
-        prune_jobs.append((args.prune_xxxl, ("xxxl",)))
-    for directory, keys in args.prune or ():
-        prune_jobs.append((pathlib.Path(directory), tuple(keys.split(","))))
-    if prune_jobs:
-        for directory, keys in prune_jobs:
+    if args.prune:
+        for directory, keys in args.prune:
             for name in sorted(GATED_METRICS):
-                path = directory / name
+                path = pathlib.Path(directory) / name
                 if not path.exists():
                     continue
                 data = json.loads(path.read_text())
-                pruned = [key for key in keys if data.pop(key, None) is not None]
+                pruned = [key for key in keys.split(",") if data.pop(key, None) is not None]
                 if pruned:
                     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
                     print(f"{name}: pruned stale {', '.join(pruned)} entr{'y' if len(pruned) == 1 else 'ies'}")
@@ -240,12 +265,20 @@ def main(argv: list[str] | None = None) -> int:
         for line in regressions:
             print(line)
         all_regressions.extend(regressions)
+    differences, notes = compare_reports(args.baseline, args.candidate)
+    for line in notes + differences:
+        print(line)
     if all_regressions:
         print(f"\n{len(all_regressions)} gated metric(s) regressed beyond tolerance")
         return 1
     print("\nall gated metrics within tolerance")
     if args.accept:
         accept(args.candidate, args.baseline)
+        return 0
+    if differences:
+        print(f"{len(differences)} report(s) differ from the baseline "
+              "(--accept promotes an intended change)")
+        return 1
     return 0
 
 

@@ -5,26 +5,10 @@ than 1 duplicate *per message* at view 4 and more than 7 at view 10 (the
 figure's x-axis is duplicates per message).
 """
 
-from repro.experiments.paperdata import FIG2_MEDIAN_DUPLICATES
-from repro.experiments.report import banner, cdf_rows
-from repro.experiments.scenarios import fig2_duplicates
-from repro.metrics.stats import CDF
 
-
-def test_fig02_duplicates(benchmark, scale, emit):
-    result = benchmark.pedantic(
-        lambda: fig2_duplicates(scale), rounds=1, iterations=1
-    )
-    # Normalize totals to duplicates-per-message (the figure's unit).
-    per_message = {
-        f"view size = {v}": CDF.of(x / result.messages for x in cdf.values)
-        for v, cdf in sorted(result.by_view.items())
-    }
-    text = banner(
-        f"Fig. 2 — duplicates per message per node "
-        f"({result.nodes} nodes, {result.messages} msgs, flooding)"
-    ) + "\n" + cdf_rows(per_message)
-    emit("fig02_duplicates", text)
+def test_fig02_duplicates(artifact):
+    result = artifact("fig2")
+    per_message = result.per_message()
 
     # Shape: duplicates grow monotonically with the view size...
     medians = [per_message[f"view size = {v}"].median for v in sorted(result.by_view)]

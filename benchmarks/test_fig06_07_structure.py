@@ -9,25 +9,9 @@ path) exceeds tree depth; DAGs leave fewer leaves (more nodes relay);
 curves are steep — structures stay balanced, no chain degeneration.
 """
 
-from repro.experiments.report import banner, cdf_rows
-from repro.experiments.scenarios import fig6_fig7_structure
 
-
-def _structure(scale, shared_cache):
-    key = ("fig6_7", scale.name)
-    if key not in shared_cache:
-        shared_cache[key] = fig6_fig7_structure(scale)
-    return shared_cache[key]
-
-
-def test_fig06_depth(benchmark, scale, emit, shared_cache):
-    dists = benchmark.pedantic(
-        lambda: _structure(scale, shared_cache), rounds=1, iterations=1
-    )
-    text = banner(
-        f"Fig. 6 — depth distribution ({dists.nodes} nodes, first-come)"
-    ) + "\n" + cdf_rows(dists.depth)
-    emit("fig06_depth", text)
+def test_fig06_depth(artifact):
+    dists = artifact("fig6")
 
     # Larger views allow more children -> shallower trees.
     assert (
@@ -44,14 +28,8 @@ def test_fig06_depth(benchmark, scale, emit, shared_cache):
         assert cdf.max <= cdf.mean * 4 + 3, (label, cdf.summary())
 
 
-def test_fig07_degree(benchmark, scale, emit, shared_cache):
-    dists = benchmark.pedantic(
-        lambda: _structure(scale, shared_cache), rounds=1, iterations=1
-    )
-    text = banner(
-        f"Fig. 7 — degree distribution ({dists.nodes} nodes, first-come)"
-    ) + "\n" + cdf_rows(dists.degree)
-    emit("fig07_degree", text)
+def test_fig07_degree(artifact):
+    dists = artifact("fig6")
 
     # DAGs engage a greater share of nodes in relaying (fewer leaves).
     assert dists.degree["DAG 2 parents, view=4"].fraction_at_most(0) <= (

@@ -6,36 +6,11 @@ distribution; view-8 configurations pay slightly more PSS overhead; rates
 scale with the payload size.
 """
 
-from repro.experiments.report import banner, percentile_rows
-from repro.experiments.scenarios import fig10_fig11_bandwidth
 
-PAYLOADS = (1, 10, 50, 100)
+def test_fig10_download(artifact):
+    result = artifact("fig10")
 
-
-def _bandwidth(scale, shared_cache):
-    key = ("fig10_11", scale.name)
-    if key not in shared_cache:
-        shared_cache[key] = fig10_fig11_bandwidth(scale, payload_kb=PAYLOADS)
-    return shared_cache[key]
-
-
-def _rows(data):
-    return {
-        f"{label}, {kb} KB": percentiles
-        for (label, kb), percentiles in sorted(data.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    }
-
-
-def test_fig10_download(benchmark, scale, emit, shared_cache):
-    result = benchmark.pedantic(
-        lambda: _bandwidth(scale, shared_cache), rounds=1, iterations=1
-    )
-    text = banner(
-        f"Fig. 10 — download bandwidth percentiles ({result.nodes} nodes)"
-    ) + "\n" + percentile_rows(_rows(result.download))
-    emit("fig10_download", text)
-
-    for kb in PAYLOADS:
+    for kb in sorted({kb for _, kb in result.download}):
         tree = result.download[("tree, view=4", kb)]
         dag = result.download[("DAG 2 parents, view=4", kb)]
         # DAGs receive up to one extra copy per message: median download
@@ -52,14 +27,8 @@ def test_fig10_download(benchmark, scale, emit, shared_cache):
     )
 
 
-def test_fig11_upload(benchmark, scale, emit, shared_cache):
-    result = benchmark.pedantic(
-        lambda: _bandwidth(scale, shared_cache), rounds=1, iterations=1
-    )
-    text = banner(
-        f"Fig. 11 — upload bandwidth percentiles ({result.nodes} nodes)"
-    ) + "\n" + percentile_rows(_rows(result.upload))
-    emit("fig11_upload", text)
+def test_fig11_upload(artifact):
+    result = artifact("fig10")
 
     for kb in (10, 100):
         tree = result.upload[("tree, view=4", kb)]

@@ -7,36 +7,10 @@ tiny payloads but blows up at 10–20 KB because of its duplicate factor.
 """
 
 from repro.experiments.paperdata import FIG12_ORDER_AT_20KB
-from repro.experiments.report import banner, table
-from repro.experiments.scenarios import fig12_bandwidth_comparison
-from repro.sim.monitor import DISSEMINATION, STABILIZATION
-
-PAYLOADS = (0, 1, 10, 20)
 
 
-def test_fig12_bandwidth_comparison(benchmark, scale, emit):
-    result = benchmark.pedantic(
-        lambda: fig12_bandwidth_comparison(scale, payload_kb=PAYLOADS),
-        rounds=1,
-        iterations=1,
-    )
-    headers = ["protocol"] + [
-        f"{kb} KB stab/diss/total (MB)" for kb in PAYLOADS
-    ]
-    rows = []
-    for proto, per_payload in result.data.items():
-        cells = [proto]
-        for kb in PAYLOADS:
-            d = per_payload[kb]
-            cells.append(
-                f"{d[STABILIZATION]:.3f}/{d[DISSEMINATION]:.3f}/"
-                f"{d[STABILIZATION] + d[DISSEMINATION]:.3f}"
-            )
-        rows.append(cells)
-    text = banner(
-        f"Fig. 12 — data transmitted per node ({result.nodes} nodes)"
-    ) + "\n" + table(headers, rows)
-    emit("fig12_bandwidth_comparison", text)
+def test_fig12_bandwidth_comparison(artifact):
+    result = artifact("fig12")
 
     # SimpleTree has the cheapest management (empty payload column).
     assert result.total("SimpleTree", 0) <= result.total("BRISA", 0)

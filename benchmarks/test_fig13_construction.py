@@ -7,19 +7,10 @@ construction rides on already-open HyParView connections.
 """
 
 from repro.experiments.paperdata import FIG13_PLANETLAB_TAG_SLOWDOWN_MIN
-from repro.experiments.report import banner, cdf_rows
-from repro.experiments.scenarios import fig13_construction
 
 
-def test_fig13_construction(benchmark, scale, emit):
-    result = benchmark.pedantic(
-        lambda: fig13_construction(scale), rounds=1, iterations=1
-    )
-    labeled = {
-        f"{proto}, {env}": cdf for (proto, env), cdf in sorted(result.series.items())
-    }
-    text = banner("Fig. 13 — construction time (seconds)") + "\n" + cdf_rows(labeled)
-    emit("fig13_construction", text)
+def test_fig13_construction(artifact):
+    result = artifact("fig13")
 
     for key, cdf in result.series.items():
         assert not cdf.empty, f"no construction probes for {key}"

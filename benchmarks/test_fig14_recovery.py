@@ -5,28 +5,11 @@ twice as fast as TAG's list re-insertion, and TAG needs hard repairs
 about twice as often.
 """
 
-from repro.experiments.paperdata import FIG14_TAG_OVER_BRISA_MIN
-from repro.experiments.report import banner, cdf_rows, table
-from repro.experiments.scenarios import fig14_recovery
 
-
-def test_fig14_recovery(benchmark, scale, emit):
-    # The fast scale shortens the churn window; raise the churn rate so
-    # enough hard repairs occur to estimate the CDFs.
-    churn = 3.0 if scale.name == "paper" else 6.0
-    result = benchmark.pedantic(
-        lambda: fig14_recovery(scale, churn_percent=churn), rounds=1, iterations=1
-    )
-    text = banner(
-        f"Fig. 14 — parent recovery delays under {churn:g}% churn (seconds)"
-    )
-    text += "\nHard repairs:\n" + cdf_rows(result.hard)
-    text += "\nSoft repairs:\n" + cdf_rows(result.soft)
-    text += "\n" + table(
-        ["protocol", "hard repairs observed"],
-        [[k, v] for k, v in result.hard_repair_counts.items()],
-    )
-    emit("fig14_recovery", text)
+def test_fig14_recovery(artifact):
+    # Below paper scale the entry point raises the churn rate to 6 %
+    # (robustness.fig14_recovery).
+    result = artifact("fig14")
 
     brisa_hard = result.hard["BRISA tree"]
     tag_hard = result.hard["TAG"]

@@ -8,39 +8,13 @@ Paper anchors (active view 4, 3%/5% churn per minute, Listing 1):
 """
 
 from repro.experiments.paperdata import (
-    TABLE1,
     TABLE1_DAG_ORPHAN_REDUCTION_MIN,
     TABLE1_SOFT_REPAIR_MIN,
 )
-from repro.experiments.report import banner, table
-from repro.experiments.scenarios import table1_churn
 
 
-def test_table1_churn(benchmark, scale, emit):
-    result = benchmark.pedantic(
-        lambda: table1_churn(scale), rounds=1, iterations=1
-    )
-    headers = [
-        "nodes", "churn", "structure",
-        "parents lost/min", "orphans/min", "% soft", "% hard",
-        "paper lost/min", "paper orphans/min", "paper % soft",
-    ]
-    rows = []
-    for (n, pct, mode), row in sorted(result.rows.items()):
-        paper_key = (512 if n >= 256 else 128, pct, mode)
-        paper = TABLE1.get(paper_key, ("-", "-", "-", "-"))
-        rows.append(
-            [
-                n, f"{pct:g}%", mode,
-                row.parents_lost_per_min, row.orphans_per_min,
-                row.soft_repair_pct, row.hard_repair_pct,
-                paper[0], paper[1], paper[2],
-            ]
-        )
-    text = banner(
-        f"Table I — impact of churn (view 4, {result.churn_window:.0f}s windows)"
-    ) + "\n" + table(headers, rows)
-    emit("table1_churn", text)
+def test_table1_churn(artifact):
+    result = artifact("table1")
 
     for n in {k[0] for k in result.rows}:
         for pct in {k[1] for k in result.rows}:

@@ -6,35 +6,9 @@ period + bounded batch cannot sustain the injection rate, so the backlog
 drains after injection stops).
 """
 
-from repro.experiments.paperdata import TABLE2
-from repro.experiments.report import banner, overhead_percent, table
-from repro.experiments.scenarios import table2_latency
 
-
-def test_table2_latency(benchmark, scale, emit):
-    result = benchmark.pedantic(
-        lambda: table2_latency(scale), rounds=1, iterations=1
-    )
-    rows = []
-    for proto in ("SimpleTree", "BRISA", "SimpleGossip", "TAG"):
-        paper_lat, paper_over = TABLE2[proto]
-        rows.append(
-            [
-                proto,
-                result.latency[proto],
-                overhead_percent(result.overhead(proto)),
-                f"{result.delivered[proto] * 100:.1f}%",
-                paper_lat,
-                overhead_percent(paper_over),
-            ]
-        )
-    text = banner(
-        f"Table II — dissemination latency (ideal span {result.ideal:.1f}s)"
-    ) + "\n" + table(
-        ["protocol", "latency (s)", "overhead", "delivered", "paper (s)", "paper overhead"],
-        rows,
-    )
-    emit("table2_latency", text)
+def test_table2_latency(artifact):
+    result = artifact("table2")
 
     lat = result.latency
     # SimpleTree sits at the ideal span.

@@ -28,118 +28,10 @@ from __future__ import annotations
 import argparse
 import resource
 import sys
-from typing import Callable
 
 from repro.errors import SimulationError
 from repro.experiments import report as rp
 from repro.experiments import scenarios as sc
-from repro.sim.monitor import DISSEMINATION, STABILIZATION
-
-
-def _render_fig2(scale) -> str:
-    res = sc.fig2_duplicates(scale)
-    from repro.metrics.stats import CDF
-
-    series = {
-        f"view size = {v}": CDF.of(x / res.messages for x in cdf.values)
-        for v, cdf in sorted(res.by_view.items())
-    }
-    return rp.banner("Fig. 2 — duplicates per message per node") + "\n" + rp.cdf_rows(series)
-
-
-def _render_fig6(scale) -> str:
-    res = sc.fig6_fig7_structure(scale)
-    out = rp.banner("Fig. 6 — depth distribution") + "\n" + rp.cdf_rows(res.depth)
-    out += "\n" + rp.banner("Fig. 7 — degree distribution") + "\n" + rp.cdf_rows(res.degree)
-    return out
-
-
-def _render_fig8(scale) -> str:
-    res = sc.fig8_tree_shape()
-    rows = [
-        [f"view={v}", s["nodes"], s["edges"], s["max_depth"], s["max_degree"], s["leaves"]]
-        for v, s in sorted(res.summary.items())
-    ]
-    return rp.banner("Fig. 8 — sample tree shapes") + "\n" + rp.table(
-        ["config", "nodes", "edges", "max depth", "max degree", "leaves"], rows
-    )
-
-
-def _render_fig9(scale) -> str:
-    res = sc.fig9_routing_delays(scale, seed=24)
-    return rp.banner("Fig. 9 — routing delays (PlanetLab)") + "\n" + rp.cdf_rows(res.series)
-
-
-def _render_fig10(scale) -> str:
-    res = sc.fig10_fig11_bandwidth(scale)
-    dl = {f"{label}, {kb} KB": p for (label, kb), p in sorted(res.download.items())}
-    ul = {f"{label}, {kb} KB": p for (label, kb), p in sorted(res.upload.items())}
-    out = rp.banner("Fig. 10 — download KB/s percentiles") + "\n" + rp.percentile_rows(dl)
-    out += "\n" + rp.banner("Fig. 11 — upload KB/s percentiles") + "\n" + rp.percentile_rows(ul)
-    return out
-
-
-def _render_table1(scale) -> str:
-    res = sc.table1_churn(scale)
-    rows = [
-        [n, f"{pct:g}%", mode, r.parents_lost_per_min, r.orphans_per_min,
-         r.soft_repair_pct, r.hard_repair_pct]
-        for (n, pct, mode), r in sorted(res.rows.items())
-    ]
-    return rp.banner("Table I — impact of churn") + "\n" + rp.table(
-        ["nodes", "churn", "mode", "lost/min", "orphans/min", "% soft", "% hard"], rows
-    )
-
-
-def _render_fig12(scale) -> str:
-    res = sc.fig12_bandwidth_comparison(scale)
-    rows = []
-    for proto, per in res.data.items():
-        for kb, d in sorted(per.items()):
-            rows.append([proto, kb, d[STABILIZATION], d[DISSEMINATION],
-                         d[STABILIZATION] + d[DISSEMINATION]])
-    return rp.banner("Fig. 12 — data transmitted per node (MB)") + "\n" + rp.table(
-        ["protocol", "payload KB", "stabilization", "dissemination", "total"], rows
-    )
-
-
-def _render_fig13(scale) -> str:
-    res = sc.fig13_construction(scale)
-    series = {f"{p}, {e}": c for (p, e), c in sorted(res.series.items())}
-    return rp.banner("Fig. 13 — construction time (s)") + "\n" + rp.cdf_rows(series)
-
-
-def _render_table2(scale) -> str:
-    res = sc.table2_latency(scale)
-    rows = [
-        [proto, res.latency[proto], rp.overhead_percent(res.overhead(proto)),
-         f"{res.delivered[proto] * 100:.1f}%"]
-        for proto in res.latency
-    ]
-    return rp.banner(f"Table II — dissemination latency (ideal {res.ideal:.1f}s)") + "\n" + rp.table(
-        ["protocol", "latency (s)", "overhead", "delivered"], rows
-    )
-
-
-def _render_fig14(scale) -> str:
-    res = sc.fig14_recovery(scale, churn_percent=6.0)
-    out = rp.banner("Fig. 14 — recovery delays (s)") + "\nHard repairs:\n"
-    out += rp.cdf_rows(res.hard) + "\nSoft repairs:\n" + rp.cdf_rows(res.soft)
-    return out
-
-
-EXPERIMENTS: dict[str, tuple[str, Callable]] = {
-    "fig2": ("Duplicates per node under flooding", _render_fig2),
-    "fig6": ("Depth + degree distributions (also fig7)", _render_fig6),
-    "fig8": ("Sample tree shapes", _render_fig8),
-    "fig9": ("Routing delays on PlanetLab", _render_fig9),
-    "fig10": ("Bandwidth percentiles (also fig11)", _render_fig10),
-    "table1": ("Churn impact", _render_table1),
-    "fig12": ("Cross-protocol bandwidth", _render_fig12),
-    "fig13": ("Construction time", _render_fig13),
-    "table2": ("Dissemination latency", _render_table2),
-    "fig14": ("Recovery delays", _render_fig14),
-}
 
 
 def _add_workload_args(cmd, *, default_size: str, default_messages: int) -> None:
@@ -173,7 +65,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list reproducible artifacts")
     run = sub.add_parser("run", help="run one artifact (or 'all')")
-    run.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
+    run.add_argument("experiment", choices=[*sc.ARTIFACTS, "all"])
     run.add_argument("--scale", default=None,
                      help="tiny | small | fast | paper | large | xl | xxl | xxxl")
     sub.add_parser("quickstart", help="64-node BRISA run (quick_brisa_run)")
@@ -326,8 +218,8 @@ def _run_live(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     if args.command == "list":
-        for name, (desc, _) in EXPERIMENTS.items():
-            print(f"{name:8} {desc}")
+        for name, artifact in sc.ARTIFACTS.items():
+            print(f"{name:8} {artifact.description}")
         return 0
     if args.command == "quickstart":
         from repro.experiments.common import quick_brisa_run
@@ -339,10 +231,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "live":
         return _run_live(args)
     scale = sc.get_scale(args.scale)
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = list(sc.ARTIFACTS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        _, render = EXPERIMENTS[name]
-        print(render(scale))
+        _, reports = sc.ARTIFACTS[name].produce(scale)
+        # The text reports, exactly as the benches write them; fig8's
+        # DOT graphs are files its text report names.
+        for file_name, text in reports.items():
+            if file_name.endswith(".txt"):
+                sys.stdout.write(text)
     return 0
 
 

@@ -1,7 +1,8 @@
 """Digitized values from the paper's evaluation (§III).
 
-Used by the benches (``benchmarks/test_fig*``, ``test_table*``) for
-side-by-side comparison.  We reproduce *shapes* — who wins, by roughly
+Used by the artifact renderers (``scenarios.ARTIFACTS``) for the paper
+columns and by the benches (``benchmarks/test_fig*``, ``test_table*``)
+for shape thresholds.  We reproduce *shapes* — who wins, by roughly
 what factor, where crossovers fall — not the absolute numbers of the
 authors' 2011 testbed.
 """

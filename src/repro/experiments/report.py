@@ -1,7 +1,9 @@
 """ASCII rendering of experiment results, paper-style.
 
-Every bench prints through these helpers so the rows look like the
-figures/tables they reproduce: CDF summaries for the CDF figures,
+Every report (the artifact renderers in
+:mod:`repro.experiments.scenarios`, the ablation and scale benches)
+prints through these helpers so the rows look like the figures/tables
+they reproduce: CDF summaries for the CDF figures,
 percentile stacks for Figs. 10–11, and side-by-side our-vs-paper tables.
 """
 

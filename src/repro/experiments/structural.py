@@ -34,6 +34,14 @@ class Fig2Result:
     messages: int = 0
     nodes: int = 0
 
+    def per_message(self) -> dict[str, CDF]:
+        """Duplicates per node *per message* (the figure's x-axis), one
+        series per view size."""
+        return {
+            f"view size = {v}": CDF.of(x / self.messages for x in cdf.values)
+            for v, cdf in sorted(self.by_view.items())
+        }
+
 
 def fig2_duplicates(
     scale: Scale | str | None = None,

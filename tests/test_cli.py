@@ -2,17 +2,20 @@
 
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main, make_parser
+from repro.cli import main, make_parser
+from repro.experiments import robustness
 from repro.experiments.bootstrap import synthesize_checkpoint
+from repro.experiments.scenarios import ARTIFACTS
 
 
 def test_list_prints_all_experiments(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
+    for name in ARTIFACTS:
         assert name in out
 
 
@@ -21,6 +24,30 @@ def test_run_single_experiment(capsys, monkeypatch):
     assert main(["run", "fig8"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 8" in out and "max depth" in out
+
+
+@pytest.mark.parametrize("scale, churn", [("paper", 3.0), ("fast", 6.0)])
+def test_run_fig14_churns_at_the_rungs_rate(monkeypatch, scale, churn):
+    """`repro run fig14 --scale paper` churns at the paper's 3 %/min;
+    the smaller rungs at 6 %.  The testbed builder and the churn run are
+    patched, so nothing is simulated."""
+    asked = []
+
+    class Asked(Exception):
+        pass
+
+    def run_churn(bed, source, *, churn_percent, **timing):
+        asked.append(churn_percent)
+        raise Asked
+
+    monkeypatch.setattr(
+        robustness, "build_brisa_testbed",
+        lambda n, **kw: SimpleNamespace(choose_source=lambda: None),
+    )
+    monkeypatch.setattr(robustness, "_run_churn", run_churn)
+    with pytest.raises(Asked):
+        main(["run", "fig14", "--scale", scale])
+    assert asked == [churn]
 
 
 def test_run_with_explicit_scale(capsys):

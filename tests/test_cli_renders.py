@@ -1,25 +1,20 @@
-"""Smoke tests: every CLI artifact renderer produces paper-style rows.
+"""Smoke tests: every paper artifact renders paper-style reports.
 
-Runs `python -m repro run all` semantics at tiny scale — this exercises
-every scenario + render path end to end.
+Each ``scenarios.ARTIFACTS`` entry runs at tiny scale through
+``Artifact.produce``, the one path ``repro run`` and the benches share.
 """
 
 import pytest
 
-from repro.cli import EXPERIMENTS
+from repro.experiments.scale import TINY
+from repro.experiments.scenarios import ARTIFACTS
 
 
-@pytest.fixture(autouse=True)
-def tiny_scale(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "tiny")
-
-
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
 def test_renderer_produces_rows(name):
-    from repro.experiments.scale import get_scale
-
-    _, render = EXPERIMENTS[name]
-    out = render(get_scale())
-    assert isinstance(out, str)
-    assert "===" in out  # banner present
-    assert len(out.splitlines()) >= 5  # headers + at least one data row
+    _, reports = ARTIFACTS[name].produce(TINY)
+    texts = [text for file_name, text in reports.items() if file_name.endswith(".txt")]
+    assert texts
+    for text in texts:
+        assert "===" in text  # banner present
+        assert len(text.splitlines()) >= 5  # headers + at least one data row

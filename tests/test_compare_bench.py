@@ -133,13 +133,14 @@ def test_prune_xxl_strips_stale_nightly_entries(tmp_path, capsys):
     payload = scale_payload()
     payload["xxl"] = {"delivered_fraction": 1.0, "events": 1_000_000}
     write(out / "BENCH_scale.json", payload)
-    assert compare_bench.main(["--prune-xxl", str(out)]) == 0
+    argv = ["--prune", str(out), "xxl,xxl_churn,xxl_slotted,xxxl"]
+    assert compare_bench.main(argv) == 0
     pruned = json.loads((out / "BENCH_scale.json").read_text())
     assert "xxl" not in pruned
     assert pruned["scale_run"] == payload["scale_run"]
     assert "pruned" in capsys.readouterr().out
     # Idempotent on files with no xxl entry.
-    assert compare_bench.main(["--prune-xxl", str(out)]) == 0
+    assert compare_bench.main(argv) == 0
 
 
 def test_accept_promotes_a_passing_run(tmp_path, capsys):
@@ -196,3 +197,56 @@ def test_structure_completeness_gate(tmp_path):
     broken["scale_run"]["structure_complete"] = False
     write(cand / "BENCH_scale_brisa.json", broken)
     assert compare_bench.main(["--candidate", str(cand), "--baseline", str(base)]) == 1
+
+
+REPORT = "\n====\n  Fig. 2 — duplicates\n====\nseries  n   median\nview 4  64  1.25\n"
+
+
+def report_dirs(tmp_path, baseline: dict, candidate: dict):
+    base, cand = tmp_path / "base", tmp_path / "cand"
+    for directory, files in ((base, baseline), (cand, candidate)):
+        directory.mkdir()
+        write(directory / "BENCH_scale.json", scale_payload())
+        for name, text in files.items():
+            (directory / name).write_text(text)
+    return ["--candidate", str(cand), "--baseline", str(base)]
+
+
+def test_identical_reports_pass(tmp_path, capsys):
+    argv = report_dirs(tmp_path, {"fig02_duplicates.txt": REPORT},
+                       {"fig02_duplicates.txt": REPORT})
+    assert compare_bench.main(argv) == 0
+    assert "ok   fig02_duplicates.txt: identical" in capsys.readouterr().out
+
+
+def test_one_changed_digit_fails_naming_the_line(tmp_path, capsys):
+    argv = report_dirs(tmp_path, {"fig02_duplicates.txt": REPORT},
+                       {"fig02_duplicates.txt": REPORT.replace("1.25", "1.26")})
+    assert compare_bench.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "FAIL fig02_duplicates.txt: line 6 differs" in out
+    assert "'view 4  64  1.26\\n'" in out
+
+
+def test_scale_reports_are_not_diffed(tmp_path, capsys):
+    """The scale_* reports print wall-clock lines."""
+    argv = report_dirs(tmp_path, {"scale_flood.txt": "wall time: 3.03 s\n"},
+                       {"scale_flood.txt": "wall time: 4.99 s\n"})
+    assert compare_bench.main(argv) == 0
+    assert "scale_flood" not in capsys.readouterr().out
+
+
+def test_a_report_missing_on_one_side_is_skipped(tmp_path, capsys):
+    argv = report_dirs(tmp_path, {"fig02_duplicates.txt": REPORT},
+                       {"fig14-paper.txt": REPORT})
+    assert compare_bench.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "fig02_duplicates.txt: no candidate report — skipped" in out
+    assert "fig14-paper.txt: no baseline report — skipped" in out
+
+
+def test_accept_promotes_a_changed_report(tmp_path):
+    argv = report_dirs(tmp_path, {"fig02_duplicates.txt": REPORT},
+                       {"fig02_duplicates.txt": REPORT.replace("1.25", "1.26")})
+    assert compare_bench.main(argv + ["--accept"]) == 0
+    assert compare_bench.main(argv) == 0

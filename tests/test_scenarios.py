@@ -158,9 +158,10 @@ class TestTable2:
 
 class TestFig14:
     def test_recovery_delays_collected(self):
-        res = fig14_recovery(TINY, seed=7, churn_percent=8.0)
+        res = fig14_recovery(TINY, seed=7)
+        assert res.churn_percent == 6.0
         assert "BRISA tree" in res.hard and "TAG" in res.hard
-        # Churn at 8%/min over 60 s should produce at least some repairs.
+        # Churn at 6%/min over 60 s should produce at least some repairs.
         total_events = sum(len(c) for c in res.hard.values()) + sum(
             len(c) for c in res.soft.values()
         )
