@@ -69,7 +69,7 @@ def main() -> None:
         if n is not publisher and n.birth_time < start
     ]
     complete = sum(
-        1 for n in survivors if len(n.streams[0].delivered) >= items - 1
+        1 for n in survivors if n.delivered_count(0) >= items - 1
     )
 
     print(banner("News feed under churn — 2-parent BRISA DAG"))

@@ -111,7 +111,7 @@ class BrisaNode(HyParViewNode):
 
     def delivered_count(self, stream: StreamId = 0) -> int:
         state = self.streams.get(stream)
-        return len(state.delivered) if state is not None else 0
+        return state.delivered_n if state is not None else 0
 
     # ------------------------------------------------------------------
     # Source API
@@ -281,14 +281,13 @@ class BrisaNode(HyParViewNode):
         seq = msg.seq
         if src != state.maint_src or meta is not state.maint_meta:
             return False
-        if seq in state.delivered:
+        if not state.note_delivered(seq):
             return False
         cand = state.maint_cand
         cand.path_delay = 0.7 * cand.path_delay + 0.3 * msg.path_delay
         # rules.wants_gap_recovery, inlined (§II-F).  An unseen ``seq``
         # may sit below the prefix (the recovery horizon passed it): it
         # is delivered and relayed like any other, with no request.
-        state.note_delivered(seq)
         if (
             seq > state.max_contig + 1
             and not msg.recovered
@@ -346,7 +345,7 @@ class BrisaNode(HyParViewNode):
                 # (jitter-smoothed input for the delay-aware strategy).
                 cand.path_delay = 0.7 * cand.path_delay + 0.3 * msg.path_delay
 
-        first = seq not in state.delivered
+        first = state.note_delivered(seq)
         if not first:
             state.duplicates += 1
         self.transport.metrics.record_delivery(
@@ -355,7 +354,6 @@ class BrisaNode(HyParViewNode):
         )
 
         if first:
-            state.note_delivered(seq)
             state.buffer.store(seq, msg.payload_bytes)
             if is_neighbor:
                 if meta is not None and src in state.parents:
@@ -556,7 +554,7 @@ class BrisaNode(HyParViewNode):
         timer stops (and the heap drains) after ``TAIL_PROBE_ROUNDS``
         probes yield nothing new.
         """
-        progress = len(state.delivered)
+        progress = state.delivered_n
         if progress != seen:
             # Stream still moving — reset the probe budget and recheck.
             self._arm_tail_probe(state, progress, 0)

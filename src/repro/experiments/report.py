@@ -9,7 +9,7 @@ percentile stacks for Figs. 10–11, and side-by-side our-vs-paper tables.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.metrics.stats import CDF
 
@@ -86,46 +86,6 @@ def percentile_rows(
     return table(headers, rows)
 
 
-def comparison_rows(
-    ours: Mapping[str, float],
-    paper: Mapping[str, float],
-    *,
-    label: str = "metric",
-    unit: str = "",
-) -> str:
-    """Side-by-side our-measured vs paper-published values."""
-    headers = [label, f"ours {unit}".strip(), f"paper {unit}".strip(), "ratio"]
-    rows = []
-    for key in ours:
-        p = paper.get(key)
-        ratio = (ours[key] / p) if p else float("nan")
-        rows.append([key, ours[key], p if p is not None else "-", ratio])
-    return table(headers, rows)
-
-
 def banner(title: str) -> str:
     line = "=" * max(60, len(title) + 4)
     return f"\n{line}\n  {title}\n{line}"
-
-
-def ascii_cdf(
-    cdf: CDF, *, width: int = 50, height: int = 10, label: str = ""
-) -> str:
-    """Tiny ASCII CDF plot for terminal inspection."""
-    if cdf.empty:
-        return f"{label}: (empty)"
-    lo, hi = cdf.min, cdf.max
-    span = (hi - lo) or 1.0
-    lines = []
-    for row in range(height, 0, -1):
-        frac = row / height
-        cells = []
-        for col in range(width):
-            x = lo + span * col / (width - 1)
-            cells.append("#" if cdf.fraction_at_most(x) >= frac else " ")
-        lines.append(f"{frac * 100:5.0f}% |" + "".join(cells))
-    lines.append(" " * 7 + "+" + "-" * width)
-    lines.append(f"{'':7}{lo:<12.4g}{'':{max(0, width - 24)}}{hi:>12.4g}")
-    if label:
-        lines.insert(0, label)
-    return "\n".join(lines)

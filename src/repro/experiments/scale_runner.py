@@ -377,8 +377,8 @@ def brisa_stream_outcomes(
 ) -> list[StreamOutcome]:
     """BRISA accounting: the flood walk + §II-B structure.
 
-    ``node.delivered_count(stream)`` is answered by
-    ``StreamState.delivered`` on both kernels, so the delivery walk is
+    ``node.delivered_count(stream)`` is answered by the O(1) counter
+    ``StreamState.delivered_n`` on both kernels, so the delivery walk is
     kernel-independent (Metrics shards are not populated at scale).
     Every stream must also have emerged a complete, acyclic structure
     over the live population;

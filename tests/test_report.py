@@ -1,10 +1,8 @@
 """Tests for the ASCII report rendering."""
 
 from repro.experiments.report import (
-    ascii_cdf,
     banner,
     cdf_rows,
-    comparison_rows,
     overhead_percent,
     percentile_rows,
     table,
@@ -32,31 +30,9 @@ def test_percentile_rows():
     assert "cfg" in out
 
 
-def test_comparison_rows_ratio():
-    out = comparison_rows({"x": 2.0}, {"x": 1.0}, label="proto", unit="s")
-    assert "2.00" in out and "1.00" in out
-    assert "ratio" in out
-
-
-def test_comparison_rows_missing_paper_value():
-    out = comparison_rows({"y": 2.0}, {}, label="proto")
-    assert "-" in out
-
-
 def test_banner():
     out = banner("Fig. 2")
     assert "Fig. 2" in out and out.count("=") >= 120
-
-
-def test_ascii_cdf_plot():
-    out = ascii_cdf(cdf_of([1, 2, 3, 4, 5]), width=20, height=4, label="demo")
-    assert "demo" in out
-    assert "#" in out
-    assert "100%" in out
-
-
-def test_ascii_cdf_empty():
-    assert "(empty)" in ascii_cdf(cdf_of([]), label="e")
 
 
 def test_overhead_percent_signs_after_rounding():
