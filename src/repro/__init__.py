@@ -11,7 +11,7 @@ IEEE IPDPS 2012) as a self-contained, deterministic discrete-event system:
   used by BRISA) and Cyclon (proactive, used by the SimpleGossip baseline).
 - :mod:`repro.core` — the BRISA protocol itself: flood-bootstrapped
   emergence of trees and DAGs, parent-selection strategies, cycle
-  predictors, soft/hard repair, message recovery, stream splitting.
+  predictors, soft/hard repair, message recovery.
 - :mod:`repro.baselines` — the comparison protocols of §III-D: flooding,
   SimpleGossip, SimpleTree and TAG.
 - :mod:`repro.experiments` — one scenario per paper figure/table plus the

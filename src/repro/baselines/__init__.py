@@ -20,7 +20,7 @@ Two comparators from outside §III-D:
   control-overhead comparator (eager/lazy push with graft/prune),
   reachable from ``benchmarks/test_ablation_plumtree.py``.  Deliberately
   no ``STACKS`` row (``experiments/scale_runner.py``) until the
-  efficiency/reliability frontier sweep (ROADMAP item 5) needs one.
+  efficiency/reliability frontier sweep (ROADMAP item 6) needs one.
 - :class:`repro.baselines.pullgossip.PullGossipNode` — lazy-push with
   gap-driven pull recovery under link loss; ``repro scale --stack pull``.
   Built through its ``STACKS`` row, so not re-exported here.

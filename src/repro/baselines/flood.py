@@ -10,8 +10,8 @@ Two delivery kernels implement that rule behind the same :class:`Network`
 API (DESIGN.md §9):
 
 - :class:`FloodNode` — the readable reference implementation: per-node
-  Python object state (``delivered`` dict-of-sets, per-reception
-  ``Metrics.record_delivery`` bookkeeping).
+  Python object state (one ``SeqRecord`` per stream, DESIGN.md §14;
+  per-reception ``Metrics.record_delivery`` bookkeeping).
 - :class:`SlottedFloodNode` + :class:`SlottedFloodKernel` — the scale
   kernel: delivery state lives in the shared slot store of
   :mod:`repro.core.slots` (one :class:`~repro.core.slots.SlotPlane` per
@@ -34,6 +34,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.config import HyParViewConfig
+from repro.core.seqrecord import SeqRecords
 from repro.core.slots import INJECTED, RECEIVED, UNSEEN, SlotKernel
 from repro.ids import SEQ_BYTES, NodeId, StreamId
 from repro.membership.hyparview import HyParViewNode
@@ -79,16 +80,15 @@ class FloodNode(HyParViewNode):
         hpv_config: HyParViewConfig | None = None,
     ) -> None:
         super().__init__(network, node_id, hpv_config)
-        #: stream -> delivered sequence numbers
-        self.delivered: dict[StreamId, set[int]] = {}
+        self.seqs = SeqRecords()
 
     def delivered_count(self, stream: StreamId = 0) -> int:
-        return len(self.delivered.get(stream, ()))
+        return self.seqs.delivered_count(stream)
 
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self.delivered.setdefault(stream, set()).add(seq)
+        self.seqs[stream].note_delivered(seq)
         self._flood(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
     def _flood(
@@ -114,7 +114,6 @@ class FloodNode(HyParViewNode):
             )
 
     def on_flood_data(self, src: NodeId, msg: FloodData) -> None:
-        seen = self.delivered.setdefault(msg.stream, set())
         hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
@@ -122,10 +121,7 @@ class FloodNode(HyParViewNode):
             self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
             msg.payload_bytes,
         )
-        if msg.seq in seen:
-            return
-        seen.add(msg.seq)
-        if first:
+        if self.seqs[msg.stream].note_delivered(msg.seq) and first:
             self._flood(
                 msg.stream, msg.seq, msg.payload_bytes,
                 exclude=src, hops=hops, path_delay=path_delay,
@@ -133,7 +129,7 @@ class FloodNode(HyParViewNode):
 
     def on_crash(self) -> None:
         super().on_crash()
-        self.delivered.clear()
+        self.seqs.clear()
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +139,8 @@ class SlottedFloodKernel(SlotKernel):
     """Flat-array delivery state shared by every :class:`SlottedFloodNode`.
 
     At xxl populations the dissemination cost is per-delivery Python
-    handler work, not the engine: every reception walks ``delivered``
-    dict-of-sets plus the ``Metrics.record_delivery`` nested dicts.  This
+    handler work, not the engine: every reception walks the node's
+    ``SeqRecord`` plus the ``Metrics.record_delivery`` nested dicts.  This
     kernel replaces all of it with the slot store of
     :class:`~repro.core.slots.SlotKernel` — one plane of seen maps
     (``UNSEEN``/``INJECTED``/``RECEIVED`` byte cells) and per-slot
@@ -234,7 +230,7 @@ class SlottedFloodKernel(SlotKernel):
     # -- cross-plane slot aggregates (tests / parity checks) -------------
     def slot_delivered(self, slot: int) -> int:
         """Distinct (stream, seq) deliveries at ``slot`` across planes —
-        the object path's ``FloodNode.delivered`` total size."""
+        the object path's ``FloodNode.delivered_count`` summed over streams."""
         return sum(plane.delivered[slot] for plane in self.planes)
 
     # -- delivery hot path ----------------------------------------------

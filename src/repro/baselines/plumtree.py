@@ -25,7 +25,11 @@ payloads, with the missing-timer set from the configured interval.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.config import HyParViewConfig
+from repro.core.recovery import MessageBuffer
+from repro.core.seqrecord import SeqRecords
 from repro.ids import SEQ_BYTES, NodeId, StreamId
 from repro.membership.hyparview import HyParViewNode
 from repro.sim.message import Message
@@ -114,8 +118,10 @@ class PlumTreeNode(HyParViewNode):
         self.missing_timeout = missing_timeout
         #: Per-stream eager/lazy split of the current neighbours.
         self.lazy: dict[StreamId, set[NodeId]] = {}
-        #: stream -> {seq: payload_bytes}
-        self.store: dict[StreamId, dict[int, int]] = {}
+        self.seqs = SeqRecords()
+        #: stream -> the newest seqs and payload sizes, which grafts are
+        #: served from (DESIGN.md §14, "Serving stores").
+        self.store: defaultdict[StreamId, MessageBuffer] = defaultdict(MessageBuffer)
         #: (stream, seq) -> peers that advertised it (graft candidates).
         self._announced: dict[tuple[StreamId, int], list[NodeId]] = {}
         #: (stream, seq) already being waited for.
@@ -123,17 +129,15 @@ class PlumTreeNode(HyParViewNode):
 
     # ------------------------------------------------------------------
     def delivered_count(self, stream: StreamId = 0) -> int:
-        return len(self.store.get(stream, ()))
-
-    def _store(self, stream: StreamId, seq: int, payload: int) -> None:
-        self.store.setdefault(stream, {})[seq] = payload
+        return self.seqs.delivered_count(stream)
 
     # ------------------------------------------------------------------
     # Broadcast
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self._store(stream, seq, payload_bytes)
+        self.seqs[stream].note_delivered(seq)
+        self.store[stream].store(seq, payload_bytes)
         self._push(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
     def _push(
@@ -161,7 +165,6 @@ class PlumTreeNode(HyParViewNode):
                 )
 
     def on_pt_gossip(self, src: NodeId, msg: Gossip) -> None:
-        per = self.store.get(msg.stream, {})
         hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
@@ -170,14 +173,17 @@ class PlumTreeNode(HyParViewNode):
             msg.payload_bytes,
         )
         lazy = self.lazy.setdefault(msg.stream, set())
-        if msg.seq in per:
+        if not self.seqs[msg.stream].note_delivered(msg.seq):
             # Duplicate: prune the link (move the sender to lazy push).
             if src not in lazy:
                 lazy.add(src)
                 self.send(src, Prune(msg.stream))
             return
-        self._pending_graft.discard((msg.stream, msg.seq))
-        self._store(msg.stream, msg.seq, msg.payload_bytes)
+        # Delivered: no graft will ask who announced it.
+        key = (msg.stream, msg.seq)
+        self._pending_graft.discard(key)
+        self._announced.pop(key, None)
+        self.store[msg.stream].store(msg.seq, msg.payload_bytes)
         lazy.discard(src)  # an eager provider proves itself useful
         self._push(
             msg.stream, msg.seq, msg.payload_bytes,
@@ -192,7 +198,7 @@ class PlumTreeNode(HyParViewNode):
     # ------------------------------------------------------------------
     def on_pt_ihave(self, src: NodeId, msg: IHave) -> None:
         key = (msg.stream, msg.seq)
-        if msg.seq in self.store.get(msg.stream, {}):
+        if msg.seq in self.seqs[msg.stream]:
             return
         self._announced.setdefault(key, []).append(src)
         if key not in self._pending_graft:
@@ -203,7 +209,7 @@ class PlumTreeNode(HyParViewNode):
         key = (stream, seq)
         if key not in self._pending_graft:
             return  # payload arrived in time
-        if seq in self.store.get(stream, {}):
+        if seq in self.seqs[stream]:
             self._pending_graft.discard(key)
             return
         candidates = [
@@ -222,7 +228,7 @@ class PlumTreeNode(HyParViewNode):
 
     def on_pt_graft(self, src: NodeId, msg: Graft) -> None:
         self.lazy.setdefault(msg.stream, set()).discard(src)
-        payload = self.store.get(msg.stream, {}).get(msg.seq)
+        payload = self.store[msg.stream].get(msg.seq)
         if payload is not None:
             self.send(
                 src,
@@ -236,6 +242,7 @@ class PlumTreeNode(HyParViewNode):
 
     def on_crash(self) -> None:
         super().on_crash()
+        self.seqs.clear()
         self.store.clear()
         self.lazy.clear()
         self._announced.clear()

@@ -32,6 +32,7 @@ deterministic and independent of the latency and loss streams.
 from __future__ import annotations
 
 from repro.config import HyParViewConfig
+from repro.core.seqrecord import SeqRecords
 from repro.ids import SEQ_BYTES, NodeId, StreamId
 from repro.membership.hyparview import HyParViewNode
 from repro.sim.message import Message
@@ -122,31 +123,25 @@ class PullGossipNode(HyParViewNode):
         hpv_config: HyParViewConfig | None = None,
     ) -> None:
         super().__init__(network, node_id, hpv_config)
-        #: stream -> delivered sequence numbers (the scale-accounting book).
-        self.delivered: dict[StreamId, set[int]] = {}
-        #: stream -> seq -> payload size; the store pull requests are
-        #: served from (sizes only — payloads are synthetic at scale).
+        self.seqs = SeqRecords()
+        #: stream -> seq -> payload size, which pull requests are served
+        #: from: every seq (DESIGN.md §14, "Serving stores").
         self.store: dict[StreamId, dict[int, int]] = {}
-        #: stream -> highest sequence ever observed.
-        self.max_seen: dict[StreamId, int] = {}
         #: stream -> seq -> pull attempts spent so far.
         self.missing: dict[StreamId, dict[int, int]] = {}
         #: Streams with a pull timer currently armed.
         self._pull_armed: set[StreamId] = set()
 
     def delivered_count(self, stream: StreamId = 0) -> int:
-        return len(self.delivered.get(stream, ()))
+        return self.seqs.delivered_count(stream)
 
     # ------------------------------------------------------------------
     # Eager (probabilistic) push
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self.delivered.setdefault(stream, set()).add(seq)
+        self.seqs[stream].note_delivered(seq)
         self.store.setdefault(stream, {})[seq] = payload_bytes
-        prior = self.max_seen.get(stream, -1)
-        if seq > prior:
-            self.max_seen[stream] = seq
         self._gossip(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
     def _gossip(
@@ -197,23 +192,23 @@ class PullGossipNode(HyParViewNode):
         path_delay: float,
     ) -> bool:
         """Record one reception; track gaps; return True iff first."""
-        seen = self.delivered.setdefault(stream, set())
         self.transport.metrics.record_delivery(
             self.node_id, stream, seq, self.clock.now, src, hops, path_delay,
             payload_bytes,
         )
-        if seq in seen:
+        record = self.seqs[stream]
+        # Only a seq whose predecessor is missing opens gaps: those above
+        # the highest seq delivered so far.
+        top = seq
+        if seq - 1 not in record:
+            top = max(record.ahead, default=record.max_contig)
+        if not record.note_delivered(seq):
             return False
-        seen.add(seq)
         self.store.setdefault(stream, {})[seq] = payload_bytes
         missing = self.missing.setdefault(stream, {})
         missing.pop(seq, None)
-        prior = self.max_seen.get(stream, -1)
-        if seq > prior:
-            for gap in range(prior + 1, seq):
-                if gap not in seen and gap not in missing:
-                    missing[gap] = 0
-            self.max_seen[stream] = seq
+        for gap in range(top + 1, seq):
+            missing[gap] = 0
         if missing:
             self._arm_pull(stream)
         return True
@@ -270,8 +265,7 @@ class PullGossipNode(HyParViewNode):
 
     def on_crash(self) -> None:
         super().on_crash()
-        self.delivered.clear()
+        self.seqs.clear()
         self.store.clear()
-        self.max_seen.clear()
         self.missing.clear()
         self._pull_armed.clear()

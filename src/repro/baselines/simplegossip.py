@@ -8,13 +8,15 @@ updates with a single random node with a frequency that is the double of
 the message creation ratio."
 
 Nodes keep a message store (seq -> payload size) per stream to serve
-anti-entropy pulls; digests carry the contiguous high-water mark plus the
-out-of-order extras so the responder can compute the exact gap set.
+anti-entropy pulls, and a ``SeqRecord`` per stream; a digest is that
+record's contiguous prefix plus the seqs delivered above it, so the
+responder can compute the exact gap set.
 """
 
 from __future__ import annotations
 
 from repro.config import CyclonConfig, GossipConfig
+from repro.core.seqrecord import SeqRecords
 from repro.ids import SEQ_BYTES, NodeId, StreamId
 from repro.membership.cyclon import CyclonNode
 from repro.sim.message import Message
@@ -88,35 +90,28 @@ class SimpleGossipNode(CyclonNode):
         cfg = gossip_config if gossip_config is not None else GossipConfig()
         super().__init__(network, node_id, cyclon_config or cfg.cyclon)
         self.gossip_config = cfg
-        #: stream -> {seq: payload_bytes} (serves anti-entropy pulls)
+        self.seqs = SeqRecords()
+        #: stream -> {seq: payload_bytes}: every seq, since a digest may
+        #: start at -1 (DESIGN.md §14, "Serving stores").
         self.store: dict[StreamId, dict[int, int]] = {}
-        #: stream -> contiguous high-water mark
-        self.max_contig: dict[StreamId, int] = {}
         self._anti_entropy_task = self.periodic(
             anti_entropy_period, self._anti_entropy, jitter=0.2
         )
 
     # ------------------------------------------------------------------
     def delivered_count(self, stream: StreamId = 0) -> int:
-        return len(self.store.get(stream, ()))
+        return self.seqs.delivered_count(stream)
 
     def _fanout(self) -> int:
         return self.gossip_config.effective_fanout(len(self.transport.nodes))
-
-    def _store(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        per = self.store.setdefault(stream, {})
-        per[seq] = payload_bytes
-        hwm = self.max_contig.get(stream, -1)
-        while (hwm + 1) in per:
-            hwm += 1
-        self.max_contig[stream] = hwm
 
     # ------------------------------------------------------------------
     # Push phase: rumor mongering, infect and die
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self._store(stream, seq, payload_bytes)
+        self.seqs[stream].note_delivered(seq)
+        self.store.setdefault(stream, {})[seq] = payload_bytes
         self._push_rumor(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
     def _push_rumor(
@@ -140,7 +135,6 @@ class SimpleGossipNode(CyclonNode):
             )
 
     def on_sg_rumor(self, src: NodeId, msg: Rumor) -> None:
-        per = self.store.get(msg.stream, {})
         hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
@@ -148,9 +142,9 @@ class SimpleGossipNode(CyclonNode):
             self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
             msg.payload_bytes,
         )
-        if msg.seq in per:
+        if not self.seqs[msg.stream].note_delivered(msg.seq):
             return  # infect-and-die: duplicates are dropped, not relayed
-        self._store(msg.stream, msg.seq, msg.payload_bytes)
+        self.store.setdefault(msg.stream, {})[msg.seq] = msg.payload_bytes
         if msg.hot:
             self._push_rumor(
                 msg.stream, msg.seq, msg.payload_bytes,
@@ -165,10 +159,8 @@ class SimpleGossipNode(CyclonNode):
             return
         peer = self._rng.choice(list(self.view))
         for stream in self.store.keys() | {0}:
-            per = self.store.get(stream, {})
-            hwm = self.max_contig.get(stream, -1)
-            extras = frozenset(s for s in per if s > hwm)
-            self.send(peer, Digest(stream, hwm, extras))
+            record = self.seqs[stream]
+            self.send(peer, Digest(stream, record.max_contig, frozenset(record.ahead)))
 
     def on_sg_digest(self, src: NodeId, msg: Digest) -> None:
         per = self.store.get(msg.stream)
@@ -192,5 +184,5 @@ class SimpleGossipNode(CyclonNode):
 
     def on_crash(self) -> None:
         super().on_crash()
+        self.seqs.clear()
         self.store.clear()
-        self.max_contig.clear()

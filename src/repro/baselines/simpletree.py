@@ -16,6 +16,7 @@ handling — the paper excludes it from every dynamic experiment.
 from __future__ import annotations
 
 from repro.config import SimpleTreeConfig
+from repro.core.seqrecord import SeqRecords
 from repro.ids import NODE_ID_BYTES, SEQ_BYTES, NodeId, StreamId
 from repro.sim.message import Message
 from repro.sim.node import ProtocolNode
@@ -106,11 +107,11 @@ class SimpleTreeNode(ProtocolNode):
         self.coordinator_id = coordinator_id
         self.parent: NodeId | None = None
         self.children: list[NodeId] = []
-        self.delivered: dict[StreamId, set[int]] = {}
+        self.seqs = SeqRecords()
         self.joined = False
 
     def delivered_count(self, stream: StreamId = 0) -> int:
-        return len(self.delivered.get(stream, ()))
+        return self.seqs.delivered_count(stream)
 
     # ------------------------------------------------------------------
     # Join
@@ -136,7 +137,7 @@ class SimpleTreeNode(ProtocolNode):
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self.delivered.setdefault(stream, set()).add(seq)
+        self.seqs[stream].note_delivered(seq)
         self._push(stream, seq, payload_bytes, hops=0, path_delay=0.0, exclude=None)
 
     def _push(
@@ -164,7 +165,6 @@ class SimpleTreeNode(ProtocolNode):
                 )
 
     def on_st_data(self, src: NodeId, msg: TreeData) -> None:
-        seen = self.delivered.setdefault(msg.stream, set())
         hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
@@ -172,11 +172,10 @@ class SimpleTreeNode(ProtocolNode):
             self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
             msg.payload_bytes,
         )
-        if msg.seq in seen:
+        if not self.seqs[msg.stream].note_delivered(msg.seq):
             return
-        seen.add(msg.seq)
         self._push(msg.stream, msg.seq, msg.payload_bytes, hops, path_delay, exclude=src)
 
     def on_crash(self) -> None:
         super().on_crash()
-        self.delivered.clear()
+        self.seqs.clear()

@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import TagConfig
+from repro.core.seqrecord import SeqRecords
 from repro.ids import NODE_ID_BYTES, SEQ_BYTES, NodeId, StreamId
 from repro.sim.message import Message
 from repro.sim.node import ProtocolNode
@@ -221,9 +222,10 @@ class TagNode(ProtocolNode):
         # Gossip overlay.
         self.partners: list[NodeId] = []
 
-        # Content store.
+        # Content: every seq is kept, since a joiner pulls from -1
+        # (DESIGN.md §14, "Serving stores").
+        self.seqs = SeqRecords()
         self.store: dict[StreamId, dict[int, int]] = {}
-        self.max_contig: dict[StreamId, int] = {}
         self.hops_estimate = 0
 
         # Join bookkeeping.
@@ -241,15 +243,7 @@ class TagNode(ProtocolNode):
 
     # ------------------------------------------------------------------
     def delivered_count(self, stream: StreamId = 0) -> int:
-        return len(self.store.get(stream, ()))
-
-    def _store(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        per = self.store.setdefault(stream, {})
-        per[seq] = payload_bytes
-        hwm = self.max_contig.get(stream, -1)
-        while (hwm + 1) in per:
-            hwm += 1
-        self.max_contig[stream] = hwm
+        return self.seqs.delivered_count(stream)
 
     # ------------------------------------------------------------------
     # Join: tail append + backwards traversal (§III-D)
@@ -405,10 +399,11 @@ class TagNode(ProtocolNode):
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self._store(stream, seq, payload_bytes)
+        self.seqs[stream].note_delivered(seq)
+        self.store.setdefault(stream, {})[seq] = payload_bytes
 
     def _have_marks(self) -> tuple[tuple[StreamId, int], ...]:
-        return tuple((s, self.max_contig.get(s, -1)) for s in self.store)
+        return tuple((s, self.seqs[s].max_contig) for s in self.store)
 
     def _pull_parent(self) -> None:
         if self.parent is not None and self.transport.alive(self.parent):
@@ -441,17 +436,16 @@ class TagNode(ProtocolNode):
                     break
 
     def on_tag_segment(self, src: NodeId, msg: Segment) -> None:
-        per = self.store.get(msg.stream, {})
         hops = msg.hops + 1
         self.transport.metrics.record_delivery(
             self.node_id, msg.stream, msg.seq, self.clock.now, src,
             hops, msg.path_delay + (self.clock.now - msg.sent_at),
             msg.payload_bytes,
         )
-        if msg.seq in per:
+        if not self.seqs[msg.stream].note_delivered(msg.seq):
             return
         self.hops_estimate = max(self.hops_estimate, hops)
-        self._store(msg.stream, msg.seq, msg.payload_bytes)
+        self.store.setdefault(msg.stream, {})[msg.seq] = msg.payload_bytes
 
     # ------------------------------------------------------------------
     # Failure handling (§III-D: list update, traversal, re-insertion)
@@ -512,6 +506,7 @@ class TagNode(ProtocolNode):
 
     def on_crash(self) -> None:
         super().on_crash()
+        self.seqs.clear()
         self.store.clear()
         self.children.clear()
         self.partners.clear()

@@ -11,6 +11,7 @@ SplitStream-style — on any multi-stream run (scale runner, examples).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
@@ -68,6 +69,10 @@ def fig2_duplicates(
             source, StreamConfig(count=sc.messages, rate=5.0, payload_bytes=1024)
         )
         result.by_view[view] = CDF.of(float(d) for d in run.duplicates_per_node())
+        # A bed is a reference cycle (nodes <-> network): drop and collect
+        # it here, so the next view size's peak does not hold two beds.
+        del bed, source, run
+        gc.collect()
     return result
 
 

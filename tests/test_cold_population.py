@@ -62,7 +62,7 @@ def assert_unarmed(task, sim) -> None:
 def assert_twin(node, twin) -> None:
     """``vars(node)`` equals the eager reference's, name by name."""
     state, ref = vars(node), vars(twin)
-    assert set(state) - {"kernel", "slot"} == set(ref) - {"delivered"}
+    assert set(state) - {"kernel", "slot"} == set(ref) - {"seqs"}
     assert state["transport"] is not ref["transport"]
     assert state["clock"] is state["transport"].clock
     for name in ("node_id", "alive", "birth_time", "hpv_config",

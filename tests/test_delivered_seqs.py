@@ -1,19 +1,31 @@
-"""The delivered-seq record of a BRISA stream (``StreamState``,
-DESIGN.md §11, §14): ``note_delivered`` against a plain ``set`` plus the
-old contiguous-prefix fold, and the O(gaps) bound on what it keeps."""
+"""The delivered-seq record every stack keeps (``core/seqrecord.py``,
+DESIGN.md §14, "The sequence record"): ``note_delivered`` against a plain
+``set`` plus the old contiguous-prefix fold, with BRISA's horizon and
+with none, the O(gaps) bound on what it keeps, and the baselines'
+records."""
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.flood import FloodData, FloodNode
+from repro.baselines.plumtree import Gossip, PlumTreeNode
+from repro.baselines.pullgossip import PullData, PullGossipNode
+from repro.baselines.simplegossip import Rumor, SimpleGossipNode
+from repro.baselines.simpletree import SimpleTreeNode, TreeData
+from repro.baselines.tag import Segment, TagNode, TagTracker
 from repro.core.recovery import MessageBuffer
+from repro.core.seqrecord import SeqRecord
 from repro.core.state import StreamState
+from tests.helpers import make_network
 
 
 class Reference:
     """The record as a plain set: the delivered seqs, and the recovery
-    prefix moved to ``seq - capacity`` and folded over the set."""
+    prefix moved to ``seq - capacity`` (with a capacity) and folded over
+    the set."""
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int | None) -> None:
         self.capacity = capacity
         self.delivered: set[int] = set()
         self.max_contig = -1
@@ -21,21 +33,30 @@ class Reference:
     def note(self, seq: int) -> bool:
         first = seq not in self.delivered
         self.delivered.add(seq)
-        self.max_contig = max(self.max_contig, seq - self.capacity)
+        if self.capacity is not None:
+            self.max_contig = max(self.max_contig, seq - self.capacity)
         while self.max_contig + 1 in self.delivered:
             self.max_contig += 1
         return first
 
 
-def check_against_reference(capacity: int, seqs: list[int]) -> None:
-    state = StreamState(0, MessageBuffer(capacity))
+def check_against_reference(capacity: int | None, seqs: list[int]) -> None:
+    """BRISA's record is its ``StreamState``, whose horizon is its buffer's
+    capacity; a baseline's is a bare ``SeqRecord`` with no horizon."""
+    if capacity is None:
+        state = SeqRecord()
+    else:
+        state = StreamState(0, MessageBuffer(capacity))
     ref = Reference(capacity)
     top = max(seqs, default=0) + 2
     for seq in seqs:
         assert state.note_delivered(seq) == ref.note(seq), seq
         assert state.max_contig == ref.max_contig
         assert state.delivered_n == len(ref.delivered)
-        assert len(state.ahead) <= capacity
+        if capacity is not None:
+            assert len(state.ahead) <= capacity
+        else:
+            assert not state.holes
         # Canonical holes: disjoint, non-adjacent, none above the prefix.
         bounds = state.holes
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
@@ -89,11 +110,12 @@ def receptions(draw):
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-@given(capacity=st.sampled_from([0, 1, 4, 64]), seqs=receptions())
+@given(capacity=st.sampled_from([0, 1, 4, 64, None]), seqs=receptions())
 @example(capacity=64, seqs=[1_000] + list(range(936, 1_000)) + [1_001, 1_002])
 @example(capacity=64, seqs=[1_000] + list(range(999, 935, -1)))
 @example(capacity=0, seqs=[3, 1, 0, 2, 5, 5, 4])
 @example(capacity=1, seqs=[2, 0, 4, 1, 3, 3, 7, 6])
+@example(capacity=None, seqs=[1_000] + list(range(999, 935, -1)) + [0])
 def test_note_delivered_matches_a_plain_set(capacity, seqs):
     check_against_reference(capacity, seqs)
 
@@ -138,3 +160,29 @@ def test_each_outage_costs_one_run():
                 state.note_delivered(replayed)
     assert state.holes == [300, 436, 900, 936, 1_500, 1_800]
     assert not state.ahead and state.max_contig == 1_999
+
+
+BASELINES = {
+    "flood": (FloodNode, FloodData),
+    "plumtree": (PlumTreeNode, Gossip),
+    "pullgossip": (PullGossipNode, PullData),
+    "simplegossip": (SimpleGossipNode, Rumor),
+    "simpletree": (lambda net, nid: SimpleTreeNode(net, nid, -1), TreeData),
+    "tag": (lambda net, nid: TagNode(net, nid, TagTracker()), Segment),
+}
+
+
+@pytest.mark.parametrize("stack", sorted(BASELINES))
+def test_baseline_record_keeps_no_seq_and_crash_clears_it(stack):
+    """A baseline's record, written by its data handler: an in-order
+    stream keeps nothing beside the prefix, and a crash drops it."""
+    factory, data = BASELINES[stack]
+    _, net, _ = make_network()
+    node = net.spawn(factory)
+    for seq in range(2_000):
+        node.handle_message(-1, data(0, seq, 1))
+    record = node.seqs[0]
+    assert record.max_contig == 1_999 and node.delivered_count(0) == 2_000
+    assert not record.ahead and not record.holes
+    net.crash(node.node_id)
+    assert node.delivered_count(0) == 0

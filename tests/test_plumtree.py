@@ -82,7 +82,7 @@ class TestGraftRepair:
         for node in bed.alive_nodes():
             if node is source:
                 continue
-            missing = injected - set(node.store.get(0, {}))
+            missing = injected - node.seqs[0].delivered
             assert not missing, f"node {node.node_id} missing {sorted(missing)[:5]}"
         grafts = sum(bed.metrics.msg_counts.get("pt_graft", {}).values())
         assert grafts > 0

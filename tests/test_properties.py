@@ -11,7 +11,6 @@ from repro.core.cycle import (
     PathEmbeddingPredictor,
 )
 from repro.core.recovery import MessageBuffer
-from repro.core.splitting import StripeAssignment, StripeReassembler
 from repro.metrics.stats import CDF, percentile_summary, rate_per_minute
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
@@ -113,40 +112,6 @@ def test_buffer_after_returns_only_newer(seqs, threshold):
     for s in seqs:
         buf.store(s, 1)
     assert all(s > threshold for s, _ in buf.after(threshold))
-
-
-# ----------------------------------------------------------------------
-# Stream splitting
-# ----------------------------------------------------------------------
-@given(
-    st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6, unique=True),
-    st.integers(min_value=0, max_value=1000),
-)
-def test_stripes_cover_every_sequence(parents, seq):
-    a = StripeAssignment(tuple(parents))
-    assert a.parent_for(seq) in parents
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=6, unique=True),
-    st.data(),
-)
-def test_stripe_failover_covers_all(parents, data):
-    a = StripeAssignment(tuple(parents))
-    failed = data.draw(st.sampled_from(parents))
-    b = a.without_parent(failed)
-    assert b is not None
-    for seq in range(3 * len(parents)):
-        assert b.parent_for(seq) != failed
-
-
-@given(st.permutations(list(range(25))))
-def test_reassembler_releases_in_order(order):
-    r = StripeReassembler()
-    released = []
-    for seq in order:
-        released.extend(r.offer(seq))
-    assert released == list(range(25))
 
 
 # ----------------------------------------------------------------------

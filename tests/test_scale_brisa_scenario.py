@@ -94,7 +94,7 @@ class TestTailProbeRecovery:
         """Same seed, same losses: without the probe, orphaned subtrees
         never learn what they missed; with it, they recover.  Complete
         delivery is *not* the claim — the probe has blind spots of its
-        own (ROADMAP 1(e)): 31 of seeds 1–40 stay below 1.0 with it (worst
+        own (ROADMAP item 3(b)): 31 of seeds 1–40 stay below 1.0 with it (worst
         0.9882, seed 36) — but it beats the blind run on every one."""
         from repro.config import BrisaConfig
 

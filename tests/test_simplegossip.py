@@ -62,8 +62,9 @@ class TestStoreConsistency:
         bed, source, result = gossip_run(n=24, msgs=10, seed=6)
         for node in bed.alive_nodes():
             per = node.store.get(0, {})
-            hwm = node.max_contig.get(0, -1)
+            hwm = node.seqs[0].max_contig
             assert all(s in per for s in range(hwm + 1))
+            assert node.seqs[0].delivered == set(per)
 
 
 class TestDigestAccounting:

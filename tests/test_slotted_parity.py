@@ -640,7 +640,7 @@ def test_brisa_kernels_agree_under_loss_with_tail_probe(config_kind):
     assert assert_brisa_state_consistent(bed_s, 1) > len(bed_s.alive_nodes()) // 2
     if config_kind == "tree-path":
         # The DAG bed ends with one asymmetric edge (8 -> 33, node 33 still
-        # fed by its other parent) after lost control traffic: ROADMAP 1(b).
+        # fed by its other parent) after lost control traffic: ROADMAP item 2.
         for bed in (bed_o, bed_s):
             assert_link_activation_symmetric(bed.nodes, 0)
 
