@@ -53,6 +53,11 @@ PULL_DELAY = 0.05
 PULL_ROUNDS = 8
 #: Missing sequences batched into one request.
 PULL_BATCH = 32
+#: Recovery horizon of the delivered-seq records, see DESIGN.md §14,
+#: "The sequence record": a given-up seq never arrives, so without one
+#: every later seq would stay in ``ahead``.  Membership is exact whatever
+#: the value; it bounds ``ahead`` and the scan for the highest delivered.
+PULL_HORIZON = 64
 
 
 class PullData(Message):
@@ -123,7 +128,7 @@ class PullGossipNode(HyParViewNode):
         hpv_config: HyParViewConfig | None = None,
     ) -> None:
         super().__init__(network, node_id, hpv_config)
-        self.seqs = SeqRecords()
+        self.seqs = SeqRecords(PULL_HORIZON)
         #: stream -> seq -> payload size, which pull requests are served
         #: from: every seq (DESIGN.md §14, "Serving stores").
         self.store: dict[StreamId, dict[int, int]] = {}
@@ -197,11 +202,12 @@ class PullGossipNode(HyParViewNode):
             payload_bytes,
         )
         record = self.seqs[stream]
-        # Only a seq whose predecessor is missing opens gaps: those above
-        # the highest seq delivered so far.
+        # Only a seq whose predecessor is missing above the prefix opens
+        # gaps: those above the highest seq delivered so far.
         top = seq
-        if seq - 1 not in record:
-            top = max(record.ahead, default=record.max_contig)
+        ahead = record.ahead
+        if seq - 1 > record.max_contig and seq - 1 not in ahead:
+            top = max(ahead, default=record.max_contig)
         if not record.note_delivered(seq):
             return False
         self.store.setdefault(stream, {})[seq] = payload_bytes

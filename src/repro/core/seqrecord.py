@@ -7,12 +7,13 @@ never-delivered runs at or below it (``holes``) and the delivered seqs
 above it (``ahead``), with a counter beside them.  ``note_delivered`` is
 the only writer; ``delivered`` is a read-only set view.
 
-``horizon`` is the one difference between callers.  BRISA passes its
+``horizon`` is the one difference between callers.  BRISA's is its
 retransmit buffer's capacity: nothing more than that far below a new
 delivery can still be replayed, so the prefix moves past it and the
-skipped seqs become holes.  The baselines pass none, so ``max_contig``
-is their exact contiguous prefix and ``holes`` stays empty.  Membership
-is exact either way.
+skipped seqs become holes.  PullGossip's bounds ``ahead`` past the gaps
+it gives up on.  The other baselines have none, so ``max_contig`` is
+their exact contiguous prefix and ``holes`` stays empty.  Membership is
+exact either way.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from repro.ids import StreamId
 @dataclass(slots=True)
 class SeqRecord:
     #: Depth of the recovery horizon below each new delivery, or None for
-    #: no horizon (the prefix waits for every seq).
-    horizon: Optional[int] = field(default=None, kw_only=True)
+    #: no horizon (the prefix waits for every seq).  Derived, never passed:
+    #: ``StreamState`` sets its buffer's capacity, ``SeqRecords`` its own.
+    horizon: Optional[int] = field(default=None, init=False)
     #: Every seq <= it is delivered or, with a horizon, can no longer be
     #: replayed (DESIGN.md §14).  Without a horizon: the delivered prefix.
     max_contig: int = field(default=-1, init=False)
@@ -146,13 +148,19 @@ class DeliveredSeqs(Set):
 
 
 class SeqRecords(dict[StreamId, SeqRecord]):
-    """A baseline node's records, stream -> :class:`SeqRecord` with no
-    horizon; indexing a new stream makes its record."""
+    """A baseline node's records, stream -> :class:`SeqRecord`, each with
+    ``horizon`` (none unless the stack passes one); indexing a new stream
+    makes its record."""
 
-    __slots__ = ()
+    __slots__ = ("horizon",)
+
+    def __init__(self, horizon: Optional[int] = None) -> None:
+        super().__init__()
+        self.horizon = horizon
 
     def __missing__(self, stream: StreamId) -> SeqRecord:
         record = self[stream] = SeqRecord()
+        record.horizon = self.horizon
         return record
 
     def delivered_count(self, stream: StreamId) -> int:

@@ -186,3 +186,19 @@ def test_baseline_record_keeps_no_seq_and_crash_clears_it(stack):
     assert not record.ahead and not record.holes
     net.crash(node.node_id)
     assert node.delivered_count(0) == 0
+
+
+def test_pull_record_keeps_a_lost_seq_as_a_hole():
+    """PullGossip gives a gap up after its pull rounds, so its record has
+    a horizon: a seq lost for good becomes a hole instead of keeping every
+    later seq in ``ahead``, and a late copy of it is still a first."""
+    _, net, _ = make_network()
+    node = net.spawn(PullGossipNode)
+    for seq in range(2_000):
+        if seq != 5:
+            node.handle_message(-1, PullData(0, seq, 1))
+    record = node.seqs[0]
+    assert record.holes == [5, 6] and record.max_contig == 1_999
+    assert not record.ahead and node.missing[0] == {5: 0}
+    node.handle_message(-1, PullData(0, 5, 1))
+    assert not record.holes and node.delivered_count(0) == 2_000
