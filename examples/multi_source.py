@@ -19,7 +19,7 @@ import os
 
 from repro.config import StreamConfig
 from repro.core.structure import extract_structure, is_complete_structure
-from repro.experiments.common import build_brisa_testbed
+from repro.experiments.common import build_brisa_testbed, delivered_fraction
 from repro.experiments.report import banner, table
 from repro.experiments.structural import relay_load_spread
 
@@ -48,8 +48,8 @@ def main() -> None:
         ok, reason = is_complete_structure(
             g, publisher.node_id, set(bed.alive_ids())
         )
-        receivers = [nid for nid in bed.alive_ids() if nid != publisher.node_id]
-        delivered = bed.metrics.delivered_fraction(i, receivers, window=(0, MESSAGES))
+        receivers = [n for n in bed.alive_nodes() if n is not publisher]
+        delivered = delivered_fraction(receivers, i, MESSAGES)
         rows.append([
             f"stream {i} (source {publisher.node_id})",
             "complete/acyclic" if ok else reason,

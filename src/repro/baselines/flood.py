@@ -10,8 +10,8 @@ Two delivery kernels implement that rule behind the same :class:`Network`
 API (DESIGN.md §9):
 
 - :class:`FloodNode` — the readable reference implementation: per-node
-  Python object state (one ``SeqRecord`` per stream, DESIGN.md §14;
-  per-reception ``Metrics.record_delivery`` bookkeeping).
+  Python object state (one ``SeqRecord`` per stream, DESIGN.md §14,
+  whose first-copy verdict every reception books in ``Metrics``).
 - :class:`SlottedFloodNode` + :class:`SlottedFloodKernel` — the scale
   kernel: delivery state lives in the shared slot store of
   :mod:`repro.core.slots` (one :class:`~repro.core.slots.SlotPlane` per
@@ -20,6 +20,10 @@ API (DESIGN.md §9):
   or installed in one pass from the CSR topology arrays when a cold
   population adopts its views); this module adds only what a flood
   reception does.
+  A slot's seen cell is its node's sequence record: a reception of an
+  ``UNSEEN`` cell is the first copy, any other a duplicate, and an
+  injection marks the source's cell, so its echo is a duplicate here as
+  on the object path.
   Draw-for-draw equivalent to the object path — same delivery sets,
   duplicate counts, byte totals and timestamps under zero-cost and
   occupancy-charging latency models — pinned by
@@ -35,7 +39,7 @@ from functools import partial
 
 from repro.config import HyParViewConfig
 from repro.core.seqrecord import SeqRecords
-from repro.core.slots import INJECTED, RECEIVED, UNSEEN, SlotKernel
+from repro.core.slots import RECEIVED, UNSEEN, SlotKernel
 from repro.ids import SEQ_BYTES, NodeId, StreamId
 from repro.membership.hyparview import HyParViewNode
 from repro.sim.message import Message
@@ -117,11 +121,12 @@ class FloodNode(HyParViewNode):
         hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
-        first = self.transport.metrics.record_delivery(
+        first = self.seqs[msg.stream].note_delivered(msg.seq)
+        self.transport.metrics.record_delivery(
             self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
-            msg.payload_bytes,
+            first,
         )
-        if self.seqs[msg.stream].note_delivered(msg.seq) and first:
+        if first:
             self._flood(
                 msg.stream, msg.seq, msg.payload_bytes,
                 exclude=src, hops=hops, path_delay=path_delay,
@@ -140,21 +145,21 @@ class SlottedFloodKernel(SlotKernel):
 
     At xxl populations the dissemination cost is per-delivery Python
     handler work, not the engine: every reception walks the node's
-    ``SeqRecord`` plus the ``Metrics.record_delivery`` nested dicts.  This
-    kernel replaces all of it with the slot store of
+    ``SeqRecord`` and books its verdict in ``Metrics``.  This kernel
+    replaces both with the slot store of
     :class:`~repro.core.slots.SlotKernel` — one plane of seen maps
-    (``UNSEEN``/``INJECTED``/``RECEIVED`` byte cells) and per-slot
+    (``UNSEEN``/``RECEIVED`` byte cells) and per-slot
     delivered/duplicate counters per stream id, and ``neighbor_rows``
     mirroring each node's active view in insertion order — and adds the
     flood transition on top: first copy delivers and re-floods to the
     row minus the sender, everything else counts.
 
     When the run's :class:`Metrics` records deliveries (small/parity
-    runs), the kernel mirrors every reception into
+    runs), the kernel books every reception's seen-cell verdict in
     ``Metrics.record_delivery`` exactly like the object path, so delivery
     records — timestamps, senders, hops, path delays — are directly
     comparable.  At scale (``record_deliveries=False``) the arrays are
-    authoritative and the per-reception dict work disappears entirely.
+    authoritative and ``Metrics`` is not called per reception.
     """
 
     def __init__(self, network) -> None:
@@ -280,19 +285,16 @@ class SlottedFloodKernel(SlotKernel):
                 network._deliver_fast(src, dst, msg, size)
                 continue
             processed += 1
+            first = row[slot] == UNSEEN
             if mirror:
                 metrics.account_receive(dst, size)
                 metrics.record_delivery(
-                    dst, stream, seq, now, src, hops, path_delay, payload
+                    dst, stream, seq, now, src, hops, path_delay, first
                 )
-            state = row[slot]
-            if state == RECEIVED:
+            if not first:
                 duplicates[slot] += 1
                 continue
             row[slot] = RECEIVED
-            if state == INJECTED:
-                # Source echo: recorded reception, no re-flood.
-                continue
             delivered[slot] += 1
             targets = [p for p in neighbor_rows[slot] if p != src]
             if targets:
@@ -312,7 +314,7 @@ class SlottedFloodKernel(SlotKernel):
         row = self._row(plane, seq)
         slot = node.slot
         if row[slot] == UNSEEN:
-            row[slot] = INJECTED
+            row[slot] = RECEIVED
             plane.delivered[slot] += 1
         self._fan(node, slot, stream, seq, payload_bytes, None, 0, 0.0)
 
@@ -324,31 +326,18 @@ class SlottedFloodKernel(SlotKernel):
         rows = plane.rows
         row = rows[seq] if seq < len(rows) else self._row(plane, seq)
         slot = node.slot
-        state = row[slot]
-        if state == RECEIVED:
-            plane.duplicates[slot] += 1
-            if self._mirror:
-                now = self.sim.now
-                self.metrics.record_delivery(
-                    node.node_id, stream, seq, now, src,
-                    msg.hops + 1, msg.path_delay + (now - msg.sent_at),
-                    msg.payload_bytes,
-                )
-            return
-        row[slot] = RECEIVED
+        first = row[slot] == UNSEEN
         now = self.sim.now
         hops = msg.hops + 1
         path_delay = msg.path_delay + (now - msg.sent_at)
         if self._mirror:
             self.metrics.record_delivery(
-                node.node_id, stream, seq, now, src, hops, path_delay,
-                msg.payload_bytes,
+                node.node_id, stream, seq, now, src, hops, path_delay, first
             )
-        if state == INJECTED:
-            # The source hearing its own message back: a recorded first
-            # reception, but locally delivered already — no re-flood
-            # (the object path returns on ``seq in seen``).
+        if not first:
+            plane.duplicates[slot] += 1
             return
+        row[slot] = RECEIVED
         plane.delivered[slot] += 1
         self._fan(node, slot, stream, seq, msg.payload_bytes, src, hops, path_delay)
 

@@ -168,12 +168,13 @@ class PlumTreeNode(HyParViewNode):
         hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
+        first = self.seqs[msg.stream].note_delivered(msg.seq)
         self.transport.metrics.record_delivery(
             self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
-            msg.payload_bytes,
+            first,
         )
         lazy = self.lazy.setdefault(msg.stream, set())
-        if not self.seqs[msg.stream].note_delivered(msg.seq):
+        if not first:
             # Duplicate: prune the link (move the sender to lazy push).
             if src not in lazy:
                 lazy.add(src)

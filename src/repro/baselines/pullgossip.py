@@ -197,10 +197,6 @@ class PullGossipNode(HyParViewNode):
         path_delay: float,
     ) -> bool:
         """Record one reception; track gaps; return True iff first."""
-        self.transport.metrics.record_delivery(
-            self.node_id, stream, seq, self.clock.now, src, hops, path_delay,
-            payload_bytes,
-        )
         record = self.seqs[stream]
         # Only a seq whose predecessor is missing above the prefix opens
         # gaps: those above the highest seq delivered so far.
@@ -208,7 +204,11 @@ class PullGossipNode(HyParViewNode):
         ahead = record.ahead
         if seq - 1 > record.max_contig and seq - 1 not in ahead:
             top = max(ahead, default=record.max_contig)
-        if not record.note_delivered(seq):
+        first = record.note_delivered(seq)
+        self.transport.metrics.record_delivery(
+            self.node_id, stream, seq, self.clock.now, src, hops, path_delay, first
+        )
+        if not first:
             return False
         self.store.setdefault(stream, {})[seq] = payload_bytes
         missing = self.missing.setdefault(stream, {})

@@ -168,11 +168,12 @@ class SimpleTreeNode(ProtocolNode):
         hop_delay = self.clock.now - msg.sent_at
         path_delay = msg.path_delay + hop_delay
         hops = msg.hops + 1
+        first = self.seqs[msg.stream].note_delivered(msg.seq)
         self.transport.metrics.record_delivery(
             self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
-            msg.payload_bytes,
+            first,
         )
-        if not self.seqs[msg.stream].note_delivered(msg.seq):
+        if not first:
             return
         self._push(msg.stream, msg.seq, msg.payload_bytes, hops, path_delay, exclude=src)
 

@@ -437,12 +437,12 @@ class TagNode(ProtocolNode):
 
     def on_tag_segment(self, src: NodeId, msg: Segment) -> None:
         hops = msg.hops + 1
+        first = self.seqs[msg.stream].note_delivered(msg.seq)
         self.transport.metrics.record_delivery(
             self.node_id, msg.stream, msg.seq, self.clock.now, src,
-            hops, msg.path_delay + (self.clock.now - msg.sent_at),
-            msg.payload_bytes,
+            hops, msg.path_delay + (self.clock.now - msg.sent_at), first,
         )
-        if not self.seqs[msg.stream].note_delivered(msg.seq):
+        if not first:
             return
         self.hops_estimate = max(self.hops_estimate, hops)
         self.store.setdefault(msg.stream, {})[msg.seq] = msg.payload_bytes

@@ -256,8 +256,7 @@ class BrisaNode(HyParViewNode):
         meta = self.predictor.meta(msg)
         if self._steady_data(state, src, msg, meta, hops, path_delay):
             self.transport.metrics.record_delivery(
-                self.node_id, state.stream, msg.seq, now, src, hops, path_delay,
-                msg.payload_bytes,
+                self.node_id, state.stream, msg.seq, now, src, hops, path_delay, True
             )
         else:
             self._cold_data(state, src, msg, meta, hops, path_delay)
@@ -349,8 +348,7 @@ class BrisaNode(HyParViewNode):
         if not first:
             state.duplicates += 1
         self.transport.metrics.record_delivery(
-            self.node_id, state.stream, seq, now, src, hops, path_delay,
-            msg.payload_bytes,
+            self.node_id, state.stream, seq, now, src, hops, path_delay, first
         )
 
         if first:

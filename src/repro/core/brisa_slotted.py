@@ -13,9 +13,11 @@ What is left here is fan-specific.  The kernel is the ``Data`` fan sink
 of the fused plan: it reads the shared message's metadata, hop count and
 path delay once per fan instead of once per recipient, skips the
 per-recipient ``handle_message`` dispatch, and books receive bytes and
-steady deliveries in ``Metrics`` only in record mode (``mirror``), which
-keeps a scale run's peak memory down.  Each recipient then takes its
-node's steady path or, when the cache proves nothing, its cold path —
+steady deliveries in ``Metrics`` only in record mode (``mirror``).  A
+steady delivery is a first copy by construction (the node's sequence
+record said so), and the cold path books its own record's verdict.
+Each recipient then takes its node's steady path or, when the cache
+proves nothing, its cold path —
 one rule table and one protocol implementation on both kernels, so
 parity is structural.
 """
@@ -77,8 +79,7 @@ class SlottedBrisaKernel:
             if node._steady_data(state, src, msg, meta, hops, path_delay):
                 if mirror:
                     metrics.record_delivery(
-                        dst, stream, msg.seq, now, src, hops, path_delay,
-                        msg.payload_bytes,
+                        dst, stream, msg.seq, now, src, hops, path_delay, True
                     )
             else:
                 node._cold_data(state, src, msg, meta, hops, path_delay)

@@ -30,8 +30,9 @@ effects of a wave are preserved literally:
   sequence number per fan, so the constituent order of every later
   wave — and the loss coins drawn for it — match the per-event run;
 - the first-occurrence masks encode the scalar seen-map transition
-  exactly (first ``UNSEEN`` delivers and forwards, a first
-  ``INJECTED`` is a source echo, everything else is a duplicate).
+  exactly (a slot's first ``UNSEEN`` occurrence delivers and forwards,
+  everything else is a duplicate), and in record mode each element's
+  verdict is booked in flat wave order.
 
 Everything order-insensitive (per-slot counters, byte totals, Metrics
 sums) is commutative and may be applied vectorized in any order, and
@@ -319,20 +320,6 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         row = rows[seq] if seq < len(rows) else self._row(plane, seq)
         hops = msg.hops + 1
         path_delay = msg.path_delay + (now - msg.sent_at)
-        if self._mirror:
-            # Parity/record runs: feed Metrics exactly like the scalar
-            # path, element by element in flat wave order (the only
-            # order record_delivery's first/duplicate split can observe).
-            record = self.metrics.record_delivery
-            account = self.metrics.account_receive
-            for g in range(len(ids)) if att_idx is None else att_idx.tolist():
-                dst = int(ids[g])
-                record(
-                    dst, stream, seq, now, int(srcs[ev_idx[g]]), hops,
-                    path_delay, msg.payload_bytes,
-                )
-                account(dst, size)
-        pre = row[slots]
         # First occurrence per slot without a sort: scatter flat indices
         # in reverse (so the lowest index wins) and compare the
         # gather-back against each element's own index.
@@ -341,13 +328,24 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         scratch[slots[::-1]] = idx[::-1]
         first = scratch[slots] == idx
         # Scalar transition, vectorized: a slot's first occurrence sees
-        # the pre-wave state (deliver on UNSEEN, echo on INJECTED,
-        # duplicate on RECEIVED); every later occurrence sees RECEIVED
-        # and is a duplicate.
-        dmask = first & (pre == UNSEEN)
-        dup = ~first | (pre == RECEIVED)
+        # the pre-wave state (deliver on UNSEEN, duplicate on RECEIVED);
+        # every later occurrence sees RECEIVED and is a duplicate.
+        dmask = first & (row[slots] == UNSEEN)
+        if self._mirror:
+            # Parity/record runs: book each element's verdict exactly
+            # like the scalar path, in flat wave order.
+            record = self.metrics.record_delivery
+            account = self.metrics.account_receive
+            flat = range(len(ids)) if att_idx is None else att_idx.tolist()
+            for g, verdict in zip(flat, dmask.tolist()):
+                dst = int(ids[g])
+                record(
+                    dst, stream, seq, now, int(srcs[ev_idx[g]]), hops,
+                    path_delay, verdict,
+                )
+                account(dst, size)
         row[slots] = RECEIVED
-        dup_slots = slots[dup]
+        dup_slots = slots[~dmask]
         if dup_slots.size:
             np.add.at(plane.duplicates, dup_slots, 1)
         if not dmask.any():

@@ -1,7 +1,8 @@
 """The slot store under the two array flood kernels (DESIGN.md §9).
 
 The one statement of the slot layout and lifecycle: the seen-cell
-convention, :class:`SlotPlane` (one stream's per-slot columns) and
+convention (the cell is the first-copy verdict a kernel books in
+``Metrics``), :class:`SlotPlane` (one stream's per-slot columns) and
 :class:`SlotKernel` (allocation and recycling, the neighbor rows, bulk
 row installation, the dense plane index).  A kernel subclasses
 :class:`SlotKernel` and adds only what a reception *does*; a column
@@ -16,12 +17,11 @@ from array import array
 
 from repro.ids import NodeId, StreamId
 
-#: Seen-map cell states.  ``INJECTED`` marks a sequence the slot's node
-#: itself published (locally delivered, but not yet a *recorded
-#: reception* — the source's first echo from a neighbour still counts as
-#: a first delivery, matching ``Metrics.record_delivery`` semantics in
-#: the object path).
-UNSEEN, INJECTED, RECEIVED = 0, 1, 2
+#: Seen-map cell states: a reception is a first copy iff its cell is
+#: ``UNSEEN`` (the array kernels' sequence record, DESIGN.md §14).  An
+#: injection marks the source's cell ``RECEIVED``, so its echo from a
+#: neighbour is a duplicate.
+UNSEEN, RECEIVED = 0, 1
 
 
 class SlotPlane:

@@ -24,6 +24,7 @@ from repro.experiments.common import (
     build_gossip_testbed,
     build_simpletree_testbed,
     build_tag_testbed,
+    delivered_fraction,
 )
 from repro.experiments.scale import Scale, get_scale
 from repro.metrics.bandwidth import stacked_phases_mb
@@ -205,8 +206,7 @@ class Table2Result:
 
 def _mean_span(bed, source, stream: StreamConfig) -> tuple[float, float]:
     """Mean over nodes of (last reception - first reception); §III-D's
-    dissemination latency.  Also returns the delivered fraction
-    (via the sharded :meth:`Metrics.delivered_fraction`)."""
+    dissemination latency.  Also returns the delivered fraction."""
     spans = []
     receivers = [nid for nid in bed.alive_ids() if nid != source.node_id]
     for nid in receivers:
@@ -219,8 +219,8 @@ def _mean_span(bed, source, stream: StreamConfig) -> tuple[float, float]:
         if len(times) >= 2:
             spans.append(max(times) - min(times))
     mean_span = sum(spans) / len(spans) if spans else 0.0
-    delivered = bed.metrics.delivered_fraction(
-        stream.stream_id, receivers, window=(0, stream.count)
+    delivered = delivered_fraction(
+        [bed.node(nid) for nid in receivers], stream.stream_id, stream.count
     )
     return mean_span, delivered
 

@@ -2,9 +2,17 @@
 
 The paper separates *stabilization* bandwidth (overlay + structure
 bootstrap) from *dissemination* bandwidth (Fig. 12); :class:`Metrics`
-tags every byte with the phase active at send time.  Delivery recording
-feeds the duplicates CDF (Fig. 2), routing delays (Fig. 9), dissemination
-latency (Table II) and the repair statistics (Table I, Figs. 13–14).
+tags every byte with the phase active at send time.  Delivery records
+feed the duplicates CDF (Fig. 2), routing delays (Fig. 9) and
+dissemination latency (Table II); repair records feed Table I and
+Figs. 13–14.
+
+Whether a reception is a first copy is decided once, by the receiving
+node's sequence record (DESIGN.md §14, "The sequence record"):
+:meth:`Metrics.record_delivery` books that verdict and keeps no
+per-(message, node) state of its own beyond one :class:`DeliveryRecord`
+per first delivery in record mode.  What a node delivered is read from
+the node (``delivered_count``), not from here.
 
 Recording is plain-dict hot-path cheap; the NumPy conversion happens once
 at analysis time (see :mod:`repro.metrics.stats`), per the HPC guides'
@@ -23,8 +31,8 @@ read them through :meth:`Metrics.node_bytes` /
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.ids import NodeId, StreamId
 
@@ -70,12 +78,8 @@ class ConstructionProbe:
 
 
 class StreamMetrics:
-    """Delivery/bandwidth shard of one stream (DESIGN.md §10).
-
-    The one read surface for deliveries: books are keyed by plain ``seq``
-    (no tuple allocation, no shared dict on the hot path), and per-stream
-    reports read their own stream's shard directly.
-    """
+    """Delivery shard of one stream (DESIGN.md §10): books keyed by plain
+    ``seq``, so concurrent streams share no dict on the hot path."""
 
     __slots__ = (
         "stream",
@@ -84,14 +88,14 @@ class StreamMetrics:
         "duplicates",
         "first_deliveries",
         "duplicate_receptions",
-        "payload_bytes",
     )
 
     def __init__(self, stream: StreamId) -> None:
         self.stream = stream
         #: seq -> injection time at the source.
         self.injections: dict[int, float] = {}
-        #: seq -> node -> DeliveryRecord (first delivery only).
+        #: seq -> node -> DeliveryRecord of the first delivery (record
+        #: mode only).
         self.deliveries: dict[int, dict[NodeId, DeliveryRecord]] = {}
         #: node -> duplicate receptions on this stream.
         self.duplicates: dict[NodeId, int] = defaultdict(int)
@@ -99,8 +103,6 @@ class StreamMetrics:
         self.first_deliveries = 0
         #: Total duplicate receptions recorded on this stream.
         self.duplicate_receptions = 0
-        #: Payload bytes of first-time receptions (per-stream goodput).
-        self.payload_bytes = 0
 
 
 class Metrics:
@@ -112,8 +114,6 @@ class Metrics:
         #: First time each phase was entered (reporting only; durations
         #: come from the accumulated closed intervals below).
         self.phase_starts: dict[str, float] = {STABILIZATION: 0.0}
-        #: Last time each phase was closed.
-        self.phase_ends: dict[str, float] = {}
         #: Sum of closed [enter, leave) intervals per phase.  A phase can
         #: be entered repeatedly (e.g. two ``run_stream`` calls on one
         #: testbed); only time actually spent *in* the phase counts, so
@@ -174,7 +174,6 @@ class Metrics:
         if self._phase_opened_at is None:
             return
         self.phase_elapsed[self.phase] += max(0.0, now - self._phase_opened_at)
-        self.phase_ends[self.phase] = now
         self._phase_opened_at = None
 
     def _books(self, phase: str) -> tuple[dict[NodeId, int], dict[NodeId, int]]:
@@ -243,28 +242,22 @@ class Metrics:
         sender: NodeId,
         hops: int,
         path_delay: float,
-        payload_bytes: int = 0,
-    ) -> bool:
-        """Record a reception; returns True iff it was the first delivery.
-
-        ``payload_bytes`` (when the caller knows it) accrues to the
-        stream shard's goodput total on first deliveries only.
-        """
+        first: bool,
+    ) -> None:
+        """Book one reception on the caller's verdict: ``first`` is what
+        the node's sequence record answered (DESIGN.md §14, "The sequence
+        record").  A first delivery keeps its record only in record mode."""
         shard = self.stream(stream)
-        per_node = shard.deliveries.get(seq)
-        if per_node is None:
-            per_node = shard.deliveries[seq] = {}
-        if node in per_node:
+        if not first:
             shard.duplicates[node] += 1
             shard.duplicate_receptions += 1
-            return False
+            return
         shard.first_deliveries += 1
-        shard.payload_bytes += payload_bytes
         if self.record_deliveries:
+            per_node = shard.deliveries.get(seq)
+            if per_node is None:
+                per_node = shard.deliveries[seq] = {}
             per_node[node] = DeliveryRecord(time, sender, hops, path_delay)
-        else:  # still need first/dup distinction, so store a sentinel
-            per_node[node] = _SENTINEL
-        return True
 
     # ------------------------------------------------------------------
     # Repairs & probes
@@ -295,74 +288,10 @@ class Metrics:
 
     def records(self, stream: StreamId, seq: int) -> dict[NodeId, DeliveryRecord]:
         """node -> first-delivery record of one message (empty when none
-        is recorded; never creates a shard).  Without
-        ``record_deliveries`` every record is the shared ``_SENTINEL``."""
+        is recorded, and always without ``record_deliveries``; never
+        creates a shard)."""
         shard = self.streams.get(stream)
         return {} if shard is None else shard.deliveries.get(seq, {})
-
-    def stream_delivery_count(
-        self,
-        stream: StreamId,
-        receivers: Iterable[NodeId],
-        *,
-        window: Optional[tuple[int, int]] = None,
-    ) -> int:
-        """First deliveries of ``stream`` observed by ``receivers`` over a
-        half-open ``[lo, hi)`` sequence ``window``.
-
-        ``window=None`` spans every injection recorded for the stream —
-        ``[min seq, max seq + 1)``.  The window is half-open so callers
-        can split a stream into disjoint ranges (``(0, k)`` + ``(k, n)``)
-        without double-counting the boundary sequence.
-        """
-        if not isinstance(receivers, set):
-            receivers = set(receivers)
-        shard = self.streams.get(stream)
-        lo, hi = self._resolve_window(shard, window)
-        if not receivers or hi <= lo or shard is None:
-            return 0
-        deliveries = shard.deliveries
-        got = 0
-        for seq in range(lo, hi):
-            per_node = deliveries.get(seq)
-            if per_node:
-                got += len(receivers & per_node.keys())
-        return got
-
-    def delivered_fraction(
-        self,
-        stream: StreamId,
-        receivers: Iterable[NodeId],
-        *,
-        window: Optional[tuple[int, int]] = None,
-    ) -> float:
-        """Fraction of (sequence, receiver) pairs of ``stream`` delivered,
-        over the half-open ``window`` (see :meth:`stream_delivery_count`).
-
-        An empty audience or an empty window expects zero pairs and is
-        vacuously complete (1.0); a window with no recorded injections
-        and no deliveries is 0.0.
-        """
-        if not isinstance(receivers, set):
-            receivers = set(receivers)
-        if not receivers:
-            return 1.0
-        shard = self.streams.get(stream)
-        lo, hi = self._resolve_window(shard, window)
-        if hi <= lo:
-            return 1.0 if window is not None else 0.0
-        got = self.stream_delivery_count(stream, receivers, window=(lo, hi))
-        return got / ((hi - lo) * len(receivers))
-
-    @staticmethod
-    def _resolve_window(
-        shard: Optional[StreamMetrics], window: Optional[tuple[int, int]]
-    ) -> tuple[int, int]:
-        if window is not None:
-            return window
-        if shard is None or not shard.injections:
-            return (0, 0)
-        return (min(shard.injections), max(shard.injections) + 1)
 
     def total_bytes(self, phase: Optional[str] = None) -> int:
         """Bytes sent by every node, in ``phase`` or over all phases."""
@@ -376,6 +305,3 @@ class Metrics:
         books = self.sent_by_phase if direction == "sent" else self.received_by_phase
         return books.get(phase, {}).get(node, 0)
 
-
-#: Shared sentinel for delivery bookkeeping when full records are disabled.
-_SENTINEL = DeliveryRecord(0.0, -1, 0, 0.0)

@@ -132,7 +132,8 @@ def cache_free():
 def assert_brisa_state_consistent(bed, streams: int) -> int:
     """Every live node's per-stream state agrees with itself and with
     Metrics: its duplicate count with ``Metrics.duplicates_per_node``,
-    its active-inbound-link count with ``in_active``, and its
+    its active-inbound-link count with ``in_active``, its sequence
+    record is sound (:func:`assert_seq_record_sound`), and its
     maintenance cache holds its invariants — a primed cache only on a
     parent whose pinned Candidate is the live one, and a cached
     relay-target list (order included) equal to the relay rule applied
@@ -159,4 +160,23 @@ def assert_brisa_state_consistent(bed, streams: int) -> int:
             assert state.active_in == sum(
                 1 for active in state.in_active.values() if active
             )
+            assert_seq_record_sound(state, state.buffer.capacity)
     return primed
+
+
+def assert_seq_record_sound(record, capacity: int) -> None:
+    """A sequence record in canonical form (DESIGN.md §14, "The sequence
+    record"): ``holes`` sorted, disjoint, non-adjacent runs at or below
+    ``max_contig``; ``ahead`` entirely above ``max_contig + 1`` and at
+    most ``capacity`` (the recovery horizon) long; and ``delivered_n``
+    the size of what the two describe."""
+    contig, holes, ahead = record.max_contig, record.holes, record.ahead
+    assert len(holes) % 2 == 0, holes
+    assert all(lo < hi for lo, hi in zip(holes[::2], holes[1::2])), holes
+    # Non-adjacent: a delivered seq separates each run from the next.
+    assert all(hi < lo for hi, lo in zip(holes[1::2], holes[2::2])), holes
+    assert not holes or (holes[0] >= 0 and holes[-1] <= contig + 1), (holes, contig)
+    assert all(seq > contig + 1 for seq in ahead), (contig, sorted(ahead))
+    assert len(ahead) <= capacity, (len(ahead), capacity)
+    missing = sum(hi - lo for lo, hi in zip(holes[::2], holes[1::2]))
+    assert record.delivered_n == contig + 1 - missing + len(ahead)

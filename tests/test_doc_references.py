@@ -4,7 +4,7 @@ resolves.
 The scanned texts are the code, tests, benchmarks, examples, workflows,
 the verify skill, ``pytest.ini`` and DESIGN.md itself; ``bench/`` is not
 scanned (it changes only with the benchmark), but a path into it must
-exist like any other.  Four kinds of reference are checked:
+exist like any other.  Five kinds of reference are checked:
 
 - ``DESIGN.md §N`` / ``DESIGN §N`` (lists and ranges such as
   ``§1, §12`` or ``§6–7`` included) and, inside DESIGN.md, any bare
@@ -15,7 +15,10 @@ exist like any other.  Four kinds of reference are checked:
   ``src/repro``, globs included) or a bare ``*.md`` name: the file
   exists.  Paths under the git-ignored output directories are exempt;
 - ``path::name`` (``::Class::method`` chains included): each name is a
-  ``def``, a ``class`` or a module-level assignment of that file.
+  ``def``, a ``class`` or a module-level assignment of that file;
+- ``ROADMAP item N`` (``ROADMAP.md items 7 and 11``, ``item 3(b)``): N
+  is a numbered open item of ROADMAP.md, not a ``*(Done in PR …)*``
+  stub.
 
 Comment markers are stripped and lines joined before matching, so a
 reference may wrap across lines.
@@ -30,6 +33,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DESIGN = ROOT / "DESIGN.md"
+ROADMAP = ROOT / "ROADMAP.md"
 
 SCANNED_DIRS = ("src", "tests", "benchmarks", "examples", ".claude", ".github")
 SCANNED_FILES = ("pytest.ini", "DESIGN.md")
@@ -52,6 +56,10 @@ PATH = re.compile(
 BARE_MD = re.compile(r"(?<![\w./$*{}-])([A-Za-z][\w-]*\.md)\b")
 SYMBOL = re.compile(r"((?:[\w.-]+/)*[\w.-]+\.py)::\s*(\w+(?:::\w+)*)")
 COMMENT_MARK = re.compile(r"^\s*(?:#+|//|\*)?\s?")
+ITEM = r"\d+(?:\([a-z]\))?"
+ROADMAP_REF = re.compile(
+    rf"ROADMAP(?:\.md)?,?\s+items?\s+({ITEM}(?:\s*(?:,|and)\s*{ITEM})*)"
+)
 
 
 def scanned_files() -> list[Path]:
@@ -91,6 +99,18 @@ def design_sections() -> dict[int, list[str]]:
         elif line.startswith("## "):
             current = None
     return sections
+
+
+def roadmap_items(text: str) -> dict[int, bool]:
+    """ROADMAP.md's numbered open items -> whether the item is a
+    ``*(Done in PR …)*`` stub."""
+    start = text.find("\n## Open items")
+    end = text.find("\n## ", start + 1)
+    section = text[start:end] if start >= 0 else ""
+    return {
+        int(m.group(1)): m.group(2).startswith("*(Done in PR")
+        for m in re.finditer(r"^(\d+)\.\s+(.*)$", section, re.MULTILINE)
+    }
 
 
 def expand(cluster: str) -> list[int]:
@@ -134,10 +154,24 @@ def resolve_file(ref: str) -> Path | None:
     return None
 
 
-def problems_in(rel: str, text: str, sections: dict[int, list[str]]) -> list[str]:
-    """What does not resolve in one text (``rel`` is its repo path)."""
+def problems_in(
+    rel: str,
+    text: str,
+    sections: dict[int, list[str]],
+    items: dict[int, bool] | None = None,
+) -> list[str]:
+    """What does not resolve in one text (``rel`` is its repo path);
+    ``items`` defaults to ROADMAP.md's."""
+    if items is None:
+        items = roadmap_items(ROADMAP.read_text(encoding="utf-8"))
     flat = flatten(text)
     problems = []
+    for m in ROADMAP_REF.finditer(flat):
+        for n in map(int, re.findall(r"\d+", m.group(1))):
+            if n not in items:
+                problems.append(f"{rel}: ROADMAP item {n} does not exist")
+            elif items[n]:
+                problems.append(f"{rel}: ROADMAP item {n} is a done stub")
     for n in section_refs(rel, flat):
         if n not in sections:
             problems.append(f"{rel}: DESIGN.md §{n} has no '## §{n}' heading")
@@ -171,10 +205,11 @@ def test_every_design_section_is_numbered_once():
 
 def test_every_reference_resolves():
     sections = design_sections()
+    items = roadmap_items(ROADMAP.read_text(encoding="utf-8"))
     problems = []
     for path in scanned_files():
         rel = path.relative_to(ROOT).as_posix()
-        problems += problems_in(rel, path.read_text(encoding="utf-8"), sections)
+        problems += problems_in(rel, path.read_text(encoding="utf-8"), sections, items)
     assert not problems, "\n".join(problems)
 
 
@@ -193,6 +228,36 @@ def test_every_reference_resolves():
 def test_the_checker_catches(text, problem):
     problems = problems_in("tests/probe.py", text, design_sections())
     assert any(problem in p for p in problems), problems
+
+
+def test_the_checker_resolves_roadmap_items():
+    """Items come from the numbered list under ``## Open items`` only."""
+    roadmap = (
+        "1. **An aim, not an item.**\n"
+        "## Open items\n"
+        "3. **An open item.**\n"
+        "   (a) a sub-item\n"
+        "4. *(Done in PR 9: what landed.)*\n"
+        "## Recent\n"
+        "5. **Not an item either.**\n"
+    )
+    items = roadmap_items(roadmap)
+    assert items == {3: False, 4: True}
+    sections = design_sections()
+
+    def problems(text):
+        return problems_in("tests/probe.py", text, sections, items)
+
+    assert problems("ROADMAP item 3(a); ROADMAP.md item 3") == []
+    assert problems("# see ROADMAP\n# item 1") == [
+        "tests/probe.py: ROADMAP item 1 does not exist"
+    ]
+    assert problems("ROADMAP items 3 and 5") == [
+        "tests/probe.py: ROADMAP item 5 does not exist"
+    ]
+    assert problems("ROADMAP item 4's numbers") == [
+        "tests/probe.py: ROADMAP item 4 is a done stub"
+    ]
 
 
 def test_the_checker_accepts_what_exists():

@@ -26,7 +26,7 @@ def test_set_same_phase_is_noop():
     m = Metrics()
     m.set_phase(STABILIZATION, now=50.0)
     assert m.phase_starts[STABILIZATION] == 0.0
-    assert STABILIZATION not in m.phase_ends
+    assert m.phase_duration(STABILIZATION) == 0.0  # no interval was closed
 
 
 def test_phase_reentry_accumulates_closed_intervals():
@@ -71,24 +71,27 @@ def test_msg_counts_by_kind():
 
 def test_first_delivery_vs_duplicates():
     m = Metrics()
-    assert m.record_delivery(5, 0, 1, 1.0, sender=2, hops=3, path_delay=0.1)
-    assert not m.record_delivery(5, 0, 1, 1.5, sender=3, hops=4, path_delay=0.2)
+    m.record_delivery(5, 0, 1, 1.0, sender=2, hops=3, path_delay=0.1, first=True)
+    m.record_delivery(5, 0, 1, 1.5, sender=3, hops=4, path_delay=0.2, first=False)
     assert m.streams[0].duplicates[5] == 1
     rec = m.records(0, 1)[5]
     assert rec.time == 1.0 and rec.sender == 2 and rec.hops == 3
+    # A duplicate verdict keeps no record, even for a node never booked.
+    m.record_delivery(6, 0, 1, 1.6, sender=3, hops=4, path_delay=0.2, first=False)
+    assert 6 not in m.records(0, 1) and m.streams[0].duplicate_receptions == 2
 
 
 def test_duplicates_per_node_includes_zero_for_clean_nodes():
     m = Metrics()
-    m.record_delivery(1, 0, 0, 1.0, 0, 1, 0.0)
-    m.record_delivery(1, 0, 0, 1.1, 2, 1, 0.0)
+    m.record_delivery(1, 0, 0, 1.0, 0, 1, 0.0, True)
+    m.record_delivery(1, 0, 0, 1.1, 2, 1, 0.0, False)
     assert m.duplicates_per_node([1, 2]) == [1, 0]
 
 
 def test_records_query():
     m = Metrics()
-    m.record_delivery(1, 0, 3, 2.5, 0, 1, 0.0)
-    m.record_delivery(2, 0, 3, 2.7, 0, 1, 0.0)
+    m.record_delivery(1, 0, 3, 2.5, 0, 1, 0.0, True)
+    m.record_delivery(2, 0, 3, 2.7, 0, 1, 0.0, True)
     assert {n: rec.time for n, rec in m.records(0, 3).items()} == {1: 2.5, 2: 2.7}
     assert m.records(0, 4) == {}
     # An unknown stream answers empty without creating a shard.
@@ -97,10 +100,11 @@ def test_records_query():
 
 def test_record_deliveries_disabled_still_counts_duplicates():
     m = Metrics(record_deliveries=False)
-    assert m.record_delivery(1, 0, 0, 1.0, 0, 1, 0.0)
-    assert not m.record_delivery(1, 0, 0, 1.2, 9, 2, 0.0)
+    m.record_delivery(1, 0, 0, 1.0, 0, 1, 0.0, True)
+    m.record_delivery(1, 0, 0, 1.2, 9, 2, 0.0, False)
     assert m.duplicates_per_node([1]) == [1]
     assert m.streams[0].first_deliveries == 1
+    assert m.streams[0].deliveries == {} and m.records(0, 0) == {}
 
 
 def test_repair_and_probe_records():
@@ -129,62 +133,22 @@ def test_counters():
 
 
 # ----------------------------------------------------------------------
-# Per-stream shards + delivered_fraction (DESIGN.md §10)
+# Per-stream shards (DESIGN.md §10)
 # ----------------------------------------------------------------------
 def test_streams_sharded_per_stream():
     m = Metrics()
     m.record_injection(0, 0, 1.0)
-    m.record_delivery(1, 0, 0, 1.5, 9, 1, 0.0, payload_bytes=100)
-    m.record_delivery(1, 0, 0, 1.6, 8, 2, 0.0, payload_bytes=100)  # dup
-    m.record_delivery(1, 7, 0, 2.0, 9, 1, 0.0, payload_bytes=30)
+    m.record_delivery(1, 0, 0, 1.5, 9, 1, 0.0, True)
+    m.record_delivery(1, 0, 0, 1.6, 8, 2, 0.0, False)
+    m.record_delivery(1, 7, 0, 2.0, 9, 1, 0.0, True)
     assert set(m.streams) == {0, 7}
     assert m.streams[0].first_deliveries == 1
     assert m.streams[0].duplicate_receptions == 1
-    assert m.streams[0].payload_bytes == 100  # dup did not accrue
     assert m.streams[7].first_deliveries == 1
-    assert m.streams[7].payload_bytes == 30
     assert m.records(0, 0)[1].sender == 9
     assert m.streams[0].injections[0] == 1.0
     assert m.records(7, 0) and not m.records(3, 0)
     assert m.duplicates_per_node([1, 2]) == [1, 0]  # summed across streams
-
-
-def test_delivered_fraction_half_open_window():
-    m = Metrics()
-    # Stream 0: receivers {1, 2}; seqs 0 and 1 delivered to both, seq 2
-    # delivered to node 1 only.
-    for seq, nodes in ((0, (1, 2)), (1, (1, 2)), (2, (1,))):
-        for node in nodes:
-            m.record_delivery(node, 0, seq, 1.0, 0, 1, 0.0)
-    # Half-open [0, 2): seq 2 excluded — both receivers fully served.
-    assert m.delivered_fraction(0, [1, 2], window=(0, 2)) == 1.0
-    # Half-open [0, 3): seq 2 missing at node 2 — 5 of 6 pairs.
-    assert m.delivered_fraction(0, [1, 2], window=(0, 3)) == pytest.approx(5 / 6)
-    # [2, 3): exactly the boundary seq — the windows partition cleanly.
-    assert m.delivered_fraction(0, [1, 2], window=(2, 3)) == pytest.approx(1 / 2)
-    assert m.stream_delivery_count(0, [1, 2], window=(0, 2)) + m.stream_delivery_count(
-        0, [1, 2], window=(2, 3)
-    ) == m.stream_delivery_count(0, [1, 2], window=(0, 3))
-
-
-def test_delivered_fraction_default_window_spans_injections():
-    m = Metrics()
-    m.record_injection(0, 0, 1.0)
-    m.record_injection(0, 1, 2.0)
-    m.record_delivery(1, 0, 0, 1.5, 9, 1, 0.0)
-    # Default window = [0, 2): node 1 got 1 of 2.
-    assert m.delivered_fraction(0, [1]) == pytest.approx(1 / 2)
-    # Deliveries beyond the injected window don't inflate the default.
-    m.record_delivery(1, 0, 1, 2.5, 9, 1, 0.0)
-    assert m.delivered_fraction(0, [1]) == 1.0
-
-
-def test_delivered_fraction_degenerate_cases():
-    m = Metrics()
-    assert m.delivered_fraction(0, []) == 1.0  # empty audience: vacuous
-    assert m.delivered_fraction(0, [1]) == 0.0  # nothing injected
-    assert m.delivered_fraction(0, [1], window=(3, 3)) == 1.0  # empty window
-    assert m.stream_delivery_count(5, [1], window=(0, 4)) == 0  # unknown stream
 
 
 @given(

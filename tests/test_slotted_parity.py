@@ -96,11 +96,7 @@ def snapshot(sim, net, nodes) -> dict:
             for node in nodes
         },
         "stream_shards": {
-            stream: (
-                shard.first_deliveries,
-                shard.duplicate_receptions,
-                shard.payload_bytes,
-            )
+            stream: (shard.first_deliveries, shard.duplicate_receptions)
             for stream, shard in m.streams.items()
         },
         "dropped": m.counters.get("dropped", 0),
@@ -221,37 +217,51 @@ def test_kernels_agree_under_multistream_churn():
     assert results[0].kills > 0
 
 
-def test_slotted_source_echo_matches_object_semantics():
-    """The source hearing its own message back is a recorded first
-    delivery but not a re-flood — the subtlest corner of the object
-    path's record/seen split.  On a static uniform-delay overlay every
-    neighbour's first copy comes from the source itself (so the exclusion
-    rule suppresses the echo); churn reordering makes it reachable, so it
-    is triggered here explicitly on both kernels."""
+def source_echo_runs(kernels, fan: bool) -> dict:
+    """Echo the source's own message back to it once the stream drained,
+    as a repaired overlay path would: through a single ``send`` or
+    (``fan``) a one-destination fan-out, the route into the array
+    kernels' fan sinks.  On a static uniform-delay overlay every
+    neighbour's first copy comes from the source itself, so the exclusion
+    rule suppresses the echo; churn reordering makes it reachable.
+    Returns kernel -> (sim, net, nodes, events the echo cost)."""
     from repro.baselines.flood import FloodData
 
     runs = {}
-    for kernel in ("object", "slotted"):
+    for kernel in kernels:
         sim, net, nodes = flood_run(kernel, 16, 1, 3, "zero-cost")
         source = nodes[0]
         echoer = next(iter(source.active))
-        assert source.node_id not in net.metrics.streams[0].deliveries[0]
+        assert net.metrics.duplicates_per_node([source.node_id]) == [0]
         events_before = sim.events_processed
-        # A late echo of the source's own message, as a repaired overlay
-        # path would produce it.
-        net.send(echoer, source.node_id,
-                 FloodData(0, 0, 64, hops=3, path_delay=0.01, sent_at=sim.now))
+        echo = FloodData(0, 0, 64, hops=3, path_delay=0.01, sent_at=sim.now)
+        if fan:
+            net.send_many(echoer, [source.node_id], echo)
+        else:
+            net.send(echoer, source.node_id, echo)
         sim.run_until_idle()
         runs[kernel] = (sim, net, nodes, sim.events_processed - events_before)
+    return runs
 
+
+def assert_echo_is_a_duplicate(runs: dict) -> None:
+    """The source's sequence record decides: the echo is a duplicate on
+    every kernel, keeps no delivery record, is delivered once and is
+    never re-flooded, and the kernels still agree draw for draw."""
     for kernel, (sim, net, nodes, events) in runs.items():
         source = nodes[0]
-        rec = net.metrics.streams[0].deliveries[0][source.node_id]
-        assert rec.hops == 4, kernel  # recorded as a first delivery...
-        assert source.delivered_count(0) == 1, kernel  # ...counted once...
-        assert net.metrics.duplicates_per_node([source.node_id]) == [0], kernel
-        assert events == 1, kernel  # ...and not re-flooded (delivery only)
-    assert snapshot(*runs["object"][:3]) == snapshot(*runs["slotted"][:3])
+        assert source.node_id not in net.metrics.records(0, 0), kernel
+        assert net.metrics.duplicates_per_node([source.node_id]) == [1], kernel
+        assert source.delivered_count(0) == 1, kernel
+        assert events == 1, kernel  # the delivery only: no re-flood
+    (reference, *others) = runs.values()
+    for other in others:
+        assert snapshot(*reference[:3]) == snapshot(*other[:3])
+
+
+def test_slotted_source_echo_matches_object_semantics():
+    for fan in (False, True):
+        assert_echo_is_a_duplicate(source_echo_runs(("object", "slotted"), fan))
 
 
 def test_unknown_kernel_rejected():
@@ -396,28 +406,10 @@ def test_vectorized_kernel_agrees_under_multistream_churn():
 
 @requires_numpy
 def test_vectorized_source_echo_matches_object_semantics():
-    """The delayed source-echo corner (first delivery recorded, no
-    re-flood) through the batch path's first-occurrence masks: a first
-    ``_INJECTED`` cell is an echo, not a delivery and not a duplicate."""
-    from repro.baselines.flood import FloodData
-
-    runs = {}
-    for kernel in ("object", "vectorized"):
-        sim, net, nodes = flood_run(kernel, 16, 1, 3, "zero-cost")
-        source = nodes[0]
-        echoer = next(iter(source.active))
-        events_before = sim.events_processed
-        net.send(echoer, source.node_id,
-                 FloodData(0, 0, 64, hops=3, path_delay=0.01, sent_at=sim.now))
-        sim.run_until_idle()
-        runs[kernel] = (sim, net, nodes, sim.events_processed - events_before)
-
-    for kernel, (sim, net, nodes, events) in runs.items():
-        source = nodes[0]
-        assert source.delivered_count(0) == 1, kernel
-        assert net.metrics.duplicates_per_node([source.node_id]) == [0], kernel
-        assert events == 1, kernel
-    assert snapshot(*runs["object"][:3]) == snapshot(*runs["vectorized"][:3])
+    """The same corner through the batch path's first-occurrence masks
+    (the fan-out) and the inherited scalar ``on_data`` (the send)."""
+    for fan in (False, True):
+        assert_echo_is_a_duplicate(source_echo_runs(("object", "vectorized"), fan))
 
 
 def test_vectorized_kernel_without_numpy_is_a_clear_error(monkeypatch):
