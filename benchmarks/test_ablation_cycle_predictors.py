@@ -11,6 +11,7 @@ from repro.config import BrisaConfig, StreamConfig
 from repro.experiments.common import build_brisa_testbed
 from repro.experiments.report import banner, table
 from repro.ids import DEPTH_BYTES, NODE_ID_BYTES
+from tests.helpers import to_networkx
 
 
 def run_predictor(mode, predictor, scale, seed=31, bloom_bits=1024):
@@ -29,7 +30,7 @@ def run_predictor(mode, predictor, scale, seed=31, bloom_bits=1024):
     # Metadata bytes actually carried per message at the deepest node.
     import networkx as nx
 
-    depth = nx.single_source_shortest_path_length(g, source.node_id)
+    depth = nx.single_source_shortest_path_length(to_networkx(g), source.node_id)
     max_depth = max(depth.values()) if depth else 0
     if predictor == "path":
         meta_bytes = (max_depth + 1) * NODE_ID_BYTES

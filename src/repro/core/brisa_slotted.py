@@ -12,10 +12,10 @@ delivery plan.
 What is left here is fan-specific.  The kernel is the ``Data`` fan sink
 of the fused plan: it reads the shared message's metadata, hop count and
 path delay once per fan instead of once per recipient, skips the
-per-recipient ``handle_message`` dispatch, and books receive bytes and
-steady deliveries in ``Metrics`` only in record mode (``mirror``).  A
-steady delivery is a first copy by construction (the node's sequence
-record said so), and the cold path books its own record's verdict.
+per-recipient ``handle_message`` dispatch, and books what the generic
+fan loop and ``on_brisa_data`` book, in every mode: receive bytes per
+recipient and each steady delivery as a first copy (the node's sequence
+record said so); the cold path books its own record's verdict.
 Each recipient then takes its node's steady path or, when the cache
 proves nothing, its cold path —
 one rule table and one protocol implementation on both kernels, so
@@ -44,8 +44,6 @@ class SlottedBrisaKernel:
         self.network = network
         self.sim = network.sim
         self.metrics = network.metrics
-        #: Mirror receptions into Metrics (parity/record mode)?
-        self._mirror = network.metrics.record_deliveries
         #: The one rule table's predictor: it reads a fan's metadata once.
         self.predictor = make_predictor(
             config if config is not None else BrisaConfig()
@@ -57,7 +55,6 @@ class SlottedBrisaKernel:
         in order (matching the generic fan loop): the node's steady path
         or, when the maintenance cache proves nothing, its cold path."""
         stream = msg.stream
-        mirror = self._mirror
         metrics = self.metrics
         nodes = self.network.nodes
         now = self.sim.now
@@ -71,16 +68,14 @@ class SlottedBrisaKernel:
                 # The generic single-delivery semantics (drop + notice).
                 self.network._deliver_fast(src, dst, msg, size)
                 continue
-            if mirror:
-                metrics.account_receive(dst, size)
+            metrics.account_receive(dst, size)
             state = node.streams.get(stream)
             if state is None:
                 state = node.stream_state(stream)
             if node._steady_data(state, src, msg, meta, hops, path_delay):
-                if mirror:
-                    metrics.record_delivery(
-                        dst, stream, msg.seq, now, src, hops, path_delay, True
-                    )
+                metrics.record_delivery(
+                    dst, stream, msg.seq, now, src, hops, path_delay, True
+                )
             else:
                 node._cold_data(state, src, msg, meta, hops, path_delay)
 

@@ -6,25 +6,66 @@ the paper plots: depth distributions (Fig. 6; for DAGs depth is the
 *longest* path from the root), degree distributions (Fig. 7; out-degree =
 number of relays), completeness/acyclicity invariants, and the DOT export
 behind the Fig. 8 tree drawings.
+
+Standard library only (DESIGN.md §17): the tests check every function
+against networkx through ``tests/helpers.py::to_networkx``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-import networkx as nx
+from collections import deque
+from typing import Iterable, KeysView, Optional
 
 from repro.ids import NodeId, StreamId
 
 
-def extract_structure(nodes: Iterable, stream: StreamId = 0) -> nx.DiGraph:
+class Structure:
+    """A directed graph as children and parents adjacency keyed by node
+    id, both in insertion order (each inner dict is an ordered set)."""
+
+    __slots__ = ("children", "parents")
+
+    def __init__(self) -> None:
+        self.children: dict[NodeId, dict[NodeId, None]] = {}
+        self.parents: dict[NodeId, dict[NodeId, None]] = {}
+
+    def add_node(self, node: NodeId) -> None:
+        if node not in self.children:
+            self.children[node] = {}
+            self.parents[node] = {}
+
+    def add_edge(self, parent: NodeId, child: NodeId) -> None:
+        self.add_node(parent)
+        self.add_node(child)
+        self.children[parent][child] = None
+        self.parents[child][parent] = None
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.children
+
+    @property
+    def nodes(self) -> KeysView[NodeId]:
+        return self.children.keys()
+
+    @property
+    def edges(self) -> list[tuple[NodeId, NodeId]]:
+        return [(u, v) for u, kids in self.children.items() for v in kids]
+
+    def number_of_nodes(self) -> int:
+        return len(self.children)
+
+    def number_of_edges(self) -> int:
+        return sum(len(kids) for kids in self.children.values())
+
+
+def extract_structure(nodes: Iterable, stream: StreamId = 0) -> Structure:
     """Directed parent->child graph from the nodes' parent sets.
 
     Only live nodes contribute; a node with no parents and no children
     still appears as an isolated vertex (so completeness checks can see
     disconnected nodes).
     """
-    g = nx.DiGraph()
+    g = Structure()
     for node in nodes:
         if not getattr(node, "alive", True):
             continue
@@ -43,44 +84,95 @@ def extract_structure(nodes: Iterable, stream: StreamId = 0) -> nx.DiGraph:
     return g
 
 
-def tree_depths(g: nx.DiGraph, source: NodeId) -> dict[NodeId, int]:
+def _reach(g: Structure, source: NodeId) -> dict[NodeId, int]:
+    """BFS hop count of every node reachable from ``source``."""
+    children = g.children
+    dist = {source: 0}
+    queue = deque((source,))
+    while queue:
+        node = queue.popleft()
+        d = dist[node] + 1
+        for child in children[node]:
+            if child not in dist:
+                dist[child] = d
+                queue.append(child)
+    return dist
+
+
+def _kahn(g: Structure) -> tuple[list[NodeId], dict[NodeId, int]]:
+    """Kahn's topological order, and the in-degree left at every node it
+    could not order (empty iff ``g`` is acyclic)."""
+    indeg = {n: len(ps) for n, ps in g.parents.items()}
+    order = [n for n, d in indeg.items() if d == 0]
+    children = g.children
+    for node in order:  # grows while iterated
+        for child in children[node]:
+            indeg[child] -= 1
+            if indeg[child] == 0:
+                order.append(child)
+    if len(order) == len(indeg):
+        return order, {}
+    return order, {n: d for n, d in indeg.items() if d > 0}
+
+
+def _cycle(g: Structure, left: dict[NodeId, int]) -> list[tuple[NodeId, NodeId]]:
+    """One cycle among the nodes Kahn left: each has a leftover parent,
+    so walking leftover parents back from any of them must repeat."""
+    node = next(iter(left))
+    at: dict[NodeId, int] = {}
+    path: list[NodeId] = []
+    while node not in at:
+        at[node] = len(path)
+        path.append(node)
+        node = next(p for p in g.parents[node] if p in left)
+    # path[i + 1] -> path[i]: read the loop forward from its entry node.
+    loop = [node] + path[at[node] + 1:][::-1]
+    return list(zip(loop, loop[1:] + loop[:1]))
+
+
+def tree_depths(g: Structure, source: NodeId) -> dict[NodeId, int]:
     """Shortest-path depth of every reachable node (tree: unique path)."""
     if source not in g:
         return {}
-    return nx.single_source_shortest_path_length(g, source)
+    return _reach(g, source)
 
 
-def dag_depths(g: nx.DiGraph, source: NodeId) -> dict[NodeId, int]:
+def dag_depths(g: Structure, source: NodeId) -> dict[NodeId, int]:
     """Longest-path depth from the source (the paper's DAG depth measure:
     "depth measures the maximum distance, i.e. the longest path from the
-    root to the node").  Requires an acyclic ``g``."""
+    root to the node").  Requires an acyclic ``g``: raises ValueError on
+    a cycle."""
     if source not in g:
         return {}
+    order, left = _kahn(g)
+    if left:
+        raise ValueError(f"cycle present: {_cycle(g, left)}")
     depth: dict[NodeId, int] = {source: 0}
-    for node in nx.topological_sort(g):
+    children = g.children
+    for node in order:
         if node not in depth:
             continue
         d = depth[node]
-        for child in g.successors(node):
+        for child in children[node]:
             if depth.get(child, -1) < d + 1:
                 depth[child] = d + 1
     return depth
 
 
-def depths(g: nx.DiGraph, source: NodeId, mode: str = "tree") -> dict[NodeId, int]:
+def depths(g: Structure, source: NodeId, mode: str = "tree") -> dict[NodeId, int]:
     """Dispatch on structure mode ('tree' | 'dag')."""
     return tree_depths(g, source) if mode == "tree" else dag_depths(g, source)
 
 
-def out_degrees(g: nx.DiGraph) -> dict[NodeId, int]:
+def out_degrees(g: Structure) -> dict[NodeId, int]:
     """Out-degree (number of children served) per node — Fig. 7's degree:
     "the number of outgoing links ... bounds the message copies a node
     receives/sends"; degree-zero nodes are leaves."""
-    return {n: d for n, d in g.out_degree()}
+    return {n: len(kids) for n, kids in g.children.items()}
 
 
 def is_complete_structure(
-    g: nx.DiGraph,
+    g: Structure,
     source: NodeId,
     expected_nodes: Optional[set[NodeId]] = None,
 ) -> tuple[bool, str]:
@@ -88,23 +180,23 @@ def is_complete_structure(
     covers all (expected) nodes from the source.  Returns (ok, reason)."""
     if source not in g:
         return False, f"source {source} absent from structure"
-    if not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
-        return False, f"cycle present: {cycle}"
-    reachable = set(nx.descendants(g, source)) | {source}
-    expected = expected_nodes if expected_nodes is not None else set(g.nodes)
-    missing = expected - reachable
+    _, left = _kahn(g)
+    if left:
+        return False, f"cycle present: {_cycle(g, left)}"
+    reachable = _reach(g, source)
+    expected = expected_nodes if expected_nodes is not None else g.nodes
+    missing = [n for n in expected if n not in reachable]
     if missing:
         return False, f"{len(missing)} nodes unreachable from source: {sorted(missing)[:8]}"
     return True, "ok"
 
 
-def parent_counts(g: nx.DiGraph, source: NodeId) -> dict[NodeId, int]:
+def parent_counts(g: Structure, source: NodeId) -> dict[NodeId, int]:
     """In-degree (number of parents) per non-source node."""
-    return {n: d for n, d in g.in_degree() if n != source}
+    return {n: len(ps) for n, ps in g.parents.items() if n != source}
 
 
-def to_dot(g: nx.DiGraph, source: NodeId, *, label_prefix: str = "n") -> str:
+def to_dot(g: Structure, source: NodeId, *, label_prefix: str = "n") -> str:
     """DOT export for visual inspection (Fig. 8 sample tree shapes)."""
     lines = ["digraph brisa {", "  rankdir=TB;", "  node [shape=box, fontsize=9];"]
     lines.append(f'  "{label_prefix}{source}" [style=filled, fillcolor=lightgrey];')
@@ -114,7 +206,7 @@ def to_dot(g: nx.DiGraph, source: NodeId, *, label_prefix: str = "n") -> str:
     return "\n".join(lines)
 
 
-def structure_summary(g: nx.DiGraph, source: NodeId, mode: str = "tree") -> dict:
+def structure_summary(g: Structure, source: NodeId, mode: str = "tree") -> dict:
     """Compact stats bundle used by reports and the Fig. 8 bench."""
     dep = depths(g, source, mode)
     deg = out_degrees(g)

@@ -120,9 +120,8 @@ def run_scale_brisa(
         source_ids = {s.node_id for s in sources}
         receivers = [n for n in alive if n.node_id not in source_ids]
         # Duplicates are counted on the node's stream state by both
-        # kernels (the Metrics shards are only partly fed at scale).
-        # Source nodes are excluded, here and in the mean's denominator:
-        # ``duplicates_per_node`` is a receiver statistic.
+        # kernels.  Source nodes are excluded, here and in the mean's
+        # denominator: ``duplicates_per_node`` is a receiver statistic.
         dup_total = sum(
             state.duplicates for n in receivers for state in n.streams.values()
         )

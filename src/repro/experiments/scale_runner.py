@@ -379,7 +379,7 @@ def brisa_stream_outcomes(
 
     ``node.delivered_count(stream)`` is answered by the O(1) counter
     ``StreamState.delivered_n`` on both kernels, so the delivery walk is
-    kernel-independent (Metrics shards are not populated at scale).
+    kernel-independent (Metrics keeps no delivery records at scale).
     Every stream must also have emerged a complete, acyclic structure
     over the live population;
     :func:`~repro.core.structure.extract_structure` reads the tree edges

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.ids import NodeId
 from repro.metrics.stats import PAPER_PERCENTILES, percentile_summary
 from repro.sim.monitor import DISSEMINATION, STABILIZATION, Metrics

@@ -2,15 +2,15 @@
 
 Every figure in the paper is either a CDF (Figs. 2, 6, 7, 9, 13, 14) or a
 percentile stack (Figs. 10, 11); :class:`CDF` and
-:func:`percentile_summary` are their direct counterparts.
+:func:`percentile_summary` are their direct counterparts.  numpy is
+imported by the functions that use it, so importing this module needs
+only the standard library (DESIGN.md §17).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 #: The percentile set of the Figs. 10–11 stacked bars.
 PAPER_PERCENTILES = (5, 25, 50, 75, 90)
@@ -24,6 +24,8 @@ class CDF:
 
     @classmethod
     def of(cls, sample: Iterable[float]) -> "CDF":
+        import numpy as np
+
         arr = np.sort(np.asarray(list(sample), dtype=float))
         return cls(tuple(arr.tolist()))
 
@@ -38,6 +40,8 @@ class CDF:
         """P(X <= x): the y-value of the CDF plot at x."""
         if self.empty:
             return 0.0
+        import numpy as np
+
         arr = np.asarray(self.values)
         return float(np.searchsorted(arr, x, side="right")) / len(arr)
 
@@ -45,6 +49,8 @@ class CDF:
         """The q-th percentile (q in [0, 100])."""
         if self.empty:
             raise ValueError("percentile of an empty CDF")
+        import numpy as np
+
         return float(np.percentile(np.asarray(self.values), q))
 
     @property
@@ -55,6 +61,8 @@ class CDF:
     def mean(self) -> float:
         if self.empty:
             raise ValueError("mean of an empty CDF")
+        import numpy as np
+
         return float(np.mean(np.asarray(self.values)))
 
     @property
@@ -93,6 +101,8 @@ def percentile_summary(
     sample: Iterable[float], percentiles: Sequence[int] = PAPER_PERCENTILES
 ) -> dict[int, float]:
     """The Figs. 10–11 stacked-bar values: one number per percentile."""
+    import numpy as np
+
     arr = np.asarray(list(sample), dtype=float)
     if arr.size == 0:
         return {p: 0.0 for p in percentiles}
@@ -110,6 +120,5 @@ def rate_per_minute(event_times: Iterable[float], window: tuple[float, float]) -
     start, end = window
     if end <= start:
         return 0.0
-    arr = np.asarray(list(event_times), dtype=float)
-    inside = int(np.count_nonzero((arr >= start) & (arr < end))) if arr.size else 0
+    inside = sum(1 for t in event_times if start <= t < end)
     return inside / ((end - start) / 60.0)

@@ -180,3 +180,16 @@ def assert_seq_record_sound(record, capacity: int) -> None:
     assert len(ahead) <= capacity, (len(ahead), capacity)
     missing = sum(hi - lo for lo, hi in zip(holes[::2], holes[1::2]))
     assert record.delivered_n == contig + 1 - missing + len(ahead)
+
+
+def to_networkx(g):
+    """``g`` (a :class:`~repro.core.structure.Structure`) as a networkx
+    ``DiGraph`` with the same nodes and edges, in the same order: the
+    reference implementation the structure functions are checked
+    against.  networkx is a test dependency only (DESIGN.md §17)."""
+    import networkx as nx
+
+    ref = nx.DiGraph()
+    ref.add_nodes_from(g.nodes)
+    ref.add_edges_from(g.edges)
+    return ref

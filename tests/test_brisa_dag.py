@@ -6,7 +6,7 @@ import pytest
 from repro.config import BrisaConfig, StreamConfig
 from repro.core.structure import dag_depths, parent_counts
 from repro.experiments.common import build_brisa_testbed
-from tests.helpers import assert_positions_consistent
+from tests.helpers import assert_positions_consistent, to_networkx
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ class TestDagEmergence:
     def test_structure_is_acyclic(self, dag_run):
         _, source, result = dag_run
         g = result.structure()
-        assert nx.is_directed_acyclic_graph(g)
+        assert nx.is_directed_acyclic_graph(to_networkx(g))
 
     def test_structure_covers_all_nodes(self, dag_run):
         bed, source, result = dag_run
@@ -77,7 +77,7 @@ class TestDagEmergence:
         bed, source, result = dag_run
         g = result.structure()
         longest = dag_depths(g, source.node_id)
-        shortest = nx.single_source_shortest_path_length(g, source.node_id)
+        shortest = nx.single_source_shortest_path_length(to_networkx(g), source.node_id)
         assert all(longest[n] >= shortest[n] for n in longest)
 
 
@@ -92,7 +92,7 @@ class TestBloomDag:
         source = bed.choose_source()
         result = bed.run_stream(source, StreamConfig(count=20, rate=5.0, payload_bytes=512))
         assert result.delivered_fraction() == 1.0
-        assert nx.is_directed_acyclic_graph(result.structure())
+        assert nx.is_directed_acyclic_graph(to_networkx(result.structure()))
         assert bed.metrics.msg_counts["brisa_bloom_update"]
         assert_positions_consistent(bed.nodes, 0)
 

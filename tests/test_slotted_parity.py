@@ -458,12 +458,12 @@ BRISA_CONFIGS = {
 def brisa_run(kernel: str, n: int, messages: int, seed: int, config_kind: str,
               latency_kind: str = "zero-cost", streams: int = 1,
               churn: bool = False, loss_percent: float = 0.0,
-              tail_probe: bool = False):
-    """One recorded BRISA run; returns (testbed, sources).
+              tail_probe: bool = False, record_deliveries: bool = True):
+    """One BRISA run; returns (testbed, sources).
 
     Mirrors ``run_scale_brisa``'s synthesized-bootstrap construction but
-    with ``record_deliveries=True`` so the full Metrics record set is
-    comparable.  ``churn=True`` schedules three mid-stream crashes plus
+    by default with ``record_deliveries=True`` so the full Metrics record
+    set is comparable.  ``churn=True`` schedules three mid-stream crashes plus
     two joiners (slot release + recycling on the slotted side)."""
     cfg = BRISA_CONFIGS[config_kind]()
     if tail_probe:
@@ -471,7 +471,7 @@ def brisa_run(kernel: str, n: int, messages: int, seed: int, config_kind: str,
     bed = _Testbed(
         seed=seed,
         latency=LATENCIES[latency_kind](seed),
-        record_deliveries=True,
+        record_deliveries=record_deliveries,
         loss_percent=loss_percent,
     )
     slot_kernel = None
@@ -565,6 +565,22 @@ def test_slotted_brisa_matches_object_kernel(
     )
     assert brisa_structure_snapshot(bed_o, 1) == brisa_structure_snapshot(bed_s, 1)
     assert_brisa_state_consistent(bed_s, 1)
+
+
+def test_brisa_kernels_book_alike_without_delivery_records():
+    """Without delivery records the fan sink books what per-recipient
+    dispatch books: every reception's bytes and every steady first copy
+    (DESIGN.md §11, "The slotted kernel is a fan loop"), so the Metrics
+    tallies, duplicates and byte books agree across the kernels."""
+    (bed_o, sources), (bed_s, _) = brisa_legs(
+        64, 20, seed=4, config_kind="tree-path", record_deliveries=False
+    )
+    snap_o = snapshot(bed_o.sim, bed_o.network, bed_o.alive_nodes())
+    assert snap_o == snapshot(bed_s.sim, bed_s.network, bed_s.alive_nodes())
+    assert snap_o["deliveries"] == {}
+    receivers = [n for n in bed_s.alive_nodes() if n.node_id != sources[0].node_id]
+    assert snap_o["stream_shards"][0][0] == sum(n.delivered_count(0) for n in receivers)
+    assert sum(sum(book.values()) for book in snap_o["received_by_phase"].values()) > 0
 
 
 def test_slotted_brisa_multistream_parity():

@@ -1,0 +1,93 @@
+"""The runtime needs only the standard library (DESIGN.md §17): numpy
+powers the vectorized flood kernel and the report statistics, networkx
+is the tests' reference implementation only.
+
+Each check runs in a fresh interpreter, because this test process has
+long since imported both."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.scale_runner import RunSpec, run_spec
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: Makes ``import numpy`` / ``import networkx`` raise ImportError.
+BLOCK = "import sys\nsys.modules['numpy'] = None\nsys.modules['networkx'] = None\n"
+
+#: A 64-node run per stack and kernel that needs no numpy: the BRISA run
+#: includes its §II-B structure check.
+SPECS = {
+    "brisa-object": dict(stack="brisa", nodes=64, messages=10),
+    "flood-slotted": dict(stack="flood", nodes=64, messages=10, kernel="slotted"),
+}
+
+#: The deterministic fields of a ``ScaleResult``.
+FIELDS = ("per_stream", "deliveries", "events", "receptions", "peak_pending")
+
+CHILD = BLOCK + f"""
+import json
+import repro.experiments.scenarios
+from repro.errors import SimulationError
+from repro.experiments.scale_runner import RunSpec, run_spec
+
+out = {{}}
+for name, spec in {SPECS!r}.items():
+    result = run_spec(RunSpec(**spec))
+    out[name] = {{field: getattr(result, field) for field in {FIELDS!r}}}
+try:
+    run_spec(RunSpec(stack="flood", nodes=64, messages=10, kernel="vectorized"))
+except SimulationError as exc:
+    out["vectorized"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def run_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def blocked():
+    """What a numpy- and networkx-free interpreter reports."""
+    return json.loads(run_python(CHILD).splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_runs_without_numpy_or_networkx(blocked, name):
+    """``import repro.experiments.scenarios`` and a whole scale run work
+    with both modules unimportable, with the in-process outcome."""
+    result = run_spec(RunSpec(**SPECS[name]))
+    expected = {field: getattr(result, field) for field in FIELDS}
+    assert blocked[name] == json.loads(json.dumps(expected))
+    if SPECS[name]["stack"] == "brisa":
+        assert all(row["structure_complete"] for row in result.per_stream)
+
+
+def test_vectorized_kernel_names_numpy(blocked):
+    assert "numpy" in blocked["vectorized"]
+
+
+def test_table1_run_never_imports_networkx():
+    """A whole paper artifact run loads no networkx."""
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['run', 'table1', '--scale', 'tiny'])\n"
+        "print(status, 'networkx' in sys.modules)\n"
+    )
+    assert out.split() == ["0", "False"]
