@@ -37,62 +37,26 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.baselines.base import BaselineNode
 from repro.config import HyParViewConfig
-from repro.core.seqrecord import SeqRecords
 from repro.core.slots import RECEIVED, UNSEEN, SlotKernel
-from repro.ids import SEQ_BYTES, NodeId, StreamId
+from repro.ids import NodeId, StreamId
 from repro.membership.hyparview import HyParViewNode
-from repro.sim.message import Message
-
-STREAM_BYTES = 2
-MEASURE_BYTES = 8
+from repro.sim.message import Message, StreamData
 
 
-class FloodData(Message):
+class FloodData(StreamData):
     """One flooded stream message."""
 
     kind = "flood_data"
-    __slots__ = ("stream", "seq", "payload_bytes", "hops", "path_delay", "sent_at")
-
-    def __init__(
-        self,
-        stream: StreamId,
-        seq: int,
-        payload_bytes: int,
-        hops: int = 0,
-        path_delay: float = 0.0,
-        sent_at: float = 0.0,
-    ) -> None:
-        self.stream = stream
-        self.seq = seq
-        self.payload_bytes = payload_bytes
-        self.hops = hops
-        self.path_delay = path_delay
-        self.sent_at = sent_at
-
-    def body_bytes(self) -> int:
-        return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + self.payload_bytes
+    __slots__ = ()
 
 
-class FloodNode(HyParViewNode):
+class FloodNode(BaselineNode, HyParViewNode):
     """HyParView participant that floods every stream message."""
 
-    def __init__(
-        self,
-        network,
-        node_id: NodeId,
-        hpv_config: HyParViewConfig | None = None,
-    ) -> None:
-        super().__init__(network, node_id, hpv_config)
-        self.seqs = SeqRecords()
-
-    def delivered_count(self, stream: StreamId = 0) -> int:
-        return self.seqs.delivered_count(stream)
-
-    # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self.seqs[stream].note_delivered(seq)
+        self.book_injection(stream, seq)
         self._flood(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
     def _flood(
@@ -118,23 +82,12 @@ class FloodNode(HyParViewNode):
             )
 
     def on_flood_data(self, src: NodeId, msg: FloodData) -> None:
-        hop_delay = self.clock.now - msg.sent_at
-        path_delay = msg.path_delay + hop_delay
-        hops = msg.hops + 1
-        first = self.seqs[msg.stream].note_delivered(msg.seq)
-        self.transport.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
-            first,
-        )
+        first, hops, path_delay = self.book_reception(src, msg)
         if first:
             self._flood(
                 msg.stream, msg.seq, msg.payload_bytes,
                 exclude=src, hops=hops, path_delay=path_delay,
             )
-
-    def on_crash(self) -> None:
-        super().on_crash()
-        self.seqs.clear()
 
 
 # ----------------------------------------------------------------------

@@ -27,41 +27,19 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.baselines.base import BaselineNode
 from repro.config import HyParViewConfig
 from repro.core.recovery import MessageBuffer
-from repro.core.seqrecord import SeqRecords
-from repro.ids import SEQ_BYTES, NodeId, StreamId
+from repro.ids import SEQ_BYTES, STREAM_BYTES, NodeId, StreamId
 from repro.membership.hyparview import HyParViewNode
-from repro.sim.message import Message
-
-STREAM_BYTES = 2
-MEASURE_BYTES = 8
+from repro.sim.message import Message, StreamData
 
 
-class Gossip(Message):
+class Gossip(StreamData):
     """Eager push: full payload."""
 
     kind = "pt_gossip"
-    __slots__ = ("stream", "seq", "payload_bytes", "hops", "path_delay", "sent_at")
-
-    def __init__(
-        self,
-        stream: StreamId,
-        seq: int,
-        payload_bytes: int,
-        hops: int = 0,
-        path_delay: float = 0.0,
-        sent_at: float = 0.0,
-    ) -> None:
-        self.stream = stream
-        self.seq = seq
-        self.payload_bytes = payload_bytes
-        self.hops = hops
-        self.path_delay = path_delay
-        self.sent_at = sent_at
-
-    def body_bytes(self) -> int:
-        return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + self.payload_bytes
+    __slots__ = ()
 
 
 class IHave(Message):
@@ -103,7 +81,7 @@ class Graft(Message):
         return STREAM_BYTES + SEQ_BYTES
 
 
-class PlumTreeNode(HyParViewNode):
+class PlumTreeNode(BaselineNode, HyParViewNode):
     """One PlumTree participant."""
 
     def __init__(
@@ -118,7 +96,6 @@ class PlumTreeNode(HyParViewNode):
         self.missing_timeout = missing_timeout
         #: Per-stream eager/lazy split of the current neighbours.
         self.lazy: dict[StreamId, set[NodeId]] = {}
-        self.seqs = SeqRecords()
         #: stream -> the newest seqs and payload sizes, which grafts are
         #: served from (DESIGN.md §14, "Serving stores").
         self.store: defaultdict[StreamId, MessageBuffer] = defaultdict(MessageBuffer)
@@ -128,15 +105,10 @@ class PlumTreeNode(HyParViewNode):
         self._pending_graft: set[tuple[StreamId, int]] = set()
 
     # ------------------------------------------------------------------
-    def delivered_count(self, stream: StreamId = 0) -> int:
-        return self.seqs.delivered_count(stream)
-
-    # ------------------------------------------------------------------
     # Broadcast
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self.seqs[stream].note_delivered(seq)
+        self.book_injection(stream, seq)
         self.store[stream].store(seq, payload_bytes)
         self._push(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
@@ -165,14 +137,7 @@ class PlumTreeNode(HyParViewNode):
                 )
 
     def on_pt_gossip(self, src: NodeId, msg: Gossip) -> None:
-        hop_delay = self.clock.now - msg.sent_at
-        path_delay = msg.path_delay + hop_delay
-        hops = msg.hops + 1
-        first = self.seqs[msg.stream].note_delivered(msg.seq)
-        self.transport.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
-            first,
-        )
+        first, hops, path_delay = self.book_reception(src, msg)
         lazy = self.lazy.setdefault(msg.stream, set())
         if not first:
             # Duplicate: prune the link (move the sender to lazy push).
@@ -243,7 +208,6 @@ class PlumTreeNode(HyParViewNode):
 
     def on_crash(self) -> None:
         super().on_crash()
-        self.seqs.clear()
         self.store.clear()
         self.lazy.clear()
         self._announced.clear()

@@ -31,13 +31,11 @@ deterministic and independent of the latency and loss streams.
 
 from __future__ import annotations
 
+from repro.baselines.base import BaselineNode
 from repro.config import HyParViewConfig
-from repro.core.seqrecord import SeqRecords
-from repro.ids import SEQ_BYTES, NodeId, StreamId
+from repro.ids import SEQ_BYTES, STREAM_BYTES, NodeId, StreamId
 from repro.membership.hyparview import HyParViewNode
-from repro.sim.message import Message
-
-from repro.baselines.flood import MEASURE_BYTES, STREAM_BYTES
+from repro.sim.message import Message, StreamData
 
 #: Random peers a first delivery is gossiped to (K; coverage ~ 1-e^-K).
 GOSSIP_FANOUT = 3
@@ -60,30 +58,11 @@ PULL_BATCH = 32
 PULL_HORIZON = 64
 
 
-class PullData(Message):
+class PullData(StreamData):
     """One eagerly-pushed stream message (gossip copy)."""
 
     kind = "pull_data"
-    __slots__ = ("stream", "seq", "payload_bytes", "hops", "path_delay", "sent_at")
-
-    def __init__(
-        self,
-        stream: StreamId,
-        seq: int,
-        payload_bytes: int,
-        hops: int = 0,
-        path_delay: float = 0.0,
-        sent_at: float = 0.0,
-    ) -> None:
-        self.stream = stream
-        self.seq = seq
-        self.payload_bytes = payload_bytes
-        self.hops = hops
-        self.path_delay = path_delay
-        self.sent_at = sent_at
-
-    def body_bytes(self) -> int:
-        return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + self.payload_bytes
+    __slots__ = ()
 
 
 class PullRequest(Message):
@@ -100,26 +79,19 @@ class PullRequest(Message):
         return STREAM_BYTES + SEQ_BYTES * len(self.seqs)
 
 
-class PullReply(Message):
-    """One recovered message served from a neighbour's store."""
+class PullReply(StreamData):
+    """One recovered message served from a neighbour's store.  It is sent
+    with ``hops = 0`` and ``path_delay = 0``: its receiver books it one
+    hop from the server, delayed by that hop alone."""
 
     kind = "pull_reply"
-    __slots__ = ("stream", "seq", "payload_bytes", "sent_at")
-
-    def __init__(
-        self, stream: StreamId, seq: int, payload_bytes: int, sent_at: float = 0.0
-    ) -> None:
-        self.stream = stream
-        self.seq = seq
-        self.payload_bytes = payload_bytes
-        self.sent_at = sent_at
-
-    def body_bytes(self) -> int:
-        return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + self.payload_bytes
+    __slots__ = ()
 
 
-class PullGossipNode(HyParViewNode):
+class PullGossipNode(BaselineNode, HyParViewNode):
     """HyParView participant running lazy push + pull recovery."""
+
+    seq_horizon = PULL_HORIZON
 
     def __init__(
         self,
@@ -128,7 +100,6 @@ class PullGossipNode(HyParViewNode):
         hpv_config: HyParViewConfig | None = None,
     ) -> None:
         super().__init__(network, node_id, hpv_config)
-        self.seqs = SeqRecords(PULL_HORIZON)
         #: stream -> seq -> payload size, which pull requests are served
         #: from: every seq (DESIGN.md §14, "Serving stores").
         self.store: dict[StreamId, dict[int, int]] = {}
@@ -137,15 +108,11 @@ class PullGossipNode(HyParViewNode):
         #: Streams with a pull timer currently armed.
         self._pull_armed: set[StreamId] = set()
 
-    def delivered_count(self, stream: StreamId = 0) -> int:
-        return self.seqs.delivered_count(stream)
-
     # ------------------------------------------------------------------
     # Eager (probabilistic) push
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self.seqs[stream].note_delivered(seq)
+        self.book_injection(stream, seq)
         self.store.setdefault(stream, {})[seq] = payload_bytes
         self._gossip(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
@@ -172,12 +139,7 @@ class PullGossipNode(HyParViewNode):
         )
 
     def on_pull_data(self, src: NodeId, msg: PullData) -> None:
-        hop_delay = self.clock.now - msg.sent_at
-        path_delay = msg.path_delay + hop_delay
-        hops = msg.hops + 1
-        first = self._deliver(
-            msg.stream, msg.seq, msg.payload_bytes, src, hops, path_delay
-        )
+        first, hops, path_delay = self._deliver(src, msg)
         if first and hops < GOSSIP_TTL:
             self._gossip(
                 msg.stream, msg.seq, msg.payload_bytes,
@@ -187,16 +149,10 @@ class PullGossipNode(HyParViewNode):
     # ------------------------------------------------------------------
     # Delivery + gap tracking
     # ------------------------------------------------------------------
-    def _deliver(
-        self,
-        stream: StreamId,
-        seq: int,
-        payload_bytes: int,
-        src: NodeId,
-        hops: int,
-        path_delay: float,
-    ) -> bool:
-        """Record one reception; track gaps; return True iff first."""
+    def _deliver(self, src: NodeId, msg: StreamData) -> tuple[bool, int, float]:
+        """Book one reception and track the gaps a first copy opens;
+        returns :meth:`book_reception`'s ``(first, hops, path_delay)``."""
+        stream, seq = msg.stream, msg.seq
         record = self.seqs[stream]
         # Only a seq whose predecessor is missing above the prefix opens
         # gaps: those above the highest seq delivered so far.
@@ -204,20 +160,16 @@ class PullGossipNode(HyParViewNode):
         ahead = record.ahead
         if seq - 1 > record.max_contig and seq - 1 not in ahead:
             top = max(ahead, default=record.max_contig)
-        first = record.note_delivered(seq)
-        self.transport.metrics.record_delivery(
-            self.node_id, stream, seq, self.clock.now, src, hops, path_delay, first
-        )
-        if not first:
-            return False
-        self.store.setdefault(stream, {})[seq] = payload_bytes
-        missing = self.missing.setdefault(stream, {})
-        missing.pop(seq, None)
-        for gap in range(top + 1, seq):
-            missing[gap] = 0
-        if missing:
-            self._arm_pull(stream)
-        return True
+        first, hops, path_delay = self.book_reception(src, msg)
+        if first:
+            self.store.setdefault(stream, {})[seq] = msg.payload_bytes
+            missing = self.missing.setdefault(stream, {})
+            missing.pop(seq, None)
+            for gap in range(top + 1, seq):
+                missing[gap] = 0
+            if missing:
+                self._arm_pull(stream)
+        return first, hops, path_delay
 
     # ------------------------------------------------------------------
     # Pull recovery
@@ -264,14 +216,10 @@ class PullGossipNode(HyParViewNode):
     def on_pull_reply(self, src: NodeId, msg: PullReply) -> None:
         # Recovered copies are not re-gossiped (lazy push already ran its
         # course for this sequence) — recovery repairs, it does not flood.
-        self._deliver(
-            msg.stream, msg.seq, msg.payload_bytes, src,
-            hops=1, path_delay=self.clock.now - msg.sent_at,
-        )
+        self._deliver(src, msg)
 
     def on_crash(self) -> None:
         super().on_crash()
-        self.seqs.clear()
         self.store.clear()
         self.missing.clear()
         self._pull_armed.clear()

@@ -15,28 +15,23 @@ responder can compute the exact gap set.
 
 from __future__ import annotations
 
+from repro.baselines.base import BaselineNode
 from repro.config import CyclonConfig, GossipConfig
-from repro.core.seqrecord import SeqRecords
-from repro.ids import SEQ_BYTES, NodeId, StreamId
+from repro.ids import SEQ_BYTES, STREAM_BYTES, NodeId, StreamId
 from repro.membership.cyclon import CyclonNode
-from repro.sim.message import Message
-
-STREAM_BYTES = 2
-MEASURE_BYTES = 8
+from repro.sim.message import Message, StreamData
 
 #: Messages served per anti-entropy exchange (bounds burst size).
 ANTI_ENTROPY_BATCH = 16
 
 
-class Rumor(Message):
+class Rumor(StreamData):
     """Push phase: infect-and-die rumor.  ``hot=False`` marks anti-entropy
     repairs, which are stored but not re-pushed (old news travels by pull,
     per Demers et al.)."""
 
     kind = "sg_rumor"
-    __slots__ = (
-        "stream", "seq", "payload_bytes", "hops", "path_delay", "sent_at", "hot",
-    )
+    __slots__ = ("hot",)
 
     def __init__(
         self,
@@ -48,16 +43,8 @@ class Rumor(Message):
         sent_at: float = 0.0,
         hot: bool = True,
     ) -> None:
-        self.stream = stream
-        self.seq = seq
-        self.payload_bytes = payload_bytes
-        self.hops = hops
-        self.path_delay = path_delay
-        self.sent_at = sent_at
+        super().__init__(stream, seq, payload_bytes, hops, path_delay, sent_at)
         self.hot = hot
-
-    def body_bytes(self) -> int:
-        return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + self.payload_bytes
 
 
 class Digest(Message):
@@ -75,7 +62,7 @@ class Digest(Message):
         return STREAM_BYTES + SEQ_BYTES + len(self.extras) * SEQ_BYTES
 
 
-class SimpleGossipNode(CyclonNode):
+class SimpleGossipNode(BaselineNode, CyclonNode):
     """One SimpleGossip participant."""
 
     def __init__(
@@ -90,7 +77,6 @@ class SimpleGossipNode(CyclonNode):
         cfg = gossip_config if gossip_config is not None else GossipConfig()
         super().__init__(network, node_id, cyclon_config or cfg.cyclon)
         self.gossip_config = cfg
-        self.seqs = SeqRecords()
         #: stream -> {seq: payload_bytes}: every seq, since a digest may
         #: start at -1 (DESIGN.md §14, "Serving stores").
         self.store: dict[StreamId, dict[int, int]] = {}
@@ -99,9 +85,6 @@ class SimpleGossipNode(CyclonNode):
         )
 
     # ------------------------------------------------------------------
-    def delivered_count(self, stream: StreamId = 0) -> int:
-        return self.seqs.delivered_count(stream)
-
     def _fanout(self) -> int:
         return self.gossip_config.effective_fanout(len(self.transport.nodes))
 
@@ -109,8 +92,7 @@ class SimpleGossipNode(CyclonNode):
     # Push phase: rumor mongering, infect and die
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self.seqs[stream].note_delivered(seq)
+        self.book_injection(stream, seq)
         self.store.setdefault(stream, {})[seq] = payload_bytes
         self._push_rumor(stream, seq, payload_bytes, exclude=None, hops=0, path_delay=0.0)
 
@@ -135,14 +117,7 @@ class SimpleGossipNode(CyclonNode):
             )
 
     def on_sg_rumor(self, src: NodeId, msg: Rumor) -> None:
-        hop_delay = self.clock.now - msg.sent_at
-        path_delay = msg.path_delay + hop_delay
-        hops = msg.hops + 1
-        first = self.seqs[msg.stream].note_delivered(msg.seq)
-        self.transport.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
-            first,
-        )
+        first, hops, path_delay = self.book_reception(src, msg)
         if not first:
             return  # infect-and-die: duplicates are dropped, not relayed
         self.store.setdefault(msg.stream, {})[msg.seq] = msg.payload_bytes
@@ -185,5 +160,4 @@ class SimpleGossipNode(CyclonNode):
 
     def on_crash(self) -> None:
         super().on_crash()
-        self.seqs.clear()
         self.store.clear()

@@ -15,14 +15,11 @@ handling — the paper excludes it from every dynamic experiment.
 
 from __future__ import annotations
 
+from repro.baselines.base import BaselineNode
 from repro.config import SimpleTreeConfig
-from repro.core.seqrecord import SeqRecords
-from repro.ids import NODE_ID_BYTES, SEQ_BYTES, NodeId, StreamId
-from repro.sim.message import Message
+from repro.ids import NODE_ID_BYTES, NodeId, StreamId
+from repro.sim.message import Message, StreamData
 from repro.sim.node import ProtocolNode
-
-STREAM_BYTES = 2
-MEASURE_BYTES = 8
 
 
 class TreeJoin(Message):
@@ -46,28 +43,9 @@ class TreeAttach(Message):
     __slots__ = ()
 
 
-class TreeData(Message):
+class TreeData(StreamData):
     kind = "st_data"
-    __slots__ = ("stream", "seq", "payload_bytes", "hops", "path_delay", "sent_at")
-
-    def __init__(
-        self,
-        stream: StreamId,
-        seq: int,
-        payload_bytes: int,
-        hops: int = 0,
-        path_delay: float = 0.0,
-        sent_at: float = 0.0,
-    ) -> None:
-        self.stream = stream
-        self.seq = seq
-        self.payload_bytes = payload_bytes
-        self.hops = hops
-        self.path_delay = path_delay
-        self.sent_at = sent_at
-
-    def body_bytes(self) -> int:
-        return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + self.payload_bytes
+    __slots__ = ()
 
 
 class SimpleTreeCoordinator(ProtocolNode):
@@ -99,7 +77,7 @@ class SimpleTreeCoordinator(ProtocolNode):
         self.send(src, TreeJoinReply(parent))
 
 
-class SimpleTreeNode(ProtocolNode):
+class SimpleTreeNode(BaselineNode):
     """One SimpleTree participant."""
 
     def __init__(self, network, node_id: NodeId, coordinator_id: NodeId) -> None:
@@ -107,11 +85,7 @@ class SimpleTreeNode(ProtocolNode):
         self.coordinator_id = coordinator_id
         self.parent: NodeId | None = None
         self.children: list[NodeId] = []
-        self.seqs = SeqRecords()
         self.joined = False
-
-    def delivered_count(self, stream: StreamId = 0) -> int:
-        return self.seqs.delivered_count(stream)
 
     # ------------------------------------------------------------------
     # Join
@@ -136,8 +110,7 @@ class SimpleTreeNode(ProtocolNode):
     # Dissemination (push through tree links)
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self.seqs[stream].note_delivered(seq)
+        self.book_injection(stream, seq)
         self._push(stream, seq, payload_bytes, hops=0, path_delay=0.0, exclude=None)
 
     def _push(
@@ -165,18 +138,6 @@ class SimpleTreeNode(ProtocolNode):
                 )
 
     def on_st_data(self, src: NodeId, msg: TreeData) -> None:
-        hop_delay = self.clock.now - msg.sent_at
-        path_delay = msg.path_delay + hop_delay
-        hops = msg.hops + 1
-        first = self.seqs[msg.stream].note_delivered(msg.seq)
-        self.transport.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.clock.now, src, hops, path_delay,
-            first,
-        )
-        if not first:
-            return
-        self._push(msg.stream, msg.seq, msg.payload_bytes, hops, path_delay, exclude=src)
-
-    def on_crash(self) -> None:
-        super().on_crash()
-        self.seqs.clear()
+        first, hops, path_delay = self.book_reception(src, msg)
+        if first:
+            self._push(msg.stream, msg.seq, msg.payload_bytes, hops, path_delay, exclude=src)

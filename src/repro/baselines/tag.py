@@ -37,15 +37,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.baselines.base import BaselineNode
 from repro.config import TagConfig
-from repro.core.seqrecord import SeqRecords
-from repro.ids import NODE_ID_BYTES, SEQ_BYTES, NodeId, StreamId
-from repro.sim.message import Message
-from repro.sim.node import ProtocolNode
+from repro.ids import NODE_ID_BYTES, SEQ_BYTES, STREAM_BYTES, NodeId, StreamId
+from repro.sim.message import Message, StreamData
 from repro.sim.transport import TransientConnCost
-
-STREAM_BYTES = 2
-MEASURE_BYTES = 8
 
 
 # ----------------------------------------------------------------------
@@ -137,30 +133,11 @@ class Pull(Message):
         return max(1, len(self.have)) * (STREAM_BYTES + SEQ_BYTES)
 
 
-class Segment(Message):
+class Segment(StreamData):
     """Pulled content segment."""
 
     kind = "tag_segment"
-    __slots__ = ("stream", "seq", "payload_bytes", "hops", "path_delay", "sent_at")
-
-    def __init__(
-        self,
-        stream: StreamId,
-        seq: int,
-        payload_bytes: int,
-        hops: int = 0,
-        path_delay: float = 0.0,
-        sent_at: float = 0.0,
-    ) -> None:
-        self.stream = stream
-        self.seq = seq
-        self.payload_bytes = payload_bytes
-        self.hops = hops
-        self.path_delay = path_delay
-        self.sent_at = sent_at
-
-    def body_bytes(self) -> int:
-        return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + self.payload_bytes
+    __slots__ = ()
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +171,7 @@ class TagTracker:
 # ----------------------------------------------------------------------
 # Node
 # ----------------------------------------------------------------------
-class TagNode(ProtocolNode):
+class TagNode(BaselineNode):
     """One TAG participant."""
 
     def __init__(
@@ -224,7 +201,6 @@ class TagNode(ProtocolNode):
 
         # Content: every seq is kept, since a joiner pulls from -1
         # (DESIGN.md §14, "Serving stores").
-        self.seqs = SeqRecords()
         self.store: dict[StreamId, dict[int, int]] = {}
         self.hops_estimate = 0
 
@@ -240,10 +216,6 @@ class TagNode(ProtocolNode):
         self._gossip_task = self.periodic(
             self.config.gossip_pull_period, self._pull_partner, jitter=0.2
         )
-
-    # ------------------------------------------------------------------
-    def delivered_count(self, stream: StreamId = 0) -> int:
-        return self.seqs.delivered_count(stream)
 
     # ------------------------------------------------------------------
     # Join: tail append + backwards traversal (§III-D)
@@ -398,8 +370,7 @@ class TagNode(ProtocolNode):
     # Dissemination: pull from parent + prefetch from partners
     # ------------------------------------------------------------------
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
-        self.transport.metrics.record_injection(stream, seq, self.clock.now)
-        self.seqs[stream].note_delivered(seq)
+        self.book_injection(stream, seq)
         self.store.setdefault(stream, {})[seq] = payload_bytes
 
     def _have_marks(self) -> tuple[tuple[StreamId, int], ...]:
@@ -436,12 +407,7 @@ class TagNode(ProtocolNode):
                     break
 
     def on_tag_segment(self, src: NodeId, msg: Segment) -> None:
-        hops = msg.hops + 1
-        first = self.seqs[msg.stream].note_delivered(msg.seq)
-        self.transport.metrics.record_delivery(
-            self.node_id, msg.stream, msg.seq, self.clock.now, src,
-            hops, msg.path_delay + (self.clock.now - msg.sent_at), first,
-        )
+        first, hops, _ = self.book_reception(src, msg)
         if not first:
             return
         self.hops_estimate = max(self.hops_estimate, hops)
@@ -506,7 +472,6 @@ class TagNode(ProtocolNode):
 
     def on_crash(self) -> None:
         super().on_crash()
-        self.seqs.clear()
         self.store.clear()
         self.children.clear()
         self.partners.clear()

@@ -8,7 +8,6 @@ be mutated mid-run; use :func:`dataclasses.replace` to derive variants.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -143,10 +142,6 @@ class BrisaConfig:
     @staticmethod
     def default_predictor(mode: str) -> str:
         return "path" if mode == "tree" else "depth"
-
-    def with_(self, **kwargs) -> "BrisaConfig":
-        """Return a copy with fields replaced (convenience for sweeps)."""
-        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,13 @@
 """BRISA wire messages (§II).
 
-``Data`` carries the stream payload plus the cycle-prevention metadata of
-the active predictor: the embedded source path for trees (§II-D), a depth
-label for DAGs (§II-G), or a Bloom filter of ancestors for the comparison
-baseline.  :func:`meta_bytes` is the one statement of the §II-D cost
-argument every message carrying a position charges — paths cost
-``hops × 6`` bytes, depths 4 bytes, Blooms ``ceil(bits/8)`` bytes.
-
-``sent_at``/``path_delay`` are measurement timestamps a real
-implementation carries anyway (Fig. 9 sums per-hop delays); they add a
-fixed 8 bytes to the accounting.
+``Data`` is the stream-data message of every stack
+(:class:`repro.sim.message.StreamData`) plus the cycle-prevention
+metadata of the active predictor: the embedded source path for trees
+(§II-D), a depth label for DAGs (§II-G), or a Bloom filter of ancestors
+for the comparison baseline.  :func:`meta_bytes` is the one statement of
+the §II-D cost argument every message carrying a position charges —
+paths cost ``hops × 6`` bytes, depths 4 bytes, Blooms ``ceil(bits/8)``
+bytes.
 """
 
 from __future__ import annotations
@@ -17,13 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from repro.ids import DEPTH_BYTES, NODE_ID_BYTES, SEQ_BYTES, NodeId, StreamId
-from repro.sim.message import Message
-
-#: Stream identifier wire size.
-STREAM_BYTES = 2
-#: Per-hop measurement header (timestamp + cumulative delay).
-MEASURE_BYTES = 8
+from repro.ids import DEPTH_BYTES, NODE_ID_BYTES, SEQ_BYTES, STREAM_BYTES, NodeId, StreamId
+from repro.sim.message import Message, StreamData
 
 
 def meta_bytes(path=None, depth=None, bloom=None, bloom_bits: int = 0) -> int:
@@ -38,23 +31,12 @@ def meta_bytes(path=None, depth=None, bloom=None, bloom_bits: int = 0) -> int:
     return meta
 
 
-class Data(Message):
-    """One stream message relayed along the emerging structure."""
+class Data(StreamData):
+    """One stream message relayed along the emerging structure.
+    ``recovered`` marks a retransmission from a parent's buffer (§II-F)."""
 
     kind = "brisa_data"
-    __slots__ = (
-        "stream",
-        "seq",
-        "payload_bytes",
-        "path",
-        "depth",
-        "bloom",
-        "bloom_bits",
-        "hops",
-        "path_delay",
-        "sent_at",
-        "recovered",
-    )
+    __slots__ = ("path", "depth", "bloom", "bloom_bits", "recovered")
 
     def __init__(
         self,
@@ -71,21 +53,16 @@ class Data(Message):
         sent_at: float = 0.0,
         recovered: bool = False,
     ) -> None:
-        self.stream = stream
-        self.seq = seq
-        self.payload_bytes = payload_bytes
+        super().__init__(stream, seq, payload_bytes, hops, path_delay, sent_at)
         self.path = path
         self.depth = depth
         self.bloom = bloom
         self.bloom_bits = bloom_bits
-        self.hops = hops
-        self.path_delay = path_delay
-        self.sent_at = sent_at
         self.recovered = recovered
 
     def body_bytes(self) -> int:
         meta = meta_bytes(self.path, self.depth, self.bloom, self.bloom_bits)
-        return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + meta + self.payload_bytes
+        return super().body_bytes() + meta
 
 
 class Deactivate(Message):

@@ -46,11 +46,6 @@ class MessageBuffer:
     def get(self, seq: int) -> Optional[int]:
         return self._items.get(seq)
 
-    @property
-    def latest(self) -> Optional[int]:
-        """Highest buffered sequence number (None when empty)."""
-        return max(self._items) if self._items else None
-
     def after(self, have_up_to: int) -> Iterator[tuple[int, int]]:
         """Buffered ``(seq, payload_bytes)`` with ``seq > have_up_to``,
         in ascending sequence order."""

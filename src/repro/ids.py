@@ -19,8 +19,16 @@ StreamId = int
 #: Wire size of one node identifier: 48-bit ip:port pair (§II-D).
 NODE_ID_BYTES = 6
 
+#: Wire size of a stream identifier.
+STREAM_BYTES = 2
+
 #: Wire size of a sequence number.
 SEQ_BYTES = 4
+
+#: Per-hop measurement header every stream-data message carries: the
+#: send timestamp and the cumulative path delay (Fig. 9 sums per-hop
+#: delays).
+MEASURE_BYTES = 8
 
 #: Wire size of a DAG depth label — "a single integer" (§II-G).
 DEPTH_BYTES = 4
@@ -33,8 +41,3 @@ HEADER_BYTES = 48
 
 #: Size of one keep-alive probe (header only, empty payload).
 KEEPALIVE_BYTES = HEADER_BYTES
-
-
-def path_metadata_bytes(path_len: int) -> int:
-    """Bytes consumed by an embedded path of ``path_len`` identifiers."""
-    return path_len * NODE_ID_BYTES

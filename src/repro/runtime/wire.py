@@ -4,7 +4,7 @@ The asyncio backend ships the exact message objects the simulator passes
 by reference: every concrete :class:`repro.sim.message.Message` subclass
 in :mod:`repro.core.messages` and :mod:`repro.membership.messages` is
 registered here by its ``kind`` string and serialized field-for-field
-from its ``__slots__``.
+from the ``__slots__`` along its MRO (``wire_fields``).
 
 Frame layout: a 4-byte big-endian payload length, then a UTF-8 JSON
 object ``{"k": <kind>, "f": {<field>: <value>, ...}}``.  JSON keeps the
@@ -27,7 +27,7 @@ import struct
 from typing import Iterator
 
 from repro.errors import ReproError
-from repro.sim.message import Message
+from repro.sim.message import Message, wire_fields
 
 #: Frame header: big-endian payload byte length.
 _LEN = struct.Struct("!I")
@@ -47,29 +47,16 @@ def _message_classes() -> Iterator[type[Message]]:
     from repro.core import messages as core_messages
     from repro.membership import messages as membership_messages
 
+    # Only the classes each module defines: imported bases (``Message``,
+    # ``StreamData``) are not kinds on the wire.
     for module in (core_messages, membership_messages):
         for obj in vars(module).values():
             if (
                 isinstance(obj, type)
                 and issubclass(obj, Message)
-                and obj is not Message
+                and obj.__module__ == module.__name__
             ):
                 yield obj
-
-
-def wire_fields(cls: type[Message]) -> tuple[str, ...]:
-    """Serializable field names of a message class, in declaration order.
-
-    Walks the MRO's ``__slots__`` (base-class first), excluding the
-    ``Message`` size-memo slot — the decoder rebuilds instances field by
-    field and lets ``size_bytes()`` re-memoize lazily.
-    """
-    fields: list[str] = []
-    for klass in reversed(cls.__mro__):
-        for name in getattr(klass, "__slots__", ()):
-            if name != "_size":
-                fields.append(name)
-    return tuple(fields)
 
 
 #: kind -> (class, field names); built once at import.

@@ -28,9 +28,6 @@ class ChurnStats:
     kill_times: list[float] = field(default_factory=list)
     join_times: list[float] = field(default_factory=list)
 
-    def kills_per_minute(self, duration: float) -> float:
-        return self.kills / (duration / 60.0) if duration > 0 else 0.0
-
 
 class ChurnDriver:
     """Schedules the operations of a :class:`Trace` onto a simulator.

@@ -5,12 +5,14 @@ nodes dispatch on it via ``on_<kind>`` handler methods (see
 :class:`repro.sim.node.ProtocolNode`).  ``size_bytes`` drives the byte
 accounting behind every bandwidth figure — subclasses add payload and
 metadata (embedded paths, depth labels, digests) on top of the fixed
-framing overhead.
+framing overhead.  :class:`StreamData` is the one stream-data wire
+format every dissemination stack ships (DESIGN.md §14, "The stream-data
+message").
 """
 
 from __future__ import annotations
 
-from repro.ids import HEADER_BYTES
+from repro.ids import HEADER_BYTES, MEASURE_BYTES, SEQ_BYTES, STREAM_BYTES, StreamId
 
 
 class Message:
@@ -46,7 +48,49 @@ class Message:
         """Payload + metadata size; subclasses override."""
         return 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = getattr(self, "__slots__", ())
-        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in wire_fields(type(self)))
         return f"{type(self).__name__}({inner})"
+
+
+def wire_fields(cls: type[Message]) -> tuple[str, ...]:
+    """Field names of a message class, in declaration order.
+
+    Walks the MRO's ``__slots__`` (base-class first), excluding the
+    ``Message`` size-memo slot — the wire decoder rebuilds instances
+    field by field and lets ``size_bytes()`` re-memoize lazily.
+    """
+    return tuple(
+        name
+        for klass in reversed(cls.__mro__)
+        for name in getattr(klass, "__slots__", ())
+        if name != "_size"
+    )
+
+
+class StreamData(Message):
+    """One stream message: the payload plus the per-hop measurement every
+    stack carries the same way, so bandwidth and Fig. 9's cumulative
+    per-hop delay compare across stacks.  Concrete kinds subclass it and
+    declare only their ``kind`` (and any field of their own)."""
+
+    __slots__ = ("stream", "seq", "payload_bytes", "hops", "path_delay", "sent_at")
+
+    def __init__(
+        self,
+        stream: StreamId,
+        seq: int,
+        payload_bytes: int,
+        hops: int = 0,
+        path_delay: float = 0.0,
+        sent_at: float = 0.0,
+    ) -> None:
+        self.stream = stream
+        self.seq = seq
+        self.payload_bytes = payload_bytes
+        self.hops = hops
+        self.path_delay = path_delay
+        self.sent_at = sent_at
+
+    def body_bytes(self) -> int:
+        return STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + self.payload_bytes

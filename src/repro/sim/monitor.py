@@ -301,7 +301,10 @@ class Metrics:
 
     def node_bytes(self, node: NodeId, phase: str, direction: str = "sent") -> int:
         """Bytes ``node`` sent (``direction="sent"``) or received (any
-        other value) in ``phase``; 0 when none were accounted."""
+        other value) in ``phase``; 0 when none were accounted.  The flood
+        array kernels book receive bytes only when deliveries are
+        recorded, so "received" reads 0 on their non-record runs
+        (DESIGN.md §9)."""
         books = self.sent_by_phase if direction == "sent" else self.received_by_phase
         return books.get(phase, {}).get(node, 0)
 

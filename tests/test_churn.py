@@ -80,13 +80,6 @@ def test_kill_times_fall_inside_churn_window():
     assert all(10.0 <= t <= 30.0 + 1e-9 for t in driver.stats.kill_times)
 
 
-def test_kills_per_minute_helper():
-    sim, net, driver = drive(
-        "from 0 s to 1 s join 100\nfrom 10 s to 70 s const churn 6% each 60 s\n",
-    )
-    assert driver.stats.kills_per_minute(60.0) == pytest.approx(driver.stats.kills)
-
-
 def test_deterministic_under_same_seed():
     _, _, d1 = drive(
         "from 0 s to 1 s join 50\nfrom 5 s to 25 s const churn 20% each 5 s\n", seed=7

@@ -66,11 +66,6 @@ class TestBrisaConfig:
         with pytest.raises(ConfigError):
             BrisaConfig(mode="ring")
 
-    def test_with_helper_replaces_fields(self):
-        cfg = BrisaConfig().with_(strategy="delay-aware")
-        assert cfg.strategy == "delay-aware"
-        assert cfg.mode == "tree"
-
     def test_bloom_predictor_allowed_for_dag(self):
         cfg = BrisaConfig(mode="dag", num_parents=3, cycle_predictor="bloom")
         assert cfg.cycle_predictor == "bloom"

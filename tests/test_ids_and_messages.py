@@ -1,14 +1,12 @@
 """Tests for wire-size accounting across all message families."""
 
-import pytest
-
 from repro.baselines.flood import FloodData
 from repro.baselines.plumtree import Gossip, Graft, IHave, Prune
+from repro.baselines.pullgossip import PullData, PullReply
 from repro.baselines.simplegossip import Digest, Rumor
 from repro.baselines.simpletree import TreeData, TreeJoinReply
 from repro.baselines.tag import ListProbeReply, Pull, Segment
 from repro.core.messages import (
-    STREAM_BYTES,
     Activate,
     ActivateAck,
     BloomUpdate,
@@ -17,10 +15,17 @@ from repro.core.messages import (
     DepthUpdate,
     ReactivateOrder,
     RetransmitRequest,
+    meta_bytes,
 )
-from repro.ids import HEADER_BYTES, NODE_ID_BYTES, path_metadata_bytes
+from repro.ids import (
+    HEADER_BYTES,
+    MEASURE_BYTES,
+    NODE_ID_BYTES,
+    SEQ_BYTES,
+    STREAM_BYTES,
+)
 from repro.membership.messages import ForwardJoin, Join, Shuffle
-from repro.sim.message import Message
+from repro.sim.message import Message, StreamData, wire_fields
 
 
 def test_base_message_is_header_only():
@@ -29,7 +34,7 @@ def test_base_message_is_header_only():
 
 def test_path_metadata_matches_paper_example():
     # §II-D: a 7-hop path with 48-bit ids costs 336 bits = 42 bytes.
-    assert path_metadata_bytes(7) == 42
+    assert meta_bytes(path=tuple(range(7))) == 42
     assert NODE_ID_BYTES == 6
 
 
@@ -84,18 +89,46 @@ def test_digest_scales_with_extras():
 
 
 def test_payload_messages_consistent_across_protocols():
-    """All protocols ship the same payload: their data messages must cost
-    within a small constant of each other (fair bandwidth comparisons)."""
+    """All protocols ship the same payload at the same framing cost (fair
+    bandwidth comparisons): every stream-data kind's body is stream id +
+    seq + measurement header + payload, and BRISA's ``Data`` adds exactly
+    its cycle-prevention metadata."""
     payload = 1024
-    sizes = {
-        "brisa": Data(0, 1, payload, depth=3).size_bytes(),
-        "flood": FloodData(0, 1, payload).size_bytes(),
-        "gossip": Rumor(0, 1, payload).size_bytes(),
-        "tree": TreeData(0, 1, payload).size_bytes(),
-        "tag": Segment(0, 1, payload).size_bytes(),
-        "plumtree": Gossip(0, 1, payload).size_bytes(),
-    }
-    assert max(sizes.values()) - min(sizes.values()) < 64, sizes
+    body = STREAM_BYTES + SEQ_BYTES + MEASURE_BYTES + payload
+    kinds = (FloodData, PullData, PullReply, Gossip, Rumor, TreeData, Segment, Data)
+    assert set(kinds) == _concrete_subclasses(StreamData)
+    for cls in kinds:
+        msg = cls(0, 1, payload, hops=5, path_delay=0.25, sent_at=3.0)
+        assert msg.body_bytes() == body, cls.__name__
+        assert msg.size_bytes() == HEADER_BYTES + body, cls.__name__
+    for meta in (
+        {"path": (1, 2, 3)},
+        {"depth": 3},
+        {"bloom": 1, "bloom_bits": 1024},
+        {"path": (), "depth": 0},
+    ):
+        assert Data(0, 1, payload, **meta).body_bytes() == body + meta_bytes(**meta)
+
+
+def _concrete_subclasses(cls) -> set[type]:
+    """Every subclass of ``cls`` the program defines."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            found |= {sub} | _concrete_subclasses(sub)
+    return found
+
+
+def test_repr_names_every_wire_field():
+    flood = FloodData(2, 9, 1024, hops=3, path_delay=0.5, sent_at=1.25)
+    data = Data(2, 9, 1024, path=(4, 5), hops=3, sent_at=1.25, recovered=True)
+    for msg in (flood, data):
+        text = repr(msg)
+        assert text.startswith(type(msg).__name__ + "(")
+        for name in wire_fields(type(msg)):
+            assert f"{name}={getattr(msg, name)!r}" in text, (name, text)
+    assert "payload_bytes=1024" in repr(flood)
+    assert "path=(4, 5)" in repr(data) and "recovered=True" in repr(data)
 
 
 def test_tag_pull_and_probe_sizes():

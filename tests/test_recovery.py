@@ -33,14 +33,6 @@ def test_after_returns_sorted_gap_fill():
     assert list(buf.after(9)) == []
 
 
-def test_latest():
-    buf = MessageBuffer(capacity=4)
-    assert buf.latest is None
-    buf.store(2, 1)
-    buf.store(7, 1)
-    assert buf.latest == 7
-
-
 def test_duplicate_store_keeps_single_entry():
     buf = MessageBuffer(capacity=2)
     buf.store(1, 10)
@@ -103,7 +95,6 @@ def test_buffer_matches_ordered_dict_reference(capacity, ops):
         _reference_store(ref, capacity, seq, size)
         assert list(buf._items.items()) == list(ref.items())
         assert len(buf) == len(ref)
-        assert buf.latest == (max(ref) if ref else None)
         assert list(buf.after(seq - 1)) == sorted(
             (s, n) for s, n in ref.items() if s > seq - 1
         )
