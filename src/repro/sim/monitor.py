@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.ids import NodeId, StreamId
 
@@ -220,12 +220,17 @@ class Metrics:
         received = self._received
         received[node] = received.get(node, 0) + nbytes
 
-    def account_overhead(self, node: NodeId, phase: str, sent: int, received: int) -> None:
+    def account_overhead(self, phase: str, charges: Iterable[tuple[NodeId, int]]) -> None:
         """Analytically-accounted traffic (keep-alives; see DESIGN.md §5),
-        charged to ``phase`` whatever the current phase is."""
+        charged to ``phase`` whatever the current phase is: each
+        ``(node, nbytes)`` of ``charges`` is booked as sent and as
+        received, in order."""
         sent_book, received_book = self._books(phase)
-        sent_book[node] = sent_book.get(node, 0) + sent
-        received_book[node] = received_book.get(node, 0) + received
+        sent_get = sent_book.get
+        received_get = received_book.get
+        for node, nbytes in charges:
+            sent_book[node] = sent_get(node, 0) + nbytes
+            received_book[node] = received_get(node, 0) + nbytes
 
     # ------------------------------------------------------------------
     # Deliveries

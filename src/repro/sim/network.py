@@ -26,6 +26,9 @@ the model charges occupancy.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import islice
+from operator import itemgetter, sub
 from typing import Any, Callable, Iterable, Optional
 
 try:  # a FanWave is numpy arrays; only the vectorized kernel builds one
@@ -75,6 +78,172 @@ class FanWave:
         )
 
 
+class LinkRegistry(Mapping):
+    """Registered TCP links by endpoint: node id → peer set.
+
+    A registry wired in bulk from a CSR adjacency (:meth:`install`)
+    keeps the arrays as its *base* instead of one peer set per node
+    (DESIGN.md §8, "The link registry stays in the arrays").  A row
+    nobody touched is read from ``offsets``/``neighbors``; its set is
+    built — by the comprehension an eager install runs, so it iterates
+    in the same order — when something first changes it (:meth:`add`,
+    :meth:`discard`, :meth:`pop`) or asks for it (``links[nid]`` hands
+    out the live set).  ``in``, ``len``, iteration, :meth:`linked`,
+    :meth:`degrees` and :meth:`peers` build nothing.
+
+    Keys iterate as the dict of sets this replaces did: base rows in CSR
+    order, then keys added later in insertion order; a key that was
+    deleted and is added again goes to the end.  Every key maps to a
+    non-empty peer set: an emptied set is deleted and an empty base row
+    is no key.
+    """
+
+    def __init__(self) -> None:
+        #: Built sets, in insertion order.
+        self._rows: dict[NodeId, set[NodeId]] = {}
+        #: The base: node ids ``first .. first + n - 1`` by row, and the
+        #: CSR arrays (entries index ``ids``).
+        self._ids: list = []
+        self._offsets = self._neighbors = ()
+        self._first = 0
+        #: Base ids that left their base position (deleted, or added
+        #: over an empty base row): their key lives at the end.
+        self._moved: set[NodeId] = set()
+
+    def install(self, ids, offsets, neighbors) -> None:
+        """Register a symmetric CSR adjacency (the caller checked it).
+
+        An empty registry keeps the arrays as its base when ``ids`` is a
+        run of consecutive ids, as ``Network.spawn_many`` allocates.
+        Otherwise every row is built now and merged into what the
+        registry holds, key order and set order as an eager install."""
+        n = len(ids)
+        first = ids[0] if n else 0
+        if not self and list(ids) == list(range(first, first + n)):
+            self._rows, self._moved = {}, set()
+            self._ids, self._offsets, self._neighbors = ids, offsets, neighbors
+            self._first = first
+            return
+        if self._ids:
+            # Fold the base into built sets, keeping the key order.
+            self._rows = {nid: self._writable(nid) for nid in list(self)}
+            self._ids, self._offsets, self._neighbors = [], (), ()
+            self._moved = set()
+        rows = self._rows
+        for i, nid in enumerate(ids):
+            if offsets[i] == offsets[i + 1]:
+                continue
+            peers = {ids[j] for j in neighbors[offsets[i] : offsets[i + 1]]}
+            existing = rows.get(nid)
+            if existing is None:
+                rows[nid] = peers
+            else:
+                existing |= peers
+
+    def _in_base(self, nid: NodeId) -> bool:
+        return 0 <= nid - self._first < len(self._ids)
+
+    def _untouched(self, nid: NodeId) -> int:
+        """``nid``'s row index while its peers are read from the base (a
+        non-empty row never built or deleted), else -1."""
+        if self._in_base(nid) and nid not in self._rows and nid not in self._moved:
+            i = nid - self._first
+            if self._offsets[i] != self._offsets[i + 1]:
+                return i
+        return -1
+
+    def _build(self, i: int) -> set[NodeId]:
+        ids = self._ids
+        return {ids[j] for j in self._neighbors[self._offsets[i] : self._offsets[i + 1]]}
+
+    def _writable(self, nid: NodeId) -> "set[NodeId] | None":
+        row = self._rows.get(nid)
+        if row is None:
+            i = self._untouched(nid)
+            if i >= 0:
+                row = self._rows[nid] = self._build(i)
+        return row
+
+    def add(self, a: NodeId, b: NodeId) -> None:
+        """Put ``b`` in ``a``'s peer set (one direction)."""
+        row = self._writable(a)
+        if row is None:
+            row = self._rows[a] = set()
+            if self._in_base(a):
+                self._moved.add(a)
+        row.add(b)
+
+    def discard(self, a: NodeId, b: NodeId) -> None:
+        """Take ``b`` out of ``a``'s peer set, deleting the key if empty."""
+        row = self._writable(a)
+        if row is not None:
+            row.discard(b)
+            if not row:
+                self.pop(a)
+
+    def pop(self, nid: NodeId, default=None):
+        """Delete ``nid``'s key and return its peer set (or ``default``)."""
+        row = self._rows.pop(nid, None)
+        if row is None:
+            i = self._untouched(nid)
+            if i < 0:
+                return default
+            row = self._build(i)
+        if self._in_base(nid):
+            self._moved.add(nid)
+        return row
+
+    def linked(self, a: NodeId, b: NodeId) -> bool:
+        row = self._rows.get(a)
+        if row is not None:
+            return b in row
+        i = self._untouched(a)
+        return i >= 0 and b - self._first in self._neighbors[
+            self._offsets[i] : self._offsets[i + 1]
+        ]
+
+    def peers(self, nid: NodeId):
+        """``nid``'s peers, iterating as its set would; an untouched row
+        comes back as a fresh set, and an absent key as ``()``."""
+        row = self._rows.get(nid)
+        if row is None:
+            i = self._untouched(nid)
+            return self._build(i) if i >= 0 else ()
+        return row
+
+    def degrees(self):
+        """``(node id, peer count)`` for every key, in key order: a
+        built set's length or a base row's width."""
+        rows, moved = self._rows, self._moved
+        offsets = self._offsets
+        widths = map(sub, islice(offsets, 1, None), offsets)
+        for nid, width in zip(self._ids, widths):
+            if nid in moved:
+                continue
+            if nid in rows:
+                yield nid, len(rows[nid])
+            elif width:
+                yield nid, width
+        for nid, row in rows.items():
+            if nid in moved or not self._in_base(nid):
+                yield nid, len(row)
+
+    def __getitem__(self, nid: NodeId) -> set[NodeId]:
+        row = self._writable(nid)
+        if row is None:
+            raise KeyError(nid)
+        return row
+
+    def __contains__(self, nid: object) -> bool:
+        return nid in self._rows or self._untouched(nid) >= 0
+
+    def __iter__(self):
+        return map(itemgetter(0), self.degrees())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.degrees())
+
+
 class Network:
     """Registry + message fabric shared by all nodes of one simulation."""
 
@@ -105,7 +274,7 @@ class Network:
         #: a non-empty peer set and belongs to a live node — crash() and
         #: _unlink() prune aggressively so keep-alive accounting can walk
         #: exactly the live links (DESIGN.md §5).
-        self.links: dict[NodeId, set[NodeId]] = {}
+        self.links = LinkRegistry()
         #: (observer, failed) pairs with a failure notice in flight, to
         #: de-duplicate crash-driven and send-failure-driven notifications.
         #: Entries are dropped again once the notice fires, so the set
@@ -236,10 +405,10 @@ class Network:
             return
         node.on_crash()
         self.metrics.incr("crashes")
-        for peer in list(self.links.get(node_id, ())):
-            self._unlink(node_id, peer)
+        links = self.links
+        for peer in links.pop(node_id, ()):
+            links.discard(peer, node_id)
             self._schedule_failure_notice(peer, node_id)
-        self.links.pop(node_id, None)
         self._busy.pop(node_id, None)
         self._capacities.pop(node_id, None)
         if self._fifo:
@@ -294,15 +463,8 @@ class Network:
             elif not b_dead:
                 self._schedule_failure_notice(b, a)
             return
-        links = self.links
-        peers = links.get(a)
-        if peers is None:
-            peers = links[a] = set()
-        peers.add(b)
-        peers = links.get(b)
-        if peers is None:
-            peers = links[b] = set()
-        peers.add(a)
+        self.links.add(a, b)
+        self.links.add(b, a)
         self._notified.discard((a, b))
         self._notified.discard((b, a))
 
@@ -313,20 +475,14 @@ class Network:
         dicts once so wiring a whole synthesized topology stays O(edges)
         with minimal constant factor.  Returns the number of edges
         processed."""
-        links = self.links
+        add = self.links.add
         notified_discard = self._notified.discard
         count = 0
         for a, b in edges:
             if a == b:
                 raise SimulationError("cannot link a node to itself")
-            peers = links.get(a)
-            if peers is None:
-                peers = links[a] = set()
-            peers.add(b)
-            peers = links.get(b)
-            if peers is None:
-                peers = links[b] = set()
-            peers.add(a)
+            add(a, b)
+            add(b, a)
             notified_discard((a, b))
             notified_discard((b, a))
             count += 1
@@ -339,71 +495,47 @@ class Network:
         ``offsets``/``neighbors`` describe row ``i`` as the index slice
         ``neighbors[offsets[i]:offsets[i+1]]``; entries are *indices into*
         ``ids``, which maps them to node ids.  The adjacency must be
-        symmetric (every edge in both rows); with ``validate`` (the
-        default) this is checked *before* any mutation, so a bad input
-        cannot leave half-registered one-directional links behind.  A
-        caller whose adjacency is symmetric by construction (the
-        synthesizer — property-tested) may skip the O(edges) pass.
-        Each undirected link is covered by building one peer set per
-        node instead of two dict round trips per edge.  Returns the
-        number of undirected edges registered."""
+        simple and symmetric: no self-link, no peer twice in a row, every
+        edge in both rows.  With ``validate`` (the default) this is
+        checked *before* any mutation, so a bad input cannot leave
+        half-registered one-directional links behind; a caller whose
+        adjacency is simple and symmetric by construction (the
+        synthesizer — property-tested) may skip the O(edges) pass.  The
+        registry keeps the arrays and builds a node's peer set only when
+        something changes it (:class:`LinkRegistry`).  Returns the number
+        of undirected edges registered."""
         n = len(ids)
-        # One id-mapped peer set per node, shared by the validation pass
-        # and the registration loop below.
-        rows: list[set[NodeId]] = [
-            {ids[j] for j in neighbors[offsets[i] : offsets[i + 1]]}
-            for i in range(n)
-        ]
-        # Self-links are rejected before any mutation on both paths; the
-        # O(edges) symmetry pass is what ``validate=False`` skips.
-        for i, nid in enumerate(ids):
-            if nid in rows[i]:
-                raise SimulationError("cannot link a node to itself")
         if validate:
-            for i, nid in enumerate(ids):
-                for j in neighbors[offsets[i] : offsets[i + 1]]:
-                    if nid not in rows[j]:
+            for i in range(n):
+                row = neighbors[offsets[i] : offsets[i + 1]]
+                if i in row:
+                    raise SimulationError("cannot link a node to itself")
+                if len(set(row)) != len(row):
+                    raise SimulationError(f"CSR row of node {ids[i]} names a peer twice")
+                for j in row:
+                    if i not in neighbors[offsets[j] : offsets[j + 1]]:
                         raise SimulationError(
                             f"CSR adjacency is not symmetric: edge "
-                            f"({nid}, {ids[j]}) has no reverse entry"
+                            f"({ids[i]}, {ids[j]}) has no reverse entry"
                         )
-        links = self.links
+        self.links.install(ids, offsets, neighbors)
         notified = self._notified
-        total = 0
-        for i, peers in enumerate(rows):
-            if not peers:
-                continue
-            nid = ids[i]
-            existing = links.get(nid)
-            if existing is None:
-                links[nid] = peers
-            else:
-                existing |= peers
-            total += len(peers)
-            if notified:
-                for peer in peers:
-                    notified.discard((nid, peer))
-                    notified.discard((peer, nid))
-        return total // 2
+        if notified:
+            for i, nid in enumerate(ids):
+                for j in neighbors[offsets[i] : offsets[i + 1]]:
+                    notified.discard((nid, ids[j]))
+                    notified.discard((ids[j], nid))
+        return (offsets[n] - offsets[0]) // 2
 
     def unregister_link(self, a: NodeId, b: NodeId) -> None:
         self._unlink(a, b)
 
     def _unlink(self, a: NodeId, b: NodeId) -> None:
-        links = self.links
-        peers = links.get(a)
-        if peers is not None:
-            peers.discard(b)
-            if not peers:
-                del links[a]
-        peers = links.get(b)
-        if peers is not None:
-            peers.discard(a)
-            if not peers:
-                del links[b]
+        self.links.discard(a, b)
+        self.links.discard(b, a)
 
     def linked(self, a: NodeId, b: NodeId) -> bool:
-        return b in self.links.get(a, ())
+        return self.links.linked(a, b)
 
     def check_link_invariants(self) -> None:
         """Raise unless the registered-link invariants hold: every
@@ -416,7 +548,8 @@ class Network:
         heap to catch link leaks under churn (DESIGN.md §3, §9).
         """
         links = self.links
-        for nid, peers in links.items():
+        for nid in links:
+            peers = links.peers(nid)
             node = self.nodes.get(nid)
             if node is None or not node.alive:
                 raise SimulationError(
@@ -425,7 +558,7 @@ class Network:
             if not peers:
                 raise SimulationError(f"links registry holds empty peer set for {nid}")
             for peer in peers:
-                if nid not in links.get(peer, ()):
+                if not links.linked(peer, nid):
                     raise SimulationError(
                         f"link {nid}->{peer} has no reverse entry"
                     )
@@ -811,8 +944,10 @@ class Network:
         period in each direction.  This is accounted analytically instead
         of being simulated per-packet (it changes no protocol decision):
         the per-link byte rate is precomputed once per phase and the walk
-        touches exactly the live links — ``self.links`` holds no dead
-        nodes and no empty peer sets by construction.
+        reads one peer count per registry key — a built set's length or
+        a CSR row's width — in key order, which is the order the books
+        take their nodes.  ``self.links`` holds no dead nodes and no
+        empty peer sets by construction.
         """
         if duration <= 0:
             return
@@ -820,13 +955,11 @@ class Network:
         per_link_bytes = int(round(duration / self.keepalive_period * ka_bytes))
         if per_link_bytes <= 0:
             return
-        account = self.metrics.account_overhead
-        nodes = self.nodes
-        for node_id, peers in self.links.items():
-            # Links to a node that died without crash() being observed yet
-            # (stale handshake races) must not charge the dead endpoint.
-            node = nodes.get(node_id)
-            if node is None or not node.alive:
-                continue
-            n = len(peers)
-            account(node_id, phase, sent=per_link_bytes * n, received=per_link_bytes * n)
+        # Links to a node that died without crash() being observed yet
+        # (stale handshake races) must not charge the dead endpoint.
+        node_of = self.nodes.get
+        self.metrics.account_overhead(phase, (
+            (node_id, per_link_bytes * n)
+            for node_id, n in self.links.degrees()
+            if (node := node_of(node_id)) is not None and node.alive
+        ))

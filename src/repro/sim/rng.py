@@ -9,13 +9,23 @@ the paper-comparison benches rely on.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+# The interpreter's own SHA-256, as ``random`` takes its SHA-512:
+# ``hashlib`` would load OpenSSL's libcrypto into every process for this
+# one hash (DESIGN.md §17).
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11
+    except ImportError:  # pragma: no cover - builds without the module
+        from hashlib import sha256
 
 
 def derive_seed(root: int, *labels: object) -> int:
     """Derive a 64-bit child seed from ``root`` and a label path."""
-    h = hashlib.sha256()
+    h = sha256()
     h.update(str(int(root)).encode())
     for label in labels:
         h.update(b"/")

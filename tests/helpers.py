@@ -193,3 +193,52 @@ def to_networkx(g):
     ref.add_nodes_from(g.nodes)
     ref.add_edges_from(g.edges)
     return ref
+
+
+class DictLinks(dict):
+    """The dict of sets ``Network.links`` was, written by the code that
+    wrote it: the reference the link registry is checked against
+    (DESIGN.md §8, "The link registry stays in the arrays")."""
+
+    def install(self, ids, offsets, neighbors) -> None:
+        for i, nid in enumerate(ids):
+            peers = {ids[j] for j in neighbors[offsets[i] : offsets[i + 1]]}
+            if peers:
+                existing = self.get(nid)
+                if existing is None:
+                    self[nid] = peers
+                else:
+                    existing |= peers
+
+    def add(self, a, b) -> None:
+        peers = self.get(a)
+        if peers is None:
+            peers = self[a] = set()
+        peers.add(b)
+
+    def discard(self, a, b) -> None:
+        peers = self.get(a)
+        if peers is not None:
+            peers.discard(b)
+            if not peers:
+                del self[a]
+
+    def crash(self, nid) -> list:
+        """Unlink ``nid`` as ``Network.crash`` did; returns its peers in
+        the order their failure notices were drawn."""
+        peers = list(self.get(nid, ()))
+        for peer in peers:
+            self.discard(nid, peer)
+            self.discard(peer, nid)
+        self.pop(nid, None)
+        return peers
+
+    def violated(self, nodes) -> bool:
+        """What ``Network.check_link_invariants`` decided on this dict."""
+        for nid, peers in self.items():
+            node = nodes.get(nid)
+            if node is None or not node.alive or not peers:
+                return True
+            if any(nid not in self.get(peer, ()) for peer in peers):
+                return True
+        return False

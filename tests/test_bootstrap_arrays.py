@@ -168,6 +168,21 @@ class TestBulkWiring:
                 [5, 6], array("q", [0, 1, 2]), array("i", [0, 1])
             )
 
+    def test_register_links_csr_rejects_a_peer_named_twice(self):
+        from array import array
+
+        from repro.sim.engine import Simulator
+        from repro.sim.network import Network
+
+        net = Network(Simulator(seed=1))
+        # Symmetric, but row 0 names node 6 twice: its keep-alive degree
+        # would count the link twice.
+        with pytest.raises(SimulationError, match="twice"):
+            net.register_links_csr(
+                [5, 6], array("q", [0, 2, 4]), array("i", [1, 1, 0, 0])
+            )
+        assert net.links == {}
+
     def test_register_links_csr_rejects_asymmetry_before_mutating(self):
         from array import array
 

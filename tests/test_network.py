@@ -8,7 +8,9 @@ from repro.errors import ProtocolError, SimulationError
 from repro.sim.message import Message
 from repro.sim.monitor import DISSEMINATION, STABILIZATION
 
-from tests.helpers import Ping, RecorderNode, make_network
+from repro.experiments.bootstrap import synthesize_topology_arrays
+from repro.sim.rng import derive
+from tests.helpers import DictLinks, Ping, RecorderNode, make_network
 
 
 def test_send_delivers_with_latency():
@@ -165,6 +167,41 @@ def test_keepalive_accounting_charges_linked_nodes():
     assert net.metrics.node_bytes(a.node_id, DISSEMINATION) == expected
     assert net.metrics.node_bytes(b.node_id, DISSEMINATION, "received") == expected
     assert net.metrics.node_bytes(c.node_id, DISSEMINATION) == 0
+
+    # A CSR-wired bed (DESIGN.md §8): rows built by a new link, a lost
+    # link, a crash and a node that lost every link and got one back
+    # (its key moves to the end), the rest read from the arrays.  The
+    # books equal a walk over the dict of sets, node order included.
+    _, net, _ = make_network(40)
+    topo = synthesize_topology_arrays(40, degree=5, max_degree=8, rng=derive(3, "ka"))
+    ids = list(range(40))
+    net.register_links_csr(ids, topo.offsets, topo.neighbors)
+    ref = DictLinks()
+    ref.install(ids, topo.offsets, topo.neighbors)
+
+    def link(a, b):
+        net.register_link(a, b)
+        ref.add(a, b)
+        ref.add(b, a)
+
+    def unlink(a, b):
+        net.unregister_link(a, b)
+        ref.discard(a, b)
+        ref.discard(b, a)
+
+    link(1, next(p for p in range(3, 40) if not net.linked(1, p)))
+    unlink(5, next(iter(ref[5])))
+    for peer in list(ref[2]):
+        unlink(2, peer)
+    link(2, 1)
+    net.crash(7)
+    ref.crash(7)
+    assert list(net.links)[-1] == 2
+    net.account_keepalives(DISSEMINATION, duration=10.0, ka_bytes=48)
+    walk = [(nid, expected * len(peers)) for nid, peers in ref.items()]
+    assert list(net.metrics.sent_by_phase[DISSEMINATION].items()) == walk
+    assert list(net.metrics.received_by_phase[DISSEMINATION].items()) == walk
+    assert 7 not in net.metrics.sent_by_phase[DISSEMINATION]
 
 
 def test_dead_nodes_send_no_keepalives():

@@ -28,3 +28,9 @@ def test_no_concatenation_collisions():
 def test_seed_is_64_bit():
     s = derive_seed(123, "component")
     assert 0 <= s < 2**64
+
+
+def test_seeds_are_pinned():
+    """The SHA-256 source may change (DESIGN.md §17); the seeds may not."""
+    assert derive_seed(1, "x") == 14927992519662226210
+    assert derive_seed(7, "node", 3, "BrisaNode") == 9587281011249085191

@@ -14,7 +14,10 @@ DAG mode (two parents, depth labels: demotions, ``DepthUpdate`` pushes,
 cycle drops, soft and hard repair), a static 64-node BRISA stream over
 ``PlanetLabLatency`` (the Fig. 9 / Fig. 13 model) and a static 64-node
 Bloom-filter DAG (``BloomUpdate`` growth pushes).  The DAG and Bloom beds
-pin the predictor-specific steps of §II-D / §II-G.  When a change
+pin the predictor-specific steps of §II-D / §II-G.  A fifth bed, a flood
+overlay wired from CSR arrays and churned on the fused plan, pins the
+link registry's failure notices and keep-alive books (DESIGN.md §8,
+"The link registry stays in the arrays").  When a change
 *means* to move a schedule, re-pin the digest and say why in the commit
 message.
 
@@ -27,13 +30,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import BrisaConfig, HyParViewConfig, StreamConfig
 from repro.experiments import robustness
 from repro.experiments.common import build_brisa_testbed
+from repro.experiments.scale_flood import build_static_flood_overlay, flood_node_factory
+from repro.sim.churn import ChurnDriver
 from repro.sim.latency import PlanetLabLatency
+from repro.sim.monitor import DISSEMINATION
+from repro.sim.trace import ConstChurn, Trace
 from tests.helpers import assert_brisa_state_consistent, cache_free
 from tests.test_slotted_parity import brisa_run, brisa_structure_snapshot, snapshot
 
@@ -120,6 +128,41 @@ def static_stream_bed(kind: str):
     return bed
 
 
+def flood_churn_bed():
+    """A 192-node flood bed wired from the synthesizer's CSR (slotted
+    kernel, deliveries recorded) streaming 40 messages while 10 % of the
+    population fails every 2 s for 8 s.  Each crash draws one
+    failure-notice delay per peer, in its peer set's order, and joiners
+    link one by one; keep-alives are charged at the end.  Returns the
+    bed and the digest of its final link registry (keys and every peer
+    set, in iteration order)."""
+    sim, net, nodes = build_static_flood_overlay(
+        192, seed=5, kernel="slotted", record_deliveries=True
+    )
+    source = nodes[0]
+    net.autostart_timers = False  # message-driven joins: the heap drains
+    factory = flood_node_factory(
+        "slotted", net, source.hpv_config, slot_kernel=source.kernel
+    )
+
+    def join_fn():
+        node = net.spawn(factory)
+        node.join(source.node_id)
+        return node
+
+    trace = Trace((ConstChurn(0.0, 8.0, 10.0, 2.0),))
+    driver = ChurnDriver(sim, net, trace, join_fn, protected=(source.node_id,))
+    driver.apply()
+    for seq in range(40):
+        sim.call_at(0.25 * seq, source.inject, 0, seq, 512)
+    sim.run_until_idle()
+    assert driver.stats.kills > 0 and driver.stats.joins > 0
+    net.account_keepalives(DISSEMINATION, sim.now)
+    links = json.dumps([(nid, list(net.links[nid])) for nid in list(net.links)])
+    bed = SimpleNamespace(sim=sim, metrics=net.metrics)
+    return bed, hashlib.sha256(links.encode()).hexdigest()
+
+
 def assert_pinned(bed, golden) -> dict:
     """The bed's schedule is the golden one, and the object kernel's
     per-stream state holds its invariants with the maintenance cache in
@@ -140,6 +183,12 @@ def test_table1_dag_churn_bed_schedule_is_pinned():
     assert [event.kind for event in bed.metrics.repair_events] == ["hard"]
     summary = assert_pinned(bed, GOLDEN_DAG_CHURN)
     assert summary["msg_counts"]["brisa_depth_update"] > 0
+
+
+def test_csr_flood_churn_bed_schedule_is_pinned():
+    bed, links = flood_churn_bed()
+    assert schedule_digest(bed) == GOLDEN_FLOOD_CHURN
+    assert links == "0bb1a1e749fc32408c1541721af5963aca3ee9cc592560f23b3500700dc40379"
 
 
 def test_planetlab_static_stream_schedule_is_pinned():
@@ -256,4 +305,19 @@ GOLDEN_BLOOM = (
         "deliveries": 1260,
     },
     "a16d29199562eb375de3b8e816cfefa89b7743dbc5f2a3c3fd574450b119dc30",
+)
+GOLDEN_FLOOD_CHURN = (
+    {
+        "events": 14736,
+        "peak_pending": 241,
+        "now": "9.754999999999997",
+        "msg_counts": {
+            "flood_data": 39473, "hpv_disconnect": 98, "hpv_forward_join": 4193,
+            "hpv_join": 76, "hpv_neighbor": 697, "hpv_neighbor_accept": 690,
+            "hpv_neighbor_reject": 42,
+        },
+        "bytes_sent": 23565734,
+        "deliveries": 7574,
+    },
+    "902d59526953fe95918fe14a4508e413df5cedac20b84aff214627fccbc62e41",
 )

@@ -81,13 +81,28 @@ def test_vectorized_kernel_names_numpy(blocked):
     assert "numpy" in blocked["vectorized"]
 
 
-def test_table1_run_never_imports_networkx():
-    """A whole paper artifact run loads no networkx."""
+@pytest.fixture(scope="module")
+def table1_modules():
+    """The exit status of a fresh interpreter's ``repro run table1
+    --scale tiny`` and the modules it loaded."""
     out = run_python(
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from repro.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = main(['run', 'table1', '--scale', 'tiny'])\n"
-        "print(status, 'networkx' in sys.modules)\n"
+        "print(json.dumps([status, sorted(sys.modules)]))\n"
     )
-    assert out.split() == ["0", "False"]
+    status, modules = json.loads(out.splitlines()[-1])
+    assert status == 0
+    return set(modules)
+
+
+def test_table1_run_never_imports_networkx(table1_modules):
+    """A whole paper artifact run loads no networkx."""
+    assert "networkx" not in table1_modules
+
+
+def test_table1_run_never_imports_hashlib(table1_modules):
+    """Seed derivation hashes with the interpreter's own SHA-256, so a
+    run never loads OpenSSL's libcrypto."""
+    assert not {"hashlib", "_hashlib"} & table1_modules
