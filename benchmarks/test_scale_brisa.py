@@ -26,9 +26,7 @@ import pytest
 
 from repro.experiments.report import banner
 from repro.experiments.scale import LARGE, XL, XXL
-from repro.experiments.scale_brisa import run_scale_brisa
-from repro.experiments.scale_flood import run_scale_flood
-from repro.experiments.scale_runner import merge_json
+from repro.experiments.scale_runner import RunSpec, merge_json, run_spec
 
 from benchmarks.conftest import RUN_DIR
 
@@ -37,8 +35,8 @@ MESSAGES = 20
 
 
 def test_scale_brisa_10k(emit):
-    brisa = run_scale_brisa(XL.cluster_nodes, MESSAGES, rate=20.0, seed=3)
-    flood = run_scale_flood(XL.cluster_nodes, MESSAGES, rate=20.0, seed=3)
+    brisa = run_spec(RunSpec(stack="brisa", size="xl", messages=MESSAGES, seed=3))
+    flood = run_spec(RunSpec(size="xl", messages=MESSAGES, seed=3))
     text = (
         banner(f"Scale BRISA — {brisa.nodes} nodes (xl)")
         + "\n" + brisa.summary()
@@ -69,7 +67,7 @@ def test_scale_brisa_multistream_xl(emit):
     aggregate delivery, and the relay-load-spread report shows the
     interior-node sets differ across streams (SplitStream-style load
     spreading on shared infrastructure)."""
-    result = run_scale_brisa(XL.cluster_nodes, 10, rate=20.0, seed=3, streams=8)
+    result = run_spec(RunSpec(stack="brisa", size="xl", messages=10, seed=3, streams=8))
     emit(
         "scale_brisa_multistream",
         banner(f"Scale BRISA multi-stream — {result.nodes} nodes (xl), 8 streams")
@@ -98,9 +96,9 @@ def test_brisa_kernels_agree_xl():
     (the full draw-for-draw surface is pinned at small populations by
     tests/test_slotted_parity.py)."""
     results = {
-        kernel: run_scale_brisa(
-            XL.cluster_nodes, MESSAGES, rate=20.0, seed=3, kernel=kernel
-        )
+        kernel: run_spec(RunSpec(
+            stack="brisa", size="xl", messages=MESSAGES, seed=3, kernel=kernel,
+        ))
         for kernel in ("object", "slotted")
     }
     obj, slotted = results["object"], results["slotted"]
@@ -119,9 +117,9 @@ def test_scale_brisa_xxl_slotted_100k(emit):
     """The 100k rung on the slotted BRISA kernel: the throughput lever
     must preserve the deterministic outcomes (full delivery, complete
     structure) at the largest population."""
-    result = run_scale_brisa(
-        XXL.cluster_nodes, XXL.messages, rate=20.0, seed=3, kernel="slotted"
-    )
+    result = run_spec(RunSpec(
+        stack="brisa", size="xxl", messages=XXL.messages, seed=3, kernel="slotted",
+    ))
     emit(
         "scale_brisa_xxl_slotted",
         banner(f"Scale BRISA slotted — {result.nodes} nodes (xxl)")
@@ -142,7 +140,7 @@ def test_scale_brisa_xxl_slotted_100k(emit):
 def test_scale_brisa_xxl_100k(emit):
     """The 100k rung for the full BRISA stack: membership + emergence
     over an array-backed synthesized overlay."""
-    result = run_scale_brisa(XXL.cluster_nodes, XXL.messages, rate=20.0, seed=3)
+    result = run_spec(RunSpec(stack="brisa", size="xxl", messages=XXL.messages, seed=3))
     emit(
         "scale_brisa_xxl",
         banner(f"Scale BRISA — {result.nodes} nodes (xxl)") + "\n" + result.summary(),
@@ -156,7 +154,7 @@ def test_scale_brisa_xxl_100k(emit):
 
 def test_scale_brisa_smoke_2k(emit):
     """CI smoke: the large (2k) scenario end-to-end, full BRISA stack."""
-    result = run_scale_brisa(LARGE.cluster_nodes, 10, rate=20.0, seed=4)
+    result = run_spec(RunSpec(stack="brisa", size="large", messages=10, seed=4))
     emit("scale_brisa_smoke", banner("Scale BRISA smoke — 2k nodes") + "\n" + result.summary())
     assert result.delivered_fraction == 1.0
     assert result.structure_complete, result.structure_reason

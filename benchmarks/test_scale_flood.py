@@ -26,8 +26,7 @@ import pytest
 
 from repro.experiments.report import banner
 from repro.experiments.scale import LARGE, XL, XXL, XXXL
-from repro.experiments.scale_flood import run_scale_flood
-from repro.experiments.scale_runner import merge_json
+from repro.experiments.scale_runner import RunSpec, merge_json, run_spec
 
 from benchmarks.conftest import RUN_DIR
 
@@ -38,7 +37,7 @@ MESSAGES = 20
 
 def test_scale_flood_10k(benchmark, emit):
     result = benchmark.pedantic(
-        lambda: run_scale_flood(XL.cluster_nodes, MESSAGES, rate=20.0, seed=3),
+        lambda: run_spec(RunSpec(size="xl", messages=MESSAGES, seed=3)),
         rounds=1,
         iterations=1,
     )
@@ -64,9 +63,7 @@ def test_flood_kernels_agree_xl():
     populations by tests/test_slotted_parity.py)."""
     pytest.importorskip("numpy")
     results = {
-        kernel: run_scale_flood(
-            XL.cluster_nodes, MESSAGES, rate=20.0, seed=3, kernel=kernel
-        )
+        kernel: run_spec(RunSpec(size="xl", messages=MESSAGES, seed=3, kernel=kernel))
         for kernel in ("object", "slotted", "vectorized")
     }
     reference = results["object"]
@@ -81,9 +78,7 @@ def test_flood_kernels_agree_xl():
 def test_multistream_xl(emit):
     """Multi-stream at scale (DESIGN.md §10): 8 concurrent publishers
     over the xl slotted overlay must deliver every stream fully."""
-    multi = run_scale_flood(
-        XL.cluster_nodes, 10, rate=20.0, seed=3, kernel="slotted", streams=8
-    )
+    multi = run_spec(RunSpec(size="xl", messages=10, seed=3, kernel="slotted", streams=8))
     emit(
         "scale_flood_multistream",
         banner(f"Scale flood multi-stream — {multi.nodes} nodes (xl), 8 streams")
@@ -104,10 +99,9 @@ def test_scale_flood_churn_xl(emit):
     the surviving initial receivers, on both kernels, with identical
     outcomes.  This is the CI churn smoke."""
     results = {
-        kernel: run_scale_flood(
-            XL.cluster_nodes, 10, rate=20.0, seed=3,
-            kernel=kernel, churn_percent=1.0,
-        )
+        kernel: run_spec(RunSpec(
+            size="xl", messages=10, seed=3, kernel=kernel, churn_percent=1.0,
+        ))
         for kernel in ("slotted", "object")
     }
     slotted = results["slotted"]
@@ -136,15 +130,14 @@ def test_topology_loss_matrix_xl(emit):
     vectorized kernels under loss is pinned in tests/test_slotted_parity.py).
     Persists the gated ``topology.*`` / ``loss.*`` entries of
     BENCH_scale.json."""
-    from repro.config import HyParViewConfig
-    from repro.experiments.bootstrap import TOPOLOGY_BUILDERS
+    from repro.experiments.bootstrap import TOPOLOGY_BUILDERS, static_view_config
     from repro.sim.rng import derive
 
     # Mirror build_static_flood_overlay's overlay parameters (degree 5)
     # so the rebuilt CSR arrays are the run's actual topology: same
     # builder, same derived RNG stream, same cap.
     degree, seed = 5, 3
-    cap = HyParViewConfig(active_size=max(4, degree), passive_size=16).max_active
+    cap = static_view_config(degree).max_active
     topo_entries: dict = {}
     loss_entries: dict = {}
     report: list[str] = []
@@ -162,10 +155,10 @@ def test_topology_loss_matrix_xl(emit):
             sum((d - mean) ** 2 for d in degrees) / len(degrees)
         ) ** 0.5 / mean
         for loss in (0.0, 2.0):
-            result = run_scale_flood(
-                XL.cluster_nodes, 10, rate=20.0, seed=seed,
-                kernel="slotted", topology=name, loss_percent=loss,
-            )
+            result = run_spec(RunSpec(
+                size="xl", messages=10, seed=seed, kernel="slotted", topology=name,
+                loss_percent=loss,
+            ))
             entry = {
                 "delivered_fraction": result.delivered_fraction,
                 "duplicate_overhead": result.receptions / result.deliveries - 1.0,
@@ -209,7 +202,7 @@ def test_topology_loss_matrix_xl(emit):
 @pytest.mark.xxl
 def test_scale_flood_xxl_100k(emit):
     """The 100k rung: array-backed bootstrap + fused delivery end to end."""
-    result = run_scale_flood(XXL.cluster_nodes, XXL.messages, rate=20.0, seed=3)
+    result = run_spec(RunSpec(size="xxl", messages=XXL.messages, seed=3))
     emit(
         "scale_flood_xxl",
         banner(f"Scale flood — {result.nodes} nodes (xxl)") + "\n" + result.summary(),
@@ -229,10 +222,10 @@ def test_scale_flood_xxl_100k(emit):
 def test_scale_flood_xxl_slotted_churn(emit):
     """The 100k rung on the slotted kernel, with 1% churn mid-stream:
     slot recycling and CSR-link purging at full scale (DESIGN.md §9)."""
-    result = run_scale_flood(
-        XXL.cluster_nodes, XXL.messages, rate=20.0, seed=3,
-        kernel="slotted", churn_percent=1.0,
-    )
+    result = run_spec(RunSpec(
+        size="xxl", messages=XXL.messages, seed=3, kernel="slotted",
+        churn_percent=1.0,
+    ))
     emit(
         "scale_flood_xxl_churn",
         banner(f"Scale flood churn — {result.nodes} nodes (xxl, slotted, 1% churn)")
@@ -254,10 +247,9 @@ def test_scale_flood_xxxl_1m(emit):
     drains end to end — only the numpy kernel makes this population
     tractable, so it is the rung's sole configuration."""
     pytest.importorskip("numpy")
-    result = run_scale_flood(
-        XXXL.cluster_nodes, XXXL.messages, rate=20.0, seed=3,
-        kernel="vectorized",
-    )
+    result = run_spec(RunSpec(
+        size="xxxl", messages=XXXL.messages, seed=3, kernel="vectorized",
+    ))
     emit(
         "scale_flood_xxxl",
         banner(f"Scale flood — {result.nodes} nodes (xxxl, vectorized)")
@@ -272,7 +264,7 @@ def test_scale_flood_xxxl_1m(emit):
 
 def test_scale_flood_smoke_2k(emit):
     """CI smoke: the large (2k) scenario end-to-end, no benchmark fixture."""
-    result = run_scale_flood(LARGE.cluster_nodes, 10, rate=20.0, seed=4)
+    result = run_spec(RunSpec(size="large", messages=10, seed=4))
     emit("scale_flood_smoke", banner("Scale flood smoke — 2k nodes") + "\n" + result.summary())
     assert result.delivered_fraction == 1.0
     assert result.deliveries == (LARGE.cluster_nodes - 1) * 10

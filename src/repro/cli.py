@@ -153,11 +153,10 @@ def _run_scale(args) -> int:
     )
     try:
         result = sc.run_spec(spec)
-        nodes = spec.population(sc.get_scale(spec.size))
     except (ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(rp.banner(f"Scale {args.stack} — {nodes} nodes ({args.scale})"))
+    print(rp.banner(f"Scale {args.stack} — {result.nodes} nodes ({args.scale})"))
     print(result.summary())
     # What the process took, not a property of the run (so not a
     # ScaleResult field): the rungs python3 -m bench does not cover

@@ -82,14 +82,41 @@ def default_degree(hpv: HyParViewConfig) -> int:
     return max(2, hpv.max_active - 1)
 
 
-def _check_ring_args(n: int, degree: int, max_degree: int) -> None:
-    """Argument validation shared by the ring + chords synthesizers."""
+def static_view_config(degree: int | None) -> HyParViewConfig:
+    """The membership config of a static overlay of mean ``degree``: the
+    view cap sized so the degree is legal under the protocol's own limits
+    instead of silently building a sparser overlay (``None``: the paper's
+    defaults, which settle at :func:`default_degree`)."""
+    if degree is None:
+        return HyParViewConfig()
+    return HyParViewConfig(active_size=max(4, degree), passive_size=16)
+
+
+def check_topology_args(topology: str, n: int, degree: int, max_degree: int) -> None:
+    """The one argument check of the topology synthesizers, flag-phrased:
+    every builder of :data:`TOPOLOGY_BUILDERS` runs it first, and
+    ``RunSpec.validate`` runs it before a scale run spawns anything."""
+    if topology not in TOPOLOGY_BUILDERS:
+        known = ", ".join(sorted(TOPOLOGY_BUILDERS))
+        raise ValueError(f"unknown topology {topology!r}; known: {known}")
     if n < 3:
-        raise ValueError("need at least 3 nodes for a ring overlay")
+        raise ValueError("need at least 3 nodes for a ring overlay (--nodes)")
     if degree < 2:
-        raise ValueError("degree must be >= 2 (ring minimum)")
+        raise ValueError("--degree must be >= 2 (ring minimum)")
     if max_degree < degree:
         raise ValueError("max_degree must be >= degree")
+    if topology == "smallworld":
+        k = degree - (degree % 2)
+        if k < 4:
+            raise ValueError(
+                "--topology smallworld needs --degree >= 4 (an even lattice "
+                "degree of at least 4; the span-1 ring alone is not small-world)"
+            )
+        if n <= k:
+            raise ValueError(
+                f"--topology smallworld needs more than --degree {k} nodes "
+                f"for a ring lattice"
+            )
 
 
 def synthesize_topology(
@@ -102,7 +129,7 @@ def synthesize_topology(
     ``max_degree`` (HyParView's expanded active-view cap).  O(n * degree)
     expected time.
     """
-    _check_ring_args(n, degree, max_degree)
+    check_topology_args("uniform", n, degree, max_degree)
     adj: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         j = (i + 1) % n
@@ -191,7 +218,7 @@ def synthesize_topology_arrays(
     a counting sort: O(n·degree) time with no per-node Python
     containers.
     """
-    _check_ring_args(n, degree, max_degree)
+    check_topology_args("uniform", n, degree, max_degree)
     # The Hamiltonian ring (connectivity guarantee).
     edge_a, edge_b, degrees, edge_keys = _ring_edges(n)
     edges = n
@@ -265,7 +292,7 @@ def synthesize_powerlaw_arrays(
     identical accept/reject structure to the uniform builder, so the
     graph is draw-for-draw deterministic in ``rng``.
     """
-    _check_ring_args(n, degree, max_degree)
+    check_topology_args("powerlaw", n, degree, max_degree)
     edge_a, edge_b, degrees, edge_keys = _ring_edges(n)
     # Every edge endpoint, once per incidence: drawing a uniform index
     # here selects a node with probability proportional to its degree.
@@ -317,16 +344,8 @@ def synthesize_smallworld_arrays(
     to the lattice edge.  Draw-for-draw deterministic in ``rng`` (one
     coin per lattice chord, bounded redraws per rewire).
     """
+    check_topology_args("smallworld", n, degree, max_degree)
     k = degree - (degree % 2)
-    if k < 4:
-        raise ValueError(
-            "smallworld topology needs degree >= 4 (an even lattice degree "
-            "of at least 4; the span-1 ring alone is not small-world)"
-        )
-    if max_degree < degree:
-        raise ValueError("max_degree must be >= degree")
-    if n <= k:
-        raise ValueError(f"need more than degree={k} nodes for a ring lattice")
     edge_a, edge_b, degrees, edge_keys = _ring_edges(n)
     random_ = rng.random
     randrange = rng.randrange
@@ -546,13 +565,10 @@ def synthesize_overlay(
             f"{hpv.max_active}; size HyParViewConfig.active_size/"
             f"expansion_factor accordingly"
         )
-    builder = TOPOLOGY_BUILDERS.get(topology)
-    if builder is None:
-        raise ValueError(
-            f"unknown topology {topology!r} "
-            f"(choose from {', '.join(sorted(TOPOLOGY_BUILDERS))})"
-        )
-    topo = builder(n, degree=degree, max_degree=hpv.max_active, rng=rng)
+    check_topology_args(topology, n, degree, hpv.max_active)
+    topo = TOPOLOGY_BUILDERS[topology](
+        n, degree=degree, max_degree=hpv.max_active, rng=rng
+    )
     ids = [node.node_id for node in nodes]
     reservoir = PassiveReservoir(topo, ids, size=hpv.passive_size, rng=rng)
     offsets = topo.offsets

@@ -108,10 +108,11 @@ class Testbed:
         if n < 1:
             raise ValueError("need at least one node")
         self._factory = factory
-        if bootstrap == "simulated" and degree is not None:
+        if bootstrap != "synthesized" and degree is not None:
             raise ValueError(
-                "degree only applies to synthesized bootstraps; the "
-                "simulated join ramp converges on HyParViewConfig alone"
+                "--degree applies to synthesized bootstraps only; the "
+                "simulated join ramp converges on HyParViewConfig alone, "
+                "and a checkpoint already fixes the overlay shape"
             )
         if bootstrap == "simulated" and topology != "uniform":
             raise ValueError(

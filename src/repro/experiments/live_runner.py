@@ -2,8 +2,8 @@
 (DESIGN.md §13).
 
 :func:`run_live` takes the :class:`RunSpec` that :func:`run_spec` takes
-and yields the :class:`StreamOutcome` rows :func:`run_scale_brisa`
-yields, so a live run and a simulated one compare row for row.
+and yields the :class:`StreamOutcome` rows a ``RunSpec(stack="brisa")``
+run yields, so a live run and a simulated one compare row for row.
 
 Process model — one synchronous coordinator (this process) plus N worker
 processes, each running one asyncio event loop hosting M nodes on one
@@ -52,7 +52,6 @@ from typing import Optional, Sequence
 from repro.config import BrisaConfig, HyParViewConfig
 from repro.errors import SimulationError
 from repro.experiments.bootstrap import load_overlay, synthesize_checkpoint
-from repro.experiments.scale import get_scale
 from repro.experiments.scale_runner import (
     RunSpec,
     StreamOutcome,
@@ -105,17 +104,17 @@ def check_live_spec(spec: RunSpec, *, workers: int, control_host: str) -> int:
             "a simulated bootstrap is not available on repro live "
             "(it restores a synthesized overlay or a --checkpoint)"
         )
-    spec.validate()
     if workers < 1:
         raise ValueError("--workers must be >= 1")
     if not control_host:
         raise ValueError("--control-host must be a non-empty host/address")
-    nodes = spec.population(get_scale(spec.size))
+    nodes = spec.population()
     if nodes < max(3, workers):
         raise ValueError(
             f"need >= 3 nodes and >= 1 node per worker "
             f"({nodes} nodes, {workers} workers)"
         )
+    spec.validate()
     return nodes
 
 

@@ -9,10 +9,12 @@ the dissemination hot path — floods K concurrent streams over it,
 optionally under churn, and reports delivery, duplicates and engine
 telemetry (events, receptions/s, peak heap backlog, wall time).
 
-Scenario entry points: :func:`run_scale_flood` (library / benchmark) and
-the ``repro scale`` CLI subcommand.  This module builds the stack and
-accounts its receptions; the run itself — source spreading, injection
-windows, the timed drain, the roll-up and the :class:`ScaleResult` — is
+The stack's builder is :func:`build_flood`, which
+:func:`repro.experiments.scale_runner.run_spec` calls for ``repro scale
+--stack flood`` and every ``RunSpec(stack="flood")``: it builds the
+stack, schedules its churn and accounts its receptions; the run itself —
+source spreading, injection windows, the timed drain, the roll-up and
+the :class:`ScaleResult` — is
 :func:`repro.experiments.scale_runner.run_stack`, shared with the BRISA
 and pull stacks (DESIGN.md §10).  How fast it goes is measured by
 ``python3 -m bench``, not here.
@@ -20,7 +22,6 @@ and pull stacks (DESIGN.md §10).  How fast it goes is measured by
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Optional
 
 from repro.baselines.flood import FloodNode, SlottedFloodKernel, SlottedFloodNode
@@ -32,16 +33,14 @@ from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.monitor import Metrics
 from repro.sim.network import Network
 from repro.sim.trace import ConstChurn, Trace
-from repro.experiments.bootstrap import quiet_collector
+from repro.experiments.bootstrap import quiet_collector, static_view_config
 from repro.experiments.scale_runner import (
     STACKS,
-    ScaleResult,
+    RunSpec,
     check_kernel,
     flood_stream_outcomes,
-    run_stack,
     shard_receptions,
     spread_sources,
-    validate_workload,
 )
 
 
@@ -85,10 +84,6 @@ def build_static_flood_overlay(
     # attribute.
     from repro.experiments.bootstrap import synthesize_overlay
 
-    if n < 3:
-        raise ValueError("need at least 3 nodes for a ring overlay")
-    if degree < 2:
-        raise ValueError("degree must be >= 2 (ring minimum)")
     sim = Simulator(seed=seed)
     net = Network(
         sim,
@@ -96,9 +91,8 @@ def build_static_flood_overlay(
         Metrics(record_deliveries=record_deliveries),
         loss_percent=loss_percent,
     )
-    # The static views may exceed HyParView's default cap; size the config
-    # so the synthesized wiring is legal under the protocol's own limits.
-    hpv = HyParViewConfig(active_size=max(4, degree), passive_size=16)
+    # The static views may exceed HyParView's default cap.
+    hpv = static_view_config(degree)
     if node_factory is None:
         factory = flood_node_factory(kernel, net, hpv)
     else:
@@ -183,28 +177,9 @@ def _schedule_churn(sim, net, flood_nodes, protected, kernel, percent, span):
     return driver
 
 
-def run_scale_flood(
-    nodes: int,
-    messages: int,
-    *,
-    degree: int = STACKS["flood"].default_degree,
-    rate: float = 20.0,
-    payload_bytes: int = 1024,
-    seed: int = 1,
-    latency: Optional[LatencyModel] = None,
-    kernel: str = "object",
-    churn_percent: float = 0.0,
-    streams: int = 1,
-    topology: str = "uniform",
-    loss_percent: float = 0.0,
-) -> ScaleResult:
-    """Disseminate ``streams`` concurrent flood streams of ``messages``
-    messages each over a ``nodes``-population static overlay.
-
-    ``streams`` > 1 opens the multi-stream scenario (DESIGN.md §10): K
-    publishers spread over the population each drive their own stream id
-    over the one shared overlay, and delivery is accounted per stream
-    (every live node except a stream's own source is its audience).
+def build_flood(spec: RunSpec, scale, *, node_factory: Optional[Callable] = None):
+    """The flood stack's builder (``STACKS["flood"]``): the static
+    overlay with the spec's kernel, and its churn.
 
     ``churn_percent`` > 0 opens the churn-at-scale scenario (DESIGN.md
     §9): one constant-churn period spanning the injection window
@@ -212,22 +187,23 @@ def run_scale_flood(
     reported over the *surviving* initial receivers — joiners cannot
     observe messages injected before they arrived (flooding has no
     anti-entropy), so they are excluded from the denominator.
+
+    ``node_factory`` puts another protocol on the same overlay
+    (:func:`repro.experiments.scale_pull.build_pull`).
     """
-    validate_workload(messages, rate, streams, population=nodes)
-    if not 0.0 <= churn_percent < 100.0:
-        raise ValueError("churn_percent must be in [0, 100)")
-    t0 = time.perf_counter()
+    kernel = spec.resolved_kernel()
     sim, net, flood_nodes = build_static_flood_overlay(
-        nodes, degree=degree, seed=seed, latency=latency, kernel=kernel,
-        topology=topology, loss_percent=loss_percent,
+        spec.population(), degree=spec.resolved_degree(), seed=spec.seed,
+        kernel=kernel, topology=spec.topology, loss_percent=spec.loss_percent,
+        node_factory=node_factory,
     )
-    bootstrap_wall = time.perf_counter() - t0
+    churn_percent = spec.churn_percent or 0.0
     driver = None
     if churn_percent:
         driver = _schedule_churn(
             sim, net, flood_nodes,
-            tuple(s.node_id for s in spread_sources(flood_nodes, streams)),
-            kernel, churn_percent, messages / rate,
+            tuple(s.node_id for s in spread_sources(flood_nodes, spec.streams)),
+            kernel, churn_percent, spec.messages / spec.rate,
         )
 
     def account(sources, alive):
@@ -235,16 +211,10 @@ def run_scale_flood(
             shard_receptions(net.metrics) if kernel == "object"
             else flood_nodes[0].kernel.receptions
         )
-        return flood_stream_outcomes(sources, alive, messages), receptions, {
+        return flood_stream_outcomes(sources, alive, spec.messages), receptions, {
             "churn_percent": churn_percent,
             "kills": driver.stats.kills if driver else 0,
             "joins": driver.stats.joins if driver else 0,
         }
 
-    return run_stack(
-        sim, net, flood_nodes, account,
-        nodes=nodes, messages=messages, rate=rate, payload_bytes=payload_bytes,
-        seed=seed, streams=streams, kernel=kernel, degree=degree,
-        topology=topology, loss_percent=loss_percent,
-        bootstrap_wall=bootstrap_wall,
-    )
+    return sim, net, flood_nodes, account

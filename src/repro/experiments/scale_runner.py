@@ -5,22 +5,22 @@ Every scale scenario has the same shape: build a stack, spread K
 publishers over it, mark the dissemination phase, schedule the injection
 window, drain the heap while timing the loop, account deliveries, report.
 The stack modules (``scale_flood`` / ``scale_brisa`` / ``scale_pull``)
-build; everything after the build is said here once.
+each hold one builder; everything else is said here once.
 
 Pieces, in the order a run meets them:
 
-- :data:`STACKS` — the stack table: entry point, accepted kernels,
+- :data:`STACKS` — the stack table: builder, accepted kernels,
   stack-only knobs and default degree of each ``--stack``;
   :meth:`RunSpec.validate`, :func:`run_spec`, :func:`check_kernel` and
   the CLI's choices all read it;
 - :class:`RunSpec` / :func:`run_spec` — one declarative scale-run
-  request, validated against the table and dispatched through it; the
-  CLI's ``repro scale`` and ``repro live`` and the repo benchmark build
-  one instead of duplicating keyword plumbing;
-- :func:`run_stack` — the spine a ``run_scale_*`` entry point hands its
-  built stack to: spread sources, :class:`ScaleRunner` (phase mark +
-  per-stream injection windows + timed drain), the stack's accounting
-  hook, the roll-up and :class:`ScaleResult` assembly;
+  request, validated against the table and dispatched through it: the
+  only way into a scale run (the CLI's ``repro scale`` and ``repro
+  live``, the repo benchmark and the tests all build one);
+- :func:`run_stack` — the spine a built stack is handed to: spread
+  sources, :class:`ScaleRunner` (phase mark + per-stream injection
+  windows + timed drain), the stack's accounting hook, the roll-up and
+  :class:`ScaleResult` assembly;
 - :func:`flood_stream_outcomes` / :func:`brisa_stream_outcomes` — the
   per-stream delivery accounting the hooks call: both walk per-node
   delivered counts (the one book every kernel keeps at scale, correct
@@ -35,12 +35,18 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.structure import extract_structure, is_complete_structure
-from repro.experiments.bootstrap import TOPOLOGY_BUILDERS, quiet_collector
+from repro.experiments.bootstrap import (
+    check_topology_args,
+    default_degree,
+    quiet_collector,
+    static_view_config,
+)
 from repro.experiments.scale import get_scale
 from repro.ids import NodeId
 from repro.sim.engine import Simulator
@@ -51,41 +57,37 @@ from repro.sim.monitor import DISSEMINATION
 class Stack:
     """One row of the stack table: what ``--stack NAME`` runs and accepts."""
 
-    #: ``module:function`` of the ``run_scale_*`` entry point — named, not
-    #: imported, because the stack modules import this one.
-    entry: str
-    #: Delivery kernels the stack runs on; the first is the entry
-    #: point's default, so :func:`run_spec` forwards only a different one.
+    #: ``module:function`` of the stack's builder,
+    #: ``(spec, scale) -> (sim, network, population, account)`` — named,
+    #: not imported, because the stack modules import this one.
+    build: str
+    #: Delivery kernels the stack runs on; the first is the default.
     kernels: tuple[str, ...]
     #: :class:`RunSpec` fields only this stack takes -> the CLI flag that
-    #: sets them.  The entry point takes each under the same keyword.
+    #: sets them.
     knobs: dict[str, str]
     #: Overlay degree when the spec leaves it open (None: whatever the
     #: membership config's view cap settles at).
     default_degree: Optional[int]
-    #: Scale-rung fields the entry point takes as keywords (the timing of
-    #: the simulated join ramp).
-    rung_params: tuple[str, ...] = ()
 
 
 STACKS: dict[str, Stack] = {
     "flood": Stack(
-        "repro.experiments.scale_flood:run_scale_flood",
+        "repro.experiments.scale_flood:build_flood",
         kernels=("object", "slotted", "vectorized"),
         knobs={"churn_percent": "--churn"},
         default_degree=5,
     ),
     "brisa": Stack(
-        "repro.experiments.scale_brisa:run_scale_brisa",
+        "repro.experiments.scale_brisa:build_brisa",
         kernels=("object", "slotted"),
         knobs={"mode": "--mode", "bootstrap": "--bootstrap"},
         default_degree=None,
-        rung_params=("join_spacing", "settle"),
     ),
     # Object kernel only: pull recovery is timer- and request-driven, off
     # the fan-out hot path the array kernels exist for.
     "pull": Stack(
-        "repro.experiments.scale_pull:run_scale_pull",
+        "repro.experiments.scale_pull:build_pull",
         kernels=("object",),
         knobs={},
         default_degree=5,
@@ -105,9 +107,10 @@ def check_kernel(stack: str, kernel: str) -> None:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One scale-run request, stack-agnostic until dispatch.
+    """One scale-run request, stack-agnostic until dispatch: the only
+    input of a scale run.
 
-    A single validated value that the CLI, the live runner, the repo
+    A single picklable value that the CLI, the live runner, the repo
     benchmark and library callers all share.  ``None`` means "stack
     default" for every optional knob, so a spec never has to know which
     stack it will be dispatched to until :meth:`validate` /
@@ -130,7 +133,7 @@ class RunSpec:
     payload_bytes: int = 1024
     seed: int = 1
     streams: int = 1
-    #: ``None`` -> object kernel.
+    #: ``None`` -> the stack's first kernel (object).
     kernel: Optional[str] = None
     #: ``None`` -> the stack's ``default_degree``.
     degree: Optional[int] = None
@@ -147,6 +150,8 @@ class RunSpec:
     loss_percent: float = 0.0
 
     def validate(self) -> None:
+        """Reject, flag-phrased, every spec a run would refuse — before
+        anything is built (at xxl the build alone costs minutes)."""
         if self.stack not in STACKS:
             raise ValueError(
                 f"unknown stack {self.stack!r}; known: {', '.join(sorted(STACKS))}"
@@ -160,51 +165,57 @@ class RunSpec:
                     )
         if self.kernel is not None:
             check_kernel(self.stack, self.kernel)
-        if self.topology not in TOPOLOGY_BUILDERS:
-            known = ", ".join(sorted(TOPOLOGY_BUILDERS))
+        if self.nodes is not None and self.nodes < 1:
+            raise ValueError("--nodes must be >= 1")
+        population = self.population()
+        if self.messages < 1:
+            raise ValueError("--messages must be >= 1")
+        # Every comparison with NaN is false, so these also refuse it.
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("--rate must be a positive, finite rate (msgs/s)")
+        if self.payload_bytes < 0:
+            raise ValueError("--payload must be >= 0 bytes")
+        if not 1 <= self.streams <= population:
             raise ValueError(
-                f"unknown topology {self.topology!r}; known: {known}"
+                f"--streams must be in [1, {population}] "
+                f"(cannot spread {self.streams} sources over {population} nodes)"
             )
         if not 0.0 <= self.loss_percent < 100.0:
             raise ValueError("--loss must be in [0, 100)")
-        if self.nodes is not None and self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
-        validate_workload(self.messages, self.rate, self.streams, self.nodes)
+        if self.churn_percent is not None and not 0.0 <= self.churn_percent < 100.0:
+            raise ValueError("--churn must be in [0, 100)")
+        if self.bootstrap in (None, "synthesized"):
+            degree = self.resolved_degree()
+            hpv = static_view_config(degree)
+            check_topology_args(
+                self.topology, population,
+                default_degree(hpv) if degree is None else degree, hpv.max_active,
+            )
 
-    def population(self, scale) -> int:
-        """Resolve the population against a :class:`~repro.experiments.scale.Scale`."""
-        return self.nodes if self.nodes is not None else scale.cluster_nodes
+    def population(self) -> int:
+        """``nodes``, or the rung's ``cluster_nodes`` when it is open."""
+        return self.nodes if self.nodes is not None else get_scale(self.size).cluster_nodes
+
+    def resolved_kernel(self) -> str:
+        """``kernel``, or the stack's default."""
+        return self.kernel if self.kernel is not None else STACKS[self.stack].kernels[0]
+
+    def resolved_degree(self) -> Optional[int]:
+        """``degree``, or the stack's default."""
+        return self.degree if self.degree is not None else STACKS[self.stack].default_degree
 
 
 def run_spec(spec: RunSpec) -> "ScaleResult":
-    """Validate one :class:`RunSpec` and run it on its stack: the shared
-    workload fields, the stack's own knobs where set, and the scale-rung
-    fields its entry point asks for."""
+    """Validate one :class:`RunSpec`, build its stack through the
+    builder its :data:`STACKS` row names, and run it: the one way into
+    a scale run.  ``bootstrap_wall`` times the builder call, the whole
+    of what the stack does before its first injection is scheduled."""
     spec.validate()
-    stack = STACKS[spec.stack]
-    scale = get_scale(spec.size)
-    module, _, name = stack.entry.partition(":")
-    entry = getattr(importlib.import_module(module), name)
-    keywords = {
-        knob: getattr(spec, knob)
-        for knob in stack.knobs
-        if getattr(spec, knob) is not None
-    }
-    keywords.update({name: getattr(scale, name) for name in stack.rung_params})
-    if spec.kernel is not None and spec.kernel != stack.kernels[0]:
-        keywords["kernel"] = spec.kernel
-    return entry(
-        spec.population(scale),
-        spec.messages,
-        degree=spec.degree if spec.degree is not None else stack.default_degree,
-        rate=spec.rate,
-        payload_bytes=spec.payload_bytes,
-        seed=spec.seed,
-        streams=spec.streams,
-        topology=spec.topology,
-        loss_percent=spec.loss_percent,
-        **keywords,
-    )
+    module, _, name = STACKS[spec.stack].build.partition(":")
+    build = getattr(importlib.import_module(module), name)
+    t0 = time.perf_counter()
+    built = build(spec, get_scale(spec.size))
+    return run_stack(spec, built, time.perf_counter() - t0)
 
 
 @dataclass
@@ -234,23 +245,6 @@ class DriveStats:
     sim_time: float
     wall_time: float
     events: int
-
-
-def validate_workload(
-    messages: int, rate: float, streams: int = 1, population: Optional[int] = None
-) -> None:
-    """Fail-fast workload validation: every stack's entry point calls it
-    first, so degenerate input is rejected *before* the (potentially
-    minutes-long at xxl) overlay build.  :class:`ScaleRunner` re-checks
-    at construction for library callers that skip the entry points."""
-    if messages < 1:
-        raise ValueError("need at least one message to disseminate")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
-    if population is not None and streams > population:
-        raise ValueError(f"cannot spread {streams} sources over {population} nodes")
 
 
 def spread_sources(nodes: Sequence, streams: int) -> list:
@@ -288,7 +282,6 @@ class ScaleRunner:
         rate: float,
         payload_bytes: int,
     ) -> None:
-        validate_workload(messages, rate)
         self.sim = sim
         self.network = network
         self.sources = list(sources)
@@ -575,54 +568,42 @@ class ScaleResult:
 # reference counting; the collector would only re-walk the built stack
 # (DESIGN.md §8).
 @quiet_collector()
-def run_stack(
-    sim: Simulator,
-    network,
-    population: Sequence,
-    account: Callable[[list, list], tuple[list[StreamOutcome], int, dict]],
-    *,
-    nodes: int,
-    messages: int,
-    rate: float,
-    payload_bytes: int,
-    seed: int,
-    streams: int,
-    kernel: str,
-    degree: Optional[int],
-    topology: str,
-    loss_percent: float,
-    bootstrap_wall: float,
-) -> ScaleResult:
-    """Drive ``streams`` concurrent streams of ``messages`` messages over
-    a built stack and assemble the result — everything a scale run does
-    after its overlay exists.
+def run_stack(spec: RunSpec, built: tuple, bootstrap_wall: float) -> ScaleResult:
+    """Drive ``spec.streams`` concurrent streams of ``spec.messages``
+    messages over a built stack and assemble the result — everything a
+    scale run does after its overlay exists.
 
-    ``account(sources, alive)`` is the stack's one hook: called after
-    the drain with the publishers and the initial population's
-    survivors (joiners cannot have seen messages injected before they
-    arrived, so they are nobody's audience), it returns the per-stream
-    outcomes, the data receptions its kernel processed, and the
-    :class:`ScaleResult` fields only that stack measures.
+    ``built`` is what the stack's builder returned:
+    ``(sim, network, population, account)``.  ``account(sources,
+    alive)`` is the stack's one hook: called after the drain with the
+    publishers and the initial population's survivors (joiners cannot
+    have seen messages injected before they arrived, so they are
+    nobody's audience), it returns the per-stream outcomes, the data
+    receptions its kernel processed, and the :class:`ScaleResult`
+    fields only that stack measures.  Every other field comes from the
+    spec.
 
     The stack is static and shuffle-free, so the heap drains exactly
     when the last in-flight message lands (under churn or loss: when the
     last repair exchange settles) and the drain needs no bound.
     """
-    sources = spread_sources(population, streams)
+    sim, network, population, account = built
+    messages = spec.messages
+    sources = spread_sources(population, spec.streams)
     stats = ScaleRunner(
         sim, network, sources,
-        messages=messages, rate=rate, payload_bytes=payload_bytes,
+        messages=messages, rate=spec.rate, payload_bytes=spec.payload_bytes,
     ).run()
     alive = [node for node in population if node.alive]
     outcomes, receptions, stack_fields = account(sources, alive)
     deliveries, delivered_fraction = aggregate_outcomes(outcomes, messages)
     wall = stats.wall_time
     return ScaleResult(
-        nodes=nodes,
+        nodes=spec.population(),
         messages=messages,
-        payload_bytes=payload_bytes,
-        seed=seed,
-        kernel=kernel,
+        payload_bytes=spec.payload_bytes,
+        seed=spec.seed,
+        kernel=spec.resolved_kernel(),
         sim_time=stats.sim_time,
         wall_time=wall,
         bootstrap_wall=bootstrap_wall,
@@ -635,10 +616,10 @@ def run_stack(
         receptions_per_sec=receptions / wall,
         peak_pending=sim.peak_pending,
         survivors=outcomes[0].receivers,
-        degree=degree,
-        streams=streams,
-        topology=topology,
-        loss_percent=loss_percent,
+        degree=spec.resolved_degree(),
+        streams=spec.streams,
+        topology=spec.topology,
+        loss_percent=spec.loss_percent,
         dropped_loss=network.metrics.counters.get("dropped_loss", 0),
         per_stream=[o.to_dict() for o in outcomes],
         **stack_fields,

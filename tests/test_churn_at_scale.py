@@ -18,8 +18,8 @@ from repro.errors import SimulationError
 from repro.experiments.scale_flood import (
     build_static_flood_overlay,
     flood_node_factory,
-    run_scale_flood,
 )
+from repro.experiments.scale_runner import RunSpec, run_spec
 from repro.membership.hyparview import HyParViewNode
 from repro.sim.churn import ChurnDriver
 from repro.sim.engine import Simulator
@@ -71,8 +71,12 @@ class TestChurnDeterminism:
 
     @pytest.mark.parametrize("kernel", ["object", "slotted"])
     def test_scale_churn_run_is_reproducible(self, kernel):
-        a = run_scale_flood(256, 6, seed=13, kernel=kernel, churn_percent=6.0)
-        b = run_scale_flood(256, 6, seed=13, kernel=kernel, churn_percent=6.0)
+        a = run_spec(RunSpec(
+            nodes=256, messages=6, seed=13, kernel=kernel, churn_percent=6.0,
+        ))
+        b = run_spec(RunSpec(
+            nodes=256, messages=6, seed=13, kernel=kernel, churn_percent=6.0,
+        ))
         for field in ("deliveries", "receptions", "events", "sim_time",
                       "kills", "joins", "survivors", "delivered_fraction"):
             assert getattr(a, field) == getattr(b, field), field
@@ -82,7 +86,9 @@ class TestChurnDeterminism:
         """The headline acceptance shape (the xl run is the CI smoke):
         survivors of a churned stream still see ≥99% of it."""
         for kernel in ("object", "slotted"):
-            result = run_scale_flood(512, 10, seed=3, kernel=kernel, churn_percent=2.0)
+            result = run_spec(RunSpec(
+                nodes=512, messages=10, seed=3, kernel=kernel, churn_percent=2.0,
+            ))
             assert result.kills > 0
             assert result.survivors < 511
             assert result.delivered_fraction >= 0.99
@@ -95,10 +101,10 @@ class TestMultiStreamChurnAtScale:
     audience, on recycled slot planes."""
 
     def test_xl_multistream_churn_slotted(self):
-        result = run_scale_flood(
-            10_000, 6, rate=20.0, seed=3,
-            kernel="slotted", churn_percent=1.0, streams=4,
-        )
+        result = run_spec(RunSpec(
+            nodes=10_000, messages=6, rate=20.0, seed=3, kernel="slotted",
+            churn_percent=1.0, streams=4,
+        ))
         assert result.streams == 4
         assert result.kills > 0
         assert result.survivors < 10_000 - 1
@@ -110,10 +116,12 @@ class TestMultiStreamChurnAtScale:
         assert result.delivered_fraction >= 0.99
 
     def test_multistream_churn_is_reproducible(self):
-        a = run_scale_flood(256, 5, seed=21, kernel="slotted",
-                            churn_percent=6.0, streams=3)
-        b = run_scale_flood(256, 5, seed=21, kernel="slotted",
-                            churn_percent=6.0, streams=3)
+        a = run_spec(RunSpec(
+            nodes=256, messages=5, seed=21, kernel="slotted", churn_percent=6.0, streams=3,
+        ))
+        b = run_spec(RunSpec(
+            nodes=256, messages=5, seed=21, kernel="slotted", churn_percent=6.0, streams=3,
+        ))
         assert a.per_stream == b.per_stream
         assert a.kills == b.kills > 0
         assert a.events == b.events

@@ -82,11 +82,10 @@ class TestCollectorHygiene:
         )
         assert collector_state() == (True, False)
         result = run_stack(
-            sim, net, nodes,
-            lambda sources, alive: (flood_stream_outcomes(sources, alive, 2), 0, {}),
-            nodes=48, messages=2, rate=20.0, payload_bytes=64, seed=3, streams=1,
-            kernel="object", degree=5, topology="uniform", loss_percent=0.0,
-            bootstrap_wall=0.0,
+            RunSpec(nodes=48, messages=2, payload_bytes=64, seed=3),
+            (sim, net, nodes,
+             lambda sources, alive: (flood_stream_outcomes(sources, alive, 2), 0, {})),
+            0.0,
         )
         assert result.delivered_fraction == 1.0
         # (enabled, frozen): the build and the drain both run with the
@@ -115,7 +114,7 @@ class TestCollectorHygiene:
         with pytest.raises(ValueError, match="exceeds the expanded active-view cap"):
             bed.populate(32, ProbeFloodNode, bootstrap="synthesized", degree=99)
         assert collector_state() == (True, False)
-        with pytest.raises(ValueError, match="smallworld topology needs degree >= 4"):
+        with pytest.raises(ValueError, match="--topology smallworld needs --degree >= 4"):
             build_static_flood_overlay(32, degree=3, topology="smallworld")
         assert collector_state() == (True, False)
 
@@ -128,10 +127,9 @@ class TestCollectorHygiene:
 
         with pytest.raises(RuntimeError, match="accounting failed"):
             run_stack(
-                sim, net, nodes, account,
-                nodes=32, messages=1, rate=20.0, payload_bytes=64, seed=6,
-                streams=1, kernel="object", degree=5, topology="uniform",
-                loss_percent=0.0, bootstrap_wall=0.0,
+                RunSpec(nodes=32, messages=1, payload_bytes=64, seed=6),
+                (sim, net, nodes, account),
+                0.0,
             )
         assert collector_state() == (True, False)
 

@@ -3,12 +3,15 @@ the 2k/10k runs live in benchmarks/test_scale_brisa.py)."""
 
 import pytest
 
-from repro.experiments.scale_brisa import run_scale_brisa
+from repro.experiments import scale_brisa
+from repro.experiments.scale_runner import RunSpec, run_spec
 
 
 class TestRunScaleBrisa:
     def test_full_delivery_and_structure_on_small_population(self):
-        result = run_scale_brisa(96, 10, seed=6)
+        result = run_spec(RunSpec(
+            stack="brisa", size="small", nodes=96, messages=10, seed=6,
+        ))
         assert result.delivered_fraction == 1.0
         assert result.structure_complete, result.structure_reason
         assert result.deliveries == 95 * 10
@@ -18,21 +21,26 @@ class TestRunScaleBrisa:
         assert result.wall_time > 0
 
     def test_dag_mode(self):
-        result = run_scale_brisa(64, 8, mode="dag", seed=7)
+        result = run_spec(RunSpec(
+            stack="brisa", size="small", nodes=64, messages=8, mode="dag", seed=7,
+        ))
         assert result.mode == "dag"
         assert result.delivered_fraction == 1.0
         assert result.structure_complete, result.structure_reason
 
     def test_simulated_bootstrap_also_works(self):
-        result = run_scale_brisa(
-            48, 5, seed=8, bootstrap="simulated", join_spacing=0.05, settle=10.0
-        )
+        result = run_spec(RunSpec(
+            stack="brisa", size="small", nodes=48, messages=5, seed=8,
+            bootstrap="simulated",
+        ))
         assert result.bootstrap == "simulated"
         assert result.delivered_fraction == 1.0
         assert result.structure_complete, result.structure_reason
 
     def test_result_serializes_for_bench_json(self):
-        result = run_scale_brisa(48, 3, seed=9)
+        result = run_spec(RunSpec(
+            stack="brisa", size="small", nodes=48, messages=3, seed=9,
+        ))
         d = result.to_dict()
         for key in (
             "nodes", "messages", "bootstrap", "bootstrap_wall",
@@ -44,32 +52,34 @@ class TestRunScaleBrisa:
         assert "complete/acyclic" in result.summary()
 
     def test_deterministic_for_fixed_seed(self):
-        a = run_scale_brisa(48, 4, seed=10)
-        b = run_scale_brisa(48, 4, seed=10)
+        a = run_spec(RunSpec(stack="brisa", size="small", nodes=48, messages=4, seed=10))
+        b = run_spec(RunSpec(stack="brisa", size="small", nodes=48, messages=4, seed=10))
         assert a.events == b.events
         assert a.deliveries == b.deliveries
         assert a.sim_time == b.sim_time
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
-            run_scale_brisa(64, 0)
+            run_spec(RunSpec(stack="brisa", size="small", nodes=64, messages=0))
         with pytest.raises(ValueError):
-            run_scale_brisa(64, 5, rate=0.0)
+            run_spec(RunSpec(stack="brisa", size="small", nodes=64, messages=5, rate=0.0))
         with pytest.raises(ValueError):
-            run_scale_brisa(64, 5, kernel="vectorized")
+            run_spec(RunSpec(
+                stack="brisa", size="small", nodes=64, messages=5, kernel="vectorized",
+            ))
 
     @pytest.mark.parametrize("bootstrap", ["synthesized", "simulated"])
     def test_slotted_kernel_matches_object_outcome(self, bootstrap):
         """The kernel switch is a pure throughput lever (DESIGN.md §11):
         the slotted run reports the identical deterministic outcome,
         over a synthesized overlay and over the simulated join ramp,
-        which fills the views one ``neighbor_up`` at a time (``settle``
-        only applies to the ramp)."""
+        which fills the views one ``neighbor_up`` at a time (the rung's
+        ``settle`` only applies to the ramp)."""
         results = {
-            kernel: run_scale_brisa(
-                96, 6, seed=6, streams=2, kernel=kernel,
-                bootstrap=bootstrap, settle=10.0,
-            )
+            kernel: run_spec(RunSpec(
+                stack="brisa", size="small", nodes=96, messages=6, seed=6,
+                streams=2, kernel=kernel, bootstrap=bootstrap,
+            ))
             for kernel in ("object", "slotted")
         }
         a, b = results["object"], results["slotted"]
@@ -90,7 +100,7 @@ class TestTailProbeRecovery:
     silently.  The quiescence tail probe (BrisaConfig.tail_probe, on by
     default for lossy runs) closes it."""
 
-    def test_tail_probe_recovers_tail_losses(self):
+    def test_tail_probe_recovers_tail_losses(self, monkeypatch):
         """Same seed, same losses: without the probe, orphaned subtrees
         never learn what they missed; with it, they recover.  Complete
         delivery is *not* the claim — the probe has blind spots of its
@@ -98,12 +108,20 @@ class TestTailProbeRecovery:
         0.9882, seed 36) — but it beats the blind run on every one."""
         from repro.config import BrisaConfig
 
+        def blind_config(**fields):
+            return BrisaConfig(**{**fields, "tail_probe": False})
+
         for seed in (3, 11, 36):
-            blind = run_scale_brisa(
-                128, 8, seed=seed, loss_percent=10.0,
-                config=BrisaConfig(mode="tree", tail_probe=False),
+            spec = RunSpec(
+                stack="brisa", size="small", nodes=128, messages=8, seed=seed,
+                loss_percent=10.0,
             )
-            probed = run_scale_brisa(128, 8, seed=seed, loss_percent=10.0)
+            # The blind leg: the stack's builder makes its config without
+            # the probe it gives every lossy run.
+            with monkeypatch.context() as patch:
+                patch.setattr(scale_brisa, "BrisaConfig", blind_config)
+                blind = run_spec(spec)
+            probed = run_spec(spec)
             assert blind.dropped_loss > 0, seed
             assert blind.delivered_fraction < 1.0, seed
             assert probed.delivered_fraction > blind.delivered_fraction, seed
@@ -111,6 +129,6 @@ class TestTailProbeRecovery:
     def test_lossless_runs_skip_the_probe(self):
         """No loss -> no probe traffic: the lossless event count is
         byte-identical to what it was before the probe existed."""
-        plain = run_scale_brisa(96, 6, seed=6)
+        plain = run_spec(RunSpec(stack="brisa", size="small", nodes=96, messages=6, seed=6))
         assert plain.delivered_fraction == 1.0
         assert plain.dropped_loss == 0

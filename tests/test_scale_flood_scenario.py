@@ -4,10 +4,8 @@ the 2k/10k runs live in benchmarks/test_scale_flood.py)."""
 import pytest
 
 from repro.experiments.scale import SCALES, get_scale
-from repro.experiments.scale_flood import (
-    build_static_flood_overlay,
-    run_scale_flood,
-)
+from repro.experiments.scale_flood import build_static_flood_overlay
+from repro.experiments.scale_runner import RunSpec, run_spec
 
 
 class TestStaticOverlay:
@@ -53,7 +51,7 @@ class TestStaticOverlay:
 
 class TestRunScaleFlood:
     def test_full_delivery_on_small_population(self):
-        result = run_scale_flood(64, 5, seed=6)
+        result = run_spec(RunSpec(nodes=64, messages=5, seed=6))
         assert result.delivered_fraction == 1.0
         assert result.deliveries == 63 * 5
         assert result.events > 0
@@ -65,18 +63,18 @@ class TestRunScaleFlood:
         assert result.survivors == 63
 
     def test_slotted_kernel_full_delivery(self):
-        result = run_scale_flood(64, 5, seed=6, kernel="slotted")
+        result = run_spec(RunSpec(nodes=64, messages=5, seed=6, kernel="slotted"))
         assert result.kernel == "slotted"
         assert result.delivered_fraction == 1.0
         assert result.deliveries == 63 * 5
         # Same simulation as the object kernel, draw for draw.
-        reference = run_scale_flood(64, 5, seed=6)
+        reference = run_spec(RunSpec(nodes=64, messages=5, seed=6))
         assert result.receptions == reference.receptions
         assert result.events == reference.events
         assert result.sim_time == reference.sim_time
 
     def test_result_serializes_for_bench_json(self):
-        result = run_scale_flood(32, 3, seed=7)
+        result = run_spec(RunSpec(nodes=32, messages=3, seed=7))
         d = result.to_dict()
         for key in (
             "nodes", "messages", "events_per_sec", "deliveries_per_sec",
@@ -88,8 +86,8 @@ class TestRunScaleFlood:
         assert "delivered: 100.00%" in result.summary()
 
     def test_deterministic_for_fixed_seed(self):
-        a = run_scale_flood(48, 4, seed=8)
-        b = run_scale_flood(48, 4, seed=8)
+        a = run_spec(RunSpec(nodes=48, messages=4, seed=8))
+        b = run_spec(RunSpec(nodes=48, messages=4, seed=8))
         assert a.events == b.events
         assert a.deliveries == b.deliveries
         assert a.sim_time == b.sim_time

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import pickle
 import re
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.scale_brisa import run_scale_brisa
-from repro.experiments.scale_flood import run_scale_flood
 from repro.experiments.scale_runner import (
     STACKS,
     RunSpec,
@@ -21,6 +22,7 @@ from repro.experiments.scale_runner import (
     spread_sources,
 )
 from repro.experiments.structural import relay_load_spread
+from repro.sim.network import Network
 
 
 class TestSpreadSources:
@@ -87,7 +89,7 @@ class TestMergeJson:
 
 class TestMultiStreamFlood:
     def test_multistream_run_accounts_per_stream(self):
-        result = run_scale_flood(96, 4, seed=5, streams=3)
+        result = run_spec(RunSpec(nodes=96, messages=4, seed=5, streams=3))
         assert result.streams == 3
         assert len(result.per_stream) == 3
         assert {row["stream"] for row in result.per_stream} == {0, 1, 2}
@@ -100,40 +102,49 @@ class TestMultiStreamFlood:
         assert "per-stream delivery" in result.summary()
 
     def test_kernels_match_on_multistream(self):
-        a = run_scale_flood(96, 4, seed=5, streams=3, kernel="object")
-        b = run_scale_flood(96, 4, seed=5, streams=3, kernel="slotted")
+        a = run_spec(RunSpec(nodes=96, messages=4, seed=5, streams=3, kernel="object"))
+        b = run_spec(RunSpec(nodes=96, messages=4, seed=5, streams=3, kernel="slotted"))
         assert a.per_stream == b.per_stream
         assert a.receptions == b.receptions
         assert a.events == b.events
 
     def test_single_stream_shape_unchanged(self):
-        result = run_scale_flood(64, 5, seed=4)
+        result = run_spec(RunSpec(nodes=64, messages=5, seed=4))
         assert result.streams == 1
         assert result.per_stream[0]["receivers"] == 63
         assert result.survivors == 63
         assert result.delivered_fraction == 1.0
 
     def test_too_many_streams_rejected(self):
-        with pytest.raises(ValueError):
-            run_scale_flood(16, 2, streams=17)
-        with pytest.raises(ValueError):
-            run_scale_flood(16, 2, streams=0)
+        with pytest.raises(ValueError, match="--streams"):
+            run_spec(RunSpec(nodes=16, messages=2, streams=17))
+        with pytest.raises(ValueError, match="--streams"):
+            run_spec(RunSpec(nodes=16, messages=2, streams=0))
+        # An open population is the rung's: tiny has 32 nodes.
+        with pytest.raises(ValueError, match=re.escape("--streams must be in [1, 32]")):
+            run_spec(RunSpec(size="tiny", messages=2, streams=33))
 
-    def test_degenerate_workloads_fail_fast(self):
-        # Rejected before the overlay build / bootstrap runs: at xxl the
-        # build alone costs minutes, so the guard must come first
-        # (streams > population included — both entry points know n).
-        for kwargs in ({"messages": 0}, {"rate": 0.0}, {"streams": 0},
-                       {"streams": 17}):
-            with pytest.raises(ValueError):
-                run_scale_flood(16, **{"messages": 2, **kwargs})
-            with pytest.raises(ValueError):
-                run_scale_brisa(16, **{"messages": 2, **kwargs})
+    def test_degenerate_workloads_fail_fast(self, monkeypatch):
+        """Every rejection comes from ``RunSpec.validate``, in its flag's
+        words, before anything is spawned: at xxl the build alone costs
+        minutes.  Spawning raises here, so a check that runs only once
+        the population exists fails the test."""
+        def tripwire(*args, **kwargs):
+            raise AssertionError("spawned before the spec was rejected")
+
+        monkeypatch.setattr(Network, "spawn_many", tripwire)
+        monkeypatch.setattr(Network, "spawn", tripwire)
+        for stack, changes, flag in _degenerate_specs():
+            spec = RunSpec(stack=stack, size="small", nodes=16, messages=2)
+            with pytest.raises(ValueError, match=re.escape(flag)):
+                run_spec(replace(spec, **changes))
 
 
 class TestMultiStreamBrisa:
     def test_multistream_emerges_independent_structures(self):
-        result = run_scale_brisa(128, 6, rate=10.0, seed=5, streams=4)
+        result = run_spec(RunSpec(
+            stack="brisa", nodes=128, messages=6, rate=10.0, seed=5, streams=4
+        ))
         assert result.streams == 4
         assert result.structure_complete, result.structure_reason
         assert result.delivered_fraction == 1.0
@@ -151,10 +162,40 @@ class TestMultiStreamBrisa:
         assert "relay-load spread" in result.summary()
 
     def test_single_stream_has_no_relay_report(self):
-        result = run_scale_brisa(64, 3, rate=10.0, seed=4)
+        result = run_spec(RunSpec(stack="brisa", nodes=64, messages=3, rate=10.0, seed=4))
         assert result.streams == 1
         assert result.relay_spread is None
         assert result.structure_complete
+
+
+#: ScaleResult fields that read the wall clock; every other field is a
+#: function of the spec.
+TIMINGS = {
+    "wall_time", "bootstrap_wall", "events_per_sec", "deliveries_per_sec",
+    "receptions_per_sec",
+}
+
+
+def deterministic(result: ScaleResult) -> dict:
+    return {k: v for k, v in result.to_dict().items() if k not in TIMINGS}
+
+
+class TestLossyPull:
+    def test_lossy_pull_is_deterministic_and_its_spec_pickles(self):
+        """Pull recovery under loss, through the one entry point: a seed
+        fixes the run, and a spec that crossed a process boundary (a
+        pickle round trip) runs to the same result."""
+        spec = RunSpec(
+            stack="pull", size="small", nodes=256, messages=10, seed=3,
+            loss_percent=5.0,
+        )
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        first, again, unpickled = run_spec(spec), run_spec(spec), run_spec(copy)
+        assert deterministic(first) == deterministic(again) == deterministic(unpickled)
+        assert first.dropped_loss > 0
+        assert first.receptions >= first.deliveries > 0
+        assert first.loss_percent == 5.0 and first.kernel == "object"
 
 
 class TestRelayLoadSpread:
@@ -203,12 +244,47 @@ class TestRelayLoadSpread:
         assert rs.interior_any == rs.interior_all == 1
 
 
+def _degenerate_specs():
+    """(stack, RunSpec changes, the flag the rejection names) for every
+    stack, over a 16-node small-rung spec."""
+    for stack in STACKS:
+        for changes, flag in [
+            ({"messages": 0}, "--messages"),
+            ({"rate": 0.0}, "--rate"),
+            ({"rate": math.nan}, "--rate"),
+            ({"rate": math.inf}, "--rate"),
+            ({"payload_bytes": -1}, "--payload"),
+            ({"streams": 0}, "--streams"),
+            ({"streams": 17}, "--streams"),
+            ({"nodes": None, "streams": 65}, "--streams must be in [1, 64]"),
+            ({"nodes": 0}, "--nodes"),
+            ({"nodes": 2}, "--nodes"),
+            ({"nodes": None, "size": "bogus"}, "unknown scale"),
+            ({"kernel": "bogus"}, "--kernel bogus"),
+            ({"degree": 1}, "--degree must be >= 2"),
+            ({"topology": "smallworld", "degree": 3}, "--degree >= 4"),
+            ({"topology": "smallworld", "degree": 4, "nodes": 4},
+             "--topology smallworld needs more than --degree 4 nodes"),
+            ({"topology": "torus"}, "unknown topology 'torus'"),
+            ({"loss_percent": 100.0}, "--loss"),
+            ({"loss_percent": math.nan}, "--loss"),
+        ]:
+            yield stack, changes, flag
+    yield "flood", {"churn_percent": 100.0}, "--churn"
+    yield "flood", {"churn_percent": -1.0}, "--churn"
+    yield "brisa", {"bootstrap": "simulated", "degree": 5}, "--degree"
+    yield "brisa", {"bootstrap": "simulated", "topology": "powerlaw"}, "--topology"
+    yield "brisa", {"bootstrap": "overlay.json", "degree": 9}, "--degree"
+
+
 #: A set value for every stack-only knob of the table (a knob the table
 #: gains without one fails collection with a KeyError).
 KNOB_VALUES = {"mode": "dag", "bootstrap": "simulated", "churn_percent": 1.0}
 
 
 def _specs_the_table_rejects():
+    """Foreign knobs and kernels of every row, and the --payload and
+    --rate values no stack runs."""
     every_kernel = {k for row in STACKS.values() for k in row.kernels}
     for stack, row in STACKS.items():
         for owner, other in STACKS.items():
@@ -222,6 +298,9 @@ def _specs_the_table_rejects():
             yield stack, "kernel", kernel, (
                 f"--kernel {kernel} is not available on the {stack} stack"
             )
+        yield stack, "payload_bytes", -1, "--payload must be >= 0"
+        for rate in (math.nan, math.inf):
+            yield stack, "rate", rate, "--rate must be a positive, finite rate"
 
 
 class TestStackTable:

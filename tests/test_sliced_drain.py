@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.scale_flood import run_scale_flood
+from repro.experiments.scale_runner import RunSpec, run_spec
 from repro.sim.engine import Simulator
 from tests.test_slotted_parity import VECTOR_PARITY_FIELDS, requires_numpy
 
-#: spec -> (nodes, messages, run_scale_flood options).
+#: spec -> (nodes, messages, other RunSpec fields).
 SPECS = {
     "static": (2000, 3, {}),
     "loss": (1024, 4, {"loss_percent": 2.0}),
@@ -41,7 +41,9 @@ def sliced(k: int):
 
 def outcome(spec: str, kernel: str) -> dict:
     nodes, messages, options = SPECS[spec]
-    result = run_scale_flood(nodes, messages, seed=7, kernel=kernel, **options).to_dict()
+    result = run_spec(RunSpec(
+        nodes=nodes, messages=messages, seed=7, kernel=kernel, **options,
+    )).to_dict()
     return {field: result[field] for field in VECTOR_PARITY_FIELDS + ("per_stream",)}
 
 

@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.flood import SlottedFloodKernel
-from repro.experiments.scale_flood import build_static_flood_overlay, run_scale_flood
+from repro.experiments.scale_flood import build_static_flood_overlay
+from repro.experiments.scale_runner import RunSpec, run_spec
 from repro.sim.latency import ConstantLatency, OccupancyLatency
 from tests.helpers import (
     assert_brisa_state_consistent,
@@ -188,7 +189,9 @@ def test_kernels_agree_under_churn(n, churn, seed):
     same simulation (delivered counts, receptions, kills, joins, events,
     clock)."""
     results = [
-        run_scale_flood(n, 8, seed=seed, kernel=kernel, churn_percent=churn)
+        run_spec(RunSpec(
+            nodes=n, messages=8, seed=seed, kernel=kernel, churn_percent=churn,
+        ))
         for kernel in ("object", "slotted")
     ]
     a, b = (r.to_dict() for r in results)
@@ -204,7 +207,9 @@ def test_kernels_agree_under_multistream_churn():
     plane must keep the two kernels on the same simulation, stream by
     stream."""
     results = [
-        run_scale_flood(192, 6, seed=9, kernel=kernel, churn_percent=6.0, streams=3)
+        run_spec(RunSpec(
+            nodes=192, messages=6, seed=9, kernel=kernel, churn_percent=6.0, streams=3,
+        ))
         for kernel in ("object", "slotted")
     ]
     a, b = (r.to_dict() for r in results)
@@ -268,7 +273,7 @@ def test_unknown_kernel_rejected():
     with pytest.raises(ValueError):
         build_static_flood_overlay(16, kernel="compiled")
     with pytest.raises(ValueError):
-        run_scale_flood(16, 1, kernel="bogus")
+        run_spec(RunSpec(nodes=16, messages=1, kernel="bogus"))
 
 
 # ======================================================================
@@ -382,9 +387,10 @@ def test_vectorized_kernel_agrees_under_churn(n, churn, seed, degree):
     On a degree-2 overlay most waves have one or two fans, so dead
     destinations land in the smallest waves the array path runs."""
     results = [
-        run_scale_flood(
-            n, 8, seed=seed, kernel=kernel, churn_percent=churn, degree=degree
-        )
+        run_spec(RunSpec(
+            nodes=n, messages=8, seed=seed, kernel=kernel, churn_percent=churn,
+            degree=degree,
+        ))
         for kernel in ("object", "vectorized")
     ]
     a, b = (r.to_dict() for r in results)
@@ -395,7 +401,9 @@ def test_vectorized_kernel_agrees_under_churn(n, churn, seed, degree):
 @requires_numpy
 def test_vectorized_kernel_agrees_under_multistream_churn():
     results = [
-        run_scale_flood(192, 6, seed=9, kernel=kernel, churn_percent=6.0, streams=3)
+        run_spec(RunSpec(
+            nodes=192, messages=6, seed=9, kernel=kernel, churn_percent=6.0, streams=3,
+        ))
         for kernel in ("slotted", "vectorized")
     ]
     a, b = (r.to_dict() for r in results)
@@ -441,7 +449,6 @@ from repro.config import BrisaConfig
 from repro.core.brisa_slotted import SlottedBrisaKernel
 from repro.experiments.common import Testbed as _Testbed
 from repro.experiments.common import brisa_factory
-from repro.experiments.scale_brisa import run_scale_brisa
 from repro.experiments.scale_runner import ScaleRunner, spread_sources
 
 #: The three predictor regimes of §II-D/§II-G; small Bloom filters keep
@@ -461,7 +468,7 @@ def brisa_run(kernel: str, n: int, messages: int, seed: int, config_kind: str,
               tail_probe: bool = False, record_deliveries: bool = True):
     """One BRISA run; returns (testbed, sources).
 
-    Mirrors ``run_scale_brisa``'s synthesized-bootstrap construction but
+    Mirrors ``scale_brisa.build_brisa``'s synthesized-bootstrap construction but
     by default with ``record_deliveries=True`` so the full Metrics record
     set is comparable.  ``churn=True`` schedules three mid-stream crashes plus
     two joiners (slot release + recycling on the slotted side)."""
@@ -686,7 +693,7 @@ def test_brisa_kernel_rejects_predictor_mismatch():
 
 def test_unknown_brisa_kernel_rejected():
     with pytest.raises(ValueError):
-        run_scale_brisa(16, 1, kernel="vectorized")
+        run_spec(RunSpec(stack="brisa", nodes=16, messages=1, kernel="vectorized"))
 
 
 # ======================================================================
