@@ -16,9 +16,9 @@ API (DESIGN.md §9):
   kernel: delivery state lives in the shared slot store of
   :mod:`repro.core.slots` (one :class:`~repro.core.slots.SlotPlane` per
   stream: seen byte-maps per sequence number, delivered/duplicate
-  counters; per-slot neighbor rows appended by membership notifications,
-  or installed in one pass from the CSR topology arrays when a cold
-  population adopts its views); this module adds only what a flood
+  counters; per-slot fan-out rows read from the CSR topology arrays a
+  cold population adopts, with an override per row that membership
+  notifications change); this module adds only what a flood
   reception does.
   A slot's seen cell is its node's sequence record: a reception of an
   ``UNSEEN`` cell is the first copy, any other a duplicate, and an
@@ -102,8 +102,9 @@ class SlottedFloodKernel(SlotKernel):
     replaces both with the slot store of
     :class:`~repro.core.slots.SlotKernel` — one plane of seen maps
     (``UNSEEN``/``RECEIVED`` byte cells) and per-slot
-    delivered/duplicate counters per stream id, and ``neighbor_rows``
-    mirroring each node's active view in insertion order — and adds the
+    delivered/duplicate counters per stream id, and one fan-out row per
+    slot mirroring the node's active view in insertion order (the
+    installed CSR plus per-slot overrides) — and adds the
     flood transition on top: first copy delivers and re-floods to the
     row minus the sender, everything else counts.
 
@@ -134,22 +135,6 @@ class SlottedFloodKernel(SlotKernel):
         # the uniform zero-cost path, so on_fan may forward through
         # send_fan_unchecked unconditionally.
         network.register_fan_sink(FloodData.kind, self.on_fan)
-
-    def row_append(self, slot: int, peer: NodeId) -> None:
-        """Record a new live peer in ``slot``'s neighbor row.
-
-        Row mutations funnel through this pair of methods (rather than
-        poking ``neighbor_rows`` directly) so subclasses that keep derived
-        per-row state — the vectorized kernel caches numpy mirrors —
-        can invalidate it at the mutation site."""
-        self.neighbor_rows[slot].append(peer)
-
-    def row_remove(self, slot: int, peer: NodeId) -> None:
-        """Drop ``peer`` from ``slot``'s neighbor row (no-op when absent)."""
-        try:
-            self.neighbor_rows[slot].remove(peer)
-        except ValueError:
-            pass
 
     # -- the cold population's view store (DESIGN.md §8) -----------------
     def adopt_views(self, views) -> bool:
@@ -210,7 +195,7 @@ class SlottedFloodKernel(SlotKernel):
         slot_of = self.slot_of
         delivered = plane.delivered
         duplicates = plane.duplicates
-        neighbor_rows = self.neighbor_rows
+        row_of = self.row
         mirror = self._mirror
         metrics = self.metrics
         network = self.network
@@ -249,7 +234,7 @@ class SlottedFloodKernel(SlotKernel):
                 continue
             row[slot] = RECEIVED
             delivered[slot] += 1
-            targets = [p for p in neighbor_rows[slot] if p != src]
+            targets = [p for p in row_of(slot) if p != src]
             if targets:
                 if fwd is None:
                     fwd = FloodData(
@@ -305,7 +290,7 @@ class SlottedFloodKernel(SlotKernel):
         hops: int,
         path_delay: float,
     ) -> None:
-        peers = self.neighbor_rows[slot]
+        peers = self.row(slot)
         if exclude is not None:
             peers = [p for p in peers if p != exclude]
         if peers:
@@ -440,7 +425,7 @@ class SlottedFloodNode(HyParViewNode):
     def inject(self, stream: StreamId, seq: int, payload_bytes: int) -> None:
         self.kernel.inject(self, stream, seq, payload_bytes)
 
-    # -- keep the kernel's neighbor rows mirroring the active view ------
+    # -- keep the kernel's fan-out row mirroring the active view -------
     def neighbor_up(self, peer: NodeId) -> None:
         # Fired only on genuine inserts (HyParView guards duplicates), in
         # active-view insertion order — the row stays order-identical to

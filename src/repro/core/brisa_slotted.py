@@ -37,7 +37,7 @@ class SlottedBrisaKernel:
     """The ``Data`` fan sink shared by every :class:`SlottedBrisaNode`."""
 
     # bench/trace.py looks its probes up in the class's own ``__dict__``.
-    # Never called: this kernel keeps no neighbor rows.
+    # Never called: this kernel keeps no fan-out rows.
     install_rows = SlotKernel.install_rows
 
     def __init__(self, network, config: BrisaConfig | None = None) -> None:

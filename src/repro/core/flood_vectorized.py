@@ -8,16 +8,18 @@ masked array operations in one :meth:`VectorizedFloodKernel.on_fan_batch`
 call, so the per-duplicate cost drops from a Python loop body to a
 handful of vector instructions.
 
-A wave is one message: a :class:`~repro.sim.network.FanWave` (sources,
-CSR offsets, flat destinations) kept as arrays from the forward pass
-that builds it straight from its masks to the call that receives it.
-``Network.send_fan_wave`` accounts the sends, masks loss over the whole
-wave and files it as ONE engine run entry (``Simulator.call_at_run``)
-that stands for its N fan events; the engine hands it back to
-``on_fan_batch`` whole.  A message's first hop — the source's
-``send_many``, or a relay after a single-``send`` arrival — is a single
-fused fan event, which the fan sink :meth:`VectorizedFloodKernel.on_fan`
-turns into a one-fan wave.
+A wave is one message: a :class:`FanWave` (sources, CSR offsets, flat
+destinations) kept as arrays from the forward pass that builds it
+straight from its masks to the call that receives it.
+:meth:`VectorizedFloodKernel._send_wave` accounts the sends, masks loss
+over the whole wave and files it as ONE engine run entry
+(``Simulator.call_at_run``) that stands for its N fan events; the engine
+hands it back to ``on_fan_batch`` whole.  A message's first hop — the
+source's ``send_many``, or a relay after a single-``send`` arrival — is
+a single fused fan event, which the fan sink
+:meth:`VectorizedFloodKernel.on_fan` turns into a one-fan wave.  Waves,
+their loss mask and numpy live in this module only, which the flood
+stack imports when ``--kernel vectorized`` is dispatched (DESIGN.md §17).
 
 Exactness contract: draw-for-draw parity with the slotted kernel (and,
 transitively, the object path) for one seed.  The three order-sensitive
@@ -40,13 +42,13 @@ where the engine cuts the event stream into waves (run entries,
 ``max_events`` slices) is invisible to the simulation.
 
 numpy is an *optional* dependency: importing this module without it is
-fine (the CLI keeps working), constructing the kernel raises a clear
-:class:`SimulationError`.  The sequential entry points (``inject``,
+fine, constructing the kernel raises a clear :class:`SimulationError`.  The sequential entry points (``inject``,
 ``on_data``) are inherited from the slotted kernel unchanged — they
 operate element-wise on the numpy storage — so occupancy-latency runs,
 which schedule no fan events, run the slotted kernel's code path.
-Slot layout, cell states and release route are :mod:`repro.core.slots`'s;
-only what numpy storage changes (doubling growth, array planes) is overridden.
+Slot layout, cell states, release route and the fan-out rows are
+:mod:`repro.core.slots`'s; only what numpy storage changes (doubling
+growth, array planes, the rows' CSR snapshot) is overridden.
 """
 
 from __future__ import annotations
@@ -60,7 +62,61 @@ from repro.baselines.flood import FloodData, SlottedFloodKernel
 from repro.core.slots import RECEIVED, UNSEEN, SlotPlane
 from repro.errors import SimulationError
 from repro.ids import NodeId, StreamId
-from repro.sim.network import FanWave
+from repro.sim.message import Message
+
+
+class FanWave:
+    """A dissemination wave: N fused fan-out events carrying one message
+    that arrive at one instant, kept as arrays (DESIGN.md §12).
+
+    Fan ``i`` carries ``msg`` at wire size ``size`` from ``srcs[i]`` to
+    ``dsts[offs[i]:offs[i + 1]]``.  ``len`` counts fans and a slice
+    selects fans, which is all an engine run entry needs
+    (:meth:`Simulator.call_at_run`).
+    """
+
+    __slots__ = ("srcs", "offs", "dsts", "msg", "size")
+
+    def __init__(self, srcs, offs, dsts, msg: Message, size: int) -> None:
+        self.srcs = srcs
+        self.offs = offs
+        self.dsts = dsts
+        self.msg = msg
+        self.size = size
+
+    def __len__(self) -> int:
+        return len(self.srcs)
+
+    def __getitem__(self, part: slice) -> "FanWave":
+        a, b, _ = part.indices(len(self.srcs))
+        offs = self.offs[a : b + 1]
+        return FanWave(
+            self.srcs[a:b], offs - offs[0], self.dsts[offs[0] : offs[-1]],
+            self.msg, self.size,
+        )
+
+
+def _mask_wave(network, wave: FanWave) -> "tuple[FanWave, np.ndarray | None]":
+    """``Network._mask_lost`` over a whole wave: one coin per destination
+    in flat order, from the network's loss stream.  Returns the surviving
+    wave (fully-lost fans removed) and the survivors per fan of
+    ``wave``, or ``(wave, None)`` when nothing was lost."""
+    dsts = wave.dsts
+    coins = np.fromiter(
+        iter(network._loss_rng.random, None), dtype=np.float64, count=len(dsts)
+    )
+    keep = coins >= network._loss_rate
+    kept_before = np.zeros(len(dsts) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    lost = len(dsts) - int(kept_before[-1])
+    if not lost:
+        return wave, None
+    network._drop_lost(lost)
+    survivors = kept_before[wave.offs[1:]] - kept_before[wave.offs[:-1]]
+    live = np.nonzero(survivors)[0]
+    offs = np.zeros(live.size + 1, dtype=np.int64)
+    np.cumsum(survivors[live], out=offs[1:])
+    return FanWave(wave.srcs[live], offs, dsts[keep], wave.msg, wave.size), survivors
 
 
 class _VectorPlane(SlotPlane):
@@ -94,7 +150,10 @@ class VectorizedFloodKernel(SlottedFloodKernel):
     - numpy per-slot storage with doubling growth (``_alloc``), so the
       1M-node tier allocates a few flat arrays instead of 1M objects;
     - ``_slot_map`` — a node-id-indexed slot vector (−1 = unattached)
-      for O(1) vectorized id→slot gathers over whole waves;
+      for O(1) vectorized id→slot gathers over whole waves, built from
+      ``slot_of`` in one pass when a wave first needs it;
+    - the fan-out rows as one CSR snapshot (``_csr_data``/``_csr_offs``):
+      the installed CSR itself, mapped to ids once, until a link changes;
     - :meth:`on_fan_batch` — one call per dissemination wave: a run
       entry the forward pass filed, or a one-fan wave the fan sink
       :meth:`on_fan` builds from a single fused fan event.
@@ -110,14 +169,15 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         super().__init__(network)
         #: Allocated length of every per-slot array (>= capacity).
         self._alloc = 0
-        #: node id -> slot, -1 when unattached (vector twin of slot_of).
-        self._slot_map = np.full(0, -1, dtype=np.int64)
-        #: Per-slot numpy mirror of neighbor_rows, rebuilt lazily after a
-        #: row mutation (None = stale).  In-flight forward target sets
-        #: are masked copies, so a later invalidation never reaches them
-        #: — the snapshot semantics of the scalar path's row copy.
-        self._rows_np: list = []
-        #: Per-slot row lengths (vector twin of len(neighbor_rows[slot])).
+        #: node id -> slot, -1 when unattached (vector twin of slot_of);
+        #: None until a wave needs it or after an attach it cannot hold.
+        self._slot_map = None
+        #: Per-slot numpy rows for the churny path, dropped when a row
+        #: changes.  In-flight forward target sets are masked copies, so
+        #: a later change never reaches them — the snapshot semantics of
+        #: the scalar path's row copy.
+        self._rows_np: dict[int, "np.ndarray"] = {}
+        #: Per-slot row lengths (vector twin of len(row(slot))).
         self._row_len = np.zeros(0, dtype=np.int64)
         #: Scratch for first-occurrence detection; only cells written in
         #: the same call are read back, so it is never reset.
@@ -125,10 +185,11 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         # Fused CSR snapshot of *all* fan-out rows: on a quiescent
         # overlay (the steady state of every static run) the forward
         # pass gathers target rows straight out of one flat array
-        # instead of touching 10k row objects.  _csr_version counts row
-        # mutations; the snapshot is rebuilt only once the version has
-        # been stable for a full wave (so churny phases fall back to the
-        # per-slot mirrors instead of rebuilding every wave).
+        # instead of touching 10k row objects.  The install takes the
+        # synthesizer's CSR as the snapshot; _csr_version counts row
+        # changes, and after one the snapshot is rebuilt only once the
+        # version has been stable for a full wave (so churny phases use
+        # the per-slot rows instead of rebuilding every wave).
         self._csr_version = 0
         self._csr_built = -1
         self._csr_seen = -2
@@ -158,75 +219,128 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             slot = self.capacity
             if slot >= self._alloc:
                 self._grow_to(max(64, self._alloc * 2))
+            # A fresh slot's row is empty, and the forward pass skips
+            # empty rows before it reads the snapshot: no version bump.
             self.capacity += 1
-            self.neighbor_rows.append([])
-            self._rows_np.append(None)
-            self._csr_version += 1
         self.slot_of[node_id] = slot
-        if node_id >= self._slot_map.size:
-            grown = np.full(
-                max(64, self._slot_map.size * 2, node_id + 1), -1, dtype=np.int64
-            )
-            grown[: self._slot_map.size] = self._slot_map
-            self._slot_map = grown
-        self._slot_map[node_id] = slot
+        slot_map = self._slot_map
+        if slot_map is not None:
+            if node_id < slot_map.size:
+                slot_map[node_id] = slot
+            else:
+                self._slot_map = None
         return slot
+
+    def _slots(self):
+        """The id -> slot vector, built from ``slot_of`` in one pass (with
+        room for as many ids again) when none is held."""
+        slot_map = self._slot_map
+        if slot_map is None:
+            slot_of = self.slot_of
+            n = len(slot_of)
+            slot_map = np.full(max(64, 2 * self.network._next_id), -1, dtype=np.int64)
+            slot_map[np.fromiter(slot_of, np.int64, n)] = np.fromiter(
+                slot_of.values(), np.int64, n
+            )
+            self._slot_map = slot_map
+        return slot_map
 
     def release_node(self, node_id: NodeId) -> None:
         slot = self.slot_of.get(node_id)
         if slot is not None:
-            self._slot_map[node_id] = -1
-            self._rows_np[slot] = None
+            if self._slot_map is not None:
+                self._slot_map[node_id] = -1
+            self._rows_np.pop(slot, None)
             self._row_len[slot] = 0
             self._csr_version += 1
         super().release_node(node_id)
 
-    # -- fan-out row mirror maintenance ----------------------------------
+    # -- fan-out rows: the installed CSR plus overrides ------------------
     def row_append(self, slot: int, peer: NodeId) -> None:
-        row = self.neighbor_rows[slot]
-        row.append(peer)
-        self._rows_np[slot] = None
-        self._row_len[slot] = len(row)
-        self._csr_version += 1
+        super().row_append(slot, peer)
+        self._row_changed(slot)
 
     def row_remove(self, slot: int, peer: NodeId) -> None:
-        row = self.neighbor_rows[slot]
-        try:
-            row.remove(peer)
-        except ValueError:
-            return
-        self._rows_np[slot] = None
-        self._row_len[slot] = len(row)
+        super().row_remove(slot, peer)
+        self._row_changed(slot)
+
+    def _row_changed(self, slot: int) -> None:
+        self._rows_np.pop(slot, None)
+        self._row_len[slot] = len(self._rows[slot])
         self._csr_version += 1
 
     def install_rows(self, ids, topo) -> None:
+        had_base = self._base_n
         super().install_rows(ids, topo)
-        rows = self.neighbor_rows
-        rows_np = self._rows_np
-        row_len = self._row_len
-        slot_of = self.slot_of
-        for nid in ids:
-            slot = slot_of[nid]
-            rows_np[slot] = None
-            row_len[slot] = len(rows[slot])
+        if self._base_n == had_base:
+            # Not taken as the base: the rows went in as overrides.
+            rows = self._rows
+            for slot in map(self.slot_of.__getitem__, ids):
+                self._rows_np.pop(slot, None)
+                self._row_len[slot] = len(rows[slot])
         self._csr_version += 1
+        self._rebuild_csr()
+
+    def _install_base(self, ids, topo) -> None:
+        # One numpy gather maps the CSR's entries to ids; its offsets
+        # are the rows' as they stand.
+        offsets = np.asarray(topo.offsets, dtype=np.int64)
+        self._base_offsets = offsets
+        self._base_peers = np.asarray(ids, dtype=np.int64)[np.asarray(topo.neighbors)]
+        first = self._base_first
+        self._row_len[first : first + self._base_n] = offsets[1:] - offsets[:-1]
+
+    def row(self, slot: int) -> list[NodeId]:
+        row = self._rows.get(slot)
+        if row is not None:
+            return row
+        return self._row_array(slot).tolist()
 
     def _rebuild_csr(self) -> None:
-        rows = self.neighbor_rows
-        offs = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(self._row_len[: len(rows)], out=offs[1:])
-        if offs[-1]:
-            # concatenate converts the int lists itself; an empty row
-            # would promote the result to float64 (values still exact),
-            # hence the dtype guard.
-            data = np.concatenate(rows)
-            if data.dtype != np.int64:
-                data = data.astype(np.int64)
-        else:
-            data = np.zeros(0, dtype=np.int64)
+        """Snapshot every slot's row into ``_csr_data``/``_csr_offs``: the
+        installed CSR itself while it covers every slot and no row has
+        changed; otherwise its unchanged rows in one gather, with the
+        overrides copied in."""
+        cap = self.capacity
+        rows = self._rows
+        base_offs = self._base_offsets
+        if not rows and self._base_first == 0 and self._base_n == cap:
+            self._csr_data, self._csr_offs = self._base_peers, base_offs
+            self._csr_built = self._csr_version
+            return
+        offs = np.zeros(cap + 1, dtype=np.int64)
+        np.cumsum(self._row_len[:cap], out=offs[1:])
+        data = np.empty(int(offs[-1]), dtype=np.int64)
+        if self._base_n:
+            first = self._base_first
+            slots = np.arange(first, first + self._base_n)
+            if rows:
+                slots = slots[~np.isin(slots, np.fromiter(rows, np.int64, len(rows)))]
+            i = slots - first
+            widths = base_offs[i + 1] - base_offs[i]
+            starts = np.zeros(widths.size, dtype=np.int64)
+            np.cumsum(widths[:-1], out=starts[1:])
+            step = np.arange(int(widths.sum())) - np.repeat(starts, widths)
+            data[np.repeat(offs[slots], widths) + step] = self._base_peers[
+                np.repeat(base_offs[i], widths) + step
+            ]
+        for slot, row in rows.items():
+            data[offs[slot] : offs[slot + 1]] = row
         self._csr_data = data
         self._csr_offs = offs
         self._csr_built = self._csr_version
+
+    def _row_array(self, slot: int):
+        """``slot``'s row as an int64 array: its override copied, else a
+        view of the installed CSR (which never changes), else empty."""
+        row = self._rows.get(slot)
+        if row is not None:
+            return np.array(row, dtype=np.int64)
+        i = self._base_row(slot)
+        if i < 0:
+            return np.zeros(0, dtype=np.int64)
+        offsets = self._base_offsets
+        return self._base_peers[offsets[i] : offsets[i + 1]]
 
     def plane(self, stream: StreamId) -> _VectorPlane:
         idx = self.plane_of.get(stream)
@@ -255,7 +369,7 @@ class VectorizedFloodKernel(SlottedFloodKernel):
     def on_fan_batch(self, wave: FanWave) -> None:
         """Execute one wave of flood fan-outs: a one-fan wave from
         :meth:`on_fan`, or a run entry a forward pass filed
-        (``Network.send_fan_wave``).  Seen-map transitions and counters
+        (:meth:`_send_wave`).  Seen-map transitions and counters
         are masked array ops; fallbacks and forward scheduling run in
         flat wave order (see the module docstring for why that order is
         load-bearing).
@@ -279,7 +393,7 @@ class VectorizedFloodKernel(SlottedFloodKernel):
         #: (fallback notices + handler sends now, forward fans at the
         #: end); lazily allocated — zero-push waves never touch it.
         ev_pushes = None
-        slots = self._slot_map[ids]
+        slots = self._slots()[ids]
         # flat element -> index of its originating fan event.
         ev_idx = np.repeat(np.arange(n_events), wave.offs[1:] - wave.offs[:-1])
 
@@ -389,15 +503,12 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             cat = self._csr_data[flat]
         else:
             rows_np = self._rows_np
-            neighbor_rows = self.neighbor_rows
             arrs = []
             ap = arrs.append
             for slot in d_slots.tolist():
-                arr = rows_np[slot]
+                arr = rows_np.get(slot)
                 if arr is None:
-                    arr = rows_np[slot] = np.asarray(
-                        neighbor_rows[slot], dtype=np.int64
-                    )
+                    arr = rows_np[slot] = self._row_array(slot)
                 ap(arr)
             cat = np.concatenate(arrs) if len(arrs) > 1 else arrs[0]
         d_ev = ev_idx[didx]
@@ -428,13 +539,38 @@ class VectorizedFloodKernel(SlottedFloodKernel):
             # per-event push counts — under loss, only fans that survived
             # masking (non-zero scheduled destinations) pushed an event.
             sim.pending_bias = entry_bias - (n_events - 1)
-            scheduled = self.network.send_fan_wave(out, self.on_fan_batch)
+            scheduled = self._send_wave(out)
             pushed = np.bincount(
                 f_ev if scheduled is None else f_ev[scheduled > 0],
                 minlength=n_events,
             )
             ev_pushes = pushed if ev_pushes is None else ev_pushes + pushed
         self._replay_peak(heap_base, entry_bias, ev_pushes)
+
+    def _send_wave(self, wave: FanWave) -> "np.ndarray | None":
+        """File a whole wave of fused fan-outs as ONE engine run entry
+        (:meth:`Simulator.call_at_run`) that hands it to
+        :meth:`on_fan_batch`, with one batched accounting pass.
+
+        Exactly equivalent to :meth:`Network.send_fan_unchecked` once per
+        fan in wave order: the same ``seq`` numbers, Metrics totals and
+        loss draws — under loss one coin per destination in flat wave
+        order, the per-fan sequence, and a fully-lost fan schedules
+        nothing.  Returns ``None`` when every fan was scheduled whole,
+        else the number of destinations scheduled per fan (0 = no
+        event), from which the caller replays the per-event push counts
+        (peak-backlog emulation, DESIGN.md §12).
+        """
+        network = self.network
+        # Every destination is accounted, lost or not: the sender
+        # transmitted the bytes; loss happens on the link.
+        self.metrics.account_wave(wave)
+        survivors = None
+        if network._loss_rng is not None:
+            wave, survivors = _mask_wave(network, wave)
+        sim = self.sim
+        sim.call_at_run(sim.now + network.latency.uniform_delay, self.on_fan_batch, wave)
+        return survivors
 
     def _replay_peak(self, base: int, entry_bias: int, ev_pushes) -> None:
         """Record the exact peak backlog the per-event dispatch order

@@ -3,12 +3,12 @@
 The one statement of the slot layout and lifecycle: the seen-cell
 convention (the cell is the first-copy verdict a kernel books in
 ``Metrics``), :class:`SlotPlane` (one stream's per-slot columns) and
-:class:`SlotKernel` (allocation and recycling, the neighbor rows, bulk
-row installation, the dense plane index).  A kernel subclasses
-:class:`SlotKernel` and adds only what a reception *does*; a column
-added to :class:`SlotPlane` must also be grown in ``grow`` for a joiner
-and zeroed in ``clear`` on release (tests/test_slots.py walks
-``__slots__`` to hold that).
+:class:`SlotKernel` (allocation and recycling, the fan-out rows — the
+installed CSR plus per-slot overrides — and the dense plane index).  A
+kernel subclasses :class:`SlotKernel` and adds only what a reception
+*does*; a column added to :class:`SlotPlane` must also be grown in
+``grow`` for a joiner and zeroed in ``clear`` on release
+(tests/test_slots.py walks ``__slots__`` to hold that).
 """
 
 from __future__ import annotations
@@ -74,10 +74,15 @@ class SlotKernel:
         self.slot_of: dict[NodeId, int] = {}
         self._free: list[int] = []
         self.capacity = 0
-        #: Per-slot live peer ids, in active-view insertion order (the
-        #: overlay is shared by every stream, so rows are plane-free):
-        #: the flood kernels fan out from these.
-        self.neighbor_rows: list[list[NodeId]] = []
+        # The fan-out rows (one per slot, plane-free: the overlay is
+        # shared by every stream) are the installed CSR plus overrides.
+        # Slot ``_base_first + i`` holds CSR row ``i`` (``i <
+        # _base_n``): ``_base_offsets`` are the row starts, and
+        # ``_base_peers`` the entries mapped to ids.  ``_rows`` holds the
+        # rows a link change touched, and every row outside the base.
+        self._base_first = self._base_n = 0
+        self._base_offsets = self._base_peers = ()
+        self._rows: dict[int, list[NodeId]] = {}
         #: Slot planes in dense-index order; one per stream ever seen.
         self.planes: list = []
         #: stream id -> dense plane index.
@@ -92,7 +97,6 @@ class SlotKernel:
         else:
             slot = self.capacity
             self.capacity += 1
-            self.neighbor_rows.append([])
             for plane in self.planes:
                 plane.grow()
         self.slot_of[node_id] = slot
@@ -105,27 +109,91 @@ class SlotKernel:
         slot = self.slot_of.pop(node_id, None)
         if slot is None:
             return
-        self.neighbor_rows[slot] = []
+        if self._base_row(slot) >= 0:
+            self._rows[slot] = []
+        else:
+            self._rows.pop(slot, None)
         for plane in self.planes:
             plane.clear(slot)
         self._free.append(slot)
 
     def install_rows(self, ids, topo) -> None:
-        """Bulk-build the neighbor rows from CSR adjacency arrays.
+        """Install the fan-out rows of ``ids`` from CSR adjacency arrays.
 
         ``topo`` is a :class:`repro.experiments.bootstrap.CSRTopology`
         over ``ids`` (the i-th row describes ``ids[i]``).  Row order
         matches what :meth:`HyParViewNode.install_overlay` produces from
-        the same arrays, so rows built here are identical to the ones
-        the membership notifications would have accumulated."""
+        the same arrays, so the rows are identical to the ones the
+        membership notifications would have appended.
+
+        The first install over one run of consecutive slots, in ``ids``
+        order (what a bulk spawn attaches), keeps ``topo`` as the base
+        and builds no per-slot row; any other install writes every row
+        as an override."""
+        slot_of = self.slot_of
+        n = len(ids)
+        first = slot_of[ids[0]] if n else 0
+        rows = self._rows
+        if n and not self._base_n and list(map(slot_of.__getitem__, ids)) == list(
+            range(first, first + n)
+        ):
+            for slot in [s for s in rows if first <= s < first + n]:
+                del rows[slot]
+            self._base_first, self._base_n = first, n
+            self._install_base(ids, topo)
+            return
         offsets = topo.offsets
         neighbors = topo.neighbors
-        rows = self.neighbor_rows
-        slot_of = self.slot_of
         for i, nid in enumerate(ids):
             rows[slot_of[nid]] = [
                 ids[j] for j in neighbors[offsets[i] : offsets[i + 1]]
             ]
+
+    def _install_base(self, ids, topo) -> None:
+        """Keep ``topo``'s rows as the base: its row starts, and its
+        entries mapped to ids in one flat list the fan-out slices."""
+        self._base_offsets = topo.offsets
+        self._base_peers = list(map(ids.__getitem__, topo.neighbors))
+
+    def _base_row(self, slot: int) -> int:
+        """``slot``'s row index in the installed CSR, or -1."""
+        i = slot - self._base_first
+        return i if 0 <= i < self._base_n else -1
+
+    def row(self, slot: int) -> list[NodeId]:
+        """``slot``'s live peer ids in active-view insertion order: its
+        override (the kernel's own list: do not mutate it), else a fresh
+        list sliced from the installed CSR, else empty."""
+        row = self._rows.get(slot)
+        if row is not None:
+            return row
+        i = slot - self._base_first
+        if 0 <= i < self._base_n:
+            offsets = self._base_offsets
+            return self._base_peers[offsets[i] : offsets[i + 1]]
+        return []
+
+    def _writable(self, slot: int) -> list[NodeId]:
+        """``slot``'s override, created from its current row."""
+        row = self._rows.get(slot)
+        if row is None:
+            row = self._rows[slot] = self.row(slot)
+        return row
+
+    def row_append(self, slot: int, peer: NodeId) -> None:
+        """Record a new live peer in ``slot``'s row.
+
+        Row changes funnel through this pair of methods so a kernel that
+        keeps derived per-row state (the vectorized kernel's numpy CSR)
+        can invalidate it where the row changes."""
+        self._writable(slot).append(peer)
+
+    def row_remove(self, slot: int, peer: NodeId) -> None:
+        """Drop ``peer`` from ``slot``'s row (no-op when absent)."""
+        try:
+            self._writable(slot).remove(peer)
+        except ValueError:
+            pass
 
     def plane(self, stream: StreamId):
         """The slot plane for ``stream`` (created on first touch)."""

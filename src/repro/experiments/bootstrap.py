@@ -57,6 +57,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 from repro.config import HyParViewConfig
 from repro.errors import SimulationError
@@ -246,9 +247,7 @@ def synthesize_topology_arrays(
 def _assemble_csr(n: int, degrees: array, edge_a: array, edge_b: array) -> CSRTopology:
     """Counting-sort an undirected edge list into CSR rows (shared by
     every array-backed topology synthesizer)."""
-    offsets = array("q", bytes(8 * (n + 1)))
-    for i in range(n):
-        offsets[i + 1] = offsets[i] + degrees[i]
+    offsets = array("q", accumulate(degrees, initial=0))
     neighbors = array("i", bytes(4 * offsets[n]))
     cursor = array("q", offsets[:n])
     for a, b in zip(edge_a, edge_b):
@@ -262,16 +261,12 @@ def _assemble_csr(n: int, degrees: array, edge_a: array, edge_b: array) -> CSRTo
 def _ring_edges(n: int) -> tuple[array, array, array, set[int]]:
     """The Hamiltonian ring every synthesizer starts from: edge arrays, a
     degree vector, and the packed undirected edge-key set (min*n+max)."""
-    degrees = array("i", bytes(4 * n))  # zero-initialised
-    edge_a = array("i")
-    edge_b = array("i")
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        edge_a.append(i)
-        edge_b.append(j)
-        degrees[i] += 1
-        degrees[j] += 1
-    edge_keys = {i * n + (i + 1) for i in range(n - 1)}
+    degrees = array("i", [2]) * n  # n >= 3: every ring node has two
+    edge_a = array("i", range(n))
+    edge_b = array("i", range(1, n))
+    edge_b.append(0)
+    # Edge (i, i + 1) packs to i * (n + 1) + 1.
+    edge_keys = set(range(1, (n - 1) * (n + 1), n + 1))
     edge_keys.add(n - 1)  # the wrap-around edge (0, n-1)
     return edge_a, edge_b, degrees, edge_keys
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.baselines.flood import FloodNode, SlottedFloodKernel, SlottedFloodNode
-from repro.core.flood_vectorized import VectorizedFloodKernel
 from repro.config import HyParViewConfig
 from repro.sim.churn import ChurnDriver
 from repro.sim.engine import Simulator
@@ -128,15 +127,21 @@ def flood_node_factory(
 
     For ``"slotted"`` and ``"vectorized"`` the factory closes over one
     shared kernel (:class:`SlottedFloodKernel` /
-    :class:`VectorizedFloodKernel`): a fresh one by default (population
-    bootstrap), or the existing kernel passed as ``slot_kernel`` so
-    churn joiners land in the same arrays and recycle freed slots.
+    :class:`repro.core.flood_vectorized.VectorizedFloodKernel`): a fresh
+    one by default (population bootstrap), or the existing kernel passed
+    as ``slot_kernel`` so churn joiners land in the same arrays and
+    recycle freed slots.
     """
     check_kernel("flood", kernel)
     if kernel == "object":
         return lambda network, nid: FloodNode(network, nid, hpv)
     if slot_kernel is None:
-        cls = VectorizedFloodKernel if kernel == "vectorized" else SlottedFloodKernel
+        if kernel == "vectorized":
+            # numpy loads only in a process that runs this kernel
+            # (DESIGN.md §17).
+            from repro.core.flood_vectorized import VectorizedFloodKernel as cls
+        else:
+            cls = SlottedFloodKernel
         slot_kernel = cls(net)
     return lambda network, nid: SlottedFloodNode(network, nid, hpv, kernel=slot_kernel)
 

@@ -205,7 +205,7 @@ class Metrics:
 
     def account_wave(self, wave) -> None:
         """Batched :meth:`account_send_many` over one
-        :class:`~repro.sim.network.FanWave`: the same totals as one call
+        :class:`~repro.core.flood_vectorized.FanWave`: the same totals as one call
         per fan (one book update per fan, one per wave for the kind
         counter)."""
         sent = self._sent

@@ -31,11 +31,6 @@ from itertools import islice
 from operator import itemgetter, sub
 from typing import Any, Callable, Iterable, Optional
 
-try:  # a FanWave is numpy arrays; only the vectorized kernel builds one
-    import numpy as np
-except ImportError:  # pragma: no cover - CI always installs numpy
-    np = None
-
 from repro.errors import SimulationError
 from repro.ids import NodeId
 from repro.sim.engine import Simulator
@@ -44,38 +39,6 @@ from repro.sim.message import Message
 from repro.sim.monitor import Metrics
 from repro.sim.node import ProtocolNode
 from repro.sim.rng import derive
-
-
-class FanWave:
-    """A dissemination wave: N fused fan-out events carrying one message
-    that arrive at one instant, kept as arrays (DESIGN.md §12).
-
-    Fan ``i`` carries ``msg`` at wire size ``size`` from ``srcs[i]`` to
-    ``dsts[offs[i]:offs[i + 1]]``.  ``len`` counts fans and a slice
-    selects fans, which is all an engine run entry needs
-    (:meth:`Simulator.call_at_run`).  Only the vectorized flood kernel
-    builds one, so only it needs numpy.
-    """
-
-    __slots__ = ("srcs", "offs", "dsts", "msg", "size")
-
-    def __init__(self, srcs, offs, dsts, msg: Message, size: int) -> None:
-        self.srcs = srcs
-        self.offs = offs
-        self.dsts = dsts
-        self.msg = msg
-        self.size = size
-
-    def __len__(self) -> int:
-        return len(self.srcs)
-
-    def __getitem__(self, part: slice) -> "FanWave":
-        a, b, _ = part.indices(len(self.srcs))
-        offs = self.offs[a : b + 1]
-        return FanWave(
-            self.srcs[a:b], offs - offs[0], self.dsts[offs[0] : offs[-1]],
-            self.msg, self.size,
-        )
 
 
 class LinkRegistry(Mapping):
@@ -719,56 +682,6 @@ class Network:
             )
         self.metrics.account_send_many(src, msg.kind, size, n_sent)
 
-    def send_fan_wave(
-        self, wave: FanWave, sink: Callable[[FanWave], None]
-    ) -> "np.ndarray | None":
-        """File a whole wave of fused fan-outs as ONE engine run entry
-        (:meth:`Simulator.call_at_run`) that hands it to ``sink``, with
-        one batched accounting pass.
-
-        Exactly equivalent to calling :meth:`send_fan_unchecked` once per
-        fan in wave order: the same ``seq`` numbers, Metrics totals and
-        loss draws — under loss one coin per destination in flat wave
-        order, the per-fan sequence, and a fully-lost fan schedules
-        nothing.  The kernel guarantees per fan what
-        :meth:`send_fan_unchecked` requires of its callers.  Returns
-        ``None`` when every fan was scheduled whole, else the number of
-        destinations scheduled per fan (0 = no event), from which the
-        caller replays the per-event push counts (peak-backlog
-        emulation, DESIGN.md §12).
-        """
-        # Every destination is accounted, lost or not: the sender
-        # transmitted the bytes; loss happens on the link.
-        self.metrics.account_wave(wave)
-        survivors = None
-        if self._loss_rng is not None:
-            wave, survivors = self._mask_wave(wave)
-        sim = self.sim
-        sim.call_at_run(sim.now + self.latency.uniform_delay, sink, wave)
-        return survivors
-
-    def _mask_wave(self, wave: FanWave) -> "tuple[FanWave, np.ndarray | None]":
-        """:meth:`_mask_lost` over a whole wave: one coin per destination
-        in flat order.  Returns the surviving wave (fully-lost fans
-        removed) and the survivors per fan of ``wave``, or
-        ``(wave, None)`` when nothing was lost."""
-        dsts = wave.dsts
-        coins = np.fromiter(
-            iter(self._loss_rng.random, None), dtype=np.float64, count=len(dsts)
-        )
-        keep = coins >= self._loss_rate
-        kept_before = np.zeros(len(dsts) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept_before[1:])
-        lost = len(dsts) - int(kept_before[-1])
-        if not lost:
-            return wave, None
-        self._drop_lost(lost)
-        survivors = kept_before[wave.offs[1:]] - kept_before[wave.offs[:-1]]
-        live = np.nonzero(survivors)[0]
-        offs = np.zeros(live.size + 1, dtype=np.int64)
-        np.cumsum(survivors[live], out=offs[1:])
-        return FanWave(wave.srcs[live], offs, dsts[keep], wave.msg, wave.size), survivors
-
     def register_fan_sink(
         self, kind: str, sink: Callable[[NodeId, list[NodeId], Message, int], None]
     ) -> None:
@@ -786,7 +699,7 @@ class Network:
         by the slotted BRISA kernel (§11) to read a fan's shared fields
         once and skip the per-recipient dispatch, and by the vectorized
         flood kernel, whose sink turns the fan-out into a one-fan
-        :class:`FanWave` (DESIGN.md §12).
+        :class:`~repro.core.flood_vectorized.FanWave` (DESIGN.md §12).
         """
         self._fan_sinks[kind] = sink
 
@@ -795,7 +708,7 @@ class Network:
 
         The kernel must expose ``release_node(node_id)``; :meth:`crash`
         calls it after the node teardown and crash listeners, so dead
-        nodes' slot state — seen rows, plane counters, neighbor rows —
+        nodes' slot state — seen rows, plane counters, fan-out rows —
         is zeroed and recycled exactly once, however the crash was
         initiated (churn driver, test, or protocol logic).
         """

@@ -182,7 +182,7 @@ class TestSlotRecycling:
         assert victim.node_id not in kernel.slot_of
         assert kernel.slot_delivered(slot) == 0
         assert kernel.slot_duplicates(slot) == 0
-        assert kernel.neighbor_rows[slot] == []
+        assert kernel.row(slot) == []
         # The next joiner takes over the freed slot with a clean seen map.
         hpv = source.hpv_config
         joiner = net.spawn(lambda n, i: SlottedFloodNode(n, i, hpv, kernel=kernel))

@@ -122,7 +122,8 @@ class TestWakeEquivalence:
                 n, seed=seed, topology=topology, kernel=kernel
             )
             assert all(is_cold(node) for node in nodes)
-            rows = [list(row) for row in nodes[0].kernel.neighbor_rows]
+            slot_kernel = nodes[0].kernel
+            rows = [list(slot_kernel.row(s)) for s in range(slot_kernel.capacity)]
             pushes = sim._seq
             for i, name in touched:
                 getattr(nodes[i], name)
@@ -139,7 +140,7 @@ class TestWakeEquivalence:
             }
             # No wake pushed an event or touched a kernel row.
             assert sim._seq == pushes and sim.pending == 0
-            assert nodes[0].kernel.neighbor_rows == rows
+            assert [slot_kernel.row(s) for s in range(slot_kernel.capacity)] == rows
             net.check_link_invariants()
 
     @pytest.mark.parametrize("kernel", ARRAY_KERNELS)
@@ -184,7 +185,7 @@ class TestWakeEquivalence:
         kernel = nodes[0].kernel
         assert not kernel.cold and kernel._cold_views is None
         assert_valid_overlay(nodes)
-        assert [kernel.neighbor_rows[n.slot] for n in nodes] == [list(n.active) for n in nodes]
+        assert [kernel.row(n.slot) for n in nodes] == [list(n.active) for n in nodes]
 
     def test_adoption_outside_a_bulk_rows_bracket_installs_the_rows(self):
         # Testbed.populate does not know about kernels: the rows the
@@ -194,7 +195,7 @@ class TestWakeEquivalence:
         bed.populate(32, factory, bootstrap="synthesized", defer_timers=True)
         kernel = bed.nodes[0].kernel
         assert all(is_cold(node) for node in bed.nodes)
-        rows = [list(kernel.neighbor_rows[node.slot]) for node in bed.nodes]
+        rows = [list(kernel.row(node.slot)) for node in bed.nodes]
         assert rows == [list(node.active) for node in bed.nodes]
         bed.nodes[0].inject(0, 0, 64)
         bed.sim.run_until_idle()
@@ -217,7 +218,7 @@ class TestWakeEquivalence:
         nodes, records = flood(kernel)
         slot_kernel = nodes[0].kernel
         assert not slot_kernel.cold
-        assert [slot_kernel.neighbor_rows[n.slot] for n in nodes] == [
+        assert [slot_kernel.row(n.slot) for n in nodes] == [
             list(n.active) for n in nodes
         ]
         assert views(nodes) == views(ref_nodes)
@@ -323,7 +324,7 @@ class TestMembershipEvents:
         slot_kernel = joiner.kernel
         for node in net.nodes.values():
             if node.alive:
-                assert slot_kernel.neighbor_rows[node.slot] == list(node.active)
+                assert slot_kernel.row(node.slot) == list(node.active)
         # Only who membership touched woke: ``views`` above read the rest.
         assert sim.pending == 0
 
@@ -362,7 +363,7 @@ class TestMembershipEvents:
         assert views(bed.nodes, set) == views(twins, set)
         slot_kernel = bed.nodes[0].kernel
         for node in bed.nodes:
-            assert slot_kernel.neighbor_rows[node.slot] == list(node.active)
+            assert slot_kernel.row(node.slot) == list(node.active)
         bed.network.check_link_invariants()
         assert bed.sim.pending == 0
 

@@ -13,9 +13,12 @@ leaking one node's state into a churn joiner.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.bootstrap import synthesize_topology_arrays
 from repro.experiments.scale_flood import build_static_flood_overlay, flood_node_factory
 
 
@@ -45,7 +48,7 @@ def cells(plane, slot: int) -> dict:
 
 
 def assert_zeroed(kernel, slot: int) -> None:
-    assert kernel.neighbor_rows[slot] == []
+    assert kernel.row(slot) == []
     for plane in kernel.planes:
         for name, cell in cells(plane, slot).items():
             assert not (any(cell) if name == "rows" else cell), (
@@ -67,7 +70,7 @@ def test_crash_releases_every_declared_column(kind):
     slot = victim.slot
     assert len(kernel.planes) == 2
     # The streams left state behind at the victim, in both planes...
-    assert kernel.neighbor_rows[slot]
+    assert kernel.row(slot)
     for plane in kernel.planes:
         held = cells(plane, slot)
         assert held["delivered"] == 2 and all(held["rows"])
@@ -133,3 +136,106 @@ def test_delivered_column_equals_the_seen_map_walk(kind, seed, loss, kills, stre
         net.spawn(factory).join(sources[0].node_id)
     sim.run_until_idle()
     publish(3, 2)
+
+
+def churned(kind: str):
+    """A 48-node bed on ``kind``'s kernel: a message, three crashes, two
+    joiners, a second message.  Returns (net, nodes, initial views) with
+    the joiners last in ``nodes``."""
+    name = kind.removeprefix("flood-")
+    sim, net, nodes = build_static_flood_overlay(48, seed=5, kernel=name)
+    initial = {node.node_id: list(node.active) for node in nodes} if name == "object" else None
+    kernel = getattr(nodes[0], "kernel", None)
+    factory = flood_node_factory(name, net, nodes[0].hpv_config, slot_kernel=kernel)
+    nodes[0].inject(0, 0, 64)
+    sim.run_until_idle()
+    for victim in (nodes[7], nodes[20], nodes[33]):
+        net.crash(victim.node_id)
+    sim.run_until_idle()
+    net.autostart_timers = False  # joiners stay message-driven: the heap drains
+    for _ in range(2):
+        joiner = net.spawn(factory)
+        joiner.join(nodes[0].node_id)
+        nodes.append(joiner)
+    sim.run_until_idle()
+    nodes[0].inject(0, 1, 64)
+    sim.run_until_idle()
+    return net, nodes, initial
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_static_run_keeps_the_installed_csr(kind):
+    """No link changes, no override: every row is read from the
+    synthesizer's CSR, and the vectorized snapshot is that CSR."""
+    sim, net, nodes, kernel, _ = build(kind, loss_percent=0.0)
+    nodes[0].inject(0, 0, 64)
+    sim.run_until_idle()
+    assert all(node.delivered_count(0) == 1 for node in nodes)
+    assert kernel._rows == {}
+    assert kernel._base_n == len(nodes)
+    if kind == "flood-vectorized":
+        assert kernel._csr_data is kernel._base_peers
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rows_follow_the_active_view_through_churn(kind):
+    """After crashes and joins (``release_node``, ``row_append``,
+    ``row_remove``), every live row equals the object kernel's active
+    view of the same node, in order.  Exactly the rows that changed are
+    overridden (a joiner's among them), plus the freed slots."""
+    ref_net, ref_nodes, initial = churned("flood-object")
+    net, nodes, _ = churned(kind)
+    kernel = nodes[0].kernel
+    live = [node for node in nodes if net.alive(node.node_id)]
+    assert [node.node_id for node in live] == [
+        node.node_id for node in ref_nodes if ref_net.alive(node.node_id)
+    ]
+    for node in live:
+        assert kernel.row(node.slot) == list(ref_net.nodes[node.node_id].active)
+    changed = {
+        node.slot for node in live
+        if list(ref_net.nodes[node.node_id].active) != initial.get(node.node_id)
+    }
+    assert changed and len(changed) < len(live)
+    assert set(kernel._rows) == changed | set(kernel._free)
+    if kind == "flood-vectorized":
+        # The snapshot rebuilt from the CSR and the overrides, the row
+        # lengths and the id -> slot vector agree with the rows.
+        kernel._rebuild_csr()
+        offs = kernel._csr_offs
+        slot_map = kernel._slots()
+        for node in live:
+            slot = node.slot
+            assert kernel._csr_data[offs[slot] : offs[slot + 1]].tolist() == kernel.row(slot)
+            assert kernel._row_len[slot] == len(kernel.row(slot))
+            assert slot_map[node.node_id] == slot
+        for node in nodes:
+            if node not in live:
+                assert slot_map[node.node_id] == -1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_install_over_recycled_slots_writes_overrides(kind):
+    """A second install, over slots that are not one run in id order,
+    writes its rows as overrides; the first population keeps its CSR."""
+    sim, net, nodes, kernel, factory = build(kind, n=16)
+    before = {node.slot: kernel.row(node.slot) for node in nodes}
+    for victim in (nodes[3], nodes[9]):
+        net.crash(victim.node_id)
+    net.autostart_timers = False
+    extra = net.spawn_many(factory, 6)
+    assert {nodes[3].slot, nodes[9].slot} <= {node.slot for node in extra}
+    topo = synthesize_topology_arrays(6, degree=2, max_degree=4, rng=random.Random(1))
+    ids = [node.node_id for node in extra]
+    kernel.install_rows(ids, topo)
+    for i, node in enumerate(extra):
+        row = topo.neighbors[topo.offsets[i] : topo.offsets[i + 1]]
+        assert kernel.row(node.slot) == [ids[j] for j in row]
+    assert set(kernel._rows) == {node.slot for node in extra}
+    for node in nodes:
+        if node not in (nodes[3], nodes[9]):
+            assert kernel.row(node.slot) == before[node.slot]
+    if kind == "flood-vectorized":
+        offs = kernel._csr_offs
+        for slot in kernel.slot_of.values():
+            assert kernel._csr_data[offs[slot] : offs[slot + 1]].tolist() == kernel.row(slot)

@@ -1,6 +1,7 @@
 """The runtime needs only the standard library (DESIGN.md §17): numpy
 powers the vectorized flood kernel and the report statistics, networkx
-is the tests' reference implementation only.
+is the tests' reference implementation only.  Where numpy is installed,
+only a process that runs the vectorized kernel loads it.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported both."""
@@ -81,6 +82,51 @@ def test_vectorized_kernel_names_numpy(blocked):
     assert "numpy" in blocked["vectorized"]
 
 
+#: Runs that leave numpy unloaded where it is installed, in order.
+NUMPY_FREE = {
+    "brisa-object": dict(stack="brisa", nodes=64, messages=10),
+    "brisa-slotted-lossy": dict(
+        stack="brisa", nodes=64, messages=10, kernel="slotted", loss_percent=2.0
+    ),
+    "flood-slotted": dict(stack="flood", nodes=64, messages=10, kernel="slotted"),
+}
+
+NUMPY_PROBE = f"""
+import json, sys
+loaded = {{}}
+import repro.cli
+import repro.experiments.scenarios
+loaded["import"] = "numpy" in sys.modules
+from repro.experiments.scale_runner import RunSpec, run_spec
+for name, spec in {NUMPY_FREE!r}.items():
+    run_spec(RunSpec(**spec))
+    loaded[name] = "numpy" in sys.modules
+run_spec(RunSpec(stack="flood", nodes=64, messages=10, kernel="vectorized"))
+loaded["flood-vectorized"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+@pytest.fixture(scope="module")
+def numpy_loaded():
+    """Whether numpy was in ``sys.modules`` after each step of a fresh
+    interpreter that has it installed."""
+    pytest.importorskip("numpy")
+    return json.loads(run_python(NUMPY_PROBE).splitlines()[-1])
+
+
+@pytest.mark.parametrize("step", ["import"] + sorted(NUMPY_FREE))
+def test_numpy_stays_unloaded(numpy_loaded, step):
+    """``import repro.cli`` / ``repro.experiments.scenarios`` and every
+    run on the BRISA kernels or the slotted flood kernel leave numpy out
+    of ``sys.modules``."""
+    assert numpy_loaded[step] is False
+
+
+def test_the_vectorized_kernel_loads_numpy(numpy_loaded):
+    assert numpy_loaded["flood-vectorized"] is True
+
+
 @pytest.fixture(scope="module")
 def table1_modules():
     """The exit status of a fresh interpreter's ``repro run table1
@@ -100,6 +146,12 @@ def table1_modules():
 def test_table1_run_never_imports_networkx(table1_modules):
     """A whole paper artifact run loads no networkx."""
     assert "networkx" not in table1_modules
+
+
+def test_table1_run_never_imports_numpy(table1_modules):
+    """Table I's churn runs (``table1_churn``) and its renderer load no
+    numpy either."""
+    assert "numpy" not in table1_modules
 
 
 def test_table1_run_never_imports_hashlib(table1_modules):
